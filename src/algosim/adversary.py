@@ -3,8 +3,8 @@ ephemeral keys.
 
 Both attacks forge blocks that the regular block validator accepts; that is
 their entire point.  All adversarial signing goes through an
-:class:`~algosim.crypto.AdversarySigner` restricted to the corrupted users,
-so the engine's audit can confirm no honest key was ever exercised.
+:class:`~algosim.crypto.AdversarySigner`, which refuses to sign for any user
+outside the corrupted set.
 """
 
 from __future__ import annotations
@@ -190,23 +190,6 @@ def _forge_cert(fork: Chain, round: int, digest: bytes, is_empty: bool,
 
 
 # -- bribery ---------------------------------------------------------------------
-
-def announce_roles(node: UserId, round: int, chain: Chain,
-                   params: ProtocolParams, registry: KeyRegistry) -> list:
-    """Credentials the node would publish ahead of serving in `round`.
-
-    A bribable node reveals its selections before sending any protocol
-    message, which lets a briber identify it pre-service.  Empty when the
-    node is not selected (or the round is before the lookback horizon).
-    """
-    creds = []
-    prev_seed = chain.blocks[round - 1].seed
-    for step in range(1, params.max_step + 1):
-        cred = view_credential(node, round, step, prev_seed, chain, params, registry)
-        if cred is not None:
-            creds.append(cred)
-    return creds
-
 
 def bribe_and_recertify(chain: Chain, target_round: int, retained,
                         params: ProtocolParams,

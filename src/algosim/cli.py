@@ -18,7 +18,13 @@ from pathlib import Path
 
 from .adversary import AdversaryConfig
 from .crypto import KeyRegistry
-from .engine import RunMetrics, ScenarioConfig, metrics_to_lines, run_scenario
+from .engine import (
+    EngineError,
+    RunMetrics,
+    ScenarioConfig,
+    metrics_to_lines,
+    run_scenario,
+)
 from .ledger import LedgerError, chain_from_lines, chain_to_lines, verify_chain
 from .sortition import ProtocolParams, default_cert_threshold
 
@@ -32,9 +38,9 @@ class ConfigError(Exception):
 def load_config(path: str, seed: int | None = None, rounds: int | None = None,
                 mode: str | None = None) -> ScenarioConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    if not cp.read(path):
-        raise ConfigError(f"cannot read config file {path}")
     try:
+        if not cp.read(path):
+            raise ConfigError(f"cannot read config file {path}")
         sc = cp["scenario"] if cp.has_section("scenario") else {}
         pc = cp["params"] if cp.has_section("params") else {}
         ac = cp["adversary"] if cp.has_section("adversary") else {}
@@ -77,7 +83,7 @@ def load_config(path: str, seed: int | None = None, rounds: int | None = None,
         )
         config.validate()
         return config
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, configparser.Error) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
 
 
@@ -267,7 +273,11 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except EngineError as exc:  # a config whose rounds cannot complete
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ counts once per value) and all thresholds use exact integer arithmetic:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .crypto import Digest, KeyRegistry, Signature, UserId, be8, hash_to_unit, sha256
 from .ledger import (
@@ -27,10 +27,6 @@ from .ledger import (
     verify_payment,
 )
 from .sortition import Credential, ProtocolParams, verify_credential
-
-
-class NoTerminationError(Exception):
-    """Binary agreement exhausted its step budget without a decision."""
 
 
 class ProtocolInconsistencyError(Exception):
@@ -102,6 +98,22 @@ def distinct_voter_counts(messages: Iterable) -> dict[Digest, int]:
     for m in messages:
         voters.setdefault(m.value, set()).add(m.voter)
     return {v: len(s) for v, s in voters.items()}
+
+
+def supermajority_value(messages: Iterable, committee_size: int) -> Digest | None:
+    """The value voted by more than two thirds of a committee of
+    `committee_size`, counting distinct voters; None when no value is.
+
+    Graded-consensus relays and the two-step majority rule both decide by
+    this.  Two values can both qualify only when more than a third of the
+    committee equivocates; the one with more distinct voters then wins, ties
+    going to the smaller digest.
+    """
+    counts = distinct_voter_counts(messages)
+    qualifying = [v for v, c in counts.items() if 3 * c > 2 * committee_size]
+    if not qualifying:
+        return None
+    return min(qualifying, key=lambda v: (-counts[v], v))
 
 
 # -- step 1: proposal ----------------------------------------------------------
@@ -229,19 +241,11 @@ def soft_vote(credential: Credential, proposals: Sequence[ProposalMessage],
 
 # -- graded consensus ------------------------------------------------------------
 
-def relay_value(votes: Iterable[SoftVote], committee_size_2: int) -> Digest | None:
-    """The value backed by more than two thirds of the step-2 committee, if
-    any (at most one value can qualify)."""
-    counts = distinct_voter_counts(votes)
-    qualifying = [v for v, c in counts.items() if 3 * c > 2 * committee_size_2]
-    return min(qualifying) if qualifying else None
-
-
 def gc_relay(credential: Credential, votes: Iterable[SoftVote],
              committee_size_2: int, registry: KeyRegistry,
              policy: str = "honest") -> GCRelay | None:
     """Relay the supermajority-backed value, signed for step 3."""
-    value = relay_value(votes, committee_size_2)
+    value = supermajority_value(votes, committee_size_2)
     if value is None:
         return None
     r = credential.round
@@ -302,32 +306,26 @@ def bba_transition(zeros: int, ones: int, n: int, phase: int,
     raise ValueError(f"invalid phase {phase}")
 
 
-def bba(initial_bits: dict[UserId, int], committees: dict[int, list[UserId]],
-        params: ProtocolParams, prev_seed: Digest) -> tuple[int, int]:
-    """Run binary agreement over per-step committees with honest participants.
+def bba(vote_step: Callable[[int, int | None], tuple[int, int, int]],
+        prev_seed: Digest, max_ba_steps: int) -> tuple[int | None, int]:
+    """Run binary agreement over steps 4, 5, ... for at most `max_ba_steps`.
 
-    `committees` maps absolute step numbers (4, 5, ...) to the verifier set of
-    that step; step-4 voters use their own entry of `initial_bits`, later
-    committees vote the shared bit derived from the previous step's tally.
-    Returns (decided_bit, deciding_step).  Bit 0 means the graded value is
-    agreed, bit 1 means the round falls back to the empty block.
+    `vote_step(step, bit)` has that step's committee vote `bit` and returns
+    the distinct-voter tally (zeros, ones, committee size); at step 4 `bit`
+    is None and each voter votes its own input.  Returns (decided_bit, step)
+    with the step at which the halting condition fired, or (None, last step)
+    when the budget runs out.  Bit 0 means the graded value is agreed, bit 1
+    means the round falls back to the empty block.
     """
-    shared: int | None = None
-    for step in range(4, params.max_ba_steps + 4):
-        voters = committees.get(step, [])
-        if step == 4:
-            bits = [initial_bits[v] for v in voters]
-        else:
-            bits = [shared] * len(voters)
-        zeros = sum(1 for b in bits if b == 0)
-        ones = len(bits) - zeros
+    bit: int | None = None
+    for step in range(4, max_ba_steps + 4):
+        zeros, ones, n = vote_step(step, bit)
         phase = (step - 4) % 3
         coin = coin_bit(prev_seed, (step - 4) // 3) if phase == 2 else None
-        shared, decided = bba_transition(zeros, ones, len(voters), phase, coin)
+        bit, decided = bba_transition(zeros, ones, n, phase, coin)
         if decided is not None:
             return decided, step
-    raise NoTerminationError(
-        f"no agreement within {params.max_ba_steps} binary-agreement steps")
+    return None, max_ba_steps + 3
 
 
 def ba_output(graded: GradedValue, bba_result: int) -> Digest | None:
@@ -339,19 +337,6 @@ def ba_output(graded: GradedValue, bba_result: int) -> Digest | None:
         raise ProtocolInconsistencyError(
             "agreement settled on a value but no value was graded")
     return graded.value
-
-
-# -- simplified two-step protocol --------------------------------------------------
-
-def simple_vote_finalize(votes: Iterable[SoftVote],
-                         committee_size_2: int) -> Digest | None:
-    """Finalize the value voted by more than two thirds of the step-2
-    committee; None when no value clears the threshold."""
-    counts = distinct_voter_counts(votes)
-    qualifying = [v for v, c in counts.items() if 3 * c > 2 * committee_size_2]
-    if not qualifying:
-        return None
-    return min(qualifying, key=lambda v: (-counts[v], v))
 
 
 # -- certificates ------------------------------------------------------------------

@@ -5,7 +5,7 @@ KeyRegistry that knows every secret seed.  This gives us the two properties
 the protocol logic actually depends on -- determinism and uniqueness (exactly
 one byte string verifies per (signer, message)) -- without pretending to be
 real cryptography.  Ephemeral per-(user, round, step) keys carry an explicit
-destroy/retain lifecycle so key-reuse attacks can be expressed and audited.
+destroy/retain lifecycle so key-reuse attacks can be expressed.
 """
 
 from __future__ import annotations
@@ -76,13 +76,6 @@ class KeyState(Enum):
 
 
 @dataclass
-class LongTermKey:
-    owner: UserId
-    secret_seed: bytes
-    public_handle: bytes
-
-
-@dataclass
 class EphemeralKeyRecord:
     """Per-(owner, round, step) signing key with a one-way lifecycle."""
 
@@ -91,18 +84,6 @@ class EphemeralKeyRecord:
     step: int
     secret_seed: bytes
     state: KeyState = KeyState.AVAILABLE
-
-
-@dataclass(frozen=True)
-class SignEvent:
-    """Audit-log entry; one per signature produced through any API path."""
-
-    kind: str  # "unique" | "ephemeral"
-    owner: UserId
-    round: int | None
-    step: int | None
-    context: str  # "honest" | "adversary"
-    key_state: str
 
 
 class KeyRegistry:
@@ -115,39 +96,32 @@ class KeyRegistry:
 
     Honest code signs through the registry directly; adversarial code must go
     through an :class:`AdversarySigner`, which restricts signing to corrupted
-    users and tags the audit log.
+    users.
     """
 
     def __init__(self, run_seed: int, horizon: int, max_step: int):
-        self.run_seed = run_seed
         self.horizon = horizon
         self.max_step = max_step
         self._master = sha256(b"SEED" + be8(run_seed))
         self.genesis_seed = sha256(b"GENQ" + self._master)
-        self._keys: dict[UserId, LongTermKey] = {}
+        self._keys: dict[UserId, bytes] = {}  # long-term secret seeds
         self._ephemeral: dict[tuple[UserId, int, int], EphemeralKeyRecord] = {}
-        self.audit: list[SignEvent] = []
 
     # -- registration -------------------------------------------------------
 
     def register_user(self, user: UserId) -> None:
         """Provision a user's long-term key and its ephemeral key space."""
-        if user in self._keys:
-            return
-        seed = sha256(b"LTSK" + self._master + be8(user))
-        handle = sha256(b"USER" + be8(user))
-        self._keys[user] = LongTermKey(user, seed, handle)
+        if user not in self._keys:
+            self._keys[user] = sha256(b"LTSK" + self._master + be8(user))
 
     def is_registered(self, user: UserId) -> bool:
         return user in self._keys
 
-    def users(self) -> list[UserId]:
-        return sorted(self._keys)
-
     def public_handle(self, user: UserId) -> bytes:
-        return self._require_key(user).public_handle
+        self._require_key(user)
+        return sha256(b"USER" + be8(user))
 
-    def _require_key(self, user: UserId) -> LongTermKey:
+    def _require_key(self, user: UserId) -> bytes:
         try:
             return self._keys[user]
         except KeyError:
@@ -156,17 +130,14 @@ class KeyRegistry:
     # -- unique (long-term) signatures --------------------------------------
 
     def _raw_unique(self, user: UserId, message: bytes) -> Signature:
-        return sha256(self._require_key(user).secret_seed + message)
+        return sha256(self._require_key(user) + message)
 
-    def unique_sign(self, owner: UserId, message: bytes,
-                    _context: str = "honest") -> Signature:
-        sig = self._raw_unique(owner, message)
-        self.audit.append(SignEvent("unique", owner, None, None, _context, "-"))
-        return sig
+    def unique_sign(self, owner: UserId, message: bytes) -> Signature:
+        return self._raw_unique(owner, message)
 
     def expected_signature(self, owner: UserId, message: bytes) -> Signature:
         """Verification helper: the one signature that verifies for (owner,
-        message).  Produces no audit entry; never exposes the seed."""
+        message).  Never exposes the seed."""
         return self._raw_unique(owner, message)
 
     def verify_unique(self, owner: UserId, message: bytes, sig: Signature) -> bool:
@@ -196,16 +167,13 @@ class KeyRegistry:
         return self._record(owner, round, step).state
 
     def ephemeral_sign(self, owner: UserId, round: int, step: int,
-                       message: bytes, _context: str = "honest") -> Signature:
+                       message: bytes) -> Signature:
         rec = self._record(owner, round, step)
         if rec.state is KeyState.DESTROYED:
             raise KeyDestroyedError(
                 f"ephemeral key of user {owner} for round {round} step {step} "
                 "was destroyed")
-        sig = sha256(rec.secret_seed + message)
-        self.audit.append(SignEvent(
-            "ephemeral", owner, round, step, _context, rec.state.value))
-        return sig
+        return sha256(rec.secret_seed + message)
 
     def verify_ephemeral(self, owner: UserId, round: int, step: int,
                          message: bytes, sig: Signature) -> bool:
@@ -244,13 +212,10 @@ class KeyRegistry:
 @dataclass
 class AdversarySigner:
     """Adversary-facing signing API: only users the active strategy has
-    corrupted can be signed for.  Every signature is audit-tagged."""
+    corrupted can be signed for."""
 
     registry: KeyRegistry
     corrupted: set[UserId] = field(default_factory=set)
-
-    def corrupt(self, user: UserId) -> None:
-        self.corrupted.add(user)
 
     def _check(self, owner: UserId) -> None:
         if owner not in self.corrupted:
@@ -259,10 +224,9 @@ class AdversarySigner:
 
     def unique_sign(self, owner: UserId, message: bytes) -> Signature:
         self._check(owner)
-        return self.registry.unique_sign(owner, message, _context="adversary")
+        return self.registry.unique_sign(owner, message)
 
     def ephemeral_sign(self, owner: UserId, round: int, step: int,
                        message: bytes) -> Signature:
         self._check(owner)
-        return self.registry.ephemeral_sign(
-            owner, round, step, message, _context="adversary")
+        return self.registry.ephemeral_sign(owner, round, step, message)

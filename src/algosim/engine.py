@@ -19,7 +19,6 @@ from . import consensus, sortition
 from .adversary import (
     AdversaryConfig,
     AttackFailedError,
-    announce_roles,
     bribe_and_recertify,
     fork_from,
 )
@@ -103,18 +102,6 @@ class ForkReport:
 
 
 @dataclass
-class RoundTranscript:
-    """Step-2 vote multiset plus the committed agreement digest, kept so the
-    two consensus paths can be re-compared after the fact."""
-
-    round: int
-    votes: tuple[SoftVote, ...]
-    committee_size_2: int
-    ba_digest: bytes
-    empty_digest: bytes
-
-
-@dataclass
 class RunMetrics:
     rounds: list[RoundRecord]
     forks_detected: int
@@ -146,7 +133,6 @@ class SimulationRun:
         self.chain = make_genesis(
             {u: config.initial_balance for u in genesis_users}, self.registry)
         self.records: list[RoundRecord] = []
-        self.transcripts: list[RoundTranscript] = []
 
     def _register_user(self, uid: UserId) -> None:
         self.registry.register_user(uid)
@@ -216,11 +202,6 @@ class SimulationRun:
             return
 
         eligible = sorted(users_at(self.chain, r - params.lookback))
-        if self.config.adversary.strategy == "bribery":
-            for u in eligible:
-                if self._policy[u] == "retain":
-                    announce_roles(u, r, self.chain, params, self.registry)
-
         pending = self._workload(r)
         messages = 0
         sizes: dict[int, int] = {}
@@ -263,7 +244,7 @@ class SimulationRun:
         empty_digest = canonical_empty_digest(self.chain, r)
         simple_digest = None
         if mode in ("simple", "both"):
-            result = consensus.simple_vote_finalize(votes, n2)
+            result = consensus.supermajority_value(votes, n2)
             simple_digest = result if result is not None else empty_digest
 
         ba_digest = None
@@ -294,8 +275,6 @@ class SimulationRun:
         equivalent = None
         if mode == "both":
             equivalent = ba_digest == simple_digest
-            self.transcripts.append(RoundTranscript(
-                r, votes, n2, ba_digest, empty_digest))
             if not equivalent:
                 log.warning("round %d: agreement %s vs simple vote %s",
                             r, ba_digest.hex()[:16], simple_digest.hex()[:16])
@@ -323,11 +302,11 @@ class SimulationRun:
         messages += self.net.step()
         relays = [m for m in self.net.inbox_common() if isinstance(m, GCRelay)]
         graded = consensus.gc_grade(relays, len(sv3))
-        bit = 0 if graded.grade == 2 else 1
+        initial_bit = 0 if graded.grade == 2 else 1
 
-        decided = None
-        decision_step = params.max_ba_steps + 4
-        for s in range(4, params.max_ba_steps + 4):
+        def vote_step(s, bit):
+            nonlocal messages
+            bit = initial_bit if bit is None else bit
             committee = self._committee(r, s, prev_seed, eligible)
             sizes[s] = len(committee)
             for cred in committee:
@@ -341,13 +320,11 @@ class SimulationRun:
                           if isinstance(m, BBAVote) and m.step == s]
             zeros = len({m.voter for m in step_votes if m.bit == 0})
             ones = len({m.voter for m in step_votes if m.bit == 1})
-            phase = (s - 4) % 3
-            coin = consensus.coin_bit(prev_seed, (s - 4) // 3) if phase == 2 else None
-            bit, decided = consensus.bba_transition(
-                zeros, ones, len(committee), phase, coin)
-            if decided is not None:
-                decision_step = s + 1
-                break
+            return zeros, ones, len(committee)
+
+        decided, last_step = consensus.bba(vote_step, prev_seed,
+                                           params.max_ba_steps)
+        decision_step = last_step + 1
         if decided is None:
             flags.append("no-termination")
             decided = 1
@@ -417,7 +394,6 @@ class SimulationRun:
                                       classification="bribery-fork")
             except AttackFailedError as exc:
                 attack_error = str(exc)
-        self._audit_adversary()
         metrics = RunMetrics(
             rounds=self.records,
             forks_detected=len(reports),
@@ -427,15 +403,6 @@ class SimulationRun:
             attack_error=attack_error,
         )
         return chains, metrics
-
-    def _audit_adversary(self) -> None:
-        # No adversarial signature may come from a destroyed key, and the
-        # signer restriction guarantees only corrupted users appear; keep the
-        # stronger check cheap and unconditional.
-        for event in self.registry.audit:
-            if event.kind == "ephemeral" and event.key_state == "destroyed":
-                raise EngineError(
-                    f"audit: destroyed key of user {event.owner} signed")
 
 
 def run_scenario(config: ScenarioConfig) -> tuple[list[Chain], RunMetrics]:
@@ -467,22 +434,6 @@ def detect_fork(chains: list[Chain], params: ProtocolParams,
                         classification))
                 break
     return reports
-
-
-def compare_consensus(transcripts: list[RoundTranscript]) -> list[dict]:
-    """Re-evaluate the simple majority rule on each round's recorded vote
-    multiset and compare it with the committed agreement digest."""
-    verdicts = []
-    for t in transcripts:
-        result = consensus.simple_vote_finalize(t.votes, t.committee_size_2)
-        simple = result if result is not None else t.empty_digest
-        verdicts.append({
-            "round": t.round,
-            "equivalent": simple == t.ba_digest,
-            "ba_digest": t.ba_digest.hex(),
-            "simple_digest": simple.hex(),
-        })
-    return verdicts
 
 
 # -- metrics serialization ------------------------------------------------------

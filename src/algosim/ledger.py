@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .crypto import (
+    DIGEST_LEN,
     TAG_BLOCK,
     TAG_PAYMENT,
     ZERO_DIGEST,
@@ -245,13 +246,19 @@ def validate_block(chain: Chain, b: Block, params, registry: KeyRegistry) -> lis
     violations: list[str] = []
     if b.round < 1 or b.round > len(chain.blocks):
         return [f"round {b.round} has no validated predecessor"]
+    # Sortition below reads user sets of earlier rounds, so an invalid payset
+    # anywhere in the prefix leaves nothing to check this block against.
+    try:
+        status = chain.status_entering(b.round)
+    except LedgerError as exc:
+        return [f"chain prefix does not replay: {exc}"]
     prev = chain.blocks[b.round - 1]
     if b.prev_hash != block_hash(prev):
         violations.append("previous-block hash mismatch")
 
     # Payset replay.
     try:
-        apply_payset(chain.status_entering(b.round), b.payset, registry)
+        apply_payset(status, b.payset, registry)
     except LedgerError as exc:
         violations.append(f"payset does not apply: {exc}")
 
@@ -385,6 +392,14 @@ def _block_to_obj(b: Block) -> dict:
     }
 
 
+def _hash_field(text: str) -> bytes:
+    """Decode a hex digest or signature; each is exactly DIGEST_LEN bytes."""
+    value = bytes.fromhex(text)
+    if len(value) != DIGEST_LEN:
+        raise ValueError(f"expected {DIGEST_LEN} bytes, got {len(value)}")
+    return value
+
+
 def chain_from_lines(lines: Iterable[str],
                      registry: KeyRegistry | None = None) -> Chain:
     from .consensus import CertMessage
@@ -403,18 +418,18 @@ def chain_from_lines(lines: Iterable[str],
         try:
             o = json.loads(line)
             payset = tuple(Payment(p["payer"], p["payee"], p["amount"],
-                                   bytes.fromhex(p["sig"])) for p in o["payset"])
+                                   _hash_field(p["sig"])) for p in o["payset"])
             cert = tuple(CertMessage(
                 voter=m["voter"], round=m["round"], step=m["step"], bit=m["bit"],
-                block_digest=bytes.fromhex(m["block_digest"]),
-                sig=bytes.fromhex(m["sig"]),
+                block_digest=_hash_field(m["block_digest"]),
+                sig=_hash_field(m["sig"]),
                 credential=Credential(m["credential"]["user"],
                                       m["credential"]["round"],
                                       m["credential"]["step"],
-                                      bytes.fromhex(m["credential"]["sig"])))
+                                      _hash_field(m["credential"]["sig"])))
                 for m in o["cert"])
-            block = Block(o["round"], payset, bytes.fromhex(o["seed"]),
-                          bytes.fromhex(o["prev_hash"]), cert)
+            block = Block(o["round"], payset, _hash_field(o["seed"]),
+                          _hash_field(o["prev_hash"]), cert)
         except (KeyError, ValueError, TypeError) as exc:
             raise LedgerError(f"malformed chain record: {exc}") from exc
         chain.append(block)

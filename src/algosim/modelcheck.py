@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .consensus import bba_transition, gc_grade, simple_vote_finalize
+from .consensus import bba_transition, gc_grade, supermajority_value
 
 _Msg = namedtuple("_Msg", "voter value")
 
@@ -63,8 +63,8 @@ def check_vote_safety(sizes=range(4, 13)) -> list[tuple]:
     """Search for two observers finalizing different values.
 
     Two observers share the honest votes; each equivocator may vote A to one
-    observer and B to the other (or abstain).  Runs the shipped finalize
-    function on both observer multisets.  Returns counterexamples.
+    observer and B to the other (or abstain).  Runs the shipped
+    supermajority rule on both observer multisets.  Returns counterexamples.
     """
     bad = []
     for n in sizes:
@@ -82,8 +82,8 @@ def check_vote_safety(sizes=range(4, 13)) -> list[tuple]:
                     for zb in range(f + 1):
                         view1 = honest + [_Msg(i, "A") for i in list(byz_ids)[:za]]
                         view2 = honest + [_Msg(i, "B") for i in list(byz_ids)[:zb]]
-                        r1 = simple_vote_finalize(view1, n)
-                        r2 = simple_vote_finalize(view2, n)
+                        r1 = supermajority_value(view1, n)
+                        r2 = supermajority_value(view2, n)
                         if r1 is not None and r2 is not None and r1 != r2:
                             bad.append((n, f, a, b, za, zb, r1, r2))
     return bad

@@ -21,18 +21,15 @@ class Envelope:
     step: int
     payload: object
     seq: int
-    delivery_step: int
     recipients: frozenset[UserId] | None = None  # None means everyone
 
 
 @dataclass
 class Network:
     node_ids: set[UserId] = field(default_factory=set)
-    now: int = 0
     _queue: list[Envelope] = field(default_factory=list)
     _delivered: list[Envelope] = field(default_factory=list)
     _seq: int = 0
-    delivery_log: list[tuple] = field(default_factory=list)
 
     def add_node(self, node: UserId) -> None:
         self.node_ids.add(node)
@@ -40,15 +37,14 @@ class Network:
     def broadcast(self, sender: UserId, payload, round: int, step: int) -> None:
         if sender not in self.node_ids:
             raise KeyError(f"unknown sender {sender}")
-        self._queue.append(
-            Envelope(sender, round, step, payload, self._seq, self.now + 1))
+        self._queue.append(Envelope(sender, round, step, payload, self._seq))
         self._seq += 1
 
     def send_to(self, sender: UserId, recipients, payload,
                 round: int, step: int) -> None:
         """Equivocation hook: deliver `payload` to `recipients` only."""
         self._queue.append(Envelope(sender, round, step, payload, self._seq,
-                                    self.now + 1, frozenset(recipients)))
+                                    frozenset(recipients)))
         self._seq += 1
 
     def step(self) -> int:
@@ -56,15 +52,8 @@ class Network:
         self._queue.sort(key=lambda e: (e.sender, e.seq))
         self._delivered = self._queue
         self._queue = []
-        self.now += 1
-        delivered = 0
-        for e in self._delivered:
-            fanout = len(self.node_ids) if e.recipients is None else len(e.recipients)
-            delivered += fanout
-            self.delivery_log.append(
-                (self.now, e.sender, e.round, e.step,
-                 type(e.payload).__name__, fanout))
-        return delivered
+        return sum(len(self.node_ids) if e.recipients is None else len(e.recipients)
+                   for e in self._delivered)
 
     def inbox(self, node: UserId) -> list:
         """Payloads delivered to `node` at the last step boundary."""
@@ -74,8 +63,3 @@ class Network:
     def inbox_common(self) -> list:
         """Broadcast payloads from the last step (every node received these)."""
         return [e.payload for e in self._delivered if e.recipients is None]
-
-    def delivery_log_lines(self) -> list[str]:
-        """Line-delimited delivery log for transcript debugging."""
-        return [f"{t}\t{sender}\t{round}.{step}\t{kind}\t{fanout}"
-                for t, sender, round, step, kind, fanout in self.delivery_log]

@@ -168,9 +168,10 @@ def verify_credential(cred: Credential, prev_seed: Digest, chain: Chain,
 
 
 # -- omniscient views ---------------------------------------------------------
-# Validators and tests enumerate who sortition selects without producing new
-# signature audit events; the recomputed credentials are byte-identical to the
-# ones the users themselves would publish.
+# Validators, adversaries and tests enumerate who sortition selects from the
+# registry's expected signatures, without signing on anyone's behalf; the
+# recomputed credentials are byte-identical to the ones the users themselves
+# would publish.
 
 def view_credential(user: UserId, round: int, step: int, prev_seed: Digest,
                     chain: Chain, params: ProtocolParams,

@@ -5,14 +5,13 @@ from algosim.adversary import (
     AttackFailedError,
     ForkInfeasibleError,
     PreconditionViolatedError,
-    announce_roles,
     bribe_and_recertify,
     fork_from,
 )
 from algosim.crypto import KeyState
 from algosim.engine import ScenarioConfig, run_scenario
 from algosim.ledger import block_hash, users_at, validate_block, verify_chain
-from algosim.sortition import ProtocolParams, verify_credential
+from algosim.sortition import ProtocolParams, view_leader
 
 FORK_PARAMS = ProtocolParams(leader_prob=1.0, verifier_prob=1.0, lookback=3,
                              max_ba_steps=9, cert_threshold=7, horizon=20)
@@ -119,16 +118,21 @@ class TestGenesisFork:
             fork_from(chain, 4, FORK_PARAMS, chain.registry)
 
     def test_adversarial_signatures_only_for_corrupted(self, honest_run):
+        # every signature in a forged block -- certificate votes, payments
+        # and the leader's seed signature -- belongs to a corrupted user
         chain = honest_run
         registry = chain.registry
         corrupted = users_at(chain, 2)
-        before = len(registry.audit)
-        fork_from(chain, 2, FORK_PARAMS, registry)
-        events = registry.audit[before:]
-        adversarial = [e for e in events if e.context == "adversary"]
-        assert adversarial, "fork must sign adversarially"
-        assert all(e.owner in corrupted for e in adversarial)
-        assert not any(e.key_state == "destroyed" for e in events)
+        fork = fork_from(chain, 2, FORK_PARAMS, registry)
+        forged = fork.blocks[3:]
+        assert any(b.payset for b in forged), "fork must sign payments"
+        for block in forged:
+            assert {m.voter for m in block.cert} <= corrupted
+            assert {p.payer for p in block.payset} <= corrupted
+            if block.payset:
+                prev_seed = fork.blocks[block.round - 1].seed
+                assert view_leader(block.round, prev_seed, fork, FORK_PARAMS,
+                                   registry) in corrupted
 
     def test_forged_keys_are_retained_not_destroyed(self, honest_run):
         chain = honest_run
@@ -176,26 +180,6 @@ class TestScenarioIntegration:
         assert metrics.forks_detected == 1
         assert metrics.fork_reports[0].classification == "bribery-fork"
         assert metrics.fork_reports[0].round == 5
-
-
-class TestAnnounceRoles:
-    def test_announced_credentials_verify(self):
-        chains, _ = run_scenario(bribery_fixture())
-        chain = chains[0]
-        params = bribery_fixture().params
-        creds = announce_roles(4, 8, chain, params, chain.registry)
-        prev_seed = chain.blocks[7].seed
-        assert creds, "a p'=0.5 node is selected for some step almost surely"
-        for cred in creds:
-            assert verify_credential(cred, prev_seed, chain, params,
-                                     chain.registry)
-
-    def test_not_selected_round_is_empty(self):
-        chains, _ = run_scenario(bribery_fixture())
-        chain = chains[0]
-        params = bribery_fixture().params
-        # rounds before the lookback horizon select nobody
-        assert announce_roles(4, 2, chain, params, chain.registry) == []
 
 
 class TestBribery:

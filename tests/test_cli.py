@@ -78,6 +78,22 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--config", path)
         assert code == 2
 
+    def test_duplicate_option_is_usage_error(self, small_cfg, capsys):
+        small_cfg.write_text(SMALL_CFG + "cert_threshold = 6\n")
+        code, _, err = run_cli(capsys, "run", "--config", small_cfg)
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_unreachable_cert_threshold_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "ct90.cfg"
+        path.write_text((FIXTURES / "honest.cfg").read_text().replace(
+            "cert_threshold = 14", "cert_threshold = 90"))
+        code, stdout, err = run_cli(capsys, "run", "--config", path,
+                                    "--rounds", "4")
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "certificate threshold unreachable" in err
+
     def test_attack_config_does_not_trip_honest_exit(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "run", "--config",
                              FIXTURES / "genesis_fork.cfg")
@@ -164,6 +180,31 @@ class TestVerifyChain:
                                   out / "thin.jsonl", "--config", small_cfg)
         assert code == 1
         assert "insufficient certificates" in stdout
+
+    def test_chain_of_another_seed_reports_violations(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        honest = FIXTURES / "honest.cfg"
+        run_cli(capsys, "run", "--config", honest, "--seed", "1",
+                "--rounds", "8", "--out", out)
+        code, stdout, err = run_cli(capsys, "verify-chain", "--chain",
+                                    out / "chain.jsonl", "--config", honest)
+        assert code == 1
+        assert "round 3: payset does not apply" in stdout
+        assert "chain prefix does not replay" in stdout
+        assert err == ""
+
+    def test_short_digest_is_parse_error(self, small_cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_cli(capsys, "run", "--config", small_cfg, "--out", out)
+        lines = (out / "chain.jsonl").read_text().splitlines()
+        rec = json.loads(lines[4])
+        rec["prev_hash"] = "00"
+        lines[4] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+        (out / "short.jsonl").write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "verify-chain", "--chain",
+                               out / "short.jsonl", "--config", small_cfg)
+        assert code == 2
+        assert "cannot load chain" in err
 
     def test_truncated_file_is_parse_error(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,10 +1,11 @@
 from collections import namedtuple
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from algosim.consensus import (
     GradedValue,
-    NoTerminationError,
     ProtocolInconsistencyError,
     assemble_cert,
     ba_output,
@@ -16,10 +17,9 @@ from algosim.consensus import (
     gc_relay,
     make_cert_message,
     propose,
-    relay_value,
     select_proposal,
-    simple_vote_finalize,
     soft_vote,
+    supermajority_value,
     verify_proposal,
 )
 from algosim.crypto import KeyDestroyedError
@@ -36,6 +36,27 @@ Vote = namedtuple("Vote", "voter value")
 
 N = 12
 ROUND = 5
+
+
+def fixed_committee(inputs):
+    """vote_step of an honest committee: step 4 votes `inputs`, every later
+    step votes the shared bit."""
+    def vote_step(step, bit):
+        bits = list(inputs) if bit is None else [bit] * len(inputs)
+        zeros = bits.count(0)
+        return zeros, len(bits) - zeros, len(bits)
+    return vote_step
+
+
+def agreement_value(votes, n2, prev_seed, max_ba_steps):
+    """The digest the relay/grade/agreement pipeline finalizes from a step-2
+    vote multiset with honest committees of seven; None for the empty block."""
+    relayed = supermajority_value(votes, n2)
+    relays = [Vote(u, relayed) for u in range(7)] if relayed is not None else []
+    graded = gc_grade(relays, 7)
+    bits = [0 if graded.grade == 2 else 1] * 7
+    bit, _ = bba(fixed_committee(bits), prev_seed, max_ba_steps)
+    return ba_output(graded, bit)
 
 
 @pytest.fixture
@@ -125,15 +146,15 @@ class TestSoftVote:
 class TestGradedConsensus:
     def test_relay_above_two_thirds(self):
         votes = [Vote(i, "x") for i in range(7)] + [Vote(7, "y"), Vote(8, "y")]
-        assert relay_value(votes, 9) == "x"  # 7 of 9: 21 > 18
+        assert supermajority_value(votes, 9) == "x"  # 7 of 9: 21 > 18
 
     def test_no_relay_at_exact_boundary(self):
         votes = [Vote(i, "x") for i in range(6)]
-        assert relay_value(votes, 9) is None  # 6 of 9: 18 > 18 fails
+        assert supermajority_value(votes, 9) is None  # 6 of 9: 18 > 18 fails
 
     def test_duplicate_votes_count_once(self):
         votes = [Vote(i % 5, "x") for i in range(7)]  # 5 distinct voters
-        assert relay_value(votes, 9) is None
+        assert supermajority_value(votes, 9) is None
 
     def test_relay_message_is_signed_step_3(self, env):
         registry, chain, params = env
@@ -161,35 +182,30 @@ class TestGradedConsensus:
 
 
 class TestBinaryAgreement:
-    def committees(self, params, voters):
-        return {s: list(voters) for s in range(4, params.max_ba_steps + 4)}
-
     def test_unanimous_zero(self, env):
         _, chain, params = env
-        bits = {u: 0 for u in range(1, 8)}
-        bit, step = bba(bits, self.committees(params, bits), params,
-                        chain.tip().seed)
+        bit, step = bba(fixed_committee([0] * 7), chain.tip().seed,
+                        params.max_ba_steps)
         assert bit == 0 and step == 4
 
     def test_unanimous_one(self, env):
         _, chain, params = env
-        bits = {u: 1 for u in range(1, 8)}
-        bit, step = bba(bits, self.committees(params, bits), params,
-                        chain.tip().seed)
+        bit, step = bba(fixed_committee([1] * 7), chain.tip().seed,
+                        params.max_ba_steps)
         assert bit == 1 and step == 5
 
     def test_mixed_inputs_still_agree(self, env):
         _, chain, params = env
         for ones in range(8):
-            bits = {u: (1 if u <= ones else 0) for u in range(1, 8)}
-            bit, _ = bba(bits, self.committees(params, bits), params,
-                         chain.tip().seed)
+            inputs = [1 if u <= ones else 0 for u in range(1, 8)]
+            bit, _ = bba(fixed_committee(inputs), chain.tip().seed,
+                         params.max_ba_steps)
             assert bit in (0, 1)
 
-    def test_exhausted_budget_raises(self, env):
+    def test_exhausted_budget_returns_no_decision(self, env):
         _, chain, params = env
-        with pytest.raises(NoTerminationError):
-            bba({}, {}, params, chain.tip().seed)
+        assert bba(fixed_committee([]), chain.tip().seed,
+                   params.max_ba_steps) == (None, params.max_ba_steps + 3)
 
     def test_transition_thresholds(self):
         # phase 0 decides 0 only above two thirds
@@ -223,19 +239,53 @@ class TestBaOutput:
 
 
 class TestSimpleVote:
-    def test_above_threshold(self):
+    # Each boundary case is also run through the relay/grade/agreement
+    # pipeline, which must land on the same value.
+    def test_above_threshold(self, env):
+        _, chain, params = env
         votes = [Vote(i, "x") for i in range(14)] + [Vote(20 + i, "y")
                                                      for i in range(6)]
-        assert simple_vote_finalize(votes, 20) == "x"  # 42 > 40
+        assert supermajority_value(votes, 20) == "x"  # 42 > 40
+        assert agreement_value(votes, 20, chain.tip().seed,
+                               params.max_ba_steps) == "x"
 
-    def test_boundary(self):
+    def test_boundary(self, env):
+        _, chain, params = env
         votes = [Vote(i, "x") for i in range(13)]
-        assert simple_vote_finalize(votes, 20) is None  # 39 > 40 fails
+        assert supermajority_value(votes, 20) is None  # 39 > 40 fails
+        assert agreement_value(votes, 20, chain.tip().seed,
+                               params.max_ba_steps) is None
 
     def test_even_split(self):
         votes = [Vote(i, "x") for i in range(10)] + [Vote(10 + i, "y")
                                                      for i in range(10)]
-        assert simple_vote_finalize(votes, 20) is None
+        assert supermajority_value(votes, 20) is None
+
+    def test_tie_break_with_two_supermajorities(self):
+        # With more than n/3 equivocators two values can both clear 2n/3;
+        # the one with more distinct voters wins, even with the larger digest,
+        # and equal support goes to the smaller digest.
+        low, high = b"\x01" * 32, b"\x02" * 32
+        votes = [Vote(i, high) for i in range(6)] + [Vote(i, low)
+                                                     for i in range(5)]
+        assert supermajority_value(votes, 6) == high  # 6 and 5 voters of 6
+        votes = [Vote(i, high) for i in range(5)] + [Vote(i + 1, low)
+                                                     for i in range(5)]
+        assert supermajority_value(votes, 6) == low  # 5 and 5 voters of 6
+
+
+@given(st.lists(st.tuples(st.integers(0, 9), st.sampled_from("abc"))),
+       st.integers(0, 12))
+def test_supermajority_matches_brute_force(ballots, n):
+    backers = {value: {v for v, x in ballots if x == value}
+               for _, value in ballots}
+    qualifying = [x for x, voters in backers.items() if 3 * len(voters) > 2 * n]
+    expected = None
+    if qualifying:
+        most = max(len(backers[x]) for x in qualifying)
+        expected = min(x for x in qualifying if len(backers[x]) == most)
+    votes = [Vote(voter, value) for voter, value in ballots]
+    assert supermajority_value(votes, n) == expected
 
 
 class TestCertificates:
@@ -334,8 +384,8 @@ def test_equivocation_through_network_cannot_double_finalize():
         net.send_to(byz, {obs_a}, Vote(byz, "A"), round=1, step=2)
         net.send_to(byz, {obs_b}, Vote(byz, "B"), round=1, step=2)
     net.step()
-    result_a = simple_vote_finalize(net.inbox(obs_a), n)
-    result_b = simple_vote_finalize(net.inbox(obs_b), n)
+    result_a = supermajority_value(net.inbox(obs_a), n)
+    result_b = supermajority_value(net.inbox(obs_b), n)
     assert result_a == "A"  # 5 of 7 distinct voters clears the threshold
     assert result_b is None  # 4 of 7 does not
     assert not (result_a and result_b and result_a != result_b)
@@ -347,17 +397,11 @@ def test_agreement_implies_simple_vote_on_small_instances(env):
     # committees, must land exactly where the simple majority rule lands.
     registry, chain, params = env
     prev_seed = chain.tip().seed
-    committees = {s: list(range(1, 8)) for s in range(4, params.max_ba_steps + 4)}
     for n2 in range(1, 8):
         for a in range(n2 + 1):
             for b in range(n2 + 1 - a):
                 votes = [Vote(i, "A") for i in range(a)]
                 votes += [Vote(a + i, "B") for i in range(b)]
-                relayed = relay_value(votes, n2)
-                relays = ([Vote(u, relayed) for u in committees[4]]
-                          if relayed is not None else [])
-                graded = gc_grade(relays, len(committees[4]))
-                bits = {u: 0 if graded.grade == 2 else 1 for u in committees[4]}
-                bit, _ = bba(bits, committees, params, prev_seed)
-                agreed = ba_output(graded, bit) if bit == 0 else None
-                assert agreed == simple_vote_finalize(votes, n2)
+                assert agreement_value(votes, n2, prev_seed,
+                                       params.max_ba_steps) == \
+                    supermajority_value(votes, n2)

@@ -1,21 +1,15 @@
-from collections import namedtuple
-
 import pytest
 
 from algosim.adversary import AdversaryConfig
 from algosim.crypto import KeyState
 from algosim.engine import (
-    RoundTranscript,
     ScenarioConfig,
-    compare_consensus,
     detect_fork,
     metrics_to_lines,
     run_scenario,
 )
 from algosim.ledger import block_hash, chain_to_lines, verify_chain
 from algosim.sortition import ProtocolParams
-
-Vote = namedtuple("Vote", "voter value")
 
 SMALL = ScenarioConfig(
     seed=42, num_genesis_users=10, initial_balance=1000, rounds=20,
@@ -173,26 +167,6 @@ class TestCompareConsensus:
         for rec in metrics.rounds:
             if rec.ba_digest is not None and rec.simple_digest is not None:
                 assert rec.ba_digest == rec.simple_digest
-
-    def test_exact_two_thirds_boundary_declines_on_both_sides(self):
-        # 20-member committee, exactly 14 votes is above (42 > 40) but
-        # exactly ceil(2n/3) = 14 - 1 = 13 is not: construct the boundary
-        # multiset and check both paths decline together.
-        votes = tuple(Vote(i, b"\x01" * 32) for i in range(13))
-        empty = b"\x00" * 32
-        t = RoundTranscript(round=7, votes=votes, committee_size_2=20,
-                            ba_digest=empty, empty_digest=empty)
-        verdicts = compare_consensus([t])
-        assert verdicts[0]["equivalent"] is True
-
-    def test_counterexample_surfaces(self):
-        votes = tuple(Vote(i, b"\x01" * 32) for i in range(14))
-        empty = b"\x00" * 32
-        t = RoundTranscript(round=7, votes=votes, committee_size_2=20,
-                            ba_digest=empty, empty_digest=empty)
-        verdicts = compare_consensus([t])
-        assert verdicts[0]["equivalent"] is False
-        assert verdicts[0]["simple_digest"] == (b"\x01" * 32).hex()
 
 
 def test_mode_ba_only_has_no_shadow():

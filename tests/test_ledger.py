@@ -1,5 +1,7 @@
 import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ from algosim.ledger import (
     IncompatibleGenesisError,
     InsufficientFundsError,
     InvalidSignatureError,
+    LedgerError,
     RoundOutOfRangeError,
     Status,
     apply_payset,
@@ -252,3 +255,21 @@ class TestExport:
             assert block_hash(x) == block_hash(y)
         assert back.genesis_status.balances == chain.genesis_status.balances
         assert chain_to_lines(back) == lines
+
+    @pytest.mark.parametrize("path", [
+        ("seed",), ("prev_hash",), ("payset", 0, "sig"),
+        ("cert", 0, "block_digest"), ("cert", 0, "sig"),
+        ("cert", 0, "credential", "sig"),
+    ])
+    @pytest.mark.parametrize("value", ["00", "ab" * 33])
+    def test_hash_fields_must_be_32_bytes(self, path, value):
+        fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+        lines = (fixtures / "golden_chain.jsonl").read_text().splitlines()
+        record = json.loads(lines[4])
+        target = record
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        lines[4] = json.dumps(record)
+        with pytest.raises(LedgerError):
+            chain_from_lines(lines)

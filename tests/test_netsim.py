@@ -68,12 +68,15 @@ def test_delivery_log_is_deterministic():
         net = make_net()
         net.broadcast(2, "m", round=1, step=1)
         net.send_to(1, {3}, "t", round=1, step=1)
-        net.step()
+        counts = [net.step()]
+        inboxes = [[net.inbox(u) for u in range(1, 5)]]
         net.broadcast(4, "n", round=1, step=2)
-        net.step()
-        return net
+        counts.append(net.step())
+        inboxes.append([net.inbox(u) for u in range(1, 5)])
+        return counts, inboxes
 
-    assert run().delivery_log == run().delivery_log
-    lines = run().delivery_log_lines()
-    assert len(lines) == 3
-    assert lines[0].split("\t")[3] == "str"
+    assert run() == run()
+    counts, inboxes = run()
+    assert counts == [5, 4]
+    assert inboxes[0] == [["m"], ["m"], ["t", "m"], ["m"]]
+    assert inboxes[1] == [["n"]] * 4

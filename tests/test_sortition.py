@@ -13,6 +13,7 @@ from algosim.sortition import (
     verifier_credential,
     verify_credential,
     view_committee,
+    view_credential,
     view_leader,
 )
 
@@ -243,3 +244,28 @@ def test_view_leader_matches_signed_path(env):
              if (c := leader_credential(u, 5, prev_seed, chain, params, registry))]
     assert view_leader(5, prev_seed, chain, params, registry) == \
         select_leader(creds)
+
+
+def test_view_credential_round_trip(env):
+    # the omniscient view yields exactly the credentials the user would sign
+    # and publish, they verify, and rounds before the lookback yield none
+    registry, chain = env
+    params = params_with(p=0.5, p2=0.5)
+    prev_seed = chain.blocks[4].seed
+    creds = []
+    for step in range(1, params.max_step + 1):
+        cred = view_credential(4, 5, step, prev_seed, chain, params, registry)
+        signed = (leader_credential(4, 5, prev_seed, chain, params, registry)
+                  if step == 1 else
+                  verifier_credential(4, 5, step, prev_seed, chain, params,
+                                      registry))
+        assert cred == signed
+        if cred is not None:
+            creds.append(cred)
+    assert creds, "a p = 0.5 user is selected for some step almost surely"
+    for cred in creds:
+        assert verify_credential(cred, prev_seed, chain, params, registry)
+    early_seed = chain.blocks[1].seed
+    assert all(view_credential(4, 2, step, early_seed, chain, params,
+                               registry) is None
+               for step in range(1, params.max_step + 1))
