@@ -16,7 +16,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .adversary import AdversaryConfig
+from .adversary import AdversaryConfig, PreconditionViolatedError
 from .crypto import KeyRegistry
 from .engine import (
     EngineError,
@@ -275,7 +275,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EngineError as exc:  # a config whose rounds cannot complete
+    except (EngineError, PreconditionViolatedError) as exc:
+        # a config whose rounds cannot complete, or an out-of-range attack
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterable
 
 UserId = int
 Digest = bytes
@@ -142,6 +143,12 @@ class KeyRegistry:
 
     def verify_unique(self, owner: UserId, message: bytes, sig: Signature) -> bool:
         return self._raw_unique(owner, message) == sig
+
+    def unique_signatures(self, owners: Iterable[UserId],
+                          message: bytes) -> list[Signature]:
+        """Every owner's unique signature over one message, in order; the
+        bytes equal `unique_sign(owner, message)`."""
+        return [sha256(self._require_key(u) + message) for u in owners]
 
     # -- ephemeral keys ------------------------------------------------------
 

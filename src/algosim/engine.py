@@ -15,7 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from . import consensus, sortition
+from . import consensus
 from .adversary import (
     AdversaryConfig,
     AttackFailedError,
@@ -43,7 +43,7 @@ from .ledger import (
     validate_block,
 )
 from .netsim import Network
-from .sortition import ProtocolParams, select_leader
+from .sortition import ProtocolParams, select_committee, select_leader
 
 log = logging.getLogger("algosim.engine")
 
@@ -173,18 +173,6 @@ class SimulationRun:
             balances[uid] = 1
         return payments
 
-    # -- committees ---------------------------------------------------------
-
-    def _committee(self, round: int, step: int, prev_seed: bytes,
-                   eligible: list[UserId]) -> list:
-        out = []
-        for u in eligible:
-            cred = sortition.verifier_credential(
-                u, round, step, prev_seed, self.chain, self.params, self.registry)
-            if cred is not None:
-                out.append(cred)
-        return out
-
     # -- round pipeline -------------------------------------------------------
 
     def run_round(self, r: int) -> None:
@@ -209,12 +197,7 @@ class SimulationRun:
 
         # Step 1: every potential leader proposes a candidate block.
         cache: dict = {}
-        leader_creds = []
-        for u in eligible:
-            cred = sortition.leader_credential(
-                u, r, prev_seed, self.chain, params, self.registry)
-            if cred is not None:
-                leader_creds.append(cred)
+        leader_creds = select_committee(r, 1, prev_seed, eligible, params, self.registry)
         for cred in leader_creds:
             msg = consensus.propose(cred, pending, self.chain, params,
                                     self.registry, self._policy[cred.user],
@@ -229,7 +212,7 @@ class SimulationRun:
         blocks_by_digest = {block_hash(p.block): p.block for p in proposals}
 
         # Step 2: the vote committee backs the best valid proposal.
-        sv2 = self._committee(r, 2, prev_seed, eligible)
+        sv2 = select_committee(r, 2, prev_seed, eligible, params, self.registry)
         sizes[2] = len(sv2)
         for cred in sv2:
             vote = consensus.soft_vote(
@@ -292,7 +275,7 @@ class SimulationRun:
         messages = 0
         flags: list[str] = []
 
-        sv3 = self._committee(r, 3, prev_seed, eligible)
+        sv3 = select_committee(r, 3, prev_seed, eligible, params, self.registry)
         sizes[3] = len(sv3)
         for cred in sv3:
             relay = consensus.gc_relay(cred, votes, n2, self.registry,
@@ -307,7 +290,7 @@ class SimulationRun:
         def vote_step(s, bit):
             nonlocal messages
             bit = initial_bit if bit is None else bit
-            committee = self._committee(r, s, prev_seed, eligible)
+            committee = select_committee(r, s, prev_seed, eligible, params, self.registry)
             sizes[s] = len(committee)
             for cred in committee:
                 sig = self.registry.ephemeral_sign(cred.user, r, s, bytes([bit]))
@@ -348,7 +331,8 @@ class SimulationRun:
         voters: set[UserId] = set()
         step = max(decision_step, 2)
         while step <= params.max_step:
-            committee = self._committee(r, step, prev_seed, eligible)
+            committee = select_committee(r, step, prev_seed, eligible, params,
+                                         self.registry)
             sizes[step] = len(committee)
             for cred in committee:
                 if cred.user in voters:

@@ -89,6 +89,16 @@ class Block:
     seed: Digest
     prev_hash: Digest
     cert: tuple["CertMessage", ...]
+    # Hash of the canonical serialization, computed once on construction
+    # (also by `with_cert` and `dataclasses.replace`); the cert is not covered.
+    digest: Digest = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        parts = [TAG_BLOCK, be8(self.round), be8(len(self.payset))]
+        for p in self.payset:
+            parts += [be8(p.payer), be8(p.payee), be8(p.amount), p.sig]
+        parts += [self.seed, self.prev_hash]
+        object.__setattr__(self, "digest", sha256(b"".join(parts)))
 
     def is_empty(self) -> bool:
         return not self.payset
@@ -148,11 +158,7 @@ def apply_payset(status: Status, payset: Sequence[Payment],
 
 def block_hash(b: Block) -> Digest:
     """Hash of the canonical block serialization; the cert is not covered."""
-    parts = [TAG_BLOCK, be8(b.round), be8(len(b.payset))]
-    for p in b.payset:
-        parts += [be8(p.payer), be8(p.payee), be8(p.amount), p.sig]
-    parts += [b.seed, b.prev_hash]
-    return sha256(b"".join(parts))
+    return b.digest
 
 
 def empty_round_seed(prev_seed: Digest, round: int) -> Digest:
@@ -430,7 +436,10 @@ def chain_from_lines(lines: Iterable[str],
                 for m in o["cert"])
             block = Block(o["round"], payset, _hash_field(o["seed"]),
                           _hash_field(o["prev_hash"]), cert)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, AttributeError,
+                OverflowError) as exc:
+            # Block() serializes its fields, so a non-integer or negative
+            # number fails here rather than at validation.
             raise LedgerError(f"malformed chain record: {exc}") from exc
         chain.append(block)
     return chain

@@ -4,12 +4,20 @@ A user's selection status is a deterministic function of (user, round, step,
 previous seed): the credential signature is unique, so no API allows retrying
 with a different signature to improve one's odds.  Selection is per-user (one
 unit per user); stake-weighted refinements are out of scope.
+
+`select_committee` is the one sortition kernel: the engine, the validators
+and the adversary all enumerate leaders and committees through it.  It builds
+the credential message once, signs it for every eligible user in one registry
+call and keeps a user when the first 8 bytes of SHA-256(signature), read as a
+big-endian integer, are at most `selection_limit(p)`.  That integer compare
+decides exactly as the float rule `hash_to_unit(...) <= p` would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
+from typing import Sequence
 
 from .crypto import (
     TAG_LEADER,
@@ -23,10 +31,6 @@ from .crypto import (
     sha256,
 )
 from .ledger import Chain, users_at
-
-
-class NotEligibleError(Exception):
-    """User is outside the lookback set (or the round is before it)."""
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,7 @@ class Credential:
     step: int
     sig: Signature
 
-    @cached_property
+    @property
     def unit(self) -> float:
         return hash_to_unit(sha256(self.sig))
 
@@ -98,48 +102,50 @@ def credential_message(round: int, step: int, prev_seed: Digest) -> bytes:
 
 
 def _eligible(user: UserId, round: int, chain: Chain, params: ProtocolParams) -> bool:
-    # A user may serve in round r only if it joined at least `lookback`
-    # rounds earlier.
-    if round < params.lookback:
-        raise NotEligibleError(f"round {round} is before the lookback horizon")
-    if user not in users_at(chain, round - params.lookback):
-        raise NotEligibleError(
-            f"user {user} not in the user set of round {round - params.lookback}")
-    return True
+    # A user may serve in round r only if it held a balance `lookback` rounds
+    # earlier.
+    return (round >= params.lookback
+            and user in users_at(chain, round - params.lookback))
 
 
-def _threshold(step: int, params: ProtocolParams) -> float:
-    return params.leader_prob if step == 1 else params.verifier_prob
+@lru_cache(maxsize=64)
+def selection_limit(p: float) -> int:
+    """The largest x in [0, 2**64) with x / 2**64 <= p.
 
-
-def _credential_if_selected(user: UserId, round: int, step: int, sig: Signature,
-                            params: ProtocolParams) -> Credential | None:
-    cred = Credential(user, round, step, sig)
-    return cred if cred.unit <= _threshold(step, params) else None
-
-
-def leader_credential(user: UserId, round: int, prev_seed: Digest, chain: Chain,
-                      params: ProtocolParams, signer) -> Credential | None:
-    """The user's round-leadership credential, or None if not selected.
-
-    `signer` is the KeyRegistry for users signing for themselves, or an
-    AdversarySigner for corrupted users.  Raises NotEligibleError when the
-    user is outside the lookback set.
+    The quotient is monotone in x, so `x <= selection_limit(p)` holds exactly
+    when `x / 2**64 <= p` does.  At p = 0 the limit is 0, which still admits
+    an all-zero hash prefix, as the float rule does.
     """
-    _eligible(user, round, chain, params)
-    sig = signer.unique_sign(user, credential_message(round, 1, prev_seed))
-    return _credential_if_selected(user, round, 1, sig, params)
+    lo, hi = 0, 2**64 - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid / 2**64 <= p:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
-def verifier_credential(user: UserId, round: int, step: int, prev_seed: Digest,
-                        chain: Chain, params: ProtocolParams,
-                        signer) -> Credential | None:
-    """Committee-membership credential for step >= 2, or None if not selected."""
-    if step < 2:
-        raise ValueError("verifier credentials exist for steps >= 2 only")
-    _eligible(user, round, chain, params)
-    sig = signer.unique_sign(user, credential_message(round, step, prev_seed))
-    return _credential_if_selected(user, round, step, sig, params)
+def _limit(step: int, params: ProtocolParams) -> int:
+    return selection_limit(params.leader_prob if step == 1 else params.verifier_prob)
+
+
+def _selected(sig: Signature, limit: int) -> bool:
+    """The sortition rule: the credential's hashed signature is under the limit."""
+    return int.from_bytes(sha256(sig)[:8], "big") <= limit
+
+
+def select_committee(round: int, step: int, prev_seed: Digest,
+                     eligible: Sequence[UserId], params: ProtocolParams,
+                     registry: KeyRegistry) -> list[Credential]:
+    """Credentials of the `eligible` users that sortition selects for
+    (round, step), in the order of `eligible`.  Step 1 selects potential
+    leaders, later steps verifier committees."""
+    limit = _limit(step, params)
+    sigs = registry.unique_signatures(
+        eligible, credential_message(round, step, prev_seed))
+    return [Credential(u, round, step, sig)
+            for u, sig in zip(eligible, sigs) if _selected(sig, limit)]
 
 
 def select_leader(credentials: list[Credential]) -> UserId:
@@ -154,46 +160,37 @@ def verify_credential(cred: Credential, prev_seed: Digest, chain: Chain,
     """Recompute eligibility, signature and threshold for a credential."""
     if cred.step < 1:
         return CredentialCheck(False, "bad-step")
-    try:
-        _eligible(cred.user, cred.round, chain, params)
-    except NotEligibleError:
+    if not _eligible(cred.user, cred.round, chain, params):
         return CredentialCheck(False, "not-eligible")
     expected = registry.expected_signature(
         cred.user, credential_message(cred.round, cred.step, prev_seed))
     if cred.sig != expected:
         return CredentialCheck(False, "bad-signature")
-    if cred.unit > _threshold(cred.step, params):
+    if not _selected(cred.sig, _limit(cred.step, params)):
         return CredentialCheck(False, "not-selected")
     return CredentialCheck(True)
 
 
 # -- omniscient views ---------------------------------------------------------
-# Validators, adversaries and tests enumerate who sortition selects from the
-# registry's expected signatures, without signing on anyone's behalf; the
-# recomputed credentials are byte-identical to the ones the users themselves
-# would publish.
+# Validators, adversaries and tests enumerate who sortition selects over the
+# user set `lookback` rounds back, through the same kernel the engine runs;
+# the credentials are byte-identical to the ones the users themselves publish.
 
 def view_credential(user: UserId, round: int, step: int, prev_seed: Digest,
                     chain: Chain, params: ProtocolParams,
                     registry: KeyRegistry) -> Credential | None:
-    try:
-        _eligible(user, round, chain, params)
-    except NotEligibleError:
+    if not _eligible(user, round, chain, params):
         return None
-    sig = registry.expected_signature(user, credential_message(round, step, prev_seed))
-    return _credential_if_selected(user, round, step, sig, params)
+    selected = select_committee(round, step, prev_seed, [user], params, registry)
+    return selected[0] if selected else None
 
 
 def view_committee(round: int, step: int, prev_seed: Digest, chain: Chain,
                    params: ProtocolParams, registry: KeyRegistry) -> list[Credential]:
     if round < params.lookback:
         return []
-    out = []
-    for user in sorted(users_at(chain, round - params.lookback)):
-        cred = view_credential(user, round, step, prev_seed, chain, params, registry)
-        if cred is not None:
-            out.append(cred)
-    return out
+    eligible = sorted(users_at(chain, round - params.lookback))
+    return select_committee(round, step, prev_seed, eligible, params, registry)
 
 
 def view_leader(round: int, prev_seed: Digest, chain: Chain,

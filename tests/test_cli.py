@@ -206,6 +206,19 @@ class TestVerifyChain:
         assert code == 2
         assert "cannot load chain" in err
 
+    def test_negative_amount_is_parse_error(self, small_cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_cli(capsys, "run", "--config", small_cfg, "--out", out)
+        lines = (out / "chain.jsonl").read_text().splitlines()
+        rec = json.loads(lines[5])
+        rec["payset"][0]["amount"] = -5
+        lines[5] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+        (out / "negative.jsonl").write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "verify-chain", "--chain",
+                               out / "negative.jsonl", "--config", small_cfg)
+        assert code == 2
+        assert err.startswith("error: cannot load chain")
+
     def test_truncated_file_is_parse_error(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "out"
         run_cli(capsys, "run", "--config", small_cfg, "--out", out)
@@ -242,6 +255,22 @@ class TestAttack:
         code, _, err = run_cli(capsys, "attack", "bribery", "--config", path)
         assert code == 1
         assert "attack failed" in err
+
+    @pytest.mark.parametrize("fixture, old, new, message", [
+        ("genesis_fork.cfg", "fork_round = 2", "fork_round = 11",
+         "exceeds the one-third budget"),
+        ("bribery.cfg", "target_round = 5", "target_round = 40",
+         "must lie strictly inside the chain"),
+    ])
+    def test_out_of_range_attack_is_usage_error(self, tmp_path, capsys,
+                                                fixture, old, new, message):
+        path = tmp_path / fixture
+        path.write_text((FIXTURES / fixture).read_text().replace(old, new))
+        kind = fixture.removesuffix(".cfg").replace("_", "-")
+        code, _, err = run_cli(capsys, "attack", kind, "--config", path)
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert message in err
 
     def test_strategy_mismatch_is_usage_error(self, small_cfg, capsys):
         code, _, err = run_cli(capsys, "attack", "bribery",

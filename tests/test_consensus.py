@@ -24,11 +24,7 @@ from algosim.consensus import (
 )
 from algosim.crypto import KeyDestroyedError
 from algosim.ledger import block_hash, make_payment
-from algosim.sortition import (
-    ProtocolParams,
-    leader_credential,
-    verifier_credential,
-)
+from algosim.sortition import ProtocolParams, view_credential
 
 from conftest import idle_chain, make_registry
 
@@ -70,14 +66,14 @@ def env():
 
 def lead_cred(env, user):
     registry, chain, params = env
-    return leader_credential(user, ROUND, chain.tip().seed, chain, params,
-                             registry)
+    return view_credential(user, ROUND, 1, chain.tip().seed, chain, params,
+                           registry)
 
 
 def verf_cred(env, user, step):
     registry, chain, params = env
-    return verifier_credential(user, ROUND, step, chain.tip().seed, chain,
-                               params, registry)
+    return view_credential(user, ROUND, step, chain.tip().seed, chain,
+                           params, registry)
 
 
 class TestPropose:

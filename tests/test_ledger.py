@@ -1,17 +1,24 @@
+import dataclasses
 import hashlib
 import json
 import random
+import struct
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from algosim.consensus import CertMessage
 from algosim.crypto import TAG_BLOCK, TAG_PAYMENT, be8
 from algosim.ledger import (
     Block,
+    Chain,
     IncompatibleGenesisError,
     InsufficientFundsError,
     InvalidSignatureError,
     LedgerError,
+    Payment,
     RoundOutOfRangeError,
     Status,
     apply_payset,
@@ -24,6 +31,8 @@ from algosim.ledger import (
     make_payment,
     users_at,
 )
+
+from algosim.sortition import Credential
 
 from conftest import idle_chain, make_registry
 
@@ -273,3 +282,78 @@ class TestExport:
         lines[4] = json.dumps(record)
         with pytest.raises(LedgerError):
             chain_from_lines(lines)
+
+
+    def test_negative_number_is_parse_error(self):
+        # a block hashes its fields on construction, so a number that has no
+        # 8-byte big-endian form is rejected while the file is read
+        fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+        lines = (fixtures / "golden_chain.jsonl").read_text().splitlines()
+        record = json.loads(lines[4])
+        record["payset"][0]["amount"] = -5
+        lines[4] = json.dumps(record)
+        with pytest.raises(LedgerError):
+            chain_from_lines(lines)
+
+
+# -- block digests -----------------------------------------------------------------
+
+def readme_preimage(b):
+    """The README block layout, built with struct rather than the ledger's
+    own encoder: "BLK_" + round + payset_len + (payer + payee + amount + sig)
+    per payment + seed + prev_hash, integers as big-endian u64."""
+    out = b"BLK_" + struct.pack(">QQ", b.round, len(b.payset))
+    for p in b.payset:
+        out += struct.pack(">QQQ", p.payer, p.payee, p.amount) + p.sig
+    return out + b.seed + b.prev_hash
+
+
+def test_block_digest_matches_readme_preimage_on_every_path(registry):
+    chain = idle_chain(registry, {1: 30, 2: 40}, 3)
+    prev = chain.tip()
+    pays = (make_payment(registry, 1, 2, 3, 4), make_payment(registry, 2, 1, 7, 4))
+    built = Block(4, pays, empty_round_seed(prev.seed, 4), block_hash(prev), ())
+    certed = built.with_cert((CertMessage(1, 4, 2, 0, block_hash(built),
+                                          b"\x01" * 32,
+                                          Credential(1, 4, 2, b"\x02" * 32)),))
+    reseeded = dataclasses.replace(built, seed=bytes(range(32)))
+    chain.append(certed)
+    parsed = chain_from_lines(chain_to_lines(chain), registry).blocks
+    for b in (built, certed, reseeded, *chain.blocks, *parsed):
+        assert block_hash(b) == hashlib.sha256(readme_preimage(b)).digest()
+    assert block_hash(reseeded) != block_hash(built)
+    assert block_hash(parsed[4]) == block_hash(built)
+    with pytest.raises(TypeError):
+        Block(4, pays, built.seed, built.prev_hash, (), b"\x00" * 32)
+    with pytest.raises(ValueError):
+        dataclasses.replace(built, digest=b"\x00" * 32)
+
+
+u64 = st.integers(0, 2**64 - 1)
+hash32 = st.binary(min_size=32, max_size=32)
+payments = st.builds(Payment, u64, u64, u64, hash32)
+credentials = st.builds(Credential, u64, u64, u64, hash32)
+cert_messages = st.builds(CertMessage, voter=u64, round=u64, step=u64,
+                          bit=st.integers(0, 1), block_digest=hash32,
+                          sig=hash32, credential=credentials)
+
+
+@st.composite
+def chains(draw):
+    """A structurally arbitrary chain: any balances, paysets, seeds, hashes
+    and certificate messages, valid or not."""
+    chain = Chain(Status(0, draw(st.dictionaries(u64, u64, max_size=4))))
+    for r in range(draw(st.integers(1, 5))):
+        chain.append(Block(r, tuple(draw(st.lists(payments, max_size=3))),
+                           draw(hash32), draw(hash32),
+                           tuple(draw(st.lists(cert_messages, max_size=3)))))
+    return chain
+
+
+@given(chains())
+def test_export_round_trip_keeps_blocks_and_digests(chain):
+    back = chain_from_lines(chain_to_lines(chain))
+    assert back.genesis_status.balances == chain.genesis_status.balances
+    assert back.blocks == chain.blocks
+    assert [block_hash(b) for b in back.blocks] == \
+        [block_hash(b) for b in chain.blocks]

@@ -1,16 +1,21 @@
 import hashlib
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from algosim.crypto import be8
+import algosim.sortition as sortition
+from algosim.crypto import be8, hash_to_unit
+from algosim.ledger import users_at
 from algosim.sortition import (
     Credential,
-    NotEligibleError,
     ProtocolParams,
+    credential_message,
     default_cert_threshold,
-    leader_credential,
+    select_committee,
     select_leader,
-    verifier_credential,
+    selection_limit,
     verify_credential,
     view_committee,
     view_credential,
@@ -44,9 +49,9 @@ def test_saturated_threshold_selects_everyone(env):
     registry, chain = env
     params = params_with(p=1.0, p2=1.0)
     prev_seed = chain.blocks[4].seed
-    leaders = [u for u in range(1, N + 1)
-               if leader_credential(u, 5, prev_seed, chain, params, registry)]
-    assert leaders == list(range(1, N + 1))
+    leaders = select_committee(5, 1, prev_seed, range(1, N + 1), params,
+                               registry)
+    assert [c.user for c in leaders] == list(range(1, N + 1))
     assert len(view_committee(5, 2, prev_seed, chain, params, registry)) == N
 
 
@@ -54,8 +59,9 @@ def test_zero_threshold_selects_nobody(env):
     registry, chain = env
     params = params_with(p=0.0, p2=0.0)
     prev_seed = chain.blocks[4].seed
-    assert all(leader_credential(u, 5, prev_seed, chain, params, registry) is None
-               for u in range(1, N + 1))
+    assert select_committee(5, 1, prev_seed, range(1, N + 1), params,
+                            registry) == []
+    assert view_committee(5, 2, prev_seed, chain, params, registry) == []
 
 
 def test_selection_matches_independent_enumeration(env):
@@ -64,8 +70,8 @@ def test_selection_matches_independent_enumeration(env):
     registry, chain = env
     params = params_with(p=0.05)
     prev_seed = chain.blocks[4].seed
-    selected = {u for u in range(1, N + 1)
-                if leader_credential(u, 5, prev_seed, chain, params, registry)}
+    selected = {c.user for c in select_committee(5, 1, prev_seed, range(1, N + 1),
+                                                 params, registry)}
 
     oracle = set()
     run_master = hashlib.sha256(b"SEED" + be8(11)).digest()
@@ -86,8 +92,8 @@ def test_step_memberships_are_independent(env):
     prev_seed = chain.blocks[4].seed
     in2_not3 = in3_not2 = 0
     for u in range(1, N + 1):
-        a = verifier_credential(u, 5, 2, prev_seed, chain, params, registry)
-        b = verifier_credential(u, 5, 3, prev_seed, chain, params, registry)
+        a = view_credential(u, 5, 2, prev_seed, chain, params, registry)
+        b = view_credential(u, 5, 3, prev_seed, chain, params, registry)
         in2_not3 += bool(a) and not b
         in3_not2 += bool(b) and not a
     assert in2_not3 > 0 and in3_not2 > 0
@@ -135,19 +141,33 @@ def test_committee_sizes_fit_binomial_chi_square(env):
 
 def test_not_eligible_outside_lookback(env):
     registry, chain = env
-    params = params_with()
+    params = params_with(p=1.0, p2=1.0)
     registry.register_user(999)  # registered but never on chain
-    with pytest.raises(NotEligibleError):
-        leader_credential(999, 5, chain.blocks[4].seed, chain, params, registry)
-    with pytest.raises(NotEligibleError):
-        leader_credential(1, 2, chain.blocks[1].seed, chain, params, registry)
+    for user, round, prev_seed in ((999, 5, chain.blocks[4].seed),
+                                   (1, 2, chain.blocks[1].seed)):
+        assert view_credential(user, round, 1, prev_seed, chain, params,
+                               registry) is None
+        sig = registry.expected_signature(
+            user, credential_message(round, 1, prev_seed))
+        check = verify_credential(Credential(user, round, 1, sig), prev_seed,
+                                  chain, params, registry)
+        assert not check and check.reason == "not-eligible"
 
 
-def test_verifier_steps_start_at_two(env):
+def test_steps_start_at_one(env):
+    # step 1 is the leader step (leader tag and leader_prob); there is no
+    # step 0
     registry, chain = env
-    with pytest.raises(ValueError):
-        verifier_credential(1, 5, 1, chain.blocks[4].seed, chain,
-                            params_with(), registry)
+    params = params_with(p=1.0, p2=0.0)
+    prev_seed = chain.blocks[4].seed
+    cred = view_credential(1, 5, 1, prev_seed, chain, params, registry)
+    assert cred.sig == registry.expected_signature(
+        1, b"LEAD" + be8(5) + be8(1) + prev_seed)
+    assert verify_credential(cred, prev_seed, chain, params, registry)
+    sig = registry.expected_signature(1, credential_message(5, 0, prev_seed))
+    check = verify_credential(Credential(1, 5, 0, sig), prev_seed, chain,
+                              params, registry)
+    assert not check and check.reason == "bad-step"
 
 
 class TestSelectLeader:
@@ -159,7 +179,7 @@ class TestSelectLeader:
         registry, chain = env
         params = params_with(p=1.0)
         prev_seed = chain.blocks[4].seed
-        creds = [leader_credential(u, 5, prev_seed, chain, params, registry)
+        creds = [view_credential(u, 5, 1, prev_seed, chain, params, registry)
                  for u in (3, 4, 5)]
         best = min(creds, key=lambda c: c.unit)
         assert select_leader(creds) == best.user
@@ -180,14 +200,14 @@ class TestVerifyCredential:
         registry, chain = env
         params = params_with(p2=1.0)
         prev_seed = chain.blocks[4].seed
-        cred = verifier_credential(8, 5, 2, prev_seed, chain, params, registry)
+        cred = view_credential(8, 5, 2, prev_seed, chain, params, registry)
         assert verify_credential(cred, prev_seed, chain, params, registry)
 
     def test_unit_is_derived_not_trusted(self, env):
         registry, chain = env
         params = params_with(p2=1.0)
         prev_seed = chain.blocks[4].seed
-        cred = verifier_credential(8, 5, 2, prev_seed, chain, params, registry)
+        cred = view_credential(8, 5, 2, prev_seed, chain, params, registry)
         forged = Credential(cred.user, cred.round, cred.step, b"\x00" * 32)
         assert forged.unit != cred.unit  # recomputed from the signature
         check = verify_credential(forged, prev_seed, chain, params, registry)
@@ -197,7 +217,7 @@ class TestVerifyCredential:
         registry, chain = env
         params = params_with(p2=1.0)
         prev_seed = chain.blocks[4].seed
-        cred = verifier_credential(8, 5, 2, prev_seed, chain, params, registry)
+        cred = view_credential(8, 5, 2, prev_seed, chain, params, registry)
         for broken in (Credential(9, 5, 2, cred.sig),
                        Credential(8, 4, 2, cred.sig),
                        Credential(8, 5, 3, cred.sig)):
@@ -219,7 +239,7 @@ class TestVerifyCredential:
         prev_seed = chain.blocks[4].seed
         loose = params_with(p2=1.0)
         tight = params_with(p2=0.0)
-        cred = verifier_credential(8, 5, 2, prev_seed, chain, loose, registry)
+        cred = view_credential(8, 5, 2, prev_seed, chain, loose, registry)
         check = verify_credential(cred, prev_seed, chain, tight, registry)
         assert not check and check.reason == "not-selected"
 
@@ -228,20 +248,42 @@ def test_selection_is_deterministic_non_grinding(env):
     registry, chain = env
     params = params_with(p=0.1)
     prev_seed = chain.blocks[4].seed
-    first = [leader_credential(u, 5, prev_seed, chain, params, registry)
-             for u in range(1, N + 1)]
-    second = [leader_credential(u, 5, prev_seed, chain, params, registry)
-              for u in range(1, N + 1)]
-    assert [(c.user, c.sig) if c else None for c in first] == \
-           [(c.user, c.sig) if c else None for c in second]
+    again = make_registry(seed=11, users=range(1, N + 1))
+    first = select_committee(5, 1, prev_seed, range(1, N + 1), params, registry)
+    assert select_committee(5, 1, prev_seed, range(1, N + 1), params,
+                            again) == first
+    by_user = {c.user: c for c in first}
+    assert [view_credential(u, 5, 1, prev_seed, chain, params, registry)
+            for u in range(1, N + 1)] == [by_user.get(u) for u in range(1, N + 1)]
+
+
+# -- brute-force reference ------------------------------------------------------
+# The per-user float rule the kernel replaced: every user of the lookback set
+# signs the credential message on its own, and is selected when the hashed
+# signature, as a fraction of 2**64, is at most p.
+
+def reference_committee(round, step, prev_seed, chain, params, registry):
+    p = params.leader_prob if step == 1 else params.verifier_prob
+    msg = credential_message(round, step, prev_seed)
+    out = []
+    for u in sorted(users_at(chain, round - params.lookback)):
+        sig = registry.expected_signature(u, msg)
+        if hash_to_unit(hashlib.sha256(sig).digest()) <= p:
+            out.append(Credential(u, round, step, sig))
+    return out
 
 
 def test_view_leader_matches_signed_path(env):
     registry, chain = env
     params = params_with(p=0.2)
     prev_seed = chain.blocks[4].seed
-    creds = [c for u in range(1, N + 1)
-             if (c := leader_credential(u, 5, prev_seed, chain, params, registry))]
+    # every user signs for itself, then the float rule picks the leaders
+    msg = credential_message(5, 1, prev_seed)
+    signed = [Credential(u, 5, 1, registry.unique_sign(u, msg))
+              for u in range(1, N + 1)]
+    creds = [c for c in signed
+             if hash_to_unit(hashlib.sha256(c.sig).digest()) <= 0.2]
+    assert creds
     assert view_leader(5, prev_seed, chain, params, registry) == \
         select_leader(creds)
 
@@ -255,10 +297,8 @@ def test_view_credential_round_trip(env):
     creds = []
     for step in range(1, params.max_step + 1):
         cred = view_credential(4, 5, step, prev_seed, chain, params, registry)
-        signed = (leader_credential(4, 5, prev_seed, chain, params, registry)
-                  if step == 1 else
-                  verifier_credential(4, 5, step, prev_seed, chain, params,
-                                      registry))
+        signed = next((c for c in reference_committee(
+            5, step, prev_seed, chain, params, registry) if c.user == 4), None)
         assert cred == signed
         if cred is not None:
             creds.append(cred)
@@ -269,3 +309,102 @@ def test_view_credential_round_trip(env):
     assert all(view_credential(4, 2, step, early_seed, chain, params,
                                registry) is None
                for step in range(1, params.max_step + 1))
+
+
+PROP_USERS = range(1, 41)
+PROP_REGISTRY = make_registry(seed=5, users=PROP_USERS)
+probabilities = st.one_of(st.sampled_from([0.0, 1.0]),
+                          st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def sortition_cases(draw):
+    """A chain whose genesis user set is a random subset of PROP_USERS, and
+    one (round, step, prev_seed) on it with random probabilities."""
+    holders = draw(st.sets(st.sampled_from(PROP_USERS), min_size=1))
+    chain = idle_chain(PROP_REGISTRY, {u: 100 for u in holders}, 6)
+    params = ProtocolParams(leader_prob=draw(probabilities),
+                            verifier_prob=draw(probabilities), lookback=3,
+                            max_ba_steps=9, cert_threshold=5, horizon=64)
+    round = draw(st.integers(params.lookback, chain.tip_round + params.lookback))
+    step = draw(st.integers(1, params.max_step))
+    prev_seed = draw(st.binary(min_size=32, max_size=32))
+    return chain, params, round, step, prev_seed
+
+
+@given(sortition_cases(), st.data())
+def test_kernel_matches_per_user_reference(case, data):
+    chain, params, round, step, prev_seed = case
+    reference = reference_committee(round, step, prev_seed, chain, params,
+                                    PROP_REGISTRY)
+    assert view_committee(round, step, prev_seed, chain, params,
+                          PROP_REGISTRY) == reference
+    eligible = sorted(users_at(chain, round - params.lookback))
+    assert select_committee(round, step, prev_seed, eligible, params,
+                            PROP_REGISTRY) == reference
+    # any sublist of the eligible users, in any order, keeps exactly its
+    # reference members, in its own order
+    by_user = {c.user: c for c in reference}
+    picked = data.draw(st.lists(st.sampled_from(eligible), unique=True))
+    assert select_committee(round, step, prev_seed, picked, params,
+                            PROP_REGISTRY) == \
+        [by_user[u] for u in picked if u in by_user]
+    for u in PROP_USERS:
+        assert view_credential(u, round, step, prev_seed, chain, params,
+                               PROP_REGISTRY) == by_user.get(u)
+
+
+@given(sortition_cases())
+def test_view_leader_is_reference_minimum(case):
+    chain, params, round, _, prev_seed = case
+    reference = reference_committee(round, 1, prev_seed, chain, params,
+                                    PROP_REGISTRY)
+    expected = (min(reference, key=lambda c: (c.unit, c.user)).user
+                if reference else None)
+    assert view_leader(round, prev_seed, chain, params, PROP_REGISTRY) == expected
+
+
+# -- integer selection limit ------------------------------------------------------
+
+@pytest.mark.parametrize("p", [
+    0.0, 1.0, 0.05, 0.2, 0.5, 5e-324, 2**-64, math.nextafter(1.0, 0.0),
+    1 / 2**64, (2**53 + 1) / 2**64, 12345678901234567890 / 2**64,
+    (2**63 - 1) / 2**64, (2**64 - 2) / 2**64,
+])
+def test_selection_limit_is_largest_admitted_integer(p):
+    limit = selection_limit(p)
+    assert 0 <= limit < 2**64
+    assert limit / 2**64 <= p
+    assert limit == 2**64 - 1 or (limit + 1) / 2**64 > p
+
+
+def test_selection_limit_edges():
+    assert selection_limit(0.0) == 0
+    assert selection_limit(1.0) == 2**64 - 1
+    # not p * 2**64: in [0.5, 1) quotients round to steps of 2**11 in x, and
+    # 2**63 + 1024 is the halfway point that still rounds (to even) to 0.5
+    assert selection_limit(0.5) == 2**63 + 1024
+    assert (2**63 + 1024) / 2**64 == 0.5 < (2**63 + 1025) / 2**64
+
+
+@pytest.mark.parametrize("p, digest", [(0.0, b"\x00" * 32), (1.0, b"\xff" * 32)])
+def test_extreme_hashes_select_as_the_float_rule(env, monkeypatch, p, digest):
+    # an all-zero hash prefix is selected even at p = 0 (0.0 <= 0.0), and at
+    # p = 1 the largest prefix is selected too, so everyone is
+    registry, chain = env
+    assert hash_to_unit(digest) <= p
+    monkeypatch.setattr(sortition, "sha256", lambda data: digest)
+    params = params_with(p=p, p2=p)
+    prev_seed = chain.blocks[4].seed
+    for step in (1, 2):
+        committee = view_committee(5, step, prev_seed, chain, params, registry)
+        assert [c.user for c in committee] == list(range(1, N + 1))
+        assert all(verify_credential(c, prev_seed, chain, params, registry)
+                   for c in committee)
+
+
+@given(st.integers(0, 2**64 - 1),
+       st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                 st.integers(0, 2**64 - 1).map(lambda y: y / 2**64)))
+def test_integer_limit_agrees_with_float_compare(x, p):
+    assert (x <= selection_limit(p)) == (x / 2**64 <= p)
