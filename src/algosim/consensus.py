@@ -1,6 +1,13 @@
 """Round pipeline operations: proposal, soft vote, graded consensus, binary
 agreement, the simplified two-step majority protocol, and certificates.
 
+Steps 2 to the last binary-agreement step all send one message type, `Vote`:
+a member's ephemeral signature over the step's value (a digest at steps 2 and
+3, `bytes([bit])` in binary agreement).  Engine traffic is broadcast-only,
+so the rules that choose a value (`select_proposal`, `supermajority_value`,
+`gc_grade`, the BBA tally) run once per step over the one shared inbox, and
+each member only signs the result with `vote`.
+
 All vote counting is over distinct voters (a voter equivocating or repeating
 counts once per value) and all thresholds use exact integer arithmetic:
 ``count > 2n/3`` is evaluated as ``3*count > 2*n``.
@@ -17,6 +24,7 @@ from .ledger import (
     Chain,
     InvalidPaymentError,
     Payment,
+    Status,
     apply_payset,
     block_hash,
     cert_payload,
@@ -42,19 +50,11 @@ class ProposalMessage:
 
 
 @dataclass(frozen=True)
-class SoftVote:
+class Vote:
     voter: UserId
     round: int
-    value: Digest
-    sig: Signature
-    credential: Credential
-
-
-@dataclass(frozen=True)
-class GCRelay:
-    voter: UserId
-    round: int
-    value: Digest
+    step: int
+    value: bytes  # the signed payload: a digest, or bytes([bit]) in BBA
     sig: Signature
     credential: Credential
 
@@ -63,16 +63,6 @@ class GCRelay:
 class GradedValue:
     value: Digest | None
     grade: int  # 0, 1 or 2; grade 0 iff value is None
-
-
-@dataclass(frozen=True)
-class BBAVote:
-    voter: UserId
-    round: int
-    step: int
-    bit: int
-    sig: Signature
-    credential: Credential
 
 
 @dataclass(frozen=True)
@@ -118,64 +108,44 @@ def supermajority_value(messages: Iterable, committee_size: int) -> Digest | Non
 
 # -- step 1: proposal ----------------------------------------------------------
 
-def _payment_ok(registry: KeyRegistry, p: Payment, round: int,
-                cache: dict | None) -> bool:
-    if cache is None:
-        return verify_payment(registry, p, round)
-    key = ("payment", p.sig)
-    if key not in cache:
-        cache[key] = verify_payment(registry, p, round)
-    return cache[key]
-
-
-def propose(credential: Credential, pending: Sequence[Payment], chain: Chain,
-            params: ProtocolParams, registry: KeyRegistry,
-            policy: str = "honest", cache: dict | None = None) -> ProposalMessage:
-    """Build and sign the leader's candidate block.
-
-    The payset is the maximal valid subset of `pending` in arrival order
-    (invalid payments are skipped, later payments may still apply).  The
-    proposer's ephemeral step-1 key is retired per `policy` after signing.
-    `cache` memoizes payment signature checks across co-round proposers.
-    """
-    r = credential.round
-    prev = chain.blocks[r - 1]
-    status = chain.status_entering(r)
+def build_payset(pending: Sequence[Payment], status: Status,
+                 registry: KeyRegistry) -> tuple[Payment, ...]:
+    """The maximal valid subset of `pending` in arrival order, applied to the
+    balances of `status`: invalid payments are skipped and later payments may
+    still apply."""
     balances = dict(status.balances)
     payset = []
     for p in pending:
-        if p.amount < 1 or not _payment_ok(registry, p, r, cache):
+        if p.amount < 1 or not verify_payment(registry, p, status.round):
             continue
         if balances.get(p.payer, 0) < p.amount:
             continue
         balances[p.payer] -= p.amount
         balances[p.payee] = balances.get(p.payee, 0) + p.amount
         payset.append(p)
+    return tuple(payset)
+
+
+def propose(credential: Credential, payset: tuple[Payment, ...], chain: Chain,
+            registry: KeyRegistry, policy: str = "honest") -> ProposalMessage:
+    """Build and sign the leader's candidate block over `payset` (see
+    `build_payset`).  The proposer's ephemeral step-1 key is retired per
+    `policy` after signing."""
+    r = credential.round
+    prev = chain.blocks[r - 1]
     if payset:
         seed = leader_round_seed(registry.unique_sign(credential.user, prev.seed))
     else:
         seed = empty_round_seed(prev.seed, r)
-    block = Block(r, tuple(payset), seed, block_hash(prev), ())
+    block = Block(r, payset, seed, block_hash(prev), ())
     sig = registry.ephemeral_sign(credential.user, r, 1, block_hash(block))
     registry.destroy_ephemeral(credential.user, r, 1, policy)
     return ProposalMessage(block, sig, credential)
 
 
 def verify_proposal(p: ProposalMessage, chain: Chain, params: ProtocolParams,
-                    registry: KeyRegistry, cache: dict | None = None) -> bool:
+                    registry: KeyRegistry) -> bool:
     """Full proposal check: credential, block structure, seed rule, signature."""
-    r = p.credential.round
-    key = (p.credential.user, r, p.block_sig)
-    if cache is not None and key in cache:
-        return cache[key]
-    ok = _verify_proposal(p, chain, params, registry)
-    if cache is not None:
-        cache[key] = ok
-    return ok
-
-
-def _verify_proposal(p: ProposalMessage, chain: Chain, params: ProtocolParams,
-                     registry: KeyRegistry) -> bool:
     r = p.credential.round
     if p.credential.step != 1 or p.block.round != r:
         return False
@@ -203,58 +173,34 @@ def _verify_proposal(p: ProposalMessage, chain: Chain, params: ProtocolParams,
 
 
 def select_proposal(proposals: Sequence[ProposalMessage], round: int,
-                    chain: Chain, params: ProtocolParams, registry: KeyRegistry,
-                    cache: dict | None = None) -> Digest:
+                    chain: Chain, params: ProtocolParams,
+                    registry: KeyRegistry) -> Digest:
     """Digest of the valid proposal with the smallest hashed credential; the
-    canonical empty-block digest when no valid proposal was received.
-
-    `cache` may be shared across callers only while they see the same
-    proposal multiset (true for honest verifiers under synchrony); it then
-    memoizes both per-proposal checks and the selection itself.
-    """
-    if cache is not None and ("selected", round) in cache:
-        return cache[("selected", round)]
+    canonical empty-block digest when no valid proposal was received."""
     valid = [p for p in proposals
              if p.credential.round == round
-             and verify_proposal(p, chain, params, registry, cache)]
+             and verify_proposal(p, chain, params, registry)]
     if not valid:
-        result = canonical_empty_digest(chain, round)
-    else:
-        best = min(valid, key=lambda p: (p.credential.unit, p.credential.user))
-        result = block_hash(best.block)
-    if cache is not None:
-        cache[("selected", round)] = result
-    return result
+        return canonical_empty_digest(chain, round)
+    best = min(valid, key=lambda p: (p.credential.unit, p.credential.user))
+    return block_hash(best.block)
 
 
-# -- step 2: soft vote ----------------------------------------------------------
+# -- steps 2 and later: votes ----------------------------------------------------
 
-def soft_vote(credential: Credential, proposals: Sequence[ProposalMessage],
-              chain: Chain, params: ProtocolParams, registry: KeyRegistry,
-              policy: str = "honest", cache: dict | None = None) -> SoftVote:
-    r = credential.round
-    value = select_proposal(proposals, r, chain, params, registry, cache)
-    sig = registry.ephemeral_sign(credential.user, r, 2, value)
-    registry.destroy_ephemeral(credential.user, r, 2, policy)
-    return SoftVote(credential.user, r, value, sig, credential)
+def vote(credential: Credential, value: bytes, registry: KeyRegistry,
+         policy: str = "honest") -> Vote:
+    """Sign `value` with the member's ephemeral key for its (round, step) and
+    retire that key per `policy`."""
+    r, s = credential.round, credential.step
+    sig = registry.ephemeral_sign(credential.user, r, s, value)
+    registry.destroy_ephemeral(credential.user, r, s, policy)
+    return Vote(credential.user, r, s, value, sig, credential)
 
 
 # -- graded consensus ------------------------------------------------------------
 
-def gc_relay(credential: Credential, votes: Iterable[SoftVote],
-             committee_size_2: int, registry: KeyRegistry,
-             policy: str = "honest") -> GCRelay | None:
-    """Relay the supermajority-backed value, signed for step 3."""
-    value = supermajority_value(votes, committee_size_2)
-    if value is None:
-        return None
-    r = credential.round
-    sig = registry.ephemeral_sign(credential.user, r, 3, value)
-    registry.destroy_ephemeral(credential.user, r, 3, policy)
-    return GCRelay(credential.user, r, value, sig, credential)
-
-
-def gc_grade(relays: Iterable[GCRelay], committee_size_3: int) -> GradedValue:
+def gc_grade(relays: Iterable[Vote], committee_size_3: int) -> GradedValue:
     """Grade the best-supported relayed value: 2 above two thirds, 1 above one
     third, else 0 with no value."""
     counts = distinct_voter_counts(relays)

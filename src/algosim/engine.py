@@ -22,14 +22,7 @@ from .adversary import (
     bribe_and_recertify,
     fork_from,
 )
-from .consensus import (
-    BBAVote,
-    CertMessage,
-    GCRelay,
-    ProposalMessage,
-    SoftVote,
-    canonical_empty_digest,
-)
+from .consensus import CertMessage, canonical_empty_digest
 from .crypto import KeyRegistry, UserId, be8, sha256
 from .ledger import (
     Chain,
@@ -195,46 +188,43 @@ class SimulationRun:
         sizes: dict[int, int] = {}
         flags: list[str] = []
 
-        # Step 1: every potential leader proposes a candidate block.
-        cache: dict = {}
+        # Delivery is broadcast-only, so every member of a step reads the same
+        # inbox: each rule below runs once per round and members only sign
+        # its result.
+
+        # Step 1: every potential leader proposes a block over one payset.
+        payset = consensus.build_payset(pending, self.chain.status_entering(r),
+                                        self.registry)
         leader_creds = select_committee(r, 1, prev_seed, eligible, params, self.registry)
         for cred in leader_creds:
-            msg = consensus.propose(cred, pending, self.chain, params,
-                                    self.registry, self._policy[cred.user],
-                                    cache)
+            msg = consensus.propose(cred, payset, self.chain, self.registry,
+                                    self._policy[cred.user])
             self.net.broadcast(cred.user, msg, r, 1)
         messages += self.net.step()
         sizes[1] = len(leader_creds)
         leader = select_leader(leader_creds) if leader_creds else None
-
-        proposals = [m for m in self.net.inbox_common()
-                     if isinstance(m, ProposalMessage)]
+        proposals = self.net.inbox_common()
         blocks_by_digest = {block_hash(p.block): p.block for p in proposals}
 
         # Step 2: the vote committee backs the best valid proposal.
+        selected = consensus.select_proposal(proposals, r, self.chain, params,
+                                             self.registry)
         sv2 = select_committee(r, 2, prev_seed, eligible, params, self.registry)
         sizes[2] = len(sv2)
-        for cred in sv2:
-            vote = consensus.soft_vote(
-                cred, [m for m in self.net.inbox(cred.user)
-                       if isinstance(m, ProposalMessage)],
-                self.chain, params, self.registry, self._policy[cred.user], cache)
-            self.net.broadcast(cred.user, vote, r, 2)
-        messages += self.net.step()
-        votes = tuple(m for m in self.net.inbox_common() if isinstance(m, SoftVote))
-        n2 = len(sv2)
+        messages += self._cast_votes(sv2, selected)
+        # The two-step rule's decision and the graded-consensus relay value.
+        majority = consensus.supermajority_value(self.net.inbox_common(), len(sv2))
 
         empty_digest = canonical_empty_digest(self.chain, r)
         simple_digest = None
         if mode in ("simple", "both"):
-            result = consensus.supermajority_value(votes, n2)
-            simple_digest = result if result is not None else empty_digest
+            simple_digest = majority if majority is not None else empty_digest
 
         ba_digest = None
         decision_step = 3
         if mode in ("ba", "both"):
             ba_digest, decision_step, ba_sizes, ba_msgs, ba_flags = \
-                self._run_agreement(r, prev_seed, eligible, votes, n2, empty_digest)
+                self._run_agreement(r, prev_seed, eligible, majority, empty_digest)
             sizes.update(ba_sizes)
             messages += ba_msgs
             flags += ba_flags
@@ -266,10 +256,18 @@ class SimulationRun:
             r, leader, sizes, decision_step, ba_digest, simple_digest,
             equivalent, is_empty, messages, tuple(flags)))
 
-    def _run_agreement(self, r, prev_seed, eligible, votes, n2, empty_digest):
-        """Graded consensus then binary agreement; returns the agreed digest,
-        the step at which nodes decided, committee sizes, message count and
-        any flags raised."""
+    def _cast_votes(self, committee, value) -> int:
+        """Every member signs `value` for its step and broadcasts it; returns
+        the deliveries of that step."""
+        for cred in committee:
+            msg = consensus.vote(cred, value, self.registry, self._policy[cred.user])
+            self.net.broadcast(cred.user, msg, cred.round, cred.step)
+        return self.net.step()
+
+    def _run_agreement(self, r, prev_seed, eligible, majority, empty_digest):
+        """Graded consensus on the step-2 `majority` (None: nothing to relay)
+        then binary agreement; returns the agreed digest, the step at which
+        nodes decided, committee sizes, message count and any flags raised."""
         params = self.params
         sizes: dict[int, int] = {}
         messages = 0
@@ -277,33 +275,18 @@ class SimulationRun:
 
         sv3 = select_committee(r, 3, prev_seed, eligible, params, self.registry)
         sizes[3] = len(sv3)
-        for cred in sv3:
-            relay = consensus.gc_relay(cred, votes, n2, self.registry,
-                                       self._policy[cred.user])
-            if relay is not None:
-                self.net.broadcast(cred.user, relay, r, 3)
-        messages += self.net.step()
-        relays = [m for m in self.net.inbox_common() if isinstance(m, GCRelay)]
-        graded = consensus.gc_grade(relays, len(sv3))
+        messages += self._cast_votes(sv3 if majority is not None else [], majority)
+        graded = consensus.gc_grade(self.net.inbox_common(), len(sv3))
         initial_bit = 0 if graded.grade == 2 else 1
 
         def vote_step(s, bit):
             nonlocal messages
-            bit = initial_bit if bit is None else bit
             committee = select_committee(r, s, prev_seed, eligible, params, self.registry)
             sizes[s] = len(committee)
-            for cred in committee:
-                sig = self.registry.ephemeral_sign(cred.user, r, s, bytes([bit]))
-                self.registry.destroy_ephemeral(cred.user, r, s,
-                                                self._policy[cred.user])
-                self.net.broadcast(cred.user,
-                                   BBAVote(cred.user, r, s, bit, sig, cred), r, s)
-            messages += self.net.step()
-            step_votes = [m for m in self.net.inbox_common()
-                          if isinstance(m, BBAVote) and m.step == s]
-            zeros = len({m.voter for m in step_votes if m.bit == 0})
-            ones = len({m.voter for m in step_votes if m.bit == 1})
-            return zeros, ones, len(committee)
+            value = bytes([initial_bit if bit is None else bit])
+            messages += self._cast_votes(committee, value)
+            counts = consensus.distinct_voter_counts(self.net.inbox_common())
+            return counts.get(b"\x00", 0), counts.get(b"\x01", 0), len(committee)
 
         decided, last_step = consensus.bba(vote_step, prev_seed,
                                            params.max_ba_steps)
@@ -343,8 +326,7 @@ class SimulationRun:
                 self.net.broadcast(cred.user, msg, r, step)
                 voters.add(cred.user)
             messages += self.net.step()
-            msgs.extend(m for m in self.net.inbox_common()
-                        if isinstance(m, CertMessage))
+            msgs.extend(self.net.inbox_common())
             if len(voters) >= params.cert_threshold:
                 break
             step += 1

@@ -406,6 +406,13 @@ def _hash_field(text: str) -> bytes:
     return value
 
 
+def _u64_field(value) -> int:
+    """A cert message or credential number; each is an int in [0, 2**64)."""
+    if type(value) is not int or not 0 <= value < 2**64:
+        raise ValueError(f"expected an integer in [0, 2**64), got {value!r}")
+    return value
+
+
 def chain_from_lines(lines: Iterable[str],
                      registry: KeyRegistry | None = None) -> Chain:
     from .consensus import CertMessage
@@ -426,12 +433,13 @@ def chain_from_lines(lines: Iterable[str],
             payset = tuple(Payment(p["payer"], p["payee"], p["amount"],
                                    _hash_field(p["sig"])) for p in o["payset"])
             cert = tuple(CertMessage(
-                voter=m["voter"], round=m["round"], step=m["step"], bit=m["bit"],
+                voter=_u64_field(m["voter"]), round=_u64_field(m["round"]),
+                step=_u64_field(m["step"]), bit=_u64_field(m["bit"]),
                 block_digest=_hash_field(m["block_digest"]),
                 sig=_hash_field(m["sig"]),
-                credential=Credential(m["credential"]["user"],
-                                      m["credential"]["round"],
-                                      m["credential"]["step"],
+                credential=Credential(_u64_field(m["credential"]["user"]),
+                                      _u64_field(m["credential"]["round"]),
+                                      _u64_field(m["credential"]["step"]),
                                       _hash_field(m["credential"]["sig"])))
                 for m in o["cert"])
             block = Block(o["round"], payset, _hash_field(o["seed"]),

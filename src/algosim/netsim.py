@@ -2,9 +2,10 @@
 
 Every message queued during a step is delivered to every node at the next
 step boundary; nothing is lost, duplicated or reordered beyond the documented
-(sender, sequence) ordering.  Honest nodes can only broadcast; targeted
-delivery exists solely as the adversarial equivocation hook the worst-case
-safety tests need.
+(sender, sequence) ordering.  Engine traffic is broadcast-only, so after a
+step every node's inbox equals `inbox_common()` and the engine reads that one
+list; targeted delivery (`send_to`) exists solely as the adversarial
+equivocation hook the worst-case safety tests need.
 """
 
 from __future__ import annotations

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import algosim.cli as cli
 
@@ -219,6 +223,28 @@ class TestVerifyChain:
         assert code == 2
         assert err.startswith("error: cannot load chain")
 
+    @pytest.mark.parametrize("field, credential_field, value", [
+        ("step", "step", 2**70),
+        ("step", "step", "4"),
+        ("step", "step", 4.0),
+        ("voter", "user", [1]),
+    ], ids=["huge", "string", "float", "list"])
+    def test_bad_cert_number_is_parse_error(self, small_cfg, tmp_path, capsys,
+                                            field, credential_field, value):
+        # the message and its credential agree, so only the parser stops it
+        out = tmp_path / "out"
+        run_cli(capsys, "run", "--config", small_cfg, "--out", out)
+        lines = (out / "chain.jsonl").read_text().splitlines()
+        rec = json.loads(lines[5])
+        message = rec["cert"][0]
+        message[field] = message["credential"][credential_field] = value
+        lines[5] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+        (out / "bad.jsonl").write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "verify-chain", "--chain",
+                               out / "bad.jsonl", "--config", small_cfg)
+        assert code == 2
+        assert err.startswith("error: cannot load chain")
+
     def test_truncated_file_is_parse_error(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "out"
         run_cli(capsys, "run", "--config", small_cfg, "--out", out)
@@ -299,3 +325,57 @@ def test_parallel_jobs_match_sequential(small_cfg, tmp_path, capsys):
     for seed in (5, 6):
         assert (seq / f"seed_{seed}" / "metrics.jsonl").read_bytes() == \
             (par / f"seed_{seed}" / "metrics.jsonl").read_bytes()
+
+
+# Any JSON value, with the shapes that once broke the parser drawn often.
+JSON_JUNK = st.one_of(
+    st.sampled_from([2**70, -1, 4.0, "4", [1], {}, None]),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats()
+        | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6))
+
+
+def field_paths(obj, path=()):
+    """Key paths of every field inside a JSON record, containers included."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from field_paths(value, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def exported_chain(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    cfg = base / "small.cfg"
+    cfg.write_text(SMALL_CFG)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", "--config", str(cfg), "--rounds", "6",
+                         "--out", str(base)]) == 0
+    return cfg, (base / "chain.jsonl").read_text().splitlines()
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_fuzzed_chain_file_keeps_exit_contract(exported_chain, data):
+    # one field of one block record replaced by arbitrary JSON: verify-chain
+    # reports a verdict or a parse error, never a traceback
+    cfg, lines = exported_chain
+    index = data.draw(st.integers(1, len(lines) - 1), label="record")
+    record = json.loads(lines[index])
+    path = data.draw(st.sampled_from(list(field_paths(record))), label="field")
+    target = record
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = data.draw(JSON_JUNK, label="value")
+    fuzzed = cfg.parent / "fuzzed.jsonl"
+    fuzzed.write_text("\n".join(lines[:index] + [json.dumps(record)]
+                                + lines[index + 1:]) + "\n")
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["verify-chain", "--chain", str(fuzzed),
+                         "--config", str(cfg)])
+    assert code in (0, 1, 2)

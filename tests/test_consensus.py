@@ -11,16 +11,16 @@ from algosim.consensus import (
     ba_output,
     bba,
     bba_transition,
+    build_payset,
     canonical_empty_digest,
     coin_bit,
     gc_grade,
-    gc_relay,
     make_cert_message,
     propose,
     select_proposal,
-    soft_vote,
     supermajority_value,
     verify_proposal,
+    vote,
 )
 from algosim.crypto import KeyDestroyedError
 from algosim.ledger import block_hash, make_payment
@@ -76,10 +76,15 @@ def verf_cred(env, user, step):
                            params, registry)
 
 
+def payset_of(env, pending):
+    registry, chain, _ = env
+    return build_payset(pending, chain.status_entering(ROUND), registry)
+
+
 class TestPropose:
     def test_empty_pending(self, env):
         registry, chain, params = env
-        msg = propose(lead_cred(env, 1), [], chain, params, registry)
+        msg = propose(lead_cred(env, 1), payset_of(env, []), chain, registry)
         assert msg.block.payset == ()
         assert msg.block.round == ROUND
         assert verify_proposal(msg, chain, params, registry)
@@ -89,54 +94,76 @@ class TestPropose:
         good1 = make_payment(registry, 1, 2, 5, ROUND)
         bad = make_payment(registry, 3, 2, 5, ROUND + 1)  # wrong-round signature
         good2 = make_payment(registry, 4, 2, 5, ROUND)
-        msg = propose(lead_cred(env, 1), [good1, bad, good2], chain, params,
-                      registry)
+        payset = payset_of(env, [good1, bad, good2])
+        assert payset == (good1, good2)
+        msg = propose(lead_cred(env, 1), payset, chain, registry)
         assert msg.block.payset == (good1, good2)
         assert verify_proposal(msg, chain, params, registry)
+
+    def test_overdraft_skipped_later_payment_applies(self, env):
+        registry, _, _ = env
+        first = make_payment(registry, 1, 2, 60, ROUND)
+        overdraft = make_payment(registry, 1, 3, 60, ROUND)  # 40 left
+        smaller = make_payment(registry, 1, 3, 40, ROUND)
+        assert payset_of(env, [first, overdraft, smaller]) == (first, smaller)
 
     def test_honest_policy_destroys_key(self, env):
         registry, chain, params = env
         cred = lead_cred(env, 2)
-        propose(cred, [], chain, params, registry, policy="honest")
+        propose(cred, (), chain, registry, policy="honest")
         with pytest.raises(KeyDestroyedError):
-            propose(cred, [], chain, params, registry, policy="honest")
+            propose(cred, (), chain, registry, policy="honest")
 
     def test_retain_policy_allows_reuse(self, env):
         registry, chain, params = env
         cred = lead_cred(env, 3)
-        first = propose(cred, [], chain, params, registry, policy="retain")
-        second = propose(cred, [], chain, params, registry, policy="retain")
+        first = propose(cred, (), chain, registry, policy="retain")
+        second = propose(cred, (), chain, registry, policy="retain")
         assert first == second
 
 
 class TestSoftVote:
     def test_single_proposal(self, env):
         registry, chain, params = env
-        prop = propose(lead_cred(env, 1), [], chain, params, registry)
-        vote = soft_vote(verf_cred(env, 5, 2), [prop], chain, params, registry)
-        assert vote.value == block_hash(prop.block)
-        assert vote.credential.step == 2
+        prop = propose(lead_cred(env, 1), (), chain, registry)
+        value = select_proposal([prop], ROUND, chain, params, registry)
+        ballot = vote(verf_cred(env, 5, 2), value, registry)
+        assert ballot.value == block_hash(prop.block)
+        assert ballot.step == ballot.credential.step == 2
 
     def test_minimal_credential_unit_wins(self, env):
         registry, chain, params = env
-        pending = [make_payment(registry, 1, 2, 5, ROUND)]
-        proposals = [propose(lead_cred(env, u), pending, chain, params, registry)
+        payset = payset_of(env, [make_payment(registry, 1, 2, 5, ROUND)])
+        proposals = [propose(lead_cred(env, u), payset, chain, registry)
                      for u in (4, 7, 9)]
         best = min(proposals, key=lambda p: p.credential.unit)
-        vote = soft_vote(verf_cred(env, 5, 2), proposals, chain, params, registry)
-        assert vote.value == block_hash(best.block)
+        assert select_proposal(proposals, ROUND, chain, params, registry) == \
+            block_hash(best.block)
 
     def test_all_invalid_falls_back_to_empty_digest(self, env):
         registry, chain, params = env
-        prop = propose(lead_cred(env, 1), [], chain, params, registry)
+        prop = propose(lead_cred(env, 1), (), chain, registry)
         forged = type(prop)(prop.block, b"\x00" * 32, prop.credential)
-        vote = soft_vote(verf_cred(env, 5, 2), [forged], chain, params, registry)
-        assert vote.value == canonical_empty_digest(chain, ROUND)
+        assert select_proposal([forged], ROUND, chain, params, registry) == \
+            canonical_empty_digest(chain, ROUND)
 
     def test_select_proposal_no_input(self, env):
         registry, chain, params = env
         assert select_proposal([], ROUND, chain, params, registry) == \
             canonical_empty_digest(chain, ROUND)
+
+
+@pytest.mark.parametrize("step, value", [
+    (2, b"\x11" * 32), (3, b"\x11" * 32), (4, bytes([0]))])
+def test_vote_is_signed_for_its_step(env, step, value):
+    registry, _, _ = env
+    cred = verf_cred(env, 2, step)
+    ballot = vote(cred, value, registry)
+    assert (ballot.voter, ballot.round, ballot.step) == (2, ROUND, step)
+    assert ballot.value == value
+    assert registry.verify_ephemeral(2, ROUND, step, value, ballot.sig)
+    with pytest.raises(KeyDestroyedError):
+        vote(cred, value, registry)
 
 
 class TestGradedConsensus:
@@ -151,14 +178,6 @@ class TestGradedConsensus:
     def test_duplicate_votes_count_once(self):
         votes = [Vote(i % 5, "x") for i in range(7)]  # 5 distinct voters
         assert supermajority_value(votes, 9) is None
-
-    def test_relay_message_is_signed_step_3(self, env):
-        registry, chain, params = env
-        votes = [Vote(i, b"\x11" * 32) for i in range(1, 10)]
-        relay = gc_relay(verf_cred(env, 2, 3), votes, 9, registry)
-        assert relay is not None
-        assert relay.value == b"\x11" * 32
-        assert registry.verify_ephemeral(2, ROUND, 3, relay.value, relay.sig)
 
     def test_grade_two(self):
         relays = [Vote(i, "x") for i in range(7)]

@@ -1,4 +1,9 @@
+import dataclasses
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algosim.adversary import AdversaryConfig
 from algosim.crypto import KeyState
@@ -8,7 +13,7 @@ from algosim.engine import (
     metrics_to_lines,
     run_scenario,
 )
-from algosim.ledger import block_hash, chain_to_lines, verify_chain
+from algosim.ledger import block_hash, chain_to_lines, validate_block, verify_chain
 from algosim.sortition import ProtocolParams
 
 SMALL = ScenarioConfig(
@@ -67,6 +72,71 @@ def test_regression_golden_tip(small_run):
     chains, _ = small_run
     assert block_hash(chains[0].tip()).hex() == (
         "df66e2414f67cb9c8ab4e8bf589278e16d2efe5caeb7b1a2f236797366134c98")
+
+
+# SHA-256 of the metrics and chain files of SMALL in every mode, with and
+# without joining users, recorded when each step's rule still ran once per
+# committee member.  A change to any mode's transcript, message counts or
+# decision steps shows here, not only in the `both`-mode tip above.
+TRANSCRIPT_DIGESTS = {
+    ("ba", 0): "b3cd504dc5ebc73aa7845e85c9b87a1a3ca8f066d4f4781f55d98a20773f8bdf",
+    ("ba", 2): "5932d3305c06c7a40e593b8589573d2c90551e9a95a75125b12ae0f262e87494",
+    ("simple", 0): "b8b15f17fbf6c006c09ad2309e640d477cc24540f5b6b5546a039de542795e6b",
+    ("simple", 2): "1a4d359a9ff717616087c49f6a8367341611afa3d5131f63c83d4e5da4af2020",
+    ("both", 0): "87a15c6f1bc3f8b50bdb7795b256166002f9f17ab88b587c7942ecb3c77cd797",
+    ("both", 2): "d1e8aff21b34e93a85e151dc4d40de5a8c8ee9c2abdab6f427998da4760d8593",
+}
+
+
+@pytest.mark.parametrize("mode, new_users", sorted(TRANSCRIPT_DIGESTS))
+def test_transcript_digest_per_mode(mode, new_users):
+    cfg = dataclasses.replace(SMALL, consensus_mode=mode,
+                              new_users_per_round=new_users)
+    chains, metrics = run_scenario(cfg)
+    text = "\n".join(metrics_to_lines(metrics) + chain_to_lines(chains[0]))
+    assert hashlib.sha256((text + "\n").encode()).hexdigest() == \
+        TRANSCRIPT_DIGESTS[mode, new_users]
+
+
+MUTATIONS = ("seed", "prev_hash", "payment_order", "cert_bit",
+             "cert_digest", "thin_cert")
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_single_field_mutation_of_certified_block_is_rejected(small_run, data):
+    chains, _ = small_run
+    chain, params = chains[0], SMALL.params
+    kind = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    rounds = [r for r in range(params.lookback, len(chain.blocks))
+              if kind != "payment_order" or len(chain.blocks[r].payset) >= 2]
+    block = chain.blocks[data.draw(st.sampled_from(rounds), label="round")]
+    assert validate_block(chain, block, params, chain.registry) == []
+    replace = dataclasses.replace
+    if kind in ("seed", "prev_hash"):
+        value = data.draw(st.binary(min_size=32, max_size=32)
+                          .filter(lambda v: v != getattr(block, kind)))
+        mutated = replace(block, **{kind: value})
+    elif kind == "payment_order":
+        payset = list(block.payset)
+        i, j = data.draw(st.lists(st.integers(0, len(payset) - 1), min_size=2,
+                                  max_size=2, unique=True))
+        payset[i], payset[j] = payset[j], payset[i]
+        mutated = replace(block, payset=tuple(payset))
+    elif kind == "thin_cert":
+        mutated = block.with_cert(block.cert[:params.cert_threshold - 1])
+    else:
+        cert = list(block.cert)
+        k = data.draw(st.integers(0, len(cert) - 1))
+        m = cert[k]
+        if kind == "cert_bit":
+            cert[k] = replace(m, bit=1 - m.bit)
+        else:
+            digest = data.draw(st.binary(min_size=32, max_size=32)
+                               .filter(lambda v: v != m.block_digest))
+            cert[k] = replace(m, block_digest=digest)
+        mutated = block.with_cert(cert)
+    assert validate_block(chain, mutated, params, chain.registry)
 
 
 def test_seed_changes_transcript():
