@@ -179,6 +179,8 @@ def cmd_verify_chain(args) -> int:
     except (OSError, LedgerError) as exc:
         print(f"error: cannot load chain: {exc}", file=sys.stderr)
         return 2
+    for u in chain.genesis_status.balances:
+        registry.register_user(u)
     for block in chain.blocks:
         for p in block.payset:
             registry.register_user(p.payer)

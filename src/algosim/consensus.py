@@ -1,12 +1,18 @@
-"""Round pipeline operations: proposal, soft vote, graded consensus, binary
+"""Round pipeline operations: proposal, votes, graded consensus, binary
 agreement, the simplified two-step majority protocol, and certificates.
 
 Steps 2 to the last binary-agreement step all send one message type, `Vote`:
 a member's ephemeral signature over the step's value (a digest at steps 2 and
 3, `bytes([bit])` in binary agreement).  Engine traffic is broadcast-only,
-so the rules that choose a value (`select_proposal`, `supermajority_value`,
-`gc_grade`, the BBA tally) run once per step over the one shared inbox, and
-each member only signs the result with `vote`.
+so the rules that choose a value (`supermajority_value`, `gc_grade`, the BBA
+tally) run once per step over the one shared inbox, and each member only
+signs the result with `vote`.  The step-2 value is the block proposed by the
+potential leader `sortition.select_leader` names, or the canonical empty
+block when the round has no potential leader.
+
+Nothing here re-checks a message built by honest code: `ledger.validate_block`
+(through `check_cert_message` and `sortition.verify_credential`) is the one
+verifier, which `verify-chain`, fork detection and the tests run.
 
 All vote counting is over distinct voters (a voter equivocating or repeating
 counts once per value) and all thresholds use exact integer arithmetic:
@@ -22,19 +28,16 @@ from .crypto import Digest, KeyRegistry, Signature, UserId, be8, hash_to_unit, s
 from .ledger import (
     Block,
     Chain,
-    InvalidPaymentError,
     Payment,
     Status,
-    apply_payset,
     block_hash,
     cert_payload,
-    check_cert_message,
     empty_block,
     empty_round_seed,
     leader_round_seed,
     verify_payment,
 )
-from .sortition import Credential, ProtocolParams, verify_credential
+from .sortition import Credential
 
 
 class ProtocolInconsistencyError(Exception):
@@ -141,49 +144,6 @@ def propose(credential: Credential, payset: tuple[Payment, ...], chain: Chain,
     sig = registry.ephemeral_sign(credential.user, r, 1, block_hash(block))
     registry.destroy_ephemeral(credential.user, r, 1, policy)
     return ProposalMessage(block, sig, credential)
-
-
-def verify_proposal(p: ProposalMessage, chain: Chain, params: ProtocolParams,
-                    registry: KeyRegistry) -> bool:
-    """Full proposal check: credential, block structure, seed rule, signature."""
-    r = p.credential.round
-    if p.credential.step != 1 or p.block.round != r:
-        return False
-    if r < 1 or r > len(chain.blocks):
-        return False
-    prev = chain.blocks[r - 1]
-    check = verify_credential(p.credential, prev.seed, chain, params, registry)
-    if not check:
-        return False
-    if p.block.prev_hash != block_hash(prev):
-        return False
-    try:
-        apply_payset(chain.status_entering(r), p.block.payset, registry)
-    except InvalidPaymentError:
-        return False
-    if p.block.is_empty():
-        expected = empty_round_seed(prev.seed, r)
-    else:
-        expected = leader_round_seed(
-            registry.expected_signature(p.credential.user, prev.seed))
-    if p.block.seed != expected:
-        return False
-    return registry.verify_ephemeral(p.credential.user, r, 1,
-                                     block_hash(p.block), p.block_sig)
-
-
-def select_proposal(proposals: Sequence[ProposalMessage], round: int,
-                    chain: Chain, params: ProtocolParams,
-                    registry: KeyRegistry) -> Digest:
-    """Digest of the valid proposal with the smallest hashed credential; the
-    canonical empty-block digest when no valid proposal was received."""
-    valid = [p for p in proposals
-             if p.credential.round == round
-             and verify_proposal(p, chain, params, registry)]
-    if not valid:
-        return canonical_empty_digest(chain, round)
-    best = min(valid, key=lambda p: (p.credential.unit, p.credential.user))
-    return block_hash(best.block)
 
 
 # -- steps 2 and later: votes ----------------------------------------------------
@@ -301,25 +261,3 @@ def make_cert_message(credential: Credential, block_digest: Digest,
     registry.destroy_ephemeral(credential.user, r, s, policy)
     return CertMessage(credential.user, r, s, bit, block_digest, sig, credential)
 
-
-def assemble_cert(msgs: Sequence[CertMessage], block_digest: Digest,
-                  chain: Chain, params: ProtocolParams,
-                  registry: KeyRegistry) -> tuple[CertMessage, ...] | None:
-    """Collect credential-verified, distinct-voter messages over
-    `block_digest`; None unless at least cert_threshold of them exist."""
-    if not msgs:
-        return None
-    out: list[CertMessage] = []
-    seen: set[UserId] = set()
-    for m in sorted(msgs, key=lambda m: (m.step, m.voter)):
-        if m.block_digest != block_digest or m.voter in seen:
-            continue
-        prev = chain.blocks[m.round - 1]
-        if check_cert_message(m, m.round, block_digest, None, prev.seed,
-                              chain, params, registry) is not None:
-            continue
-        seen.add(m.voter)
-        out.append(m)
-    if len(out) < params.cert_threshold:
-        return None
-    return tuple(out)

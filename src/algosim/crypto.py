@@ -157,6 +157,10 @@ class KeyRegistry:
                 and 0 <= round <= self.horizon
                 and 1 <= step <= self.max_step)
 
+    def _seed(self, owner: UserId, round: int, step: int) -> bytes:
+        return sha256(TAG_EPHEMERAL + self._master
+                      + be8(owner) + be8(round) + be8(step))
+
     def _record(self, owner: UserId, round: int, step: int) -> EphemeralKeyRecord:
         if not self._provisioned(owner, round, step):
             raise KeyMissingError(
@@ -164,9 +168,8 @@ class KeyRegistry:
         key = (owner, round, step)
         rec = self._ephemeral.get(key)
         if rec is None:
-            seed = sha256(TAG_EPHEMERAL + self._master
-                          + be8(owner) + be8(round) + be8(step))
-            rec = EphemeralKeyRecord(owner, round, step, seed)
+            rec = EphemeralKeyRecord(owner, round, step,
+                                     self._seed(owner, round, step))
             self._ephemeral[key] = rec
         return rec
 
@@ -185,10 +188,11 @@ class KeyRegistry:
     def verify_ephemeral(self, owner: UserId, round: int, step: int,
                          message: bytes, sig: Signature) -> bool:
         """Check an ephemeral signature.  Works regardless of key state:
-        destroying a key revokes signing, not past signatures."""
+        destroying a key revokes signing, not past signatures.  Stores no
+        key record, so verifying a chain holds no memory per message."""
         if not self._provisioned(owner, round, step):
             return False
-        return sha256(self._record(owner, round, step).secret_seed + message) == sig
+        return sha256(self._seed(owner, round, step) + message) == sig
 
     def destroy_ephemeral(self, owner: UserId, round: int, step: int,
                           policy: str = "honest") -> KeyState:

@@ -190,7 +190,8 @@ class SimulationRun:
 
         # Delivery is broadcast-only, so every member of a step reads the same
         # inbox: each rule below runs once per round and members only sign
-        # its result.
+        # its result.  Nothing re-checks what honest code built here;
+        # `validate_block` is the one verifier.
 
         # Step 1: every potential leader proposes a block over one payset.
         payset = consensus.build_payset(pending, self.chain.status_entering(r),
@@ -203,19 +204,19 @@ class SimulationRun:
         messages += self.net.step()
         sizes[1] = len(leader_creds)
         leader = select_leader(leader_creds) if leader_creds else None
-        proposals = self.net.inbox_common()
-        blocks_by_digest = {block_hash(p.block): p.block for p in proposals}
+        candidate = next((p.block for p in self.net.inbox_common()
+                          if p.credential.user == leader), None)
+        empty_digest = canonical_empty_digest(self.chain, r)
 
-        # Step 2: the vote committee backs the best valid proposal.
-        selected = consensus.select_proposal(proposals, r, self.chain, params,
-                                             self.registry)
+        # Step 2: the vote committee backs the leader's block, or the empty
+        # block when the round has no potential leader.
         sv2 = select_committee(r, 2, prev_seed, eligible, params, self.registry)
         sizes[2] = len(sv2)
-        messages += self._cast_votes(sv2, selected)
+        messages += self._cast_votes(
+            sv2, empty_digest if candidate is None else block_hash(candidate))
         # The two-step rule's decision and the graded-consensus relay value.
         majority = consensus.supermajority_value(self.net.inbox_common(), len(sv2))
 
-        empty_digest = canonical_empty_digest(self.chain, r)
         simple_digest = None
         if mode in ("simple", "both"):
             simple_digest = majority if majority is not None else empty_digest
@@ -231,18 +232,14 @@ class SimulationRun:
 
         committed = ba_digest if mode in ("ba", "both") else simple_digest
         is_empty = committed == empty_digest
-        block = (empty_block(r, prev_seed, prev_hash) if is_empty
-                 else blocks_by_digest[committed])
+        # Votes only ever back the candidate or the empty block.
+        block = empty_block(r, prev_seed, prev_hash) if is_empty else candidate
 
-        cert_msgs, cert_sizes, cert_messages = self._certify(
+        cert, cert_sizes, cert_messages = self._certify(
             r, prev_seed, eligible, committed, is_empty, decision_step)
         for s, n in cert_sizes.items():
             sizes.setdefault(s, n)
         messages += cert_messages
-        cert = consensus.assemble_cert(cert_msgs, committed, self.chain,
-                                       params, self.registry)
-        if cert is None:
-            raise EngineError(f"round {r}: certificate threshold unreachable")
         self.chain.append(block.with_cert(cert))
 
         equivalent = None
@@ -306,7 +303,9 @@ class SimulationRun:
     def _certify(self, r, prev_seed, eligible, committed, is_empty,
                  decision_step):
         """Fresh committees certify the decided digest, starting at the
-        decision step and continuing until the threshold is reachable."""
+        decision step and continuing until cert_threshold distinct voters have
+        signed; their delivered messages are the certificate.  Raises
+        EngineError when the steps up to max_step hold too few voters."""
         params = self.params
         msgs: list[CertMessage] = []
         sizes: dict[int, int] = {}
@@ -328,9 +327,9 @@ class SimulationRun:
             messages += self.net.step()
             msgs.extend(self.net.inbox_common())
             if len(voters) >= params.cert_threshold:
-                break
+                return tuple(msgs), sizes, messages
             step += 1
-        return msgs, sizes, messages
+        raise EngineError(f"round {r}: certificate threshold unreachable")
 
     # -- adversary phase -------------------------------------------------------
 

@@ -314,18 +314,18 @@ def validate_block(chain: Chain, b: Block, params, registry: KeyRegistry) -> lis
     return violations
 
 
-def check_cert_message(m, round: int, digest: Digest, expected_bit: int | None,
+def check_cert_message(m, round: int, digest: Digest, expected_bit: int,
                        prev_seed: Digest, chain: Chain, params,
                        registry: KeyRegistry) -> str | None:
     """Why a certificate message is unacceptable for `digest`, or None if it
-    is fine.  `expected_bit` of None skips the emptiness consistency check."""
+    is fine.  `expected_bit` is 1 for the round's empty block, else 0."""
     from . import sortition
 
     if m.round != round:
         return "wrong round"
     if m.block_digest != digest:
         return "wrong block digest"
-    if expected_bit is not None and m.bit != expected_bit:
+    if m.bit != expected_bit:
         return "bit does not match block emptiness"
     if m.credential.user != m.voter or m.credential.round != round \
             or m.credential.step != m.step:
@@ -413,6 +413,13 @@ def _u64_field(value) -> int:
     return value
 
 
+# What a malformed line raises while it is read: json.loads (RecursionError
+# when arrays nest deeper than the interpreter's limit), a missing key or a
+# value of the wrong type, and Block() serializing a number out of range.
+_PARSE_ERRORS = (StopIteration, KeyError, ValueError, TypeError, AttributeError,
+                 OverflowError, RecursionError)
+
+
 def chain_from_lines(lines: Iterable[str],
                      registry: KeyRegistry | None = None) -> Chain:
     from .consensus import CertMessage
@@ -421,8 +428,9 @@ def chain_from_lines(lines: Iterable[str],
     it = iter(lines)
     try:
         header = json.loads(next(it))
-        balances = {int(u): int(a) for u, a in header["genesis_status"].items()}
-    except (StopIteration, KeyError, ValueError) as exc:
+        balances = {_u64_field(int(u)): _u64_field(a)
+                    for u, a in header["genesis_status"].items()}
+    except _PARSE_ERRORS as exc:
         raise LedgerError(f"malformed chain file header: {exc}") from exc
     chain = Chain(Status(0, balances), registry=registry)
     for line in it:
@@ -444,10 +452,7 @@ def chain_from_lines(lines: Iterable[str],
                 for m in o["cert"])
             block = Block(o["round"], payset, _hash_field(o["seed"]),
                           _hash_field(o["prev_hash"]), cert)
-        except (KeyError, ValueError, TypeError, AttributeError,
-                OverflowError) as exc:
-            # Block() serializes its fields, so a non-integer or negative
-            # number fails here rather than at validation.
+        except _PARSE_ERRORS as exc:
             raise LedgerError(f"malformed chain record: {exc}") from exc
         chain.append(block)
     return chain

@@ -245,6 +245,54 @@ class TestVerifyChain:
         assert code == 2
         assert err.startswith("error: cannot load chain")
 
+    def test_deeply_nested_record_is_parse_error(self, small_cfg, tmp_path,
+                                                 capsys):
+        # json.loads gives up past the interpreter's recursion limit
+        out = tmp_path / "out"
+        run_cli(capsys, "run", "--config", small_cfg, "--out", out)
+        lines = (out / "chain.jsonl").read_text().splitlines()
+        for index in (0, 4):
+            nested = lines[:index] + ["[" * 200_000 + "]" * 200_000] + lines[index + 1:]
+            (out / "nested.jsonl").write_text("\n".join(nested) + "\n")
+            code, _, err = run_cli(capsys, "verify-chain", "--chain",
+                                   out / "nested.jsonl", "--config", small_cfg)
+            assert code == 2
+            assert err.startswith("error: cannot load chain")
+
+    @pytest.mark.parametrize("header", [
+        '{"genesis_status": 5}',
+        '[1]',
+        '{"genesis_status": {"1": [2]}}',
+        '{"genesis_status": {"1": 1e400}}',
+        '{"genesis_status": {"1": -5}}',
+        '{"genesis_status": {"18446744073709551616": 5}}',
+    ], ids=["number", "list", "list-balance", "infinite", "negative", "huge-user"])
+    def test_malformed_header_is_parse_error(self, small_cfg, tmp_path, capsys,
+                                             header):
+        out = tmp_path / "out"
+        run_cli(capsys, "run", "--config", small_cfg, "--out", out)
+        lines = (out / "chain.jsonl").read_text().splitlines()
+        (out / "header.jsonl").write_text("\n".join([header] + lines[1:]) + "\n")
+        code, _, err = run_cli(capsys, "verify-chain", "--chain",
+                               out / "header.jsonl", "--config", small_cfg)
+        assert code == 2
+        assert err.startswith("error: cannot load chain")
+
+    def test_unknown_genesis_user_reports_violations(self, small_cfg, tmp_path,
+                                                      capsys):
+        # a holder the config does not list still gets a key to verify with
+        out = tmp_path / "out"
+        run_cli(capsys, "run", "--config", small_cfg, "--out", out)
+        lines = (out / "chain.jsonl").read_text().splitlines()
+        header = json.loads(lines[0])
+        header["genesis_status"]["500"] = 5
+        lines[0] = json.dumps(header)
+        (out / "extra.jsonl").write_text("\n".join(lines) + "\n")
+        code, stdout, err = run_cli(capsys, "verify-chain", "--chain",
+                                    out / "extra.jsonl", "--config", small_cfg)
+        assert code == 1
+        assert "round " in stdout and err == ""
+
     def test_truncated_file_is_parse_error(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "out"
         run_cli(capsys, "run", "--config", small_cfg, "--out", out)
@@ -361,10 +409,10 @@ def exported_chain(tmp_path_factory):
 @settings(deadline=None, max_examples=100)
 @given(data=st.data())
 def test_fuzzed_chain_file_keeps_exit_contract(exported_chain, data):
-    # one field of one block record replaced by arbitrary JSON: verify-chain
-    # reports a verdict or a parse error, never a traceback
+    # one field of one record (the header included) replaced by arbitrary
+    # JSON: verify-chain reports a verdict or a parse error, never a traceback
     cfg, lines = exported_chain
-    index = data.draw(st.integers(1, len(lines) - 1), label="record")
+    index = data.draw(st.integers(0, len(lines) - 1), label="record")
     record = json.loads(lines[index])
     path = data.draw(st.sampled_from(list(field_paths(record))), label="field")
     target = record

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from algosim.consensus import (
     GradedValue,
     ProtocolInconsistencyError,
-    assemble_cert,
     ba_output,
     bba,
     bba_transition,
@@ -17,14 +16,12 @@ from algosim.consensus import (
     gc_grade,
     make_cert_message,
     propose,
-    select_proposal,
     supermajority_value,
-    verify_proposal,
     vote,
 )
 from algosim.crypto import KeyDestroyedError
-from algosim.ledger import block_hash, make_payment
-from algosim.sortition import ProtocolParams, view_credential
+from algosim.ledger import block_hash, make_payment, validate_block
+from algosim.sortition import ProtocolParams, view_credential, view_leader
 
 from conftest import idle_chain, make_registry
 
@@ -81,13 +78,40 @@ def payset_of(env, pending):
     return build_payset(pending, chain.status_entering(ROUND), registry)
 
 
+def round_leader(env):
+    registry, chain, params = env
+    return view_leader(ROUND, chain.tip().seed, chain, params, registry)
+
+
+def cert_of(env, block, users, step=4):
+    """Cert messages of `users` over `block`, signed at `step` under the
+    retain policy so one fixture can certify several blocks."""
+    return [make_cert_message(verf_cred(env, u, step), block_hash(block),
+                              block.is_empty(), env[0], policy="retain")
+            for u in users]
+
+
+def violations(env, block, cert):
+    registry, chain, params = env
+    return validate_block(chain, block.with_cert(cert), params, registry)
+
+
 class TestPropose:
+    def check_signed(self, env, msg):
+        registry = env[0]
+        assert registry.verify_ephemeral(msg.credential.user, ROUND, 1,
+                                         block_hash(msg.block), msg.block_sig)
+        assert not registry.verify_ephemeral(msg.credential.user, ROUND, 2,
+                                             block_hash(msg.block), msg.block_sig)
+
     def test_empty_pending(self, env):
         registry, chain, params = env
         msg = propose(lead_cred(env, 1), payset_of(env, []), chain, registry)
         assert msg.block.payset == ()
         assert msg.block.round == ROUND
-        assert verify_proposal(msg, chain, params, registry)
+        assert block_hash(msg.block) == canonical_empty_digest(chain, ROUND)
+        self.check_signed(env, msg)
+        assert violations(env, msg.block, cert_of(env, msg.block, range(1, 5))) == []
 
     def test_invalid_payment_excluded_rest_kept(self, env):
         registry, chain, params = env
@@ -96,9 +120,10 @@ class TestPropose:
         good2 = make_payment(registry, 4, 2, 5, ROUND)
         payset = payset_of(env, [good1, bad, good2])
         assert payset == (good1, good2)
-        msg = propose(lead_cred(env, 1), payset, chain, registry)
+        msg = propose(lead_cred(env, round_leader(env)), payset, chain, registry)
         assert msg.block.payset == (good1, good2)
-        assert verify_proposal(msg, chain, params, registry)
+        self.check_signed(env, msg)
+        assert violations(env, msg.block, cert_of(env, msg.block, range(1, 5))) == []
 
     def test_overdraft_skipped_later_payment_applies(self, env):
         registry, _, _ = env
@@ -106,6 +131,23 @@ class TestPropose:
         overdraft = make_payment(registry, 1, 3, 60, ROUND)  # 40 left
         smaller = make_payment(registry, 1, 3, 40, ROUND)
         assert payset_of(env, [first, overdraft, smaller]) == (first, smaller)
+
+    def test_only_the_leaders_block_validates(self, env):
+        # every potential leader proposes over the same payset; the engine
+        # carries the smallest-credential proposal, and the validator's seed
+        # rule accepts that one block only
+        registry, chain, params = env
+        payset = payset_of(env, [make_payment(registry, 1, 2, 5, ROUND)])
+        proposals = [propose(lead_cred(env, u), payset, chain, registry)
+                     for u in range(1, N + 1)]
+        best = min(proposals, key=lambda p: (p.credential.unit, p.credential.user))
+        assert best.credential.user == round_leader(env)
+        for p in proposals:
+            found = violations(env, p.block, cert_of(env, p.block, range(1, 5)))
+            if p is best:
+                assert found == []
+            else:
+                assert found == ["seed rule violated for non-empty block"]
 
     def test_honest_policy_destroys_key(self, env):
         registry, chain, params = env
@@ -120,37 +162,6 @@ class TestPropose:
         first = propose(cred, (), chain, registry, policy="retain")
         second = propose(cred, (), chain, registry, policy="retain")
         assert first == second
-
-
-class TestSoftVote:
-    def test_single_proposal(self, env):
-        registry, chain, params = env
-        prop = propose(lead_cred(env, 1), (), chain, registry)
-        value = select_proposal([prop], ROUND, chain, params, registry)
-        ballot = vote(verf_cred(env, 5, 2), value, registry)
-        assert ballot.value == block_hash(prop.block)
-        assert ballot.step == ballot.credential.step == 2
-
-    def test_minimal_credential_unit_wins(self, env):
-        registry, chain, params = env
-        payset = payset_of(env, [make_payment(registry, 1, 2, 5, ROUND)])
-        proposals = [propose(lead_cred(env, u), payset, chain, registry)
-                     for u in (4, 7, 9)]
-        best = min(proposals, key=lambda p: p.credential.unit)
-        assert select_proposal(proposals, ROUND, chain, params, registry) == \
-            block_hash(best.block)
-
-    def test_all_invalid_falls_back_to_empty_digest(self, env):
-        registry, chain, params = env
-        prop = propose(lead_cred(env, 1), (), chain, registry)
-        forged = type(prop)(prop.block, b"\x00" * 32, prop.credential)
-        assert select_proposal([forged], ROUND, chain, params, registry) == \
-            canonical_empty_digest(chain, ROUND)
-
-    def test_select_proposal_no_input(self, env):
-        registry, chain, params = env
-        assert select_proposal([], ROUND, chain, params, registry) == \
-            canonical_empty_digest(chain, ROUND)
 
 
 @pytest.mark.parametrize("step, value", [
@@ -318,89 +329,53 @@ class TestCertificates:
         with pytest.raises(KeyDestroyedError):
             make_cert_message(cred, b"\x07" * 32, False, registry)
 
-    def _messages(self, env, digest, users, step=3):
-        return [make_cert_message(verf_cred(env, u, step), digest, False,
-                                  env[0], policy="retain") for u in users]
+    # A certificate is whatever the block carries: `validate_block` counts
+    # its valid messages from distinct voters against cert_threshold (4).
+    @pytest.fixture
+    def block(self, env):
+        _, chain, _ = env
+        return propose(lead_cred(env, 1), (), chain, env[0]).block
 
-    def test_threshold_met(self, env):
-        registry, chain, params = env
-        digest = b"\x09" * 32
-        msgs = self._messages(env, digest, range(1, 5))
-        cert = assemble_cert(msgs, digest, chain, params, registry)
-        assert cert is not None and len(cert) == 4
+    def test_threshold_met(self, env, block):
+        assert violations(env, block, cert_of(env, block, range(1, 5))) == []
 
-    def test_threshold_boundary(self, env):
-        registry, chain, params = env
-        digest = b"\x09" * 32
-        msgs = self._messages(env, digest, range(1, 4))
-        assert assemble_cert(msgs, digest, chain, params, registry) is None
+    def test_threshold_boundary(self, env, block):
+        assert violations(env, block, cert_of(env, block, range(1, 4))) == [
+            "insufficient certificates: have 3, need 4"]
 
-    def test_duplicate_voter_not_counted(self, env):
-        registry, chain, params = env
-        digest = b"\x09" * 32
-        msgs = self._messages(env, digest, range(1, 5))
-        msgs[3] = msgs[0]  # only 3 distinct voters remain
-        assert assemble_cert(msgs, digest, chain, params, registry) is None
+    def test_duplicate_voter_not_counted(self, env, block):
+        cert = cert_of(env, block, range(1, 5))
+        cert[3] = cert[0]  # only 3 distinct voters remain
+        assert violations(env, block, cert) == [
+            "cert message from user 1: duplicate voter",
+            "insufficient certificates: have 3, need 4"]
 
-    def test_wrong_digest_filtered(self, env):
-        registry, chain, params = env
-        digest = b"\x09" * 32
-        msgs = self._messages(env, digest, range(1, 5))
-        assert assemble_cert(msgs, b"\x0a" * 32, chain, params, registry) is None
+    def test_bit_must_match_emptiness(self, env, block):
+        # correctly signed, but the signers called an empty block non-empty
+        registry = env[0]
+        cert = [make_cert_message(verf_cred(env, u, 4), block_hash(block),
+                                  False, registry) for u in range(1, 5)]
+        assert violations(env, block, cert)[0] == \
+            "cert message from user 1: bit does not match block emptiness"
 
-    def test_fuzzed_mutations_never_assemble(self, env):
-        # soundness: whatever junk is mixed in, an assembled certificate
-        # contains only distinct, credential-verified, correctly signed
-        # messages over the requested digest
-        import dataclasses
-        import random
-
-        registry, chain, params = env
-        digest = b"\x09" * 32
-        good = self._messages(env, digest, range(1, 6))
-        rng = random.Random(13)
-        for _ in range(50):
-            msgs = list(good)
-            victim = rng.randrange(len(msgs))
-            field = rng.choice(["sig", "bit", "block_digest", "voter", "step"])
-            m = msgs[victim]
-            if field == "sig":
-                msgs[victim] = dataclasses.replace(m, sig=rng.randbytes(32))
-            elif field == "bit":
-                msgs[victim] = dataclasses.replace(m, bit=1 - m.bit)
-            elif field == "block_digest":
-                msgs[victim] = dataclasses.replace(m, block_digest=rng.randbytes(32))
-            elif field == "voter":
-                msgs[victim] = dataclasses.replace(m, voter=m.voter % 5 + 1)
-            else:
-                msgs[victim] = dataclasses.replace(m, step=m.step + 1)
-            cert = assemble_cert(msgs, digest, chain, params, registry)
-            if cert is None:
-                continue
-            voters = [m.voter for m in cert]
-            assert len(set(voters)) == len(voters)
-            for m in cert:
-                assert m in good
+    def test_wrong_digest_rejected(self, env, block):
+        other = propose(lead_cred(env, round_leader(env)),
+                        payset_of(env, [make_payment(env[0], 1, 2, 5, ROUND)]),
+                        env[1], env[0]).block
+        found = violations(env, block, cert_of(env, other, range(1, 5)))
+        assert found[-1] == "insufficient certificates: have 0, need 4"
+        assert all("wrong block digest" in v for v in found[:-1])
 
 
-def test_equivocation_through_network_cannot_double_finalize():
-    # two Byzantine voters show opposite votes to two honest observers via
-    # the targeted-send hook; no pair of views may finalize different values
-    from algosim.netsim import Network
-
+def test_equivocation_cannot_double_finalize():
+    # two Byzantine voters show opposite votes to two honest observers; no
+    # pair of views may finalize different values
     n = 7  # committee size; 5 honest voters, 2 equivocators
-    net = Network()
-    for u in range(1, 10):
-        net.add_node(u)
-    obs_a, obs_b = 8, 9
-    for voter, value in ((1, "A"), (2, "A"), (3, "A"), (4, "B"), (5, "B")):
-        net.broadcast(voter, Vote(voter, value), round=1, step=2)
-    for byz in (6, 7):
-        net.send_to(byz, {obs_a}, Vote(byz, "A"), round=1, step=2)
-        net.send_to(byz, {obs_b}, Vote(byz, "B"), round=1, step=2)
-    net.step()
-    result_a = supermajority_value(net.inbox(obs_a), n)
-    result_b = supermajority_value(net.inbox(obs_b), n)
+    honest = [Vote(1, "A"), Vote(2, "A"), Vote(3, "A"), Vote(4, "B"), Vote(5, "B")]
+    view_a = honest + [Vote(6, "A"), Vote(7, "A")]
+    view_b = honest + [Vote(6, "B"), Vote(7, "B")]
+    result_a = supermajority_value(view_a, n)
+    result_b = supermajority_value(view_b, n)
     assert result_a == "A"  # 5 of 7 distinct voters clears the threshold
     assert result_b is None  # 4 of 7 does not
     assert not (result_a and result_b and result_a != result_b)

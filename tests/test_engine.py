@@ -1,20 +1,31 @@
 import dataclasses
 import hashlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import algosim.cli as cli
 from algosim.adversary import AdversaryConfig
-from algosim.crypto import KeyState
+from algosim.crypto import KeyRegistry, KeyState
 from algosim.engine import (
     ScenarioConfig,
     detect_fork,
     metrics_to_lines,
     run_scenario,
 )
-from algosim.ledger import block_hash, chain_to_lines, validate_block, verify_chain
+from algosim.ledger import (
+    block_hash,
+    chain_from_lines,
+    chain_to_lines,
+    users_at,
+    validate_block,
+    verify_chain,
+)
 from algosim.sortition import ProtocolParams
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 SMALL = ScenarioConfig(
     seed=42, num_genesis_users=10, initial_balance=1000, rounds=20,
@@ -45,10 +56,24 @@ def test_honest_run_equivalence_each_round(small_run):
             assert rec.equivalent is True
 
 
-def test_honest_chain_fully_validates(small_run):
-    chains, _ = small_run
+@pytest.mark.parametrize("source", ["SMALL", "bribery.cfg", "genesis_fork.cfg"])
+def test_honest_chain_fully_validates(small_run, source):
+    # the engine does not check the blocks it builds; the validator must
+    # accept every one, also under the retain key policy (bribery.cfg) and
+    # with users joining each round (genesis_fork.cfg)
+    if source == "SMALL":
+        chains, _ = small_run
+        params = SMALL.params
+    else:
+        cfg = cli.load_config(str(FIXTURES / source))
+        chains, _ = run_scenario(cfg)
+        params = cfg.params
     chain = chains[0]
-    assert verify_chain(chain, SMALL.params, chain.registry) == []
+    if source == "bribery.cfg":
+        assert chain.registry.retained_records()
+    if source == "genesis_fork.cfg":
+        assert max(users_at(chain, chain.tip_round)) > cfg.num_genesis_users
+    assert verify_chain(chain, params, chain.registry) == []
 
 
 def test_consumed_keys_destroyed_under_honest_policy(small_run):
@@ -98,8 +123,9 @@ def test_transcript_digest_per_mode(mode, new_users):
         TRANSCRIPT_DIGESTS[mode, new_users]
 
 
-MUTATIONS = ("seed", "prev_hash", "payment_order", "cert_bit",
-             "cert_digest", "thin_cert")
+MUTATIONS = ("seed", "prev_hash", "payment_order", "cert_bit", "cert_digest",
+             "cert_sig", "cert_step", "cert_voter", "cert_credential",
+             "duplicate_voter", "thin_cert")
 
 
 @settings(deadline=None, max_examples=60)
@@ -129,12 +155,22 @@ def test_single_field_mutation_of_certified_block_is_rejected(small_run, data):
         cert = list(block.cert)
         k = data.draw(st.integers(0, len(cert) - 1))
         m = cert[k]
-        if kind == "cert_bit":
-            cert[k] = replace(m, bit=1 - m.bit)
+        j = data.draw(st.integers(0, len(cert) - 2))
+        other = cert[j + (j >= k)]
+        if kind == "duplicate_voter":
+            cert[k] = other
+        elif kind == "cert_credential":  # a valid credential of another voter
+            cert[k] = replace(m, credential=other.credential)
         else:
-            digest = data.draw(st.binary(min_size=32, max_size=32)
-                               .filter(lambda v: v != m.block_digest))
-            cert[k] = replace(m, block_digest=digest)
+            field, values = {
+                "cert_bit": ("bit", st.just(1 - m.bit)),
+                "cert_digest": ("block_digest", st.binary(min_size=32, max_size=32)),
+                "cert_sig": ("sig", st.binary(min_size=32, max_size=32)),
+                "cert_step": ("step", st.integers(1, params.max_step)),
+                "cert_voter": ("voter", st.integers(1, SMALL.num_genesis_users)),
+            }[kind]
+            value = data.draw(values.filter(lambda v: v != getattr(m, field)))
+            cert[k] = replace(m, **{field: value})
         mutated = block.with_cert(cert)
     assert validate_block(chain, mutated, params, chain.registry)
 
@@ -188,15 +224,24 @@ def test_simple_mode_runs_two_steps():
 
 def test_fifty_round_chain_validates_block_by_block():
     # every block the honest engine emits passes the validator
-    import algosim.cli as cli
-    from pathlib import Path
-
-    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "honest.cfg"
-    cfg = cli.load_config(str(fixture), seed=11)
+    cfg = cli.load_config(str(FIXTURES / "honest.cfg"), seed=11)
     chains, _ = run_scenario(cfg)
     chain = chains[0]
     assert len(chain.blocks) == 51
     assert verify_chain(chain, cfg.params, chain.registry) == []
+
+
+def test_verifying_a_chain_stores_no_key_records():
+    # re-validation derives each voter's key seed and keeps nothing
+    cfg = cli.load_config(str(FIXTURES / "honest.cfg"), seed=0)
+    chains, _ = run_scenario(cfg)
+    registry = KeyRegistry(cfg.seed, horizon=cfg.params.horizon,
+                           max_step=cfg.params.max_step)
+    for u in range(1, cfg.num_genesis_users + 1):
+        registry.register_user(u)
+    chain = chain_from_lines(chain_to_lines(chains[0]), registry)
+    assert verify_chain(chain, cfg.params, registry) == []
+    assert registry._ephemeral == {}
 
 
 def test_message_counts_accumulate(small_run):
