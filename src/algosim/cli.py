@@ -114,7 +114,8 @@ def cmd_run(args) -> int:
         return 2
 
     if args.jobs > 1 and len(configs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool forks all its workers up front, so never more than seeds
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(configs))) as pool:
             results = list(pool.map(_execute, configs))
     else:
         results = [_execute(c) for c in configs]
@@ -175,7 +176,8 @@ def cmd_verify_chain(args) -> int:
         registry.register_user(u)
     try:
         lines = Path(args.chain).read_text().splitlines()
-        chain = chain_from_lines(lines, registry)
+        chain = chain_from_lines(lines, registry,
+                                 window=config.params.lookback + 1)
     except (OSError, LedgerError) as exc:
         print(f"error: cannot load chain: {exc}", file=sys.stderr)
         return 2

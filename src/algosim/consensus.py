@@ -141,8 +141,7 @@ def propose(credential: Credential, payset: tuple[Payment, ...], chain: Chain,
     else:
         seed = empty_round_seed(prev.seed, r)
     block = Block(r, payset, seed, block_hash(prev), ())
-    sig = registry.ephemeral_sign(credential.user, r, 1, block_hash(block))
-    registry.destroy_ephemeral(credential.user, r, 1, policy)
+    sig = registry.ephemeral_sign(credential.user, r, 1, block_hash(block), policy)
     return ProposalMessage(block, sig, credential)
 
 
@@ -153,8 +152,7 @@ def vote(credential: Credential, value: bytes, registry: KeyRegistry,
     """Sign `value` with the member's ephemeral key for its (round, step) and
     retire that key per `policy`."""
     r, s = credential.round, credential.step
-    sig = registry.ephemeral_sign(credential.user, r, s, value)
-    registry.destroy_ephemeral(credential.user, r, s, policy)
+    sig = registry.ephemeral_sign(credential.user, r, s, value, policy)
     return Vote(credential.user, r, s, value, sig, credential)
 
 
@@ -251,13 +249,13 @@ def make_cert_message(credential: Credential, block_digest: Digest,
                       is_empty: bool, registry: KeyRegistry,
                       policy: str = "honest", signer=None) -> CertMessage:
     """Certify a block digest with the verifier's ephemeral key for the step at
-    which it decided.  `signer` defaults to the registry (honest self-signing);
-    adversarial callers pass their restricted signer."""
+    which it decided, retiring that key per `policy` in the same call.
+    `signer` defaults to the registry (honest self-signing); adversarial
+    callers pass their restricted signer."""
     signer = signer if signer is not None else registry
     r, s = credential.round, credential.step
     bit = 1 if is_empty else 0
     sig = signer.ephemeral_sign(credential.user, r, s,
-                                cert_payload(bit, block_digest))
-    registry.destroy_ephemeral(credential.user, r, s, policy)
+                                cert_payload(bit, block_digest), policy)
     return CertMessage(credential.user, r, s, bit, block_digest, sig, credential)
 

@@ -4,8 +4,12 @@ Signatures here are keyed SHA-256 digests held together by a per-run
 KeyRegistry that knows every secret seed.  This gives us the two properties
 the protocol logic actually depends on -- determinism and uniqueness (exactly
 one byte string verifies per (signer, message)) -- without pretending to be
-real cryptography.  Ephemeral per-(user, round, step) keys carry an explicit
-destroy/retain lifecycle so key-reuse attacks can be expressed.
+real cryptography.
+
+Ephemeral per-(user, round, step) keys carry a one-way lifecycle, available
+then destroyed (the honest rule) or retained (kept, and so for sale), so
+key-reuse attacks can be expressed.  The registry stores key state, not keys,
+so an honest round adds a few integers to it whatever its committee sizes.
 """
 
 from __future__ import annotations
@@ -78,7 +82,8 @@ class KeyState(Enum):
 
 @dataclass
 class EphemeralKeyRecord:
-    """Per-(owner, round, step) signing key with a one-way lifecycle."""
+    """A per-(owner, round, step) signing key; the registry keeps one only
+    while the key is retained."""
 
     owner: UserId
     round: int
@@ -95,6 +100,13 @@ class KeyRegistry:
     verification recomputes the unique signature and compares, which makes a
     second accepting signature impossible by construction.
 
+    Ephemeral keys exist for every registered user, round 0..horizon and step
+    1..max_step; a key's seed is re-derived whenever it signs or verifies.
+    `_destroyed` maps (round, step) to a bitmask of destroyed owners (each
+    user gets one bit when registered), and `_retained` holds a full record
+    of each retained key, the only keys an attacker can buy.  A key in
+    neither store is available.
+
     Honest code signs through the registry directly; adversarial code must go
     through an :class:`AdversarySigner`, which restricts signing to corrupted
     users.
@@ -106,7 +118,9 @@ class KeyRegistry:
         self._master = sha256(b"SEED" + be8(run_seed))
         self.genesis_seed = sha256(b"GENQ" + self._master)
         self._keys: dict[UserId, bytes] = {}  # long-term secret seeds
-        self._ephemeral: dict[tuple[UserId, int, int], EphemeralKeyRecord] = {}
+        self._bit: dict[UserId, int] = {}  # owner's bit in a destroyed mask
+        self._destroyed: dict[tuple[int, int], int] = {}
+        self._retained: dict[tuple[UserId, int, int], EphemeralKeyRecord] = {}
 
     # -- registration -------------------------------------------------------
 
@@ -114,6 +128,7 @@ class KeyRegistry:
         """Provision a user's long-term key and its ephemeral key space."""
         if user not in self._keys:
             self._keys[user] = sha256(b"LTSK" + self._master + be8(user))
+            self._bit[user] = 1 << len(self._bit)
 
     def is_registered(self, user: UserId) -> bool:
         return user in self._keys
@@ -161,62 +176,65 @@ class KeyRegistry:
         return sha256(TAG_EPHEMERAL + self._master
                       + be8(owner) + be8(round) + be8(step))
 
-    def _record(self, owner: UserId, round: int, step: int) -> EphemeralKeyRecord:
+    def _owner_bit(self, owner: UserId, round: int, step: int) -> int:
+        """The owner's bit in a (round, step) mask, if that key exists."""
         if not self._provisioned(owner, round, step):
             raise KeyMissingError(
                 f"no ephemeral key for user {owner} at round {round} step {step}")
-        key = (owner, round, step)
-        rec = self._ephemeral.get(key)
-        if rec is None:
-            rec = EphemeralKeyRecord(owner, round, step,
-                                     self._seed(owner, round, step))
-            self._ephemeral[key] = rec
-        return rec
+        return self._bit[owner]
 
     def ephemeral_state(self, owner: UserId, round: int, step: int) -> KeyState:
-        return self._record(owner, round, step).state
+        if self._destroyed.get((round, step), 0) & self._owner_bit(owner, round, step):
+            return KeyState.DESTROYED
+        if (owner, round, step) in self._retained:
+            return KeyState.RETAINED
+        return KeyState.AVAILABLE
 
     def ephemeral_sign(self, owner: UserId, round: int, step: int,
-                       message: bytes) -> Signature:
-        rec = self._record(owner, round, step)
-        if rec.state is KeyState.DESTROYED:
+                       message: bytes, policy: str | None = None) -> Signature:
+        """Sign `message` with the owner's key for (round, step), then retire
+        the key per `policy`: `honest` destroys it, `retain` keeps it
+        signable, None leaves its state as it is.
+
+        A destroyed key never signs.  Re-applying a key's terminal state is a
+        no-op; crossing from one terminal state to the other is an invalid
+        transition, and a refused call changes no state.
+        """
+        bit = self._owner_bit(owner, round, step)
+        slot = (round, step)
+        mask = self._destroyed.get(slot, 0)
+        if mask & bit:
             raise KeyDestroyedError(
                 f"ephemeral key of user {owner} for round {round} step {step} "
                 "was destroyed")
-        return sha256(rec.secret_seed + message)
+        seed = self._seed(owner, round, step)
+        if policy == "honest":
+            if self._retained and (owner, round, step) in self._retained:
+                raise InvalidTransitionError(
+                    f"key of user {owner} at ({round},{step}) is retained; "
+                    "cannot move to destroyed")
+            self._destroyed[slot] = mask | bit
+        elif policy == "retain":
+            key = (owner, round, step)
+            if key not in self._retained:
+                self._retained[key] = EphemeralKeyRecord(
+                    owner, round, step, seed, KeyState.RETAINED)
+        elif policy is not None:
+            raise ValueError(f"unknown key policy {policy!r}")
+        return sha256(seed + message)
 
     def verify_ephemeral(self, owner: UserId, round: int, step: int,
                          message: bytes, sig: Signature) -> bool:
         """Check an ephemeral signature.  Works regardless of key state:
-        destroying a key revokes signing, not past signatures.  Stores no
-        key record, so verifying a chain holds no memory per message."""
+        destroying a key revokes signing, not past signatures.  Stores
+        nothing, so verifying a chain holds no memory per message."""
         if not self._provisioned(owner, round, step):
             return False
         return sha256(self._seed(owner, round, step) + message) == sig
 
-    def destroy_ephemeral(self, owner: UserId, round: int, step: int,
-                          policy: str = "honest") -> KeyState:
-        """Retire a key: `honest` destroys it, `retain` keeps it signable.
-
-        Re-applying the same terminal state is a no-op; crossing from one
-        terminal state to the other is an invalid transition.
-        """
-        if policy not in ("honest", "retain"):
-            raise ValueError(f"unknown key policy {policy!r}")
-        rec = self._record(owner, round, step)
-        target = KeyState.DESTROYED if policy == "honest" else KeyState.RETAINED
-        if rec.state is KeyState.AVAILABLE:
-            rec.state = target
-        elif rec.state is not target:
-            raise InvalidTransitionError(
-                f"key of user {owner} at ({round},{step}) is {rec.state.value}; "
-                f"cannot move to {target.value}")
-        return rec.state
-
     def retained_records(self, round: int | None = None) -> list[EphemeralKeyRecord]:
-        recs = [r for r in self._ephemeral.values() if r.state is KeyState.RETAINED]
-        if round is not None:
-            recs = [r for r in recs if r.round == round]
+        recs = [r for r in self._retained.values()
+                if round is None or r.round == round]
         return sorted(recs, key=lambda r: (r.round, r.step, r.owner))
 
 
@@ -238,6 +256,6 @@ class AdversarySigner:
         return self.registry.unique_sign(owner, message)
 
     def ephemeral_sign(self, owner: UserId, round: int, step: int,
-                       message: bytes) -> Signature:
+                       message: bytes, policy: str | None = None) -> Signature:
         self._check(owner)
-        return self.registry.ephemeral_sign(owner, round, step, message)
+        return self.registry.ephemeral_sign(owner, round, step, message, policy)

@@ -60,10 +60,17 @@ class ScenarioConfig:
     new_users_per_round: int = 0
 
     def validate(self) -> None:
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be in [0, 2**64)")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if self.num_genesis_users < 2:
             raise ValueError("need at least 2 genesis users")
+        if self.initial_balance < 1:
+            raise ValueError("initial_balance must be >= 1")
+        if self.payments_per_round < 0 or self.new_users_per_round < 0:
+            raise ValueError(
+                "payments_per_round and new_users_per_round must be >= 0")
         if self.consensus_mode not in CONSENSUS_MODES:
             raise ValueError(f"unknown consensus mode {self.consensus_mode!r}")
         if self.params.horizon < self.rounds + 1:
@@ -124,7 +131,8 @@ class SimulationRun:
             self._register_user(u)
         self.next_uid = config.num_genesis_users + 1
         self.chain = make_genesis(
-            {u: config.initial_balance for u in genesis_users}, self.registry)
+            {u: config.initial_balance for u in genesis_users}, self.registry,
+            window=self.params.lookback + 1)
         self.records: list[RoundRecord] = []
 
     def _register_user(self, uid: UserId) -> None:

@@ -181,19 +181,31 @@ def empty_block(round: int, prev_seed: Digest, prev_hash: Digest) -> Block:
 class Chain:
     """Validated sequence of blocks starting at genesis.
 
-    Keeps an incremental status cache: `_statuses[r]` is the Status entering
-    round r, i.e. after replaying paysets 0..r-1.
+    Keeps a window of statuses: `_statuses[r]` is the Status entering round
+    r, i.e. after replaying paysets 0..r-1, and `_holders[r]` its positive
+    holders.  Genesis stays; of the later rounds only the `window` highest
+    computed ones stay (None keeps every round).  A round is read in the
+    order the chain grows: the engine and `validate_block` ask for
+    `status_entering(r)` and `users_at(r - lookback)`, so a window of
+    `lookback + 1` serves them all and memory stays flat per round.  A
+    request below the window (an attack's target round, a test) replays
+    from genesis and caches nothing.
     """
 
     genesis_status: Status
     blocks: list[Block] = field(default_factory=list)
     registry: KeyRegistry | None = None
-    _statuses: list[Status] = field(default_factory=list, repr=False)
-    _holders: dict[int, set[UserId]] = field(default_factory=dict, repr=False)
+    window: int | None = None
+    _statuses: dict[int, Status] = field(init=False, repr=False)
+    _holders: dict[int, set[UserId]] = field(init=False, repr=False)
+    _top: int = field(init=False, repr=False)  # highest round in _statuses
 
     def __post_init__(self):
-        if not self._statuses:
-            self._statuses = [Status(0, dict(self.genesis_status.balances))]
+        if self.window is not None and self.window < 1:
+            raise ValueError("a status window holds at least one round")
+        self._statuses = {0: Status(0, dict(self.genesis_status.balances))}
+        self._holders = {}
+        self._top = 0
 
     @property
     def tip_round(self) -> int:
@@ -212,20 +224,44 @@ class Chain:
         """S^round: balances after replaying paysets of rounds 0..round-1."""
         if round < 0 or round > len(self.blocks):
             raise RoundOutOfRangeError(f"no status for round {round}")
-        while len(self._statuses) <= round:
-            r = len(self._statuses) - 1
-            self._statuses.append(
-                apply_payset(self._statuses[r], self.blocks[r].payset, self.registry))
-        return self._statuses[round]
+        status = self._statuses.get(round)
+        if status is not None:
+            return status
+        if round < self._top:
+            # Below the window: replay from genesis and keep nothing.
+            status = self._statuses[0]
+            for r in range(round):
+                status = apply_payset(status, self.blocks[r].payset, self.registry)
+            return status
+        status = self._statuses[self._top]
+        for r in range(self._top, round):
+            status = apply_payset(status, self.blocks[r].payset, self.registry)
+            self._statuses[r + 1] = status
+            if self.window is not None and r + 1 - self.window > 0:
+                self._statuses.pop(r + 1 - self.window, None)
+                self._holders.pop(r + 1 - self.window, None)
+        self._top = round
+        return status
+
+    def holders_entering(self, round: int) -> set[UserId]:
+        """Users with a positive balance in `status_entering(round)`."""
+        holders = self._holders.get(round)
+        if holders is None:
+            holders = self.status_entering(round).holders()
+            if round in self._statuses:
+                self._holders[round] = holders
+        return holders
 
     def prefix(self, length: int) -> "Chain":
         """A chain holding the first `length` blocks (shared, immutable)."""
-        return Chain(self.genesis_status, list(self.blocks[:length]), self.registry)
+        return Chain(self.genesis_status, list(self.blocks[:length]),
+                     self.registry, self.window)
 
 
-def make_genesis(balances: dict[UserId, int], registry: KeyRegistry) -> Chain:
+def make_genesis(balances: dict[UserId, int], registry: KeyRegistry,
+                 window: int | None = None) -> Chain:
     genesis = Status(0, dict(balances))
-    chain = Chain(genesis, registry=registry)
+    chain = Chain(genesis, registry=registry, window=window)
     chain.append(Block(0, (), registry.genesis_seed, ZERO_DIGEST, ()))
     return chain
 
@@ -234,11 +270,7 @@ def users_at(chain: Chain, round: int) -> set[UserId]:
     """Users holding a positive balance after replaying through `round`."""
     if round < 0 or round > chain.tip_round:
         raise RoundOutOfRangeError(f"round {round} not on chain")
-    cached = chain._holders.get(round)
-    if cached is None:
-        cached = chain.status_entering(round + 1).holders()
-        chain._holders[round] = cached
-    return cached
+    return chain.holders_entering(round + 1)
 
 
 def validate_block(chain: Chain, b: Block, params, registry: KeyRegistry) -> list[str]:
@@ -407,21 +439,24 @@ def _hash_field(text: str) -> bytes:
 
 
 def _u64_field(value) -> int:
-    """A cert message or credential number; each is an int in [0, 2**64)."""
+    """A number of a chain file (user id, balance, amount, round, step or
+    bit); each is an int in [0, 2**64)."""
     if type(value) is not int or not 0 <= value < 2**64:
         raise ValueError(f"expected an integer in [0, 2**64), got {value!r}")
     return value
 
 
 # What a malformed line raises while it is read: json.loads (RecursionError
-# when arrays nest deeper than the interpreter's limit), a missing key or a
-# value of the wrong type, and Block() serializing a number out of range.
+# when arrays nest deeper than the interpreter's limit), a missing key, or a
+# value of the wrong type or range.  Every number passes `_u64_field` before
+# a Block serializes it.
 _PARSE_ERRORS = (StopIteration, KeyError, ValueError, TypeError, AttributeError,
-                 OverflowError, RecursionError)
+                 RecursionError)
 
 
 def chain_from_lines(lines: Iterable[str],
-                     registry: KeyRegistry | None = None) -> Chain:
+                     registry: KeyRegistry | None = None,
+                     window: int | None = None) -> Chain:
     from .consensus import CertMessage
     from .sortition import Credential
 
@@ -432,14 +467,15 @@ def chain_from_lines(lines: Iterable[str],
                     for u, a in header["genesis_status"].items()}
     except _PARSE_ERRORS as exc:
         raise LedgerError(f"malformed chain file header: {exc}") from exc
-    chain = Chain(Status(0, balances), registry=registry)
+    chain = Chain(Status(0, balances), registry=registry, window=window)
     for line in it:
         if not line.strip():
             continue
         try:
             o = json.loads(line)
-            payset = tuple(Payment(p["payer"], p["payee"], p["amount"],
-                                   _hash_field(p["sig"])) for p in o["payset"])
+            payset = tuple(Payment(_u64_field(p["payer"]), _u64_field(p["payee"]),
+                                   _u64_field(p["amount"]), _hash_field(p["sig"]))
+                           for p in o["payset"])
             cert = tuple(CertMessage(
                 voter=_u64_field(m["voter"]), round=_u64_field(m["round"]),
                 step=_u64_field(m["step"]), bit=_u64_field(m["bit"]),
@@ -450,7 +486,7 @@ def chain_from_lines(lines: Iterable[str],
                                       _u64_field(m["credential"]["step"]),
                                       _hash_field(m["credential"]["sig"])))
                 for m in o["cert"])
-            block = Block(o["round"], payset, _hash_field(o["seed"]),
+            block = Block(_u64_field(o["round"]), payset, _hash_field(o["seed"]),
                           _hash_field(o["prev_hash"]), cert)
         except _PARSE_ERRORS as exc:
             raise LedgerError(f"malformed chain record: {exc}") from exc

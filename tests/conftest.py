@@ -1,6 +1,6 @@
 import pytest
 
-from algosim.crypto import KeyRegistry
+from algosim.crypto import EphemeralKeyRecord, KeyRegistry
 from algosim.ledger import Chain, block_hash, empty_block, make_genesis
 from algosim.sortition import ProtocolParams
 
@@ -10,6 +10,12 @@ def make_registry(seed=0, horizon=64, max_step=13, users=range(1, 11)) -> KeyReg
     for u in users:
         reg.register_user(u)
     return reg
+
+
+def key_records(registry) -> list[EphemeralKeyRecord]:
+    """Every EphemeralKeyRecord the registry holds, in whichever store."""
+    return [v for store in vars(registry).values() if isinstance(store, dict)
+            for v in store.values() if isinstance(v, EphemeralKeyRecord)]
 
 
 def idle_chain(registry, balances, rounds) -> Chain:

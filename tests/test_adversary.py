@@ -8,7 +8,7 @@ from algosim.adversary import (
     bribe_and_recertify,
     fork_from,
 )
-from algosim.crypto import KeyState
+from algosim.crypto import EphemeralKeyRecord, KeyState
 from algosim.engine import ScenarioConfig, run_scenario
 from algosim.ledger import block_hash, users_at, validate_block, verify_chain
 from algosim.sortition import ProtocolParams, view_leader
@@ -228,10 +228,12 @@ class TestBribery:
         registry = chain.registry
         # the top step is never reached by the honest run, so this key is
         # still available rather than retained
-        rec = registry._record(1, 5, cfg.params.max_step)
-        assert rec.state is KeyState.AVAILABLE
-        with pytest.raises(PreconditionViolatedError):
-            bribe_and_recertify(chain, 5, [rec], cfg.params, registry)
+        step = cfg.params.max_step
+        assert registry.ephemeral_state(1, 5, step) is KeyState.AVAILABLE
+        for state in (KeyState.AVAILABLE, KeyState.DESTROYED):
+            rec = EphemeralKeyRecord(1, 5, step, b"\x00" * 32, state)
+            with pytest.raises(PreconditionViolatedError):
+                bribe_and_recertify(chain, 5, [rec], cfg.params, registry)
 
     def test_retention_zero_scenario_reports_failure(self):
         chains, metrics = run_scenario(bribery_fixture(retention=0.0))

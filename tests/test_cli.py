@@ -98,6 +98,39 @@ class TestRun:
         assert err.count("\n") == 1 and err.startswith("error:")
         assert "certificate threshold unreachable" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--seed", "-1"), "seed must be in [0, 2**64)"),
+        (("--seed", str(2**64)), "seed must be in [0, 2**64)"),
+        (("--seed", "3,-1"), "seed must be in [0, 2**64)"),
+    ], ids=["negative", "2**64", "in-list"])
+    def test_out_of_range_seed_is_usage_error(self, small_cfg, capsys, argv,
+                                              message):
+        code, stdout, err = run_cli(capsys, "run", "--config", small_cfg, *argv)
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert message in err and stdout == ""
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("payments_per_round = 3", "payments_per_round = -1",
+         "payments_per_round and new_users_per_round must be >= 0"),
+        ("payments_per_round = 3",
+         "payments_per_round = 3\nnew_users_per_round = -1",
+         "payments_per_round and new_users_per_round must be >= 0"),
+        ("initial_balance = 1000", "initial_balance = -5",
+         "initial_balance must be >= 1"),
+        ("initial_balance = 1000", "initial_balance = 0",
+         "initial_balance must be >= 1"),
+        ("seed = 42", "seed = -1", "seed must be in [0, 2**64)"),
+    ], ids=["payments", "new-users", "negative-balance", "zero-balance",
+            "config-seed"])
+    def test_out_of_range_scenario_key_is_usage_error(self, small_cfg, capsys,
+                                                      old, new, message):
+        small_cfg.write_text(SMALL_CFG.replace(old, new))
+        code, stdout, err = run_cli(capsys, "run", "--config", small_cfg)
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert message in err and stdout == ""
+
     def test_attack_config_does_not_trip_honest_exit(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "run", "--config",
                              FIXTURES / "genesis_fork.cfg")
@@ -223,6 +256,29 @@ class TestVerifyChain:
         assert code == 2
         assert err.startswith("error: cannot load chain")
 
+    @pytest.mark.parametrize("field", ["amount", "round"])
+    def test_true_as_number_is_parse_error(self, tmp_path, capsys, field):
+        # JSON true serializes as 1, so a block whose field is 1 would still
+        # hash and verify as the block the run wrote
+        out = tmp_path / "out"
+        config = FIXTURES / "honest.cfg"
+        run_cli(capsys, "run", "--config", config, "--rounds", "8", "--out", out)
+        lines = (out / "chain.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        if field == "round":
+            i, target = 2, records[2]
+        else:
+            i, target = next((i, p) for i, rec in enumerate(records[1:], 1)
+                             for p in rec["payset"] if p["amount"] == 1)
+        assert target[field] == 1
+        target[field] = True
+        lines[i] = json.dumps(records[i], sort_keys=True, separators=(",", ":"))
+        (out / "true.jsonl").write_text("\n".join(lines) + "\n")
+        code, stdout, err = run_cli(capsys, "verify-chain", "--chain",
+                                    out / "true.jsonl", "--config", config)
+        assert code == 2
+        assert err.startswith("error: cannot load chain") and stdout == ""
+
     @pytest.mark.parametrize("field, credential_field, value", [
         ("step", "step", 2**70),
         ("step", "step", "4"),
@@ -346,6 +402,13 @@ class TestAttack:
         assert err.count("\n") == 1 and err.startswith("error:")
         assert message in err
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "attack", "genesis-fork", "--config",
+                               FIXTURES / "genesis_fork.cfg", "--seed", "-1")
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "seed must be in [0, 2**64)" in err
+
     def test_strategy_mismatch_is_usage_error(self, small_cfg, capsys):
         code, _, err = run_cli(capsys, "attack", "bribery",
                                "--config", small_cfg)
@@ -373,6 +436,34 @@ def test_parallel_jobs_match_sequential(small_cfg, tmp_path, capsys):
     for seed in (5, 6):
         assert (seq / f"seed_{seed}" / "metrics.jsonl").read_bytes() == \
             (par / f"seed_{seed}" / "metrics.jsonl").read_bytes()
+
+
+def test_jobs_capped_at_seed_count(small_cfg, capsys, monkeypatch):
+    # the pool forks every worker up front; an inline stand-in records how
+    # many were asked for and starts no process
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    code, _, _ = run_cli(capsys, "run", "--config", small_cfg, "--seed", "5,6",
+                         "--rounds", "4", "--jobs", "10000")
+    assert code == 0
+    assert asked == [2]
+    run_cli(capsys, "run", "--config", small_cfg, "--seed", "5,6,7",
+            "--rounds", "4", "--jobs", "2")
+    assert asked == [2, 2]
 
 
 # Any JSON value, with the shapes that once broke the parser drawn often.

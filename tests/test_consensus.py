@@ -19,11 +19,11 @@ from algosim.consensus import (
     supermajority_value,
     vote,
 )
-from algosim.crypto import KeyDestroyedError
+from algosim.crypto import KeyDestroyedError, KeyState
 from algosim.ledger import block_hash, make_payment, validate_block
 from algosim.sortition import ProtocolParams, view_credential, view_leader
 
-from conftest import idle_chain, make_registry
+from conftest import idle_chain, key_records, make_registry
 
 Vote = namedtuple("Vote", "voter value")
 
@@ -175,6 +175,32 @@ def test_vote_is_signed_for_its_step(env, step, value):
     assert registry.verify_ephemeral(2, ROUND, step, value, ballot.sig)
     with pytest.raises(KeyDestroyedError):
         vote(cred, value, registry)
+
+
+@pytest.mark.parametrize("kind, step", [("propose", 1), ("vote", 2), ("cert", 4)])
+def test_honest_signing_stores_no_key_record(env, kind, step):
+    # signing retires the key in the same call; an honest key leaves one bit
+    registry, chain, _ = env
+    for u in range(1, N + 1):
+        if kind == "propose":
+            propose(lead_cred(env, u), (), chain, registry)
+        elif kind == "vote":
+            vote(verf_cred(env, u, step), b"\x11" * 32, registry)
+        else:
+            make_cert_message(verf_cred(env, u, step), b"\x11" * 32, False,
+                              registry)
+        assert registry.ephemeral_state(u, ROUND, step) is KeyState.DESTROYED
+    assert key_records(registry) == []
+    assert registry.retained_records() == []
+
+
+def test_retained_signing_stores_one_record_per_key(env):
+    registry, _, _ = env
+    for u in range(1, N + 1):
+        vote(verf_cred(env, u, 2), b"\x11" * 32, registry, policy="retain")
+    records = registry.retained_records(ROUND)
+    assert [(r.owner, r.step) for r in records] == [(u, 2) for u in range(1, N + 1)]
+    assert key_records(registry) == records
 
 
 class TestGradedConsensus:

@@ -2,9 +2,12 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algosim.crypto import (
     AdversarySigner,
+    KeyRegistry,
     InvalidTransitionError,
     KeyDestroyedError,
     KeyMissingError,
@@ -16,7 +19,7 @@ from algosim.crypto import (
     sha256,
 )
 
-from conftest import make_registry
+from conftest import key_records, make_registry
 
 # SHA-256 of the empty string, as published everywhere.
 EMPTY_SHA256 = bytes.fromhex(
@@ -104,25 +107,38 @@ def test_public_handle_is_function_of_owner(registry):
 
 class TestEphemeralLifecycle:
     def test_sign_then_destroy_then_sign_fails(self, registry):
-        registry.ephemeral_sign(1, 4, 2, b"v")
-        registry.destroy_ephemeral(1, 4, 2, "honest")
+        registry.ephemeral_sign(1, 4, 2, b"v", "honest")
         with pytest.raises(KeyDestroyedError):
             registry.ephemeral_sign(1, 4, 2, b"v")
 
     def test_retained_key_signs_again(self, registry):
-        first = registry.ephemeral_sign(1, 4, 2, b"v")
-        registry.destroy_ephemeral(1, 4, 2, "retain")
+        first = registry.ephemeral_sign(1, 4, 2, b"v", "retain")
         assert registry.ephemeral_sign(1, 4, 2, b"v") == first
 
+    def test_sign_without_policy_keeps_the_key_available(self, registry):
+        first = registry.ephemeral_sign(1, 4, 2, b"v")
+        assert registry.ephemeral_state(1, 4, 2) is KeyState.AVAILABLE
+        assert registry.ephemeral_sign(1, 4, 2, b"v", "honest") == first
+
     def test_transitions(self, registry):
-        assert registry.destroy_ephemeral(1, 1, 1, "honest") is KeyState.DESTROYED
-        assert registry.destroy_ephemeral(1, 1, 1, "honest") is KeyState.DESTROYED
-        assert registry.destroy_ephemeral(1, 2, 1, "retain") is KeyState.RETAINED
-        assert registry.destroy_ephemeral(1, 2, 1, "retain") is KeyState.RETAINED
+        assert registry.ephemeral_state(1, 1, 1) is KeyState.AVAILABLE
+        registry.ephemeral_sign(1, 1, 1, b"v", "honest")
+        assert registry.ephemeral_state(1, 1, 1) is KeyState.DESTROYED
+        registry.ephemeral_sign(1, 2, 1, b"v", "retain")
+        registry.ephemeral_sign(1, 2, 1, b"v", "retain")
+        assert registry.ephemeral_state(1, 2, 1) is KeyState.RETAINED
         with pytest.raises(InvalidTransitionError):
-            registry.destroy_ephemeral(1, 2, 1, "honest")
-        with pytest.raises(InvalidTransitionError):
-            registry.destroy_ephemeral(1, 1, 1, "retain")
+            registry.ephemeral_sign(1, 2, 1, b"v", "honest")
+        assert registry.ephemeral_state(1, 2, 1) is KeyState.RETAINED
+        # a destroyed key cannot be retained: it no longer signs at all
+        with pytest.raises(KeyDestroyedError):
+            registry.ephemeral_sign(1, 1, 1, b"v", "retain")
+        assert registry.ephemeral_state(1, 1, 1) is KeyState.DESTROYED
+
+    def test_unknown_policy_rejected_and_state_kept(self, registry):
+        with pytest.raises(ValueError):
+            registry.ephemeral_sign(1, 3, 2, b"v", "forget")
+        assert registry.ephemeral_state(1, 3, 2) is KeyState.AVAILABLE
 
     def test_missing_keys(self, registry):
         with pytest.raises(KeyMissingError):
@@ -131,19 +147,113 @@ class TestEphemeralLifecycle:
             registry.ephemeral_sign(1, registry.horizon + 1, 1, b"v")
         with pytest.raises(KeyMissingError):
             registry.ephemeral_sign(1, 1, registry.max_step + 1, b"v")
+        with pytest.raises(KeyMissingError):
+            registry.ephemeral_state(1, 1, 0)
 
     def test_verification_survives_destruction(self, registry):
-        sig = registry.ephemeral_sign(1, 4, 2, b"v")
-        registry.destroy_ephemeral(1, 4, 2, "honest")
+        sig = registry.ephemeral_sign(1, 4, 2, b"v", "honest")
         assert registry.verify_ephemeral(1, 4, 2, b"v", sig)
 
     def test_retained_records_listing(self, registry):
-        registry.ephemeral_sign(1, 4, 2, b"v")
-        registry.destroy_ephemeral(1, 4, 2, "retain")
-        registry.ephemeral_sign(2, 4, 2, b"v")
-        registry.destroy_ephemeral(2, 4, 2, "honest")
+        registry.ephemeral_sign(1, 4, 2, b"v", "retain")
+        registry.ephemeral_sign(2, 4, 2, b"v", "honest")
         recs = registry.retained_records(4)
         assert [(r.owner, r.round, r.step) for r in recs] == [(1, 4, 2)]
+        assert recs[0].state is KeyState.RETAINED
+
+    def test_honest_signing_stores_no_record(self, registry):
+        for owner in (1, 2, 3):
+            for step in range(1, registry.max_step + 1):
+                registry.ephemeral_sign(owner, 4, step, b"v", "honest")
+        assert registry.retained_records() == []
+        assert key_records(registry) == []
+        # one mask per (round, step), whatever the number of owners
+        assert len(registry._destroyed) == registry.max_step
+        registry.ephemeral_sign(1, 5, 1, b"v", "retain")
+        assert key_records(registry) == registry.retained_records()
+
+
+# -- key lifecycle against a reference dict of states --------------------------
+
+LIFECYCLE_HORIZON, LIFECYCLE_MAX_STEP = 2, 3
+LIFECYCLE_USERS = (1, 2, 3)  # owners 0 and 4 stay unregistered
+
+
+def reference_sign(states, key, policy):
+    """The lifecycle as a dict of states: sign, then retire per `policy`.
+    Returns the exception type a call raises, or None."""
+    owner, round, step = key
+    if not (owner in LIFECYCLE_USERS and 0 <= round <= LIFECYCLE_HORIZON
+            and 1 <= step <= LIFECYCLE_MAX_STEP):
+        return KeyMissingError
+    state = states.get(key, KeyState.AVAILABLE)
+    if state is KeyState.DESTROYED:
+        return KeyDestroyedError
+    if policy is None:
+        return None
+    if policy not in ("honest", "retain"):
+        return ValueError
+    target = KeyState.DESTROYED if policy == "honest" else KeyState.RETAINED
+    if state is KeyState.AVAILABLE:
+        states[key] = target
+    elif state is not target:
+        return InvalidTransitionError
+    return None
+
+
+key_ids = st.tuples(st.integers(0, 4), st.integers(-1, LIFECYCLE_HORIZON + 1),
+                    st.integers(0, LIFECYCLE_MAX_STEP + 1))
+lifecycle_ops = st.lists(st.one_of(
+    st.tuples(st.just("sign"), key_ids,
+              st.sampled_from([None, "honest", "retain", "forget"])),
+    st.tuples(st.just("state"), key_ids),
+    st.tuples(st.just("retained"),
+              st.one_of(st.none(), st.integers(0, LIFECYCLE_HORIZON)))),
+    max_size=40)
+
+
+@settings(deadline=None, max_examples=150)
+@given(lifecycle_ops)
+def test_key_lifecycle_matches_reference_states(ops):
+    def fresh():
+        reg = KeyRegistry(5, horizon=LIFECYCLE_HORIZON, max_step=LIFECYCLE_MAX_STEP)
+        for u in LIFECYCLE_USERS:
+            reg.register_user(u)
+        return reg
+
+    registry, oracle = fresh(), fresh()  # the oracle only signs, never retires
+    states: dict = {}
+    for op in ops:
+        if op[0] == "sign":
+            _, key, policy = op
+            expected = reference_sign(states, key, policy)
+            if expected is None:
+                assert registry.ephemeral_sign(*key, b"m", policy) \
+                    == oracle.ephemeral_sign(*key, b"m")
+            else:
+                with pytest.raises(expected):
+                    registry.ephemeral_sign(*key, b"m", policy)
+        elif op[0] == "state":
+            key = op[1]
+            if reference_sign({}, key, None) is KeyMissingError:
+                with pytest.raises(KeyMissingError):
+                    registry.ephemeral_state(*key)
+            else:
+                assert registry.ephemeral_state(*key) \
+                    is states.get(key, KeyState.AVAILABLE)
+        else:
+            round = op[1]
+            expected = sorted((r, s, o) for (o, r, s), st_ in states.items()
+                              if st_ is KeyState.RETAINED
+                              and (round is None or r == round))
+            assert [(k.round, k.step, k.owner)
+                    for k in registry.retained_records(round)] == expected
+    for owner in LIFECYCLE_USERS:
+        for round in range(LIFECYCLE_HORIZON + 1):
+            for step in range(1, LIFECYCLE_MAX_STEP + 1):
+                key = (owner, round, step)
+                assert registry.ephemeral_state(*key) \
+                    is states.get(key, KeyState.AVAILABLE)
 
 
 class TestAdversaryAccess:
@@ -161,6 +271,6 @@ class TestAdversaryAccess:
 
     def test_destroyed_key_never_signs_even_for_adversary(self, registry):
         signer = AdversarySigner(registry, {1})
-        registry.destroy_ephemeral(1, 5, 2, "honest")
+        registry.ephemeral_sign(1, 5, 2, b"v", "honest")
         with pytest.raises(KeyDestroyedError):
             signer.ephemeral_sign(1, 5, 2, b"m")

@@ -16,6 +16,7 @@ from algosim.engine import (
     run_scenario,
 )
 from algosim.ledger import (
+    Chain,
     block_hash,
     chain_from_lines,
     chain_to_lines,
@@ -24,6 +25,8 @@ from algosim.ledger import (
     verify_chain,
 )
 from algosim.sortition import ProtocolParams
+
+from conftest import key_records
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -77,11 +80,16 @@ def test_honest_chain_fully_validates(small_run, source):
 
 
 def test_consumed_keys_destroyed_under_honest_policy(small_run):
-    chains, _ = small_run
-    registry = chains[0].registry
+    chains, metrics = small_run
+    chain = chains[0]
+    registry = chain.registry
     assert registry.retained_records() == []
-    states = {rec.state for rec in registry._ephemeral.values()}
-    assert states == {KeyState.DESTROYED}
+    assert key_records(registry) == []
+    used = {(m.voter, m.round, m.step) for b in chain.blocks for m in b.cert}
+    used |= {(rec.leader, rec.round, 1) for rec in metrics.rounds
+             if rec.leader is not None}
+    assert used
+    assert {registry.ephemeral_state(*key) for key in used} == {KeyState.DESTROYED}
 
 
 def test_determinism_bit_identical(small_run):
@@ -228,7 +236,28 @@ def test_fifty_round_chain_validates_block_by_block():
     chains, _ = run_scenario(cfg)
     chain = chains[0]
     assert len(chain.blocks) == 51
+    # genesis plus a window of lookback + 1 rounds, not one status per round
+    assert len(chain._statuses) <= cfg.params.lookback + 2
+    assert len(chain._holders) <= cfg.params.lookback + 1
     assert verify_chain(chain, cfg.params, chain.registry) == []
+
+
+def test_status_window_misses_equal_a_fresh_replay():
+    cfg = cli.load_config(str(FIXTURES / "honest.cfg"), seed=4, rounds=20)
+    chain = run_scenario(cfg)[0][0]
+    fresh = Chain(chain.genesis_status, chain.blocks, chain.registry)
+    chain.status_entering(len(chain.blocks))  # the window's top
+    kept = set(chain._statuses)
+    assert len(kept) < len(chain.blocks)
+    # evicted rounds first, then newest to oldest, then in chain order
+    for r in [r for r in range(len(chain.blocks)) if r not in kept] \
+            + list(range(len(chain.blocks), -1, -1)) \
+            + list(range(len(chain.blocks) + 1)):
+        assert chain.status_entering(r) == fresh.status_entering(r)
+        if r < len(chain.blocks):
+            assert users_at(chain, r) == users_at(fresh, r)
+    assert set(chain._statuses) == kept
+    assert len(fresh._statuses) == len(chain.blocks) + 1
 
 
 def test_verifying_a_chain_stores_no_key_records():
@@ -239,9 +268,13 @@ def test_verifying_a_chain_stores_no_key_records():
                            max_step=cfg.params.max_step)
     for u in range(1, cfg.num_genesis_users + 1):
         registry.register_user(u)
-    chain = chain_from_lines(chain_to_lines(chains[0]), registry)
+    chain = chain_from_lines(chain_to_lines(chains[0]), registry,
+                             window=cfg.params.lookback + 1)
     assert verify_chain(chain, cfg.params, registry) == []
-    assert registry._ephemeral == {}
+    assert key_records(registry) == []
+    assert {registry.ephemeral_state(m.voter, m.round, m.step)
+            for b in chain.blocks for m in b.cert} == {KeyState.AVAILABLE}
+    assert len(chain._statuses) <= cfg.params.lookback + 2
 
 
 def test_message_counts_accumulate(small_run):
