@@ -196,9 +196,9 @@ class KeyRegistry:
         the key per `policy`: `honest` destroys it, `retain` keeps it
         signable, None leaves its state as it is.
 
-        A destroyed key never signs.  Re-applying a key's terminal state is a
-        no-op; crossing from one terminal state to the other is an invalid
-        transition, and a refused call changes no state.
+        Any call on a destroyed key raises KeyDestroyedError.  Re-applying
+        `retain` to a retained key is a no-op; destroying a retained key is
+        an invalid transition, and a refused call changes no state.
         """
         bit = self._owner_bit(owner, round, step)
         slot = (round, step)

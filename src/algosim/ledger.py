@@ -184,7 +184,7 @@ class Chain:
     Keeps a window of statuses: `_statuses[r]` is the Status entering round
     r, i.e. after replaying paysets 0..r-1, and `_holders[r]` its positive
     holders.  Genesis stays; of the later rounds only the `window` highest
-    computed ones stay (None keeps every round).  A round is read in the
+    computed ones stay.  A round is read in the
     order the chain grows: the engine and `validate_block` ask for
     `status_entering(r)` and `users_at(r - lookback)`, so a window of
     `lookback + 1` serves them all and memory stays flat per round.  A
@@ -195,13 +195,13 @@ class Chain:
     genesis_status: Status
     blocks: list[Block] = field(default_factory=list)
     registry: KeyRegistry | None = None
-    window: int | None = None
+    window: int = field(kw_only=True)
     _statuses: dict[int, Status] = field(init=False, repr=False)
     _holders: dict[int, set[UserId]] = field(init=False, repr=False)
     _top: int = field(init=False, repr=False)  # highest round in _statuses
 
     def __post_init__(self):
-        if self.window is not None and self.window < 1:
+        if self.window < 1:
             raise ValueError("a status window holds at least one round")
         self._statuses = {0: Status(0, dict(self.genesis_status.balances))}
         self._holders = {}
@@ -236,11 +236,13 @@ class Chain:
         status = self._statuses[self._top]
         for r in range(self._top, round):
             status = apply_payset(status, self.blocks[r].payset, self.registry)
+            # _top moves with each stored round, so a payset that raises
+            # part way leaves it on a status the window still holds.
             self._statuses[r + 1] = status
-            if self.window is not None and r + 1 - self.window > 0:
+            self._top = r + 1
+            if r + 1 - self.window > 0:
                 self._statuses.pop(r + 1 - self.window, None)
                 self._holders.pop(r + 1 - self.window, None)
-        self._top = round
         return status
 
     def holders_entering(self, round: int) -> set[UserId]:
@@ -255,11 +257,11 @@ class Chain:
     def prefix(self, length: int) -> "Chain":
         """A chain holding the first `length` blocks (shared, immutable)."""
         return Chain(self.genesis_status, list(self.blocks[:length]),
-                     self.registry, self.window)
+                     self.registry, window=self.window)
 
 
 def make_genesis(balances: dict[UserId, int], registry: KeyRegistry,
-                 window: int | None = None) -> Chain:
+                 window: int) -> Chain:
     genesis = Status(0, dict(balances))
     chain = Chain(genesis, registry=registry, window=window)
     chain.append(Block(0, (), registry.genesis_seed, ZERO_DIGEST, ()))
@@ -457,8 +459,13 @@ _PARSE_ERRORS = (StopIteration, KeyError, ValueError, TypeError, AttributeError,
 def chain_from_lines(lines: Iterable[str],
                      registry: KeyRegistry | None = None,
                      window: int | None = None) -> Chain:
+    """Parse an exported chain; `window` defaults to the status window of the
+    default protocol parameters, `lookback + 1`."""
     from .consensus import CertMessage
-    from .sortition import Credential
+    from .sortition import Credential, ProtocolParams
+
+    if window is None:
+        window = ProtocolParams().lookback + 1
 
     it = iter(lines)
     try:

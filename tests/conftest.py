@@ -21,7 +21,8 @@ def key_records(registry) -> list[EphemeralKeyRecord]:
 def idle_chain(registry, balances, rounds) -> Chain:
     """A chain of empty blocks; enough structure for sortition and ledger
     tests that do not re-validate certificates."""
-    chain = make_genesis(balances, registry)
+    chain = make_genesis(balances, registry,
+                         window=ProtocolParams().lookback + 1)
     for r in range(1, rounds + 1):
         prev = chain.tip()
         chain.append(empty_block(r, prev.seed, block_hash(prev)))

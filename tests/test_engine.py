@@ -24,7 +24,7 @@ from algosim.ledger import (
     validate_block,
     verify_chain,
 )
-from algosim.sortition import ProtocolParams
+from algosim.sortition import ProtocolParams, select_committee
 
 from conftest import key_records
 
@@ -79,17 +79,55 @@ def test_honest_chain_fully_validates(small_run, source):
     assert verify_chain(chain, params, chain.registry) == []
 
 
-def test_consumed_keys_destroyed_under_honest_policy(small_run):
-    chains, metrics = small_run
+@pytest.mark.parametrize("mode", ["ba", "simple", "both"])
+def test_consumed_keys_destroyed_under_honest_policy(small_run, mode):
+    # Recompute every committee the run drew: each key the run signed with
+    # ends DESTROYED, every other key stays AVAILABLE, and the destroyed keys
+    # number exactly the messages the run broadcast.
+    if mode == SMALL.consensus_mode:
+        chains, metrics = small_run
+    else:
+        chains, metrics = run_scenario(
+            dataclasses.replace(SMALL, consensus_mode=mode))
     chain = chains[0]
     registry = chain.registry
+    params = SMALL.params
     assert registry.retained_records() == []
     assert key_records(registry) == []
-    used = {(m.voter, m.round, m.step) for b in chain.blocks for m in b.cert}
-    used |= {(rec.leader, rec.round, 1) for rec in metrics.rounds
-             if rec.leader is not None}
-    assert used
-    assert {registry.ephemeral_state(*key) for key in used} == {KeyState.DESTROYED}
+    signed = 0
+    for rec in metrics.rounds:
+        if rec.round < params.lookback:
+            assert rec.committee_sizes == {} and rec.message_count == 0
+            continue
+        r = rec.round
+        eligible = sorted(users_at(chain, r - params.lookback))
+        cert_voters = {}
+        for m in chain.blocks[r].cert:
+            cert_voters.setdefault(m.step, set()).add(m.voter)
+        # certification starts at the decision step (never before step 2)
+        cert_from = max(rec.steps_to_decision, 2)
+        for s, size in rec.committee_sizes.items():
+            committee = [c.user for c in select_committee(
+                r, s, chain.blocks[r - 1].seed, eligible, params, registry)]
+            assert len(committee) == size
+            destroyed = {u for u in committee
+                         if registry.ephemeral_state(u, r, s) == KeyState.DESTROYED}
+            if s >= cert_from:
+                assert destroyed == cert_voters.pop(s, set())
+            elif s == 3:
+                # graded consensus votes only when step 2 gave a value
+                assert destroyed in (set(), set(committee))
+            else:
+                # proposals, step-2 votes and binary agreement votes
+                assert destroyed == set(committee)
+            signed += len(destroyed)
+        assert cert_voters == {}
+    # every broadcast message is signed with one ephemeral key and reaches
+    # each of the users; no key outside the committees above was touched
+    assert signed * SMALL.num_genesis_users == \
+        sum(rec.message_count for rec in metrics.rounds)
+    assert sum(m.bit_count() for m in registry._destroyed.values()) == signed
+    assert signed > 0
 
 
 def test_determinism_bit_identical(small_run):
@@ -245,7 +283,9 @@ def test_fifty_round_chain_validates_block_by_block():
 def test_status_window_misses_equal_a_fresh_replay():
     cfg = cli.load_config(str(FIXTURES / "honest.cfg"), seed=4, rounds=20)
     chain = run_scenario(cfg)[0][0]
-    fresh = Chain(chain.genesis_status, chain.blocks, chain.registry)
+    # a window as long as the chain keeps every round: the reference
+    fresh = Chain(chain.genesis_status, chain.blocks, chain.registry,
+                  window=len(chain.blocks) + 1)
     chain.status_entering(len(chain.blocks))  # the window's top
     kept = set(chain._statuses)
     assert len(kept) < len(chain.blocks)

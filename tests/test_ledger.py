@@ -26,6 +26,7 @@ from algosim.ledger import (
     chain_compare,
     chain_from_lines,
     chain_to_lines,
+    empty_block,
     empty_round_seed,
     make_genesis,
     make_payment,
@@ -39,7 +40,7 @@ from conftest import idle_chain, make_registry
 
 @pytest.fixture
 def chain(registry):
-    return make_genesis({u: 100 for u in range(1, 11)}, registry)
+    return make_genesis({u: 100 for u in range(1, 11)}, registry, window=2)
 
 
 def replay_oracle(balances, transfers):
@@ -250,6 +251,26 @@ def test_replay_is_deterministic(registry):
     assert first == second
 
 
+def test_failed_long_jump_leaves_the_status_window_usable(registry):
+    # window 1, then a forward jump that evicts the window's old top before
+    # block 4's payset fails: later calls must match a fresh replay
+    blocks = idle_chain(registry, {1: 30, 2: 40}, 3).blocks
+    bad = make_payment(registry, 1, 2, 31, 4)  # user 1 holds only 30
+    blocks.append(Block(4, (bad,), empty_round_seed(blocks[-1].seed, 4),
+                        block_hash(blocks[-1]), ()))
+    blocks.append(empty_block(5, blocks[-1].seed, block_hash(blocks[-1])))
+    chain = Chain(Status(0, {1: 30, 2: 40}), list(blocks), registry, window=1)
+    fresh = Chain(Status(0, {1: 30, 2: 40}), list(blocks), registry, window=7)
+    chain.status_entering(1)
+    with pytest.raises(InsufficientFundsError):
+        chain.status_entering(5)
+    for r in (3, 4, 2, 4, 0, 1):
+        assert chain.status_entering(r) == fresh.status_entering(r)
+    for r in (5, 6):
+        with pytest.raises(InsufficientFundsError):
+            chain.status_entering(r)
+
+
 class TestExport:
     def test_round_trip(self, registry):
         chain = idle_chain(registry, {1: 30, 2: 40}, 3)
@@ -342,7 +363,8 @@ cert_messages = st.builds(CertMessage, voter=u64, round=u64, step=u64,
 def chains(draw):
     """A structurally arbitrary chain: any balances, paysets, seeds, hashes
     and certificate messages, valid or not."""
-    chain = Chain(Status(0, draw(st.dictionaries(u64, u64, max_size=4))))
+    chain = Chain(Status(0, draw(st.dictionaries(u64, u64, max_size=4))),
+                  window=2)
     for r in range(draw(st.integers(1, 5))):
         chain.append(Block(r, tuple(draw(st.lists(payments, max_size=3))),
                            draw(hash32), draw(hash32),
