@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from .adversary import AdversaryConfig, PreconditionViolatedError
@@ -47,18 +48,14 @@ def load_config(path: str, seed: int | None = None, rounds: int | None = None,
 
         genesis_users = int(sc.get("genesis_users", 10))
         run_rounds = rounds if rounds is not None else int(sc.get("rounds", 20))
-        verifier_prob = float(pc.get("verifier_prob", 0.2))
         cert_threshold = pc.get("cert_threshold")
-        if cert_threshold is None:
-            cert_threshold = default_cert_threshold(
-                int(round(verifier_prob * genesis_users)))
         horizon = pc.get("horizon")
         params = ProtocolParams(
             leader_prob=float(pc.get("leader_prob", 0.05)),
-            verifier_prob=verifier_prob,
+            verifier_prob=float(pc.get("verifier_prob", 0.2)),
             lookback=int(pc.get("lookback", 3)),
             max_ba_steps=int(pc.get("max_ba_steps", 9)),
-            cert_threshold=int(cert_threshold),
+            cert_threshold=int(cert_threshold) if cert_threshold is not None else 1,
             horizon=int(horizon) if horizon is not None else run_rounds + 8,
         )
         strategy = ac.get("strategy", "honest").replace("-", "_")
@@ -82,6 +79,11 @@ def load_config(path: str, seed: int | None = None, rounds: int | None = None,
             new_users_per_round=int(sc.get("new_users_per_round", 0)),
         )
         config.validate()
+        if cert_threshold is None:
+            # derived only once verifier_prob and genesis_users are in range
+            params = replace(params, cert_threshold=default_cert_threshold(
+                int(round(params.verifier_prob * genesis_users))))
+            config = replace(config, params=params)
         return config
     except (KeyError, ValueError, configparser.Error) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc

@@ -22,20 +22,18 @@ counts once per value) and all thresholds use exact integer arithmetic:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .crypto import Digest, KeyRegistry, Signature, UserId, be8, hash_to_unit, sha256
 from .ledger import (
     Block,
     Chain,
     Payment,
-    Status,
     block_hash,
     cert_payload,
     empty_block,
     empty_round_seed,
     leader_round_seed,
-    verify_payment,
 )
 from .sortition import Credential
 
@@ -111,28 +109,10 @@ def supermajority_value(messages: Iterable, committee_size: int) -> Digest | Non
 
 # -- step 1: proposal ----------------------------------------------------------
 
-def build_payset(pending: Sequence[Payment], status: Status,
-                 registry: KeyRegistry) -> tuple[Payment, ...]:
-    """The maximal valid subset of `pending` in arrival order, applied to the
-    balances of `status`: invalid payments are skipped and later payments may
-    still apply."""
-    balances = dict(status.balances)
-    payset = []
-    for p in pending:
-        if p.amount < 1 or not verify_payment(registry, p, status.round):
-            continue
-        if balances.get(p.payer, 0) < p.amount:
-            continue
-        balances[p.payer] -= p.amount
-        balances[p.payee] = balances.get(p.payee, 0) + p.amount
-        payset.append(p)
-    return tuple(payset)
-
-
 def propose(credential: Credential, payset: tuple[Payment, ...], chain: Chain,
             registry: KeyRegistry, policy: str = "honest") -> ProposalMessage:
     """Build and sign the leader's candidate block over `payset` (see
-    `build_payset`).  The proposer's ephemeral step-1 key is retired per
+    `ledger.build_payset`).  The proposer's ephemeral step-1 key is retired per
     `policy` after signing."""
     r = credential.round
     prev = chain.blocks[r - 1]

@@ -83,12 +83,11 @@ class KeyState(Enum):
 @dataclass
 class EphemeralKeyRecord:
     """A per-(owner, round, step) signing key; the registry keeps one only
-    while the key is retained."""
+    while the key is retained, and re-derives its seed whenever it signs."""
 
     owner: UserId
     round: int
     step: int
-    secret_seed: bytes
     state: KeyState = KeyState.AVAILABLE
 
 
@@ -133,10 +132,6 @@ class KeyRegistry:
     def is_registered(self, user: UserId) -> bool:
         return user in self._keys
 
-    def public_handle(self, user: UserId) -> bytes:
-        self._require_key(user)
-        return sha256(b"USER" + be8(user))
-
     def _require_key(self, user: UserId) -> bytes:
         try:
             return self._keys[user]
@@ -145,19 +140,13 @@ class KeyRegistry:
 
     # -- unique (long-term) signatures --------------------------------------
 
-    def _raw_unique(self, user: UserId, message: bytes) -> Signature:
-        return sha256(self._require_key(user) + message)
-
     def unique_sign(self, owner: UserId, message: bytes) -> Signature:
-        return self._raw_unique(owner, message)
-
-    def expected_signature(self, owner: UserId, message: bytes) -> Signature:
-        """Verification helper: the one signature that verifies for (owner,
-        message).  Never exposes the seed."""
-        return self._raw_unique(owner, message)
+        """The one signature that verifies for (owner, message); verifiers
+        recompute it, and the seed never leaves the registry."""
+        return sha256(self._require_key(owner) + message)
 
     def verify_unique(self, owner: UserId, message: bytes, sig: Signature) -> bool:
-        return self._raw_unique(owner, message) == sig
+        return self.unique_sign(owner, message) == sig
 
     def unique_signatures(self, owners: Iterable[UserId],
                           message: bytes) -> list[Signature]:
@@ -207,7 +196,6 @@ class KeyRegistry:
             raise KeyDestroyedError(
                 f"ephemeral key of user {owner} for round {round} step {step} "
                 "was destroyed")
-        seed = self._seed(owner, round, step)
         if policy == "honest":
             if self._retained and (owner, round, step) in self._retained:
                 raise InvalidTransitionError(
@@ -218,10 +206,10 @@ class KeyRegistry:
             key = (owner, round, step)
             if key not in self._retained:
                 self._retained[key] = EphemeralKeyRecord(
-                    owner, round, step, seed, KeyState.RETAINED)
+                    owner, round, step, KeyState.RETAINED)
         elif policy is not None:
             raise ValueError(f"unknown key policy {policy!r}")
-        return sha256(seed + message)
+        return sha256(self._seed(owner, round, step) + message)
 
     def verify_ephemeral(self, owner: UserId, round: int, step: int,
                          message: bytes, sig: Signature) -> bool:

@@ -29,6 +29,7 @@ from .ledger import (
     IncompatibleGenesisError,
     Payment,
     block_hash,
+    build_payset,
     empty_block,
     make_genesis,
     make_payment,
@@ -68,6 +69,8 @@ class ScenarioConfig:
             raise ValueError("need at least 2 genesis users")
         if self.initial_balance < 1:
             raise ValueError("initial_balance must be >= 1")
+        if self.num_genesis_users * self.initial_balance >= 2**64:
+            raise ValueError("total genesis money must be below 2**64")
         if self.payments_per_round < 0 or self.new_users_per_round < 0:
             raise ValueError(
                 "payments_per_round and new_users_per_round must be >= 0")
@@ -202,13 +205,13 @@ class SimulationRun:
         # `validate_block` is the one verifier.
 
         # Step 1: every potential leader proposes a block over one payset.
-        payset = consensus.build_payset(pending, self.chain.status_entering(r),
-                                        self.registry)
+        payset = build_payset(pending, self.chain.status_entering(r),
+                              self.registry)
         leader_creds = select_committee(r, 1, prev_seed, eligible, params, self.registry)
         for cred in leader_creds:
             msg = consensus.propose(cred, payset, self.chain, self.registry,
                                     self._policy[cred.user])
-            self.net.broadcast(cred.user, msg, r, 1)
+            self.net.broadcast(cred.user, msg)
         messages += self.net.step()
         sizes[1] = len(leader_creds)
         leader = select_leader(leader_creds) if leader_creds else None
@@ -266,7 +269,7 @@ class SimulationRun:
         the deliveries of that step."""
         for cred in committee:
             msg = consensus.vote(cred, value, self.registry, self._policy[cred.user])
-            self.net.broadcast(cred.user, msg, cred.round, cred.step)
+            self.net.broadcast(cred.user, msg)
         return self.net.step()
 
     def _run_agreement(self, r, prev_seed, eligible, majority, empty_digest):
@@ -330,7 +333,7 @@ class SimulationRun:
                 msg = consensus.make_cert_message(
                     cred, committed, is_empty, self.registry,
                     self._policy[cred.user])
-                self.net.broadcast(cred.user, msg, r, step)
+                self.net.broadcast(cred.user, msg)
                 voters.add(cred.user)
             messages += self.net.step()
             msgs.extend(self.net.inbox_common())

@@ -67,9 +67,6 @@ class Status:
     round: int
     balances: dict[UserId, int]
 
-    def total(self) -> int:
-        return sum(self.balances.values())
-
     def holders(self) -> set[UserId]:
         return {u for u, a in self.balances.items() if a > 0}
 
@@ -118,19 +115,31 @@ def cert_payload(bit: int, block_digest: Digest) -> bytes:
 
 def make_payment(signer, payer: UserId, payee: UserId, amount: int,
                  round: int) -> Payment:
-    """Build a signed payment for `round`.  `signer` is a KeyRegistry for
-    honest code or an AdversarySigner for corrupted payers."""
-    if amount < 1:
-        raise ValueError("payment amount must be positive")
+    """Build a signed payment for `round`; whether it applies is the payment
+    rule's call (`apply_payset`).  `signer` is a KeyRegistry for honest code
+    or an AdversarySigner for corrupted payers."""
     sig = signer.unique_sign(payer, payment_message(payer, payee, amount, round))
     return Payment(payer, payee, amount, sig)
 
 
-def verify_payment(registry: KeyRegistry, p: Payment, round: int) -> bool:
-    if not registry.is_registered(p.payer):
-        return False
-    return registry.verify_unique(
-        p.payer, payment_message(p.payer, p.payee, p.amount, round), p.sig)
+def _pay(balances: dict[UserId, int], index: int, p: Payment, round: int,
+         registry: KeyRegistry) -> None:
+    """The payment rule: move `p.amount` from payer to payee in `balances`,
+    or raise with the payment's `index` and leave `balances` as they are.
+
+    A payment needs a positive amount, a registered payer whose unique
+    signature over the payment message for `round` verifies, and a payer
+    balance that covers the amount.
+    """
+    if p.amount < 1:
+        raise InvalidPaymentError(index, "non-positive amount")
+    if not (registry.is_registered(p.payer) and registry.verify_unique(
+            p.payer, payment_message(p.payer, p.payee, p.amount, round), p.sig)):
+        raise InvalidSignatureError(index)
+    if balances.get(p.payer, 0) < p.amount:
+        raise InsufficientFundsError(index, p.payer)
+    balances[p.payer] -= p.amount
+    balances[p.payee] = balances.get(p.payee, 0) + p.amount
 
 
 def apply_payset(status: Status, payset: Sequence[Payment],
@@ -138,20 +147,29 @@ def apply_payset(status: Status, payset: Sequence[Payment],
     """Apply the round's payments sequentially, in list order.
 
     New payees are created with the received amount.  Total money is
-    conserved.  Raises with the offending payment index if a signature fails
-    or a payer cannot cover an amount at its position in the list.
+    conserved.  Raises with the offending payment index if a payment breaks
+    the payment rule at its position in the list.
     """
     balances = dict(status.balances)
     for i, p in enumerate(payset):
-        if p.amount < 1:
-            raise InvalidPaymentError(i, "non-positive amount")
-        if not verify_payment(registry, p, status.round):
-            raise InvalidSignatureError(i)
-        if balances.get(p.payer, 0) < p.amount:
-            raise InsufficientFundsError(i, p.payer)
-        balances[p.payer] -= p.amount
-        balances[p.payee] = balances.get(p.payee, 0) + p.amount
+        _pay(balances, i, p, status.round, registry)
     return Status(status.round + 1, balances)
+
+
+def build_payset(pending: Sequence[Payment], status: Status,
+                 registry: KeyRegistry) -> tuple[Payment, ...]:
+    """The maximal valid subset of `pending` in arrival order, applied to the
+    balances of `status`: a payment that breaks the payment rule is skipped
+    and later payments may still apply."""
+    balances = dict(status.balances)
+    payset = []
+    for p in pending:
+        try:
+            _pay(balances, len(payset), p, status.round, registry)
+        except InvalidPaymentError:
+            continue
+        payset.append(p)
+    return tuple(payset)
 
 
 # -- blocks and seeds --------------------------------------------------------
@@ -315,11 +333,8 @@ def validate_block(chain: Chain, b: Block, params, registry: KeyRegistry) -> lis
         leader = sortition.view_leader(b.round, prev.seed, chain, params, registry)
         if leader is None:
             violations.append("non-empty block in a round with no potential leader")
-        else:
-            expected = leader_round_seed(
-                registry.expected_signature(leader, prev.seed))
-            if b.seed != expected:
-                violations.append("seed rule violated for non-empty block")
+        elif b.seed != leader_round_seed(registry.unique_sign(leader, prev.seed)):
+            violations.append("seed rule violated for non-empty block")
 
     # Certificate: at least cert_threshold valid messages from distinct
     # sortition-verified committee members, all over this block's hash.
@@ -384,21 +399,6 @@ def verify_chain(chain: Chain, params, registry: KeyRegistry) -> list[tuple[int,
         for v in validate_block(chain, b, params, registry):
             problems.append((b.round, v))
     return problems
-
-
-def chain_compare(a: Chain, b: Chain) -> str:
-    """Longest-chain preference: returns "a", "b" or "equal".
-
-    Equal length is broken by the lexicographically smaller tip block hash.
-    """
-    if block_hash(a.blocks[0]) != block_hash(b.blocks[0]):
-        raise IncompatibleGenesisError("chains do not share a genesis block")
-    if len(a.blocks) != len(b.blocks):
-        return "a" if len(a.blocks) > len(b.blocks) else "b"
-    ta, tb = block_hash(a.tip()), block_hash(b.tip())
-    if ta == tb:
-        return "equal"
-    return "a" if ta < tb else "b"
 
 
 # -- line-delimited export (one JSON object per block) ------------------------

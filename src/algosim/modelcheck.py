@@ -89,16 +89,6 @@ def check_vote_safety(sizes=range(4, 13)) -> list[tuple]:
     return bad
 
 
-def count_vote_safety_instances(sizes=range(4, 13)) -> int:
-    total = 0
-    for n in sizes:
-        f = max_equivocators(n)
-        h = n - f
-        total += sum(1 for a in range(h + 1) for b in range(h + 1 - a)
-                     for _ in range((f + 1) ** 2))
-    return total
-
-
 # -- graded consistency --------------------------------------------------------
 
 def check_gc_consistency(sizes=(4, 5, 6, 7)) -> list[tuple]:

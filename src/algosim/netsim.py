@@ -17,8 +17,6 @@ from .crypto import UserId
 @dataclass(frozen=True)
 class Envelope:
     sender: UserId
-    round: int
-    step: int
     payload: object
     seq: int
 
@@ -33,10 +31,10 @@ class Network:
     def add_node(self, node: UserId) -> None:
         self.node_ids.add(node)
 
-    def broadcast(self, sender: UserId, payload, round: int, step: int) -> None:
+    def broadcast(self, sender: UserId, payload) -> None:
         if sender not in self.node_ids:
             raise KeyError(f"unknown sender {sender}")
-        self._queue.append(Envelope(sender, round, step, payload, self._seq))
+        self._queue.append(Envelope(sender, payload, self._seq))
         self._seq += 1
 
     def step(self) -> int:

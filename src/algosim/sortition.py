@@ -162,9 +162,9 @@ def verify_credential(cred: Credential, prev_seed: Digest, chain: Chain,
         return CredentialCheck(False, "bad-step")
     if not _eligible(cred.user, cred.round, chain, params):
         return CredentialCheck(False, "not-eligible")
-    expected = registry.expected_signature(
-        cred.user, credential_message(cred.round, cred.step, prev_seed))
-    if cred.sig != expected:
+    if not registry.verify_unique(
+            cred.user, credential_message(cred.round, cred.step, prev_seed),
+            cred.sig):
         return CredentialCheck(False, "bad-signature")
     if not _selected(cred.sig, _limit(cred.step, params)):
         return CredentialCheck(False, "not-selected")

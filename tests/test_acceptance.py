@@ -159,10 +159,9 @@ def test_criterion_04_no_two_supermajorities():
     start = time.perf_counter()
     counterexamples = modelcheck.check_vote_safety(range(4, 13))
     elapsed = time.perf_counter() - start
-    instances = modelcheck.count_vote_safety_instances(range(4, 13))
     ok = counterexamples == [] and elapsed < 30.0
-    report(4, ok, f"{instances} adversarial vote assignments, "
-                  f"{len(counterexamples)} counterexamples, {elapsed:.2f}s < 30s")
+    report(4, ok, f"committees of 4..12, {len(counterexamples)} "
+                  f"counterexamples, {elapsed:.2f}s < 30s")
 
 
 def test_criterion_05_grading_thresholds():

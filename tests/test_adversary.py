@@ -231,7 +231,7 @@ class TestBribery:
         step = cfg.params.max_step
         assert registry.ephemeral_state(1, 5, step) is KeyState.AVAILABLE
         for state in (KeyState.AVAILABLE, KeyState.DESTROYED):
-            rec = EphemeralKeyRecord(1, 5, step, b"\x00" * 32, state)
+            rec = EphemeralKeyRecord(1, 5, step, state)
             with pytest.raises(PreconditionViolatedError):
                 bribe_and_recertify(chain, 5, [rec], cfg.params, registry)
 

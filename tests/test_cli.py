@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -121,8 +122,20 @@ class TestRun:
         ("initial_balance = 1000", "initial_balance = 0",
          "initial_balance must be >= 1"),
         ("seed = 42", "seed = -1", "seed must be in [0, 2**64)"),
+        ("initial_balance = 1000", f"initial_balance = {2**70}",
+         "total genesis money must be below 2**64"),
+        ("initial_balance = 1000", f"initial_balance = {2**61}",
+         "total genesis money must be below 2**64"),
+        # no cert_threshold: its default is derived from verifier_prob
+        ("verifier_prob = 0.7\nlookback = 3\nmax_ba_steps = 9\ncert_threshold = 5",
+         "verifier_prob = inf\nlookback = 3\nmax_ba_steps = 9",
+         "verifier_prob must be in [0, 1]"),
+        ("verifier_prob = 0.7\nlookback = 3\nmax_ba_steps = 9\ncert_threshold = 5",
+         "verifier_prob = 1e308\nlookback = 3\nmax_ba_steps = 9",
+         "verifier_prob must be in [0, 1]"),
     ], ids=["payments", "new-users", "negative-balance", "zero-balance",
-            "config-seed"])
+            "config-seed", "balance-2**70", "total-money", "infinite-prob",
+            "huge-prob"])
     def test_out_of_range_scenario_key_is_usage_error(self, small_cfg, capsys,
                                                       old, new, message):
         small_cfg.write_text(SMALL_CFG.replace(old, new))
@@ -518,3 +531,69 @@ def test_fuzzed_chain_file_keeps_exit_contract(exported_chain, data):
         code = cli.main(["verify-chain", "--chain", str(fuzzed),
                          "--config", str(cfg)])
     assert code in (0, 1, 2)
+
+
+# -- fuzzed config files --------------------------------------------------------
+
+# Keys that size a scenario draw only small integers or non-numeric text, so
+# each example runs in well under a second.
+SIZE_KEYS = ("genesis_users", "rounds", "payments_per_round",
+             "new_users_per_round", "max_ba_steps", "horizon")
+SIZE_VALUES = st.one_of(st.integers(-2, 12).map(str),
+                        st.text(alphabet="abcxyz-_. ", max_size=5))
+CONFIG_VALUES = st.one_of(
+    st.sampled_from(["inf", "-inf", "nan", "-1", str(2**70), "1_0", "1e308"]),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",),
+                                   blacklist_characters="\r\n"), max_size=10))
+
+
+@pytest.fixture(scope="module")
+def config_bases(tmp_path_factory):
+    """(config text, matching attack kind, exported chain) per base config;
+    the small base derives its cert_threshold, the same 5 it sets."""
+    base = tmp_path_factory.mktemp("config-fuzz")
+    texts = {
+        "small": (SMALL_CFG.replace("cert_threshold = 5\n", ""), None),
+        "genesis_fork": ((FIXTURES / "genesis_fork.cfg").read_text(),
+                         "genesis-fork"),
+        "bribery": ((FIXTURES / "bribery.cfg").read_text(), "bribery"),
+    }
+    bases = {}
+    for name, (text, kind) in texts.items():
+        cfg = base / f"{name}.cfg"
+        cfg.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["run", "--config", str(cfg),
+                             "--out", str(base / name)]) == 0
+        bases[name] = (text, kind, base / name / "chain.jsonl")
+    return base, bases
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_fuzzed_config_keeps_exit_contract(config_bases, data):
+    # one key of a base config replaced by arbitrary text or a number, or
+    # deleted: run, attack and verify-chain give 0, 1 or 2, never a traceback
+    base, bases = config_bases
+    name = data.draw(st.sampled_from(sorted(bases)), label="base")
+    text, kind, chain = bases[name]
+    keys = re.findall(r"^(\w+) = ", text, flags=re.M)
+    key = data.draw(st.sampled_from(keys), label="key")
+    value = data.draw(st.none() | (SIZE_VALUES if key in SIZE_KEYS
+                                   else CONFIG_VALUES), label="value")
+    line = "" if value is None else f"{key} = {value}"
+    fuzzed = base / "fuzzed.cfg"
+    fuzzed.write_text(re.sub(rf"^{key} = .*$", lambda _: line, text,
+                             flags=re.M))
+    commands = [["run", "--config", fuzzed],
+                ["verify-chain", "--chain", chain, "--config", fuzzed]]
+    if kind is not None:
+        commands.append(["attack", kind, "--config", fuzzed])
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([str(a) for a in argv])
+        assert code in (0, 1, 2), argv

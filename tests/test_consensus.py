@@ -10,7 +10,6 @@ from algosim.consensus import (
     ba_output,
     bba,
     bba_transition,
-    build_payset,
     canonical_empty_digest,
     coin_bit,
     gc_grade,
@@ -20,7 +19,7 @@ from algosim.consensus import (
     vote,
 )
 from algosim.crypto import KeyDestroyedError, KeyState
-from algosim.ledger import block_hash, make_payment, validate_block
+from algosim.ledger import block_hash, build_payset, make_payment, validate_block
 from algosim.sortition import ProtocolParams, view_credential, view_leader
 
 from conftest import idle_chain, key_records, make_registry

@@ -99,12 +99,6 @@ def test_crypto_outputs_stable_across_registries():
     assert a.unique_sign(1, b"x", ) != c.unique_sign(1, b"x")
 
 
-def test_public_handle_is_function_of_owner(registry):
-    other = make_registry(seed=12345)
-    assert registry.public_handle(1) == other.public_handle(1)
-    assert registry.public_handle(1) != registry.public_handle(2)
-
-
 class TestEphemeralLifecycle:
     def test_sign_then_destroy_then_sign_fails(self, registry):
         registry.ephemeral_sign(1, 4, 2, b"v", "honest")

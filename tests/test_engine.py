@@ -17,6 +17,7 @@ from algosim.engine import (
 )
 from algosim.ledger import (
     Chain,
+    IncompatibleGenesisError,
     block_hash,
     chain_from_lines,
     chain_to_lines,
@@ -26,7 +27,7 @@ from algosim.ledger import (
 )
 from algosim.sortition import ProtocolParams, select_committee
 
-from conftest import key_records
+from conftest import idle_chain, key_records, make_registry
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -347,6 +348,13 @@ class TestDetectFork:
         reports = detect_fork(chains, cfg.params, chains[0].registry)
         assert len(reports) == 1
         assert reports[0].classification == "protocol-violation"  # unhinted
+
+    def test_incompatible_genesis(self):
+        # registries of different seeds give different genesis seeds
+        a = idle_chain(make_registry(seed=0), {1: 5, 2: 5}, 2)
+        b = idle_chain(make_registry(seed=9), {1: 5, 2: 5}, 2)
+        with pytest.raises(IncompatibleGenesisError):
+            detect_fork([a, b], SMALL.params, a.registry)
 
 
 class TestCompareConsensus:

@@ -14,8 +14,8 @@ from algosim.crypto import TAG_BLOCK, TAG_PAYMENT, be8
 from algosim.ledger import (
     Block,
     Chain,
-    IncompatibleGenesisError,
     InsufficientFundsError,
+    InvalidPaymentError,
     InvalidSignatureError,
     LedgerError,
     Payment,
@@ -23,7 +23,7 @@ from algosim.ledger import (
     Status,
     apply_payset,
     block_hash,
-    chain_compare,
+    build_payset,
     chain_from_lines,
     chain_to_lines,
     empty_block,
@@ -79,7 +79,7 @@ class TestApplyPayset:
         registry = make_registry(users=range(1, 13))
         rng = random.Random(5)
         status = Status(1, {u: rng.randint(0, 50) for u in range(1, 9)})
-        total = status.total()
+        total = sum(status.balances.values())
         payset = []
         working = dict(status.balances)
         for _ in range(30):
@@ -92,7 +92,7 @@ class TestApplyPayset:
             working[payer] -= amount
             working[payee] = working.get(payee, 0) + amount
         nxt = apply_payset(status, payset, registry)
-        assert nxt.total() == total
+        assert sum(nxt.balances.values()) == total
 
     def test_invalid_signature_reports_index(self, registry):
         status = Status(0, {1: 10})
@@ -109,6 +109,40 @@ class TestApplyPayset:
         with pytest.raises(InsufficientFundsError) as err:
             apply_payset(status, [p1, p2], registry)
         assert err.value.index == 1
+
+
+# -- the one payment rule, skipping and raising ----------------------------------
+
+RULE_REGISTRY = make_registry(users=range(1, 6))  # user 6 stays unregistered
+RULE_STATUS = Status(3, {1: 5, 2: 3, 3: 0})
+
+
+def drawn_payment(payer, payee, amount, round_offset):
+    """A payment as it may arrive: any amount, zero included, signed for the
+    round `round_offset` away from RULE_STATUS's, or by nobody when the payer
+    is unregistered."""
+    if not RULE_REGISTRY.is_registered(payer):
+        return Payment(payer, payee, amount, b"\x00" * 32)
+    return make_payment(RULE_REGISTRY, payer, payee, amount,
+                        RULE_STATUS.round + round_offset)
+
+
+@given(st.lists(st.builds(drawn_payment, st.integers(1, 6), st.integers(1, 6),
+                          st.integers(0, 6), st.sampled_from([0, 0, 0, 1])),
+                max_size=8))
+def test_build_payset_skips_exactly_what_apply_payset_refuses(pending):
+    # payees 4 and 5 start with nothing, so they can pay only after an
+    # earlier payment of the list funds them
+    built = build_payset(pending, RULE_STATUS, RULE_REGISTRY)
+    apply_payset(RULE_STATUS, built, RULE_REGISTRY)
+    if built == tuple(pending):
+        apply_payset(RULE_STATUS, pending, RULE_REGISTRY)
+        return
+    first_skipped = next(i for i, p in enumerate(pending)
+                         if i == len(built) or built[i] != p)
+    with pytest.raises(InvalidPaymentError) as err:
+        apply_payset(RULE_STATUS, pending, RULE_REGISTRY)
+    assert err.value.index == first_skipped
 
 
 class TestBlockHash:
@@ -163,40 +197,6 @@ class TestUsersAt:
     def test_round_out_of_range(self, registry, chain):
         with pytest.raises(RoundOutOfRangeError):
             users_at(chain, 5)
-
-
-class TestChainCompare:
-    def test_longer_chain_preferred(self, registry):
-        a = idle_chain(registry, {1: 5, 2: 5}, 9)
-        b = idle_chain(registry, {1: 5, 2: 5}, 11)
-        assert chain_compare(a, b) == "b"
-        assert chain_compare(b, a) == "a"
-
-    def test_identical_chains_equal(self, registry):
-        a = idle_chain(registry, {1: 5, 2: 5}, 4)
-        b = idle_chain(registry, {1: 5, 2: 5}, 4)
-        assert chain_compare(a, b) == "equal"
-
-    def test_tie_breaks_on_tip_hash(self, registry):
-        base = idle_chain(registry, {1: 50, 2: 50}, 3)
-        a, b = base.prefix(4), base.prefix(4)
-        prev = base.tip()
-        pa = make_payment(registry, 1, 2, 1, 4)
-        pb = make_payment(registry, 2, 1, 1, 4)
-        seed = empty_round_seed(prev.seed, 4)  # seed irrelevant to the rule
-        ba = Block(4, (pa,), seed, block_hash(prev), ())
-        bb = Block(4, (pb,), seed, block_hash(prev), ())
-        a.append(ba)
-        b.append(bb)
-        expected = "a" if block_hash(ba) < block_hash(bb) else "b"
-        assert chain_compare(a, b) == expected
-
-    def test_incompatible_genesis(self, registry):
-        a = idle_chain(registry, {1: 5, 2: 5}, 2)
-        other = make_registry(seed=9)
-        b = idle_chain(other, {1: 5, 2: 5}, 2)
-        with pytest.raises(IncompatibleGenesisError):
-            chain_compare(a, b)
 
 
 def test_golden_vector_file_digests():

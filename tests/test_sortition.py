@@ -147,7 +147,7 @@ def test_not_eligible_outside_lookback(env):
                                    (1, 2, chain.blocks[1].seed)):
         assert view_credential(user, round, 1, prev_seed, chain, params,
                                registry) is None
-        sig = registry.expected_signature(
+        sig = registry.unique_sign(
             user, credential_message(round, 1, prev_seed))
         check = verify_credential(Credential(user, round, 1, sig), prev_seed,
                                   chain, params, registry)
@@ -161,10 +161,10 @@ def test_steps_start_at_one(env):
     params = params_with(p=1.0, p2=0.0)
     prev_seed = chain.blocks[4].seed
     cred = view_credential(1, 5, 1, prev_seed, chain, params, registry)
-    assert cred.sig == registry.expected_signature(
+    assert cred.sig == registry.unique_sign(
         1, b"LEAD" + be8(5) + be8(1) + prev_seed)
     assert verify_credential(cred, prev_seed, chain, params, registry)
-    sig = registry.expected_signature(1, credential_message(5, 0, prev_seed))
+    sig = registry.unique_sign(1, credential_message(5, 0, prev_seed))
     check = verify_credential(Credential(1, 5, 0, sig), prev_seed, chain,
                               params, registry)
     assert not check and check.reason == "bad-step"
@@ -229,7 +229,7 @@ class TestVerifyCredential:
         params = params_with(p2=1.0)
         registry.register_user(999)
         prev_seed = chain.blocks[4].seed
-        sig = registry.expected_signature(999, b"whatever")
+        sig = registry.unique_sign(999, b"whatever")
         check = verify_credential(Credential(999, 5, 2, sig), prev_seed,
                                   chain, params, registry)
         assert not check and check.reason == "not-eligible"
@@ -267,7 +267,7 @@ def reference_committee(round, step, prev_seed, chain, params, registry):
     msg = credential_message(round, step, prev_seed)
     out = []
     for u in sorted(users_at(chain, round - params.lookback)):
-        sig = registry.expected_signature(u, msg)
+        sig = registry.unique_sign(u, msg)
         if hash_to_unit(hashlib.sha256(sig).digest()) <= p:
             out.append(Credential(u, round, step, sig))
     return out
