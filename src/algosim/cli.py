@@ -17,7 +17,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from .adversary import AdversaryConfig, PreconditionViolatedError
+from .adversary import (
+    AdversaryConfig,
+    ForkInfeasibleError,
+    PreconditionViolatedError,
+)
 from .crypto import KeyRegistry
 from .engine import (
     EngineError,
@@ -281,8 +285,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EngineError, PreconditionViolatedError) as exc:
-        # a config whose rounds cannot complete, or an out-of-range attack
+    except (EngineError, PreconditionViolatedError, ForkInfeasibleError) as exc:
+        # a config whose rounds cannot complete, an out-of-range attack, or a
+        # forged branch whose committees hold too few corrupted keys
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

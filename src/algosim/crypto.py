@@ -151,8 +151,14 @@ class KeyRegistry:
     def unique_signatures(self, owners: Iterable[UserId],
                           message: bytes) -> list[Signature]:
         """Every owner's unique signature over one message, in order; the
-        bytes equal `unique_sign(owner, message)`."""
-        return [sha256(self._require_key(u) + message) for u in owners]
+        bytes equal `unique_sign(owner, message)`.  This is sortition's
+        hot loop, so it hashes straight from the key table."""
+        keys, h = self._keys, hashlib.sha256
+        try:
+            return [h(keys[u] + message).digest() for u in owners]
+        except KeyError as exc:
+            raise UnknownUserError(
+                f"user {exc.args[0]} is not registered") from None
 
     # -- ephemeral keys ------------------------------------------------------
 

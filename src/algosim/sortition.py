@@ -8,15 +8,22 @@ unit per user); stake-weighted refinements are out of scope.
 `select_committee` is the one sortition kernel: the engine, the validators
 and the adversary all enumerate leaders and committees through it.  It builds
 the credential message once, signs it for every eligible user in one registry
-call and keeps a user when the first 8 bytes of SHA-256(signature), read as a
-big-endian integer, are at most `selection_limit(p)`.  That integer compare
-decides exactly as the float rule `hash_to_unit(...) <= p` would.
+call and keeps a user when SHA-256(signature) <= `selection_bound(p)`, a
+byte-string compare against `selection_limit(p)` as 8 big-endian bytes padded
+with 24 `0xff` bytes.  Bytes compare lexicographically, so a digest whose
+first 8 bytes are below the limit's is below the bound, one whose first 8
+bytes exceed it is above, and on a tie the all-`0xff` tail admits any suffix:
+the compare decides exactly as `int.from_bytes(digest[:8], "big") <= limit`,
+which in turn decides as the float rule `hash_to_unit(...) <= p` would.  Per
+user the kernel makes its two `hashlib` calls (sign, then hash) and one bytes
+compare, with no slice or integer conversion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from hashlib import sha256 as _sha256
 from typing import Sequence
 
 from .crypto import (
@@ -28,7 +35,6 @@ from .crypto import (
     UserId,
     be8,
     hash_to_unit,
-    sha256,
 )
 from .ledger import Chain, users_at
 
@@ -84,7 +90,7 @@ class Credential:
 
     @property
     def unit(self) -> float:
-        return hash_to_unit(sha256(self.sig))
+        return hash_to_unit(_sha256(self.sig).digest())
 
 
 @dataclass(frozen=True)
@@ -126,13 +132,21 @@ def selection_limit(p: float) -> int:
     return lo
 
 
-def _limit(step: int, params: ProtocolParams) -> int:
-    return selection_limit(params.leader_prob if step == 1 else params.verifier_prob)
+@lru_cache(maxsize=64)
+def selection_bound(p: float) -> bytes:
+    """The 32-byte digest bound of `p`: a digest d has
+    `d <= selection_bound(p)` exactly when
+    `int.from_bytes(d[:8], "big") <= selection_limit(p)`."""
+    return selection_limit(p).to_bytes(8, "big") + b"\xff" * 24
 
 
-def _selected(sig: Signature, limit: int) -> bool:
-    """The sortition rule: the credential's hashed signature is under the limit."""
-    return int.from_bytes(sha256(sig)[:8], "big") <= limit
+def _bound(step: int, params: ProtocolParams) -> bytes:
+    return selection_bound(params.leader_prob if step == 1 else params.verifier_prob)
+
+
+def _selected(sig: Signature, bound: bytes) -> bool:
+    """The sortition rule: the credential's hashed signature is under the bound."""
+    return _sha256(sig).digest() <= bound
 
 
 def select_committee(round: int, step: int, prev_seed: Digest,
@@ -141,11 +155,12 @@ def select_committee(round: int, step: int, prev_seed: Digest,
     """Credentials of the `eligible` users that sortition selects for
     (round, step), in the order of `eligible`.  Step 1 selects potential
     leaders, later steps verifier committees."""
-    limit = _limit(step, params)
+    bound, h = _bound(step, params), _sha256
     sigs = registry.unique_signatures(
         eligible, credential_message(round, step, prev_seed))
+    # `_selected` inlined: one hash call per user and nothing else
     return [Credential(u, round, step, sig)
-            for u, sig in zip(eligible, sigs) if _selected(sig, limit)]
+            for u, sig in zip(eligible, sigs) if h(sig).digest() <= bound]
 
 
 def select_leader(credentials: list[Credential]) -> UserId:
@@ -166,7 +181,7 @@ def verify_credential(cred: Credential, prev_seed: Digest, chain: Chain,
             cred.user, credential_message(cred.round, cred.step, prev_seed),
             cred.sig):
         return CredentialCheck(False, "bad-signature")
-    if not _selected(cred.sig, _limit(cred.step, params)):
+    if not _selected(cred.sig, _bound(cred.step, params)):
         return CredentialCheck(False, "not-selected")
     return CredentialCheck(True)
 

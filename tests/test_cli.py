@@ -415,6 +415,23 @@ class TestAttack:
         assert err.count("\n") == 1 and err.startswith("error:")
         assert message in err
 
+    @pytest.mark.parametrize("command", [["attack", "genesis-fork"], ["run"]])
+    @pytest.mark.parametrize("verifier_prob, max_ba_steps", [
+        ("0.6", "1"), ("0.5", "2"), ("0.4", "2"),
+    ])
+    def test_infeasible_fork_is_usage_error(self, tmp_path, capsys, command,
+                                            verifier_prob, max_ba_steps):
+        path = tmp_path / "infeasible.cfg"
+        path.write_text((FIXTURES / "genesis_fork.cfg").read_text()
+                        .replace("verifier_prob = 1.0",
+                                 f"verifier_prob = {verifier_prob}")
+                        .replace("max_ba_steps = 9",
+                                 f"max_ba_steps = {max_ba_steps}"))
+        code, _, err = run_cli(capsys, *command, "--config", path)
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "corrupted certifiers available" in err
+
     def test_negative_seed_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "attack", "genesis-fork", "--config",
                                FIXTURES / "genesis_fork.cfg", "--seed", "-1")

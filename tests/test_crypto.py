@@ -78,6 +78,14 @@ def test_verify_unknown_user(registry):
         registry.verify_unique(999, b"m", b"\x00" * 32)
 
 
+def test_unique_signatures_batch_equals_unique_sign(registry):
+    msg = b"batch message"
+    assert (registry.unique_signatures([3, 1, 2], msg)
+            == [registry.unique_sign(u, msg) for u in (3, 1, 2)])
+    with pytest.raises(UnknownUserError):
+        registry.unique_signatures([1, 999], msg)
+
+
 def test_no_second_accepting_signature(registry):
     # All single-byte mutations of a valid signature must fail verification;
     # exactly one byte string verifies per (owner, message).

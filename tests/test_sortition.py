@@ -1,8 +1,9 @@
 import hashlib
 import math
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import algosim.sortition as sortition
@@ -15,6 +16,7 @@ from algosim.sortition import (
     default_cert_threshold,
     select_committee,
     select_leader,
+    selection_bound,
     selection_limit,
     verify_credential,
     view_committee,
@@ -393,18 +395,58 @@ def test_extreme_hashes_select_as_the_float_rule(env, monkeypatch, p, digest):
     # p = 1 the largest prefix is selected too, so everyone is
     registry, chain = env
     assert hash_to_unit(digest) <= p
-    monkeypatch.setattr(sortition, "sha256", lambda data: digest)
+    hashed = []
+
+    def forced(data):
+        # stands in for hashlib.sha256: every credential hashes to `digest`
+        hashed.append(data)
+        return SimpleNamespace(digest=lambda: digest)
+
+    monkeypatch.setattr(sortition, "_sha256", forced)
     params = params_with(p=p, p2=p)
     prev_seed = chain.blocks[4].seed
     for step in (1, 2):
+        hashed.clear()
         committee = view_committee(5, step, prev_seed, chain, params, registry)
         assert [c.user for c in committee] == list(range(1, N + 1))
+        assert len(hashed) == N
         assert all(verify_credential(c, prev_seed, chain, params, registry)
                    for c in committee)
+        assert len(hashed) == 2 * N
 
 
-@given(st.integers(0, 2**64 - 1),
-       st.one_of(st.floats(min_value=0.0, max_value=1.0),
-                 st.integers(0, 2**64 - 1).map(lambda y: y / 2**64)))
+PROBABILITIES = st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                          st.integers(0, 2**64 - 1).map(lambda y: y / 2**64))
+
+
+@given(st.integers(0, 2**64 - 1), PROBABILITIES)
 def test_integer_limit_agrees_with_float_compare(x, p):
     assert (x <= selection_limit(p)) == (x / 2**64 <= p)
+
+
+@st.composite
+def digests_near_the_limit(draw):
+    """A probability and a 32-byte digest, often on the bound's edge: the
+    limit's prefix with an all-0x00 or all-0xff suffix, or the prefix above."""
+    p = draw(PROBABILITIES)
+    limit = selection_limit(p)
+    edge = draw(st.sampled_from(["any", "zeros", "ones", "above"]))
+    if edge == "any":
+        return p, draw(st.binary(min_size=32, max_size=32))
+    prefix = min(limit + 1, 2**64 - 1) if edge == "above" else limit
+    suffix = b"\xff" * 24 if edge == "ones" else b"\x00" * 24
+    return p, prefix.to_bytes(8, "big") + suffix
+
+
+@given(digests_near_the_limit())
+@example((0.0, b"\x00" * 32))
+@example((0.0, b"\x00" * 8 + b"\xff" * 24))
+@example((0.0, b"\x00" * 7 + b"\x01" + b"\x00" * 24))
+@example((1.0, b"\xff" * 32))
+@example((0.5, (2**63 + 1024).to_bytes(8, "big") + b"\xff" * 24))
+@example((0.5, (2**63 + 1025).to_bytes(8, "big") + b"\x00" * 24))
+def test_bytes_bound_agrees_with_integer_limit(case):
+    p, digest = case
+    assert len(selection_bound(p)) == 32
+    assert ((digest <= selection_bound(p))
+            == (int.from_bytes(digest[:8], "big") <= selection_limit(p)))
