@@ -14,7 +14,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .adversary import (
@@ -40,56 +40,59 @@ class ConfigError(Exception):
     pass
 
 
+# The three config dataclasses are the schema: a key names a field, the
+# field's annotation (a string under `from __future__ import annotations`)
+# says how its text is read, and the dataclass holds its default and check.
+_READERS = {"int": int, "float": float, "str": str,
+            "int | None": lambda text: int(text) if text else None}
+_KEY_OF = {"num_genesis_users": "genesis_users", "consensus_mode": "mode"}
+_SCHEMA = {
+    section: {_KEY_OF.get(f.name, f.name): f for f in fields(cls)
+              if f.type in _READERS}
+    for section, cls in (("scenario", ScenarioConfig),
+                         ("params", ProtocolParams),
+                         ("adversary", AdversaryConfig))
+}
+
+
+def _section_values(cp: configparser.ConfigParser, section: str) -> dict:
+    """Field values of one section, read by each field's type."""
+    schema = _SCHEMA[section]
+    values = {}
+    for key, text in (cp.items(section) if cp.has_section(section) else ()):
+        field = schema.get(key)
+        if field is None:
+            raise ValueError(f"unknown key {key!r} in [{section}]")
+        values[field.name] = _READERS[field.type](text)
+    return values
+
+
 def load_config(path: str, seed: int | None = None, rounds: int | None = None,
                 mode: str | None = None) -> ScenarioConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         if not cp.read(path):
             raise ConfigError(f"cannot read config file {path}")
-        sc = cp["scenario"] if cp.has_section("scenario") else {}
-        pc = cp["params"] if cp.has_section("params") else {}
-        ac = cp["adversary"] if cp.has_section("adversary") else {}
-
-        genesis_users = int(sc.get("genesis_users", 10))
-        run_rounds = rounds if rounds is not None else int(sc.get("rounds", 20))
-        cert_threshold = pc.get("cert_threshold")
-        horizon = pc.get("horizon")
-        params = ProtocolParams(
-            leader_prob=float(pc.get("leader_prob", 0.05)),
-            verifier_prob=float(pc.get("verifier_prob", 0.2)),
-            lookback=int(pc.get("lookback", 3)),
-            max_ba_steps=int(pc.get("max_ba_steps", 9)),
-            cert_threshold=int(cert_threshold) if cert_threshold is not None else 1,
-            horizon=int(horizon) if horizon is not None else run_rounds + 8,
-        )
-        strategy = ac.get("strategy", "honest").replace("-", "_")
-        fork_round = ac.get("fork_round")
-        target_round = ac.get("target_round")
-        adversary = AdversaryConfig(
-            strategy=strategy,
-            fork_round=int(fork_round) if fork_round else None,
-            retention_fraction=float(ac.get("retention_fraction", 0.0)),
-            target_round=int(target_round) if target_round else None,
-        )
-        config = ScenarioConfig(
-            seed=seed if seed is not None else int(sc.get("seed", 0)),
-            num_genesis_users=genesis_users,
-            initial_balance=int(sc.get("initial_balance", 1000)),
-            rounds=run_rounds,
-            params=params,
-            consensus_mode=mode if mode is not None else sc.get("mode", "ba"),
-            adversary=adversary,
-            payments_per_round=int(sc.get("payments_per_round", 5)),
-            new_users_per_round=int(sc.get("new_users_per_round", 0)),
-        )
-        config.validate()
-        if cert_threshold is None:
+        for section in cp.sections() + (["DEFAULT"] if cp.defaults() else []):
+            if section not in _SCHEMA:
+                raise ValueError(f"unknown section [{section}]")
+        overrides = {"seed": seed, "rounds": rounds, "mode": mode}
+        cp.read_dict({"scenario": {k: str(v) for k, v in overrides.items()
+                                   if v is not None}})
+        sc, pc, ac = (_section_values(cp, section) for section in _SCHEMA)
+        pc.setdefault("horizon", sc.get("rounds", ScenarioConfig.rounds) + 8)
+        if "strategy" in ac:
+            ac["strategy"] = ac["strategy"].replace("-", "_")
+        params = ProtocolParams(**pc)
+        config = ScenarioConfig(params=params, adversary=AdversaryConfig(**ac),
+                                **sc)
+        if "cert_threshold" not in pc:
             # derived only once verifier_prob and genesis_users are in range
-            params = replace(params, cert_threshold=default_cert_threshold(
-                int(round(params.verifier_prob * genesis_users))))
-            config = replace(config, params=params)
+            config = replace(config, params=replace(
+                params, cert_threshold=default_cert_threshold(
+                    round(params.verifier_prob * config.num_genesis_users))))
         return config
-    except (KeyError, ValueError, configparser.Error) as exc:
+    except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
 
 
@@ -113,8 +116,10 @@ def cmd_run(args) -> int:
     try:
         seeds = ([int(s) for s in str(args.seed).split(",")]
                  if args.seed is not None else [None])
-        configs = [load_config(args.config, seed=s, rounds=args.rounds,
-                               mode=args.mode) for s in seeds]
+        # the file is read once; each further seed re-runs the config check
+        config = load_config(args.config, seed=seeds[0], rounds=args.rounds,
+                             mode=args.mode)
+        configs = [config] + [replace(config, seed=s) for s in seeds[1:]]
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ potential leader `sortition.select_leader` names, or the canonical empty
 block when the round has no potential leader.
 
 Nothing here re-checks a message built by honest code: `ledger.validate_block`
-(through `check_cert_message` and `sortition.verify_credential`) is the one
+(through `check_cert_message` and `sortition.check_credential`) is the one
 verifier, which `verify-chain`, fork detection and the tests run.
 
 All vote counting is over distinct voters (a voter equivocating or repeating

@@ -60,7 +60,7 @@ class ScenarioConfig:
     payments_per_round: int = 5
     new_users_per_round: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be in [0, 2**64)")
         if self.rounds < 1:
@@ -120,7 +120,6 @@ def _sub_seed(seed: int, tag: bytes) -> int:
 
 class SimulationRun:
     def __init__(self, config: ScenarioConfig):
-        config.validate()
         self.config = config
         self.params = config.params
         self.registry = KeyRegistry(config.seed, horizon=self.params.horizon,

@@ -379,10 +379,10 @@ def check_cert_message(m, round: int, digest: Digest, expected_bit: int,
     if m.credential.user != m.voter or m.credential.round != round \
             or m.credential.step != m.step:
         return "credential does not match message"
-    check = sortition.verify_credential(m.credential, prev_seed, chain, params,
+    reason = sortition.check_credential(m.credential, prev_seed, chain, params,
                                         registry)
-    if not check:
-        return f"credential invalid ({check.reason})"
+    if reason is not None:
+        return f"credential invalid ({reason})"
     if not registry.verify_ephemeral(m.voter, round, m.step,
                                      cert_payload(m.bit, m.block_digest), m.sig):
         return "bad ephemeral signature"

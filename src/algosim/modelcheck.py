@@ -265,7 +265,10 @@ def _check_unanimity_absorbs(n: int, f: int, reachable, report: ModelCheckReport
 def _check_silent_termination(n: int, f: int, max_steps: int,
                               report: ModelCheckReport) -> None:
     """Non-equivocating instances (Byzantine voters crash-silent) must decide
-    within the step budget for every initial split and coin sequence."""
+    within the step budget for every initial split and coin sequence.
+
+    Crash-silent voters are an adversary budget of 0: every observer sees
+    the same honest votes, so each step has one outcome."""
     h = n - f
     for u0 in range(h + 1):
         frontier = {((u0, h - u0, 0, 0), 0, 0)}
@@ -278,19 +281,9 @@ def _check_silent_termination(n: int, f: int, max_steps: int,
                 continue
             coins = (0, 1) if phase == 2 else (None,)
             for coin in coins:
-                zeros = state[0] + state[2]
-                ones = state[1] + state[3]
-                bit, decided = bba_transition(zeros, ones, n, phase, coin)
-                u = state[0] + state[1]
-                if decided == 0:
-                    nxt = (0, 0, state[2] + u, state[3])
-                elif decided == 1:
-                    nxt = (0, 0, state[2], state[3] + u)
-                elif bit == 0:
-                    nxt = (u, 0, state[2], state[3])
-                else:
-                    nxt = (0, u, state[2], state[3])
-                frontier.add((nxt, (phase + 1) % 3, depth + 1))
+                outs = _observer_outcomes(state, n, 0, phase, coin)
+                for nxt in _successors(state, outs):
+                    frontier.add((nxt, (phase + 1) % 3, depth + 1))
 
 
 def model_check_bba(sizes=(4, 5, 6, 7), max_steps: int = 9) -> ModelCheckReport:

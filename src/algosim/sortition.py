@@ -93,15 +93,6 @@ class Credential:
         return hash_to_unit(_sha256(self.sig).digest())
 
 
-@dataclass(frozen=True)
-class CredentialCheck:
-    ok: bool
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def credential_message(round: int, step: int, prev_seed: Digest) -> bytes:
     tag = TAG_LEADER if step == 1 else TAG_VERIFIER
     return tag + be8(round) + be8(step) + prev_seed
@@ -170,20 +161,21 @@ def select_leader(credentials: list[Credential]) -> UserId:
     return min(credentials, key=lambda c: (c.unit, c.user)).user
 
 
-def verify_credential(cred: Credential, prev_seed: Digest, chain: Chain,
-                      params: ProtocolParams, registry: KeyRegistry) -> CredentialCheck:
-    """Recompute eligibility, signature and threshold for a credential."""
+def check_credential(cred: Credential, prev_seed: Digest, chain: Chain,
+                     params: ProtocolParams, registry: KeyRegistry) -> str | None:
+    """Why a credential fails eligibility, signature or threshold, or None
+    if it is fine."""
     if cred.step < 1:
-        return CredentialCheck(False, "bad-step")
+        return "bad-step"
     if not _eligible(cred.user, cred.round, chain, params):
-        return CredentialCheck(False, "not-eligible")
+        return "not-eligible"
     if not registry.verify_unique(
             cred.user, credential_message(cred.round, cred.step, prev_seed),
             cred.sig):
-        return CredentialCheck(False, "bad-signature")
+        return "bad-signature"
     if not _selected(cred.sig, _bound(cred.step, params)):
-        return CredentialCheck(False, "not-selected")
-    return CredentialCheck(True)
+        return "not-selected"
+    return None
 
 
 # -- omniscient views ---------------------------------------------------------

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algosim.cli as cli
+from algosim.engine import ScenarioConfig
+from algosim.sortition import ProtocolParams
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -446,9 +448,48 @@ class TestAttack:
 
 
 def test_fixture_configs_parse():
+    # a ScenarioConfig is checked when it is constructed
     for name in ("honest.cfg", "genesis_fork.cfg", "bribery.cfg"):
-        cfg = cli.load_config(str(FIXTURES / name))
-        cfg.validate()
+        assert isinstance(cli.load_config(str(FIXTURES / name)), ScenarioConfig)
+
+
+@pytest.mark.parametrize("old, new, name", [
+    ("mode = both", "mdoe = both", "'mdoe' in [scenario]"),
+    ("genesis_users = 10", "num_genesis_users = 10",
+     "'num_genesis_users' in [scenario]"),
+    ("verifier_prob = 0.7", "verifer_prob = 0.7", "'verifer_prob' in [params]"),
+    ("retention_fraction = 0.5", "retention_fractoin = 0.5",
+     "'retention_fractoin' in [adversary]"),
+    ("[params]", "[parms]", "unknown section [parms]"),
+    ("[params]", "[DEFAULT]", "unknown section [DEFAULT]"),
+], ids=["scenario", "field-name", "params", "adversary", "section",
+        "default-section"])
+def test_unknown_key_or_section_is_usage_error(small_cfg, capsys, old, new,
+                                               name):
+    # a misspelt key would otherwise run a different experiment
+    small_cfg.write_text((SMALL_CFG + "\n[adversary]\nretention_fraction = 0.5\n")
+                         .replace(old, new))
+    code, stdout, err = run_cli(capsys, "run", "--config", small_cfg)
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert name in err and stdout == ""
+
+
+def readme_config() -> str:
+    text = (FIXTURES.parent / "README.md").read_text()
+    return text.split("### Config format")[1].split("```ini\n")[1].split("```")[0]
+
+
+@pytest.mark.parametrize("text", [
+    "[scenario]\ngenesis_users = 10\n", readme_config(),
+], ids=["genesis-users-only", "readme"])
+def test_dataclass_defaults_are_the_config_defaults(tmp_path, text):
+    path = tmp_path / "defaults.cfg"
+    path.write_text(text)
+    # horizon is rounds + 8; cert_threshold is 2/3 of the expected
+    # committee (0.2 * 10 users), rounded down, plus one
+    assert cli.load_config(str(path)) == ScenarioConfig(
+        params=ProtocolParams(cert_threshold=2, horizon=28))
 
 
 def test_unknown_flag_rejected_with_usage(small_cfg, capsys):
@@ -592,16 +633,27 @@ def config_bases(tmp_path_factory):
 @settings(deadline=None, max_examples=100)
 @given(data=st.data())
 def test_fuzzed_config_keeps_exit_contract(config_bases, data):
-    # one key of a base config replaced by arbitrary text or a number, or
-    # deleted: run, attack and verify-chain give 0, 1 or 2, never a traceback
+    # one key of a base config replaced by arbitrary text or a number,
+    # deleted, or renamed: run, attack and verify-chain give 0, 1 or 2, never
+    # a traceback, and 2 for a renamed key
     base, bases = config_bases
     name = data.draw(st.sampled_from(sorted(bases)), label="base")
     text, kind, chain = bases[name]
-    keys = re.findall(r"^(\w+) = ", text, flags=re.M)
-    key = data.draw(st.sampled_from(keys), label="key")
-    value = data.draw(st.none() | (SIZE_VALUES if key in SIZE_KEYS
-                                   else CONFIG_VALUES), label="value")
-    line = "" if value is None else f"{key} = {value}"
+    values = dict(re.findall(r"^(\w+) = (.*)$", text, flags=re.M))
+    key = data.draw(st.sampled_from(list(values)), label="key")
+    edit = data.draw(st.sampled_from(["replace", "delete", "rename"]),
+                     label="edit")
+    if edit == "replace":
+        value = data.draw(SIZE_VALUES if key in SIZE_KEYS else CONFIG_VALUES,
+                          label="value")
+        line = f"{key} = {value}"
+    elif edit == "rename":
+        # no key is another key plus a suffix of these characters
+        suffix = data.draw(st.text(alphabet="xyz_", min_size=1, max_size=3),
+                           label="suffix")
+        line = f"{key}{suffix} = {values[key]}"
+    else:
+        line = ""
     fuzzed = base / "fuzzed.cfg"
     fuzzed.write_text(re.sub(rf"^{key} = .*$", lambda _: line, text,
                              flags=re.M))
@@ -613,4 +665,4 @@ def test_fuzzed_config_keeps_exit_contract(config_bases, data):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = cli.main([str(a) for a in argv])
-        assert code in (0, 1, 2), argv
+        assert code in ((2,) if edit == "rename" else (0, 1, 2)), argv

@@ -392,12 +392,14 @@ def test_lookback_one_has_no_bootstrap_rounds():
 
 
 def test_config_validation():
+    # an invalid config cannot be constructed
     with pytest.raises(ValueError):
-        ScenarioConfig(rounds=0).validate()
+        ScenarioConfig(rounds=0)
     with pytest.raises(ValueError):
-        ScenarioConfig(num_genesis_users=1).validate()
+        ScenarioConfig(num_genesis_users=1)
     with pytest.raises(ValueError):
-        ScenarioConfig(consensus_mode="bft").validate()
+        ScenarioConfig(consensus_mode="bft")
     with pytest.raises(ValueError):
-        ScenarioConfig(rounds=100,
-                       params=ProtocolParams(horizon=50)).validate()
+        ScenarioConfig(rounds=100, params=ProtocolParams(horizon=50))
+    with pytest.raises(ValueError):
+        dataclasses.replace(ScenarioConfig(), rounds=64)

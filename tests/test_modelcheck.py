@@ -43,6 +43,17 @@ def test_checker_catches_broken_majority_rule(monkeypatch):
     assert report.agreement_violations
 
 
+def test_checker_catches_a_rule_that_never_decides(monkeypatch):
+    # Negative control for termination: a rule that keeps every bit and
+    # never decides must exhaust the step budget.
+    def never_decides(zeros, ones, n, phase, coin=None):
+        return (0 if zeros >= ones else 1), None
+
+    monkeypatch.setattr(mc, "bba_transition", never_decides)
+    report = mc.model_check_bba(sizes=(4, 5, 6, 7))
+    assert report.termination_violations
+
+
 def test_checker_catches_biased_grading(monkeypatch):
     # Negative control for the graded-consistency checker: grading at >1/2
     # instead of >2/3 lets {0,2} splits through.

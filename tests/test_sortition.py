@@ -12,13 +12,13 @@ from algosim.ledger import users_at
 from algosim.sortition import (
     Credential,
     ProtocolParams,
+    check_credential,
     credential_message,
     default_cert_threshold,
     select_committee,
     select_leader,
     selection_bound,
     selection_limit,
-    verify_credential,
     view_committee,
     view_credential,
     view_leader,
@@ -151,9 +151,8 @@ def test_not_eligible_outside_lookback(env):
                                registry) is None
         sig = registry.unique_sign(
             user, credential_message(round, 1, prev_seed))
-        check = verify_credential(Credential(user, round, 1, sig), prev_seed,
-                                  chain, params, registry)
-        assert not check and check.reason == "not-eligible"
+        assert check_credential(Credential(user, round, 1, sig), prev_seed,
+                                chain, params, registry) == "not-eligible"
 
 
 def test_steps_start_at_one(env):
@@ -165,11 +164,10 @@ def test_steps_start_at_one(env):
     cred = view_credential(1, 5, 1, prev_seed, chain, params, registry)
     assert cred.sig == registry.unique_sign(
         1, b"LEAD" + be8(5) + be8(1) + prev_seed)
-    assert verify_credential(cred, prev_seed, chain, params, registry)
+    assert check_credential(cred, prev_seed, chain, params, registry) is None
     sig = registry.unique_sign(1, credential_message(5, 0, prev_seed))
-    check = verify_credential(Credential(1, 5, 0, sig), prev_seed, chain,
-                              params, registry)
-    assert not check and check.reason == "bad-step"
+    assert check_credential(Credential(1, 5, 0, sig), prev_seed, chain,
+                            params, registry) == "bad-step"
 
 
 class TestSelectLeader:
@@ -203,7 +201,7 @@ class TestVerifyCredential:
         params = params_with(p2=1.0)
         prev_seed = chain.blocks[4].seed
         cred = view_credential(8, 5, 2, prev_seed, chain, params, registry)
-        assert verify_credential(cred, prev_seed, chain, params, registry)
+        assert check_credential(cred, prev_seed, chain, params, registry) is None
 
     def test_unit_is_derived_not_trusted(self, env):
         registry, chain = env
@@ -212,8 +210,8 @@ class TestVerifyCredential:
         cred = view_credential(8, 5, 2, prev_seed, chain, params, registry)
         forged = Credential(cred.user, cred.round, cred.step, b"\x00" * 32)
         assert forged.unit != cred.unit  # recomputed from the signature
-        check = verify_credential(forged, prev_seed, chain, params, registry)
-        assert not check and check.reason == "bad-signature"
+        assert check_credential(forged, prev_seed, chain, params,
+                                registry) == "bad-signature"
 
     def test_mutations_rejected(self, env):
         registry, chain = env
@@ -223,8 +221,8 @@ class TestVerifyCredential:
         for broken in (Credential(9, 5, 2, cred.sig),
                        Credential(8, 4, 2, cred.sig),
                        Credential(8, 5, 3, cred.sig)):
-            assert not verify_credential(broken, prev_seed, chain, params,
-                                         registry)
+            assert check_credential(broken, prev_seed, chain, params,
+                                    registry) is not None
 
     def test_not_eligible_reason(self, env):
         registry, chain = env
@@ -232,9 +230,8 @@ class TestVerifyCredential:
         registry.register_user(999)
         prev_seed = chain.blocks[4].seed
         sig = registry.unique_sign(999, b"whatever")
-        check = verify_credential(Credential(999, 5, 2, sig), prev_seed,
-                                  chain, params, registry)
-        assert not check and check.reason == "not-eligible"
+        assert check_credential(Credential(999, 5, 2, sig), prev_seed,
+                                chain, params, registry) == "not-eligible"
 
     def test_threshold_miss_reason(self, env):
         registry, chain = env
@@ -242,8 +239,8 @@ class TestVerifyCredential:
         loose = params_with(p2=1.0)
         tight = params_with(p2=0.0)
         cred = view_credential(8, 5, 2, prev_seed, chain, loose, registry)
-        check = verify_credential(cred, prev_seed, chain, tight, registry)
-        assert not check and check.reason == "not-selected"
+        assert check_credential(cred, prev_seed, chain, tight,
+                                registry) == "not-selected"
 
 
 def test_selection_is_deterministic_non_grinding(env):
@@ -306,7 +303,7 @@ def test_view_credential_round_trip(env):
             creds.append(cred)
     assert creds, "a p = 0.5 user is selected for some step almost surely"
     for cred in creds:
-        assert verify_credential(cred, prev_seed, chain, params, registry)
+        assert check_credential(cred, prev_seed, chain, params, registry) is None
     early_seed = chain.blocks[1].seed
     assert all(view_credential(4, 2, step, early_seed, chain, params,
                                registry) is None
@@ -410,8 +407,8 @@ def test_extreme_hashes_select_as_the_float_rule(env, monkeypatch, p, digest):
         committee = view_committee(5, step, prev_seed, chain, params, registry)
         assert [c.user for c in committee] == list(range(1, N + 1))
         assert len(hashed) == N
-        assert all(verify_credential(c, prev_seed, chain, params, registry)
-                   for c in committee)
+        assert all(check_credential(c, prev_seed, chain, params, registry)
+                   is None for c in committee)
         assert len(hashed) == 2 * N
 
 
