@@ -189,7 +189,7 @@ def cmd_verify_chain(args) -> int:
         lines = Path(args.chain).read_text().splitlines()
         chain = chain_from_lines(lines, registry,
                                  window=config.params.lookback + 1)
-    except (OSError, LedgerError) as exc:
+    except (OSError, UnicodeDecodeError, LedgerError) as exc:
         print(f"error: cannot load chain: {exc}", file=sys.stderr)
         return 2
     for u in chain.genesis_status.balances:
@@ -208,12 +208,8 @@ def cmd_verify_chain(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    try:
-        lines_a = Path(args.metrics_a).read_text().splitlines()
-        lines_b = Path(args.metrics_b).read_text().splitlines()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    lines_a = Path(args.metrics_a).read_text().splitlines()
+    lines_b = Path(args.metrics_b).read_text().splitlines()
     if len(lines_a) != len(lines_b):
         print(f"length mismatch: {len(lines_a)} vs {len(lines_b)} records")
         return 1
@@ -224,12 +220,14 @@ def cmd_compare(args) -> int:
         differences += 1
         try:
             oa, ob = json.loads(la), json.loads(lb)
-            keys = sorted(set(oa) | set(ob))
-            for k in keys:
-                if oa.get(k) != ob.get(k):
-                    print(f"record {i}: {k}: {oa.get(k)!r} != {ob.get(k)!r}")
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
+            oa = ob = None
+        if not (isinstance(oa, dict) and isinstance(ob, dict)):
             print(f"record {i}: raw difference")
+            continue
+        for k in sorted(set(oa) | set(ob)):
+            if oa.get(k) != ob.get(k):
+                print(f"record {i}: {k}: {oa.get(k)!r} != {ob.get(k)!r}")
     if differences:
         print(f"{differences} differing records")
         return 1
@@ -290,9 +288,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EngineError, PreconditionViolatedError, ForkInfeasibleError) as exc:
-        # a config whose rounds cannot complete, an out-of-range attack, or a
-        # forged branch whose committees hold too few corrupted keys
+    except (EngineError, PreconditionViolatedError, ForkInfeasibleError,
+            OSError, UnicodeDecodeError) as exc:
+        # a config whose rounds cannot complete, an out-of-range attack, a
+        # forged branch whose committees hold too few corrupted keys, or a
+        # file that cannot be read as text or written (`--out`, `compare`)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

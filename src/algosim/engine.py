@@ -2,6 +2,11 @@
 (sortition, proposal, vote, agreement or simple majority, certification),
 invokes adversary strategies, detects forks and accumulates metrics.
 
+Every committee step of a round (proposal, vote, relay, each agreement and
+certificate step) runs through one primitive, `step(s, sign)` in `run_round`.
+Members send in committee order, so each step delivers at most one message
+per sender, in ascending sender order.
+
 A run is a pure function of its ScenarioConfig: every random stream is seeded
 from the configured seed, so chains and metrics are bit-identical across
 executions.
@@ -203,29 +208,41 @@ class SimulationRun:
         # its result.  Nothing re-checks what honest code built here;
         # `validate_block` is the one verifier.
 
+        def step(s, sign):
+            """Select the (r, s) committee; each member broadcasts
+            `sign(cred, policy)` unless it is None; deliver.  Returns the
+            committee and the delivered messages, in committee order."""
+            nonlocal messages
+            committee = select_committee(r, s, prev_seed, eligible, params,
+                                         self.registry)
+            sizes[s] = len(committee)
+            for cred in committee:
+                msg = sign(cred, self._policy[cred.user])
+                if msg is not None:
+                    self.net.broadcast(cred.user, msg)
+            messages += self.net.step()
+            return committee, self.net.inbox_common()
+
+        def voting(value):
+            return lambda cred, policy: consensus.vote(cred, value,
+                                                       self.registry, policy)
+
         # Step 1: every potential leader proposes a block over one payset.
         payset = build_payset(pending, self.chain.status_entering(r),
                               self.registry)
-        leader_creds = select_committee(r, 1, prev_seed, eligible, params, self.registry)
-        for cred in leader_creds:
-            msg = consensus.propose(cred, payset, self.chain, self.registry,
-                                    self._policy[cred.user])
-            self.net.broadcast(cred.user, msg)
-        messages += self.net.step()
-        sizes[1] = len(leader_creds)
-        leader = select_leader(leader_creds) if leader_creds else None
-        candidate = next((p.block for p in self.net.inbox_common()
+        leaders, proposals = step(1, lambda cred, policy: consensus.propose(
+            cred, payset, self.chain, self.registry, policy))
+        leader = select_leader(leaders) if leaders else None
+        candidate = next((p.block for p in proposals
                           if p.credential.user == leader), None)
         empty_digest = canonical_empty_digest(self.chain, r)
 
         # Step 2: the vote committee backs the leader's block, or the empty
-        # block when the round has no potential leader.
-        sv2 = select_committee(r, 2, prev_seed, eligible, params, self.registry)
-        sizes[2] = len(sv2)
-        messages += self._cast_votes(
-            sv2, empty_digest if candidate is None else block_hash(candidate))
-        # The two-step rule's decision and the graded-consensus relay value.
-        majority = consensus.supermajority_value(self.net.inbox_common(), len(sv2))
+        # block when the round has no potential leader.  Its supermajority is
+        # the two-step rule's decision and the graded-consensus relay value.
+        sv2, votes = step(2, voting(
+            empty_digest if candidate is None else block_hash(candidate)))
+        majority = consensus.supermajority_value(votes, len(sv2))
 
         simple_digest = None
         if mode in ("simple", "both"):
@@ -234,23 +251,58 @@ class SimulationRun:
         ba_digest = None
         decision_step = 3
         if mode in ("ba", "both"):
-            ba_digest, decision_step, ba_sizes, ba_msgs, ba_flags = \
-                self._run_agreement(r, prev_seed, eligible, majority, empty_digest)
-            sizes.update(ba_sizes)
-            messages += ba_msgs
-            flags += ba_flags
+            # Step 3 relays the majority (silent when there is none); binary
+            # agreement then runs from step 4.
+            sv3, relays = step(3, (lambda cred, policy: None)
+                               if majority is None else voting(majority))
+            graded = consensus.gc_grade(relays, len(sv3))
+            initial_bit = 0 if graded.grade == 2 else 1
+
+            def vote_step(s, bit):
+                committee, votes = step(s, voting(
+                    bytes([initial_bit if bit is None else bit])))
+                counts = consensus.distinct_voter_counts(votes)
+                return counts.get(b"\x00", 0), counts.get(b"\x01", 0), len(committee)
+
+            decided, last_step = consensus.bba(vote_step, prev_seed,
+                                               params.max_ba_steps)
+            decision_step = last_step + 1
+            if decided is None:
+                flags.append("no-termination")
+                decided = 1
+            try:
+                value = consensus.ba_output(graded, decided)
+            except consensus.ProtocolInconsistencyError:
+                flags.append("ba-inconsistency")
+                value = None
+            ba_digest = value if value is not None else empty_digest
 
         committed = ba_digest if mode in ("ba", "both") else simple_digest
         is_empty = committed == empty_digest
         # Votes only ever back the candidate or the empty block.
         block = empty_block(r, prev_seed, prev_hash) if is_empty else candidate
 
-        cert, cert_sizes, cert_messages = self._certify(
-            r, prev_seed, eligible, committed, is_empty, decision_step)
-        for s, n in cert_sizes.items():
-            sizes.setdefault(s, n)
-        messages += cert_messages
-        self.chain.append(block.with_cert(cert))
+        # Fresh committees certify the decided digest, from the decision step
+        # on, until cert_threshold distinct voters have signed; their
+        # delivered messages are the certificate.  Every step so far is
+        # below the decision step, so no step runs twice.
+        cert: list[CertMessage] = []
+        voters: set[UserId] = set()
+
+        def certify(cred, policy):
+            if cred.user in voters:
+                return None
+            voters.add(cred.user)
+            return consensus.make_cert_message(cred, committed, is_empty,
+                                               self.registry, policy)
+
+        for s in range(decision_step, params.max_step + 1):
+            cert += step(s, certify)[1]
+            if len(voters) >= params.cert_threshold:
+                break
+        else:
+            raise EngineError(f"round {r}: certificate threshold unreachable")
+        self.chain.append(block.with_cert(tuple(cert)))
 
         equivalent = None
         if mode == "both":
@@ -262,84 +314,6 @@ class SimulationRun:
         self.records.append(RoundRecord(
             r, leader, sizes, decision_step, ba_digest, simple_digest,
             equivalent, is_empty, messages, tuple(flags)))
-
-    def _cast_votes(self, committee, value) -> int:
-        """Every member signs `value` for its step and broadcasts it; returns
-        the deliveries of that step."""
-        for cred in committee:
-            msg = consensus.vote(cred, value, self.registry, self._policy[cred.user])
-            self.net.broadcast(cred.user, msg)
-        return self.net.step()
-
-    def _run_agreement(self, r, prev_seed, eligible, majority, empty_digest):
-        """Graded consensus on the step-2 `majority` (None: nothing to relay)
-        then binary agreement; returns the agreed digest, the step at which
-        nodes decided, committee sizes, message count and any flags raised."""
-        params = self.params
-        sizes: dict[int, int] = {}
-        messages = 0
-        flags: list[str] = []
-
-        sv3 = select_committee(r, 3, prev_seed, eligible, params, self.registry)
-        sizes[3] = len(sv3)
-        messages += self._cast_votes(sv3 if majority is not None else [], majority)
-        graded = consensus.gc_grade(self.net.inbox_common(), len(sv3))
-        initial_bit = 0 if graded.grade == 2 else 1
-
-        def vote_step(s, bit):
-            nonlocal messages
-            committee = select_committee(r, s, prev_seed, eligible, params, self.registry)
-            sizes[s] = len(committee)
-            value = bytes([initial_bit if bit is None else bit])
-            messages += self._cast_votes(committee, value)
-            counts = consensus.distinct_voter_counts(self.net.inbox_common())
-            return counts.get(b"\x00", 0), counts.get(b"\x01", 0), len(committee)
-
-        decided, last_step = consensus.bba(vote_step, prev_seed,
-                                           params.max_ba_steps)
-        decision_step = last_step + 1
-        if decided is None:
-            flags.append("no-termination")
-            decided = 1
-
-        try:
-            value = consensus.ba_output(graded, decided)
-        except consensus.ProtocolInconsistencyError:
-            flags.append("ba-inconsistency")
-            value = None
-        ba_digest = value if value is not None else empty_digest
-        return ba_digest, decision_step, sizes, messages, flags
-
-    def _certify(self, r, prev_seed, eligible, committed, is_empty,
-                 decision_step):
-        """Fresh committees certify the decided digest, starting at the
-        decision step and continuing until cert_threshold distinct voters have
-        signed; their delivered messages are the certificate.  Raises
-        EngineError when the steps up to max_step hold too few voters."""
-        params = self.params
-        msgs: list[CertMessage] = []
-        sizes: dict[int, int] = {}
-        messages = 0
-        voters: set[UserId] = set()
-        step = max(decision_step, 2)
-        while step <= params.max_step:
-            committee = select_committee(r, step, prev_seed, eligible, params,
-                                         self.registry)
-            sizes[step] = len(committee)
-            for cred in committee:
-                if cred.user in voters:
-                    continue
-                msg = consensus.make_cert_message(
-                    cred, committed, is_empty, self.registry,
-                    self._policy[cred.user])
-                self.net.broadcast(cred.user, msg)
-                voters.add(cred.user)
-            messages += self.net.step()
-            msgs.extend(self.net.inbox_common())
-            if len(voters) >= params.cert_threshold:
-                return tuple(msgs), sizes, messages
-            step += 1
-        raise EngineError(f"round {r}: certificate threshold unreachable")
 
     # -- adversary phase -------------------------------------------------------
 

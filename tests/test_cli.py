@@ -67,6 +67,15 @@ class TestRun:
         assert (out_dir / "metrics.jsonl").exists()
         assert (out_dir / "chain.jsonl").exists()
 
+    def test_out_path_that_is_a_file_is_usage_error(self, small_cfg,
+                                                    tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, _, err = run_cli(capsys, "run", "--config", small_cfg,
+                               "--out", taken)
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error:")
+
     def test_round_override(self, small_cfg, capsys):
         code, stdout, _ = run_cli(capsys, "run", "--config", small_cfg,
                                   "--rounds", "6")
@@ -209,6 +218,32 @@ class TestDeterminismAndCompare:
                                   b / "metrics.jsonl")
         assert code == 1
         assert "length mismatch" in stdout
+
+
+    @pytest.mark.parametrize("a, b", [
+        ("[1]", "[2]"), ("1", "2"), ('{"a": 1}', "[1]"), ("null", "{}"),
+        ("[" * 100_000 + "]" * 100_000, "[]"),
+    ], ids=["lists", "numbers", "object-list", "null-object", "deep"])
+    def test_records_that_are_not_objects_differ_raw(self, tmp_path, capsys,
+                                                     a, b):
+        # a second, object record is still compared key by key
+        (tmp_path / "a").write_text(a + '\n{"x":1}\n')
+        (tmp_path / "b").write_text(b + '\n{"x":2}\n')
+        code, stdout, err = run_cli(capsys, "compare", tmp_path / "a",
+                                    tmp_path / "b")
+        assert code == 1 and err == ""
+        assert stdout == ("record 0: raw difference\nrecord 1: x: 1 != 2\n"
+                          "2 differing records\n")
+
+    @pytest.mark.parametrize("bad", ["a", "b"])
+    def test_non_utf8_metrics_file_is_usage_error(self, tmp_path, capsys, bad):
+        for name in "ab":
+            (tmp_path / name).write_bytes(b"\xff{}\n" if name == bad
+                                          else b"{}\n")
+        code, stdout, err = run_cli(capsys, "compare", tmp_path / "a",
+                                    tmp_path / "b")
+        assert code == 2 and stdout == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
 
 
 class TestVerifyChain:
@@ -374,6 +409,17 @@ class TestVerifyChain:
         assert code == 2
 
 
+    def test_non_utf8_chain_is_usage_error(self, small_cfg, tmp_path,
+                                           capsys):
+        chain = tmp_path / "bin.jsonl"
+        chain.write_bytes(b'{"header": "\xff"}\n')
+        code, _, err = run_cli(capsys, "verify-chain", "--chain", chain,
+                               "--config", small_cfg)
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith("error: cannot load chain:")
+
+
 class TestAttack:
     def test_genesis_fork_attack_succeeds(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -385,6 +431,14 @@ class TestAttack:
         assert (out / "chain_fork0.jsonl").exists()
         summary = json.loads(stdout.splitlines()[-1])["summary"]
         assert summary["forks_detected"] == 1
+
+    def test_out_path_that_is_a_file_is_usage_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, _, err = run_cli(capsys, "attack", "genesis-fork", "--config",
+                               FIXTURES / "genesis_fork.cfg", "--out", taken)
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error:")
 
     def test_bribery_attack_succeeds(self, capsys):
         code, stdout, err = run_cli(capsys, "attack", "bribery",

