@@ -10,6 +10,7 @@ outside the corrupted set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .consensus import make_cert_message
 from .crypto import AdversarySigner, KeyMissingError, KeyRegistry, KeyState, UserId
@@ -168,9 +169,11 @@ def _forge_cert(fork: Chain, round: int, digest: bytes, is_empty: bool,
     """
     msgs = []
     seen: set[UserId] = set()
+    retain = dict.fromkeys(corrupted, "retain")
     for step in range(2, params.max_step + 1):
         if len(seen) >= params.cert_threshold:
             break
+        batch = []
         for cred in view_committee(round, step, prev_seed, fork, params, registry):
             if len(seen) >= params.cert_threshold:
                 break
@@ -181,9 +184,9 @@ def _forge_cert(fork: Chain, round: int, digest: bytes, is_empty: bool,
                     continue
             except KeyMissingError:
                 continue
-            msgs.append(make_cert_message(cred, digest, is_empty, registry,
-                                          policy="retain", signer=signer))
+            batch.append(cred)
             seen.add(cred.user)
+        msgs += make_cert_message(batch, digest, is_empty, signer, retain)
     if len(seen) < params.cert_threshold:
         raise ForkInfeasibleError(round, len(seen), params.cert_threshold)
     return tuple(msgs)
@@ -246,9 +249,10 @@ def bribe_and_recertify(chain: Chain, target_round: int, retained,
     digest = block_hash(block)
     if digest == block_hash(honest):
         raise PreconditionViolatedError("alternative block equals the honest one")
-    cert = tuple(make_cert_message(cred, digest, False, registry,
-                                   policy="retain", signer=signer)
-                 for cred in usable[:need])
+    cert = []
+    retain = dict.fromkeys(owners, "retain")
+    for _, creds in groupby(usable[:need], lambda c: c.step):  # one call a step
+        cert += make_cert_message(list(creds), digest, False, signer, retain)
     return block.with_cert(cert)
 
 

@@ -97,7 +97,6 @@ def load_config(path: str, seed: int | None = None, rounds: int | None = None,
 
 
 def _write_outputs(out_dir: Path, chains, metrics: RunMetrics) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "metrics.jsonl").write_text(
         "\n".join(metrics_to_lines(metrics)) + "\n")
     (out_dir / "chain.jsonl").write_text(
@@ -123,6 +122,10 @@ def cmd_run(args) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    out_dirs = [Path(args.out) / (f"seed_{c.seed}" if len(configs) > 1 else "")
+                if args.out else None for c in configs]
+    for out_dir in filter(None, out_dirs):  # an unusable path fails before any run
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.jobs > 1 and len(configs) > 1:
         # the pool forks all its workers up front, so never more than seeds
@@ -132,12 +135,10 @@ def cmd_run(args) -> int:
         results = [_execute(c) for c in configs]
 
     worst = 0
-    for (seed, chains, metrics), config in zip(results, configs):
+    for (seed, chains, metrics), config, out_dir in zip(results, configs, out_dirs):
         for line in metrics_to_lines(metrics):
             print(line)
-        if args.out:
-            base = Path(args.out)
-            out_dir = base / f"seed_{seed}" if len(configs) > 1 else base
+        if out_dir:
             _write_outputs(out_dir, chains, metrics)
         log.info("seed=%d rounds=%d forks=%d messages=%d wall=%.3fs",
                  seed, len(metrics.rounds), metrics.forks_detected,
@@ -159,6 +160,8 @@ def cmd_attack(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.out:  # an unusable path fails before the run
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     seed, chains, metrics = _execute(config)
     for line in metrics_to_lines(metrics):
         print(line)
@@ -220,14 +223,17 @@ def cmd_compare(args) -> int:
         differences += 1
         try:
             oa, ob = json.loads(la), json.loads(lb)
+            same = oa == ob
         except (ValueError, RecursionError):
-            oa = ob = None
-        if not (isinstance(oa, dict) and isinstance(ob, dict)):
+            same = oa = ob = None
+        if same:  # spacing or key order only
+            print(f"record {i}: same JSON, different text")
+        elif isinstance(oa, dict) and isinstance(ob, dict):
+            for k in sorted(set(oa) | set(ob)):
+                if oa.get(k) != ob.get(k):
+                    print(f"record {i}: {k}: {oa.get(k)!r} != {ob.get(k)!r}")
+        else:
             print(f"record {i}: raw difference")
-            continue
-        for k in sorted(set(oa) | set(ob)):
-            if oa.get(k) != ob.get(k):
-                print(f"record {i}: {k}: {oa.get(k)!r} != {ob.get(k)!r}")
     if differences:
         print(f"{differences} differing records")
         return 1

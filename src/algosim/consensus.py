@@ -5,10 +5,11 @@ Steps 2 to the last binary-agreement step all send one message type, `Vote`:
 a member's ephemeral signature over the step's value (a digest at steps 2 and
 3, `bytes([bit])` in binary agreement).  Engine traffic is broadcast-only,
 so the rules that choose a value (`supermajority_value`, `gc_grade`, the BBA
-tally) run once per step over the one shared inbox, and each member only
-signs the result with `vote`.  The step-2 value is the block proposed by the
-potential leader `sortition.select_leader` names, or the canonical empty
-block when the round has no potential leader.
+tally) run once per step over the one shared inbox, and the step's members
+sign the result in one `vote` (or `make_cert_message`) call, which signs in
+one `KeyRegistry.ephemeral_sign_many` call.  The step-2 value is the block
+proposed by the potential leader `sortition.select_leader` names, or the
+canonical empty block when the round has no potential leader.
 
 Nothing here re-checks a message built by honest code: `ledger.validate_block`
 (through `check_cert_message` and `sortition.check_credential`) is the one
@@ -21,8 +22,7 @@ counts once per value) and all thresholds use exact integer arithmetic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .crypto import Digest, KeyRegistry, Signature, UserId, be8, hash_to_unit, sha256
 from .ledger import (
@@ -43,15 +43,13 @@ class ProtocolInconsistencyError(Exception):
     honest supermajority, flagged for attack analysis."""
 
 
-@dataclass(frozen=True)
-class ProposalMessage:
+class ProposalMessage(NamedTuple):
     block: Block
     block_sig: Signature  # ephemeral (proposer, round, 1) over the block hash
     credential: Credential
 
 
-@dataclass(frozen=True)
-class Vote:
+class Vote(NamedTuple):
     voter: UserId
     round: int
     step: int
@@ -60,14 +58,12 @@ class Vote:
     credential: Credential
 
 
-@dataclass(frozen=True)
-class GradedValue:
+class GradedValue(NamedTuple):
     value: Digest | None
     grade: int  # 0, 1 or 2; grade 0 iff value is None
 
 
-@dataclass(frozen=True)
-class CertMessage:
+class CertMessage(NamedTuple):
     voter: UserId
     round: int
     step: int
@@ -127,13 +123,24 @@ def propose(credential: Credential, payset: tuple[Payment, ...], chain: Chain,
 
 # -- steps 2 and later: votes ----------------------------------------------------
 
-def vote(credential: Credential, value: bytes, registry: KeyRegistry,
-         policy: str = "honest") -> Vote:
-    """Sign `value` with the member's ephemeral key for its (round, step) and
-    retire that key per `policy`."""
-    r, s = credential.round, credential.step
-    sig = registry.ephemeral_sign(credential.user, r, s, value, policy)
-    return Vote(credential.user, r, s, value, sig, credential)
+def _sign_step(credentials: Sequence[Credential], value: bytes, signer,
+               policies: Mapping[UserId, str | None]):
+    """(round, step, signatures) of one committee's members over `value`, in
+    one `ephemeral_sign_many` call of `signer` (the KeyRegistry, or an
+    AdversarySigner); each key is retired per `policies[member]`."""
+    if not credentials:
+        return 0, 0, []
+    r, s = credentials[0].round, credentials[0].step
+    return r, s, signer.ephemeral_sign_many(
+        [(c.user, policies[c.user]) for c in credentials], r, s, value)
+
+
+def vote(credentials: Sequence[Credential], value: bytes, signer,
+         policies: Mapping[UserId, str | None]) -> list[Vote]:
+    """Every member of one committee votes `value` (see `_sign_step`)."""
+    r, s, sigs = _sign_step(credentials, value, signer, policies)
+    return [Vote(c.user, r, s, value, sig, c)
+            for c, sig in zip(credentials, sigs)]
 
 
 # -- graded consensus ------------------------------------------------------------
@@ -225,17 +232,13 @@ def ba_output(graded: GradedValue, bba_result: int) -> Digest | None:
 
 # -- certificates ------------------------------------------------------------------
 
-def make_cert_message(credential: Credential, block_digest: Digest,
-                      is_empty: bool, registry: KeyRegistry,
-                      policy: str = "honest", signer=None) -> CertMessage:
-    """Certify a block digest with the verifier's ephemeral key for the step at
-    which it decided, retiring that key per `policy` in the same call.
-    `signer` defaults to the registry (honest self-signing); adversarial
-    callers pass their restricted signer."""
-    signer = signer if signer is not None else registry
-    r, s = credential.round, credential.step
+def make_cert_message(credentials: Sequence[Credential], block_digest: Digest,
+                      is_empty: bool, signer,
+                      policies: Mapping[UserId, str | None]) -> list[CertMessage]:
+    """Every member of one committee certifies `block_digest` with its key for
+    the step at which it decided (see `_sign_step`)."""
     bit = 1 if is_empty else 0
-    sig = signer.ephemeral_sign(credential.user, r, s,
-                                cert_payload(bit, block_digest), policy)
-    return CertMessage(credential.user, r, s, bit, block_digest, sig, credential)
-
+    r, s, sigs = _sign_step(credentials, cert_payload(bit, block_digest),
+                            signer, policies)
+    return [CertMessage(c.user, r, s, bit, block_digest, sig, c)
+            for c, sig in zip(credentials, sigs)]

@@ -10,6 +10,8 @@ Ephemeral per-(user, round, step) keys carry a one-way lifecycle, available
 then destroyed (the honest rule) or retained (kept, and so for sale), so
 key-reuse attacks can be expressed.  The registry stores key state, not keys,
 so an honest round adds a few integers to it whatever its committee sizes.
+A committee step signs in one `ephemeral_sign_many` call (`ephemeral_sign` is
+its one-owner case), which checks every member before it changes any state.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 UserId = int
 Digest = bytes
@@ -74,6 +76,13 @@ def be8(value: int) -> bytes:
     return value.to_bytes(8, "big")
 
 
+def _ephemeral_sig(head: bytes, owner: UserId, tail: bytes, message: bytes) -> Signature:
+    """One ephemeral signature, SHA-256(seed + message), where the key seed is
+    SHA-256(head + owner + tail): head = "EPH_" + master, tail = round + step."""
+    h = hashlib.sha256
+    return h(h(head + owner.to_bytes(8, "big") + tail).digest() + message).digest()
+
+
 class KeyState(Enum):
     AVAILABLE = "available"
     DESTROYED = "destroyed"
@@ -115,6 +124,7 @@ class KeyRegistry:
         self.horizon = horizon
         self.max_step = max_step
         self._master = sha256(b"SEED" + be8(run_seed))
+        self._head = TAG_EPHEMERAL + self._master  # of every ephemeral key seed
         self.genesis_seed = sha256(b"GENQ" + self._master)
         self._keys: dict[UserId, bytes] = {}  # long-term secret seeds
         self._bit: dict[UserId, int] = {}  # owner's bit in a destroyed mask
@@ -167,10 +177,6 @@ class KeyRegistry:
                 and 0 <= round <= self.horizon
                 and 1 <= step <= self.max_step)
 
-    def _seed(self, owner: UserId, round: int, step: int) -> bytes:
-        return sha256(TAG_EPHEMERAL + self._master
-                      + be8(owner) + be8(round) + be8(step))
-
     def _owner_bit(self, owner: UserId, round: int, step: int) -> int:
         """The owner's bit in a (round, step) mask, if that key exists."""
         if not self._provisioned(owner, round, step):
@@ -187,35 +193,50 @@ class KeyRegistry:
 
     def ephemeral_sign(self, owner: UserId, round: int, step: int,
                        message: bytes, policy: str | None = None) -> Signature:
-        """Sign `message` with the owner's key for (round, step), then retire
-        the key per `policy`: `honest` destroys it, `retain` keeps it
-        signable, None leaves its state as it is.
+        """`ephemeral_sign_many` for one owner."""
+        return self.ephemeral_sign_many([(owner, policy)], round, step, message)[0]
 
-        Any call on a destroyed key raises KeyDestroyedError.  Re-applying
-        `retain` to a retained key is a no-op; destroying a retained key is
-        an invalid transition, and a refused call changes no state.
-        """
-        bit = self._owner_bit(owner, round, step)
-        slot = (round, step)
-        mask = self._destroyed.get(slot, 0)
-        if mask & bit:
-            raise KeyDestroyedError(
-                f"ephemeral key of user {owner} for round {round} step {step} "
-                "was destroyed")
-        if policy == "honest":
-            if self._retained and (owner, round, step) in self._retained:
-                raise InvalidTransitionError(
-                    f"key of user {owner} at ({round},{step}) is retained; "
-                    "cannot move to destroyed")
-            self._destroyed[slot] = mask | bit
-        elif policy == "retain":
-            key = (owner, round, step)
-            if key not in self._retained:
-                self._retained[key] = EphemeralKeyRecord(
-                    owner, round, step, KeyState.RETAINED)
-        elif policy is not None:
-            raise ValueError(f"unknown key policy {policy!r}")
-        return sha256(self._seed(owner, round, step) + message)
+    def ephemeral_sign_many(self, signers: Sequence[tuple[UserId, str | None]],
+                            round: int, step: int, message: bytes) -> list[Signature]:
+        """Each (owner, policy) in turn signs `message` with its key for
+        (round, step) and retires it per `policy`: `honest` destroys it,
+        `retain` keeps it signable (again: a no-op), None leaves it as it is.
+        A destroyed key, or destroying a retained one, is refused.  All pairs
+        are checked first: a refused call raises what the first refused
+        one-owner call would, and changes nothing."""
+        if not signers:
+            return []
+        bits = (self._bit if 0 <= round <= self.horizon
+                and 1 <= step <= self.max_step else {})  # {}: nobody's key
+        start = mask = self._destroyed.get((round, step), 0)
+        retained = self._retained
+        kept: dict[tuple[UserId, int, int], EphemeralKeyRecord] = {}
+        for owner, policy in signers:
+            bit = bits.get(owner) or self._owner_bit(owner, round, step)  # or raise
+            if mask & bit:
+                raise KeyDestroyedError(
+                    f"ephemeral key of user {owner} for round {round} step {step} "
+                    "was destroyed")
+            if policy == "honest":
+                key = (owner, round, step)
+                if key in kept or (retained and key in retained):
+                    raise InvalidTransitionError(
+                        f"key of user {owner} at ({round},{step}) is retained; "
+                        "cannot move to destroyed")
+                mask |= bit
+            elif policy == "retain":
+                key = (owner, round, step)
+                if key not in retained:
+                    kept[key] = EphemeralKeyRecord(owner, round, step,
+                                                   KeyState.RETAINED)
+            elif policy is not None:
+                raise ValueError(f"unknown key policy {policy!r}")
+        head, tail = self._head, be8(round) + be8(step)
+        sigs = [_ephemeral_sig(head, owner, tail, message) for owner, _ in signers]
+        if mask != start:
+            self._destroyed[round, step] = mask
+        retained.update(kept)
+        return sigs
 
     def verify_ephemeral(self, owner: UserId, round: int, step: int,
                          message: bytes, sig: Signature) -> bool:
@@ -224,7 +245,7 @@ class KeyRegistry:
         nothing, so verifying a chain holds no memory per message."""
         if not self._provisioned(owner, round, step):
             return False
-        return sha256(self._seed(owner, round, step) + message) == sig
+        return _ephemeral_sig(self._head, owner, be8(round) + be8(step), message) == sig
 
     def retained_records(self, round: int | None = None) -> list[EphemeralKeyRecord]:
         recs = [r for r in self._retained.values()
@@ -249,7 +270,8 @@ class AdversarySigner:
         self._check(owner)
         return self.registry.unique_sign(owner, message)
 
-    def ephemeral_sign(self, owner: UserId, round: int, step: int,
-                       message: bytes, policy: str | None = None) -> Signature:
-        self._check(owner)
-        return self.registry.ephemeral_sign(owner, round, step, message, policy)
+    def ephemeral_sign_many(self, signers: Sequence[tuple[UserId, str | None]],
+                            round: int, step: int, message: bytes) -> list[Signature]:
+        for owner, _ in signers:
+            self._check(owner)
+        return self.registry.ephemeral_sign_many(signers, round, step, message)

@@ -3,9 +3,11 @@
 invokes adversary strategies, detects forks and accumulates metrics.
 
 Every committee step of a round (proposal, vote, relay, each agreement and
-certificate step) runs through one primitive, `step(s, sign)` in `run_round`.
-Members send in committee order, so each step delivers at most one message
-per sender, in ascending sender order.
+certificate step) runs through one primitive in `run_round`: `step(s, value)`
+signs `value` for every member of the (r, s) committee in one call (None: the
+step is silent).  Step 1 proposes through its own `sign` builder, as each
+proposer signs a different block.  Members send in committee order, so each
+step delivers at most one message per sender, in ascending sender order.
 
 A run is a pure function of its ScenarioConfig: every random stream is seeded
 from the configured seed, so chains and metrics are bit-identical across
@@ -203,35 +205,31 @@ class SimulationRun:
         sizes: dict[int, int] = {}
         flags: list[str] = []
 
-        # Delivery is broadcast-only, so every member of a step reads the same
-        # inbox: each rule below runs once per round and members only sign
-        # its result.  Nothing re-checks what honest code built here;
-        # `validate_block` is the one verifier.
+        # Delivery is broadcast-only, so each rule below runs once per step
+        # over the one inbox; `validate_block` is the one verifier.
 
-        def step(s, sign):
-            """Select the (r, s) committee; each member broadcasts
-            `sign(cred, policy)` unless it is None; deliver.  Returns the
-            committee and the delivered messages, in committee order."""
+        def step(s, value, sign=consensus.vote):
+            """Select the (r, s) committee, broadcast the messages `sign`
+            builds for it over `value` (None: a silent step), deliver.
+            Returns the committee and the delivered messages, in order."""
             nonlocal messages
             committee = select_committee(r, s, prev_seed, eligible, params,
                                          self.registry)
             sizes[s] = len(committee)
-            for cred in committee:
-                msg = sign(cred, self._policy[cred.user])
-                if msg is not None:
-                    self.net.broadcast(cred.user, msg)
+            if value is not None:
+                for msg in sign(committee, value, self.registry, self._policy):
+                    self.net.broadcast(msg.credential.user, msg)
             messages += self.net.step()
             return committee, self.net.inbox_common()
 
-        def voting(value):
-            return lambda cred, policy: consensus.vote(cred, value,
-                                                       self.registry, policy)
+        def propose_each(committee, payset, registry, policies):
+            return [consensus.propose(c, payset, self.chain, registry,
+                                      policies[c.user]) for c in committee]
 
-        # Step 1: every potential leader proposes a block over one payset.
+        # Step 1: each potential leader signs its own block over one payset.
         payset = build_payset(pending, self.chain.status_entering(r),
                               self.registry)
-        leaders, proposals = step(1, lambda cred, policy: consensus.propose(
-            cred, payset, self.chain, self.registry, policy))
+        leaders, proposals = step(1, payset, propose_each)
         leader = select_leader(leaders) if leaders else None
         candidate = next((p.block for p in proposals
                           if p.credential.user == leader), None)
@@ -240,8 +238,8 @@ class SimulationRun:
         # Step 2: the vote committee backs the leader's block, or the empty
         # block when the round has no potential leader.  Its supermajority is
         # the two-step rule's decision and the graded-consensus relay value.
-        sv2, votes = step(2, voting(
-            empty_digest if candidate is None else block_hash(candidate)))
+        sv2, votes = step(2, empty_digest if candidate is None
+                          else block_hash(candidate))
         majority = consensus.supermajority_value(votes, len(sv2))
 
         simple_digest = None
@@ -253,14 +251,13 @@ class SimulationRun:
         if mode in ("ba", "both"):
             # Step 3 relays the majority (silent when there is none); binary
             # agreement then runs from step 4.
-            sv3, relays = step(3, (lambda cred, policy: None)
-                               if majority is None else voting(majority))
+            sv3, relays = step(3, majority)
             graded = consensus.gc_grade(relays, len(sv3))
             initial_bit = 0 if graded.grade == 2 else 1
 
             def vote_step(s, bit):
-                committee, votes = step(s, voting(
-                    bytes([initial_bit if bit is None else bit])))
+                committee, votes = step(
+                    s, bytes([initial_bit if bit is None else bit]))
                 counts = consensus.distinct_voter_counts(votes)
                 return counts.get(b"\x00", 0), counts.get(b"\x01", 0), len(committee)
 
@@ -283,21 +280,20 @@ class SimulationRun:
         block = empty_block(r, prev_seed, prev_hash) if is_empty else candidate
 
         # Fresh committees certify the decided digest, from the decision step
-        # on, until cert_threshold distinct voters have signed; their
-        # delivered messages are the certificate.  Every step so far is
+        # on, until cert_threshold distinct voters have signed once each;
+        # their delivered messages are the certificate.  Every step so far is
         # below the decision step, so no step runs twice.
         cert: list[CertMessage] = []
         voters: set[UserId] = set()
 
-        def certify(cred, policy):
-            if cred.user in voters:
-                return None
-            voters.add(cred.user)
-            return consensus.make_cert_message(cred, committed, is_empty,
-                                               self.registry, policy)
+        def certify(committee, digest, registry, policies):
+            fresh = [c for c in committee if c.user not in voters]
+            voters.update(c.user for c in fresh)
+            return consensus.make_cert_message(fresh, digest, is_empty,
+                                               registry, policies)
 
         for s in range(decision_step, params.max_step + 1):
-            cert += step(s, certify)[1]
+            cert += step(s, committed, certify)[1]
             if len(voters) >= params.cert_threshold:
                 break
         else:

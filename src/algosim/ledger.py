@@ -370,21 +370,21 @@ def check_cert_message(m, round: int, digest: Digest, expected_bit: int,
     is fine.  `expected_bit` is 1 for the round's empty block, else 0."""
     from . import sortition
 
-    if m.round != round:
+    voter, m_round, step, bit, block_digest, sig, credential = m
+    if m_round != round:
         return "wrong round"
-    if m.block_digest != digest:
+    if block_digest != digest:
         return "wrong block digest"
-    if m.bit != expected_bit:
+    if bit != expected_bit:
         return "bit does not match block emptiness"
-    if m.credential.user != m.voter or m.credential.round != round \
-            or m.credential.step != m.step:
+    if credential[:3] != (voter, round, step):
         return "credential does not match message"
-    reason = sortition.check_credential(m.credential, prev_seed, chain, params,
+    reason = sortition.check_credential(credential, prev_seed, chain, params,
                                         registry)
     if reason is not None:
         return f"credential invalid ({reason})"
-    if not registry.verify_ephemeral(m.voter, round, m.step,
-                                     cert_payload(m.bit, m.block_digest), m.sig):
+    if not registry.verify_ephemeral(voter, round, step,
+                                     cert_payload(bit, block_digest), sig):
         return "bad ephemeral signature"
     return None
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import sha256 as _sha256
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .crypto import (
     TAG_LEADER,
@@ -75,8 +75,7 @@ def default_cert_threshold(expected_committee: int) -> int:
     return 2 * expected_committee // 3 + 1
 
 
-@dataclass(frozen=True)
-class Credential:
+class Credential(NamedTuple):
     """Sortition proof: a unique signature whose hash orders candidates.
 
     The ordering fraction is always recomputed from the signature, so it
@@ -165,15 +164,15 @@ def check_credential(cred: Credential, prev_seed: Digest, chain: Chain,
                      params: ProtocolParams, registry: KeyRegistry) -> str | None:
     """Why a credential fails eligibility, signature or threshold, or None
     if it is fine."""
-    if cred.step < 1:
+    user, round, step, sig = cred
+    if step < 1:
         return "bad-step"
-    if not _eligible(cred.user, cred.round, chain, params):
+    if not _eligible(user, round, chain, params):
         return "not-eligible"
     if not registry.verify_unique(
-            cred.user, credential_message(cred.round, cred.step, prev_seed),
-            cred.sig):
+            user, credential_message(round, step, prev_seed), sig):
         return "bad-signature"
-    if not _selected(cred.sig, _bound(cred.step, params)):
+    if not _selected(sig, _bound(step, params)):
         return "not-selected"
     return None
 

@@ -71,9 +71,9 @@ class TestRun:
                                                     tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("")
-        code, _, err = run_cli(capsys, "run", "--config", small_cfg,
-                               "--out", taken)
-        assert code == 2
+        code, stdout, err = run_cli(capsys, "run", "--config", small_cfg,
+                                    "--out", taken)
+        assert code == 2 and stdout == ""  # refused before any scenario runs
         assert err.count("\n") == 1 and err.startswith("error:")
 
     def test_round_override(self, small_cfg, capsys):
@@ -234,6 +234,21 @@ class TestDeterminismAndCompare:
         assert code == 1 and err == ""
         assert stdout == ("record 0: raw difference\nrecord 1: x: 1 != 2\n"
                           "2 differing records\n")
+
+    @pytest.mark.parametrize("a, b", [
+        ('{"a":1}', '{"a": 1}'), ('{"a":1,"b":2}', '{"b":2,"a":1}'),
+        ("[1,2]", "[1, 2]"),
+    ], ids=["spacing", "key-order", "list"])
+    def test_same_json_in_different_text_is_named(self, tmp_path, capsys,
+                                                  a, b):
+        # a difference in text is still a difference: exit 1, but named
+        (tmp_path / "a").write_text(a + "\n")
+        (tmp_path / "b").write_text(b + "\n")
+        code, stdout, err = run_cli(capsys, "compare", tmp_path / "a",
+                                    tmp_path / "b")
+        assert code == 1 and err == ""
+        assert stdout == ("record 0: same JSON, different text\n"
+                          "1 differing records\n")
 
     @pytest.mark.parametrize("bad", ["a", "b"])
     def test_non_utf8_metrics_file_is_usage_error(self, tmp_path, capsys, bad):
@@ -435,9 +450,9 @@ class TestAttack:
     def test_out_path_that_is_a_file_is_usage_error(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("")
-        code, _, err = run_cli(capsys, "attack", "genesis-fork", "--config",
-                               FIXTURES / "genesis_fork.cfg", "--out", taken)
-        assert code == 2
+        code, stdout, err = run_cli(capsys, "attack", "genesis-fork", "--config",
+                                    FIXTURES / "genesis_fork.cfg", "--out", taken)
+        assert code == 2 and stdout == ""  # refused before the scenario runs
         assert err.count("\n") == 1 and err.startswith("error:")
 
     def test_bribery_attack_succeeds(self, capsys):

@@ -1,4 +1,4 @@
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 
 import pytest
 from hypothesis import given
@@ -25,6 +25,10 @@ from algosim.sortition import ProtocolParams, view_credential, view_leader
 from conftest import idle_chain, key_records, make_registry
 
 Vote = namedtuple("Vote", "voter value")
+
+# key policies of `vote` and `make_cert_message`: every member alike
+HONEST = defaultdict(lambda: "honest")
+RETAIN = defaultdict(lambda: "retain")
 
 N = 12
 ROUND = 5
@@ -85,9 +89,9 @@ def round_leader(env):
 def cert_of(env, block, users, step=4):
     """Cert messages of `users` over `block`, signed at `step` under the
     retain policy so one fixture can certify several blocks."""
-    return [make_cert_message(verf_cred(env, u, step), block_hash(block),
-                              block.is_empty(), env[0], policy="retain")
-            for u in users]
+    return make_cert_message([verf_cred(env, u, step) for u in users],
+                             block_hash(block), block.is_empty(), env[0],
+                             RETAIN)
 
 
 def violations(env, block, cert):
@@ -168,12 +172,12 @@ class TestPropose:
 def test_vote_is_signed_for_its_step(env, step, value):
     registry, _, _ = env
     cred = verf_cred(env, 2, step)
-    ballot = vote(cred, value, registry)
+    [ballot] = vote([cred], value, registry, HONEST)
     assert (ballot.voter, ballot.round, ballot.step) == (2, ROUND, step)
     assert ballot.value == value
     assert registry.verify_ephemeral(2, ROUND, step, value, ballot.sig)
     with pytest.raises(KeyDestroyedError):
-        vote(cred, value, registry)
+        vote([cred], value, registry, HONEST)
 
 
 @pytest.mark.parametrize("kind, step", [("propose", 1), ("vote", 2), ("cert", 4)])
@@ -184,10 +188,10 @@ def test_honest_signing_stores_no_key_record(env, kind, step):
         if kind == "propose":
             propose(lead_cred(env, u), (), chain, registry)
         elif kind == "vote":
-            vote(verf_cred(env, u, step), b"\x11" * 32, registry)
+            vote([verf_cred(env, u, step)], b"\x11" * 32, registry, HONEST)
         else:
-            make_cert_message(verf_cred(env, u, step), b"\x11" * 32, False,
-                              registry)
+            make_cert_message([verf_cred(env, u, step)], b"\x11" * 32, False,
+                              registry, HONEST)
         assert registry.ephemeral_state(u, ROUND, step) is KeyState.DESTROYED
     assert key_records(registry) == []
     assert registry.retained_records() == []
@@ -196,7 +200,7 @@ def test_honest_signing_stores_no_key_record(env, kind, step):
 def test_retained_signing_stores_one_record_per_key(env):
     registry, _, _ = env
     for u in range(1, N + 1):
-        vote(verf_cred(env, u, 2), b"\x11" * 32, registry, policy="retain")
+        vote([verf_cred(env, u, 2)], b"\x11" * 32, registry, RETAIN)
     records = registry.retained_records(ROUND)
     assert [(r.owner, r.step) for r in records] == [(u, 2) for u in range(1, N + 1)]
     assert key_records(registry) == records
@@ -343,16 +347,18 @@ class TestCertificates:
     def test_bits_track_emptiness(self, env):
         registry, chain, params = env
         digest = b"\x07" * 32
-        m0 = make_cert_message(verf_cred(env, 1, 3), digest, False, registry)
-        m1 = make_cert_message(verf_cred(env, 2, 3), digest, True, registry)
+        [m0] = make_cert_message([verf_cred(env, 1, 3)], digest, False,
+                                 registry, HONEST)
+        [m1] = make_cert_message([verf_cred(env, 2, 3)], digest, True,
+                                 registry, HONEST)
         assert (m0.bit, m1.bit) == (0, 1)
 
     def test_destroyed_key_cannot_certify(self, env):
         registry, chain, params = env
         cred = verf_cred(env, 3, 3)
-        make_cert_message(cred, b"\x07" * 32, False, registry, policy="honest")
+        make_cert_message([cred], b"\x07" * 32, False, registry, HONEST)
         with pytest.raises(KeyDestroyedError):
-            make_cert_message(cred, b"\x07" * 32, False, registry)
+            make_cert_message([cred], b"\x07" * 32, False, registry, HONEST)
 
     # A certificate is whatever the block carries: `validate_block` counts
     # its valid messages from distinct voters against cert_threshold (4).
@@ -378,8 +384,8 @@ class TestCertificates:
     def test_bit_must_match_emptiness(self, env, block):
         # correctly signed, but the signers called an empty block non-empty
         registry = env[0]
-        cert = [make_cert_message(verf_cred(env, u, 4), block_hash(block),
-                                  False, registry) for u in range(1, 5)]
+        cert = make_cert_message([verf_cred(env, u, 4) for u in range(1, 5)],
+                                 block_hash(block), False, registry, HONEST)
         assert violations(env, block, cert)[0] == \
             "cert message from user 1: bit does not match block emptiness"
 

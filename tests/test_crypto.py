@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from algosim.crypto import (
     AdversarySigner,
+    CryptoError,
     KeyRegistry,
     InvalidTransitionError,
     KeyDestroyedError,
@@ -258,13 +259,68 @@ def test_key_lifecycle_matches_reference_states(ops):
                     is states.get(key, KeyState.AVAILABLE)
 
 
+# -- one call per step against one call per owner ------------------------------
+
+def lifecycle_registry():
+    reg = KeyRegistry(5, horizon=LIFECYCLE_HORIZON, max_step=LIFECYCLE_MAX_STEP)
+    for u in LIFECYCLE_USERS:
+        reg.register_user(u)
+    return reg
+
+
+def key_states(registry):
+    """Every provisioned key's state, and the retained records."""
+    states = {(o, r, s): registry.ephemeral_state(o, r, s)
+              for o in LIFECYCLE_USERS for r in range(LIFECYCLE_HORIZON + 1)
+              for s in range(1, LIFECYCLE_MAX_STEP + 1)}
+    retained = [(k.owner, k.round, k.step, k.state)
+                for k in registry.retained_records()]
+    return states, retained
+
+
+policies = st.sampled_from([None, "honest", "retain", "forget"])
+
+
+@settings(deadline=None, max_examples=300)
+@given(before=st.lists(st.tuples(key_ids, st.sampled_from(["honest", "retain"])),
+                       max_size=12),
+       round=st.integers(-1, LIFECYCLE_HORIZON + 1),
+       step=st.integers(0, LIFECYCLE_MAX_STEP + 1),
+       signers=st.lists(st.tuples(st.integers(0, 4), policies), max_size=6))
+def test_batch_signing_matches_one_call_per_owner(before, round, step, signers):
+    batch, twin = lifecycle_registry(), lifecycle_registry()
+    for key, policy in before:  # destroyed and retained keys, on both alike
+        for reg in (batch, twin):
+            try:
+                reg.ephemeral_sign(*key, b"old", policy)
+            except (CryptoError, ValueError):
+                pass
+    expected, refusal = [], None
+    for owner, policy in signers:
+        try:
+            expected.append(twin.ephemeral_sign(owner, round, step, b"m", policy))
+        except (CryptoError, ValueError) as exc:
+            refusal = exc
+            break
+    untouched = key_states(batch)
+    if refusal is None:
+        assert batch.ephemeral_sign_many(signers, round, step, b"m") == expected
+        assert key_states(batch) == key_states(twin)
+    else:
+        with pytest.raises(type(refusal)) as raised:
+            batch.ephemeral_sign_many(signers, round, step, b"m")
+        assert type(raised.value) is type(refusal)
+        assert str(raised.value) == str(refusal)
+        assert key_states(batch) == untouched
+
+
 class TestAdversaryAccess:
     def test_unauthorized_owner_rejected(self, registry):
         signer = AdversarySigner(registry, {1, 2})
         with pytest.raises(UnauthorizedSignerError):
             signer.unique_sign(3, b"m")
         with pytest.raises(UnauthorizedSignerError):
-            signer.ephemeral_sign(3, 1, 1, b"m")
+            signer.ephemeral_sign_many([(3, None)], 1, 1, b"m")
 
     def test_corrupted_owner_signs(self, registry):
         signer = AdversarySigner(registry, {1})
@@ -275,4 +331,13 @@ class TestAdversaryAccess:
         signer = AdversarySigner(registry, {1})
         registry.ephemeral_sign(1, 5, 2, b"v", "honest")
         with pytest.raises(KeyDestroyedError):
-            signer.ephemeral_sign(1, 5, 2, b"m")
+            signer.ephemeral_sign_many([(1, None)], 5, 2, b"m")
+
+    def test_batch_with_one_uncorrupted_owner_signs_nothing(self, registry):
+        signer = AdversarySigner(registry, {1, 2})
+        with pytest.raises(UnauthorizedSignerError, match="user 3"):
+            signer.ephemeral_sign_many([(1, "retain"), (3, "retain"),
+                                        (2, "honest")], 5, 2, b"m")
+        assert [registry.ephemeral_state(u, 5, 2) for u in (1, 2, 3)] == \
+            [KeyState.AVAILABLE] * 3
+        assert registry.retained_records() == []

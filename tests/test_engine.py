@@ -208,7 +208,7 @@ def test_single_field_mutation_of_certified_block_is_rejected(small_run, data):
         if kind == "duplicate_voter":
             cert[k] = other
         elif kind == "cert_credential":  # a valid credential of another voter
-            cert[k] = replace(m, credential=other.credential)
+            cert[k] = m._replace(credential=other.credential)
         else:
             field, values = {
                 "cert_bit": ("bit", st.just(1 - m.bit)),
@@ -218,7 +218,7 @@ def test_single_field_mutation_of_certified_block_is_rejected(small_run, data):
                 "cert_voter": ("voter", st.integers(1, SMALL.num_genesis_users)),
             }[kind]
             value = data.draw(values.filter(lambda v: v != getattr(m, field)))
-            cert[k] = replace(m, **{field: value})
+            cert[k] = m._replace(**{field: value})
         mutated = block.with_cert(cert)
     assert validate_block(chain, mutated, params, chain.registry)
 
@@ -323,6 +323,33 @@ def test_message_counts_accumulate(small_run):
     _, metrics = small_run
     assert metrics.total_messages == sum(r.message_count for r in metrics.rounds)
     assert metrics.total_messages > 0
+
+
+@pytest.mark.parametrize("mode", ["ba", "simple", "both"])
+def test_each_voting_step_signs_in_one_registry_call(monkeypatch, mode):
+    # steps 2 on are signed one call a step, never one call a member
+    calls = []
+    batch = KeyRegistry.ephemeral_sign_many
+
+    def recording(self, signers, round, step, message):
+        calls.append((round, step, len(signers)))
+        return batch(self, signers, round, step, message)
+
+    monkeypatch.setattr(KeyRegistry, "ephemeral_sign_many", recording)
+    cfg = cli.load_config(str(FIXTURES / "honest.cfg"), seed=3, rounds=12,
+                          mode=mode)
+    _, metrics = run_scenario(cfg)
+    voting = [c for c in calls if c[1] >= 2]
+    assert len({(r, s) for r, s, _ in voting}) == len(voting)
+    assert all(n >= 1 for _, _, n in voting)
+    for rec in metrics.rounds:
+        # every message after the proposals is a vote or cert the batch signed
+        broadcast = rec.message_count // cfg.num_genesis_users
+        signed = sum(n for r, _, n in voting if r == rec.round)
+        assert signed == broadcast - rec.committee_sizes.get(1, 0)
+    # at least the vote and the certificate of every round that has them
+    assert len(voting) >= 2 * sum("bootstrap" not in rec.flags
+                                  for rec in metrics.rounds)
 
 
 @pytest.mark.parametrize("mode", ["ba", "simple", "both"])
