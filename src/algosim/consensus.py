@@ -12,8 +12,9 @@ proposed by the potential leader `sortition.select_leader` names, or the
 canonical empty block when the round has no potential leader.
 
 Nothing here re-checks a message built by honest code: `ledger.validate_block`
-(through `check_cert_message` and `sortition.check_credential`) is the one
-verifier, which `verify-chain`, fork detection and the tests run.
+(through `ledger.check_cert` and `sortition.check_credentials`, one step group
+of the certificate at a time) is the one verifier, which `verify-chain`, fork
+detection and the tests run.
 
 All vote counting is over distinct voters (a voter equivocating or repeating
 counts once per value) and all thresholds use exact integer arithmetic:

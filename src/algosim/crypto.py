@@ -12,6 +12,7 @@ key-reuse attacks can be expressed.  The registry stores key state, not keys,
 so an honest round adds a few integers to it whatever its committee sizes.
 A committee step signs in one `ephemeral_sign_many` call (`ephemeral_sign` is
 its one-owner case), which checks every member before it changes any state.
+Verifying mirrors it: `verify_ephemeral_many`, with `verify_ephemeral` for one.
 """
 
 from __future__ import annotations
@@ -172,14 +173,12 @@ class KeyRegistry:
 
     # -- ephemeral keys ------------------------------------------------------
 
-    def _provisioned(self, owner: UserId, round: int, step: int) -> bool:
-        return (owner in self._keys
-                and 0 <= round <= self.horizon
-                and 1 <= step <= self.max_step)
+    def _provisioned(self, round: int, step: int) -> bool:  # a key per user
+        return 0 <= round <= self.horizon and 1 <= step <= self.max_step
 
     def _owner_bit(self, owner: UserId, round: int, step: int) -> int:
         """The owner's bit in a (round, step) mask, if that key exists."""
-        if not self._provisioned(owner, round, step):
+        if owner not in self._keys or not self._provisioned(round, step):
             raise KeyMissingError(
                 f"no ephemeral key for user {owner} at round {round} step {step}")
         return self._bit[owner]
@@ -240,12 +239,19 @@ class KeyRegistry:
 
     def verify_ephemeral(self, owner: UserId, round: int, step: int,
                          message: bytes, sig: Signature) -> bool:
-        """Check an ephemeral signature.  Works regardless of key state:
-        destroying a key revokes signing, not past signatures.  Stores
-        nothing, so verifying a chain holds no memory per message."""
-        if not self._provisioned(owner, round, step):
-            return False
-        return _ephemeral_sig(self._head, owner, be8(round) + be8(step), message) == sig
+        """`verify_ephemeral_many` for one owner."""
+        return self.verify_ephemeral_many([(owner, sig)], round, step, message)[0]
+
+    def verify_ephemeral_many(self, signed: Sequence[tuple[UserId, Signature]],
+                              round: int, step: int, message: bytes) -> list[bool]:
+        """Whether each (owner, sig) is the owner's signature over `message`
+        with its (round, step) key, whatever that key's state: destroying a
+        key revokes signing, not past signatures.  Stores nothing."""
+        if not self._provisioned(round, step):
+            return [False] * len(signed)
+        keys, head, tail = self._keys, self._head, be8(round) + be8(step)
+        return [owner in keys and _ephemeral_sig(head, owner, tail, message) == sig
+                for owner, sig in signed]
 
     def retained_records(self, round: int | None = None) -> list[EphemeralKeyRecord]:
         recs = [r for r in self._retained.values()

@@ -4,7 +4,8 @@ The canonical serialization used for hashing and on-disk export is
 length-prefixed big-endian fields in declaration order, so golden digests can
 be reproduced with any SHA-256 implementation (see README for the exact byte
 layout).  A block hash covers (round, payset, seed, prev_hash) and explicitly
-excludes the certificate.
+excludes the certificate.  `validate_block` is the one block verifier, and
+its `check_cert` checks a certificate one committee step group at a time.
 """
 
 from __future__ import annotations
@@ -343,50 +344,59 @@ def validate_block(chain: Chain, b: Block, params, registry: KeyRegistry) -> lis
     if not bootstrap:
         digest = block_hash(b)
         expected_bit = 1 if b.is_empty() else 0
-        seen: set[UserId] = set()
-        valid = 0
-        for m in b.cert:
-            reason = check_cert_message(
-                m, b.round, digest, expected_bit, prev.seed, chain, params, registry)
-            if reason is not None:
-                violations.append(f"cert message from user {m.voter}: {reason}")
-                continue
-            if m.voter in seen:
-                violations.append(f"cert message from user {m.voter}: duplicate voter")
-                continue
-            seen.add(m.voter)
-            valid += 1
-        if valid < params.cert_threshold:
+        seen: set[UserId] = set()  # voters of the valid messages
+        for m, reason in zip(b.cert, check_cert(b.cert, b.round, digest, expected_bit,
+                                                prev.seed, chain, params, registry)):
+            if reason is None and m.voter not in seen:
+                seen.add(m.voter)
+            else:
+                violations.append(f"cert message from user {m.voter}: "
+                                  f"{reason or 'duplicate voter'}")
+        if len(seen) < params.cert_threshold:
             violations.append(
-                f"insufficient certificates: have {valid}, "
+                f"insufficient certificates: have {len(seen)}, "
                 f"need {params.cert_threshold}")
     return violations
 
 
-def check_cert_message(m, round: int, digest: Digest, expected_bit: int,
-                       prev_seed: Digest, chain: Chain, params,
-                       registry: KeyRegistry) -> str | None:
-    """Why a certificate message is unacceptable for `digest`, or None if it
-    is fine.  `expected_bit` is 1 for the round's empty block, else 0."""
-    from . import sortition
+def check_cert(cert: Sequence["CertMessage"], round: int, digest: Digest,
+               expected_bit: int, prev_seed: Digest, chain: Chain, params,
+               registry: KeyRegistry) -> list[str | None]:
+    """Why each message of `cert` is unacceptable for `digest` (None where
+    it is fine), in cert order; `expected_bit` is 1 for the round's empty
+    block, else 0.  The messages that pass the structural checks all sign
+    `cert_payload(expected_bit, digest)`, and are checked a step at a time."""
+    from . import sortition  # imported late: sortition depends on this module
 
-    voter, m_round, step, bit, block_digest, sig, credential = m
-    if m_round != round:
-        return "wrong round"
-    if block_digest != digest:
-        return "wrong block digest"
-    if bit != expected_bit:
-        return "bit does not match block emptiness"
-    if credential[:3] != (voter, round, step):
-        return "credential does not match message"
-    reason = sortition.check_credential(credential, prev_seed, chain, params,
-                                        registry)
-    if reason is not None:
-        return f"credential invalid ({reason})"
-    if not registry.verify_ephemeral(voter, round, step,
-                                     cert_payload(bit, block_digest), sig):
-        return "bad ephemeral signature"
-    return None
+    reasons: list[str | None] = []
+    sound = []  # messages that pass the structural checks, in cert order
+    for m in cert:
+        voter, m_round, step, bit, block_digest, _, credential = m
+        if m_round != round:
+            reasons.append("wrong round")
+        elif block_digest != digest:
+            reasons.append("wrong block digest")
+        elif bit != expected_bit:
+            reasons.append("bit does not match block emptiness")
+        elif credential[:3] != (voter, round, step):
+            reasons.append("credential does not match message")
+        else:
+            sound.append((len(reasons), m))
+            reasons.append(None)
+    by_step: dict[int, list[tuple[int, "CertMessage"]]] = {}
+    for (i, m), reason in zip(sound, sortition.check_credentials(
+            [m.credential for _, m in sound], prev_seed, chain, params, registry)):
+        if reason is not None:
+            reasons[i] = f"credential invalid ({reason})"
+        else:
+            by_step.setdefault(m.step, []).append((i, m))
+    for step, group in by_step.items():
+        for (i, _), ok in zip(group, registry.verify_ephemeral_many(
+                [(m.voter, m.sig) for _, m in group], round, step,
+                cert_payload(expected_bit, digest))):
+            if not ok:
+                reasons[i] = "bad ephemeral signature"
+    return reasons
 
 
 def verify_chain(chain: Chain, params, registry: KeyRegistry) -> list[tuple[int, str]]:
@@ -498,4 +508,6 @@ def chain_from_lines(lines: Iterable[str],
         except _PARSE_ERRORS as exc:
             raise LedgerError(f"malformed chain record: {exc}") from exc
         chain.append(block)
+    if not chain.blocks:
+        raise LedgerError("no block record follows the header")
     return chain

@@ -16,7 +16,9 @@ bytes exceed it is above, and on a tie the all-`0xff` tail admits any suffix:
 the compare decides exactly as `int.from_bytes(digest[:8], "big") <= limit`,
 which in turn decides as the float rule `hash_to_unit(...) <= p` would.  Per
 user the kernel makes its two `hashlib` calls (sign, then hash) and one bytes
-compare, with no slice or integer conversion.
+compare, with no slice or integer conversion.  `check_credentials`, the one
+credential check, recomputes the signatures of a (round, step) in one registry
+call, so a block's certificate is checked one step group at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import sha256 as _sha256
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .crypto import (
     TAG_LEADER,
@@ -97,11 +99,11 @@ def credential_message(round: int, step: int, prev_seed: Digest) -> bytes:
     return tag + be8(round) + be8(step) + prev_seed
 
 
-def _eligible(user: UserId, round: int, chain: Chain, params: ProtocolParams) -> bool:
-    # A user may serve in round r only if it held a balance `lookback` rounds
-    # earlier.
-    return (round >= params.lookback
-            and user in users_at(chain, round - params.lookback))
+def _eligible(round: int, chain: Chain, params: ProtocolParams) -> set[UserId]:
+    """Who may serve in `round`: the holders `lookback` rounds earlier."""
+    if round < params.lookback:
+        return set()
+    return users_at(chain, round - params.lookback)
 
 
 @lru_cache(maxsize=64)
@@ -134,11 +136,6 @@ def _bound(step: int, params: ProtocolParams) -> bytes:
     return selection_bound(params.leader_prob if step == 1 else params.verifier_prob)
 
 
-def _selected(sig: Signature, bound: bytes) -> bool:
-    """The sortition rule: the credential's hashed signature is under the bound."""
-    return _sha256(sig).digest() <= bound
-
-
 def select_committee(round: int, step: int, prev_seed: Digest,
                      eligible: Sequence[UserId], params: ProtocolParams,
                      registry: KeyRegistry) -> list[Credential]:
@@ -148,7 +145,7 @@ def select_committee(round: int, step: int, prev_seed: Digest,
     bound, h = _bound(step, params), _sha256
     sigs = registry.unique_signatures(
         eligible, credential_message(round, step, prev_seed))
-    # `_selected` inlined: one hash call per user and nothing else
+    # the sortition rule: the hashed signature is under the bound
     return [Credential(u, round, step, sig)
             for u, sig in zip(eligible, sigs) if h(sig).digest() <= bound]
 
@@ -162,19 +159,45 @@ def select_leader(credentials: list[Credential]) -> UserId:
 
 def check_credential(cred: Credential, prev_seed: Digest, chain: Chain,
                      params: ProtocolParams, registry: KeyRegistry) -> str | None:
-    """Why a credential fails eligibility, signature or threshold, or None
-    if it is fine."""
-    user, round, step, sig = cred
-    if step < 1:
-        return "bad-step"
-    if not _eligible(user, round, chain, params):
-        return "not-eligible"
-    if not registry.verify_unique(
-            user, credential_message(round, step, prev_seed), sig):
-        return "bad-signature"
-    if not _selected(sig, _bound(step, params)):
-        return "not-selected"
-    return None
+    """`check_credentials` for one credential."""
+    return check_credentials([cred], prev_seed, chain, params, registry)[0]
+
+
+def check_credentials(creds: Iterable[Credential], prev_seed: Digest, chain: Chain,
+                      params: ProtocolParams,
+                      registry: KeyRegistry) -> list[str | None]:
+    """Why each credential fails, in order (None where it is fine):
+    `bad-step` (step below 1), `not-eligible`, `bad-signature` (not the
+    user's unique signature over the credential message) or `not-selected`.
+    A round's users are read once, a (round, step)'s signatures recomputed
+    in one `unique_signatures` call.  Raises what the first raising single
+    call would: the scan stops at an eligible, unregistered user."""
+    reasons: list[str | None] = []
+    eligible: dict[int, set[UserId]] = {}
+    groups: dict[tuple[int, int], list[tuple[int, UserId, Signature]]] = {}
+    for user, round, step, sig in creds:
+        if step < 1:
+            reasons.append("bad-step")
+            continue
+        if round not in eligible:
+            eligible[round] = _eligible(round, chain, params)
+        if user not in eligible[round]:
+            reasons.append("not-eligible")
+            continue
+        groups.setdefault((round, step), []).append((len(reasons), user, sig))
+        reasons.append(None)
+        if not registry.is_registered(user):
+            break
+    for (round, step), group in groups.items():
+        bound = _bound(step, params)
+        expected = registry.unique_signatures(
+            [user for _, user, _ in group], credential_message(round, step, prev_seed))
+        for (i, _, sig), want in zip(group, expected):
+            if sig != want:
+                reasons[i] = "bad-signature"
+            elif _sha256(sig).digest() > bound:
+                reasons[i] = "not-selected"
+    return reasons
 
 
 # -- omniscient views ---------------------------------------------------------
@@ -185,7 +208,7 @@ def check_credential(cred: Credential, prev_seed: Digest, chain: Chain,
 def view_credential(user: UserId, round: int, step: int, prev_seed: Digest,
                     chain: Chain, params: ProtocolParams,
                     registry: KeyRegistry) -> Credential | None:
-    if not _eligible(user, round, chain, params):
+    if user not in _eligible(round, chain, params):
         return None
     selected = select_committee(round, step, prev_seed, [user], params, registry)
     return selected[0] if selected else None
@@ -193,9 +216,7 @@ def view_credential(user: UserId, round: int, step: int, prev_seed: Digest,
 
 def view_committee(round: int, step: int, prev_seed: Digest, chain: Chain,
                    params: ProtocolParams, registry: KeyRegistry) -> list[Credential]:
-    if round < params.lookback:
-        return []
-    eligible = sorted(users_at(chain, round - params.lookback))
+    eligible = sorted(_eligible(round, chain, params))
     return select_committee(round, step, prev_seed, eligible, params, registry)
 
 

@@ -308,6 +308,20 @@ class TestVerifyChain:
         assert code == 2
         assert "cannot load chain" in err
 
+    @pytest.mark.parametrize("tail", ["", "\n", "\n\n  \n"],
+                             ids=["bare", "newline", "blank-lines"])
+    def test_header_without_blocks_is_load_error(self, small_cfg, tmp_path,
+                                                 capsys, tail):
+        # a header alone is no chain: `verify_chain` reads the genesis block
+        out = tmp_path / "out"
+        run_cli(capsys, "run", "--config", small_cfg, "--out", out)
+        header = (out / "chain.jsonl").read_text().splitlines()[0]
+        (out / "header.jsonl").write_text(header + tail)
+        code, stdout, err = run_cli(capsys, "verify-chain", "--chain",
+                                    out / "header.jsonl", "--config", small_cfg)
+        assert code == 2 and stdout == ""
+        assert err == "error: cannot load chain: no block record follows the header\n"
+
     def test_negative_amount_is_parse_error(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "out"
         run_cli(capsys, "run", "--config", small_cfg, "--out", out)

@@ -6,11 +6,20 @@ import struct
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algosim import sortition
 from algosim.consensus import CertMessage
-from algosim.crypto import TAG_BLOCK, TAG_PAYMENT, be8
+from algosim.crypto import (
+    TAG_BLOCK,
+    TAG_PAYMENT,
+    UnknownUserError,
+    _ephemeral_sig,
+    be8,
+    hash_to_unit,
+)
+from algosim.engine import ScenarioConfig, run_scenario
 from algosim.ledger import (
     Block,
     Chain,
@@ -24,6 +33,7 @@ from algosim.ledger import (
     apply_payset,
     block_hash,
     build_payset,
+    cert_payload,
     chain_from_lines,
     chain_to_lines,
     empty_block,
@@ -31,9 +41,16 @@ from algosim.ledger import (
     make_genesis,
     make_payment,
     users_at,
+    validate_block,
 )
-
-from algosim.sortition import Credential
+from algosim.sortition import (
+    Credential,
+    ProtocolParams,
+    check_credential,
+    check_credentials,
+    credential_message,
+    view_committee,
+)
 
 from conftest import idle_chain, make_registry
 
@@ -305,6 +322,13 @@ class TestExport:
             chain_from_lines(lines)
 
 
+    @pytest.mark.parametrize("tail", [[], [""], ["", "  "]])
+    def test_header_alone_is_not_a_chain(self, tail):
+        fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+        header = (fixtures / "golden_chain.jsonl").read_text().splitlines()[0]
+        with pytest.raises(LedgerError, match="no block record"):
+            chain_from_lines([header] + tail)
+
     def test_negative_number_is_parse_error(self):
         # a block hashes its fields on construction, so a number that has no
         # 8-byte big-endian form is rejected while the file is read
@@ -379,3 +403,236 @@ def test_export_round_trip_keeps_blocks_and_digests(chain):
     assert back.blocks == chain.blocks
     assert [block_hash(b) for b in back.blocks] == \
         [block_hash(b) for b in chain.blocks]
+
+
+# -- certificate checks --------------------------------------------------------------
+# `validate_block` checks a certificate one step group at a time.  The
+# references below check one message at a time, straight from the rules, and
+# the batch must report exactly what they report.
+
+CERT_RUN = ScenarioConfig(
+    seed=11, num_genesis_users=10, initial_balance=1000, rounds=10,
+    consensus_mode="ba", payments_per_round=3, new_users_per_round=1,
+    params=ProtocolParams(leader_prob=0.5, verifier_prob=0.7, lookback=3,
+                          max_ba_steps=9, cert_threshold=5, horizon=32))
+OUTSIDER = 99  # registered after the run, so it never holds a balance
+
+
+@pytest.fixture(scope="module")
+def certified():
+    chains, _ = run_scenario(CERT_RUN)
+    chains[0].registry.register_user(OUTSIDER)
+    return chains[0]
+
+
+def reference_check_credential(cred, prev_seed, chain, params, registry):
+    """Why one credential fails, through `users_at`, `verify_unique` and the
+    float rule of sortition."""
+    user, round, step, sig = cred
+    if step < 1:
+        return "bad-step"
+    if not (round >= params.lookback
+            and user in users_at(chain, round - params.lookback)):
+        return "not-eligible"
+    if not registry.verify_unique(
+            user, credential_message(round, step, prev_seed), sig):
+        return "bad-signature"
+    p = params.leader_prob if step == 1 else params.verifier_prob
+    if not hash_to_unit(hashlib.sha256(sig).digest()) <= p:
+        return "not-selected"
+    return None
+
+
+def reference_verify_ephemeral(registry, owner, round, step, message, sig):
+    return (registry.is_registered(owner) and 0 <= round <= registry.horizon
+            and 1 <= step <= registry.max_step
+            and sig == _ephemeral_sig(registry._head, owner,
+                                      be8(round) + be8(step), message))
+
+
+def reference_check_cert_message(m, round, digest, expected_bit, prev_seed,
+                                 chain, params, registry):
+    voter, m_round, step, bit, block_digest, sig, credential = m
+    if m_round != round:
+        return "wrong round"
+    if block_digest != digest:
+        return "wrong block digest"
+    if bit != expected_bit:
+        return "bit does not match block emptiness"
+    if credential[:3] != (voter, round, step):
+        return "credential does not match message"
+    reason = reference_check_credential(credential, prev_seed, chain, params,
+                                        registry)
+    if reason is not None:
+        return f"credential invalid ({reason})"
+    if not reference_verify_ephemeral(registry, voter, round, step,
+                                      cert_payload(bit, block_digest), sig):
+        return "bad ephemeral signature"
+    return None
+
+
+def reference_cert_violations(chain, b, params, registry):
+    """What `validate_block` reports about the certificate of `b`."""
+    prev = chain.blocks[b.round - 1]
+    digest, expected_bit = block_hash(b), 1 if b.is_empty() else 0
+    violations, seen, valid = [], set(), 0
+    for m in b.cert:
+        reason = reference_check_cert_message(
+            m, b.round, digest, expected_bit, prev.seed, chain, params, registry)
+        if reason is not None:
+            violations.append(f"cert message from user {m.voter}: {reason}")
+            continue
+        if m.voter in seen:
+            violations.append(f"cert message from user {m.voter}: duplicate voter")
+            continue
+        seen.add(m.voter)
+        valid += 1
+    if valid < params.cert_threshold:
+        violations.append(f"insufficient certificates: have {valid}, "
+                          f"need {params.cert_threshold}")
+    return violations
+
+
+def signed_message(chain, block, user, step):
+    """`user`'s cert message for `block` at `step`, with its real credential
+    and ephemeral signatures, whether or not sortition selects it."""
+    registry, r = chain.registry, block.round
+    prev_seed = chain.blocks[r - 1].seed
+    bit = 1 if block.is_empty() else 0
+    credential = Credential(user, r, step, registry.unique_sign(
+        user, credential_message(r, step, prev_seed)))
+    sig = _ephemeral_sig(registry._head, user, be8(r) + be8(step),
+                         cert_payload(bit, block_hash(block)))
+    return CertMessage(user, r, step, bit, block_hash(block), sig, credential)
+
+
+def selected(chain, block, step, params):
+    r = block.round
+    return [c.user for c in view_committee(r, step, chain.blocks[r - 1].seed,
+                                           chain, params, chain.registry)]
+
+
+def flip(data: bytes) -> bytes:
+    return bytes([data[0] ^ 1]) + data[1:]
+
+
+CERT_MUTATIONS = ("round", "digest", "bit", "credential", "credential_sig",
+                  "sig", "step_zero", "step_high", "ineligible", "unselected",
+                  "other_step", "duplicate")
+
+
+def mutated_message(chain, block, m, kind, draw, params):
+    if kind == "round":
+        return m._replace(round=m.round + draw(st.sampled_from([-1, 1])))
+    if kind == "digest":
+        return m._replace(block_digest=draw(hash32.filter(lambda d: d != m.block_digest)))
+    if kind == "bit":
+        return m._replace(bit=1 - m.bit)
+    if kind == "credential":  # names another user or another step
+        field = draw(st.sampled_from(["user", "step"]))
+        return m._replace(credential=m.credential._replace(
+            **{field: getattr(m.credential, field) + 1}))
+    if kind == "credential_sig":
+        return m._replace(credential=m.credential._replace(sig=flip(m.credential.sig)))
+    if kind == "sig":
+        return m._replace(sig=flip(m.sig))
+    if kind == "step_zero":
+        return signed_message(chain, block, m.voter, 0)
+    if kind == "step_high":
+        return signed_message(chain, block, m.voter,
+                              params.max_step + draw(st.integers(1, 2)))
+    if kind == "ineligible":
+        return signed_message(chain, block, OUTSIDER, m.step)
+    holders = sorted(users_at(chain, block.round - params.lookback))
+    if kind == "unselected":
+        left_out = sorted(set(holders) - set(selected(chain, block, m.step, params)))
+        return (signed_message(chain, block, draw(st.sampled_from(left_out)), m.step)
+                if left_out else m)
+    assert kind == "other_step"  # a real member of another step's committee
+    step = draw(st.integers(2, params.max_step).filter(lambda s: s != m.step))
+    members = selected(chain, block, step, params)
+    return (signed_message(chain, block, draw(st.sampled_from(members)), step)
+            if members else m)
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_validate_block_reports_what_per_message_checks_report(certified, data):
+    chain, params = certified, CERT_RUN.params
+    block = chain.blocks[data.draw(st.integers(params.lookback, chain.tip_round),
+                                   label="round")]
+    assert validate_block(chain, block, params, chain.registry) == []
+    cert = list(block.cert)
+    for kind in data.draw(st.lists(st.sampled_from(CERT_MUTATIONS), max_size=6),
+                          label="mutations"):
+        k = data.draw(st.integers(0, len(cert) - 1))
+        if kind == "duplicate":
+            cert.insert(data.draw(st.integers(0, len(cert))), cert[k])
+        else:
+            cert[k] = mutated_message(chain, block, cert[k], kind, data.draw,
+                                      params)
+    mutated = block.with_cert(data.draw(st.permutations(cert), label="order"))
+    assert validate_block(chain, mutated, params, chain.registry) == \
+        reference_cert_violations(chain, mutated, params, chain.registry)
+
+
+def outcome(check):
+    """What `check()` returns, or the type and text of what it raises."""
+    try:
+        return check()
+    except (UnknownUserError, RoundOutOfRangeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_check_credentials_equals_one_call_per_credential(data):
+    # users 7 and 8 hold money but are unregistered, 9 and 10 neither; the
+    # chain reaches round 6, so rounds above 9 have no users to read
+    registry = make_registry(users=range(1, 7))
+    chain = idle_chain(registry, {u: 100 for u in range(1, 9)}, 6)
+    params = ProtocolParams(leader_prob=0.5, verifier_prob=0.5, lookback=3,
+                            max_ba_steps=2, cert_threshold=1, horizon=16)
+    prev_seed = chain.tip().seed
+
+    def credential(user, round, step, real, junk):
+        if real and registry.is_registered(user):
+            junk = registry.unique_sign(
+                user, credential_message(round, step, prev_seed))
+        return Credential(user, round, step, junk)
+
+    creds = data.draw(st.lists(st.builds(
+        credential, st.integers(1, 10), st.integers(0, 11),
+        st.integers(0, params.max_step + 1), st.booleans(), hash32), max_size=8))
+    args = prev_seed, chain, params, registry
+    batch = outcome(lambda: check_credentials(creds, *args))
+    assert batch == outcome(lambda: [check_credential(c, *args) for c in creds])
+    assert batch == outcome(
+        lambda: [reference_check_credential(c, *args) for c in creds])
+
+
+def test_cert_check_builds_one_credential_message_per_step(certified, monkeypatch):
+    # a certificate of N messages over k steps makes k credential messages,
+    # not N, plus the leader sweep's one for a non-empty block
+    chain, params = certified, CERT_RUN.params
+    block = chain.blocks[params.lookback + 1]
+    other = 2 if block.cert[0].step != 2 else 3
+    # half the voters that also sit on the `other` committee sign there
+    both = sorted({m.voter for m in block.cert}
+                  & set(selected(chain, block, other, params)))
+    moved = both[:max(1, len(both) // 2)]
+    mixed = block.with_cert([signed_message(chain, block, m.voter, other)
+                             if m.voter in moved else m for m in block.cert])
+    steps = {m.step for m in mixed.cert}
+    assert len(steps) == 2 < len(mixed.cert)
+
+    real, calls = sortition.credential_message, []
+
+    def counted(round, step, prev_seed):
+        calls.append((round, step))
+        return real(round, step, prev_seed)
+
+    monkeypatch.setattr(sortition, "credential_message", counted)
+    assert validate_block(chain, mixed, params, chain.registry) == []
+    leader_sweep = [] if block.is_empty() else [(block.round, 1)]
+    assert sorted(calls) == sorted(leader_sweep + [(block.round, s) for s in steps])
