@@ -25,7 +25,6 @@ from .adversary import (
 from .crypto import KeyRegistry
 from .engine import (
     EngineError,
-    RunMetrics,
     ScenarioConfig,
     metrics_to_lines,
     run_scenario,
@@ -96,14 +95,18 @@ def load_config(path: str, seed: int | None = None, rounds: int | None = None,
         raise ConfigError(f"bad config {path}: {exc}") from exc
 
 
-def _write_outputs(out_dir: Path, chains, metrics: RunMetrics) -> None:
-    (out_dir / "metrics.jsonl").write_text(
-        "\n".join(metrics_to_lines(metrics)) + "\n")
-    (out_dir / "chain.jsonl").write_text(
-        "\n".join(chain_to_lines(chains[0])) + "\n")
-    for i, fork in enumerate(chains[1:]):
-        (out_dir / f"chain_fork{i}.jsonl").write_text(
-            "\n".join(chain_to_lines(fork)) + "\n")
+def _make_out_dir(out_dir: Path) -> None:
+    """Create `out_dir`, or refuse it before any scenario runs."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if not os.access(out_dir, os.W_OK | os.X_OK):
+        raise PermissionError(f"cannot write to output directory {out_dir}")
+
+
+def _write_outputs(out_dir: Path, chains, metrics_lines: list[str]) -> None:
+    names = ["chain.jsonl"] + [f"chain_fork{i}.jsonl" for i in range(len(chains) - 1)]
+    (out_dir / "metrics.jsonl").write_text("\n".join(metrics_lines) + "\n")
+    for name, chain in zip(names, chains):
+        (out_dir / name).write_text("\n".join(chain_to_lines(chain)) + "\n")
 
 
 def _execute(config: ScenarioConfig):
@@ -124,8 +127,8 @@ def cmd_run(args) -> int:
         return 2
     out_dirs = [Path(args.out) / (f"seed_{c.seed}" if len(configs) > 1 else "")
                 if args.out else None for c in configs]
-    for out_dir in filter(None, out_dirs):  # an unusable path fails before any run
-        out_dir.mkdir(parents=True, exist_ok=True)
+    for out_dir in filter(None, out_dirs):
+        _make_out_dir(out_dir)
 
     if args.jobs > 1 and len(configs) > 1:
         # the pool forks all its workers up front, so never more than seeds
@@ -136,10 +139,11 @@ def cmd_run(args) -> int:
 
     worst = 0
     for (seed, chains, metrics), config, out_dir in zip(results, configs, out_dirs):
-        for line in metrics_to_lines(metrics):
+        lines = metrics_to_lines(metrics)
+        for line in lines:
             print(line)
         if out_dir:
-            _write_outputs(out_dir, chains, metrics)
+            _write_outputs(out_dir, chains, lines)
         log.info("seed=%d rounds=%d forks=%d messages=%d wall=%.3fs",
                  seed, len(metrics.rounds), metrics.forks_detected,
                  metrics.total_messages, metrics.wall_time)
@@ -160,13 +164,14 @@ def cmd_attack(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out:  # an unusable path fails before the run
-        Path(args.out).mkdir(parents=True, exist_ok=True)
+    if args.out:
+        _make_out_dir(Path(args.out))
     seed, chains, metrics = _execute(config)
-    for line in metrics_to_lines(metrics):
+    lines = metrics_to_lines(metrics)
+    for line in lines:
         print(line)
     if args.out:
-        _write_outputs(Path(args.out), chains, metrics)
+        _write_outputs(Path(args.out), chains, lines)
     if metrics.forks_detected > 0:
         for rep in metrics.fork_reports:
             print(f"fork at round {rep.round} [{rep.classification}]: "

@@ -1,11 +1,14 @@
 """Accounts, payments, blocks and chain validation.
 
-The canonical serialization used for hashing and on-disk export is
-length-prefixed big-endian fields in declaration order, so golden digests can
-be reproduced with any SHA-256 implementation (see README for the exact byte
-layout).  A block hash covers (round, payset, seed, prev_hash) and explicitly
-excludes the certificate.  `validate_block` is the one block verifier, and
-its `check_cert` checks a certificate one committee step group at a time.
+A block is hashed over length-prefixed big-endian fields in declaration
+order, so golden digests can be reproduced with any SHA-256 implementation
+(see README for the exact byte layout).  A block hash covers (round, payset,
+seed, prev_hash) and explicitly excludes the certificate.  `validate_block`
+is the one block verifier, and its `check_cert` checks a certificate one
+committee step group at a time.  A chain file is a JSON genesis header line
+and then one JSON block record a line, with sorted keys, no spaces, ints and
+lowercase hex; nothing there needs escaping, so `chain_to_lines` formats each
+record from a template.
 """
 
 from __future__ import annotations
@@ -413,33 +416,25 @@ def verify_chain(chain: Chain, params, registry: KeyRegistry) -> list[tuple[int,
 
 # -- line-delimited export (one JSON object per block) ------------------------
 
+_BLOCK = '{"cert":[%s],"payset":[%s],"prev_hash":"%s","round":%d,"seed":"%s"}'
+_PAYMENT = '{"amount":%d,"payee":%d,"payer":%d,"sig":"%s"}'
+_CERT = ('{"bit":%d,"block_digest":"%s","credential":{"round":%d,"sig":"%s",'
+         '"step":%d,"user":%d},"round":%d,"sig":"%s","step":%d,"voter":%d}')
+
+
 def chain_to_lines(chain: Chain) -> list[str]:
     lines = [json.dumps(
         {"genesis_status": {str(u): a for u, a in
-                            sorted(chain.genesis_status.balances.items())}},
+                            chain.genesis_status.balances.items()}},
         sort_keys=True, separators=(",", ":"))]
     for b in chain.blocks:
-        lines.append(json.dumps(_block_to_obj(b), sort_keys=True,
-                                separators=(",", ":")))
+        cert = [_CERT % (bit, d.hex(), cr, c_sig.hex(), cs, u, r, sig.hex(), s, v)
+                for v, r, s, bit, d, sig, (u, cr, cs, c_sig) in b.cert]
+        payset = [_PAYMENT % (p.amount, p.payee, p.payer, p.sig.hex())
+                  for p in b.payset]
+        lines.append(_BLOCK % (",".join(cert), ",".join(payset), b.prev_hash.hex(),
+                               b.round, b.seed.hex()))
     return lines
-
-
-def _block_to_obj(b: Block) -> dict:
-    return {
-        "round": b.round,
-        "payset": [{"payer": p.payer, "payee": p.payee, "amount": p.amount,
-                    "sig": p.sig.hex()} for p in b.payset],
-        "seed": b.seed.hex(),
-        "prev_hash": b.prev_hash.hex(),
-        "cert": [{"voter": m.voter, "round": m.round, "step": m.step,
-                  "bit": m.bit, "block_digest": m.block_digest.hex(),
-                  "sig": m.sig.hex(),
-                  "credential": {"user": m.credential.user,
-                                 "round": m.credential.round,
-                                 "step": m.credential.step,
-                                 "sig": m.credential.sig.hex()}}
-                 for m in b.cert],
-    }
 
 
 def _hash_field(text: str) -> bytes:
@@ -460,8 +455,8 @@ def _u64_field(value) -> int:
 
 # What a malformed line raises while it is read: json.loads (RecursionError
 # when arrays nest deeper than the interpreter's limit), a missing key, or a
-# value of the wrong type or range.  Every number passes `_u64_field` before
-# a Block serializes it.
+# value of the wrong type or range, checked in field declaration order.
+# Every number passes `_u64_field` before a Block serializes it.
 _PARSE_ERRORS = (StopIteration, KeyError, ValueError, TypeError, AttributeError,
                  RecursionError)
 
@@ -490,19 +485,17 @@ def chain_from_lines(lines: Iterable[str],
             continue
         try:
             o = json.loads(line)
-            payset = tuple(Payment(_u64_field(p["payer"]), _u64_field(p["payee"]),
-                                   _u64_field(p["amount"]), _hash_field(p["sig"]))
-                           for p in o["payset"])
-            cert = tuple(CertMessage(
-                voter=_u64_field(m["voter"]), round=_u64_field(m["round"]),
-                step=_u64_field(m["step"]), bit=_u64_field(m["bit"]),
-                block_digest=_hash_field(m["block_digest"]),
-                sig=_hash_field(m["sig"]),
-                credential=Credential(_u64_field(m["credential"]["user"]),
-                                      _u64_field(m["credential"]["round"]),
-                                      _u64_field(m["credential"]["step"]),
-                                      _hash_field(m["credential"]["sig"])))
-                for m in o["cert"])
+            payset = tuple([Payment(_u64_field(p["payer"]), _u64_field(p["payee"]),
+                                    _u64_field(p["amount"]), _hash_field(p["sig"]))
+                            for p in o["payset"]])
+            cert = tuple([CertMessage(
+                _u64_field(m["voter"]), _u64_field(m["round"]),
+                _u64_field(m["step"]), _u64_field(m["bit"]),
+                _hash_field(m["block_digest"]), _hash_field(m["sig"]),
+                Credential(_u64_field((c := m["credential"])["user"]),
+                           _u64_field(c["round"]), _u64_field(c["step"]),
+                           _hash_field(c["sig"])))
+                for m in o["cert"]])
             block = Block(_u64_field(o["round"]), payset, _hash_field(o["seed"]),
                           _hash_field(o["prev_hash"]), cert)
         except _PARSE_ERRORS as exc:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 from pathlib import Path
 
@@ -618,6 +619,63 @@ def test_jobs_capped_at_seed_count(small_cfg, capsys, monkeypatch):
     run_cli(capsys, "run", "--config", small_cfg, "--seed", "5,6,7",
             "--rounds", "4", "--jobs", "2")
     assert asked == [2, 2]
+
+
+# `--out` runs of each command: (argv with SMALL for the small config, the
+# scenarios it runs).
+OUT_RUNS = [
+    (["run", "--config", "SMALL", "--rounds", "4"], 1),
+    (["run", "--config", "SMALL", "--rounds", "4", "--seed", "1,2"], 2),
+    (["attack", "genesis-fork", "--config", FIXTURES / "genesis_fork.cfg"], 1),
+]
+OUT_IDS = ["run", "run-batch", "attack"]
+
+
+def deny_writes_under(monkeypatch, root):
+    """Make `os.access` refuse write access at and below `root`; a root
+    process passes the real check whatever the mode bits say."""
+    real = os.access
+
+    def access(path, mode, *args, **kwargs):
+        if mode & os.W_OK and Path(path).is_relative_to(root):
+            return False
+        return real(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "access", access)
+
+
+@pytest.mark.parametrize("argv,scenarios", OUT_RUNS, ids=OUT_IDS)
+def test_unwritable_out_dir_is_refused_before_any_scenario(
+        argv, scenarios, small_cfg, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "locked"
+    out.mkdir()
+    deny_writes_under(monkeypatch, out)
+    argv = [small_cfg if a == "SMALL" else a for a in argv]
+    code, stdout, err = run_cli(capsys, *argv, "--out", out)
+    assert code == 2 and stdout == ""  # no scenario ran
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert "locked" in err
+    assert [p.name for p in out.rglob("*.jsonl")] == []
+
+
+@pytest.mark.parametrize("argv,scenarios", OUT_RUNS, ids=OUT_IDS)
+def test_metrics_lines_are_built_once_per_scenario(
+        argv, scenarios, small_cfg, tmp_path, capsys, monkeypatch):
+    built = []
+    real = cli.metrics_to_lines
+
+    def counted(metrics):
+        built.append(real(metrics))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "metrics_to_lines", counted)
+    out = tmp_path / "out"
+    argv = [small_cfg if a == "SMALL" else a for a in argv]
+    code, stdout, _ = run_cli(capsys, *argv, "--out", out)
+    assert code == 0 and len(built) == scenarios
+    files = sorted(out.rglob("metrics.jsonl"))
+    assert [f.read_text() for f in files] == ["\n".join(b) + "\n" for b in built]
+    assert stdout == "".join(f.read_text() for f in files)
 
 
 # Any JSON value, with the shapes that once broke the parser drawn often.

@@ -405,6 +405,174 @@ def test_export_round_trip_keeps_blocks_and_digests(chain):
         [block_hash(b) for b in chain.blocks]
 
 
+# -- export and parse against the dict-based reference -----------------------------
+# `chain_to_lines` formats block lines from templates and `chain_from_lines`
+# builds records positionally.  The references below are the dict tree passed
+# to `json.dumps` and the keyword-argument reader they replaced.
+
+def reference_block_line(b):
+    obj = {
+        "round": b.round,
+        "payset": [{"payer": p.payer, "payee": p.payee, "amount": p.amount,
+                    "sig": p.sig.hex()} for p in b.payset],
+        "seed": b.seed.hex(),
+        "prev_hash": b.prev_hash.hex(),
+        "cert": [{"voter": m.voter, "round": m.round, "step": m.step,
+                  "bit": m.bit, "block_digest": m.block_digest.hex(),
+                  "sig": m.sig.hex(),
+                  "credential": {"user": m.credential.user,
+                                 "round": m.credential.round,
+                                 "step": m.credential.step,
+                                 "sig": m.credential.sig.hex()}}
+                 for m in b.cert],
+    }
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def reference_parse_record(line):
+    """The block record reader with keyword arguments, errors included."""
+    from algosim.ledger import _PARSE_ERRORS, _hash_field, _u64_field
+    try:
+        o = json.loads(line)
+        payset = tuple(Payment(_u64_field(p["payer"]), _u64_field(p["payee"]),
+                               _u64_field(p["amount"]), _hash_field(p["sig"]))
+                       for p in o["payset"])
+        cert = tuple(CertMessage(
+            voter=_u64_field(m["voter"]), round=_u64_field(m["round"]),
+            step=_u64_field(m["step"]), bit=_u64_field(m["bit"]),
+            block_digest=_hash_field(m["block_digest"]),
+            sig=_hash_field(m["sig"]),
+            credential=Credential(_u64_field(m["credential"]["user"]),
+                                  _u64_field(m["credential"]["round"]),
+                                  _u64_field(m["credential"]["step"]),
+                                  _hash_field(m["credential"]["sig"])))
+            for m in o["cert"])
+        return Block(_u64_field(o["round"]), payset, _hash_field(o["seed"]),
+                     _hash_field(o["prev_hash"]), cert)
+    except _PARSE_ERRORS as exc:
+        raise LedgerError(f"malformed chain record: {exc}") from exc
+
+
+U64_MAX = 2**64 - 1
+u64_edge = st.one_of(st.sampled_from([0, U64_MAX]), u64)
+edge_payments = st.builds(Payment, u64_edge, u64_edge, u64_edge, hash32)
+edge_cert_messages = st.builds(
+    CertMessage, voter=u64_edge, round=u64_edge,
+    step=st.one_of(st.integers(1, 12), u64_edge), bit=st.integers(0, 1),
+    block_digest=hash32, sig=hash32,
+    credential=st.builds(Credential, u64_edge, u64_edge, u64_edge, hash32))
+
+
+@st.composite
+def edge_blocks(draw):
+    return Block(draw(u64_edge), tuple(draw(st.lists(edge_payments, max_size=6))),
+                 draw(hash32), draw(hash32),
+                 tuple(draw(st.lists(edge_cert_messages, max_size=25))))
+
+
+def exported(blocks, balances=None):
+    chain = Chain(Status(0, balances or {}), window=2)
+    chain.blocks.extend(blocks)  # any rounds: the writer does not check them
+    return chain_to_lines(chain)
+
+
+@settings(deadline=None)
+@given(st.lists(edge_blocks(), min_size=1, max_size=4),
+       st.dictionaries(u64_edge, u64_edge, max_size=4))
+def test_export_equals_reference_writer(blocks, balances):
+    lines = exported(blocks, balances)
+    assert lines[1:] == [reference_block_line(b) for b in blocks]
+    assert [reference_parse_record(line) for line in lines[1:]] == blocks
+    # a chain file numbers its blocks 0, 1, ...
+    lines = exported([dataclasses.replace(b, round=r) for r, b in enumerate(blocks)],
+                     balances)
+    assert chain_to_lines(chain_from_lines(lines)) == lines
+
+
+def test_export_reaches_u64_extremes_and_long_certs():
+    # the cases the strategy above exists for, pinned so they always run
+    cred = Credential(U64_MAX, 0, U64_MAX, b"\xff" * 32)
+    cert = tuple(CertMessage(U64_MAX * (i % 2), U64_MAX, i % 3 + 1, i % 2,
+                             b"\x00" * 32, bytes([i]) * 32, cred)
+                 for i in range(25))
+    pays = tuple(Payment(U64_MAX, 0, U64_MAX, bytes([i]) * 32) for i in range(6))
+    b = Block(0, pays, b"\xab" * 32, b"\x01" * 32, cert)
+    top = dataclasses.replace(b, round=U64_MAX)
+    assert exported([top])[1] == reference_block_line(top)
+    lines = exported([b], {U64_MAX: 0, 0: U64_MAX})
+    assert lines[1] == reference_block_line(b)
+    assert chain_from_lines(lines).blocks == [b]
+    assert chain_to_lines(chain_from_lines(lines)) == lines
+
+
+GOLDEN_LINES = (Path(__file__).resolve().parent.parent / "fixtures"
+                / "golden_chain.jsonl").read_text().splitlines()
+# a block line with a payment and certificate messages
+GOLDEN_RECORD = json.loads(GOLDEN_LINES[4])
+MISSING = object()
+BAD_VALUES = [MISSING, "x", 1.5, True, None, [], -1, 2**64, "00", "ab" * 33,
+              "zz" * 32]
+RECORD_PATHS = (
+    [(k,) for k in ("round", "seed", "prev_hash", "payset", "cert")]
+    + [("payset", 0, k) for k in ("payer", "payee", "amount", "sig")]
+    + [("cert", 0, k) for k in ("voter", "round", "step", "bit",
+                                "block_digest", "sig", "credential")]
+    + [("cert", 0, "credential", k) for k in ("user", "round", "step", "sig")])
+
+
+def read_outcome(read, line):
+    """The block `read` gives for `line`, or the text of its LedgerError."""
+    try:
+        return read(line)
+    except LedgerError as exc:
+        return str(exc)
+
+
+def golden_with(*changes):
+    """The golden block line with each (path, value) of `changes` applied."""
+    record = json.loads(GOLDEN_LINES[4])
+    for path, value in changes:
+        target = record
+        for key in path[:-1]:
+            target = target[key]
+        if value is MISSING:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+    return json.dumps(record)
+
+
+def assert_reads_like_reference(line):
+    expected = read_outcome(reference_parse_record, line)
+    got = read_outcome(
+        lambda line: chain_from_lines(GOLDEN_LINES[:4] + [line]).blocks[-1], line)
+    assert got == expected
+    return expected
+
+
+@pytest.mark.parametrize("path", RECORD_PATHS,
+                         ids=lambda path: "/".join(map(str, path)))
+def test_parse_errors_equal_reference_reader(path):
+    assert GOLDEN_RECORD["payset"] and GOLDEN_RECORD["cert"]
+    for value in BAD_VALUES:
+        outcome = assert_reads_like_reference(golden_with((path, value)))
+        if not (value == [] and path in (("payset",), ("cert",))):
+            assert outcome.startswith("malformed chain record: "), value
+    # with two fields bad, the one checked first names the error
+    for other in RECORD_PATHS:
+        if other[:len(path)] != path and path[:len(other)] != other:
+            for value in (MISSING, "x", 1.5):
+                assert_reads_like_reference(
+                    golden_with((path, value), (other, MISSING)))
+
+
+def test_golden_chain_parses_and_reexports_byte_for_byte():
+    back = chain_from_lines(GOLDEN_LINES)
+    assert back.blocks == [reference_parse_record(line)
+                           for line in GOLDEN_LINES[1:]]
+    assert chain_to_lines(back) == GOLDEN_LINES
+
+
 # -- certificate checks --------------------------------------------------------------
 # `validate_block` checks a certificate one step group at a time.  The
 # references below check one message at a time, straight from the rules, and
