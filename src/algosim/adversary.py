@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 
-from .consensus import make_cert_message
+from .consensus import vote
 from .crypto import AdversarySigner, KeyMissingError, KeyRegistry, KeyState, UserId
 from .ledger import (
     Block,
     Chain,
     block_hash,
+    cert_payload,
     empty_block,
     empty_round_seed,
     leader_round_seed,
@@ -120,8 +121,9 @@ def fork_from(chain: Chain, fork_round: int, params: ProtocolParams,
         else:
             seed = empty_round_seed(prev_seed, r)
         block = Block(r, tuple(payset), seed, prev_hash, ())
-        cert = _forge_cert(fork, r, block_hash(block), not payset, prev_seed,
-                           corrupted, params, registry, signer)
+        payload = cert_payload(0 if payset else 1, block_hash(block))
+        cert = _forge_cert(fork, r, payload, prev_seed, corrupted, params,
+                           registry, signer)
         fork.append(block.with_cert(cert))
     return fork
 
@@ -157,7 +159,7 @@ def _tiny_grants(signer, status, payers, recipients, round: int) -> list:
     return out
 
 
-def _forge_cert(fork: Chain, round: int, digest: bytes, is_empty: bool,
+def _forge_cert(fork: Chain, round: int, payload: bytes,
                 prev_seed: bytes, corrupted: set[UserId],
                 params: ProtocolParams, registry: KeyRegistry,
                 signer: AdversarySigner) -> tuple:
@@ -186,7 +188,7 @@ def _forge_cert(fork: Chain, round: int, digest: bytes, is_empty: bool,
                 continue
             batch.append(cred)
             seen.add(cred.user)
-        msgs += make_cert_message(batch, digest, is_empty, signer, retain)
+        msgs += vote(batch, payload, signer, retain)
     if len(seen) < params.cert_threshold:
         raise ForkInfeasibleError(round, len(seen), params.cert_threshold)
     return tuple(msgs)
@@ -250,9 +252,10 @@ def bribe_and_recertify(chain: Chain, target_round: int, retained,
     if digest == block_hash(honest):
         raise PreconditionViolatedError("alternative block equals the honest one")
     cert = []
+    payload = cert_payload(0, digest)
     retain = dict.fromkeys(owners, "retain")
     for _, creds in groupby(usable[:need], lambda c: c.step):  # one call a step
-        cert += make_cert_message(list(creds), digest, False, signer, retain)
+        cert += vote(list(creds), payload, signer, retain)
     return block.with_cert(cert)
 
 

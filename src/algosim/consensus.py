@@ -1,15 +1,15 @@
 """Round pipeline operations: proposal, votes, graded consensus, binary
 agreement, the simplified two-step majority protocol, and certificates.
 
-Steps 2 to the last binary-agreement step all send one message type, `Vote`:
-a member's ephemeral signature over the step's value (a digest at steps 2 and
-3, `bytes([bit])` in binary agreement).  Engine traffic is broadcast-only,
-so the rules that choose a value (`supermajority_value`, `gc_grade`, the BBA
-tally) run once per step over the one shared inbox, and the step's members
-sign the result in one `vote` (or `make_cert_message`) call, which signs in
-one `KeyRegistry.ephemeral_sign_many` call.  The step-2 value is the block
-proposed by the potential leader `sortition.select_leader` names, or the
-canonical empty block when the round has no potential leader.
+Steps 2 to the last certificate step all send one message type, `Vote`: a
+member's ephemeral signature over the step's value (a digest at steps 2 and 3,
+`bytes([bit])` in binary agreement, `cert_payload(bit, digest)` in a cert).
+Engine traffic is broadcast-only, so the rules that choose a value
+(`supermajority_value`, `gc_grade`, the BBA tally) run once per step over the
+one shared inbox, and the step's members sign the result in one `vote` call,
+which signs in one `KeyRegistry.ephemeral_sign_many` call.  The step-2 value
+is the block proposed by the potential leader `sortition.select_leader`
+names, or the round's empty block when the round has no potential leader.
 
 Nothing here re-checks a message built by honest code: `ledger.validate_block`
 (through `ledger.check_cert` and `sortition.check_credentials`, one step group
@@ -31,8 +31,6 @@ from .ledger import (
     Chain,
     Payment,
     block_hash,
-    cert_payload,
-    empty_block,
     empty_round_seed,
     leader_round_seed,
 )
@@ -54,7 +52,7 @@ class Vote(NamedTuple):
     voter: UserId
     round: int
     step: int
-    value: bytes  # the signed payload: a digest, or bytes([bit]) in BBA
+    value: bytes  # a digest, bytes([bit]) in BBA, or cert_payload(bit, digest)
     sig: Signature
     credential: Credential
 
@@ -62,22 +60,6 @@ class Vote(NamedTuple):
 class GradedValue(NamedTuple):
     value: Digest | None
     grade: int  # 0, 1 or 2; grade 0 iff value is None
-
-
-class CertMessage(NamedTuple):
-    voter: UserId
-    round: int
-    step: int
-    bit: int  # 1 iff the certified block is the round's empty block
-    block_digest: Digest
-    sig: Signature
-    credential: Credential
-
-
-def canonical_empty_digest(chain: Chain, round: int) -> Digest:
-    """Hash of the one possible empty block for `round` on this chain."""
-    prev = chain.blocks[round - 1]
-    return block_hash(empty_block(round, prev.seed, block_hash(prev)))
 
 
 def distinct_voter_counts(messages: Iterable) -> dict[Digest, int]:
@@ -124,22 +106,16 @@ def propose(credential: Credential, payset: tuple[Payment, ...], chain: Chain,
 
 # -- steps 2 and later: votes ----------------------------------------------------
 
-def _sign_step(credentials: Sequence[Credential], value: bytes, signer,
-               policies: Mapping[UserId, str | None]):
-    """(round, step, signatures) of one committee's members over `value`, in
-    one `ephemeral_sign_many` call of `signer` (the KeyRegistry, or an
-    AdversarySigner); each key is retired per `policies[member]`."""
-    if not credentials:
-        return 0, 0, []
-    r, s = credentials[0].round, credentials[0].step
-    return r, s, signer.ephemeral_sign_many(
-        [(c.user, policies[c.user]) for c in credentials], r, s, value)
-
-
 def vote(credentials: Sequence[Credential], value: bytes, signer,
          policies: Mapping[UserId, str | None]) -> list[Vote]:
-    """Every member of one committee votes `value` (see `_sign_step`)."""
-    r, s, sigs = _sign_step(credentials, value, signer, policies)
+    """Every member of one committee votes `value`, signed in one
+    `ephemeral_sign_many` call of `signer` (the KeyRegistry, or an
+    AdversarySigner); each key is retired per `policies[member]`."""
+    if not credentials:
+        return []
+    r, s = credentials[0].round, credentials[0].step
+    sigs = signer.ephemeral_sign_many(
+        [(c.user, policies[c.user]) for c in credentials], r, s, value)
     return [Vote(c.user, r, s, value, sig, c)
             for c, sig in zip(credentials, sigs)]
 
@@ -230,16 +206,3 @@ def ba_output(graded: GradedValue, bba_result: int) -> Digest | None:
             "agreement settled on a value but no value was graded")
     return graded.value
 
-
-# -- certificates ------------------------------------------------------------------
-
-def make_cert_message(credentials: Sequence[Credential], block_digest: Digest,
-                      is_empty: bool, signer,
-                      policies: Mapping[UserId, str | None]) -> list[CertMessage]:
-    """Every member of one committee certifies `block_digest` with its key for
-    the step at which it decided (see `_sign_step`)."""
-    bit = 1 if is_empty else 0
-    r, s, sigs = _sign_step(credentials, cert_payload(bit, block_digest),
-                            signer, policies)
-    return [CertMessage(c.user, r, s, bit, block_digest, sig, c)
-            for c, sig in zip(credentials, sigs)]

@@ -5,7 +5,8 @@ invokes adversary strategies, detects forks and accumulates metrics.
 Every committee step of a round (proposal, vote, relay, each agreement and
 certificate step) runs through one primitive in `run_round`: `step(s, value)`
 signs `value` for every member of the (r, s) committee in one call (None: the
-step is silent).  Step 1 proposes through its own `sign` builder, as each
+step is silent).  Every step from 2 on sends `consensus.Vote`s (a cert step's
+over `cert_payload`); step 1 proposes through its own `sign` builder, as each
 proposer signs a different block.  Members send in committee order, so each
 step delivers at most one message per sender, in ascending sender order.
 
@@ -29,7 +30,6 @@ from .adversary import (
     bribe_and_recertify,
     fork_from,
 )
-from .consensus import CertMessage, canonical_empty_digest
 from .crypto import KeyRegistry, UserId, be8, sha256
 from .ledger import (
     Chain,
@@ -37,6 +37,7 @@ from .ledger import (
     Payment,
     block_hash,
     build_payset,
+    cert_payload,
     empty_block,
     make_genesis,
     make_payment,
@@ -189,12 +190,13 @@ class SimulationRun:
         params = self.params
         mode = self.config.consensus_mode
         prev = self.chain.blocks[r - 1]
-        prev_seed, prev_hash = prev.seed, block_hash(prev)
+        prev_seed = prev.seed
+        empty = empty_block(r, prev_seed, block_hash(prev))
 
         if r < params.lookback:
             # No user can clear the lookback rule yet: the round degenerates
             # to an uncertified empty block.
-            self.chain.append(empty_block(r, prev_seed, prev_hash))
+            self.chain.append(empty)
             self.records.append(RoundRecord(
                 r, None, {}, 0, None, None, None, True, 0, ("bootstrap",)))
             return
@@ -233,7 +235,7 @@ class SimulationRun:
         leader = select_leader(leaders) if leaders else None
         candidate = next((p.block for p in proposals
                           if p.credential.user == leader), None)
-        empty_digest = canonical_empty_digest(self.chain, r)
+        empty_digest = block_hash(empty)
 
         # Step 2: the vote committee backs the leader's block, or the empty
         # block when the round has no potential leader.  Its supermajority is
@@ -277,23 +279,23 @@ class SimulationRun:
         committed = ba_digest if mode in ("ba", "both") else simple_digest
         is_empty = committed == empty_digest
         # Votes only ever back the candidate or the empty block.
-        block = empty_block(r, prev_seed, prev_hash) if is_empty else candidate
+        block = empty if is_empty else candidate
 
-        # Fresh committees certify the decided digest, from the decision step
-        # on, until cert_threshold distinct voters have signed once each;
-        # their delivered messages are the certificate.  Every step so far is
-        # below the decision step, so no step runs twice.
-        cert: list[CertMessage] = []
+        # Fresh committees vote the certificate payload of the decided block,
+        # from the decision step on, until cert_threshold distinct voters
+        # have signed once each; their delivered votes are the certificate.
+        # Every step so far is below the decision step, so no step runs twice.
+        cert: list[consensus.Vote] = []
         voters: set[UserId] = set()
 
-        def certify(committee, digest, registry, policies):
+        def certify(committee, payload, registry, policies):
             fresh = [c for c in committee if c.user not in voters]
             voters.update(c.user for c in fresh)
-            return consensus.make_cert_message(fresh, digest, is_empty,
-                                               registry, policies)
+            return consensus.vote(fresh, payload, registry, policies)
 
+        payload = cert_payload(1 if is_empty else 0, committed)
         for s in range(decision_step, params.max_step + 1):
-            cert += step(s, committed, certify)[1]
+            cert += step(s, payload, certify)[1]
             if len(voters) >= params.cert_threshold:
                 break
         else:

@@ -31,7 +31,7 @@ from .crypto import (
 )
 
 if TYPE_CHECKING:
-    from .consensus import CertMessage
+    from .consensus import Vote
 
 
 class LedgerError(Exception):
@@ -89,7 +89,7 @@ class Block:
     payset: tuple[Payment, ...]
     seed: Digest
     prev_hash: Digest
-    cert: tuple["CertMessage", ...]
+    cert: tuple["Vote", ...]
     # Hash of the canonical serialization, computed once on construction
     # (also by `with_cert` and `dataclasses.replace`); the cert is not covered.
     digest: Digest = field(init=False, repr=False, compare=False)
@@ -104,7 +104,7 @@ class Block:
     def is_empty(self) -> bool:
         return not self.payset
 
-    def with_cert(self, cert: Sequence["CertMessage"]) -> "Block":
+    def with_cert(self, cert: Sequence["Vote"]) -> "Block":
         return replace(self, cert=tuple(cert))
 
 
@@ -113,7 +113,7 @@ def payment_message(payer: UserId, payee: UserId, amount: int, round: int) -> by
 
 
 def cert_payload(bit: int, block_digest: Digest) -> bytes:
-    """Byte string an ephemeral certificate signature covers."""
+    """The value a certificate `Vote` signs; bit 1 marks the empty block."""
     return bytes([bit]) + block_digest
 
 
@@ -362,31 +362,31 @@ def validate_block(chain: Chain, b: Block, params, registry: KeyRegistry) -> lis
     return violations
 
 
-def check_cert(cert: Sequence["CertMessage"], round: int, digest: Digest,
+def check_cert(cert: Sequence["Vote"], round: int, digest: Digest,
                expected_bit: int, prev_seed: Digest, chain: Chain, params,
                registry: KeyRegistry) -> list[str | None]:
     """Why each message of `cert` is unacceptable for `digest` (None where
     it is fine), in cert order; `expected_bit` is 1 for the round's empty
-    block, else 0.  The messages that pass the structural checks all sign
+    block, else 0.  The messages that pass the structural checks all vote
     `cert_payload(expected_bit, digest)`, and are checked a step at a time."""
     from . import sortition  # imported late: sortition depends on this module
 
+    payload = cert_payload(expected_bit, digest)
     reasons: list[str | None] = []
     sound = []  # messages that pass the structural checks, in cert order
     for m in cert:
-        voter, m_round, step, bit, block_digest, _, credential = m
+        voter, m_round, step, value, _, credential = m
         if m_round != round:
             reasons.append("wrong round")
-        elif block_digest != digest:
-            reasons.append("wrong block digest")
-        elif bit != expected_bit:
-            reasons.append("bit does not match block emptiness")
+        elif value != payload:
+            reasons.append("wrong block digest" if value[1:] != digest
+                           else "bit does not match block emptiness")
         elif credential[:3] != (voter, round, step):
             reasons.append("credential does not match message")
         else:
             sound.append((len(reasons), m))
             reasons.append(None)
-    by_step: dict[int, list[tuple[int, "CertMessage"]]] = {}
+    by_step: dict[int, list[tuple[int, "Vote"]]] = {}
     for (i, m), reason in zip(sound, sortition.check_credentials(
             [m.credential for _, m in sound], prev_seed, chain, params, registry)):
         if reason is not None:
@@ -395,8 +395,7 @@ def check_cert(cert: Sequence["CertMessage"], round: int, digest: Digest,
             by_step.setdefault(m.step, []).append((i, m))
     for step, group in by_step.items():
         for (i, _), ok in zip(group, registry.verify_ephemeral_many(
-                [(m.voter, m.sig) for _, m in group], round, step,
-                cert_payload(expected_bit, digest))):
+                [(m.voter, m.sig) for _, m in group], round, step, payload)):
             if not ok:
                 reasons[i] = "bad ephemeral signature"
     return reasons
@@ -428,8 +427,8 @@ def chain_to_lines(chain: Chain) -> list[str]:
                             chain.genesis_status.balances.items()}},
         sort_keys=True, separators=(",", ":"))]
     for b in chain.blocks:
-        cert = [_CERT % (bit, d.hex(), cr, c_sig.hex(), cs, u, r, sig.hex(), s, v)
-                for v, r, s, bit, d, sig, (u, cr, cs, c_sig) in b.cert]
+        cert = [_CERT % (p[0], p[1:].hex(), cr, c_sig.hex(), cs, u, r, sig.hex(), s, v)
+                for v, r, s, p, sig, (u, cr, cs, c_sig) in b.cert]
         payset = [_PAYMENT % (p.amount, p.payee, p.payer, p.sig.hex())
                   for p in b.payset]
         lines.append(_BLOCK % (",".join(cert), ",".join(payset), b.prev_hash.hex(),
@@ -453,6 +452,13 @@ def _u64_field(value) -> int:
     return value
 
 
+def _bit_field(value) -> int:
+    """A cert bit of a chain file: one byte of the signed `cert_payload`."""
+    if _u64_field(value) >= 256:
+        raise ValueError(f"expected a cert bit in [0, 256), got {value}")
+    return value
+
+
 # What a malformed line raises while it is read: json.loads (RecursionError
 # when arrays nest deeper than the interpreter's limit), a missing key, or a
 # value of the wrong type or range, checked in field declaration order.
@@ -466,7 +472,7 @@ def chain_from_lines(lines: Iterable[str],
                      window: int | None = None) -> Chain:
     """Parse an exported chain; `window` defaults to the status window of the
     default protocol parameters, `lookback + 1`."""
-    from .consensus import CertMessage
+    from .consensus import Vote
     from .sortition import Credential, ProtocolParams
 
     if window is None:
@@ -488,10 +494,11 @@ def chain_from_lines(lines: Iterable[str],
             payset = tuple([Payment(_u64_field(p["payer"]), _u64_field(p["payee"]),
                                     _u64_field(p["amount"]), _hash_field(p["sig"]))
                             for p in o["payset"]])
-            cert = tuple([CertMessage(
+            cert = tuple([Vote(
                 _u64_field(m["voter"]), _u64_field(m["round"]),
-                _u64_field(m["step"]), _u64_field(m["bit"]),
-                _hash_field(m["block_digest"]), _hash_field(m["sig"]),
+                _u64_field(m["step"]), cert_payload(_bit_field(m["bit"]),
+                                                    _hash_field(m["block_digest"])),
+                _hash_field(m["sig"]),
                 Credential(_u64_field((c := m["credential"])["user"]),
                            _u64_field(c["round"]), _u64_field(c["step"]),
                            _hash_field(c["sig"])))

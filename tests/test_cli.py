@@ -262,6 +262,18 @@ class TestDeterminismAndCompare:
         assert err.count("\n") == 1 and err.startswith("error:")
 
 
+@pytest.fixture(scope="module")
+def fork_attack_chain(tmp_path_factory):
+    """The honest chain.jsonl lines of a genesis_fork.cfg attack."""
+    out = tmp_path_factory.mktemp("fork")
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["attack", "genesis-fork", "--config",
+                         str(FIXTURES / "genesis_fork.cfg"), "--out",
+                         str(out)]) == 0
+    return (out / "chain.jsonl").read_text().splitlines()
+
+
 class TestVerifyChain:
     def test_exported_honest_chain_verifies(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "out"
@@ -380,6 +392,29 @@ class TestVerifyChain:
                                out / "bad.jsonl", "--config", small_cfg)
         assert code == 2
         assert err.startswith("error: cannot load chain")
+
+    @pytest.mark.parametrize("bit", [2, 255, 256, 2**64 - 1])
+    def test_cert_bit_must_fit_one_byte(self, fork_attack_chain, tmp_path,
+                                        capsys, bit):
+        # a cert message signs bytes([bit]) + digest: a bit that fits the
+        # byte but is wrong is a violation, a larger one a malformed record
+        lines = list(fork_attack_chain)
+        rec = json.loads(lines[5])
+        rec["cert"][0]["bit"] = bit
+        lines[5] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+        (tmp_path / "bit.jsonl").write_text("\n".join(lines) + "\n")
+        code, stdout, err = run_cli(capsys, "verify-chain", "--chain",
+                                    tmp_path / "bit.jsonl", "--config",
+                                    FIXTURES / "genesis_fork.cfg")
+        if bit < 256:
+            assert (code, err) == (1, "")
+            assert stdout.startswith(
+                f"round 4: cert message from user {rec['cert'][0]['voter']}: "
+                "bit does not match block emptiness\n")
+        else:
+            assert (code, stdout) == (2, "")
+            assert err == ("error: cannot load chain: malformed chain record: "
+                           f"expected a cert bit in [0, 256), got {bit}\n")
 
     def test_deeply_nested_record_is_parse_error(self, small_cfg, tmp_path,
                                                  capsys):

@@ -10,23 +10,28 @@ from algosim.consensus import (
     ba_output,
     bba,
     bba_transition,
-    canonical_empty_digest,
     coin_bit,
     gc_grade,
-    make_cert_message,
     propose,
     supermajority_value,
     vote,
 )
 from algosim.crypto import KeyDestroyedError, KeyState
-from algosim.ledger import block_hash, build_payset, make_payment, validate_block
+from algosim.ledger import (
+    block_hash,
+    build_payset,
+    cert_payload,
+    empty_block,
+    make_payment,
+    validate_block,
+)
 from algosim.sortition import ProtocolParams, view_credential, view_leader
 
 from conftest import idle_chain, key_records, make_registry
 
 Vote = namedtuple("Vote", "voter value")
 
-# key policies of `vote` and `make_cert_message`: every member alike
+# key policies of `vote`: every member alike
 HONEST = defaultdict(lambda: "honest")
 RETAIN = defaultdict(lambda: "retain")
 
@@ -87,11 +92,11 @@ def round_leader(env):
 
 
 def cert_of(env, block, users, step=4):
-    """Cert messages of `users` over `block`, signed at `step` under the
-    retain policy so one fixture can certify several blocks."""
-    return make_cert_message([verf_cred(env, u, step) for u in users],
-                             block_hash(block), block.is_empty(), env[0],
-                             RETAIN)
+    """Cert votes of `users` for `block`, signed at `step` under the retain
+    policy so one fixture can certify several blocks."""
+    payload = cert_payload(1 if block.is_empty() else 0, block_hash(block))
+    return vote([verf_cred(env, u, step) for u in users], payload, env[0],
+                RETAIN)
 
 
 def violations(env, block, cert):
@@ -112,7 +117,8 @@ class TestPropose:
         msg = propose(lead_cred(env, 1), payset_of(env, []), chain, registry)
         assert msg.block.payset == ()
         assert msg.block.round == ROUND
-        assert block_hash(msg.block) == canonical_empty_digest(chain, ROUND)
+        prev = chain.tip()
+        assert msg.block == empty_block(ROUND, prev.seed, block_hash(prev))
         self.check_signed(env, msg)
         assert violations(env, msg.block, cert_of(env, msg.block, range(1, 5))) == []
 
@@ -190,8 +196,8 @@ def test_honest_signing_stores_no_key_record(env, kind, step):
         elif kind == "vote":
             vote([verf_cred(env, u, step)], b"\x11" * 32, registry, HONEST)
         else:
-            make_cert_message([verf_cred(env, u, step)], b"\x11" * 32, False,
-                              registry, HONEST)
+            vote([verf_cred(env, u, step)], cert_payload(0, b"\x11" * 32),
+                 registry, HONEST)
         assert registry.ephemeral_state(u, ROUND, step) is KeyState.DESTROYED
     assert key_records(registry) == []
     assert registry.retained_records() == []
@@ -345,20 +351,23 @@ def test_supermajority_matches_brute_force(ballots, n):
 
 class TestCertificates:
     def test_bits_track_emptiness(self, env):
+        # a cert vote signs the bit byte, then the digest (README layout)
         registry, chain, params = env
         digest = b"\x07" * 32
-        [m0] = make_cert_message([verf_cred(env, 1, 3)], digest, False,
-                                 registry, HONEST)
-        [m1] = make_cert_message([verf_cred(env, 2, 3)], digest, True,
-                                 registry, HONEST)
-        assert (m0.bit, m1.bit) == (0, 1)
+        [m0] = vote([verf_cred(env, 1, 3)], cert_payload(0, digest), registry,
+                    HONEST)
+        [m1] = vote([verf_cred(env, 2, 3)], cert_payload(1, digest), registry,
+                    HONEST)
+        assert (m0.value, m1.value) == (b"\x00" + digest, b"\x01" + digest)
+        assert registry.verify_ephemeral(1, ROUND, 3, b"\x00" + digest, m0.sig)
 
     def test_destroyed_key_cannot_certify(self, env):
         registry, chain, params = env
         cred = verf_cred(env, 3, 3)
-        make_cert_message([cred], b"\x07" * 32, False, registry, HONEST)
+        payload = cert_payload(0, b"\x07" * 32)
+        vote([cred], payload, registry, HONEST)
         with pytest.raises(KeyDestroyedError):
-            make_cert_message([cred], b"\x07" * 32, False, registry, HONEST)
+            vote([cred], payload, registry, HONEST)
 
     # A certificate is whatever the block carries: `validate_block` counts
     # its valid messages from distinct voters against cert_threshold (4).
@@ -384,8 +393,8 @@ class TestCertificates:
     def test_bit_must_match_emptiness(self, env, block):
         # correctly signed, but the signers called an empty block non-empty
         registry = env[0]
-        cert = make_cert_message([verf_cred(env, u, 4) for u in range(1, 5)],
-                                 block_hash(block), False, registry, HONEST)
+        cert = vote([verf_cred(env, u, 4) for u in range(1, 5)],
+                    cert_payload(0, block_hash(block)), registry, HONEST)
         assert violations(env, block, cert)[0] == \
             "cert message from user 1: bit does not match block emptiness"
 

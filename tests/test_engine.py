@@ -19,6 +19,7 @@ from algosim.ledger import (
     Chain,
     IncompatibleGenesisError,
     block_hash,
+    cert_payload,
     chain_from_lines,
     chain_to_lines,
     users_at,
@@ -211,8 +212,9 @@ def test_single_field_mutation_of_certified_block_is_rejected(small_run, data):
             cert[k] = m._replace(credential=other.credential)
         else:
             field, values = {
-                "cert_bit": ("bit", st.just(1 - m.bit)),
-                "cert_digest": ("block_digest", st.binary(min_size=32, max_size=32)),
+                "cert_bit": ("value", st.just(bytes([1 - m.value[0]]) + m.value[1:])),
+                "cert_digest": ("value", st.binary(min_size=32, max_size=32)
+                                .map(lambda d: m.value[:1] + d)),
                 "cert_sig": ("sig", st.binary(min_size=32, max_size=32)),
                 "cert_step": ("step", st.integers(1, params.max_step)),
                 "cert_voter": ("voter", st.integers(1, SMALL.num_genesis_users)),
@@ -251,7 +253,8 @@ def test_no_leader_rounds_produce_certified_empty_blocks():
     assert all(rec.empty_block for rec in metrics.rounds)
     assert all(rec.equivalent in (True, None) for rec in metrics.rounds)
     assert verify_chain(chain, cfg.params, chain.registry) == []
-    assert all(m.bit == 1 for m in chain.blocks[5].cert)
+    payload = cert_payload(1, block_hash(chain.blocks[5]))
+    assert all(m.value == payload for m in chain.blocks[5].cert)
 
 
 def test_simple_mode_runs_two_steps():

@@ -9,10 +9,13 @@ import types
 from pathlib import Path
 
 import algosim.cli  # noqa: F401  the tracer wraps every binding under algosim
-from algosim.engine import ScenarioConfig
+from algosim.cli import load_config
+from algosim.engine import ScenarioConfig, metrics_to_lines
+from algosim.ledger import chain_to_lines
 from algosim.sortition import ProtocolParams
 
-LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+ROOT = Path(__file__).resolve().parent.parent
+LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
 
 
 def load_layertrace() -> types.ModuleType:
@@ -44,4 +47,31 @@ def test_tracer_counts_every_delivery():
     assert counts["engine.SimulationRun.run_round"] == config.rounds
     # uninstalled: a second run goes unseen
     layers["engine"].run_scenario(dataclasses.replace(config, rounds=4))
+    assert tracer.counts() == counts
+
+
+def test_tracer_sees_the_genesis_fork_attack():
+    # the adversary binds `vote` by name; every binding is wrapped, and the
+    # traced attack writes what an untraced one writes
+    layertrace = load_layertrace()
+    engine = importlib.import_module("algosim.engine")
+    config = load_config(str(ROOT / "fixtures" / "genesis_fork.cfg"))
+
+    def outputs():
+        chains, metrics = engine.run_scenario(config)
+        return metrics_to_lines(metrics), [chain_to_lines(c) for c in chains]
+
+    untraced = outputs()
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_scenario()
+        traced = outputs()
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts()
+    assert counts["adversary.fork_from"] == 1
+    assert traced == untraced
+    # uninstalled: a further run goes unseen
+    outputs()
     assert tracer.counts() == counts

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algosim import sortition
-from algosim.consensus import CertMessage
+from algosim.consensus import Vote
 from algosim.crypto import (
     TAG_BLOCK,
     TAG_PAYMENT,
@@ -53,6 +53,12 @@ from algosim.sortition import (
 )
 
 from conftest import idle_chain, make_registry
+
+
+def cert_vote(voter, round, step, bit, block_digest, sig, credential):
+    """A certificate `Vote` from the fields of a chain-file cert record: it
+    signs the bit byte, then the block digest (README)."""
+    return Vote(voter, round, step, bytes([bit]) + block_digest, sig, credential)
 
 
 @pytest.fixture
@@ -358,9 +364,9 @@ def test_block_digest_matches_readme_preimage_on_every_path(registry):
     prev = chain.tip()
     pays = (make_payment(registry, 1, 2, 3, 4), make_payment(registry, 2, 1, 7, 4))
     built = Block(4, pays, empty_round_seed(prev.seed, 4), block_hash(prev), ())
-    certed = built.with_cert((CertMessage(1, 4, 2, 0, block_hash(built),
-                                          b"\x01" * 32,
-                                          Credential(1, 4, 2, b"\x02" * 32)),))
+    certed = built.with_cert((cert_vote(1, 4, 2, 0, block_hash(built),
+                                        b"\x01" * 32,
+                                        Credential(1, 4, 2, b"\x02" * 32)),))
     reseeded = dataclasses.replace(built, seed=bytes(range(32)))
     chain.append(certed)
     parsed = chain_from_lines(chain_to_lines(chain), registry).blocks
@@ -378,7 +384,7 @@ u64 = st.integers(0, 2**64 - 1)
 hash32 = st.binary(min_size=32, max_size=32)
 payments = st.builds(Payment, u64, u64, u64, hash32)
 credentials = st.builds(Credential, u64, u64, u64, hash32)
-cert_messages = st.builds(CertMessage, voter=u64, round=u64, step=u64,
+cert_messages = st.builds(cert_vote, voter=u64, round=u64, step=u64,
                           bit=st.integers(0, 1), block_digest=hash32,
                           sig=hash32, credential=credentials)
 
@@ -418,7 +424,7 @@ def reference_block_line(b):
         "seed": b.seed.hex(),
         "prev_hash": b.prev_hash.hex(),
         "cert": [{"voter": m.voter, "round": m.round, "step": m.step,
-                  "bit": m.bit, "block_digest": m.block_digest.hex(),
+                  "bit": m.value[0], "block_digest": m.value[1:].hex(),
                   "sig": m.sig.hex(),
                   "credential": {"user": m.credential.user,
                                  "round": m.credential.round,
@@ -431,15 +437,15 @@ def reference_block_line(b):
 
 def reference_parse_record(line):
     """The block record reader with keyword arguments, errors included."""
-    from algosim.ledger import _PARSE_ERRORS, _hash_field, _u64_field
+    from algosim.ledger import _PARSE_ERRORS, _bit_field, _hash_field, _u64_field
     try:
         o = json.loads(line)
         payset = tuple(Payment(_u64_field(p["payer"]), _u64_field(p["payee"]),
                                _u64_field(p["amount"]), _hash_field(p["sig"]))
                        for p in o["payset"])
-        cert = tuple(CertMessage(
+        cert = tuple(cert_vote(
             voter=_u64_field(m["voter"]), round=_u64_field(m["round"]),
-            step=_u64_field(m["step"]), bit=_u64_field(m["bit"]),
+            step=_u64_field(m["step"]), bit=_bit_field(m["bit"]),
             block_digest=_hash_field(m["block_digest"]),
             sig=_hash_field(m["sig"]),
             credential=Credential(_u64_field(m["credential"]["user"]),
@@ -457,8 +463,9 @@ U64_MAX = 2**64 - 1
 u64_edge = st.one_of(st.sampled_from([0, U64_MAX]), u64)
 edge_payments = st.builds(Payment, u64_edge, u64_edge, u64_edge, hash32)
 edge_cert_messages = st.builds(
-    CertMessage, voter=u64_edge, round=u64_edge,
-    step=st.one_of(st.integers(1, 12), u64_edge), bit=st.integers(0, 1),
+    cert_vote, voter=u64_edge, round=u64_edge,
+    step=st.one_of(st.integers(1, 12), u64_edge),
+    bit=st.one_of(st.integers(0, 1), st.sampled_from([2, 255])),
     block_digest=hash32, sig=hash32,
     credential=st.builds(Credential, u64_edge, u64_edge, u64_edge, hash32))
 
@@ -492,8 +499,8 @@ def test_export_equals_reference_writer(blocks, balances):
 def test_export_reaches_u64_extremes_and_long_certs():
     # the cases the strategy above exists for, pinned so they always run
     cred = Credential(U64_MAX, 0, U64_MAX, b"\xff" * 32)
-    cert = tuple(CertMessage(U64_MAX * (i % 2), U64_MAX, i % 3 + 1, i % 2,
-                             b"\x00" * 32, bytes([i]) * 32, cred)
+    cert = tuple(cert_vote(U64_MAX * (i % 2), U64_MAX, i % 3 + 1, i % 2,
+                           b"\x00" * 32, bytes([i]) * 32, cred)
                  for i in range(25))
     pays = tuple(Payment(U64_MAX, 0, U64_MAX, bytes([i]) * 32) for i in range(6))
     b = Block(0, pays, b"\xab" * 32, b"\x01" * 32, cert)
@@ -620,7 +627,8 @@ def reference_verify_ephemeral(registry, owner, round, step, message, sig):
 
 def reference_check_cert_message(m, round, digest, expected_bit, prev_seed,
                                  chain, params, registry):
-    voter, m_round, step, bit, block_digest, sig, credential = m
+    voter, m_round, step, value, sig, credential = m
+    bit, block_digest = value[0], value[1:]
     if m_round != round:
         return "wrong round"
     if block_digest != digest:
@@ -671,7 +679,7 @@ def signed_message(chain, block, user, step):
         user, credential_message(r, step, prev_seed)))
     sig = _ephemeral_sig(registry._head, user, be8(r) + be8(step),
                          cert_payload(bit, block_hash(block)))
-    return CertMessage(user, r, step, bit, block_hash(block), sig, credential)
+    return cert_vote(user, r, step, bit, block_hash(block), sig, credential)
 
 
 def selected(chain, block, step, params):
@@ -684,18 +692,21 @@ def flip(data: bytes) -> bytes:
     return bytes([data[0] ^ 1]) + data[1:]
 
 
-CERT_MUTATIONS = ("round", "digest", "bit", "credential", "credential_sig",
-                  "sig", "step_zero", "step_high", "ineligible", "unselected",
-                  "other_step", "duplicate")
+CERT_MUTATIONS = ("round", "digest", "bit", "bit_and_digest", "credential",
+                  "credential_sig", "sig", "step_zero", "step_high", "ineligible",
+                  "unselected", "other_step", "duplicate")
 
 
 def mutated_message(chain, block, m, kind, draw, params):
     if kind == "round":
         return m._replace(round=m.round + draw(st.sampled_from([-1, 1])))
-    if kind == "digest":
-        return m._replace(block_digest=draw(hash32.filter(lambda d: d != m.block_digest)))
+    bit, digest = m.value[0], m.value[1:]
+    if kind in ("digest", "bit_and_digest"):
+        if kind == "bit_and_digest":
+            bit = 1 - bit
+        return m._replace(value=bytes([bit]) + draw(hash32.filter(lambda d: d != digest)))
     if kind == "bit":
-        return m._replace(bit=1 - m.bit)
+        return m._replace(value=bytes([1 - bit]) + digest)
     if kind == "credential":  # names another user or another step
         field = draw(st.sampled_from(["user", "step"]))
         return m._replace(credential=m.credential._replace(
@@ -740,8 +751,13 @@ def test_validate_block_reports_what_per_message_checks_report(certified, data):
             cert[k] = mutated_message(chain, block, cert[k], kind, data.draw,
                                       params)
     mutated = block.with_cert(data.draw(st.permutations(cert), label="order"))
-    assert validate_block(chain, mutated, params, chain.registry) == \
-        reference_cert_violations(chain, mutated, params, chain.registry)
+    found = validate_block(chain, mutated, params, chain.registry)
+    assert found == reference_cert_violations(chain, mutated, params, chain.registry)
+    # a message with both its bit and its digest wrong is a wrong digest
+    bit, digest = 1 if block.is_empty() else 0, block_hash(block)
+    for m in mutated.cert:
+        if m.round == block.round and m.value[0] != bit and m.value[1:] != digest:
+            assert f"cert message from user {m.voter}: wrong block digest" in found
 
 
 def outcome(check):
