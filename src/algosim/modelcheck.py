@@ -13,8 +13,11 @@ brute force rather than argued:
   Byzantine message pattern and every coin sequence; termination within the
   step budget holds for every non-equivocating instance, and two structural
   lemmas (checked here too) bound the equivocating case: some coin value
-  always reunifies the honest bits, and unified bits are decided within one
-  iteration no matter what the adversary sends.
+  always reunifies the honest bits (L1), and unified bits are decided within
+  one iteration no matter what the adversary sends (L2).  Every
+  binary-agreement check walks one game tree: `_moves` is its next-move
+  generator and `_search` its bounded "every branch decides within k steps"
+  search.
 
 The Byzantine model: an equivocator may send any bit, or nothing, to each
 honest recipient independently at every step.  Honest participants broadcast,
@@ -70,19 +73,15 @@ def check_vote_safety(sizes=range(4, 13)) -> list[tuple]:
     for n in sizes:
         f = max_equivocators(n)
         h = n - f
-        honest_ids = range(f, n)
-        byz_ids = range(f)
         for a in range(h + 1):
             for b in range(h + 1 - a):
-                honest = [_Msg(honest_ids[i], "A") for i in range(a)]
-                honest += [_Msg(honest_ids[a + i], "B") for i in range(b)]
-                honest += [_Msg(honest_ids[a + b + i], "C")
-                           for i in range(h - a - b)]
+                honest = [_Msg(f + i, "A" if i < a else "B" if i < a + b else "C")
+                          for i in range(h)]
                 for za in range(f + 1):
+                    view1 = honest + [_Msg(i, "A") for i in range(za)]
+                    r1 = supermajority_value(view1, n)
                     for zb in range(f + 1):
-                        view1 = honest + [_Msg(i, "A") for i in list(byz_ids)[:za]]
-                        view2 = honest + [_Msg(i, "B") for i in list(byz_ids)[:zb]]
-                        r1 = supermajority_value(view1, n)
+                        view2 = honest + [_Msg(i, "B") for i in range(zb)]
                         r2 = supermajority_value(view2, n)
                         if r1 is not None and r2 is not None and r1 != r2:
                             bad.append((n, f, a, b, za, zb, r1, r2))
@@ -174,6 +173,18 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def _moves(state: _State, n: int, f: int, phase: int):
+    """The one next-move generator of the game tree.
+
+    For each coin this step can see (0 and 1 at phase 2, None otherwise),
+    yields that coin's observer outcomes under an adversary budget of f, and
+    the (state, phase) nodes those outcomes lead to.
+    """
+    for coin in ((0, 1) if phase == 2 else (None,)):
+        outs = _observer_outcomes(state, n, f, phase, coin)
+        yield outs, [(nxt, (phase + 1) % 3) for nxt in _successors(state, outs)]
+
+
 def _explore(n: int, f: int, report: ModelCheckReport) -> set[tuple[_State, int]]:
     """BFS to closure over all adversary patterns and both coin values.
 
@@ -195,106 +206,64 @@ def _explore(n: int, f: int, report: ModelCheckReport) -> set[tuple[_State, int]
             continue
         if u0 + u1 == 0:
             continue
-        next_phase = (phase + 1) % 3
-        if phase == 2:
-            unifying_coin = False
-            for coin in (0, 1):
-                outs = _observer_outcomes(state, n, f, phase, coin)
-                if len({bit for bit, _ in outs}) <= 1:
-                    unifying_coin = True
-                for nxt in _successors(state, outs):
-                    frontier.add((nxt, next_phase))
-            if not unifying_coin:
-                report.coin_progress_violations.append((n, f, state))
-        else:
-            outs = _observer_outcomes(state, n, f, phase, None)
-            for nxt in _successors(state, outs):
-                frontier.add((nxt, next_phase))
+        unifying_coin = False
+        for outs, nodes in _moves(state, n, f, phase):
+            unifying_coin |= len({bit for bit, _ in outs}) <= 1
+            frontier.update(nodes)
+        if phase == 2 and not unifying_coin:
+            report.coin_progress_violations.append((n, f, state))
     return seen
 
 
-def _check_validity(n: int, f: int, report: ModelCheckReport) -> None:
-    """Unanimous honest inputs must decide that bit, on every branch."""
-    h = n - f
-    for bit in (0, 1):
-        start = (h, 0, 0, 0) if bit == 0 else (0, h, 0, 0)
-        frontier = {(start, 0, 0)}
-        while frontier:
-            state, phase, depth = frontier.pop()
-            u0, u1, d0, d1 = state
-            wrong = d1 if bit == 0 else d0
-            if wrong:
-                report.validity_violations.append((n, f, bit, state))
-                continue
-            if u0 + u1 == 0:
-                continue
-            if depth >= 3:
-                report.validity_violations.append((n, f, bit, state, "undecided"))
-                continue
-            coins = (0, 1) if phase == 2 else (None,)
-            for coin in coins:
-                outs = _observer_outcomes(state, n, f, phase, coin)
-                for nxt in _successors(state, outs):
-                    frontier.add((nxt, (phase + 1) % 3, depth + 1))
-
-
-def _check_unanimity_absorbs(n: int, f: int, reachable, report: ModelCheckReport) -> None:
-    """From any reachable unified state, everyone decides within one
-    iteration regardless of adversary messages (L2)."""
-    for state, phase in reachable:
-        u0, u1, d0, d1 = state
-        if u0 + u1 == 0 or (u0 > 0 and u1 > 0):
+def _search(start: _State, phase: int, n: int, f: int, k: int,
+            flagged=lambda state: False):
+    """The one bounded search, from (start, phase) under an adversary
+    budget of f: yields (state, True) for each branch state `flagged` picks
+    out (that branch stops there) and (state, False) for each branch still
+    undecided after k steps.  A node reached again after it was expanded is
+    expanded, and reported, again."""
+    frontier = {(start, phase, 0)}
+    while frontier:
+        state, phase, depth = frontier.pop()
+        if flagged(state):
+            yield state, True
             continue
-        if (u0 > 0 and d1 > 0) or (u1 > 0 and d0 > 0):
-            continue  # inconsistent mixes are agreement's problem
-        frontier = {(state, phase, 0)}
-        while frontier:
-            s, ph, depth = frontier.pop()
-            if s[0] + s[1] == 0:
-                continue
-            if depth >= 4:
-                report.unanimity_absorb_violations.append((n, f, state, phase))
-                continue
-            coins = (0, 1) if ph == 2 else (None,)
-            for coin in coins:
-                outs = _observer_outcomes(s, n, f, ph, coin)
-                for nxt in _successors(s, outs):
-                    frontier.add((nxt, (ph + 1) % 3, depth + 1))
-
-
-def _check_silent_termination(n: int, f: int, max_steps: int,
-                              report: ModelCheckReport) -> None:
-    """Non-equivocating instances (Byzantine voters crash-silent) must decide
-    within the step budget for every initial split and coin sequence.
-
-    Crash-silent voters are an adversary budget of 0: every observer sees
-    the same honest votes, so each step has one outcome."""
-    h = n - f
-    for u0 in range(h + 1):
-        frontier = {((u0, h - u0, 0, 0), 0, 0)}
-        while frontier:
-            state, phase, depth = frontier.pop()
-            if state[0] + state[1] == 0:
-                continue
-            if depth >= max_steps:
-                report.termination_violations.append((n, f, u0, state))
-                continue
-            coins = (0, 1) if phase == 2 else (None,)
-            for coin in coins:
-                outs = _observer_outcomes(state, n, 0, phase, coin)
-                for nxt in _successors(state, outs):
-                    frontier.add((nxt, (phase + 1) % 3, depth + 1))
+        if state[0] + state[1] == 0:
+            continue
+        if depth >= k:
+            yield state, False
+            continue
+        for _, nodes in _moves(state, n, f, phase):
+            frontier.update((nxt, ph, depth + 1) for nxt, ph in nodes)
 
 
 def model_check_bba(sizes=(4, 5, 6, 7), max_steps: int = 9) -> ModelCheckReport:
-    """Exhaustively check agreement, validity and termination at small sizes."""
+    """Exhaustively check agreement, validity and termination at small sizes.
+
+    `_explore` checks agreement and L1.  `_search` checks validity (unanimous
+    inputs decide that bit within one iteration), L2 (every reachable unified
+    state decides within one iteration whatever the adversary sends) and
+    termination (with the Byzantine voters crash-silent, an adversary budget
+    of 0, every initial split decides within `max_steps` steps).
+    """
     report = ModelCheckReport()
     for n in sizes:
         f = max_supermajority_byzantine(n)
         h = n - f
         report.instances += h + 1
         reachable = _explore(n, f, report)
-        _check_validity(n, f, report)
-        _check_unanimity_absorbs(n, f, reachable, report)
-        _check_silent_termination(n, f, max_steps, report)
+        for bit in (0, 1):
+            start = (h, 0, 0, 0) if bit == 0 else (0, h, 0, 0)
+            for state, wrong in _search(start, 0, n, f, 3, lambda s: s[3 - bit]):
+                report.validity_violations.append(
+                    (n, f, bit, state) if wrong else (n, f, bit, state, "undecided"))
+        for state, phase in reachable:
+            u0, u1, d0, d1 = state
+            if u0 + u1 == 0 or (u0 and u1) or (u0 and d1) or (u1 and d0):
+                continue  # not unified; inconsistent mixes are agreement's problem
+            for _ in _search(state, phase, n, f, 4):
+                report.unanimity_absorb_violations.append((n, f, state, phase))
+        for u0 in range(h + 1):
+            for state, _ in _search((u0, h - u0, 0, 0), 0, n, 0, max_steps):
+                report.termination_violations.append((n, f, u0, state))
     return report
