@@ -1,6 +1,11 @@
 """Round pipeline operations: proposal, votes, graded consensus, binary
 agreement, the simplified two-step majority protocol, and certificates.
 
+A round runs as three phases, each driven through the engine's step primitive
+`step(s, value, sign=vote) -> (committee, delivered)` and returning its
+decision with its evidence: `propose_phase`, `agree` (the step-3 relay,
+`gc_grade` and the binary-agreement step loop) and `certify`.
+
 Steps 2 to the last certificate step all send one message type, `Vote`: a
 member's ephemeral signature over the step's value (a digest at steps 2 and 3,
 `bytes([bit])` in binary agreement, `cert_payload(bit, digest)` in a cert).
@@ -34,12 +39,9 @@ from .ledger import (
     empty_round_seed,
     leader_round_seed,
 )
-from .sortition import Credential
+from .sortition import Credential, select_leader
 
-
-class ProtocolInconsistencyError(Exception):
-    """Binary agreement settled on a value nobody graded; cannot occur with an
-    honest supermajority, flagged for attack analysis."""
+Step = Callable[..., tuple[list[Credential], list]]
 
 
 class ProposalMessage(NamedTuple):
@@ -60,6 +62,20 @@ class Vote(NamedTuple):
 class GradedValue(NamedTuple):
     value: Digest | None
     grade: int  # 0, 1 or 2; grade 0 iff value is None
+
+
+class Proposal(NamedTuple):
+    leaders: list[Credential]  # the step-1 committee: every potential leader
+    leader: UserId | None
+    block: Block | None  # the leader's candidate block
+
+
+class Agreement(NamedTuple):
+    graded: GradedValue
+    tallies: tuple[tuple[int, int, int], ...]  # (zeros, ones, n) per BBA step
+    decided: int  # 0: the graded value is agreed; 1: the empty block
+    value: Digest | None  # None: the empty block
+    flags: tuple[str, ...]
 
 
 def distinct_voter_counts(messages: Iterable) -> dict[Digest, int]:
@@ -102,6 +118,22 @@ def propose(credential: Credential, payset: tuple[Payment, ...], chain: Chain,
     block = Block(r, payset, seed, block_hash(prev), ())
     sig = registry.ephemeral_sign(credential.user, r, 1, block_hash(block), policy)
     return ProposalMessage(block, sig, credential)
+
+
+def propose_phase(step: Step, payset: tuple[Payment, ...],
+                  chain: Chain) -> Proposal:
+    """Step 1: each potential leader signs its own block over one payset; the
+    round's candidate is the block of the leader `select_leader` names (None
+    when the round has no potential leader)."""
+    def propose_each(committee, payset, registry, policies):
+        return [propose(c, payset, chain, registry, policies[c.user])
+                for c in committee]
+
+    leaders, proposals = step(1, payset, propose_each)
+    leader = select_leader(leaders) if leaders else None
+    block = next((p.block for p in proposals if p.credential.user == leader),
+                 None)
+    return Proposal(leaders, leader, block)
 
 
 # -- steps 2 and later: votes ----------------------------------------------------
@@ -174,35 +206,56 @@ def bba_transition(zeros: int, ones: int, n: int, phase: int,
     raise ValueError(f"invalid phase {phase}")
 
 
-def bba(vote_step: Callable[[int, int | None], tuple[int, int, int]],
-        prev_seed: Digest, max_ba_steps: int) -> tuple[int | None, int]:
-    """Run binary agreement over steps 4, 5, ... for at most `max_ba_steps`.
-
-    `vote_step(step, bit)` has that step's committee vote `bit` and returns
-    the distinct-voter tally (zeros, ones, committee size); at step 4 `bit`
-    is None and each voter votes its own input.  Returns (decided_bit, step)
-    with the step at which the halting condition fired, or (None, last step)
-    when the budget runs out.  Bit 0 means the graded value is agreed, bit 1
-    means the round falls back to the empty block.
-    """
-    bit: int | None = None
-    for step in range(4, max_ba_steps + 4):
-        zeros, ones, n = vote_step(step, bit)
-        phase = (step - 4) % 3
-        coin = coin_bit(prev_seed, (step - 4) // 3) if phase == 2 else None
-        bit, decided = bba_transition(zeros, ones, n, phase, coin)
+def agree(step: Step, majority: Digest | None, prev_seed: Digest,
+          max_ba_steps: int) -> Agreement:
+    """Step 3 relays the step-2 `majority` (silent when None) and grades the
+    relays; binary agreement then votes one shared bit per step from step 4,
+    starting from 0 on grade 2 and 1 otherwise, for at most `max_ba_steps`
+    steps.  A budget that runs out decides 1 (`no-termination`); a 0 decision
+    with no graded value, which an honest supermajority cannot produce, is
+    flagged `ba-inconsistency`."""
+    committee, relays = step(3, majority)
+    graded = gc_grade(relays, len(committee))
+    bit = 0 if graded.grade == 2 else 1
+    tallies = []
+    flags = ()
+    for s in range(4, max_ba_steps + 4):
+        committee, votes = step(s, bytes([bit]))
+        counts = distinct_voter_counts(votes)
+        tallies.append((counts.get(b"\x00", 0), counts.get(b"\x01", 0),
+                        len(committee)))
+        phase = (s - 4) % 3
+        coin = coin_bit(prev_seed, (s - 4) // 3) if phase == 2 else None
+        bit, decided = bba_transition(*tallies[-1], phase, coin)
         if decided is not None:
-            return decided, step
-    return None, max_ba_steps + 3
+            break
+    else:
+        decided = 1
+        flags = ("no-termination",)
+    value = graded.value if decided == 0 else None
+    if decided == 0 and value is None:
+        flags = ("ba-inconsistency",)
+    return Agreement(graded, tuple(tallies), decided, value, flags)
 
 
-def ba_output(graded: GradedValue, bba_result: int) -> Digest | None:
-    """Final value of the agreement pipeline: the graded value when the bit
-    protocol settles on 0, otherwise None (empty block)."""
-    if bba_result == 1:
-        return None
-    if graded.grade == 0 or graded.value is None:
-        raise ProtocolInconsistencyError(
-            "agreement settled on a value but no value was graded")
-    return graded.value
+# -- certificate -------------------------------------------------------------------
 
+def certify(step: Step, payload: bytes, first_step: int, max_step: int,
+            threshold: int) -> tuple[Vote, ...] | None:
+    """Fresh committees vote the certificate `payload` from `first_step` on,
+    each voter signing once, until `threshold` distinct voters have signed;
+    their delivered votes are the certificate.  None when `max_step` passes
+    first."""
+    voters: set[UserId] = set()
+
+    def vote_fresh(committee, payload, registry, policies):
+        fresh = [c for c in committee if c.user not in voters]
+        voters.update(c.user for c in fresh)
+        return vote(fresh, payload, registry, policies)
+
+    cert: list[Vote] = []
+    for s in range(first_step, max_step + 1):
+        cert += step(s, payload, vote_fresh)[1]
+        if len(voters) >= threshold:
+            return tuple(cert)
+    return None

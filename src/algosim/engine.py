@@ -2,13 +2,15 @@
 (sortition, proposal, vote, agreement or simple majority, certification),
 invokes adversary strategies, detects forks and accumulates metrics.
 
-Every committee step of a round (proposal, vote, relay, each agreement and
-certificate step) runs through one primitive in `run_round`: `step(s, value)`
-signs `value` for every member of the (r, s) committee in one call (None: the
-step is silent).  Every step from 2 on sends `consensus.Vote`s (a cert step's
-over `cert_payload`); step 1 proposes through its own `sign` builder, as each
-proposer signs a different block.  Members send in committee order, so each
-step delivers at most one message per sender, in ascending sender order.
+`run_round` composes a round from the phases of `consensus`: `propose_phase`,
+the step-2 vote, `agree` (not in simple mode) and `certify`.  Every committee
+step runs through one primitive in `run_round`: `step(s, value, sign)` selects
+the (r, s) committee, has its members sign `value` through `sign` in one call
+(None: the step is silent), delivers, and returns the committee and the
+delivered messages.  Every step from 2 on sends `consensus.Vote`s (a cert
+step's over `cert_payload`); step 1 proposes through its own `sign` builder,
+as each proposer signs a different block.  Members send in committee order, so
+each step delivers at most one message per sender, in ascending sender order.
 
 A run is a pure function of its ScenarioConfig: every random stream is seeded
 from the configured seed, so chains and metrics are bit-identical across
@@ -45,7 +47,7 @@ from .ledger import (
     validate_block,
 )
 from .netsim import Network
-from .sortition import ProtocolParams, select_committee, select_leader
+from .sortition import ProtocolParams, select_committee
 
 log = logging.getLogger("algosim.engine")
 
@@ -190,128 +192,61 @@ class SimulationRun:
         params = self.params
         mode = self.config.consensus_mode
         prev = self.chain.blocks[r - 1]
-        prev_seed = prev.seed
-        empty = empty_block(r, prev_seed, block_hash(prev))
-
+        empty = empty_block(r, prev.seed, block_hash(prev))
         if r < params.lookback:
-            # No user can clear the lookback rule yet: the round degenerates
-            # to an uncertified empty block.
+            # No user clears the lookback rule yet: an uncertified empty block.
             self.chain.append(empty)
             self.records.append(RoundRecord(
                 r, None, {}, 0, None, None, None, True, 0, ("bootstrap",)))
             return
 
         eligible = sorted(users_at(self.chain, r - params.lookback))
-        pending = self._workload(r)
-        messages = 0
+        payset = build_payset(self._workload(r), self.chain.status_entering(r),
+                              self.registry)
         sizes: dict[int, int] = {}
-        flags: list[str] = []
-
-        # Delivery is broadcast-only, so each rule below runs once per step
-        # over the one inbox; `validate_block` is the one verifier.
+        deliveries: list[int] = []
 
         def step(s, value, sign=consensus.vote):
-            """Select the (r, s) committee, broadcast the messages `sign`
-            builds for it over `value` (None: a silent step), deliver.
-            Returns the committee and the delivered messages, in order."""
-            nonlocal messages
-            committee = select_committee(r, s, prev_seed, eligible, params,
+            committee = select_committee(r, s, prev.seed, eligible, params,
                                          self.registry)
             sizes[s] = len(committee)
             if value is not None:
                 for msg in sign(committee, value, self.registry, self._policy):
                     self.net.broadcast(msg.credential.user, msg)
-            messages += self.net.step()
+            deliveries.append(self.net.step())
             return committee, self.net.inbox_common()
 
-        def propose_each(committee, payset, registry, policies):
-            return [consensus.propose(c, payset, self.chain, registry,
-                                      policies[c.user]) for c in committee]
-
-        # Step 1: each potential leader signs its own block over one payset.
-        payset = build_payset(pending, self.chain.status_entering(r),
-                              self.registry)
-        leaders, proposals = step(1, payset, propose_each)
-        leader = select_leader(leaders) if leaders else None
-        candidate = next((p.block for p in proposals
-                          if p.credential.user == leader), None)
-        empty_digest = block_hash(empty)
-
-        # Step 2: the vote committee backs the leader's block, or the empty
-        # block when the round has no potential leader.  Its supermajority is
-        # the two-step rule's decision and the graded-consensus relay value.
-        sv2, votes = step(2, empty_digest if candidate is None
-                          else block_hash(candidate))
+        proposal = consensus.propose_phase(step, payset, self.chain)
+        sv2, votes = step(2, block_hash(proposal.block or empty))
         majority = consensus.supermajority_value(votes, len(sv2))
-
-        simple_digest = None
-        if mode in ("simple", "both"):
-            simple_digest = majority if majority is not None else empty_digest
-
+        empty_digest = block_hash(empty)
+        simple_digest = None if mode == "ba" else (majority or empty_digest)
         ba_digest = None
         decision_step = 3
-        if mode in ("ba", "both"):
-            # Step 3 relays the majority (silent when there is none); binary
-            # agreement then runs from step 4.
-            sv3, relays = step(3, majority)
-            graded = consensus.gc_grade(relays, len(sv3))
-            initial_bit = 0 if graded.grade == 2 else 1
-
-            def vote_step(s, bit):
-                committee, votes = step(
-                    s, bytes([initial_bit if bit is None else bit]))
-                counts = consensus.distinct_voter_counts(votes)
-                return counts.get(b"\x00", 0), counts.get(b"\x01", 0), len(committee)
-
-            decided, last_step = consensus.bba(vote_step, prev_seed,
-                                               params.max_ba_steps)
-            decision_step = last_step + 1
-            if decided is None:
-                flags.append("no-termination")
-                decided = 1
-            try:
-                value = consensus.ba_output(graded, decided)
-            except consensus.ProtocolInconsistencyError:
-                flags.append("ba-inconsistency")
-                value = None
-            ba_digest = value if value is not None else empty_digest
-
-        committed = ba_digest if mode in ("ba", "both") else simple_digest
+        flags = ()
+        if mode != "simple":
+            agreement = consensus.agree(step, majority, prev.seed,
+                                        params.max_ba_steps)
+            ba_digest = agreement.value or empty_digest
+            decision_step = 3 + len(agreement.tallies) + 1
+            flags = agreement.flags
+        committed = ba_digest or simple_digest
         is_empty = committed == empty_digest
-        # Votes only ever back the candidate or the empty block.
-        block = empty if is_empty else candidate
-
-        # Fresh committees vote the certificate payload of the decided block,
-        # from the decision step on, until cert_threshold distinct voters
-        # have signed once each; their delivered votes are the certificate.
-        # Every step so far is below the decision step, so no step runs twice.
-        cert: list[consensus.Vote] = []
-        voters: set[UserId] = set()
-
-        def certify(committee, payload, registry, policies):
-            fresh = [c for c in committee if c.user not in voters]
-            voters.update(c.user for c in fresh)
-            return consensus.vote(fresh, payload, registry, policies)
-
         payload = cert_payload(1 if is_empty else 0, committed)
-        for s in range(decision_step, params.max_step + 1):
-            cert += step(s, payload, certify)[1]
-            if len(voters) >= params.cert_threshold:
-                break
-        else:
+        cert = consensus.certify(step, payload, decision_step, params.max_step,
+                                 params.cert_threshold)
+        if cert is None:
             raise EngineError(f"round {r}: certificate threshold unreachable")
-        self.chain.append(block.with_cert(tuple(cert)))
-
-        equivalent = None
-        if mode == "both":
-            equivalent = ba_digest == simple_digest
-            if not equivalent:
-                log.warning("round %d: agreement %s vs simple vote %s",
-                            r, ba_digest.hex()[:16], simple_digest.hex()[:16])
-
+        # Votes only ever back the candidate or the empty block.
+        block = empty if is_empty else proposal.block
+        self.chain.append(block.with_cert(cert))
+        equivalent = ba_digest == simple_digest if mode == "both" else None
+        if equivalent is False:
+            log.warning("round %d: agreement %s vs simple vote %s",
+                        r, ba_digest.hex()[:16], simple_digest.hex()[:16])
         self.records.append(RoundRecord(
-            r, leader, sizes, decision_step, ba_digest, simple_digest,
-            equivalent, is_empty, messages, tuple(flags)))
+            r, proposal.leader, sizes, decision_step, ba_digest, simple_digest,
+            equivalent, is_empty, sum(deliveries), flags))
 
     # -- adversary phase -------------------------------------------------------
 

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 
 from algosim.consensus import (
     GradedValue,
-    ProtocolInconsistencyError,
-    ba_output,
-    bba,
+    Proposal,
+    agree,
     bba_transition,
+    certify,
     coin_bit,
     gc_grade,
     propose,
+    propose_phase,
     supermajority_value,
     vote,
 )
@@ -39,25 +40,38 @@ N = 12
 ROUND = 5
 
 
-def fixed_committee(inputs):
-    """vote_step of an honest committee: step 4 votes `inputs`, every later
-    step votes the shared bit."""
-    def vote_step(step, bit):
-        bits = list(inputs) if bit is None else [bit] * len(inputs)
-        zeros = bits.count(0)
-        return zeros, len(bits) - zeros, len(bits)
-    return vote_step
+class FixedCommittee:
+    """A step primitive for `agree` over honest committees.  Step 3 has seven
+    members and delivers `relays` relays of its value (none when the step is
+    silent); step 4 delivers the bits `inputs`, and every later step the bit
+    it is given from each of len(inputs) members.  With `inputs` None every
+    step from 4 on has seven members voting the bit they are given.  `calls`
+    records each (step, value)."""
+
+    def __init__(self, inputs=None, relays=7):
+        self.inputs = inputs
+        self.relays = relays
+        self.calls = []
+
+    def __call__(self, s, value, sign=None):
+        self.calls.append((s, value))
+        if s == 3:
+            relays = [] if value is None else [Vote(u, value)
+                                               for u in range(self.relays)]
+            return list(range(7)), relays
+        if s == 4 and self.inputs is not None:
+            bits = list(self.inputs)
+        else:
+            bits = [value[0]] * (7 if self.inputs is None else len(self.inputs))
+        return list(range(len(bits))), [Vote(u, bytes([b]))
+                                        for u, b in enumerate(bits)]
 
 
 def agreement_value(votes, n2, prev_seed, max_ba_steps):
-    """The digest the relay/grade/agreement pipeline finalizes from a step-2
-    vote multiset with honest committees of seven; None for the empty block."""
-    relayed = supermajority_value(votes, n2)
-    relays = [Vote(u, relayed) for u in range(7)] if relayed is not None else []
-    graded = gc_grade(relays, 7)
-    bits = [0 if graded.grade == 2 else 1] * 7
-    bit, _ = bba(fixed_committee(bits), prev_seed, max_ba_steps)
-    return ba_output(graded, bit)
+    """The digest `agree` finalizes from a step-2 vote multiset with honest
+    committees of seven; None for the empty block."""
+    majority = supermajority_value(votes, n2)
+    return agree(FixedCommittee(), majority, prev_seed, max_ba_steps).value
 
 
 @pytest.fixture
@@ -102,6 +116,24 @@ def cert_of(env, block, users, step=4):
 def violations(env, block, cert):
     registry, chain, params = env
     return validate_block(chain, block.with_cert(cert), params, registry)
+
+
+class CommitteeStep:
+    """A step primitive over fixed committees: the users `committees[s]` sign
+    through the phase's `sign` under the honest policy, and the step delivers
+    what they signed.  `signers` records who signed at each step run."""
+
+    def __init__(self, env, committees):
+        self.registry = env[0]
+        self.committees = {s: [verf_cred(env, u, s) for u in users]
+                           for s, users in committees.items()}
+        self.signers = {}
+
+    def __call__(self, s, value, sign=vote):
+        members = self.committees.get(s, [])
+        messages = sign(members, value, self.registry, HONEST)
+        self.signers[s] = [m.credential.user for m in messages]
+        return members, messages
 
 
 class TestPropose:
@@ -157,6 +189,24 @@ class TestPropose:
                 assert found == []
             else:
                 assert found == ["seed rule violated for non-empty block"]
+
+    def test_phase_leader_holds_the_smallest_credential(self, env):
+        registry, chain, _ = env
+        payset = payset_of(env, [make_payment(registry, 1, 2, 5, ROUND)])
+        step = CommitteeStep(env, {1: range(1, N + 1)})
+        proposal = propose_phase(step, payset, chain)
+        leaders = step.committees[1]
+        assert proposal.leaders == leaders
+        best = min(leaders, key=lambda c: (c.unit, c.user))
+        assert proposal.leader == best.user
+        assert proposal.block.payset == payset
+        # the seed rule accepts only the leader's own block
+        assert violations(env, proposal.block,
+                          cert_of(env, proposal.block, range(1, 5))) == []
+
+    def test_phase_without_potential_leaders(self, env):
+        proposal = propose_phase(CommitteeStep(env, {}), (), env[1])
+        assert proposal == Proposal([], None, None)
 
     def test_honest_policy_destroys_key(self, env):
         registry, chain, params = env
@@ -242,31 +292,49 @@ class TestGradedConsensus:
         assert gc_grade(relays, 9) == GradedValue("x", 1)
 
 
+DIGEST = b"\x11" * 32
+
+
+def agree_on(env, inputs=None, majority=DIGEST, relays=7):
+    _, chain, params = env
+    return agree(FixedCommittee(inputs, relays), majority, chain.tip().seed,
+                 params.max_ba_steps)
+
+
 class TestBinaryAgreement:
     def test_unanimous_zero(self, env):
-        _, chain, params = env
-        bit, step = bba(fixed_committee([0] * 7), chain.tip().seed,
-                        params.max_ba_steps)
-        assert bit == 0 and step == 4
+        result = agree_on(env, [0] * 7)
+        assert result.decided == 0 and result.tallies == ((7, 0, 7),)
 
     def test_unanimous_one(self, env):
-        _, chain, params = env
-        bit, step = bba(fixed_committee([1] * 7), chain.tip().seed,
-                        params.max_ba_steps)
-        assert bit == 1 and step == 5
+        result = agree_on(env, [1] * 7)
+        assert result.decided == 1
+        assert result.tallies == ((0, 7, 7), (0, 7, 7))
 
     def test_mixed_inputs_still_agree(self, env):
-        _, chain, params = env
         for ones in range(8):
             inputs = [1 if u <= ones else 0 for u in range(1, 8)]
-            bit, _ = bba(fixed_committee(inputs), chain.tip().seed,
-                         params.max_ba_steps)
-            assert bit in (0, 1)
+            result = agree_on(env, inputs)
+            assert result.decided in (0, 1) and result.flags == ()
 
     def test_exhausted_budget_returns_no_decision(self, env):
+        # an empty committee never clears a threshold: the budget runs out,
+        # and the round falls back to the empty block
+        _, _, params = env
+        result = agree_on(env, [])
+        assert result.tallies == ((0, 0, 0),) * params.max_ba_steps
+        assert (result.decided, result.value) == (1, None)
+        assert result.flags == ("no-termination",)
+
+    def test_silent_relay_starts_at_one(self, env):
+        # no step-2 majority: step 3 signs nothing, nothing is graded, and
+        # binary agreement starts from bit 1 (the empty block)
+        stub = FixedCommittee()
         _, chain, params = env
-        assert bba(fixed_committee([]), chain.tip().seed,
-                   params.max_ba_steps) == (None, params.max_ba_steps + 3)
+        result = agree(stub, None, chain.tip().seed, params.max_ba_steps)
+        assert stub.calls[:2] == [(3, None), (4, b"\x01")]
+        assert result.graded == GradedValue(None, 0)
+        assert (result.decided, result.value, result.flags) == (1, None, ())
 
     def test_transition_thresholds(self):
         # phase 0 decides 0 only above two thirds
@@ -288,15 +356,24 @@ class TestBinaryAgreement:
 
 
 class TestBaOutput:
-    def test_value_on_zero(self):
-        assert ba_output(GradedValue(b"x" * 32, 2), 0) == b"x" * 32
+    def test_value_on_zero(self, env):
+        result = agree_on(env)
+        assert result.graded == GradedValue(DIGEST, 2)
+        assert (result.decided, result.value) == (0, DIGEST)
 
-    def test_empty_on_one(self):
-        assert ba_output(GradedValue(b"x" * 32, 1), 1) is None
+    def test_empty_on_one(self, env):
+        # four relays of seven grade the value 1: agreement starts from 1
+        result = agree_on(env, relays=4)
+        assert result.graded == GradedValue(DIGEST, 1)
+        assert (result.decided, result.value, result.flags) == (1, None, ())
 
-    def test_inconsistency_flagged(self):
-        with pytest.raises(ProtocolInconsistencyError):
-            ba_output(GradedValue(None, 0), 0)
+    def test_inconsistency_flagged(self, env):
+        # nothing relayed, yet the BBA voters vote 0: a 0 decision with no
+        # graded value
+        result = agree_on(env, [0] * 7, relays=0)
+        assert result.graded == GradedValue(None, 0)
+        assert (result.decided, result.value) == (0, None)
+        assert result.flags == ("ba-inconsistency",)
 
 
 class TestSimpleVote:
@@ -405,6 +482,25 @@ class TestCertificates:
         found = violations(env, block, cert_of(env, other, range(1, 5)))
         assert found[-1] == "insufficient certificates: have 0, need 4"
         assert all("wrong block digest" in v for v in found[:-1])
+
+
+class TestCertify:
+    PAYLOAD = cert_payload(0, b"\x07" * 32)
+    COMMITTEES = {4: [1, 2], 5: [2, 3, 4], 6: [5, 6]}
+
+    def test_stops_at_threshold_without_re_signing(self, env):
+        step = CommitteeStep(env, self.COMMITTEES)
+        cert = certify(step, self.PAYLOAD, 4, 6, 4)
+        # user 2 certified at step 4 and stays silent at step 5
+        assert step.signers == {4: [1, 2], 5: [3, 4]}
+        assert [(m.voter, m.step) for m in cert] == [(1, 4), (2, 4), (3, 5),
+                                                     (4, 5)]
+        assert all(m.value == self.PAYLOAD for m in cert)
+
+    def test_unreachable_threshold_returns_none(self, env):
+        step = CommitteeStep(env, self.COMMITTEES)
+        assert certify(step, self.PAYLOAD, 4, 6, 7) is None
+        assert step.signers == {4: [1, 2], 5: [3, 4], 6: [5, 6]}
 
 
 def test_equivocation_cannot_double_finalize():

@@ -162,14 +162,44 @@ TRANSCRIPT_DIGESTS = {
 }
 
 
+def transcript_digest(chains, metrics):
+    text = "\n".join(metrics_to_lines(metrics) + chain_to_lines(chains[0]))
+    return hashlib.sha256((text + "\n").encode()).hexdigest()
+
+
 @pytest.mark.parametrize("mode, new_users", sorted(TRANSCRIPT_DIGESTS))
 def test_transcript_digest_per_mode(mode, new_users):
     cfg = dataclasses.replace(SMALL, consensus_mode=mode,
                               new_users_per_round=new_users)
-    chains, metrics = run_scenario(cfg)
-    text = "\n".join(metrics_to_lines(metrics) + chain_to_lines(chains[0]))
-    assert hashlib.sha256((text + "\n").encode()).hexdigest() == \
+    assert transcript_digest(*run_scenario(cfg)) == \
         TRANSCRIPT_DIGESTS[mode, new_users]
+
+
+# Under SMALL every round decides at the first binary-agreement step.  Small
+# committees with a three-step budget reach the other agreement paths:
+# decisions at steps 5, 6 and 7, rounds that exhaust the budget
+# (`no-termination`) and, in `both`, rounds where the two rules disagree.
+# Recorded on the engine before its round was split into phase functions.
+SHORT_BUDGET = dataclasses.replace(
+    SMALL, seed=2, num_genesis_users=20, rounds=30, payments_per_round=3,
+    params=ProtocolParams(leader_prob=0.1, verifier_prob=0.1, lookback=1,
+                          max_ba_steps=3, cert_threshold=1, horizon=32))
+SHORT_BUDGET_DIGESTS = {
+    "ba": "672c409e85bab7cf2d258e03feea5d0e83c1a90052ce9244b78b25afedc6dfb1",
+    "both": "e1baf93abb80c0d1217dea04cb90ccb9e5afa8ad9aa4867a9decfd6209efbe4d",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SHORT_BUDGET_DIGESTS))
+def test_transcript_digest_short_budget(mode):
+    chains, metrics = run_scenario(
+        dataclasses.replace(SHORT_BUDGET, consensus_mode=mode))
+    rounds = metrics.rounds
+    assert {rec.steps_to_decision for rec in rounds} == {5, 6, 7}
+    assert sum(rec.flags == ("no-termination",) for rec in rounds) == 8
+    assert sum(rec.equivalent is False for rec in rounds) == \
+        (9 if mode == "both" else 0)
+    assert transcript_digest(chains, metrics) == SHORT_BUDGET_DIGESTS[mode]
 
 
 MUTATIONS = ("seed", "prev_hash", "payment_order", "cert_bit", "cert_digest",
