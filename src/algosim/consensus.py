@@ -17,9 +17,9 @@ is the block proposed by the potential leader `sortition.select_leader`
 names, or the round's empty block when the round has no potential leader.
 
 Nothing here re-checks a message built by honest code: `ledger.validate_block`
-(through `ledger.check_cert` and `sortition.check_credentials`, one step group
-of the certificate at a time) is the one verifier, which `verify-chain`, fork
-detection and the tests run.
+is the one verifier, which `verify-chain`, fork detection and the tests run.
+Its `ledger.check_cert` recomputes each step group of the certificate through
+`sortition.select_committee`, the kernel that picked the committee here.
 
 All vote counting is over distinct voters (a voter equivocating or repeating
 counts once per value) and all thresholds use exact integer arithmetic:

@@ -12,7 +12,8 @@ key-reuse attacks can be expressed.  The registry stores key state, not keys,
 so an honest round adds a few integers to it whatever its committee sizes.
 A committee step signs in one `ephemeral_sign_many` call (`ephemeral_sign` is
 its one-owner case), which checks every member before it changes any state.
-Verifying mirrors it: `verify_ephemeral_many`, with `verify_ephemeral` for one.
+Verifying mirrors it: one `verify_ephemeral_many` call checks a step's
+signatures.
 """
 
 from __future__ import annotations
@@ -236,11 +237,6 @@ class KeyRegistry:
             self._destroyed[round, step] = mask
         retained.update(kept)
         return sigs
-
-    def verify_ephemeral(self, owner: UserId, round: int, step: int,
-                         message: bytes, sig: Signature) -> bool:
-        """`verify_ephemeral_many` for one owner."""
-        return self.verify_ephemeral_many([(owner, sig)], round, step, message)[0]
 
     def verify_ephemeral_many(self, signed: Sequence[tuple[UserId, Signature]],
                               round: int, step: int, message: bytes) -> list[bool]:

@@ -25,7 +25,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from . import consensus
+from . import consensus, sortition
 from .adversary import (
     AdversaryConfig,
     AttackFailedError,
@@ -43,7 +43,6 @@ from .ledger import (
     empty_block,
     make_genesis,
     make_payment,
-    users_at,
     validate_block,
 )
 from .netsim import Network
@@ -200,7 +199,7 @@ class SimulationRun:
                 r, None, {}, 0, None, None, None, True, 0, ("bootstrap",)))
             return
 
-        eligible = sorted(users_at(self.chain, r - params.lookback))
+        eligible = sorted(sortition.eligible(r, self.chain, params))
         payset = build_payset(self._workload(r), self.chain.status_entering(r),
                               self.registry)
         sizes: dict[int, int] = {}

@@ -5,7 +5,8 @@ order, so golden digests can be reproduced with any SHA-256 implementation
 (see README for the exact byte layout).  A block hash covers (round, payset,
 seed, prev_hash) and explicitly excludes the certificate.  `validate_block`
 is the one block verifier, and its `check_cert` checks a certificate one
-committee step group at a time.  A chain file is a JSON genesis header line
+committee step group at a time, recomputing the group's credentials through
+`sortition.select_committee`.  A chain file is a JSON genesis header line
 and then one JSON block record a line, with sorted keys, no spaces, ints and
 lowercase hex; nothing there needs escaping, so `chain_to_lines` formats each
 record from a template.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .crypto import (
@@ -71,7 +73,9 @@ class Status:
     round: int
     balances: dict[UserId, int]
 
+    @cached_property
     def holders(self) -> set[UserId]:
+        """Users with a positive balance, computed once per status."""
         return {u for u, a in self.balances.items() if a > 0}
 
 
@@ -204,14 +208,13 @@ class Chain:
     """Validated sequence of blocks starting at genesis.
 
     Keeps a window of statuses: `_statuses[r]` is the Status entering round
-    r, i.e. after replaying paysets 0..r-1, and `_holders[r]` its positive
-    holders.  Genesis stays; of the later rounds only the `window` highest
-    computed ones stay.  A round is read in the
-    order the chain grows: the engine and `validate_block` ask for
-    `status_entering(r)` and `users_at(r - lookback)`, so a window of
-    `lookback + 1` serves them all and memory stays flat per round.  A
-    request below the window (an attack's target round, a test) replays
-    from genesis and caches nothing.
+    r, i.e. after replaying paysets 0..r-1, which caches its positive
+    `holders`.  Genesis stays; of the later rounds only the `window` highest
+    computed ones stay.  A round is read in the order the chain grows: the
+    engine and `validate_block` ask for `status_entering(r)` and
+    `users_at(r - lookback)`, so a window of `lookback + 1` serves them all
+    and memory stays flat per round.  A request below the window (an
+    attack's target round, a test) replays from genesis and caches nothing.
     """
 
     genesis_status: Status
@@ -219,14 +222,12 @@ class Chain:
     registry: KeyRegistry | None = None
     window: int = field(kw_only=True)
     _statuses: dict[int, Status] = field(init=False, repr=False)
-    _holders: dict[int, set[UserId]] = field(init=False, repr=False)
     _top: int = field(init=False, repr=False)  # highest round in _statuses
 
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("a status window holds at least one round")
         self._statuses = {0: Status(0, dict(self.genesis_status.balances))}
-        self._holders = {}
         self._top = 0
 
     @property
@@ -264,17 +265,7 @@ class Chain:
             self._top = r + 1
             if r + 1 - self.window > 0:
                 self._statuses.pop(r + 1 - self.window, None)
-                self._holders.pop(r + 1 - self.window, None)
         return status
-
-    def holders_entering(self, round: int) -> set[UserId]:
-        """Users with a positive balance in `status_entering(round)`."""
-        holders = self._holders.get(round)
-        if holders is None:
-            holders = self.status_entering(round).holders()
-            if round in self._statuses:
-                self._holders[round] = holders
-        return holders
 
     def prefix(self, length: int) -> "Chain":
         """A chain holding the first `length` blocks (shared, immutable)."""
@@ -294,7 +285,7 @@ def users_at(chain: Chain, round: int) -> set[UserId]:
     """Users holding a positive balance after replaying through `round`."""
     if round < 0 or round > chain.tip_round:
         raise RoundOutOfRangeError(f"round {round} not on chain")
-    return chain.holders_entering(round + 1)
+    return chain.status_entering(round + 1).holders
 
 
 def validate_block(chain: Chain, b: Block, params, registry: KeyRegistry) -> list[str]:
@@ -367,35 +358,55 @@ def check_cert(cert: Sequence["Vote"], round: int, digest: Digest,
                registry: KeyRegistry) -> list[str | None]:
     """Why each message of `cert` is unacceptable for `digest` (None where
     it is fine), in cert order; `expected_bit` is 1 for the round's empty
-    block, else 0.  The messages that pass the structural checks all vote
-    `cert_payload(expected_bit, digest)`, and are checked a step at a time."""
+    block, else 0.
+
+    One pass makes the structural checks, then `bad-step` and `not-eligible`
+    against one read of the round's eligible users, and groups the rest by
+    step; those all vote `cert_payload(expected_bit, digest)`.  A step
+    group's credentials are recomputed in one `sortition.select_committee`
+    call over its voters, the one selection rule: a credential is valid when
+    it is among the selected ones, and otherwise `verify_unique` tells
+    `bad-signature` from `not-selected`.  The valid messages' ephemeral
+    signatures are checked in one `verify_ephemeral_many` call.  An eligible
+    voter the registry does not know raises `UnknownUserError`."""
     from . import sortition  # imported late: sortition depends on this module
 
     payload = cert_payload(expected_bit, digest)
+    eligible = sortition.eligible(round, chain, params)
     reasons: list[str | None] = []
-    sound = []  # messages that pass the structural checks, in cert order
+    by_step: dict[int, list[tuple[int, "Vote"]]] = {}
     for m in cert:
         voter, m_round, step, value, _, credential = m
+        reason = None
         if m_round != round:
-            reasons.append("wrong round")
+            reason = "wrong round"
         elif value != payload:
-            reasons.append("wrong block digest" if value[1:] != digest
-                           else "bit does not match block emptiness")
+            reason = ("wrong block digest" if value[1:] != digest
+                      else "bit does not match block emptiness")
         elif credential[:3] != (voter, round, step):
-            reasons.append("credential does not match message")
+            reason = "credential does not match message"
+        elif step < 1:
+            reason = "credential invalid (bad-step)"
+        elif voter not in eligible:
+            reason = "credential invalid (not-eligible)"
         else:
-            sound.append((len(reasons), m))
-            reasons.append(None)
-    by_step: dict[int, list[tuple[int, "Vote"]]] = {}
-    for (i, m), reason in zip(sound, sortition.check_credentials(
-            [m.credential for _, m in sound], prev_seed, chain, params, registry)):
-        if reason is not None:
-            reasons[i] = f"credential invalid ({reason})"
-        else:
-            by_step.setdefault(m.step, []).append((i, m))
+            by_step.setdefault(step, []).append((len(reasons), m))
+        reasons.append(reason)
     for step, group in by_step.items():
-        for (i, _), ok in zip(group, registry.verify_ephemeral_many(
-                [(m.voter, m.sig) for _, m in group], round, step, payload)):
+        selected = set(sortition.select_committee(
+            round, step, prev_seed, [m.voter for _, m in group], params, registry))
+        valid = []
+        for i, m in group:
+            if m.credential in selected:
+                valid.append((i, m))
+            elif registry.verify_unique(
+                    m.voter, sortition.credential_message(round, step, prev_seed),
+                    m.credential.sig):
+                reasons[i] = "credential invalid (not-selected)"
+            else:
+                reasons[i] = "credential invalid (bad-signature)"
+        for (i, _), ok in zip(valid, registry.verify_ephemeral_many(
+                [(m.voter, m.sig) for _, m in valid], round, step, payload)):
             if not ok:
                 reasons[i] = "bad ephemeral signature"
     return reasons

@@ -16,9 +16,10 @@ bytes exceed it is above, and on a tie the all-`0xff` tail admits any suffix:
 the compare decides exactly as `int.from_bytes(digest[:8], "big") <= limit`,
 which in turn decides as the float rule `hash_to_unit(...) <= p` would.  Per
 user the kernel makes its two `hashlib` calls (sign, then hash) and one bytes
-compare, with no slice or integer conversion.  `check_credentials`, the one
-credential check, recomputes the signatures of a (round, step) in one registry
-call, so a block's certificate is checked one step group at a time.
+compare, with no slice or integer conversion.  The certificate check
+(`ledger.check_cert`) recomputes each step group's credentials through it as
+well, so this compare is the one selection rule, and `eligible` is the one
+read of who may serve in a round.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import sha256 as _sha256
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .crypto import (
     TAG_LEADER,
@@ -99,7 +100,7 @@ def credential_message(round: int, step: int, prev_seed: Digest) -> bytes:
     return tag + be8(round) + be8(step) + prev_seed
 
 
-def _eligible(round: int, chain: Chain, params: ProtocolParams) -> set[UserId]:
+def eligible(round: int, chain: Chain, params: ProtocolParams) -> set[UserId]:
     """Who may serve in `round`: the holders `lookback` rounds earlier."""
     if round < params.lookback:
         return set()
@@ -157,49 +158,6 @@ def select_leader(credentials: list[Credential]) -> UserId:
     return min(credentials, key=lambda c: (c.unit, c.user)).user
 
 
-def check_credential(cred: Credential, prev_seed: Digest, chain: Chain,
-                     params: ProtocolParams, registry: KeyRegistry) -> str | None:
-    """`check_credentials` for one credential."""
-    return check_credentials([cred], prev_seed, chain, params, registry)[0]
-
-
-def check_credentials(creds: Iterable[Credential], prev_seed: Digest, chain: Chain,
-                      params: ProtocolParams,
-                      registry: KeyRegistry) -> list[str | None]:
-    """Why each credential fails, in order (None where it is fine):
-    `bad-step` (step below 1), `not-eligible`, `bad-signature` (not the
-    user's unique signature over the credential message) or `not-selected`.
-    A round's users are read once, a (round, step)'s signatures recomputed
-    in one `unique_signatures` call.  Raises what the first raising single
-    call would: the scan stops at an eligible, unregistered user."""
-    reasons: list[str | None] = []
-    eligible: dict[int, set[UserId]] = {}
-    groups: dict[tuple[int, int], list[tuple[int, UserId, Signature]]] = {}
-    for user, round, step, sig in creds:
-        if step < 1:
-            reasons.append("bad-step")
-            continue
-        if round not in eligible:
-            eligible[round] = _eligible(round, chain, params)
-        if user not in eligible[round]:
-            reasons.append("not-eligible")
-            continue
-        groups.setdefault((round, step), []).append((len(reasons), user, sig))
-        reasons.append(None)
-        if not registry.is_registered(user):
-            break
-    for (round, step), group in groups.items():
-        bound = _bound(step, params)
-        expected = registry.unique_signatures(
-            [user for _, user, _ in group], credential_message(round, step, prev_seed))
-        for (i, _, sig), want in zip(group, expected):
-            if sig != want:
-                reasons[i] = "bad-signature"
-            elif _sha256(sig).digest() > bound:
-                reasons[i] = "not-selected"
-    return reasons
-
-
 # -- omniscient views ---------------------------------------------------------
 # Validators, adversaries and tests enumerate who sortition selects over the
 # user set `lookback` rounds back, through the same kernel the engine runs;
@@ -208,7 +166,7 @@ def check_credentials(creds: Iterable[Credential], prev_seed: Digest, chain: Cha
 def view_credential(user: UserId, round: int, step: int, prev_seed: Digest,
                     chain: Chain, params: ProtocolParams,
                     registry: KeyRegistry) -> Credential | None:
-    if user not in _eligible(round, chain, params):
+    if user not in eligible(round, chain, params):
         return None
     selected = select_committee(round, step, prev_seed, [user], params, registry)
     return selected[0] if selected else None
@@ -216,8 +174,8 @@ def view_credential(user: UserId, round: int, step: int, prev_seed: Digest,
 
 def view_committee(round: int, step: int, prev_seed: Digest, chain: Chain,
                    params: ProtocolParams, registry: KeyRegistry) -> list[Credential]:
-    eligible = sorted(_eligible(round, chain, params))
-    return select_committee(round, step, prev_seed, eligible, params, registry)
+    return select_committee(round, step, prev_seed,
+                            sorted(eligible(round, chain, params)), params, registry)
 
 
 def view_leader(round: int, prev_seed: Digest, chain: Chain,

@@ -139,10 +139,11 @@ class CommitteeStep:
 class TestPropose:
     def check_signed(self, env, msg):
         registry = env[0]
-        assert registry.verify_ephemeral(msg.credential.user, ROUND, 1,
-                                         block_hash(msg.block), msg.block_sig)
-        assert not registry.verify_ephemeral(msg.credential.user, ROUND, 2,
-                                             block_hash(msg.block), msg.block_sig)
+        signed = [(msg.credential.user, msg.block_sig)]
+        assert registry.verify_ephemeral_many(signed, ROUND, 1,
+                                              block_hash(msg.block))[0]
+        assert not registry.verify_ephemeral_many(signed, ROUND, 2,
+                                                  block_hash(msg.block))[0]
 
     def test_empty_pending(self, env):
         registry, chain, params = env
@@ -231,7 +232,7 @@ def test_vote_is_signed_for_its_step(env, step, value):
     [ballot] = vote([cred], value, registry, HONEST)
     assert (ballot.voter, ballot.round, ballot.step) == (2, ROUND, step)
     assert ballot.value == value
-    assert registry.verify_ephemeral(2, ROUND, step, value, ballot.sig)
+    assert registry.verify_ephemeral_many([(2, ballot.sig)], ROUND, step, value)[0]
     with pytest.raises(KeyDestroyedError):
         vote([cred], value, registry, HONEST)
 
@@ -436,7 +437,8 @@ class TestCertificates:
         [m1] = vote([verf_cred(env, 2, 3)], cert_payload(1, digest), registry,
                     HONEST)
         assert (m0.value, m1.value) == (b"\x00" + digest, b"\x01" + digest)
-        assert registry.verify_ephemeral(1, ROUND, 3, b"\x00" + digest, m0.sig)
+        assert registry.verify_ephemeral_many([(1, m0.sig)], ROUND, 3,
+                                              b"\x00" + digest)[0]
 
     def test_destroyed_key_cannot_certify(self, env):
         registry, chain, params = env

@@ -155,7 +155,7 @@ class TestEphemeralLifecycle:
 
     def test_verification_survives_destruction(self, registry):
         sig = registry.ephemeral_sign(1, 4, 2, b"v", "honest")
-        assert registry.verify_ephemeral(1, 4, 2, b"v", sig)
+        assert registry.verify_ephemeral_many([(1, sig)], 4, 2, b"v")[0]
 
     def test_retained_records_listing(self, registry):
         registry.ephemeral_sign(1, 4, 2, b"v", "retain")

@@ -311,7 +311,6 @@ def test_fifty_round_chain_validates_block_by_block():
     assert len(chain.blocks) == 51
     # genesis plus a window of lookback + 1 rounds, not one status per round
     assert len(chain._statuses) <= cfg.params.lookback + 2
-    assert len(chain._holders) <= cfg.params.lookback + 1
     assert verify_chain(chain, cfg.params, chain.registry) == []
 
 

@@ -46,8 +46,6 @@ from algosim.ledger import (
 from algosim.sortition import (
     Credential,
     ProtocolParams,
-    check_credential,
-    check_credentials,
     credential_message,
     view_committee,
 )
@@ -760,39 +758,40 @@ def test_validate_block_reports_what_per_message_checks_report(certified, data):
             assert f"cert message from user {m.voter}: wrong block digest" in found
 
 
-def outcome(check):
-    """What `check()` returns, or the type and text of what it raises."""
-    try:
-        return check()
-    except (UnknownUserError, RoundOutOfRangeError) as exc:
-        return type(exc), str(exc)
-
-
-@settings(deadline=None, max_examples=200)
-@given(data=st.data())
-def test_check_credentials_equals_one_call_per_credential(data):
-    # users 7 and 8 hold money but are unregistered, 9 and 10 neither; the
-    # chain reaches round 6, so rounds above 9 have no users to read
+def test_an_eligible_voter_the_registry_does_not_know_raises():
+    # users 7 and 8 hold money but are unregistered, so sortition cannot
+    # recompute their credentials; which of them the text names is not pinned
     registry = make_registry(users=range(1, 7))
     chain = idle_chain(registry, {u: 100 for u in range(1, 9)}, 6)
     params = ProtocolParams(leader_prob=0.5, verifier_prob=0.5, lookback=3,
                             max_ba_steps=2, cert_threshold=1, horizon=16)
-    prev_seed = chain.tip().seed
+    prev = chain.tip()
+    block = empty_block(7, prev.seed, block_hash(prev))
+    junk = b"\x01" * 32
+    cert = [cert_vote(u, 7, 2, 1, block_hash(block), junk, Credential(u, 7, 2, junk))
+            for u in (1, 7, 8)]
+    with pytest.raises(UnknownUserError):
+        validate_block(chain, block.with_cert(cert), params, registry)
 
-    def credential(user, round, step, real, junk):
-        if real and registry.is_registered(user):
-            junk = registry.unique_sign(
-                user, credential_message(round, step, prev_seed))
-        return Credential(user, round, step, junk)
 
-    creds = data.draw(st.lists(st.builds(
-        credential, st.integers(1, 10), st.integers(0, 11),
-        st.integers(0, params.max_step + 1), st.booleans(), hash32), max_size=8))
-    args = prev_seed, chain, params, registry
-    batch = outcome(lambda: check_credentials(creds, *args))
-    assert batch == outcome(lambda: [check_credential(c, *args) for c in creds])
-    assert batch == outcome(
-        lambda: [reference_check_credential(c, *args) for c in creds])
+def test_cert_check_selects_through_the_one_kernel(certified, monkeypatch):
+    # a cert voter that `select_committee` leaves out is not selected, even
+    # with a genuine credential: the check recomputes committees through it
+    chain, params = certified, CERT_RUN.params
+    block = chain.blocks[params.lookback + 1]
+    prev_seed = chain.blocks[block.round - 1].seed
+    leader = sortition.view_leader(block.round, prev_seed, chain, params,
+                                   chain.registry)
+    dropped = next(m.voter for m in block.cert if m.voter != leader)
+    real = sortition.select_committee
+
+    def without_dropped(*args):
+        return [c for c in real(*args) if c.user != dropped]
+
+    monkeypatch.setattr(sortition, "select_committee", without_dropped)
+    found = validate_block(chain, block, params, chain.registry)
+    assert [v for v in found if v.startswith("cert message")] == [
+        f"cert message from user {dropped}: credential invalid (not-selected)"]
 
 
 def test_cert_check_builds_one_credential_message_per_step(certified, monkeypatch):

@@ -7,12 +7,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import algosim.sortition as sortition
-from algosim.crypto import be8, hash_to_unit
-from algosim.ledger import users_at
+from algosim.consensus import Vote
+from algosim.crypto import ZERO_DIGEST, _ephemeral_sig, be8, hash_to_unit
+from algosim.ledger import cert_payload, check_cert, users_at
 from algosim.sortition import (
     Credential,
     ProtocolParams,
-    check_credential,
     credential_message,
     default_cert_threshold,
     select_committee,
@@ -39,6 +39,22 @@ def env():
 def params_with(p=0.05, p2=0.2):
     return ProtocolParams(leader_prob=p, verifier_prob=p2, lookback=3,
                           max_ba_steps=9, cert_threshold=5, horizon=64)
+
+
+def check_credential(cred, prev_seed, chain, params, registry):
+    """Why `ledger.check_cert` rejects `cred` as the credential of a
+    one-message certificate (None where it accepts it): the reason inside
+    its `credential invalid (...)`.  The message is otherwise sound, with
+    the voter's real ephemeral signature."""
+    user, round, step, _ = cred
+    payload = cert_payload(0, ZERO_DIGEST)
+    sig = _ephemeral_sig(registry._head, user, be8(round) + be8(step), payload)
+    [reason] = check_cert([Vote(user, round, step, payload, sig, cred)], round,
+                          ZERO_DIGEST, 0, prev_seed, chain, params, registry)
+    if reason is None:
+        return None
+    assert reason.startswith("credential invalid (") and reason.endswith(")")
+    return reason[len("credential invalid ("):-1]
 
 
 def test_default_cert_threshold():
