@@ -167,11 +167,11 @@ def _forge_cert(fork: Chain, round: int, payload: bytes,
 
     Scans steps for sortition-selected corrupted users whose ephemeral key is
     still usable (the honest run destroyed the keys of the steps it played;
-    higher steps stayed untouched).  Keys are retained, never destroyed.
+    higher steps stayed untouched).  Corrupted users keep their keys, so the
+    keys are retained, never destroyed.
     """
     msgs = []
     seen: set[UserId] = set()
-    retain = dict.fromkeys(corrupted, "retain")
     for step in range(2, params.max_step + 1):
         if len(seen) >= params.cert_threshold:
             break
@@ -188,7 +188,7 @@ def _forge_cert(fork: Chain, round: int, payload: bytes,
                 continue
             batch.append(cred)
             seen.add(cred.user)
-        msgs += vote(batch, payload, signer, retain)
+        msgs += vote(batch, payload, signer)
     if len(seen) < params.cert_threshold:
         raise ForkInfeasibleError(round, len(seen), params.cert_threshold)
     return tuple(msgs)
@@ -253,9 +253,8 @@ def bribe_and_recertify(chain: Chain, target_round: int, retained,
         raise PreconditionViolatedError("alternative block equals the honest one")
     cert = []
     payload = cert_payload(0, digest)
-    retain = dict.fromkeys(owners, "retain")
     for _, creds in groupby(usable[:need], lambda c: c.step):  # one call a step
-        cert += vote(list(creds), payload, signer, retain)
+        cert += vote(list(creds), payload, signer)
     return block.with_cert(cert)
 
 

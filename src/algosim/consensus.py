@@ -28,7 +28,7 @@ counts once per value) and all thresholds use exact integer arithmetic:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .crypto import Digest, KeyRegistry, Signature, UserId, be8, hash_to_unit, sha256
 from .ledger import (
@@ -105,10 +105,10 @@ def supermajority_value(messages: Iterable, committee_size: int) -> Digest | Non
 # -- step 1: proposal ----------------------------------------------------------
 
 def propose(credential: Credential, payset: tuple[Payment, ...], chain: Chain,
-            registry: KeyRegistry, policy: str = "honest") -> ProposalMessage:
+            registry: KeyRegistry) -> ProposalMessage:
     """Build and sign the leader's candidate block over `payset` (see
-    `ledger.build_payset`).  The proposer's ephemeral step-1 key is retired per
-    `policy` after signing."""
+    `ledger.build_payset`).  Signing destroys the proposer's ephemeral step-1
+    key, or retains it when the proposer keeps keys."""
     r = credential.round
     prev = chain.blocks[r - 1]
     if payset:
@@ -116,7 +116,7 @@ def propose(credential: Credential, payset: tuple[Payment, ...], chain: Chain,
     else:
         seed = empty_round_seed(prev.seed, r)
     block = Block(r, payset, seed, block_hash(prev), ())
-    sig = registry.ephemeral_sign(credential.user, r, 1, block_hash(block), policy)
+    sig = registry.ephemeral_sign(credential.user, r, 1, block_hash(block))
     return ProposalMessage(block, sig, credential)
 
 
@@ -125,12 +125,11 @@ def propose_phase(step: Step, payset: tuple[Payment, ...],
     """Step 1: each potential leader signs its own block over one payset; the
     round's candidate is the block of the leader `select_leader` names (None
     when the round has no potential leader)."""
-    def propose_each(committee, payset, registry, policies):
-        return [propose(c, payset, chain, registry, policies[c.user])
-                for c in committee]
+    def propose_each(committee, payset, registry):
+        return [propose(c, payset, chain, registry) for c in committee]
 
     leaders, proposals = step(1, payset, propose_each)
-    leader = select_leader(leaders) if leaders else None
+    leader = select_leader(leaders)
     block = next((p.block for p in proposals if p.credential.user == leader),
                  None)
     return Proposal(leaders, leader, block)
@@ -138,16 +137,14 @@ def propose_phase(step: Step, payset: tuple[Payment, ...],
 
 # -- steps 2 and later: votes ----------------------------------------------------
 
-def vote(credentials: Sequence[Credential], value: bytes, signer,
-         policies: Mapping[UserId, str | None]) -> list[Vote]:
+def vote(credentials: Sequence[Credential], value: bytes, signer) -> list[Vote]:
     """Every member of one committee votes `value`, signed in one
     `ephemeral_sign_many` call of `signer` (the KeyRegistry, or an
-    AdversarySigner); each key is retired per `policies[member]`."""
+    AdversarySigner), which retains a key keeper's key and destroys others'."""
     if not credentials:
         return []
     r, s = credentials[0].round, credentials[0].step
-    sigs = signer.ephemeral_sign_many(
-        [(c.user, policies[c.user]) for c in credentials], r, s, value)
+    sigs = signer.ephemeral_sign_many([c.user for c in credentials], r, s, value)
     return [Vote(c.user, r, s, value, sig, c)
             for c, sig in zip(credentials, sigs)]
 
@@ -248,10 +245,10 @@ def certify(step: Step, payload: bytes, first_step: int, max_step: int,
     first."""
     voters: set[UserId] = set()
 
-    def vote_fresh(committee, payload, registry, policies):
+    def vote_fresh(committee, payload, registry):
         fresh = [c for c in committee if c.user not in voters]
         voters.update(c.user for c in fresh)
-        return vote(fresh, payload, registry, policies)
+        return vote(fresh, payload, registry)
 
     cert: list[Vote] = []
     for s in range(first_step, max_step + 1):

@@ -8,8 +8,10 @@ real cryptography.
 
 Ephemeral per-(user, round, step) keys carry a one-way lifecycle, available
 then destroyed (the honest rule) or retained (kept, and so for sale), so
-key-reuse attacks can be expressed.  The registry stores key state, not keys,
-so an honest round adds a few integers to it whatever its committee sizes.
+key-reuse attacks can be expressed; the owner decides which, as the
+registry's key keepers (`keep_keys`) retain the keys they sign with and all
+other owners destroy theirs.  The registry stores key state, not keys, so an
+honest round adds a few integers to it whatever its committee sizes.
 A committee step signs in one `ephemeral_sign_many` call (`ephemeral_sign` is
 its one-owner case), which checks every member before it changes any state.
 Verifying mirrors it: one `verify_ephemeral_many` call checks a step's
@@ -52,10 +54,6 @@ class KeyMissingError(CryptoError):
 
 
 class KeyDestroyedError(CryptoError):
-    pass
-
-
-class InvalidTransitionError(CryptoError):
     pass
 
 
@@ -115,7 +113,7 @@ class KeyRegistry:
     `_destroyed` maps (round, step) to a bitmask of destroyed owners (each
     user gets one bit when registered), and `_retained` holds a full record
     of each retained key, the only keys an attacker can buy.  A key in
-    neither store is available.
+    neither store is available.  `_keepers` holds the owners who retain keys.
 
     Honest code signs through the registry directly; adversarial code must go
     through an :class:`AdversarySigner`, which restricts signing to corrupted
@@ -132,6 +130,7 @@ class KeyRegistry:
         self._bit: dict[UserId, int] = {}  # owner's bit in a destroyed mask
         self._destroyed: dict[tuple[int, int], int] = {}
         self._retained: dict[tuple[UserId, int, int], EphemeralKeyRecord] = {}
+        self._keepers: set[UserId] = set()
 
     # -- registration -------------------------------------------------------
 
@@ -191,51 +190,44 @@ class KeyRegistry:
             return KeyState.RETAINED
         return KeyState.AVAILABLE
 
-    def ephemeral_sign(self, owner: UserId, round: int, step: int,
-                       message: bytes, policy: str | None = None) -> Signature:
-        """`ephemeral_sign_many` for one owner."""
-        return self.ephemeral_sign_many([(owner, policy)], round, step, message)[0]
+    def keep_keys(self, users: Iterable[UserId]) -> None:
+        """From now on, each key `users` sign with is retained, not destroyed."""
+        self._keepers.update(users)
 
-    def ephemeral_sign_many(self, signers: Sequence[tuple[UserId, str | None]],
-                            round: int, step: int, message: bytes) -> list[Signature]:
-        """Each (owner, policy) in turn signs `message` with its key for
-        (round, step) and retires it per `policy`: `honest` destroys it,
-        `retain` keeps it signable (again: a no-op), None leaves it as it is.
-        A destroyed key, or destroying a retained one, is refused.  All pairs
-        are checked first: a refused call raises what the first refused
-        one-owner call would, and changes nothing."""
-        if not signers:
+    def ephemeral_sign(self, owner: UserId, round: int, step: int,
+                       message: bytes) -> Signature:
+        """`ephemeral_sign_many` for one owner."""
+        return self.ephemeral_sign_many([owner], round, step, message)[0]
+
+    def ephemeral_sign_many(self, owners: Sequence[UserId], round: int,
+                            step: int, message: bytes) -> list[Signature]:
+        """Each owner in turn signs `message` with its key for (round, step);
+        a key keeper's key is then retained, anyone else's destroyed.  A
+        destroyed key is refused.  All owners are checked first: a refused
+        call raises what the first refused one-owner call would, and changes
+        nothing."""
+        if not owners:
             return []
         bits = (self._bit if 0 <= round <= self.horizon
                 and 1 <= step <= self.max_step else {})  # {}: nobody's key
         start = mask = self._destroyed.get((round, step), 0)
-        retained = self._retained
-        kept: dict[tuple[UserId, int, int], EphemeralKeyRecord] = {}
-        for owner, policy in signers:
+        keepers, kept = self._keepers, {}
+        for owner in owners:
             bit = bits.get(owner) or self._owner_bit(owner, round, step)  # or raise
             if mask & bit:
                 raise KeyDestroyedError(
                     f"ephemeral key of user {owner} for round {round} step {step} "
                     "was destroyed")
-            if policy == "honest":
-                key = (owner, round, step)
-                if key in kept or (retained and key in retained):
-                    raise InvalidTransitionError(
-                        f"key of user {owner} at ({round},{step}) is retained; "
-                        "cannot move to destroyed")
+            if owner in keepers:
+                kept[owner, round, step] = EphemeralKeyRecord(
+                    owner, round, step, KeyState.RETAINED)
+            else:
                 mask |= bit
-            elif policy == "retain":
-                key = (owner, round, step)
-                if key not in retained:
-                    kept[key] = EphemeralKeyRecord(owner, round, step,
-                                                   KeyState.RETAINED)
-            elif policy is not None:
-                raise ValueError(f"unknown key policy {policy!r}")
         head, tail = self._head, be8(round) + be8(step)
-        sigs = [_ephemeral_sig(head, owner, tail, message) for owner, _ in signers]
+        sigs = [_ephemeral_sig(head, owner, tail, message) for owner in owners]
         if mask != start:
             self._destroyed[round, step] = mask
-        retained.update(kept)
+        self._retained.update(kept)
         return sigs
 
     def verify_ephemeral_many(self, signed: Sequence[tuple[UserId, Signature]],
@@ -258,10 +250,14 @@ class KeyRegistry:
 @dataclass
 class AdversarySigner:
     """Adversary-facing signing API: only users the active strategy has
-    corrupted can be signed for."""
+    corrupted can be signed for.  Corruption is where a user starts keeping
+    keys, so building a signer makes every corrupted user a key keeper."""
 
     registry: KeyRegistry
     corrupted: set[UserId] = field(default_factory=set)
+
+    def __post_init__(self):
+        self.registry.keep_keys(self.corrupted)
 
     def _check(self, owner: UserId) -> None:
         if owner not in self.corrupted:
@@ -272,8 +268,8 @@ class AdversarySigner:
         self._check(owner)
         return self.registry.unique_sign(owner, message)
 
-    def ephemeral_sign_many(self, signers: Sequence[tuple[UserId, str | None]],
-                            round: int, step: int, message: bytes) -> list[Signature]:
-        for owner, _ in signers:
+    def ephemeral_sign_many(self, owners: Sequence[UserId], round: int,
+                            step: int, message: bytes) -> list[Signature]:
+        for owner in owners:
             self._check(owner)
-        return self.registry.ephemeral_sign_many(signers, round, step, message)
+        return self.registry.ephemeral_sign_many(owners, round, step, message)

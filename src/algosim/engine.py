@@ -51,6 +51,7 @@ from .sortition import ProtocolParams, select_committee
 log = logging.getLogger("algosim.engine")
 
 CONSENSUS_MODES = ("ba", "simple", "both")
+FORK_CLASSIFICATIONS = {"genesis_fork": "genesis-fork", "bribery": "bribery-fork"}
 
 
 class EngineError(Exception):
@@ -136,7 +137,6 @@ class SimulationRun:
         self.net = Network()
         self._workload_rng = random.Random(_sub_seed(config.seed, b"WORK"))
         self._policy_rng = random.Random(_sub_seed(config.seed, b"POLI"))
-        self._policy: dict[UserId, str] = {}
         genesis_users = range(1, config.num_genesis_users + 1)
         for u in genesis_users:
             self._register_user(u)
@@ -149,9 +149,10 @@ class SimulationRun:
     def _register_user(self, uid: UserId) -> None:
         self.registry.register_user(uid)
         self.net.add_node(uid)
-        retain = (self.config.adversary.strategy == "bribery"
-                  and self._policy_rng.random() < self.config.adversary.retention_fraction)
-        self._policy[uid] = "retain" if retain else "honest"
+        adv = self.config.adversary
+        if (adv.strategy == "bribery"
+                and self._policy_rng.random() < adv.retention_fraction):
+            self.registry.keep_keys([uid])
 
     # -- workload -----------------------------------------------------------
 
@@ -210,7 +211,7 @@ class SimulationRun:
                                          self.registry)
             sizes[s] = len(committee)
             if value is not None:
-                for msg in sign(committee, value, self.registry, self._policy):
+                for msg in sign(committee, value, self.registry):
                     self.net.broadcast(msg.credential.user, msg)
             deliveries.append(self.net.step())
             return committee, self.net.inbox_common()
@@ -253,28 +254,23 @@ class SimulationRun:
         start = time.perf_counter()
         for r in range(1, self.config.rounds + 1):
             self.run_round(r)
-        chains = [self.chain]
-        reports: list[ForkReport] = []
-        attack_error = None
         adv = self.config.adversary
+        chains, attack_error = [self.chain], None
         if adv.strategy == "genesis_fork":
-            forked = fork_from(self.chain, adv.fork_round, self.params,
-                               self.registry)
-            chains.append(forked)
-            reports = detect_fork(chains, self.params, self.registry,
-                                  classification="genesis-fork")
+            chains.append(fork_from(self.chain, adv.fork_round, self.params,
+                                    self.registry))
         elif adv.strategy == "bribery":
             retained = self.registry.retained_records(adv.target_round)
             try:
                 alt = bribe_and_recertify(self.chain, adv.target_round,
                                           retained, self.params, self.registry)
-                forked = self.chain.prefix(adv.target_round)
-                forked.append(alt)
-                chains.append(forked)
-                reports = detect_fork(chains, self.params, self.registry,
-                                      classification="bribery-fork")
+                chains.append(self.chain.prefix(adv.target_round))
+                chains[1].append(alt)
             except AttackFailedError as exc:
                 attack_error = str(exc)
+        reports = [] if len(chains) == 1 else detect_fork(
+            *chains, self.params, self.registry,
+            classification=FORK_CLASSIFICATIONS[adv.strategy])
         metrics = RunMetrics(
             rounds=self.records,
             forks_detected=len(reports),
@@ -291,30 +287,24 @@ def run_scenario(config: ScenarioConfig) -> tuple[list[Chain], RunMetrics]:
     return SimulationRun(config).run()
 
 
-def detect_fork(chains: list[Chain], params: ProtocolParams,
+def detect_fork(a: Chain, b: Chain, params: ProtocolParams,
                 registry: KeyRegistry,
                 classification: str = "protocol-violation") -> list[ForkReport]:
-    """One report per chain pair diverging with two validly certified blocks
-    on a common prefix.  Pure extensions are not forks."""
-    reports = []
-    for i in range(len(chains)):
-        for j in range(i + 1, len(chains)):
-            a, b = chains[i], chains[j]
-            if block_hash(a.blocks[0]) != block_hash(b.blocks[0]):
-                raise IncompatibleGenesisError("chains do not share genesis")
-            for r in range(1, min(len(a.blocks), len(b.blocks))):
-                da, db = block_hash(a.blocks[r]), block_hash(b.blocks[r])
-                if da == db:
-                    continue
-                prefix = a.prefix(r)
-                ok_a = not validate_block(prefix, a.blocks[r], params, registry)
-                ok_b = not validate_block(prefix, b.blocks[r], params, registry)
-                if ok_a and ok_b:
-                    reports.append(ForkReport(
-                        r, da, db, a.blocks[r].cert, b.blocks[r].cert,
-                        classification))
-                break
-    return reports
+    """One report when chains `a` and `b` diverge with two validly certified
+    blocks on a common prefix, else none.  Pure extensions are not forks."""
+    if block_hash(a.blocks[0]) != block_hash(b.blocks[0]):
+        raise IncompatibleGenesisError("chains do not share genesis")
+    for r in range(1, min(len(a.blocks), len(b.blocks))):
+        da, db = block_hash(a.blocks[r]), block_hash(b.blocks[r])
+        if da == db:
+            continue
+        prefix = a.prefix(r)
+        if (validate_block(prefix, a.blocks[r], params, registry)
+                or validate_block(prefix, b.blocks[r], params, registry)):
+            return []
+        return [ForkReport(r, da, db, a.blocks[r].cert, b.blocks[r].cert,
+                           classification)]
+    return []
 
 
 # -- metrics serialization ------------------------------------------------------

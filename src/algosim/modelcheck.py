@@ -77,12 +77,12 @@ def check_vote_safety(sizes=range(4, 13)) -> list[tuple]:
             for b in range(h + 1 - a):
                 honest = [_Msg(f + i, "A" if i < a else "B" if i < a + b else "C")
                           for i in range(h)]
-                for za in range(f + 1):
-                    view1 = honest + [_Msg(i, "A") for i in range(za)]
-                    r1 = supermajority_value(view1, n)
-                    for zb in range(f + 1):
-                        view2 = honest + [_Msg(i, "B") for i in range(zb)]
-                        r2 = supermajority_value(view2, n)
+                # each observer's result per number of equivocators voting to it
+                r1s, r2s = ([supermajority_value(
+                    honest + [_Msg(i, x) for i in range(z)], n)
+                    for z in range(f + 1)] for x in "AB")
+                for za, r1 in enumerate(r1s):
+                    for zb, r2 in enumerate(r2s):
                         if r1 is not None and r2 is not None and r1 != r2:
                             bad.append((n, f, a, b, za, zb, r1, r2))
     return bad

@@ -151,10 +151,11 @@ def select_committee(round: int, step: int, prev_seed: Digest,
             for u, sig in zip(eligible, sigs) if h(sig).digest() <= bound]
 
 
-def select_leader(credentials: list[Credential]) -> UserId:
-    """The holder of the smallest hashed credential; ties break on user id."""
+def select_leader(credentials: list[Credential]) -> UserId | None:
+    """The holder of the smallest hashed credential, ties breaking on user id;
+    None when there are no credentials."""
     if not credentials:
-        raise ValueError("cannot select a leader from no credentials")
+        return None
     return min(credentials, key=lambda c: (c.unit, c.user)).user
 
 
@@ -181,5 +182,5 @@ def view_committee(round: int, step: int, prev_seed: Digest, chain: Chain,
 def view_leader(round: int, prev_seed: Digest, chain: Chain,
                 params: ProtocolParams, registry: KeyRegistry) -> UserId | None:
     """The round's leader: smallest-unit potential leader, or None."""
-    creds = view_committee(round, 1, prev_seed, chain, params, registry)
-    return select_leader(creds) if creds else None
+    return select_leader(
+        view_committee(round, 1, prev_seed, chain, params, registry))

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from algosim.adversary import (
@@ -9,9 +12,9 @@ from algosim.adversary import (
     fork_from,
 )
 from algosim.crypto import EphemeralKeyRecord, KeyState
-from algosim.engine import ScenarioConfig, run_scenario
+from algosim.engine import ScenarioConfig, _sub_seed, run_scenario
 from algosim.ledger import block_hash, users_at, validate_block, verify_chain
-from algosim.sortition import ProtocolParams, view_leader
+from algosim.sortition import ProtocolParams, view_committee, view_leader
 
 FORK_PARAMS = ProtocolParams(leader_prob=1.0, verifier_prob=1.0, lookback=3,
                              max_ba_steps=9, cert_threshold=7, horizon=20)
@@ -240,3 +243,46 @@ class TestBribery:
         assert metrics.forks_detected == 0
         assert metrics.attack_error is not None
         assert "have 0" in metrics.attack_error
+
+
+# SHA-256 of the key state after run_scenario(bribery_fixture(retention=0.5)):
+# repr((retained records' (owner, round, step), sorted destroyed masks)).
+MIXED_RETENTION_KEY_STATE = \
+    "bf0a763cc71620aebada3f3360ef07bfee440f78156b42e862d70a813ff90880"
+
+
+def test_mixed_retention_retains_exactly_the_keepers_keys():
+    cfg = bribery_fixture(retention=0.5)
+    chains, metrics = run_scenario(cfg)
+    chain, params = chains[0], cfg.params
+    registry = chain.registry
+    # the keepers, drawn as `retention_fraction` says: one draw per user, in
+    # the order users register (no user joins this scenario)
+    rng = random.Random(_sub_seed(cfg.seed, b"POLI"))
+    keepers = {u for u in range(1, cfg.num_genesis_users + 1)
+               if rng.random() < cfg.adversary.retention_fraction}
+    assert 0 < len(keepers) < cfg.num_genesis_users
+    # every key the run signed: whole committees before the decision step
+    # (simple mode: proposals and step-2 votes), then the certificate voters
+    signed = set()
+    for rec in metrics.rounds[params.lookback - 1:]:
+        r, prev_seed = rec.round, chain.blocks[rec.round - 1].seed
+        for s in rec.committee_sizes:
+            if s < rec.steps_to_decision:
+                signed |= {(c.user, r, s) for c in view_committee(
+                    r, s, prev_seed, chain, params, registry)}
+        signed |= {(m.voter, r, m.step) for m in chain.blocks[r].cert}
+    kept = {k for k in signed if k[0] in keepers}
+    assert kept and signed - kept
+    for key in signed:
+        assert registry.ephemeral_state(*key) is (
+            KeyState.RETAINED if key in kept else KeyState.DESTROYED)
+    assert {(k.owner, k.round, k.step)
+            for k in registry.retained_records()} == kept
+    assert sum(m.bit_count() for m in registry._destroyed.values()) == \
+        len(signed - kept)
+    state = repr(([(k.owner, k.round, k.step)
+                   for k in registry.retained_records()],
+                  sorted(registry._destroyed.items())))
+    assert hashlib.sha256(state.encode()).hexdigest() == \
+        MIXED_RETENTION_KEY_STATE

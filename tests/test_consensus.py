@@ -1,4 +1,4 @@
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 
 import pytest
 from hypothesis import given
@@ -31,10 +31,6 @@ from algosim.sortition import ProtocolParams, view_credential, view_leader
 from conftest import idle_chain, key_records, make_registry
 
 Vote = namedtuple("Vote", "voter value")
-
-# key policies of `vote`: every member alike
-HONEST = defaultdict(lambda: "honest")
-RETAIN = defaultdict(lambda: "retain")
 
 N = 12
 ROUND = 5
@@ -106,11 +102,11 @@ def round_leader(env):
 
 
 def cert_of(env, block, users, step=4):
-    """Cert votes of `users` for `block`, signed at `step` under the retain
-    policy so one fixture can certify several blocks."""
+    """Cert votes of `users` for `block`, signed at `step`; the users become
+    key keepers, so one fixture can certify several blocks."""
     payload = cert_payload(1 if block.is_empty() else 0, block_hash(block))
-    return vote([verf_cred(env, u, step) for u in users], payload, env[0],
-                RETAIN)
+    env[0].keep_keys(users)
+    return vote([verf_cred(env, u, step) for u in users], payload, env[0])
 
 
 def violations(env, block, cert):
@@ -120,7 +116,7 @@ def violations(env, block, cert):
 
 class CommitteeStep:
     """A step primitive over fixed committees: the users `committees[s]` sign
-    through the phase's `sign` under the honest policy, and the step delivers
+    through the phase's `sign`, which destroys their keys, and the step delivers
     what they signed.  `signers` records who signed at each step run."""
 
     def __init__(self, env, committees):
@@ -131,7 +127,7 @@ class CommitteeStep:
 
     def __call__(self, s, value, sign=vote):
         members = self.committees.get(s, [])
-        messages = sign(members, value, self.registry, HONEST)
+        messages = sign(members, value, self.registry)
         self.signers[s] = [m.credential.user for m in messages]
         return members, messages
 
@@ -212,15 +208,16 @@ class TestPropose:
     def test_honest_policy_destroys_key(self, env):
         registry, chain, params = env
         cred = lead_cred(env, 2)
-        propose(cred, (), chain, registry, policy="honest")
+        propose(cred, (), chain, registry)
         with pytest.raises(KeyDestroyedError):
-            propose(cred, (), chain, registry, policy="honest")
+            propose(cred, (), chain, registry)
 
     def test_retain_policy_allows_reuse(self, env):
         registry, chain, params = env
         cred = lead_cred(env, 3)
-        first = propose(cred, (), chain, registry, policy="retain")
-        second = propose(cred, (), chain, registry, policy="retain")
+        registry.keep_keys([3])
+        first = propose(cred, (), chain, registry)
+        second = propose(cred, (), chain, registry)
         assert first == second
 
 
@@ -229,12 +226,12 @@ class TestPropose:
 def test_vote_is_signed_for_its_step(env, step, value):
     registry, _, _ = env
     cred = verf_cred(env, 2, step)
-    [ballot] = vote([cred], value, registry, HONEST)
+    [ballot] = vote([cred], value, registry)
     assert (ballot.voter, ballot.round, ballot.step) == (2, ROUND, step)
     assert ballot.value == value
     assert registry.verify_ephemeral_many([(2, ballot.sig)], ROUND, step, value)[0]
     with pytest.raises(KeyDestroyedError):
-        vote([cred], value, registry, HONEST)
+        vote([cred], value, registry)
 
 
 @pytest.mark.parametrize("kind, step", [("propose", 1), ("vote", 2), ("cert", 4)])
@@ -245,10 +242,10 @@ def test_honest_signing_stores_no_key_record(env, kind, step):
         if kind == "propose":
             propose(lead_cred(env, u), (), chain, registry)
         elif kind == "vote":
-            vote([verf_cred(env, u, step)], b"\x11" * 32, registry, HONEST)
+            vote([verf_cred(env, u, step)], b"\x11" * 32, registry)
         else:
             vote([verf_cred(env, u, step)], cert_payload(0, b"\x11" * 32),
-                 registry, HONEST)
+                 registry)
         assert registry.ephemeral_state(u, ROUND, step) is KeyState.DESTROYED
     assert key_records(registry) == []
     assert registry.retained_records() == []
@@ -256,8 +253,9 @@ def test_honest_signing_stores_no_key_record(env, kind, step):
 
 def test_retained_signing_stores_one_record_per_key(env):
     registry, _, _ = env
+    registry.keep_keys(range(1, N + 1))
     for u in range(1, N + 1):
-        vote([verf_cred(env, u, 2)], b"\x11" * 32, registry, RETAIN)
+        vote([verf_cred(env, u, 2)], b"\x11" * 32, registry)
     records = registry.retained_records(ROUND)
     assert [(r.owner, r.step) for r in records] == [(u, 2) for u in range(1, N + 1)]
     assert key_records(registry) == records
@@ -432,10 +430,8 @@ class TestCertificates:
         # a cert vote signs the bit byte, then the digest (README layout)
         registry, chain, params = env
         digest = b"\x07" * 32
-        [m0] = vote([verf_cred(env, 1, 3)], cert_payload(0, digest), registry,
-                    HONEST)
-        [m1] = vote([verf_cred(env, 2, 3)], cert_payload(1, digest), registry,
-                    HONEST)
+        [m0] = vote([verf_cred(env, 1, 3)], cert_payload(0, digest), registry)
+        [m1] = vote([verf_cred(env, 2, 3)], cert_payload(1, digest), registry)
         assert (m0.value, m1.value) == (b"\x00" + digest, b"\x01" + digest)
         assert registry.verify_ephemeral_many([(1, m0.sig)], ROUND, 3,
                                               b"\x00" + digest)[0]
@@ -444,9 +440,9 @@ class TestCertificates:
         registry, chain, params = env
         cred = verf_cred(env, 3, 3)
         payload = cert_payload(0, b"\x07" * 32)
-        vote([cred], payload, registry, HONEST)
+        vote([cred], payload, registry)
         with pytest.raises(KeyDestroyedError):
-            vote([cred], payload, registry, HONEST)
+            vote([cred], payload, registry)
 
     # A certificate is whatever the block carries: `validate_block` counts
     # its valid messages from distinct voters against cert_threshold (4).
@@ -473,7 +469,7 @@ class TestCertificates:
         # correctly signed, but the signers called an empty block non-empty
         registry = env[0]
         cert = vote([verf_cred(env, u, 4) for u in range(1, 5)],
-                    cert_payload(0, block_hash(block)), registry, HONEST)
+                    cert_payload(0, block_hash(block)), registry)
         assert violations(env, block, cert)[0] == \
             "cert message from user 1: bit does not match block emptiness"
 

@@ -9,7 +9,6 @@ from algosim.crypto import (
     AdversarySigner,
     CryptoError,
     KeyRegistry,
-    InvalidTransitionError,
     KeyDestroyedError,
     KeyMissingError,
     KeyState,
@@ -110,38 +109,27 @@ def test_crypto_outputs_stable_across_registries():
 
 class TestEphemeralLifecycle:
     def test_sign_then_destroy_then_sign_fails(self, registry):
-        registry.ephemeral_sign(1, 4, 2, b"v", "honest")
+        registry.ephemeral_sign(1, 4, 2, b"v")
         with pytest.raises(KeyDestroyedError):
             registry.ephemeral_sign(1, 4, 2, b"v")
 
     def test_retained_key_signs_again(self, registry):
-        first = registry.ephemeral_sign(1, 4, 2, b"v", "retain")
-        assert registry.ephemeral_sign(1, 4, 2, b"v") == first
-
-    def test_sign_without_policy_keeps_the_key_available(self, registry):
+        registry.keep_keys([1])
         first = registry.ephemeral_sign(1, 4, 2, b"v")
-        assert registry.ephemeral_state(1, 4, 2) is KeyState.AVAILABLE
-        assert registry.ephemeral_sign(1, 4, 2, b"v", "honest") == first
+        assert registry.ephemeral_sign(1, 4, 2, b"v") == first
 
     def test_transitions(self, registry):
         assert registry.ephemeral_state(1, 1, 1) is KeyState.AVAILABLE
-        registry.ephemeral_sign(1, 1, 1, b"v", "honest")
+        registry.ephemeral_sign(1, 1, 1, b"v")
         assert registry.ephemeral_state(1, 1, 1) is KeyState.DESTROYED
-        registry.ephemeral_sign(1, 2, 1, b"v", "retain")
-        registry.ephemeral_sign(1, 2, 1, b"v", "retain")
-        assert registry.ephemeral_state(1, 2, 1) is KeyState.RETAINED
-        with pytest.raises(InvalidTransitionError):
-            registry.ephemeral_sign(1, 2, 1, b"v", "honest")
+        registry.keep_keys([1])
+        registry.ephemeral_sign(1, 2, 1, b"v")
+        registry.ephemeral_sign(1, 2, 1, b"v")
         assert registry.ephemeral_state(1, 2, 1) is KeyState.RETAINED
         # a destroyed key cannot be retained: it no longer signs at all
         with pytest.raises(KeyDestroyedError):
-            registry.ephemeral_sign(1, 1, 1, b"v", "retain")
+            registry.ephemeral_sign(1, 1, 1, b"v")
         assert registry.ephemeral_state(1, 1, 1) is KeyState.DESTROYED
-
-    def test_unknown_policy_rejected_and_state_kept(self, registry):
-        with pytest.raises(ValueError):
-            registry.ephemeral_sign(1, 3, 2, b"v", "forget")
-        assert registry.ephemeral_state(1, 3, 2) is KeyState.AVAILABLE
 
     def test_missing_keys(self, registry):
         with pytest.raises(KeyMissingError):
@@ -154,12 +142,13 @@ class TestEphemeralLifecycle:
             registry.ephemeral_state(1, 1, 0)
 
     def test_verification_survives_destruction(self, registry):
-        sig = registry.ephemeral_sign(1, 4, 2, b"v", "honest")
+        sig = registry.ephemeral_sign(1, 4, 2, b"v")
         assert registry.verify_ephemeral_many([(1, sig)], 4, 2, b"v")[0]
 
     def test_retained_records_listing(self, registry):
-        registry.ephemeral_sign(1, 4, 2, b"v", "retain")
-        registry.ephemeral_sign(2, 4, 2, b"v", "honest")
+        registry.keep_keys([1])
+        registry.ephemeral_sign(1, 4, 2, b"v")
+        registry.ephemeral_sign(2, 4, 2, b"v")
         recs = registry.retained_records(4)
         assert [(r.owner, r.round, r.step) for r in recs] == [(1, 4, 2)]
         assert recs[0].state is KeyState.RETAINED
@@ -167,12 +156,13 @@ class TestEphemeralLifecycle:
     def test_honest_signing_stores_no_record(self, registry):
         for owner in (1, 2, 3):
             for step in range(1, registry.max_step + 1):
-                registry.ephemeral_sign(owner, 4, step, b"v", "honest")
+                registry.ephemeral_sign(owner, 4, step, b"v")
         assert registry.retained_records() == []
         assert key_records(registry) == []
         # one mask per (round, step), whatever the number of owners
         assert len(registry._destroyed) == registry.max_step
-        registry.ephemeral_sign(1, 5, 1, b"v", "retain")
+        registry.keep_keys([1])
+        registry.ephemeral_sign(1, 5, 1, b"v")
         assert key_records(registry) == registry.retained_records()
 
 
@@ -182,9 +172,10 @@ LIFECYCLE_HORIZON, LIFECYCLE_MAX_STEP = 2, 3
 LIFECYCLE_USERS = (1, 2, 3)  # owners 0 and 4 stay unregistered
 
 
-def reference_sign(states, key, policy):
-    """The lifecycle as a dict of states: sign, then retire per `policy`.
-    Returns the exception type a call raises, or None."""
+def reference_sign(states, keepers, key):
+    """The lifecycle as a dict of states: sign, then retain the key if its
+    owner is in `keepers`, else destroy it.  Returns the exception type a call
+    raises, or None."""
     owner, round, step = key
     if not (owner in LIFECYCLE_USERS and 0 <= round <= LIFECYCLE_HORIZON
             and 1 <= step <= LIFECYCLE_MAX_STEP):
@@ -192,53 +183,56 @@ def reference_sign(states, key, policy):
     state = states.get(key, KeyState.AVAILABLE)
     if state is KeyState.DESTROYED:
         return KeyDestroyedError
-    if policy is None:
-        return None
-    if policy not in ("honest", "retain"):
-        return ValueError
-    target = KeyState.DESTROYED if policy == "honest" else KeyState.RETAINED
-    if state is KeyState.AVAILABLE:
-        states[key] = target
-    elif state is not target:
-        return InvalidTransitionError
+    target = KeyState.RETAINED if owner in keepers else KeyState.DESTROYED
+    # AVAILABLE -> DESTROYED or RETAINED; keepers only grow, so a retained
+    # key's owner is still a keeper and the key stays retained
+    assert state in (KeyState.AVAILABLE, target)
+    states[key] = target
     return None
 
 
-key_ids = st.tuples(st.integers(0, 4), st.integers(-1, LIFECYCLE_HORIZON + 1),
+owner_ids = st.integers(0, 4)
+key_ids = st.tuples(owner_ids, st.integers(-1, LIFECYCLE_HORIZON + 1),
                     st.integers(0, LIFECYCLE_MAX_STEP + 1))
 lifecycle_ops = st.lists(st.one_of(
-    st.tuples(st.just("sign"), key_ids,
-              st.sampled_from([None, "honest", "retain", "forget"])),
+    st.tuples(st.just("sign"), key_ids),
+    st.tuples(st.just("keep"), owner_ids),
     st.tuples(st.just("state"), key_ids),
     st.tuples(st.just("retained"),
               st.one_of(st.none(), st.integers(0, LIFECYCLE_HORIZON)))),
     max_size=40)
 
 
+def lifecycle_registry():
+    reg = KeyRegistry(5, horizon=LIFECYCLE_HORIZON, max_step=LIFECYCLE_MAX_STEP)
+    for u in LIFECYCLE_USERS:
+        reg.register_user(u)
+    return reg
+
+
 @settings(deadline=None, max_examples=150)
 @given(lifecycle_ops)
 def test_key_lifecycle_matches_reference_states(ops):
-    def fresh():
-        reg = KeyRegistry(5, horizon=LIFECYCLE_HORIZON, max_step=LIFECYCLE_MAX_STEP)
-        for u in LIFECYCLE_USERS:
-            reg.register_user(u)
-        return reg
-
-    registry, oracle = fresh(), fresh()  # the oracle only signs, never retires
+    registry = lifecycle_registry()
     states: dict = {}
+    keepers: set = set()
     for op in ops:
         if op[0] == "sign":
-            _, key, policy = op
-            expected = reference_sign(states, key, policy)
+            key = op[1]
+            expected = reference_sign(states, keepers, key)
             if expected is None:
-                assert registry.ephemeral_sign(*key, b"m", policy) \
-                    == oracle.ephemeral_sign(*key, b"m")
+                sig = registry.ephemeral_sign(*key, b"m")
+                assert registry.verify_ephemeral_many(
+                    [(key[0], sig)], *key[1:], b"m") == [True]
             else:
                 with pytest.raises(expected):
-                    registry.ephemeral_sign(*key, b"m", policy)
+                    registry.ephemeral_sign(*key, b"m")
+        elif op[0] == "keep":
+            keepers.add(op[1])
+            registry.keep_keys([op[1]])
         elif op[0] == "state":
             key = op[1]
-            if reference_sign({}, key, None) is KeyMissingError:
+            if reference_sign({}, set(), key) is KeyMissingError:
                 with pytest.raises(KeyMissingError):
                     registry.ephemeral_state(*key)
             else:
@@ -261,13 +255,6 @@ def test_key_lifecycle_matches_reference_states(ops):
 
 # -- one call per step against one call per owner ------------------------------
 
-def lifecycle_registry():
-    reg = KeyRegistry(5, horizon=LIFECYCLE_HORIZON, max_step=LIFECYCLE_MAX_STEP)
-    for u in LIFECYCLE_USERS:
-        reg.register_user(u)
-    return reg
-
-
 def key_states(registry):
     """Every provisioned key's state, and the retained records."""
     states = {(o, r, s): registry.ephemeral_state(o, r, s)
@@ -278,37 +265,37 @@ def key_states(registry):
     return states, retained
 
 
-policies = st.sampled_from([None, "honest", "retain", "forget"])
-
-
 @settings(deadline=None, max_examples=300)
-@given(before=st.lists(st.tuples(key_ids, st.sampled_from(["honest", "retain"])),
-                       max_size=12),
+@given(early=st.sets(owner_ids), before=st.lists(key_ids, max_size=12),
+       late=st.sets(owner_ids),
        round=st.integers(-1, LIFECYCLE_HORIZON + 1),
        step=st.integers(0, LIFECYCLE_MAX_STEP + 1),
-       signers=st.lists(st.tuples(st.integers(0, 4), policies), max_size=6))
-def test_batch_signing_matches_one_call_per_owner(before, round, step, signers):
+       owners=st.lists(owner_ids, max_size=6))
+def test_batch_signing_matches_one_call_per_owner(early, before, late, round,
+                                                  step, owners):
     batch, twin = lifecycle_registry(), lifecycle_registry()
-    for key, policy in before:  # destroyed and retained keys, on both alike
-        for reg in (batch, twin):
+    for reg in (batch, twin):  # destroyed and retained keys, on both alike
+        reg.keep_keys(early)
+        for key in before:
             try:
-                reg.ephemeral_sign(*key, b"old", policy)
-            except (CryptoError, ValueError):
+                reg.ephemeral_sign(*key, b"old")
+            except CryptoError:
                 pass
+        reg.keep_keys(late)  # also owners of keys destroyed before
     expected, refusal = [], None
-    for owner, policy in signers:
+    for owner in owners:
         try:
-            expected.append(twin.ephemeral_sign(owner, round, step, b"m", policy))
-        except (CryptoError, ValueError) as exc:
+            expected.append(twin.ephemeral_sign(owner, round, step, b"m"))
+        except CryptoError as exc:
             refusal = exc
             break
     untouched = key_states(batch)
     if refusal is None:
-        assert batch.ephemeral_sign_many(signers, round, step, b"m") == expected
+        assert batch.ephemeral_sign_many(owners, round, step, b"m") == expected
         assert key_states(batch) == key_states(twin)
     else:
         with pytest.raises(type(refusal)) as raised:
-            batch.ephemeral_sign_many(signers, round, step, b"m")
+            batch.ephemeral_sign_many(owners, round, step, b"m")
         assert type(raised.value) is type(refusal)
         assert str(raised.value) == str(refusal)
         assert key_states(batch) == untouched
@@ -320,24 +307,33 @@ class TestAdversaryAccess:
         with pytest.raises(UnauthorizedSignerError):
             signer.unique_sign(3, b"m")
         with pytest.raises(UnauthorizedSignerError):
-            signer.ephemeral_sign_many([(3, None)], 1, 1, b"m")
+            signer.ephemeral_sign_many([3], 1, 1, b"m")
 
     def test_corrupted_owner_signs(self, registry):
         signer = AdversarySigner(registry, {1})
         sig = signer.unique_sign(1, b"m")
         assert registry.verify_unique(1, b"m", sig)
 
-    def test_destroyed_key_never_signs_even_for_adversary(self, registry):
+    def test_corrupted_owners_keep_their_keys(self, registry):
+        # corruption is where a user starts keeping keys, whoever signs
         signer = AdversarySigner(registry, {1})
-        registry.ephemeral_sign(1, 5, 2, b"v", "honest")
+        signer.ephemeral_sign_many([1], 5, 2, b"m")
+        registry.ephemeral_sign(1, 5, 3, b"m")
+        registry.ephemeral_sign(2, 5, 2, b"m")
+        assert [registry.ephemeral_state(*k) for k in
+                ((1, 5, 2), (1, 5, 3), (2, 5, 2))] == \
+            [KeyState.RETAINED, KeyState.RETAINED, KeyState.DESTROYED]
+
+    def test_destroyed_key_never_signs_even_for_adversary(self, registry):
+        registry.ephemeral_sign(1, 5, 2, b"v")
+        signer = AdversarySigner(registry, {1})
         with pytest.raises(KeyDestroyedError):
-            signer.ephemeral_sign_many([(1, None)], 5, 2, b"m")
+            signer.ephemeral_sign_many([1], 5, 2, b"m")
 
     def test_batch_with_one_uncorrupted_owner_signs_nothing(self, registry):
         signer = AdversarySigner(registry, {1, 2})
         with pytest.raises(UnauthorizedSignerError, match="user 3"):
-            signer.ephemeral_sign_many([(1, "retain"), (3, "retain"),
-                                        (2, "honest")], 5, 2, b"m")
+            signer.ephemeral_sign_many([1, 3, 2], 5, 2, b"m")
         assert [registry.ephemeral_state(u, 5, 2) for u in (1, 2, 3)] == \
             [KeyState.AVAILABLE] * 3
         assert registry.retained_records() == []

@@ -65,7 +65,7 @@ def test_honest_run_equivalence_each_round(small_run):
 @pytest.mark.parametrize("source", ["SMALL", "bribery.cfg", "genesis_fork.cfg"])
 def test_honest_chain_fully_validates(small_run, source):
     # the engine does not check the blocks it builds; the validator must
-    # accept every one, also under the retain key policy (bribery.cfg) and
+    # accept every one, also when every user keeps keys (bribery.cfg) and
     # with users joining each round (genesis_fork.cfg)
     if source == "SMALL":
         chains, _ = small_run
@@ -418,13 +418,13 @@ class TestDetectFork:
     def test_identical_chains(self, small_run):
         chains, _ = small_run
         chain = chains[0]
-        assert detect_fork([chain, chain], SMALL.params, chain.registry) == []
+        assert detect_fork(chain, chain, SMALL.params, chain.registry) == []
 
     def test_prefix_extension_is_not_a_fork(self, small_run):
         chains, _ = small_run
         chain = chains[0]
         shorter = chain.prefix(15)
-        assert detect_fork([chain, shorter], SMALL.params, chain.registry) == []
+        assert detect_fork(chain, shorter, SMALL.params, chain.registry) == []
 
     def test_genesis_fork_fixture_reports_once(self):
         cfg = ScenarioConfig(
@@ -435,7 +435,7 @@ class TestDetectFork:
             payments_per_round=2, new_users_per_round=3)
         chains, metrics = run_scenario(cfg)
         assert [r.round for r in metrics.fork_reports] == [3]
-        reports = detect_fork(chains, cfg.params, chains[0].registry)
+        reports = detect_fork(*chains, cfg.params, chains[0].registry)
         assert len(reports) == 1
         assert reports[0].classification == "protocol-violation"  # unhinted
 
@@ -444,7 +444,7 @@ class TestDetectFork:
         a = idle_chain(make_registry(seed=0), {1: 5, 2: 5}, 2)
         b = idle_chain(make_registry(seed=9), {1: 5, 2: 5}, 2)
         with pytest.raises(IncompatibleGenesisError):
-            detect_fork([a, b], SMALL.params, a.registry)
+            detect_fork(a, b, SMALL.params, a.registry)
 
 
 class TestCompareConsensus:

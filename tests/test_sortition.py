@@ -207,8 +207,7 @@ class TestSelectLeader:
         assert select_leader([a, b]) == 4
 
     def test_empty_input(self):
-        with pytest.raises(ValueError):
-            select_leader([])
+        assert select_leader([]) is None
 
 
 class TestVerifyCredential:
