@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -131,7 +130,9 @@ def cmd_run(args) -> int:
         _make_out_dir(out_dir)
 
     if args.jobs > 1 and len(configs) > 1:
-        # the pool forks all its workers up front, so never more than seeds
+        # imported here so that no other command loads multiprocessing; the
+        # pool forks all its workers up front, so never more than seeds
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(configs))) as pool:
             results = list(pool.map(_execute, configs))
     else:
@@ -247,13 +248,25 @@ def cmd_compare(args) -> int:
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("ALGOSIM_LOG", "off").lower()
-    if level == "trace":
-        logging.basicConfig(level=logging.DEBUG, stream=sys.stderr)
-    elif level == "info":
-        logging.basicConfig(level=logging.INFO, stream=sys.stderr)
-    else:
+    """Set this call's verbosity afresh, so that an earlier `off` call in
+    the same process does not silence a later `info` or `trace` one."""
+    level = {"trace": logging.DEBUG, "info": logging.INFO}.get(
+        os.environ.get("ALGOSIM_LOG", "off").lower())
+    if level is None:
         logging.disable(logging.CRITICAL)
+        return
+    logging.disable(logging.NOTSET)
+    logging.basicConfig(level=level, stream=sys.stderr, force=True)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--rounds", type=int)
     run.add_argument("--mode", choices=["ba", "simple", "both"])
     run.add_argument("--out", help="directory for metrics and chain files")
-    run.add_argument("--jobs", type=int, default=1,
+    run.add_argument("--jobs", type=_positive_int, default=1,
                      help="parallel workers for multi-seed runs")
     run.set_defaults(func=cmd_run)
 

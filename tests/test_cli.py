@@ -1,8 +1,12 @@
+import concurrent.futures
 import contextlib
 import io
 import json
+import logging
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +17,8 @@ import algosim.cli as cli
 from algosim.engine import ScenarioConfig
 from algosim.sortition import ProtocolParams
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 SMALL_CFG = """
 [scenario]
@@ -646,7 +651,8 @@ def test_jobs_capped_at_seed_count(small_cfg, capsys, monkeypatch):
         def map(self, fn, items):
             return list(map(fn, items))
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    # `cmd_run` imports the pool class when it needs one, from this module
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     code, _, _ = run_cli(capsys, "run", "--config", small_cfg, "--seed", "5,6",
                          "--rounds", "4", "--jobs", "10000")
     assert code == 0
@@ -654,6 +660,46 @@ def test_jobs_capped_at_seed_count(small_cfg, capsys, monkeypatch):
     run_cli(capsys, "run", "--config", small_cfg, "--seed", "5,6,7",
             "--rounds", "4", "--jobs", "2")
     assert asked == [2, 2]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_jobs_below_one_is_a_usage_error(small_cfg, capsys, jobs):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["run", "--config", str(small_cfg), "--jobs", jobs])
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument --jobs: must be at least 1, got {jobs}" in out.err
+
+
+def test_cli_import_loads_no_process_pool():
+    # a fresh interpreter, since this one has loaded the pool already; only
+    # `run --jobs N` over several seeds needs it
+    probe = ("import sys, algosim.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
+def test_info_log_after_an_unlogged_call(small_cfg, capsys, monkeypatch):
+    # an `off` call must not silence a later `info` call in the same process
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
+    disabled = logging.root.manager.disable
+    argv = ["run", "--config", small_cfg, "--rounds", "4", "--seed", "5"]
+    try:
+        monkeypatch.delenv("ALGOSIM_LOG", raising=False)
+        _, _, err = run_cli(capsys, *argv)
+        assert err == ""
+        monkeypatch.setenv("ALGOSIM_LOG", "info")
+        _, _, err = run_cli(capsys, *argv)
+        assert "INFO:algosim.cli:seed=5 rounds=4 " in err
+    finally:
+        root.handlers[:] = handlers
+        root.setLevel(level)
+        logging.disable(disabled)
 
 
 # `--out` runs of each command: (argv with SMALL for the small config, the
