@@ -19,13 +19,11 @@ from .ledger import (
     Chain,
     block_hash,
     cert_payload,
-    empty_block,
-    empty_round_seed,
-    leader_round_seed,
     make_payment,
+    next_block,
     users_at,
 )
-from .sortition import ProtocolParams, view_committee, view_credential, view_leader
+from .sortition import Credential, ProtocolParams, eligible, select_committee, view_leader
 
 STRATEGIES = ("honest", "genesis_fork", "bribery")
 
@@ -83,10 +81,11 @@ def fork_from(chain: Chain, fork_round: int, params: ProtocolParams,
 
     Requires control of every user in the round's user set and the one-third
     population bound.  The forged branch replays sortition honestly against
-    its own seeds; blocks carry real certificates from corrupted committee
-    members, using ephemeral keys the honest run never consumed (and
-    retaining them).  Raises ForkInfeasibleError instead of padding when a
-    forged round cannot reach the certificate threshold.
+    its own seeds and builds each block with `ledger.next_block`.  Its
+    certificate comes from the corrupted committee members whose ephemeral
+    key the honest run did not destroy (see `_held_voters`), and signing
+    retains those keys.  A forged round short of the certificate threshold
+    signs nothing and raises ForkInfeasibleError instead of padding.
     """
     tip = chain.tip_round
     if not 0 <= fork_round <= tip:
@@ -101,30 +100,34 @@ def fork_from(chain: Chain, fork_round: int, params: ProtocolParams,
     payers = sorted(corrupted)
     recipients = sorted(population - corrupted)
     fork = chain.prefix(fork_round + 1)
-
+    need = params.cert_threshold
     for r in range(fork_round + 1, tip + 2):
         prev = fork.tip()
-        prev_seed, prev_hash = prev.seed, block_hash(prev)
         if r < params.lookback:
-            fork.append(empty_block(r, prev_seed, prev_hash))
+            fork.append(next_block(prev))
             continue
         status = fork.status_entering(r)
         if r == tip + 1:
             payset = _tiny_grants(signer, status, payers, recipients, r)
         else:
             payset = _shuffle_payment(signer, status, payers, r)
-        leader = view_leader(r, prev_seed, fork, params, registry)
+        leader = view_leader(r, prev.seed, fork, params, registry)
         if payset and (leader is None or leader not in corrupted):
             payset = []  # cannot produce the leader's seed signature
-        if payset:
-            seed = leader_round_seed(signer.unique_sign(leader, prev_seed))
-        else:
-            seed = empty_round_seed(prev_seed, r)
-        block = Block(r, tuple(payset), seed, prev_hash, ())
+        block = next_block(prev, payset, signer, leader)
+
+        def unspent(user: UserId, step: int) -> bool:
+            try:
+                return registry.ephemeral_state(user, r, step) is not KeyState.DESTROYED
+            except KeyMissingError:  # the registry provisions no such key
+                return False
+
+        voters = _held_voters(fork, r, prev.seed, corrupted, params, registry,
+                              unspent)
+        if len(voters) < need:
+            raise ForkInfeasibleError(r, len(voters), need)
         payload = cert_payload(0 if payset else 1, block_hash(block))
-        cert = _forge_cert(fork, r, payload, prev_seed, corrupted, params,
-                           registry, signer)
-        fork.append(block.with_cert(cert))
+        fork.append(block.with_cert(_sign_cert(voters[:need], payload, signer)))
     return fork
 
 
@@ -159,39 +162,33 @@ def _tiny_grants(signer, status, payers, recipients, round: int) -> list:
     return out
 
 
-def _forge_cert(fork: Chain, round: int, payload: bytes,
-                prev_seed: bytes, corrupted: set[UserId],
-                params: ProtocolParams, registry: KeyRegistry,
-                signer: AdversarySigner) -> tuple:
-    """Certificate from corrupted committee members of the forked branch.
-
-    Scans steps for sortition-selected corrupted users whose ephemeral key is
-    still usable (the honest run destroyed the keys of the steps it played;
-    higher steps stayed untouched).  Corrupted users keep their keys, so the
-    keys are retained, never destroyed.
-    """
-    msgs = []
-    seen: set[UserId] = set()
+def _held_voters(chain: Chain, round: int, prev_seed: bytes,
+                 users: set[UserId], params: ProtocolParams,
+                 registry: KeyRegistry, holds) -> list[Credential]:
+    """Every distinct committee member of `round` among `users` whose key the
+    adversary holds, at its first such step from 2 on: each step is one
+    `select_committee` call over the eligible `users` not yet chosen for whom
+    `holds(user, step)` is true.  Voters come in step, then user order."""
+    pool = sorted(eligible(round, chain, params) & users)
+    voters: list[Credential] = []
     for step in range(2, params.max_step + 1):
-        if len(seen) >= params.cert_threshold:
-            break
-        batch = []
-        for cred in view_committee(round, step, prev_seed, fork, params, registry):
-            if len(seen) >= params.cert_threshold:
-                break
-            if cred.user not in corrupted or cred.user in seen:
-                continue
-            try:
-                if registry.ephemeral_state(cred.user, round, step) is KeyState.DESTROYED:
-                    continue
-            except KeyMissingError:
-                continue
-            batch.append(cred)
-            seen.add(cred.user)
-        msgs += vote(batch, payload, signer)
-    if len(seen) < params.cert_threshold:
-        raise ForkInfeasibleError(round, len(seen), params.cert_threshold)
-    return tuple(msgs)
+        chosen = select_committee(round, step, prev_seed,
+                                  [u for u in pool if holds(u, step)],
+                                  params, registry)
+        voters += chosen
+        taken = {c.user for c in chosen}
+        pool = [u for u in pool if u not in taken]
+    return voters
+
+
+def _sign_cert(voters: list[Credential], payload: bytes,
+               signer: AdversarySigner) -> list:
+    """The `voters` sign the certificate `payload`, one `vote` call a step;
+    corrupted users keep keys, so each key is retained."""
+    cert = []
+    for _, creds in groupby(voters, lambda c: c.step):
+        cert += vote(list(creds), payload, signer)
+    return cert
 
 
 # -- bribery ---------------------------------------------------------------------
@@ -203,9 +200,10 @@ def bribe_and_recertify(chain: Chain, target_round: int, retained,
 
     `retained` holds the ephemeral key records bought from their owners; all
     must be in the retained state.  Succeeds iff at least cert_threshold
-    distinct genuine committee members of the target round are among them,
-    and returns a block (different payset, same seed chain position) that
-    passes validation against the honest prefix.
+    distinct genuine committee members of the target round are among them
+    (see `_held_voters`), and returns a block (different payset, same seed
+    chain position) that passes validation against the honest prefix; the
+    first cert_threshold of them sign its certificate.
     """
     r = target_round
     if not 1 <= r < chain.tip_round:
@@ -223,17 +221,9 @@ def bribe_and_recertify(chain: Chain, target_round: int, retained,
     signer = AdversarySigner(registry, set(owners))
 
     # Which bought keys belong to genuine committee members of this round?
-    usable = []
-    seen: set[UserId] = set()
-    for rec in sorted(retained, key=lambda k: (k.step, k.owner)):
-        if rec.round != r or rec.step < 2 or rec.owner in seen:
-            continue
-        cred = view_credential(rec.owner, r, rec.step, prev.seed, chain,
-                               params, registry)
-        if cred is None:
-            continue
-        usable.append(cred)
-        seen.add(rec.owner)
+    bought = {(rec.owner, rec.step) for rec in retained if rec.round == r}
+    usable = _held_voters(chain, r, prev.seed, owners, params, registry,
+                          lambda user, step: (user, step) in bought)
     have, need = len(usable), params.cert_threshold
     if have < need:
         raise AttackFailedError(have, need)
@@ -244,18 +234,14 @@ def bribe_and_recertify(chain: Chain, target_round: int, retained,
         leader = view_leader(r, prev.seed, chain, params, registry)
         if leader is None or leader not in owners:
             raise AttackFailedError(have, need, reason="round leader not bribable")
-        seed = leader_round_seed(signer.unique_sign(leader, prev.seed))
-    else:
-        seed = honest.seed  # the leader's seed signature is payset-independent
-    block = Block(r, tuple(payset), seed, honest.prev_hash, ())
+        block = next_block(prev, payset, signer, leader)
+    else:  # reuse the leader's seed signature: it is payset-independent
+        block = Block(r, tuple(payset), honest.seed, honest.prev_hash, ())
     digest = block_hash(block)
     if digest == block_hash(honest):
         raise PreconditionViolatedError("alternative block equals the honest one")
-    cert = []
-    payload = cert_payload(0, digest)
-    for _, creds in groupby(usable[:need], lambda c: c.step):  # one call a step
-        cert += vote(list(creds), payload, signer)
-    return block.with_cert(cert)
+    return block.with_cert(_sign_cert(usable[:need], cert_payload(0, digest),
+                                      signer))
 
 
 def _alternative_payset(signer, chain: Chain, round: int,

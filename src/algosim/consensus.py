@@ -31,14 +31,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .crypto import Digest, KeyRegistry, Signature, UserId, be8, hash_to_unit, sha256
-from .ledger import (
-    Block,
-    Chain,
-    Payment,
-    block_hash,
-    empty_round_seed,
-    leader_round_seed,
-)
+from .ledger import Block, Chain, Payment, block_hash, next_block
 from .sortition import Credential, select_leader
 
 Step = Callable[..., tuple[list[Credential], list]]
@@ -106,16 +99,11 @@ def supermajority_value(messages: Iterable, committee_size: int) -> Digest | Non
 
 def propose(credential: Credential, payset: tuple[Payment, ...], chain: Chain,
             registry: KeyRegistry) -> ProposalMessage:
-    """Build and sign the leader's candidate block over `payset` (see
-    `ledger.build_payset`).  Signing destroys the proposer's ephemeral step-1
-    key, or retains it when the proposer keeps keys."""
+    """The proposer's `ledger.next_block` over `payset` (see
+    `ledger.build_payset`) and its signature, which destroys the proposer's
+    ephemeral step-1 key, or retains it when the proposer keeps keys."""
     r = credential.round
-    prev = chain.blocks[r - 1]
-    if payset:
-        seed = leader_round_seed(registry.unique_sign(credential.user, prev.seed))
-    else:
-        seed = empty_round_seed(prev.seed, r)
-    block = Block(r, payset, seed, block_hash(prev), ())
+    block = next_block(chain.blocks[r - 1], payset, registry, credential.user)
     sig = registry.ephemeral_sign(credential.user, r, 1, block_hash(block))
     return ProposalMessage(block, sig, credential)
 

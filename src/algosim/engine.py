@@ -40,9 +40,9 @@ from .ledger import (
     block_hash,
     build_payset,
     cert_payload,
-    empty_block,
     make_genesis,
     make_payment,
+    next_block,
     validate_block,
 )
 from .netsim import Network
@@ -192,7 +192,7 @@ class SimulationRun:
         params = self.params
         mode = self.config.consensus_mode
         prev = self.chain.blocks[r - 1]
-        empty = empty_block(r, prev.seed, block_hash(prev))
+        empty = next_block(prev)
         if r < params.lookback:
             # No user clears the lookback rule yet: an uncertified empty block.
             self.chain.append(empty)

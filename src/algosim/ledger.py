@@ -3,8 +3,9 @@
 A block is hashed over length-prefixed big-endian fields in declaration
 order, so golden digests can be reproduced with any SHA-256 implementation
 (see README for the exact byte layout).  A block hash covers (round, payset,
-seed, prev_hash) and explicitly excludes the certificate.  `validate_block`
-is the one block verifier, and its `check_cert` checks a certificate one
+seed, prev_hash) and explicitly excludes the certificate.  `next_block`
+builds every new block by the seed rule, and `validate_block`, the one block
+verifier, checks it; its `check_cert` checks a certificate one
 committee step group at a time, recomputing the group's credentials through
 `sortition.select_committee`.  A chain file is a JSON genesis header line
 and then one JSON block record a line, with sorted keys, no spaces, ints and
@@ -198,9 +199,17 @@ def leader_round_seed(sig_of_prev_seed: Signature) -> Digest:
     return sha256(sig_of_prev_seed)
 
 
-def empty_block(round: int, prev_seed: Digest, prev_hash: Digest) -> Block:
-    """The canonical (and only) empty block for a round."""
-    return Block(round, (), empty_round_seed(prev_seed, round), prev_hash, ())
+def next_block(prev: Block, payset: Sequence[Payment] = (), signer=None,
+               leader: UserId | None = None) -> Block:
+    """The uncertified block after `prev` over `payset`, by the seed rule: the
+    round's one empty block, or one whose seed hashes `leader`'s unique
+    signature over `prev.seed`, made by `signer` (registry or adversary)."""
+    round = prev.round + 1
+    if payset:
+        seed = leader_round_seed(signer.unique_sign(leader, prev.seed))
+    else:
+        seed = empty_round_seed(prev.seed, round)
+    return Block(round, tuple(payset), seed, block_hash(prev), ())
 
 
 @dataclass

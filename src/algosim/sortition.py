@@ -6,7 +6,8 @@ with a different signature to improve one's odds.  Selection is per-user (one
 unit per user); stake-weighted refinements are out of scope.
 
 `select_committee` is the one sortition kernel: the engine, the validators
-and the adversary all enumerate leaders and committees through it.  It builds
+and the adversary all enumerate leaders and committees through it, and
+`view_leader`, the one omniscient view, names a round's leader by it.  It builds
 the credential message once, signs it for every eligible user in one registry
 call and keeps a user when SHA-256(signature) <= `selection_bound(p)`, a
 byte-string compare against `selection_limit(p)` as 8 big-endian bytes padded
@@ -159,28 +160,12 @@ def select_leader(credentials: list[Credential]) -> UserId | None:
     return min(credentials, key=lambda c: (c.unit, c.user)).user
 
 
-# -- omniscient views ---------------------------------------------------------
-# Validators, adversaries and tests enumerate who sortition selects over the
-# user set `lookback` rounds back, through the same kernel the engine runs;
-# the credentials are byte-identical to the ones the users themselves publish.
-
-def view_credential(user: UserId, round: int, step: int, prev_seed: Digest,
-                    chain: Chain, params: ProtocolParams,
-                    registry: KeyRegistry) -> Credential | None:
-    if user not in eligible(round, chain, params):
-        return None
-    selected = select_committee(round, step, prev_seed, [user], params, registry)
-    return selected[0] if selected else None
-
-
-def view_committee(round: int, step: int, prev_seed: Digest, chain: Chain,
-                   params: ProtocolParams, registry: KeyRegistry) -> list[Credential]:
-    return select_committee(round, step, prev_seed,
-                            sorted(eligible(round, chain, params)), params, registry)
-
+# -- omniscient view ----------------------------------------------------------
+# Validators and adversaries name a round's leader over the user set
+# `lookback` rounds back, through the same kernel the engine runs.
 
 def view_leader(round: int, prev_seed: Digest, chain: Chain,
                 params: ProtocolParams, registry: KeyRegistry) -> UserId | None:
     """The round's leader: smallest-unit potential leader, or None."""
-    return select_leader(
-        view_committee(round, 1, prev_seed, chain, params, registry))
+    users = sorted(eligible(round, chain, params))
+    return select_leader(select_committee(round, 1, prev_seed, users, params, registry))

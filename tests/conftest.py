@@ -1,8 +1,8 @@
 import pytest
 
-from algosim.crypto import EphemeralKeyRecord, KeyRegistry
-from algosim.ledger import Chain, block_hash, empty_block, make_genesis
-from algosim.sortition import ProtocolParams
+from algosim.crypto import Digest, EphemeralKeyRecord, KeyRegistry, UserId
+from algosim.ledger import Chain, make_genesis, next_block
+from algosim.sortition import Credential, ProtocolParams, eligible, select_committee
 
 
 def make_registry(seed=0, horizon=64, max_step=13, users=range(1, 11)) -> KeyRegistry:
@@ -23,10 +23,29 @@ def idle_chain(registry, balances, rounds) -> Chain:
     tests that do not re-validate certificates."""
     chain = make_genesis(balances, registry,
                          window=ProtocolParams().lookback + 1)
-    for r in range(1, rounds + 1):
-        prev = chain.tip()
-        chain.append(empty_block(r, prev.seed, block_hash(prev)))
+    for _ in range(rounds):
+        chain.append(next_block(chain.tip()))
     return chain
+
+
+# -- omniscient views -----------------------------------------------------------
+# Tests enumerate who sortition selects over the user set `lookback` rounds
+# back, through the same kernel the engine runs; the credentials are
+# byte-identical to the ones the users themselves publish.
+
+def view_credential(user: UserId, round: int, step: int, prev_seed: Digest,
+                    chain: Chain, params: ProtocolParams,
+                    registry: KeyRegistry) -> Credential | None:
+    if user not in eligible(round, chain, params):
+        return None
+    selected = select_committee(round, step, prev_seed, [user], params, registry)
+    return selected[0] if selected else None
+
+
+def view_committee(round: int, step: int, prev_seed: Digest, chain: Chain,
+                   params: ProtocolParams, registry: KeyRegistry) -> list[Credential]:
+    return select_committee(round, step, prev_seed,
+                            sorted(eligible(round, chain, params)), params, registry)
 
 
 @pytest.fixture

@@ -18,9 +18,9 @@ from algosim.consensus import GradedValue, gc_grade
 from algosim.crypto import KeyRegistry, be8
 from algosim.engine import ScenarioConfig, run_scenario
 from algosim.ledger import block_hash, users_at, validate_block, verify_chain
-from algosim.sortition import ProtocolParams, view_committee, view_credential
+from algosim.sortition import ProtocolParams
 
-from conftest import idle_chain, make_registry
+from conftest import idle_chain, make_registry, view_committee, view_credential
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

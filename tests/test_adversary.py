@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,9 +13,17 @@ from algosim.adversary import (
     fork_from,
 )
 from algosim.crypto import EphemeralKeyRecord, KeyState
-from algosim.engine import ScenarioConfig, _sub_seed, run_scenario
-from algosim.ledger import block_hash, users_at, validate_block, verify_chain
-from algosim.sortition import ProtocolParams, view_committee, view_leader
+from algosim.engine import ScenarioConfig, _sub_seed, metrics_to_lines, run_scenario
+from algosim.ledger import (
+    block_hash,
+    chain_to_lines,
+    users_at,
+    validate_block,
+    verify_chain,
+)
+from algosim.sortition import ProtocolParams, view_leader
+
+from conftest import view_committee, view_credential
 
 FORK_PARAMS = ProtocolParams(leader_prob=1.0, verifier_prob=1.0, lookback=3,
                              max_ba_steps=9, cert_threshold=7, horizon=20)
@@ -158,13 +167,23 @@ class TestGenesisFork:
     def test_starved_committees_report_infeasible(self, honest_run):
         # with a near-zero committee threshold the ten corrupted users are
         # rarely selected; the fork must report the deficit, not pad it
-        from dataclasses import replace
-
         chain = honest_run
         starved = replace(FORK_PARAMS, verifier_prob=0.02)
         with pytest.raises(ForkInfeasibleError) as err:
             fork_from(chain, 2, starved, chain.registry)
         assert err.value.have < err.value.need == starved.cert_threshold
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_short_round_signs_nothing(self, seed):
+        # a fresh run: the module's honest_run registry is shared
+        chain = run_scenario(fork_fixture(seed))[0][0]
+        registry = chain.registry
+        before = registry.retained_records(3)
+        with pytest.raises(ForkInfeasibleError) as err:
+            fork_from(chain, 2, replace(FORK_PARAMS, verifier_prob=0.02),
+                      registry)
+        assert err.value.round == 3
+        assert registry.retained_records(3) == before
 
 
 class TestScenarioIntegration:
@@ -202,8 +221,6 @@ class TestBribery:
         assert err.value.need == cfg.params.cert_threshold
 
     def test_threshold_minus_one_fails_with_exact_deficit(self, bribery_run):
-        from algosim.sortition import view_credential
-
         cfg, chain = bribery_run
         registry = chain.registry
         prev_seed = chain.blocks[4].seed
@@ -237,6 +254,16 @@ class TestBribery:
             rec = EphemeralKeyRecord(1, 5, step, state)
             with pytest.raises(PreconditionViolatedError):
                 bribe_and_recertify(chain, 5, [rec], cfg.params, registry)
+
+    def test_leaderless_empty_round_is_not_bribable(self):
+        # with no potential leader every honest block is empty, and no bought
+        # key can sign the leader's seed; the count reported is every usable
+        # voter, not the threshold's worth the certificate would take
+        cfg = bribery_fixture()
+        cfg = replace(cfg, params=replace(cfg.params, leader_prob=0.0))
+        _, metrics = run_scenario(cfg)
+        assert metrics.attack_error == \
+            "round leader not bribable: have 17, need 7"
 
     def test_retention_zero_scenario_reports_failure(self):
         chains, metrics = run_scenario(bribery_fixture(retention=0.0))
@@ -286,3 +313,58 @@ def test_mixed_retention_retains_exactly_the_keepers_keys():
                   sorted(registry._destroyed.items())))
     assert hashlib.sha256(state.encode()).hexdigest() == \
         MIXED_RETENTION_KEY_STATE
+
+
+def transcript_digest(chains, metrics) -> str:
+    """SHA-256 of metrics_to_lines plus chain_to_lines of every chain."""
+    lines = metrics_to_lines(metrics)
+    for chain in chains:
+        lines += chain_to_lines(chain)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# Attack transcripts by (strategy, fork round or retention) and seed 0-2;
+# bribery re-certifies round 4.  Forking from round 0 rebuilds the bootstrap
+# rounds 1 and 2 as the empty blocks they already are, over the same users,
+# so it forges the same chain as forking from round 2.
+ATTACK_DIGESTS = {
+    ("genesis_fork", 2): [
+        "14849f6226a89b75a035da562133c2c4c5077480aa9e122d4b3d58e19e25b0e3",
+        "60473b8c941360598f9d359a1d0a20cce649c534ddd1820b2168fee269047219",
+        "fbfd1cfdc262de63e02fd6d1a6f6e22b28c25562da8c2b2d896631daaa3ef354"],
+    ("genesis_fork", 0): [
+        "14849f6226a89b75a035da562133c2c4c5077480aa9e122d4b3d58e19e25b0e3",
+        "60473b8c941360598f9d359a1d0a20cce649c534ddd1820b2168fee269047219",
+        "fbfd1cfdc262de63e02fd6d1a6f6e22b28c25562da8c2b2d896631daaa3ef354"],
+    ("bribery", 1.0): [
+        "07dae2f92f7adb4a579bb772629449230579dd5d325caf36a20a60feebc4d9e4",
+        "83a8d5b5efd4df5a4226856b02d73bf90b94c66f0f23cb62b9cd4d4dd543c0c0",
+        "aa3174a91b2d5536d2708d18fccb6543f029e0644498ee758963dfadfa8193a7"],
+    ("bribery", 0.5): [
+        "a58d85c654f989b43df35a0d9e63e109f4cfb44766a80376d8699231ea141317",
+        "2fa92dc7e9afa851b8cb2fb9d223640e2830eb919b56c4a68577a40dd21689b1",
+        "edb4fe78c8ca31fd8948f56b11db2c87a626198d23ff8cdcdf640fbf5f53c1cf"],
+}
+# The fork from round 2 with verifier_prob 0.02, on each seed's honest chain
+# after its genesis_fork scenario from round 2.
+STARVED_FORK_ERRORS = [
+    "round 3: only 3 corrupted certifiers available, need 7",
+    "round 3: only 1 corrupted certifiers available, need 7",
+    "round 3: only 3 corrupted certifiers available, need 7"]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_attack_transcripts_are_pinned(seed):
+    for (strategy, knob), digests in ATTACK_DIGESTS.items():
+        if strategy == "genesis_fork":
+            cfg = fork_fixture(seed, AdversaryConfig(strategy, fork_round=knob))
+        else:
+            cfg = bribery_fixture(seed, retention=knob, target=4)
+        chains, metrics = run_scenario(cfg)
+        assert transcript_digest(chains, metrics) == digests[seed], (strategy, knob)
+        if (strategy, knob) == ("genesis_fork", 2):
+            honest = chains[0]
+    with pytest.raises(ForkInfeasibleError) as err:
+        fork_from(honest, 2, replace(FORK_PARAMS, verifier_prob=0.02),
+                  honest.registry)
+    assert str(err.value) == STARVED_FORK_ERRORS[seed]

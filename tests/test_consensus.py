@@ -22,13 +22,13 @@ from algosim.ledger import (
     block_hash,
     build_payset,
     cert_payload,
-    empty_block,
     make_payment,
+    next_block,
     validate_block,
 )
-from algosim.sortition import ProtocolParams, view_credential, view_leader
+from algosim.sortition import ProtocolParams, view_leader
 
-from conftest import idle_chain, key_records, make_registry
+from conftest import idle_chain, key_records, make_registry, view_credential
 
 Vote = namedtuple("Vote", "voter value")
 
@@ -147,7 +147,7 @@ class TestPropose:
         assert msg.block.payset == ()
         assert msg.block.round == ROUND
         prev = chain.tip()
-        assert msg.block == empty_block(ROUND, prev.seed, block_hash(prev))
+        assert msg.block == next_block(prev)
         self.check_signed(env, msg)
         assert violations(env, msg.block, cert_of(env, msg.block, range(1, 5))) == []
 

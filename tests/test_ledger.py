@@ -36,10 +36,10 @@ from algosim.ledger import (
     cert_payload,
     chain_from_lines,
     chain_to_lines,
-    empty_block,
     empty_round_seed,
     make_genesis,
     make_payment,
+    next_block,
     users_at,
     validate_block,
 )
@@ -47,10 +47,9 @@ from algosim.sortition import (
     Credential,
     ProtocolParams,
     credential_message,
-    view_committee,
 )
 
-from conftest import idle_chain, make_registry
+from conftest import idle_chain, make_registry, view_committee
 
 
 def cert_vote(voter, round, step, bit, block_digest, sig, credential):
@@ -279,7 +278,7 @@ def test_failed_long_jump_leaves_the_status_window_usable(registry):
     bad = make_payment(registry, 1, 2, 31, 4)  # user 1 holds only 30
     blocks.append(Block(4, (bad,), empty_round_seed(blocks[-1].seed, 4),
                         block_hash(blocks[-1]), ()))
-    blocks.append(empty_block(5, blocks[-1].seed, block_hash(blocks[-1])))
+    blocks.append(next_block(blocks[-1]))
     chain = Chain(Status(0, {1: 30, 2: 40}), list(blocks), registry, window=1)
     fresh = Chain(Status(0, {1: 30, 2: 40}), list(blocks), registry, window=7)
     chain.status_entering(1)
@@ -766,7 +765,7 @@ def test_an_eligible_voter_the_registry_does_not_know_raises():
     params = ProtocolParams(leader_prob=0.5, verifier_prob=0.5, lookback=3,
                             max_ba_steps=2, cert_threshold=1, horizon=16)
     prev = chain.tip()
-    block = empty_block(7, prev.seed, block_hash(prev))
+    block = next_block(prev)
     junk = b"\x01" * 32
     cert = [cert_vote(u, 7, 2, 1, block_hash(block), junk, Credential(u, 7, 2, junk))
             for u in (1, 7, 8)]

@@ -19,12 +19,10 @@ from algosim.sortition import (
     select_leader,
     selection_bound,
     selection_limit,
-    view_committee,
-    view_credential,
     view_leader,
 )
 
-from conftest import idle_chain, make_registry
+from conftest import idle_chain, make_registry, view_committee, view_credential
 
 N = 100
 
