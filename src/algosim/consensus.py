@@ -6,15 +6,16 @@ A round runs as three phases, each driven through the engine's step primitive
 decision with its evidence: `propose_phase`, `agree` (the step-3 relay,
 `gc_grade` and the binary-agreement step loop) and `certify`.
 
-Steps 2 to the last certificate step all send one message type, `Vote`: a
-member's ephemeral signature over the step's value (a digest at steps 2 and 3,
-`bytes([bit])` in binary agreement, `cert_payload(bit, digest)` in a cert).
-Engine traffic is broadcast-only, so the rules that choose a value
-(`supermajority_value`, `gc_grade`, the BBA tally) run once per step over the
-one shared inbox, and the step's members sign the result in one `vote` call,
-which signs in one `KeyRegistry.ephemeral_sign_many` call.  The step-2 value
-is the block proposed by the potential leader `sortition.select_leader`
-names, or the round's empty block when the round has no potential leader.
+Steps 2 to the last certificate step all send one message type, `Vote`, for
+the step's value (a digest at steps 2 and 3, `bytes([bit])` in binary
+agreement, `cert_payload(bit, digest)` in a cert), and run the rules that
+choose it (`supermajority_value`, `gc_grade`, the BBA tally) once per step
+over the one shared inbox of broadcast-only traffic.  Each step's members
+spend their keys in one `KeyRegistry.spend_keys` call, the lifecycle the
+bribery attack buys, but only what leaves the round is signed: the leader's
+block and the certificate votes (`vote`); every other vote is `cast`.  The
+step-2 value is the leader's block (`sortition.select_leader`), or the
+round's empty block when the round has no potential leader.
 
 Nothing here re-checks a message built by honest code: `ledger.validate_block`
 is the one verifier, which `verify-chain`, fork detection and the tests run.
@@ -38,8 +39,8 @@ Step = Callable[..., tuple[list[Credential], list]]
 
 
 class ProposalMessage(NamedTuple):
-    block: Block
-    block_sig: Signature  # ephemeral (proposer, round, 1) over the block hash
+    block: Block | None  # the leader's block; None from any other proposer
+    block_sig: Signature | None  # ephemeral (leader, round, 1) over its hash
     credential: Credential
 
 
@@ -48,7 +49,7 @@ class Vote(NamedTuple):
     round: int
     step: int
     value: bytes  # a digest, bytes([bit]) in BBA, or cert_payload(bit, digest)
-    sig: Signature
+    sig: Signature | None  # a certificate vote's only; None when cast
     credential: Credential
 
 
@@ -110,13 +111,17 @@ def propose(credential: Credential, payset: tuple[Payment, ...], chain: Chain,
 
 def propose_phase(step: Step, payset: tuple[Payment, ...],
                   chain: Chain) -> Proposal:
-    """Step 1: each potential leader signs its own block over one payset; the
-    round's candidate is the block of the leader `select_leader` names (None
-    when the round has no potential leader)."""
-    def propose_each(committee, payset, registry):
-        return [propose(c, payset, chain, registry) for c in committee]
+    """Step 1: the leader `select_leader` names proposes the round's candidate
+    block over `payset` (None without a potential leader); every other
+    potential leader spends its step-1 key and sends its credential alone."""
+    def propose_as_leader(committee, payset, registry):
+        leader = select_leader(committee)
+        registry.spend_keys([c.user for c in committee if c.user != leader],
+                            chain.tip_round + 1, 1)
+        return [propose(c, payset, chain, registry) if c.user == leader
+                else ProposalMessage(None, None, c) for c in committee]
 
-    leaders, proposals = step(1, payset, propose_each)
+    leaders, proposals = step(1, payset, propose_as_leader)
     leader = select_leader(leaders)
     block = next((p.block for p in proposals if p.credential.user == leader),
                  None)
@@ -128,13 +133,26 @@ def propose_phase(step: Step, payset: tuple[Payment, ...],
 def vote(credentials: Sequence[Credential], value: bytes, signer) -> list[Vote]:
     """Every member of one committee votes `value`, signed in one
     `ephemeral_sign_many` call of `signer` (the KeyRegistry, or an
-    AdversarySigner), which retains a key keeper's key and destroys others'."""
+    AdversarySigner), which retains a key keeper's key and destroys others'.
+    Certificate votes are signed so: they leave the round."""
     if not credentials:
         return []
     r, s = credentials[0].round, credentials[0].step
     sigs = signer.ephemeral_sign_many([c.user for c in credentials], r, s, value)
     return [Vote(c.user, r, s, value, sig, c)
             for c, sig in zip(credentials, sigs)]
+
+
+def cast(credentials: Sequence[Credential], value: bytes,
+         registry: KeyRegistry) -> list[Vote]:
+    """`vote` with no signature: the members spend their keys in one
+    `spend_keys` call, as signing would.  Steps 2 to the decision step cast,
+    as their votes never leave the round."""
+    if not credentials:
+        return []
+    r, s = credentials[0].round, credentials[0].step
+    registry.spend_keys([c.user for c in credentials], r, s)
+    return [Vote(c.user, r, s, value, None, c) for c in credentials]
 
 
 # -- graded consensus ------------------------------------------------------------

@@ -9,11 +9,12 @@ real cryptography.
 Ephemeral per-(user, round, step) keys carry a one-way lifecycle, available
 then destroyed (the honest rule) or retained (kept, and so for sale), so
 key-reuse attacks can be expressed; the owner decides which, as the
-registry's key keepers (`keep_keys`) retain the keys they sign with and all
+registry's key keepers (`keep_keys`) retain the keys they spend and all
 other owners destroy theirs.  The registry stores key state, not keys, so an
 honest round adds a few integers to it whatever its committee sizes.
-A committee step signs in one `ephemeral_sign_many` call (`ephemeral_sign` is
-its one-owner case), which checks every member before it changes any state.
+A committee step spends its members' keys in one `spend_keys` call, which
+checks every member before it changes any state; `ephemeral_sign_many`
+(`ephemeral_sign` is its one-owner case) spends them so and then signs.
 Verifying mirrors it: one `verify_ephemeral_many` call checks a step's
 signatures.
 """
@@ -191,7 +192,7 @@ class KeyRegistry:
         return KeyState.AVAILABLE
 
     def keep_keys(self, users: Iterable[UserId]) -> None:
-        """From now on, each key `users` sign with is retained, not destroyed."""
+        """From now on, each key `users` spend is retained, not destroyed."""
         self._keepers.update(users)
 
     def ephemeral_sign(self, owner: UserId, round: int, step: int,
@@ -199,15 +200,12 @@ class KeyRegistry:
         """`ephemeral_sign_many` for one owner."""
         return self.ephemeral_sign_many([owner], round, step, message)[0]
 
-    def ephemeral_sign_many(self, owners: Sequence[UserId], round: int,
-                            step: int, message: bytes) -> list[Signature]:
-        """Each owner in turn signs `message` with its key for (round, step);
-        a key keeper's key is then retained, anyone else's destroyed.  A
-        destroyed key is refused.  All owners are checked first: a refused
-        call raises what the first refused one-owner call would, and changes
-        nothing."""
-        if not owners:
-            return []
+    def spend_keys(self, owners: Sequence[UserId], round: int,
+                   step: int) -> None:
+        """Each owner spends its key for (round, step), signing nothing: a
+        key keeper's key is retained, anyone else's destroyed.  A destroyed
+        key is refused.  All owners are checked first: a refused call raises
+        what the first refused one-owner call would, and changes nothing."""
         bits = (self._bit if 0 <= round <= self.horizon
                 and 1 <= step <= self.max_step else {})  # {}: nobody's key
         start = mask = self._destroyed.get((round, step), 0)
@@ -223,12 +221,19 @@ class KeyRegistry:
                     owner, round, step, KeyState.RETAINED)
             else:
                 mask |= bit
-        head, tail = self._head, be8(round) + be8(step)
-        sigs = [_ephemeral_sig(head, owner, tail, message) for owner in owners]
         if mask != start:
             self._destroyed[round, step] = mask
         self._retained.update(kept)
-        return sigs
+
+    def ephemeral_sign_many(self, owners: Sequence[UserId], round: int,
+                            step: int, message: bytes) -> list[Signature]:
+        """Each owner in turn signs `message` with its key for (round, step),
+        which `spend_keys` spends first, refusing as it does."""
+        if not owners:
+            return []
+        self.spend_keys(owners, round, step)
+        head, tail = self._head, be8(round) + be8(step)
+        return [_ephemeral_sig(head, owner, tail, message) for owner in owners]
 
     def verify_ephemeral_many(self, signed: Sequence[tuple[UserId, Signature]],
                               round: int, step: int, message: bytes) -> list[bool]:

@@ -5,12 +5,13 @@ invokes adversary strategies, detects forks and accumulates metrics.
 `run_round` composes a round from the phases of `consensus`: `propose_phase`,
 the step-2 vote, `agree` (not in simple mode) and `certify`.  Every committee
 step runs through one primitive in `run_round`: `step(s, value, sign)` selects
-the (r, s) committee, has its members sign `value` through `sign` in one call
+the (r, s) committee, has its members send `value` through `sign` in one call
 (None: the step is silent), delivers, and returns the committee and the
-delivered messages.  Every step from 2 on sends `consensus.Vote`s (a cert
-step's over `cert_payload`); step 1 proposes through its own `sign` builder,
-as each proposer signs a different block.  Members send in committee order, so
-each step delivers at most one message per sender, in ascending sender order.
+delivered messages.  Every step from 2 on sends `consensus.Vote`s, cast
+unsigned up to the decision step and signed over `cert_payload` by
+`certify`; step 1 proposes through its own `sign` builder, where only the
+leader builds and signs a block.  Members send in committee order, so each
+step delivers at most one message per sender, in ascending sender order.
 
 A run is a pure function of its ScenarioConfig: every random stream is seeded
 from the configured seed, so chains and metrics are bit-identical across
@@ -206,7 +207,7 @@ class SimulationRun:
         sizes: dict[int, int] = {}
         deliveries: list[int] = []
 
-        def step(s, value, sign=consensus.vote):
+        def step(s, value, sign=consensus.cast):
             committee = select_committee(r, s, prev.seed, eligible, params,
                                          self.registry)
             sizes[s] = len(committee)

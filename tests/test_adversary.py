@@ -1,6 +1,7 @@
 import hashlib
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from algosim.adversary import (
     bribe_and_recertify,
     fork_from,
 )
+from algosim.cli import load_config
 from algosim.crypto import EphemeralKeyRecord, KeyState
 from algosim.engine import ScenarioConfig, _sub_seed, metrics_to_lines, run_scenario
 from algosim.ledger import (
@@ -25,6 +27,7 @@ from algosim.sortition import ProtocolParams, view_leader
 
 from conftest import view_committee, view_credential
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FORK_PARAMS = ProtocolParams(leader_prob=1.0, verifier_prob=1.0, lookback=3,
                              max_ba_steps=9, cert_threshold=7, horizon=20)
 
@@ -313,6 +316,44 @@ def test_mixed_retention_retains_exactly_the_keepers_keys():
                   sorted(registry._destroyed.items())))
     assert hashlib.sha256(state.encode()).hexdigest() == \
         MIXED_RETENTION_KEY_STATE
+
+
+def key_state_digest(registry) -> str:
+    """SHA-256 of every retained record with its state plus the sorted
+    destroyed masks: the whole key lifecycle a run leaves behind."""
+    state = repr(([(k.owner, k.round, k.step, k.state.value)
+                   for k in registry.retained_records()],
+                  sorted(registry._destroyed.items())))
+    return hashlib.sha256(state.encode()).hexdigest()
+
+
+# Key states after honest.cfg (seed 1, 8 rounds), the genesis fork from
+# round 2, and bribery with every key and half the keys retained.  Recorded
+# when every committee member signed every step's message.
+KEY_STATE_DIGESTS = {
+    "honest":
+        "d54c3f95aba8814c8fb34b62b3d12ce19710f10e245b79f8204f614e1a5842be",
+    "genesis_fork":
+        "4478619639e33efc40290586a207faa82c21f0be11a8df14fee45d8b52cf4795",
+    "bribery":
+        "6112a1280c403bc196f5a48fe63e4a22c79514ee174382e8443bac5d9a2f240d",
+    "bribery_half":
+        "a2bd02e1f5d6b7e333fefd7811dd48aabf598bb72a8ffff4b6965e60da811517",
+}
+
+
+def test_key_states_are_pinned():
+    configs = {
+        "honest": load_config(str(FIXTURES / "honest.cfg"), seed=1, rounds=8),
+        "genesis_fork": fork_fixture(
+            adversary=AdversaryConfig("genesis_fork", fork_round=2)),
+        "bribery": bribery_fixture(),
+        "bribery_half": bribery_fixture(retention=0.5),
+    }
+    for name, cfg in configs.items():
+        chains, _ = run_scenario(cfg)
+        assert key_state_digest(chains[0].registry) == \
+            KEY_STATE_DIGESTS[name], name
 
 
 def transcript_digest(chains, metrics) -> str:

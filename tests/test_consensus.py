@@ -9,6 +9,7 @@ from algosim.consensus import (
     Proposal,
     agree,
     bba_transition,
+    cast,
     certify,
     coin_bit,
     gc_grade,
@@ -201,6 +202,23 @@ class TestPropose:
         assert violations(env, proposal.block,
                           cert_of(env, proposal.block, range(1, 5))) == []
 
+    def test_phase_spends_every_potential_leaders_key(self, env):
+        # only the leader's message carries a block; every key is spent
+        registry, chain, _ = env
+        step, delivered = CommitteeStep(env, {1: range(1, N + 1)}), []
+
+        def recording(s, value, sign=vote):
+            committee, messages = step(s, value, sign)
+            delivered.extend(messages)
+            return committee, messages
+
+        proposal = propose_phase(recording, (), chain)
+        assert step.signers[1] == list(range(1, N + 1))
+        assert [(m.credential.user, m.block) for m in delivered
+                if m.block or m.block_sig] == [(proposal.leader, proposal.block)]
+        assert {registry.ephemeral_state(u, ROUND, 1)
+                for u in range(1, N + 1)} == {KeyState.DESTROYED}
+
     def test_phase_without_potential_leaders(self, env):
         proposal = propose_phase(CommitteeStep(env, {}), (), env[1])
         assert proposal == Proposal([], None, None)
@@ -232,6 +250,24 @@ def test_vote_is_signed_for_its_step(env, step, value):
     assert registry.verify_ephemeral_many([(2, ballot.sig)], ROUND, step, value)[0]
     with pytest.raises(KeyDestroyedError):
         vote([cred], value, registry)
+
+
+@pytest.mark.parametrize("keeper", [False, True])
+@pytest.mark.parametrize("step, value", [(2, b"\x11" * 32), (4, bytes([0]))])
+def test_cast_spends_the_key_and_signs_nothing(env, step, value, keeper):
+    registry, _, _ = env
+    cred = verf_cred(env, 2, step)
+    if keeper:
+        registry.keep_keys([2])
+    [ballot] = cast([cred], value, registry)
+    assert ballot == (2, ROUND, step, value, None, cred)
+    assert registry.ephemeral_state(2, ROUND, step) is (
+        KeyState.RETAINED if keeper else KeyState.DESTROYED)
+    if keeper:  # a retained key can be spent again
+        assert cast([cred], value, registry) == [ballot]
+    else:
+        with pytest.raises(KeyDestroyedError):
+            cast([cred], value, registry)
 
 
 @pytest.mark.parametrize("kind, step", [("propose", 1), ("vote", 2), ("cert", 4)])

@@ -301,6 +301,55 @@ def test_batch_signing_matches_one_call_per_owner(early, before, late, round,
         assert key_states(batch) == untouched
 
 
+def spent_and_signed(early, before, late):
+    """Two registries with the same destroyed and retained keys."""
+    pair = lifecycle_registry(), lifecycle_registry()
+    for reg in pair:
+        reg.keep_keys(early)
+        for key in before:
+            try:
+                reg.ephemeral_sign(*key, b"old")
+            except CryptoError:
+                pass
+        reg.keep_keys(late)
+    return pair
+
+
+@settings(deadline=None, max_examples=150)
+@given(early=st.sets(owner_ids), before=st.lists(key_ids, max_size=12),
+       late=st.sets(owner_ids),
+       round=st.integers(-1, LIFECYCLE_HORIZON + 1),
+       step=st.integers(0, LIFECYCLE_MAX_STEP + 1),
+       owners=st.lists(owner_ids, max_size=6))
+def test_spending_keys_matches_signing(early, before, late, round, step,
+                                       owners):
+    spent, signed = spent_and_signed(early, before, late)
+    untouched = key_states(spent)
+    try:
+        signed.ephemeral_sign_many(owners, round, step, b"m")
+    except CryptoError as refusal:
+        with pytest.raises(type(refusal)) as raised:
+            spent.spend_keys(owners, round, step)
+        assert type(raised.value) is type(refusal)
+        assert str(raised.value) == str(refusal)
+        assert key_states(spent) == untouched
+    else:
+        assert spent.spend_keys(owners, round, step) is None
+        assert key_states(spent) == key_states(signed)
+
+
+@settings(deadline=None, max_examples=50)
+@given(early=st.sets(owner_ids), before=st.lists(key_ids, max_size=12),
+       round=st.integers(-1, LIFECYCLE_HORIZON + 1),
+       step=st.integers(-1, LIFECYCLE_MAX_STEP + 1))
+def test_spending_no_keys_changes_nothing(early, before, round, step):
+    registry, _ = spent_and_signed(early, before, ())
+    untouched = key_states(registry), key_records(registry)
+    registry.spend_keys([], round, step)
+    assert registry.ephemeral_sign_many([], round, step, b"m") == []
+    assert (key_states(registry), key_records(registry)) == untouched
+
+
 class TestAdversaryAccess:
     def test_unauthorized_owner_rejected(self, registry):
         signer = AdversarySigner(registry, {1, 2})

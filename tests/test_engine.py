@@ -1,5 +1,8 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algosim.cli as cli
+import algosim.crypto as crypto
 from algosim.adversary import AdversaryConfig
 from algosim.crypto import KeyRegistry, KeyState
 from algosim.engine import (
@@ -31,7 +35,8 @@ from algosim.sortition import ProtocolParams, select_committee
 
 from conftest import idle_chain, key_records, make_registry
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 SMALL = ScenarioConfig(
     seed=42, num_genesis_users=10, initial_balance=1000, rounds=20,
@@ -173,6 +178,29 @@ def test_transcript_digest_per_mode(mode, new_users):
                               new_users_per_round=new_users)
     assert transcript_digest(*run_scenario(cfg)) == \
         TRANSCRIPT_DIGESTS[mode, new_users]
+
+
+def test_transcript_does_not_depend_on_the_hash_seed():
+    # str and bytes hashes, and so set order, change with PYTHONHASHSEED;
+    # fresh interpreters, as this one's hash seed is fixed at start-up; each
+    # rebuilds SMALL from its repr and prints the text transcript_digest hashes
+    probe = ("from algosim.adversary import AdversaryConfig; "
+             "from algosim.engine import ScenarioConfig, metrics_to_lines, "
+             "run_scenario; "
+             "from algosim.ledger import chain_to_lines; "
+             "from algosim.sortition import ProtocolParams; "
+             f"chains, metrics = run_scenario({SMALL!r}); "
+             "print('\\n'.join(metrics_to_lines(metrics) "
+             "+ chain_to_lines(chains[0])))")
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", probe], stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                 PYTHONHASHSEED=seed))
+        for seed in ("0", "98765")]
+    outs = [proc.communicate()[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert [hashlib.sha256(out.encode()).hexdigest() for out in outs] == \
+        [TRANSCRIPT_DIGESTS["both", 0]] * 2
 
 
 # Under SMALL every round decides at the first binary-agreement step.  Small
@@ -359,15 +387,15 @@ def test_message_counts_accumulate(small_run):
 
 @pytest.mark.parametrize("mode", ["ba", "simple", "both"])
 def test_each_voting_step_signs_in_one_registry_call(monkeypatch, mode):
-    # steps 2 on are signed one call a step, never one call a member
+    # steps 2 on spend their keys one call a step, never one call a member
     calls = []
-    batch = KeyRegistry.ephemeral_sign_many
+    batch = KeyRegistry.spend_keys
 
-    def recording(self, signers, round, step, message):
-        calls.append((round, step, len(signers)))
-        return batch(self, signers, round, step, message)
+    def recording(self, owners, round, step):
+        calls.append((round, step, len(owners)))
+        return batch(self, owners, round, step)
 
-    monkeypatch.setattr(KeyRegistry, "ephemeral_sign_many", recording)
+    monkeypatch.setattr(KeyRegistry, "spend_keys", recording)
     cfg = cli.load_config(str(FIXTURES / "honest.cfg"), seed=3, rounds=12,
                           mode=mode)
     _, metrics = run_scenario(cfg)
@@ -375,13 +403,35 @@ def test_each_voting_step_signs_in_one_registry_call(monkeypatch, mode):
     assert len({(r, s) for r, s, _ in voting}) == len(voting)
     assert all(n >= 1 for _, _, n in voting)
     for rec in metrics.rounds:
-        # every message after the proposals is a vote or cert the batch signed
+        # every message after the proposals is a vote or cert whose key the
+        # batch spent
         broadcast = rec.message_count // cfg.num_genesis_users
         signed = sum(n for r, _, n in voting if r == rec.round)
         assert signed == broadcast - rec.committee_sizes.get(1, 0)
     # at least the vote and the certificate of every round that has them
     assert len(voting) >= 2 * sum("bootstrap" not in rec.flags
                                   for rec in metrics.rounds)
+
+
+@pytest.mark.parametrize("mode", ["ba", "simple", "both"])
+def test_only_certificates_and_the_leaders_block_are_signed(monkeypatch,
+                                                           mode):
+    # every other message spends its key but is never signed: nothing reads it
+    signed_rounds = []
+    sign = crypto._ephemeral_sig
+
+    def recording(head, owner, tail, message):
+        signed_rounds.append(int.from_bytes(tail[:8], "big"))
+        return sign(head, owner, tail, message)
+
+    monkeypatch.setattr(crypto, "_ephemeral_sig", recording)
+    chains, metrics = run_scenario(dataclasses.replace(SMALL,
+                                                       consensus_mode=mode))
+    for rec in metrics.rounds:
+        leaders = rec.committee_sizes.get(1, 0)
+        assert signed_rounds.count(rec.round) == \
+            len(chains[0].blocks[rec.round].cert) + (leaders > 0)
+    assert any(rec.committee_sizes.get(1, 0) > 1 for rec in metrics.rounds)
 
 
 @pytest.mark.parametrize("mode", ["ba", "simple", "both"])
