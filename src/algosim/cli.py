@@ -108,11 +108,6 @@ def _write_outputs(out_dir: Path, chains, metrics_lines: list[str]) -> None:
         (out_dir / name).write_text("\n".join(chain_to_lines(chain)) + "\n")
 
 
-def _execute(config: ScenarioConfig):
-    chains, metrics = run_scenario(config)
-    return config.seed, chains, metrics
-
-
 def cmd_run(args) -> int:
     try:
         seeds = ([int(s) for s in str(args.seed).split(",")]
@@ -134,22 +129,22 @@ def cmd_run(args) -> int:
         # pool forks all its workers up front, so never more than seeds
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(configs))) as pool:
-            results = list(pool.map(_execute, configs))
+            results = list(pool.map(run_scenario, configs))
     else:
-        results = [_execute(c) for c in configs]
+        results = [run_scenario(c) for c in configs]
 
     worst = 0
-    for (seed, chains, metrics), config, out_dir in zip(results, configs, out_dirs):
+    for (chains, metrics), config, out_dir in zip(results, configs, out_dirs):
         lines = metrics_to_lines(metrics)
         for line in lines:
             print(line)
         if out_dir:
             _write_outputs(out_dir, chains, lines)
         log.info("seed=%d rounds=%d forks=%d messages=%d wall=%.3fs",
-                 seed, len(metrics.rounds), metrics.forks_detected,
+                 config.seed, len(metrics.rounds), metrics.forks_detected,
                  metrics.total_messages, metrics.wall_time)
         if config.adversary.strategy == "honest" and metrics.forks_detected > 0:
-            log.warning("fork detected in an honest run (seed %d)", seed)
+            log.warning("fork detected in an honest run (seed %d)", config.seed)
             worst = 1
     return worst
 
@@ -167,7 +162,7 @@ def cmd_attack(args) -> int:
         return 2
     if args.out:
         _make_out_dir(Path(args.out))
-    seed, chains, metrics = _execute(config)
+    chains, metrics = run_scenario(config)
     lines = metrics_to_lines(metrics)
     for line in lines:
         print(line)

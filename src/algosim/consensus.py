@@ -2,7 +2,7 @@
 agreement, the simplified two-step majority protocol, and certificates.
 
 A round runs as three phases, each driven through the engine's step primitive
-`step(s, value, sign=vote) -> (committee, delivered)` and returning its
+`step(s, value, sign=cast) -> (committee, delivered)` and returning its
 decision with its evidence: `propose_phase`, `agree` (the step-3 relay,
 `gc_grade` and the binary-agreement step loop) and `certify`.
 
@@ -10,12 +10,13 @@ Steps 2 to the last certificate step all send one message type, `Vote`, for
 the step's value (a digest at steps 2 and 3, `bytes([bit])` in binary
 agreement, `cert_payload(bit, digest)` in a cert), and run the rules that
 choose it (`supermajority_value`, `gc_grade`, the BBA tally) once per step
-over the one shared inbox of broadcast-only traffic.  Each step's members
-spend their keys in one `KeyRegistry.spend_keys` call, the lifecycle the
-bribery attack buys, but only what leaves the round is signed: the leader's
-block and the certificate votes (`vote`); every other vote is `cast`.  The
-step-2 value is the leader's block (`sortition.select_leader`), or the
-round's empty block when the round has no potential leader.
+over the one shared inbox of broadcast-only traffic.  Every committee step,
+step 1 included, spends its members' keys in one `KeyRegistry.spend_keys`
+call, the lifecycle the bribery attack buys, but only what leaves the round
+is signed: the certificate votes (`vote`); every other vote is `cast`, and
+the leader's block travels unsigned.  The step-2 value is the leader's block
+(`sortition.select_leader`), or the round's empty block when the round has
+no potential leader.
 
 Nothing here re-checks a message built by honest code: `ledger.validate_block`
 is the one verifier, which `verify-chain`, fork detection and the tests run.
@@ -32,7 +33,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .crypto import Digest, KeyRegistry, Signature, UserId, be8, hash_to_unit, sha256
-from .ledger import Block, Chain, Payment, block_hash, next_block
+from .ledger import Block, Chain, Payment, next_block
 from .sortition import Credential, select_leader
 
 Step = Callable[..., tuple[list[Credential], list]]
@@ -40,7 +41,6 @@ Step = Callable[..., tuple[list[Credential], list]]
 
 class ProposalMessage(NamedTuple):
     block: Block | None  # the leader's block; None from any other proposer
-    block_sig: Signature | None  # ephemeral (leader, round, 1) over its hash
     credential: Credential
 
 
@@ -98,34 +98,27 @@ def supermajority_value(messages: Iterable, committee_size: int) -> Digest | Non
 
 # -- step 1: proposal ----------------------------------------------------------
 
-def propose(credential: Credential, payset: tuple[Payment, ...], chain: Chain,
-            registry: KeyRegistry) -> ProposalMessage:
-    """The proposer's `ledger.next_block` over `payset` (see
-    `ledger.build_payset`) and its signature, which destroys the proposer's
-    ephemeral step-1 key, or retains it when the proposer keeps keys."""
-    r = credential.round
-    block = next_block(chain.blocks[r - 1], payset, registry, credential.user)
-    sig = registry.ephemeral_sign(credential.user, r, 1, block_hash(block))
-    return ProposalMessage(block, sig, credential)
-
-
 def propose_phase(step: Step, payset: tuple[Payment, ...],
                   chain: Chain) -> Proposal:
-    """Step 1: the leader `select_leader` names proposes the round's candidate
-    block over `payset` (None without a potential leader); every other
-    potential leader spends its step-1 key and sends its credential alone."""
-    def propose_as_leader(committee, payset, registry):
+    """Step 1: every potential leader spends its step-1 key in one
+    `spend_keys` call and sends its credential; the leader `select_leader`
+    names attaches the round's candidate block, `ledger.next_block` over
+    `payset`.  The leader and block are read from the one delivered message
+    that carries a block (None without a potential leader)."""
+    def propose_block(committee, payset, registry):
+        if not committee:
+            return []
         leader = select_leader(committee)
-        registry.spend_keys([c.user for c in committee if c.user != leader],
-                            chain.tip_round + 1, 1)
-        return [propose(c, payset, chain, registry) if c.user == leader
-                else ProposalMessage(None, None, c) for c in committee]
+        registry.spend_keys([c.user for c in committee], committee[0].round, 1)
+        block = next_block(chain.tip(), payset, registry, leader)
+        return [ProposalMessage(block if c.user == leader else None, c)
+                for c in committee]
 
-    leaders, proposals = step(1, payset, propose_as_leader)
-    leader = select_leader(leaders)
-    block = next((p.block for p in proposals if p.credential.user == leader),
-                 None)
-    return Proposal(leaders, leader, block)
+    leaders, proposals = step(1, payset, propose_block)
+    for p in proposals:
+        if p.block is not None:
+            return Proposal(leaders, p.credential.user, p.block)
+    return Proposal(leaders, None, None)
 
 
 # -- steps 2 and later: votes ----------------------------------------------------

@@ -14,7 +14,7 @@ other owners destroy theirs.  The registry stores key state, not keys, so an
 honest round adds a few integers to it whatever its committee sizes.
 A committee step spends its members' keys in one `spend_keys` call, which
 checks every member before it changes any state; `ephemeral_sign_many`
-(`ephemeral_sign` is its one-owner case) spends them so and then signs.
+spends them so and then signs.
 Verifying mirrors it: one `verify_ephemeral_many` call checks a step's
 signatures.
 """
@@ -194,11 +194,6 @@ class KeyRegistry:
     def keep_keys(self, users: Iterable[UserId]) -> None:
         """From now on, each key `users` spend is retained, not destroyed."""
         self._keepers.update(users)
-
-    def ephemeral_sign(self, owner: UserId, round: int, step: int,
-                       message: bytes) -> Signature:
-        """`ephemeral_sign_many` for one owner."""
-        return self.ephemeral_sign_many([owner], round, step, message)[0]
 
     def spend_keys(self, owners: Sequence[UserId], round: int,
                    step: int) -> None:

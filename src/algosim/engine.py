@@ -9,9 +9,10 @@ the (r, s) committee, has its members send `value` through `sign` in one call
 (None: the step is silent), delivers, and returns the committee and the
 delivered messages.  Every step from 2 on sends `consensus.Vote`s, cast
 unsigned up to the decision step and signed over `cert_payload` by
-`certify`; step 1 proposes through its own `sign` builder, where only the
-leader builds and signs a block.  Members send in committee order, so each
-step delivers at most one message per sender, in ascending sender order.
+`certify`; step 1 proposes through its own `sign` builder, where every
+potential leader spends its key and only the leader attaches a block, unsigned.
+Members send in committee order, so each step delivers at most one message
+per sender, in ascending sender order.
 
 A run is a pure function of its ScenarioConfig: every random stream is seeded
 from the configured seed, so chains and metrics are bit-identical across
@@ -21,7 +22,6 @@ executions.
 from __future__ import annotations
 
 import json
-import logging
 import random
 import time
 from dataclasses import dataclass, field
@@ -48,8 +48,6 @@ from .ledger import (
 )
 from .netsim import Network
 from .sortition import ProtocolParams, select_committee
-
-log = logging.getLogger("algosim.engine")
 
 CONSENSUS_MODES = ("ba", "simple", "both")
 FORK_CLASSIFICATIONS = {"genesis_fork": "genesis-fork", "bribery": "bribery-fork"}
@@ -242,9 +240,6 @@ class SimulationRun:
         block = empty if is_empty else proposal.block
         self.chain.append(block.with_cert(cert))
         equivalent = ba_digest == simple_digest if mode == "both" else None
-        if equivalent is False:
-            log.warning("round %d: agreement %s vs simple vote %s",
-                        r, ba_digest.hex()[:16], simple_digest.hex()[:16])
         self.records.append(RoundRecord(
             r, proposal.leader, sizes, decision_step, ba_digest, simple_digest,
             equivalent, is_empty, sum(deliveries), flags))

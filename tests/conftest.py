@@ -12,6 +12,11 @@ def make_registry(seed=0, horizon=64, max_step=13, users=range(1, 11)) -> KeyReg
     return reg
 
 
+def sign_one(registry, owner, round, step, message) -> bytes:
+    """One owner's ephemeral signature, through the committee-step call."""
+    return registry.ephemeral_sign_many([owner], round, step, message)[0]
+
+
 def key_records(registry) -> list[EphemeralKeyRecord]:
     """Every EphemeralKeyRecord the registry holds, in whichever store."""
     return [v for store in vars(registry).values() if isinstance(store, dict)

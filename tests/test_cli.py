@@ -616,6 +616,23 @@ def test_dataclass_defaults_are_the_config_defaults(tmp_path, text):
         params=ProtocolParams(cert_threshold=2, horizon=28))
 
 
+def test_readme_run_then_verify_chain_example_passes(tmp_path, capsys,
+                                                    monkeypatch):
+    # verify-chain reads the run seed from its config, so the documented
+    # pair must run with the config's own seed
+    block = (ROOT / "README.md").read_text().split("## CLI")[1]
+    commands = [line.split()[1:] for line in
+                block.split("```sh\n")[1].split("```")[0].splitlines()]
+    run = next(c for c in commands if c[0] == "run" and "out/" in c)
+    verify = next(c for c in commands if c[0] == "verify-chain")
+    (tmp_path / "fixtures").symlink_to(FIXTURES)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *run)[0] == 0
+    code, stdout, err = run_cli(capsys, *verify)
+    assert (code, err) == (0, "")
+    assert stdout.startswith("chain valid:")
+
+
 def test_unknown_flag_rejected_with_usage(small_cfg, capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["run", "--config", str(small_cfg), "--turbo"])

@@ -13,7 +13,6 @@ from algosim.consensus import (
     certify,
     coin_bit,
     gc_grade,
-    propose,
     propose_phase,
     supermajority_value,
     vote,
@@ -134,23 +133,13 @@ class CommitteeStep:
 
 
 class TestPropose:
-    def check_signed(self, env, msg):
-        registry = env[0]
-        signed = [(msg.credential.user, msg.block_sig)]
-        assert registry.verify_ephemeral_many(signed, ROUND, 1,
-                                              block_hash(msg.block))[0]
-        assert not registry.verify_ephemeral_many(signed, ROUND, 2,
-                                                  block_hash(msg.block))[0]
-
     def test_empty_pending(self, env):
         registry, chain, params = env
-        msg = propose(lead_cred(env, 1), payset_of(env, []), chain, registry)
-        assert msg.block.payset == ()
-        assert msg.block.round == ROUND
-        prev = chain.tip()
-        assert msg.block == next_block(prev)
-        self.check_signed(env, msg)
-        assert violations(env, msg.block, cert_of(env, msg.block, range(1, 5))) == []
+        block = next_block(chain.tip(), payset_of(env, []), registry, 1)
+        assert block.payset == ()
+        assert block.round == ROUND
+        assert block == next_block(chain.tip())
+        assert violations(env, block, cert_of(env, block, range(1, 5))) == []
 
     def test_invalid_payment_excluded_rest_kept(self, env):
         registry, chain, params = env
@@ -159,10 +148,9 @@ class TestPropose:
         good2 = make_payment(registry, 4, 2, 5, ROUND)
         payset = payset_of(env, [good1, bad, good2])
         assert payset == (good1, good2)
-        msg = propose(lead_cred(env, round_leader(env)), payset, chain, registry)
-        assert msg.block.payset == (good1, good2)
-        self.check_signed(env, msg)
-        assert violations(env, msg.block, cert_of(env, msg.block, range(1, 5))) == []
+        block = next_block(chain.tip(), payset, registry, round_leader(env))
+        assert block.payset == (good1, good2)
+        assert violations(env, block, cert_of(env, block, range(1, 5))) == []
 
     def test_overdraft_skipped_later_payment_applies(self, env):
         registry, _, _ = env
@@ -172,18 +160,17 @@ class TestPropose:
         assert payset_of(env, [first, overdraft, smaller]) == (first, smaller)
 
     def test_only_the_leaders_block_validates(self, env):
-        # every potential leader proposes over the same payset; the engine
-        # carries the smallest-credential proposal, and the validator's seed
-        # rule accepts that one block only
+        # any potential leader could build a block over the same payset; the
+        # validator's seed rule accepts the smallest credential's block only
         registry, chain, params = env
         payset = payset_of(env, [make_payment(registry, 1, 2, 5, ROUND)])
-        proposals = [propose(lead_cred(env, u), payset, chain, registry)
-                     for u in range(1, N + 1)]
-        best = min(proposals, key=lambda p: (p.credential.unit, p.credential.user))
-        assert best.credential.user == round_leader(env)
-        for p in proposals:
-            found = violations(env, p.block, cert_of(env, p.block, range(1, 5)))
-            if p is best:
+        creds = [lead_cred(env, u) for u in range(1, N + 1)]
+        best = min(creds, key=lambda c: (c.unit, c.user)).user
+        assert best == round_leader(env)
+        for u in range(1, N + 1):
+            block = next_block(chain.tip(), payset, registry, u)
+            found = violations(env, block, cert_of(env, block, range(1, 5)))
+            if u == best:
                 assert found == []
             else:
                 assert found == ["seed rule violated for non-empty block"]
@@ -215,7 +202,7 @@ class TestPropose:
         proposal = propose_phase(recording, (), chain)
         assert step.signers[1] == list(range(1, N + 1))
         assert [(m.credential.user, m.block) for m in delivered
-                if m.block or m.block_sig] == [(proposal.leader, proposal.block)]
+                if m.block is not None] == [(proposal.leader, proposal.block)]
         assert {registry.ephemeral_state(u, ROUND, 1)
                 for u in range(1, N + 1)} == {KeyState.DESTROYED}
 
@@ -225,18 +212,21 @@ class TestPropose:
 
     def test_honest_policy_destroys_key(self, env):
         registry, chain, params = env
-        cred = lead_cred(env, 2)
-        propose(cred, (), chain, registry)
+        step = CommitteeStep(env, {1: [2]})
+        propose_phase(step, (), chain)
         with pytest.raises(KeyDestroyedError):
-            propose(cred, (), chain, registry)
+            propose_phase(step, (), chain)
+        assert registry.ephemeral_state(2, ROUND, 1) is KeyState.DESTROYED
 
     def test_retain_policy_allows_reuse(self, env):
         registry, chain, params = env
-        cred = lead_cred(env, 3)
+        payset = payset_of(env, [make_payment(registry, 1, 2, 5, ROUND)])
+        step = CommitteeStep(env, {1: [3]})
         registry.keep_keys([3])
-        first = propose(cred, (), chain, registry)
-        second = propose(cred, (), chain, registry)
-        assert first == second
+        first = propose_phase(step, payset, chain)
+        second = propose_phase(step, payset, chain)
+        assert first == second and first.leader == 3
+        assert registry.ephemeral_state(3, ROUND, 1) is KeyState.RETAINED
 
 
 @pytest.mark.parametrize("step, value", [
@@ -276,7 +266,7 @@ def test_honest_signing_stores_no_key_record(env, kind, step):
     registry, chain, _ = env
     for u in range(1, N + 1):
         if kind == "propose":
-            propose(lead_cred(env, u), (), chain, registry)
+            propose_phase(CommitteeStep(env, {1: [u]}), (), chain)
         elif kind == "vote":
             vote([verf_cred(env, u, step)], b"\x11" * 32, registry)
         else:
@@ -485,7 +475,7 @@ class TestCertificates:
     @pytest.fixture
     def block(self, env):
         _, chain, _ = env
-        return propose(lead_cred(env, 1), (), chain, env[0]).block
+        return next_block(chain.tip())
 
     def test_threshold_met(self, env, block):
         assert violations(env, block, cert_of(env, block, range(1, 5))) == []
@@ -510,9 +500,9 @@ class TestCertificates:
             "cert message from user 1: bit does not match block emptiness"
 
     def test_wrong_digest_rejected(self, env, block):
-        other = propose(lead_cred(env, round_leader(env)),
-                        payset_of(env, [make_payment(env[0], 1, 2, 5, ROUND)]),
-                        env[1], env[0]).block
+        other = next_block(env[1].tip(),
+                           payset_of(env, [make_payment(env[0], 1, 2, 5, ROUND)]),
+                           env[0], round_leader(env))
         found = violations(env, block, cert_of(env, other, range(1, 5)))
         assert found[-1] == "insufficient certificates: have 0, need 4"
         assert all("wrong block digest" in v for v in found[:-1])

@@ -19,7 +19,7 @@ from algosim.crypto import (
     sha256,
 )
 
-from conftest import key_records, make_registry
+from conftest import key_records, make_registry, sign_one
 
 # SHA-256 of the empty string, as published everywhere.
 EMPTY_SHA256 = bytes.fromhex(
@@ -102,53 +102,53 @@ def test_crypto_outputs_stable_across_registries():
     b = make_registry(seed=77)
     assert a.genesis_seed == b.genesis_seed
     assert a.unique_sign(1, b"x") == b.unique_sign(1, b"x")
-    assert a.ephemeral_sign(2, 5, 3, b"y") == b.ephemeral_sign(2, 5, 3, b"y")
+    assert sign_one(a, 2, 5, 3, b"y") == sign_one(b, 2, 5, 3, b"y")
     c = make_registry(seed=78)
     assert a.unique_sign(1, b"x", ) != c.unique_sign(1, b"x")
 
 
 class TestEphemeralLifecycle:
     def test_sign_then_destroy_then_sign_fails(self, registry):
-        registry.ephemeral_sign(1, 4, 2, b"v")
+        sign_one(registry, 1, 4, 2, b"v")
         with pytest.raises(KeyDestroyedError):
-            registry.ephemeral_sign(1, 4, 2, b"v")
+            sign_one(registry, 1, 4, 2, b"v")
 
     def test_retained_key_signs_again(self, registry):
         registry.keep_keys([1])
-        first = registry.ephemeral_sign(1, 4, 2, b"v")
-        assert registry.ephemeral_sign(1, 4, 2, b"v") == first
+        first = sign_one(registry, 1, 4, 2, b"v")
+        assert sign_one(registry, 1, 4, 2, b"v") == first
 
     def test_transitions(self, registry):
         assert registry.ephemeral_state(1, 1, 1) is KeyState.AVAILABLE
-        registry.ephemeral_sign(1, 1, 1, b"v")
+        sign_one(registry, 1, 1, 1, b"v")
         assert registry.ephemeral_state(1, 1, 1) is KeyState.DESTROYED
         registry.keep_keys([1])
-        registry.ephemeral_sign(1, 2, 1, b"v")
-        registry.ephemeral_sign(1, 2, 1, b"v")
+        sign_one(registry, 1, 2, 1, b"v")
+        sign_one(registry, 1, 2, 1, b"v")
         assert registry.ephemeral_state(1, 2, 1) is KeyState.RETAINED
         # a destroyed key cannot be retained: it no longer signs at all
         with pytest.raises(KeyDestroyedError):
-            registry.ephemeral_sign(1, 1, 1, b"v")
+            sign_one(registry, 1, 1, 1, b"v")
         assert registry.ephemeral_state(1, 1, 1) is KeyState.DESTROYED
 
     def test_missing_keys(self, registry):
         with pytest.raises(KeyMissingError):
-            registry.ephemeral_sign(999, 1, 1, b"v")  # unregistered user
+            sign_one(registry, 999, 1, 1, b"v")  # unregistered user
         with pytest.raises(KeyMissingError):
-            registry.ephemeral_sign(1, registry.horizon + 1, 1, b"v")
+            sign_one(registry, 1, registry.horizon + 1, 1, b"v")
         with pytest.raises(KeyMissingError):
-            registry.ephemeral_sign(1, 1, registry.max_step + 1, b"v")
+            sign_one(registry, 1, 1, registry.max_step + 1, b"v")
         with pytest.raises(KeyMissingError):
             registry.ephemeral_state(1, 1, 0)
 
     def test_verification_survives_destruction(self, registry):
-        sig = registry.ephemeral_sign(1, 4, 2, b"v")
+        sig = sign_one(registry, 1, 4, 2, b"v")
         assert registry.verify_ephemeral_many([(1, sig)], 4, 2, b"v")[0]
 
     def test_retained_records_listing(self, registry):
         registry.keep_keys([1])
-        registry.ephemeral_sign(1, 4, 2, b"v")
-        registry.ephemeral_sign(2, 4, 2, b"v")
+        sign_one(registry, 1, 4, 2, b"v")
+        sign_one(registry, 2, 4, 2, b"v")
         recs = registry.retained_records(4)
         assert [(r.owner, r.round, r.step) for r in recs] == [(1, 4, 2)]
         assert recs[0].state is KeyState.RETAINED
@@ -156,13 +156,13 @@ class TestEphemeralLifecycle:
     def test_honest_signing_stores_no_record(self, registry):
         for owner in (1, 2, 3):
             for step in range(1, registry.max_step + 1):
-                registry.ephemeral_sign(owner, 4, step, b"v")
+                sign_one(registry, owner, 4, step, b"v")
         assert registry.retained_records() == []
         assert key_records(registry) == []
         # one mask per (round, step), whatever the number of owners
         assert len(registry._destroyed) == registry.max_step
         registry.keep_keys([1])
-        registry.ephemeral_sign(1, 5, 1, b"v")
+        sign_one(registry, 1, 5, 1, b"v")
         assert key_records(registry) == registry.retained_records()
 
 
@@ -221,12 +221,12 @@ def test_key_lifecycle_matches_reference_states(ops):
             key = op[1]
             expected = reference_sign(states, keepers, key)
             if expected is None:
-                sig = registry.ephemeral_sign(*key, b"m")
+                sig = sign_one(registry, *key, b"m")
                 assert registry.verify_ephemeral_many(
                     [(key[0], sig)], *key[1:], b"m") == [True]
             else:
                 with pytest.raises(expected):
-                    registry.ephemeral_sign(*key, b"m")
+                    sign_one(registry, *key, b"m")
         elif op[0] == "keep":
             keepers.add(op[1])
             registry.keep_keys([op[1]])
@@ -278,14 +278,14 @@ def test_batch_signing_matches_one_call_per_owner(early, before, late, round,
         reg.keep_keys(early)
         for key in before:
             try:
-                reg.ephemeral_sign(*key, b"old")
+                sign_one(reg, *key, b"old")
             except CryptoError:
                 pass
         reg.keep_keys(late)  # also owners of keys destroyed before
     expected, refusal = [], None
     for owner in owners:
         try:
-            expected.append(twin.ephemeral_sign(owner, round, step, b"m"))
+            expected.append(sign_one(twin, owner, round, step, b"m"))
         except CryptoError as exc:
             refusal = exc
             break
@@ -308,7 +308,7 @@ def spent_and_signed(early, before, late):
         reg.keep_keys(early)
         for key in before:
             try:
-                reg.ephemeral_sign(*key, b"old")
+                sign_one(reg, *key, b"old")
             except CryptoError:
                 pass
         reg.keep_keys(late)
@@ -367,14 +367,14 @@ class TestAdversaryAccess:
         # corruption is where a user starts keeping keys, whoever signs
         signer = AdversarySigner(registry, {1})
         signer.ephemeral_sign_many([1], 5, 2, b"m")
-        registry.ephemeral_sign(1, 5, 3, b"m")
-        registry.ephemeral_sign(2, 5, 2, b"m")
+        sign_one(registry, 1, 5, 3, b"m")
+        sign_one(registry, 2, 5, 2, b"m")
         assert [registry.ephemeral_state(*k) for k in
                 ((1, 5, 2), (1, 5, 3), (2, 5, 2))] == \
             [KeyState.RETAINED, KeyState.RETAINED, KeyState.DESTROYED]
 
     def test_destroyed_key_never_signs_even_for_adversary(self, registry):
-        registry.ephemeral_sign(1, 5, 2, b"v")
+        sign_one(registry, 1, 5, 2, b"v")
         signer = AdversarySigner(registry, {1})
         with pytest.raises(KeyDestroyedError):
             signer.ephemeral_sign_many([1], 5, 2, b"m")

@@ -387,7 +387,8 @@ def test_message_counts_accumulate(small_run):
 
 @pytest.mark.parametrize("mode", ["ba", "simple", "both"])
 def test_each_voting_step_signs_in_one_registry_call(monkeypatch, mode):
-    # steps 2 on spend their keys one call a step, never one call a member
+    # every step, the proposal included, spends its members' keys in one
+    # call, never one call a member and never a second call for the leader
     calls = []
     batch = KeyRegistry.spend_keys
 
@@ -399,24 +400,23 @@ def test_each_voting_step_signs_in_one_registry_call(monkeypatch, mode):
     cfg = cli.load_config(str(FIXTURES / "honest.cfg"), seed=3, rounds=12,
                           mode=mode)
     _, metrics = run_scenario(cfg)
-    voting = [c for c in calls if c[1] >= 2]
-    assert len({(r, s) for r, s, _ in voting}) == len(voting)
-    assert all(n >= 1 for _, _, n in voting)
+    assert len({(r, s) for r, s, _ in calls}) == len(calls)
+    assert all(n >= 1 for _, _, n in calls)
     for rec in metrics.rounds:
-        # every message after the proposals is a vote or cert whose key the
-        # batch spent
+        # every message, proposals included, is sent by a spent key
         broadcast = rec.message_count // cfg.num_genesis_users
-        signed = sum(n for r, _, n in voting if r == rec.round)
-        assert signed == broadcast - rec.committee_sizes.get(1, 0)
-    # at least the vote and the certificate of every round that has them
-    assert len(voting) >= 2 * sum("bootstrap" not in rec.flags
-                                  for rec in metrics.rounds)
+        assert sum(n for r, _, n in calls if r == rec.round) == broadcast
+        assert sum(n for r, s, n in calls if (r, s) == (rec.round, 1)) == \
+            rec.committee_sizes.get(1, 0)
+    # the proposal, the vote and the certificate of every round that has them
+    assert len(calls) >= 3 * sum("bootstrap" not in rec.flags
+                                 for rec in metrics.rounds)
 
 
 @pytest.mark.parametrize("mode", ["ba", "simple", "both"])
-def test_only_certificates_and_the_leaders_block_are_signed(monkeypatch,
-                                                           mode):
-    # every other message spends its key but is never signed: nothing reads it
+def test_only_certificate_votes_are_signed(monkeypatch, mode):
+    # every other message spends its key but is never signed: nothing reads
+    # it, and the leader's block is checked through its seed and certificate
     signed_rounds = []
     sign = crypto._ephemeral_sig
 
@@ -428,10 +428,26 @@ def test_only_certificates_and_the_leaders_block_are_signed(monkeypatch,
     chains, metrics = run_scenario(dataclasses.replace(SMALL,
                                                        consensus_mode=mode))
     for rec in metrics.rounds:
-        leaders = rec.committee_sizes.get(1, 0)
         assert signed_rounds.count(rec.round) == \
-            len(chains[0].blocks[rec.round].cert) + (leaders > 0)
+            len(chains[0].blocks[rec.round].cert)
     assert any(rec.committee_sizes.get(1, 0) > 1 for rec in metrics.rounds)
+    assert any(not rec.empty_block for rec in metrics.rounds)
+
+
+def test_mismatched_rounds_write_nothing_to_stderr(capfd):
+    # a fresh interpreter with no logging configured, where a library log
+    # would reach stderr through Python's last-resort handler; the metrics
+    # record each mismatch (`equivalent` false, both digests)
+    both = dataclasses.replace(SHORT_BUDGET, consensus_mode="both")
+    probe = ("from algosim.adversary import AdversaryConfig; "
+             "from algosim.engine import ScenarioConfig, run_scenario; "
+             "from algosim.sortition import ProtocolParams; "
+             f"_, metrics = run_scenario({both!r}); "
+             "print(sum(rec.equivalent is False for rec in metrics.rounds))")
+    subprocess.run([sys.executable, "-c", probe], check=True,
+                   env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    out, err = capfd.readouterr()
+    assert (out, err) == ("9\n", "")
 
 
 @pytest.mark.parametrize("mode", ["ba", "simple", "both"])
