@@ -101,11 +101,17 @@ def _make_out_dir(out_dir: Path) -> None:
         raise PermissionError(f"cannot write to output directory {out_dir}")
 
 
+def _write_lines(path: Path, lines: list[str]) -> None:
+    """Write `lines` to `path` one at a time, never joined into one text."""
+    with open(path, "w") as f:
+        f.writelines(line + "\n" for line in lines)
+
+
 def _write_outputs(out_dir: Path, chains, metrics_lines: list[str]) -> None:
     names = ["chain.jsonl"] + [f"chain_fork{i}.jsonl" for i in range(len(chains) - 1)]
-    (out_dir / "metrics.jsonl").write_text("\n".join(metrics_lines) + "\n")
+    _write_lines(out_dir / "metrics.jsonl", metrics_lines)
     for name, chain in zip(names, chains):
-        (out_dir / name).write_text("\n".join(chain_to_lines(chain)) + "\n")
+        _write_lines(out_dir / name, chain_to_lines(chain))
 
 
 def cmd_run(args) -> int:
@@ -190,9 +196,12 @@ def cmd_verify_chain(args) -> int:
     for u in range(1, config.num_genesis_users + 1):
         registry.register_user(u)
     try:
-        lines = Path(args.chain).read_text().splitlines()
-        chain = chain_from_lines(lines, registry,
-                                 window=config.params.lookback + 1)
+        # parsed a line at a time; `str.splitlines` also ends a record at
+        # the boundaries a text file's lines do not, such as \x1e and \x0c
+        with open(args.chain) as f:
+            chain = chain_from_lines(
+                (record for line in f for record in line.splitlines()),
+                registry, window=config.params.lookback + 1)
     except (OSError, UnicodeDecodeError, LedgerError) as exc:
         print(f"error: cannot load chain: {exc}", file=sys.stderr)
         return 2

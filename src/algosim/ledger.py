@@ -10,7 +10,10 @@ committee step group at a time, recomputing the group's credentials through
 `sortition.select_committee`.  A chain file is a JSON genesis header line
 and then one JSON block record a line, with sorted keys, no spaces, ints and
 lowercase hex; nothing there needs escaping, so `chain_to_lines` formats each
-record from a template.
+record from a template.  `chain_from_lines` takes any iterable of lines, an
+open file included (a line's newline is JSON whitespace), and reads one
+record at a time, so a reader holds the chain's objects and one line, never
+the file's text.
 """
 
 from __future__ import annotations
@@ -422,9 +425,16 @@ def check_cert(cert: Sequence["Vote"], round: int, digest: Digest,
 
 
 def verify_chain(chain: Chain, params, registry: KeyRegistry) -> list[tuple[int, str]]:
-    """Replay validate_block over every round; returns (round, violation) pairs."""
-    problems: list[tuple[int, str]] = []
+    """Replay validate_block over every round; returns (round, violation) pairs.
+
+    A genesis seed other than `registry.genesis_seed` means the chain is of
+    another scenario seed: every later check would fail for that one reason,
+    so it is the one violation reported, at round 0, and no block is checked.
+    """
     g = chain.blocks[0]
+    if g.seed != registry.genesis_seed:
+        return [(0, "genesis seed does not match the registry's genesis seed")]
+    problems: list[tuple[int, str]] = []
     if g.round != 0 or g.payset or g.prev_hash != ZERO_DIGEST:
         problems.append((0, "malformed genesis block"))
     for b in chain.blocks[1:]:
@@ -503,6 +513,8 @@ def chain_from_lines(lines: Iterable[str],
         header = json.loads(next(it))
         balances = {_u64_field(int(u)): _u64_field(a)
                     for u, a in header["genesis_status"].items()}
+    except UnicodeDecodeError:
+        raise  # not text: a file's decoder may have failed on a later line
     except _PARSE_ERRORS as exc:
         raise LedgerError(f"malformed chain file header: {exc}") from exc
     chain = Chain(Status(0, balances), registry=registry, window=window)
@@ -511,13 +523,17 @@ def chain_from_lines(lines: Iterable[str],
             continue
         try:
             o = json.loads(line)
+            # the block's votes share one payload object, as certify's do;
+            # each is validated before it is looked up
+            payloads: dict[bytes, bytes] = {}
             payset = tuple([Payment(_u64_field(p["payer"]), _u64_field(p["payee"]),
                                     _u64_field(p["amount"]), _hash_field(p["sig"]))
                             for p in o["payset"]])
             cert = tuple([Vote(
                 _u64_field(m["voter"]), _u64_field(m["round"]),
-                _u64_field(m["step"]), cert_payload(_bit_field(m["bit"]),
-                                                    _hash_field(m["block_digest"])),
+                _u64_field(m["step"]),
+                payloads.setdefault(payload := cert_payload(
+                    _bit_field(m["bit"]), _hash_field(m["block_digest"])), payload),
                 _hash_field(m["sig"]),
                 Credential(_u64_field((c := m["credential"])["user"]),
                            _u64_field(c["round"]), _u64_field(c["step"]),

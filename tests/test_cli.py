@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import gc
 import io
 import json
 import logging
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algosim.cli as cli
-from algosim.engine import ScenarioConfig
+from algosim.engine import ScenarioConfig, run_scenario
+from algosim.ledger import chain_to_lines
 from algosim.sortition import ProtocolParams
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -302,16 +305,34 @@ class TestVerifyChain:
         assert "insufficient certificates" in stdout
 
     def test_chain_of_another_seed_reports_violations(self, tmp_path, capsys):
+        # every block would fail for the one reason, so only it is named
         out = tmp_path / "out"
-        honest = FIXTURES / "honest.cfg"
-        run_cli(capsys, "run", "--config", honest, "--seed", "1",
-                "--rounds", "8", "--out", out)
+        honest = FIXTURES / "honest.cfg"  # seed 0
+        run_cli(capsys, "run", "--config", honest, "--seed", "42", "--out", out)
         code, stdout, err = run_cli(capsys, "verify-chain", "--chain",
                                     out / "chain.jsonl", "--config", honest)
-        assert code == 1
-        assert "round 3: payset does not apply" in stdout
-        assert "chain prefix does not replay" in stdout
-        assert err == ""
+        assert (code, err) == (1, "")
+        assert stdout == ("round 0: genesis seed does not match the "
+                          "registry's genesis seed\n")
+
+    def test_payset_that_does_not_apply_stops_the_replay(self, small_cfg,
+                                                         tmp_path, capsys):
+        # later rounds have no status to be checked against
+        out = tmp_path / "out"
+        run_cli(capsys, "run", "--config", small_cfg, "--out", out)
+        lines = (out / "chain.jsonl").read_text().splitlines()
+        rec = json.loads(lines[5])
+        rec["payset"][0]["amount"] += 1  # its signature no longer verifies
+        lines[5] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+        (out / "unpaid.jsonl").write_text("\n".join(lines) + "\n")
+        code, stdout, err = run_cli(capsys, "verify-chain", "--chain",
+                                    out / "unpaid.jsonl", "--config", small_cfg)
+        assert (code, err) == (1, "")
+        reason = "payment 0: invalid signature"
+        assert f"round 4: payset does not apply: {reason}\n" in stdout
+        assert stdout.endswith(
+            "".join(f"round {r}: chain prefix does not replay: {reason}\n"
+                    for r in range(5, 11)))
 
     def test_short_digest_is_parse_error(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "out"
@@ -479,15 +500,44 @@ class TestVerifyChain:
         assert code == 2
 
 
+    @pytest.mark.parametrize("where", ["header", "early-block", "late-block"])
     def test_non_utf8_chain_is_usage_error(self, small_cfg, tmp_path,
-                                           capsys):
+                                           capsys, where):
+        # the reader decodes ahead of the line it hands on, so a bad byte
+        # in a later record surfaces while the header is read: still the
+        # codec's message, never a malformed header
+        out = tmp_path / "out"
+        run_cli(capsys, "run", "--config", small_cfg, "--out", out)
+        lines = (out / "chain.jsonl").read_bytes().splitlines(keepends=True)
+        index = {"header": 0, "early-block": 2, "late-block": -1}[where]
+        offset = sum(map(len, lines[:index % len(lines)])) + 10
+        assert (offset < 8192) == (where != "late-block")
+        lines[index] = lines[index][:10] + b"\xff" + lines[index][11:]
         chain = tmp_path / "bin.jsonl"
-        chain.write_bytes(b'{"header": "\xff"}\n')
-        code, _, err = run_cli(capsys, "verify-chain", "--chain", chain,
-                               "--config", small_cfg)
-        assert code == 2
+        chain.write_bytes(b"".join(lines))
+        code, stdout, err = run_cli(capsys, "verify-chain", "--chain", chain,
+                                    "--config", small_cfg)
+        assert (code, stdout) == (2, "")
         assert err.count("\n") == 1
-        assert err.startswith("error: cannot load chain:")
+        assert err.startswith(
+            "error: cannot load chain: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r", "\x1e", "\x0c"],
+                             ids=["crlf", "cr", "record-separator", "form-feed"])
+    def test_records_split_at_every_line_boundary(self, small_cfg, tmp_path,
+                                                  capsys, newline):
+        # `str.splitlines` ends a record at each of these, so every file
+        # reads as the newline-separated one does
+        out = tmp_path / "out"
+        run_cli(capsys, "run", "--config", small_cfg, "--out", out)
+        lines = (out / "chain.jsonl").read_text().splitlines()
+        expected = run_cli(capsys, "verify-chain", "--chain",
+                           out / "chain.jsonl", "--config", small_cfg)
+        assert expected[:2] == (0, "chain valid: 11 blocks\n")
+        joined = tmp_path / "joined.jsonl"
+        joined.write_bytes((newline.join(lines) + newline).encode())
+        assert run_cli(capsys, "verify-chain", "--chain", joined,
+                       "--config", small_cfg) == expected
 
 
 class TestAttack:
@@ -774,6 +824,81 @@ def test_metrics_lines_are_built_once_per_scenario(
     files = sorted(out.rglob("metrics.jsonl"))
     assert [f.read_text() for f in files] == ["\n".join(b) + "\n" for b in built]
     assert stdout == "".join(f.read_text() for f in files)
+
+
+# -- memory per chain byte ------------------------------------------------------
+# No command holds a chain file's text: verify-chain holds the chain's objects
+# and one line, run --out the chain's formatted lines and one line being
+# written.  The measure is how much a command's traced peak grows per added
+# byte of chain file, from a 20-round to a 60-round chain of honest.cfg (seed
+# 5, mode ba).
+
+MEMORY_ROUNDS = (20, 60)
+
+
+@pytest.fixture(scope="module")
+def seed5_runs(tmp_path_factory):
+    """The config, and per round count the scenario's result and chain file."""
+    base = tmp_path_factory.mktemp("memory")
+    cfg = base / "honest5.cfg"
+    cfg.write_text((FIXTURES / "honest.cfg").read_text()
+                   .replace("seed = 0", "seed = 5")
+                   .replace("mode = both", "mode = ba"))
+    runs = {}
+    for rounds in MEMORY_ROUNDS:
+        result = run_scenario(cli.load_config(str(cfg), rounds=rounds))
+        chain = base / f"chain{rounds}.jsonl"
+        chain.write_text("\n".join(chain_to_lines(result[0][0])) + "\n")
+        runs[rounds] = result, chain
+    return cfg, runs
+
+
+def traced_peak(argv) -> int:
+    """Peak bytes traced while `cli.main(argv)` runs; output discarded."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main([str(a) for a in argv]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def growth_per_chain_byte(runs, peak_of) -> float:
+    # the long chain goes first, so allocations made only by a process's
+    # first call raise the growth rather than hide some of it
+    (long_peak, long), (short_peak, short) = (
+        (peak_of(rounds), runs[rounds][1].stat().st_size)
+        for rounds in reversed(MEMORY_ROUNDS))
+    return (long_peak - short_peak) / (long - short)
+
+
+def test_verify_chain_holds_no_copy_of_the_file(seed5_runs):
+    cfg, runs = seed5_runs
+    argv = ["verify-chain", "--config", cfg, "--chain"]
+    per_byte = growth_per_chain_byte(
+        runs, lambda rounds: traced_peak(argv + [runs[rounds][1]]))
+    assert per_byte < 1.5  # 2.3 with the file's text and its line list held
+
+
+def test_run_out_holds_no_joined_copy(seed5_runs, tmp_path, monkeypatch):
+    # the scenario is served from memory, so the peaks differ only by the
+    # CLI's own export: the chain_to_lines list and one line being written
+    cfg, runs = seed5_runs
+    monkeypatch.setattr(cli, "run_scenario",
+                        lambda config: runs[config.rounds][0])
+
+    def export_peak(rounds):
+        argv = ["run", "--config", cfg, "--rounds", rounds]
+        out = tmp_path / str(rounds)
+        peak = traced_peak(argv + ["--out", out]) - traced_peak(argv)
+        assert (out / "chain.jsonl").read_bytes() == runs[rounds][1].read_bytes()
+        return peak
+
+    per_byte = growth_per_chain_byte(runs, export_peak)
+    assert per_byte < 1.5  # 2.0 with the joined text and its encoding held
 
 
 # Any JSON value, with the shapes that once broke the parser drawn often.

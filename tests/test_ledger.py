@@ -577,6 +577,14 @@ def test_golden_chain_parses_and_reexports_byte_for_byte():
     assert chain_to_lines(back) == GOLDEN_LINES
 
 
+def test_a_blocks_votes_share_one_payload_object():
+    # as the engine's certificate votes do: one payload per block, not per vote
+    blocks = chain_from_lines(GOLDEN_LINES).blocks
+    assert max(len(b.cert) for b in blocks) > 1
+    for b in blocks:
+        assert len({id(m.value) for m in b.cert}) == len({m.value for m in b.cert})
+
+
 # -- certificate checks --------------------------------------------------------------
 # `validate_block` checks a certificate one step group at a time.  The
 # references below check one message at a time, straight from the rules, and
