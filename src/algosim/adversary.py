@@ -168,13 +168,19 @@ def _held_voters(chain: Chain, round: int, prev_seed: bytes,
     """Every distinct committee member of `round` among `users` whose key the
     adversary holds, at its first such step from 2 on: each step is one
     `select_committee` call over the eligible `users` not yet chosen for whom
-    `holds(user, step)` is true.  Voters come in step, then user order."""
+    `holds(user, step)` is true, made only when there are such users.  The
+    steps end at `max_step` or once every eligible user is chosen.  Voters
+    come in step, then user order."""
     pool = sorted(eligible(round, chain, params) & users)
     voters: list[Credential] = []
     for step in range(2, params.max_step + 1):
-        chosen = select_committee(round, step, prev_seed,
-                                  [u for u in pool if holds(u, step)],
-                                  params, registry)
+        if not pool:
+            break
+        held = [u for u in pool if holds(u, step)]
+        if not held:
+            continue
+        chosen = select_committee(round, step, prev_seed, held, params,
+                                  registry)
         voters += chosen
         taken = {c.user for c in chosen}
         pool = [u for u in pool if u not in taken]

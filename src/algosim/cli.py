@@ -1,14 +1,18 @@
 """Command-line entry point: scenario execution, chain verification and
 metrics comparison.
 
-Exit codes: 0 success, 1 protocol violation detected (or attack failed),
-2 usage or config error.  `ALGOSIM_LOG` (off|info|trace) sets verbosity.
+`main(argv)` returns the exit code: 0 success, 1 protocol violation
+detected (or attack failed), 2 usage or config error.  It may be called many
+times in one process, as the tests and perfbench do; the argument parser is
+built on the first call and reused.  `ALGOSIM_LOG` (off|info|trace) sets
+verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import logging
 import os
@@ -273,6 +277,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="algosim",
@@ -287,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="directory for metrics and chain files")
     run.add_argument("--jobs", type=_positive_int, default=1,
                      help="parallel workers for multi-seed runs")
-    run.set_defaults(func=cmd_run)
 
     attack = sub.add_parser("attack", help="run a fork attack scenario")
     attack.add_argument("kind", choices=["genesis-fork", "bribery"])
@@ -295,27 +299,28 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--seed", type=int)
     attack.add_argument("--rounds", type=int)
     attack.add_argument("--out")
-    attack.set_defaults(func=cmd_attack)
 
     verify = sub.add_parser("verify-chain", help="re-validate an exported chain")
     verify.add_argument("--chain", required=True)
     verify.add_argument("--config", required=True,
                         help="scenario config the chain was produced with")
-    verify.set_defaults(func=cmd_verify_chain)
 
     compare = sub.add_parser("compare", help="diff two metrics files")
     compare.add_argument("metrics_a")
     compare.add_argument("metrics_b")
-    compare.set_defaults(func=cmd_compare)
     return parser
 
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up at each call, so that a command rebound after the parser was
+    # built (a test's monkeypatch, a tracer's wrapper) is the one that runs
+    command = {"run": cmd_run, "attack": cmd_attack,
+               "verify-chain": cmd_verify_chain,
+               "compare": cmd_compare}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (EngineError, PreconditionViolatedError, ForkInfeasibleError,
             OSError, UnicodeDecodeError) as exc:
         # a config whose rounds cannot complete, an out-of-range attack, a

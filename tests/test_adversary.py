@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from algosim import adversary
 from algosim.adversary import (
     AdversaryConfig,
     AttackFailedError,
@@ -175,6 +176,21 @@ class TestGenesisFork:
         with pytest.raises(ForkInfeasibleError) as err:
             fork_from(chain, 2, starved, chain.registry)
         assert err.value.have < err.value.need == starved.cert_threshold
+
+    def test_no_committee_drawn_from_no_users(self, monkeypatch):
+        # saturated sortition chooses every eligible corrupted user within
+        # the first steps; no later step draws a committee from nobody
+        sizes = []
+        real = adversary.select_committee
+
+        def counted(round, step, seed, users, params, registry):
+            sizes.append(len(users))
+            return real(round, step, seed, users, params, registry)
+
+        monkeypatch.setattr(adversary, "select_committee", counted)
+        _, metrics = run_scenario(load_config(str(FIXTURES / "genesis_fork.cfg")))
+        assert metrics.forks_detected == 1
+        assert sizes and 0 not in sizes
 
     @pytest.mark.parametrize("seed", range(4))
     def test_short_round_signs_nothing(self, seed):

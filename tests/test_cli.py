@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import contextlib
 import gc
@@ -688,6 +689,83 @@ def test_unknown_flag_rejected_with_usage(small_cfg, capsys):
         cli.main(["run", "--config", str(small_cfg), "--turbo"])
     assert err.value.code == 2
     assert "usage" in capsys.readouterr().err
+
+
+# -- repeated in-process calls ----------------------------------------------------
+# `main` is called many times in one process; the parser is built on the
+# first call only, and each call must still behave like a fresh process.
+
+def test_later_call_builds_no_parser(small_cfg, capsys, monkeypatch):
+    argv = ["compare", small_cfg, small_cfg]
+    assert run_cli(capsys, *argv)[0] == 0
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run_cli(capsys, *argv) == (0, "identical\n", "")
+    assert built == []
+
+
+def test_cli_import_builds_no_parser():
+    probe = ("import argparse; built = []; real = argparse.ArgumentParser.__init__\n"
+             "def counted(self, *a, **k): built.append(1); real(self, *a, **k)\n"
+             "argparse.ArgumentParser.__init__ = counted\n"
+             "import algosim.cli; print(len(built))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "0\n"
+
+
+def test_repeated_calls_match_fresh_processes(small_cfg, tmp_path, capsys,
+                                              monkeypatch):
+    monkeypatch.delenv("ALGOSIM_LOG", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal
+    fork_cfg = FIXTURES / "genesis_fork.cfg"
+    run_out, fork_out = tmp_path / "run", tmp_path / "fork"
+    sequence = [
+        ["run", "--config", small_cfg, "--turbo"],
+        ["--help"],
+        ["run", "--config", small_cfg, "--out", run_out],
+        ["attack", "genesis-fork", "--config", fork_cfg, "--out", fork_out],
+        ["verify-chain", "--config", fork_cfg,
+         "--chain", fork_out / "chain_fork0.jsonl"],
+        ["compare", run_out / "metrics.jsonl", fork_out / "metrics.jsonl"],
+    ]
+    probe = "import sys, algosim.cli; sys.exit(algosim.cli.main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    codes = []
+    for argv in ([str(a) for a in argv] for argv in sequence):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                               capture_output=True, text=True)
+        assert (code, out.out, out.err) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [2, 0, 0, 0, 0, 1]
+
+
+def test_command_is_looked_up_at_each_call(small_cfg, capsys, monkeypatch):
+    fork_cfg = FIXTURES / "genesis_fork.cfg"
+    assert run_cli(capsys, "attack", "genesis-fork", "--config", fork_cfg)[0] == 0
+    assert run_cli(capsys, "compare", small_cfg, small_cfg)[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_run", lambda args: seen.append(args) or 0)
+    monkeypatch.setattr(cli, "cmd_compare", lambda args: seen.append(args) or 7)
+    assert run_cli(capsys, "run", "--config", small_cfg)[0] == 0
+    assert run_cli(capsys, "compare", small_cfg, small_cfg) == (7, "", "")
+    # a `run` namespace holds run's options only, none left by `attack`
+    assert sorted(vars(seen[0])) == ["command", "config", "jobs", "mode",
+                                     "out", "rounds", "seed"]
+    assert seen[1].command == "compare"
 
 
 def test_parallel_jobs_match_sequential(small_cfg, tmp_path, capsys):
