@@ -17,6 +17,13 @@ checks every member before it changes any state; `ephemeral_sign_many`
 spends them so and then signs.
 Verifying mirrors it: one `verify_ephemeral_many` call checks a step's
 signatures.
+
+The signatures are the README's formulas, SHA-256(seed + message), but no
+call hashes a secret from scratch: each user's SHA-256 state is prepared once,
+at registration, with the long-term seed absorbed, and one state prepared with
+"EPH_" + master starts every ephemeral key seed.  A signature copies its
+state and absorbs the message, which gives the same bytes as hashing the
+concatenation and saves setting up a digest per call.
 """
 
 from __future__ import annotations
@@ -77,11 +84,13 @@ def be8(value: int) -> bytes:
     return value.to_bytes(8, "big")
 
 
-def _ephemeral_sig(head: bytes, owner: UserId, tail: bytes, message: bytes) -> Signature:
+def _ephemeral_sig(head, owner: UserId, tail: bytes, message: bytes) -> Signature:
     """One ephemeral signature, SHA-256(seed + message), where the key seed is
-    SHA-256(head + owner + tail): head = "EPH_" + master, tail = round + step."""
-    h = hashlib.sha256
-    return h(h(head + owner.to_bytes(8, "big") + tail).digest() + message).digest()
+    SHA-256("EPH_" + master + owner + tail), tail = round + step; `head` is
+    the SHA-256 state that has absorbed "EPH_" + master."""
+    seed = head.copy()
+    seed.update(owner.to_bytes(8, "big") + tail)
+    return hashlib.sha256(seed.digest() + message).digest()
 
 
 class KeyState(Enum):
@@ -119,43 +128,66 @@ class KeyRegistry:
     Honest code signs through the registry directly; adversarial code must go
     through an :class:`AdversarySigner`, which restricts signing to corrupted
     users.
+
+    Secrets are held only inside prepared SHA-256 states: `_head` has
+    absorbed "EPH_" + master, and `_states[u]` user u's long-term seed.
+    hashlib states do not pickle, so a pickled registry (`run --jobs`
+    returns chains from worker processes) carries its users in registration
+    order instead, and unpickling registers them again.
     """
 
     def __init__(self, run_seed: int, horizon: int, max_step: int):
         self.horizon = horizon
         self.max_step = max_step
         self._master = sha256(b"SEED" + be8(run_seed))
-        self._head = TAG_EPHEMERAL + self._master  # of every ephemeral key seed
         self.genesis_seed = sha256(b"GENQ" + self._master)
-        self._keys: dict[UserId, bytes] = {}  # long-term secret seeds
-        self._bit: dict[UserId, int] = {}  # owner's bit in a destroyed mask
         self._destroyed: dict[tuple[int, int], int] = {}
         self._retained: dict[tuple[UserId, int, int], EphemeralKeyRecord] = {}
         self._keepers: set[UserId] = set()
+        self._prepare(())
+
+    def _prepare(self, users: Iterable[UserId]) -> None:
+        """Build the ephemeral head state, then register `users` in order."""
+        self._head = hashlib.sha256(TAG_EPHEMERAL + self._master)
+        self._states: dict[UserId, object] = {}  # hashlib state, seed absorbed
+        self._bit: dict[UserId, int] = {}  # owner's bit in a destroyed mask
+        for user in users:
+            self.register_user(user)
+
+    def __getstate__(self) -> dict:
+        state = {k: v for k, v in vars(self).items()
+                 if k not in ("_head", "_states", "_bit")}
+        state["users"] = list(self._bit)  # registration order sets the bits
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        users = state.pop("users")
+        vars(self).update(state)
+        self._prepare(users)
 
     # -- registration -------------------------------------------------------
 
     def register_user(self, user: UserId) -> None:
         """Provision a user's long-term key and its ephemeral key space."""
-        if user not in self._keys:
-            self._keys[user] = sha256(b"LTSK" + self._master + be8(user))
+        if user not in self._states:
+            self._states[user] = hashlib.sha256(
+                sha256(b"LTSK" + self._master + be8(user)))
             self._bit[user] = 1 << len(self._bit)
 
     def is_registered(self, user: UserId) -> bool:
-        return user in self._keys
-
-    def _require_key(self, user: UserId) -> bytes:
-        try:
-            return self._keys[user]
-        except KeyError:
-            raise UnknownUserError(f"user {user} is not registered") from None
+        return user in self._states
 
     # -- unique (long-term) signatures --------------------------------------
 
     def unique_sign(self, owner: UserId, message: bytes) -> Signature:
         """The one signature that verifies for (owner, message); verifiers
         recompute it, and the seed never leaves the registry."""
-        return sha256(self._require_key(owner) + message)
+        try:
+            h = self._states[owner].copy()
+        except KeyError:
+            raise UnknownUserError(f"user {owner} is not registered") from None
+        h.update(message)
+        return h.digest()
 
     def verify_unique(self, owner: UserId, message: bytes, sig: Signature) -> bool:
         return self.unique_sign(owner, message) == sig
@@ -164,13 +196,17 @@ class KeyRegistry:
                           message: bytes) -> list[Signature]:
         """Every owner's unique signature over one message, in order; the
         bytes equal `unique_sign(owner, message)`.  This is sortition's
-        hot loop, so it hashes straight from the key table."""
-        keys, h = self._keys, hashlib.sha256
+        hot loop, so it copies straight from the state table."""
+        states, sigs = self._states, []
         try:
-            return [h(keys[u] + message).digest() for u in owners]
+            for u in owners:
+                h = states[u].copy()
+                h.update(message)
+                sigs.append(h.digest())
         except KeyError as exc:
             raise UnknownUserError(
                 f"user {exc.args[0]} is not registered") from None
+        return sigs
 
     # -- ephemeral keys ------------------------------------------------------
 
@@ -179,7 +215,7 @@ class KeyRegistry:
 
     def _owner_bit(self, owner: UserId, round: int, step: int) -> int:
         """The owner's bit in a (round, step) mask, if that key exists."""
-        if owner not in self._keys or not self._provisioned(round, step):
+        if owner not in self._bit or not self._provisioned(round, step):
             raise KeyMissingError(
                 f"no ephemeral key for user {owner} at round {round} step {step}")
         return self._bit[owner]
@@ -237,8 +273,8 @@ class KeyRegistry:
         key revokes signing, not past signatures.  Stores nothing."""
         if not self._provisioned(round, step):
             return [False] * len(signed)
-        keys, head, tail = self._keys, self._head, be8(round) + be8(step)
-        return [owner in keys and _ephemeral_sig(head, owner, tail, message) == sig
+        users, head, tail = self._bit, self._head, be8(round) + be8(step)
+        return [owner in users and _ephemeral_sig(head, owner, tail, message) == sig
                 for owner, sig in signed]
 
     def retained_records(self, round: int | None = None) -> list[EphemeralKeyRecord]:

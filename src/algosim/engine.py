@@ -200,8 +200,8 @@ class SimulationRun:
             return
 
         eligible = sorted(sortition.eligible(r, self.chain, params))
-        payset = build_payset(self._workload(r), self.chain.status_entering(r),
-                              self.registry)
+        payset, after = build_payset(self._workload(r),
+                                     self.chain.status_entering(r), self.registry)
         sizes: dict[int, int] = {}
         deliveries: list[int] = []
 
@@ -239,6 +239,8 @@ class SimulationRun:
         # Votes only ever back the candidate or the empty block.
         block = empty if is_empty else proposal.block
         self.chain.append(block.with_cert(cert))
+        if not is_empty:  # the leader's block holds `payset`, just applied
+            self.chain.carry(self.chain.tip(), after)
         equivalent = ba_digest == simple_digest if mode == "both" else None
         self.records.append(RoundRecord(
             r, proposal.leader, sizes, decision_step, ba_digest, simple_digest,

@@ -169,10 +169,11 @@ def apply_payset(status: Status, payset: Sequence[Payment],
 
 
 def build_payset(pending: Sequence[Payment], status: Status,
-                 registry: KeyRegistry) -> tuple[Payment, ...]:
+                 registry: KeyRegistry) -> tuple[tuple[Payment, ...], Status]:
     """The maximal valid subset of `pending` in arrival order, applied to the
     balances of `status`: a payment that breaks the payment rule is skipped
-    and later payments may still apply."""
+    and later payments may still apply.  Also returns the status after it,
+    which equals `apply_payset(status, payset, registry)`."""
     balances = dict(status.balances)
     payset = []
     for p in pending:
@@ -181,7 +182,7 @@ def build_payset(pending: Sequence[Payment], status: Status,
         except InvalidPaymentError:
             continue
         payset.append(p)
-    return tuple(payset)
+    return tuple(payset), Status(status.round + 1, balances)
 
 
 # -- blocks and seeds --------------------------------------------------------
@@ -227,6 +228,9 @@ class Chain:
     `users_at(r - lookback)`, so a window of `lookback + 1` serves them all
     and memory stays flat per round.  A request below the window (an
     attack's target round, a test) replays from genesis and caches nothing.
+    A caller that has just applied the payset of the chain's own block hands
+    the result over with `carry`, so the window's next status is not
+    replayed (and its payment signatures not verified) a second time.
     """
 
     genesis_status: Status
@@ -273,11 +277,25 @@ class Chain:
             status = apply_payset(status, self.blocks[r].payset, self.registry)
             # _top moves with each stored round, so a payset that raises
             # part way leaves it on a status the window still holds.
-            self._statuses[r + 1] = status
-            self._top = r + 1
-            if r + 1 - self.window > 0:
-                self._statuses.pop(r + 1 - self.window, None)
+            self._keep(status)
         return status
+
+    def _keep(self, status: Status) -> None:
+        """Store the status entering round `_top + 1` and slide the window."""
+        self._statuses[status.round] = status
+        self._top = status.round
+        if status.round - self.window > 0:
+            self._statuses.pop(status.round - self.window, None)
+
+    def carry(self, block: Block, status: Status) -> None:
+        """Keep `status`, the balances after `block`'s payset applied, as the
+        status entering the next round.  Only the chain's own block at its
+        round counts, and only when that status is the window's next one;
+        any other call changes nothing."""
+        r = block.round + 1
+        if (status.round == r == self._top + 1 and r <= len(self.blocks)
+                and self.blocks[r - 1] is block):
+            self._keep(status)
 
     def prefix(self, length: int) -> "Chain":
         """A chain holding the first `length` blocks (shared, immutable)."""
@@ -321,9 +339,9 @@ def validate_block(chain: Chain, b: Block, params, registry: KeyRegistry) -> lis
     if b.prev_hash != block_hash(prev):
         violations.append("previous-block hash mismatch")
 
-    # Payset replay.
+    # Payset replay; a payset that applies is replayed once per chain.
     try:
-        apply_payset(status, b.payset, registry)
+        chain.carry(b, apply_payset(status, b.payset, registry))
     except LedgerError as exc:
         violations.append(f"payset does not apply: {exc}")
 

@@ -16,8 +16,9 @@ first 8 bytes are below the limit's is below the bound, one whose first 8
 bytes exceed it is above, and on a tie the all-`0xff` tail admits any suffix:
 the compare decides exactly as `int.from_bytes(digest[:8], "big") <= limit`,
 which in turn decides as the float rule `hash_to_unit(...) <= p` would.  Per
-user the kernel makes its two `hashlib` calls (sign, then hash) and one bytes
-compare, with no slice or integer conversion.  The certificate check
+user the kernel makes its two hashes (sign, then hash), each from a copied
+prepared SHA-256 state (the signer's, then the empty `_SELECTION_HASH`), and
+one bytes compare, with no slice or integer conversion.  The certificate check
 (`ledger.check_cert`) recomputes each step group's credentials through it as
 well, so this compare is the one selection rule, and `eligible` is the one
 read of who may serve in a round.
@@ -41,6 +42,8 @@ from .crypto import (
     hash_to_unit,
 )
 from .ledger import Chain, users_at
+
+_SELECTION_HASH = _sha256()  # copied, never updated: starts each selection hash
 
 
 @dataclass(frozen=True)
@@ -144,12 +147,16 @@ def select_committee(round: int, step: int, prev_seed: Digest,
     """Credentials of the `eligible` users that sortition selects for
     (round, step), in the order of `eligible`.  Step 1 selects potential
     leaders, later steps verifier committees."""
-    bound, h = _bound(step, params), _sha256
+    bound, start = _bound(step, params), _SELECTION_HASH.copy
     sigs = registry.unique_signatures(
         eligible, credential_message(round, step, prev_seed))
-    # the sortition rule: the hashed signature is under the bound
-    return [Credential(u, round, step, sig)
-            for u, sig in zip(eligible, sigs) if h(sig).digest() <= bound]
+    selected = []
+    for u, sig in zip(eligible, sigs):
+        h = start()
+        h.update(sig)
+        if h.digest() <= bound:  # the sortition rule: SHA-256(sig) <= bound
+            selected.append(Credential(u, round, step, sig))
+    return selected
 
 
 def select_leader(credentials: list[Credential]) -> UserId | None:

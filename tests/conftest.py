@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import strategies as st
 
 from algosim.crypto import Digest, EphemeralKeyRecord, KeyRegistry, UserId
+from algosim.engine import ScenarioConfig
 from algosim.ledger import Chain, make_genesis, next_block
 from algosim.sortition import Credential, ProtocolParams, eligible, select_committee
 
@@ -62,3 +64,28 @@ def registry():
 def params():
     return ProtocolParams(leader_prob=1.0, verifier_prob=1.0, lookback=3,
                           max_ba_steps=9, cert_threshold=4, horizon=64)
+
+
+@st.composite
+def scenario_configs(draw, mode: str) -> ScenarioConfig:
+    """An honest scenario with small, often empty committees: 4-40 users,
+    any leader probability, verifier probability 0.05-1, lookback 1-4,
+    1-9 agreement steps, a certificate threshold from 1 to the expected
+    committee size, 3-12 rounds, payments and new users."""
+    users = draw(st.integers(4, 40), label="users")
+    verifier_prob = draw(st.floats(0.05, 1.0), label="verifier_prob")
+    expected = max(1, round(users * verifier_prob))
+    rounds = draw(st.integers(3, 12), label="rounds")
+    params = ProtocolParams(
+        leader_prob=draw(st.floats(0.0, 1.0), label="leader_prob"),
+        verifier_prob=verifier_prob,
+        lookback=draw(st.integers(1, 4), label="lookback"),
+        max_ba_steps=draw(st.integers(1, 9), label="max_ba_steps"),
+        cert_threshold=draw(st.integers(1, expected), label="cert_threshold"),
+        horizon=rounds + 1)
+    return ScenarioConfig(
+        seed=draw(st.integers(0, 2**64 - 1), label="seed"),
+        num_genesis_users=users, rounds=rounds, params=params,
+        consensus_mode=mode,
+        payments_per_round=draw(st.integers(0, 5), label="payments"),
+        new_users_per_round=draw(st.integers(0, 3), label="new_users"))

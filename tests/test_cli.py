@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algosim.cli as cli
+from algosim.crypto import KeyRegistry
 from algosim.engine import ScenarioConfig, run_scenario
 from algosim.ledger import chain_to_lines
 from algosim.sortition import ProtocolParams
@@ -774,8 +775,37 @@ def test_parallel_jobs_match_sequential(small_cfg, tmp_path, capsys):
     run_cli(capsys, "run", "--config", small_cfg, "--seed", "5,6",
             "--jobs", "2", "--out", par)
     for seed in (5, 6):
-        assert (seq / f"seed_{seed}" / "metrics.jsonl").read_bytes() == \
-            (par / f"seed_{seed}" / "metrics.jsonl").read_bytes()
+        for name in ("metrics.jsonl", "chain.jsonl"):
+            # a worker's chain comes back pickled, its registry with it
+            assert (seq / f"seed_{seed}" / name).read_bytes() == \
+                (par / f"seed_{seed}" / name).read_bytes()
+
+
+def test_each_payset_is_verified_once(tmp_path, capsys, monkeypatch):
+    # the payments' signatures are checked once per chain: `run` when the
+    # payset is built (one per pending payment), `verify-chain` when a block
+    # is validated (one per payment); neither replays a payset it applied
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text((FIXTURES / "honest.cfg").read_text()
+                   .replace("seed = 0", "seed = 3").replace("rounds = 50", "rounds = 150")
+                   .replace("mode = both", "mode = ba").replace("horizon = 64", "horizon = 158"))
+    verify = KeyRegistry.verify_unique
+    calls = []
+
+    def counted(self, owner, message, sig):
+        calls.append(message[:4])
+        return verify(self, owner, message, sig)
+
+    monkeypatch.setattr(KeyRegistry, "verify_unique", counted)
+    assert run_cli(capsys, "run", "--config", cfg, "--out", tmp_path)[0] == 0
+    assert calls.count(b"PAY_") == len(calls) == 740
+    chain_lines = (tmp_path / "chain.jsonl").read_text().splitlines()
+    payments = sum(len(json.loads(line)["payset"]) for line in chain_lines[1:])
+    calls.clear()
+    code, out, _ = run_cli(capsys, "verify-chain", "--chain",
+                           tmp_path / "chain.jsonl", "--config", cfg)
+    assert (code, out) == (0, "chain valid: 151 blocks\n")
+    assert calls.count(b"PAY_") == len(calls) == payments == 735
 
 
 def test_jobs_capped_at_seed_count(small_cfg, capsys, monkeypatch):

@@ -93,7 +93,7 @@ def verf_cred(env, user, step):
 
 def payset_of(env, pending):
     registry, chain, _ = env
-    return build_payset(pending, chain.status_entering(ROUND), registry)
+    return build_payset(pending, chain.status_entering(ROUND), registry)[0]
 
 
 def round_leader(env):

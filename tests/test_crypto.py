@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -105,6 +106,86 @@ def test_crypto_outputs_stable_across_registries():
     assert sign_one(a, 2, 5, 3, b"y") == sign_one(b, 2, 5, 3, b"y")
     c = make_registry(seed=78)
     assert a.unique_sign(1, b"x", ) != c.unique_sign(1, b"x")
+
+
+# -- the README's formulas, hashed over concatenated bytes --------------------
+# The registry signs from SHA-256 states prepared once per key; this plain
+# path is the reference it must equal byte for byte.
+
+def h(*parts: bytes) -> bytes:
+    return hashlib.sha256(b"".join(parts)).digest()
+
+
+def reference_unique(run_seed, user, message):
+    master = h(b"SEED", be8(run_seed))
+    return h(h(b"LTSK", master, be8(user)), message)
+
+
+def reference_ephemeral(run_seed, user, round, step, message):
+    master = h(b"SEED", be8(run_seed))
+    return h(h(b"EPH_", master, be8(user), be8(round), be8(step)), message)
+
+
+MESSAGES = st.binary(max_size=200)  # SHA-256 blocks are 64 bytes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1),
+       st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6, unique=True),
+       st.randoms(use_true_random=False), st.lists(MESSAGES, min_size=1, max_size=3),
+       st.integers(0, 12), st.integers(1, 13))
+def test_signatures_follow_the_readme_formulas(run_seed, users, rnd, messages,
+                                               round, step):
+    registry = KeyRegistry(run_seed, horizon=12, max_step=13)
+    order = list(users)
+    rnd.shuffle(order)  # registration order is free
+    for u in order:
+        registry.register_user(u)
+    for message in messages:  # each message starts from the same states
+        unique = [reference_unique(run_seed, u, message) for u in users]
+        assert registry.unique_signatures(users, message) == unique
+        for u, sig in zip(users, unique):
+            assert registry.unique_sign(u, message) == sig
+            assert registry.verify_unique(u, message, sig)
+            assert not registry.verify_unique(u, message + b"\x00", sig)
+    message = messages[0]
+    ephemeral = [reference_ephemeral(run_seed, u, round, step, message)
+                 for u in users]
+    assert registry.ephemeral_sign_many(users, round, step, message) == ephemeral
+    assert registry.verify_ephemeral_many(list(zip(users, ephemeral)), round,
+                                          step, message) == [True] * len(users)
+    assert registry.verify_ephemeral_many(list(zip(users, unique)), round,
+                                          step, message) == [False] * len(users)
+
+
+def test_pickled_registry_signs_as_the_original():
+    # hashlib states do not pickle; the copy registers its users again, in
+    # their order, so each keeps its bit in the destroyed masks
+    original = make_registry(seed=5, horizon=8, max_step=4,
+                             users=[7, 3, 2**64 - 1, 1, 5])
+    original.keep_keys([3])
+    original.spend_keys([5, 3, 1], 2, 2)
+    sign_one(original, 7, 4, 1, b"spent")
+    copy = pickle.loads(pickle.dumps(original))
+    users = [1, 3, 5, 7, 2**64 - 1]
+    for message in (b"", b"m" * 100):
+        assert copy.unique_signatures(users, message) == \
+            original.unique_signatures(users, message)
+    keys = [(u, r, s) for u in users for r in range(9) for s in range(1, 5)]
+    assert [copy.ephemeral_state(*k) for k in keys] == \
+        [original.ephemeral_state(*k) for k in keys]
+    assert copy.retained_records() == original.retained_records()
+    assert copy.genesis_seed == original.genesis_seed
+    assert copy.ephemeral_sign_many(users, 3, 2, b"vote") == \
+        original.ephemeral_sign_many(users, 3, 2, b"vote")
+    # a user registered after the copy is made signs in both alike
+    for registry in (copy, original):
+        registry.register_user(11)
+    assert copy.unique_sign(11, b"m") == original.unique_sign(11, b"m") == \
+        reference_unique(5, 11, b"m")
+    assert sign_one(copy, 11, 6, 3, b"late") == sign_one(original, 11, 6, 3, b"late")
+    assert copy.ephemeral_state(11, 6, 3) is KeyState.DESTROYED
+    assert copy.ephemeral_state(1, 6, 3) is KeyState.AVAILABLE
 
 
 class TestEphemeralLifecycle:

@@ -14,7 +14,9 @@ import algosim.crypto as crypto
 from algosim.adversary import AdversaryConfig
 from algosim.crypto import KeyRegistry, KeyState
 from algosim.engine import (
+    EngineError,
     ScenarioConfig,
+    SimulationRun,
     detect_fork,
     metrics_to_lines,
     run_scenario,
@@ -33,7 +35,7 @@ from algosim.ledger import (
 from algosim.netsim import Network
 from algosim.sortition import ProtocolParams, select_committee
 
-from conftest import idle_chain, key_records, make_registry
+from conftest import idle_chain, key_records, make_registry, scenario_configs
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -228,6 +230,32 @@ def test_transcript_digest_short_budget(mode):
     assert sum(rec.equivalent is False for rec in rounds) == \
         (9 if mode == "both" else 0)
     assert transcript_digest(chains, metrics) == SHORT_BUDGET_DIGESTS[mode]
+
+
+@settings(deadline=None, max_examples=40)
+@given(scenario_configs("both"))
+def test_decisions_differ_only_across_an_empty_committee(config):
+    # Every member is honest and delivery is broadcast-only, so a non-empty
+    # committee is unanimous: graded consensus grades a step-2 majority 2 and
+    # agreement decides it at the first step.  Only an empty committee among
+    # the agreement steps (3 through the last binary-agreement step, at most
+    # 3 + max_ba_steps) can send agreement elsewhere than the simple vote.
+    run = SimulationRun(config)
+    try:
+        for r in range(1, config.rounds + 1):
+            run.run_round(r)
+    except EngineError:  # an unreachable certificate ends the run there
+        pass
+    for rec in run.records:
+        if "bootstrap" in rec.flags:
+            continue
+        sizes = rec.committee_sizes
+        assert rec.steps_to_decision <= 3 + config.params.max_ba_steps + 1
+        agreement = [sizes[s] for s in range(3, rec.steps_to_decision)]
+        if not rec.equivalent:
+            assert 0 in agreement, rec
+        if all(sizes.values()):
+            assert rec.equivalent, rec
 
 
 MUTATIONS = ("seed", "prev_hash", "payment_order", "cert_bit", "cert_digest",

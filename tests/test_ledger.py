@@ -153,8 +153,8 @@ def drawn_payment(payer, payee, amount, round_offset):
 def test_build_payset_skips_exactly_what_apply_payset_refuses(pending):
     # payees 4 and 5 start with nothing, so they can pay only after an
     # earlier payment of the list funds them
-    built = build_payset(pending, RULE_STATUS, RULE_REGISTRY)
-    apply_payset(RULE_STATUS, built, RULE_REGISTRY)
+    built, after = build_payset(pending, RULE_STATUS, RULE_REGISTRY)
+    assert apply_payset(RULE_STATUS, built, RULE_REGISTRY) == after
     if built == tuple(pending):
         apply_payset(RULE_STATUS, pending, RULE_REGISTRY)
         return
@@ -289,6 +289,24 @@ def test_failed_long_jump_leaves_the_status_window_usable(registry):
     for r in (5, 6):
         with pytest.raises(InsufficientFundsError):
             chain.status_entering(r)
+
+
+def test_only_the_chains_own_block_carries_its_status(registry):
+    chain = idle_chain(registry, {1: 30, 2: 40}, 3)
+    p = make_payment(registry, 1, 2, 3, 4)
+    prev = chain.tip()
+    block = Block(4, (p,), empty_round_seed(prev.seed, 4), block_hash(prev), ())
+    chain.append(block)
+    entering = chain.status_entering(4)
+    after = apply_payset(entering, block.payset, registry)
+    twin = dataclasses.replace(block)  # equal, but not the chain's block
+    for other, status in ((twin, after), (block, entering), (chain.blocks[3], after)):
+        chain.carry(other, status)
+        assert 5 not in chain._statuses
+    chain.carry(block, after)
+    assert chain.status_entering(5) is after
+    chain.carry(block, apply_payset(entering, block.payset, registry))
+    assert chain.status_entering(5) is after  # the window had it already
 
 
 class TestExport:

@@ -407,12 +407,13 @@ def test_extreme_hashes_select_as_the_float_rule(env, monkeypatch, p, digest):
     assert hash_to_unit(digest) <= p
     hashed = []
 
-    def forced(data):
-        # stands in for hashlib.sha256: every credential hashes to `digest`
-        hashed.append(data)
-        return SimpleNamespace(digest=lambda: digest)
+    def forced():
+        # stands in for a copy of the empty selection state: every
+        # credential hashes to `digest`
+        return SimpleNamespace(update=hashed.append, digest=lambda: digest)
 
-    monkeypatch.setattr(sortition, "_sha256", forced)
+    monkeypatch.setattr(sortition, "_SELECTION_HASH",
+                        SimpleNamespace(copy=forced))
     params = params_with(p=p, p2=p)
     prev_seed = chain.blocks[4].seed
     for step in (1, 2):
