@@ -28,6 +28,7 @@ from .adversary import (
 from .crypto import KeyRegistry
 from .engine import (
     EngineError,
+    RunMetrics,
     ScenarioConfig,
     metrics_to_lines,
     run_scenario,
@@ -111,17 +112,29 @@ def _write_lines(path: Path, lines: list[str]) -> None:
         f.writelines(line + "\n" for line in lines)
 
 
-def _write_outputs(out_dir: Path, chains, metrics_lines: list[str]) -> None:
-    names = ["chain.jsonl"] + [f"chain_fork{i}.jsonl" for i in range(len(chains) - 1)]
-    _write_lines(out_dir / "metrics.jsonl", metrics_lines)
-    for name, chain in zip(names, chains):
-        _write_lines(out_dir / name, chain_to_lines(chain))
+def _run_one(config: ScenarioConfig,
+             out_dir: Path | None) -> tuple[list[str], RunMetrics]:
+    """Run one scenario and write its `metrics.jsonl` and `chain*.jsonl` into
+    `out_dir`, if given, in this process; return (metrics lines, metrics).
+    The chains go no further, so a batch holds one at a time and a worker
+    returns none."""
+    chains, metrics = run_scenario(config)
+    lines = metrics_to_lines(metrics)
+    if out_dir:
+        _write_lines(out_dir / "metrics.jsonl", lines)
+        for i, chain in enumerate(chains):
+            name = f"chain_fork{i - 1}.jsonl" if i else "chain.jsonl"
+            _write_lines(out_dir / name, chain_to_lines(chain))
+    return lines, metrics
 
 
 def cmd_run(args) -> int:
     try:
         seeds = ([int(s) for s in str(args.seed).split(",")]
                  if args.seed is not None else [None])
+        twice = [s for s in seeds if seeds.count(s) > 1]
+        if twice:  # each seed writes its own seed_<N>/
+            raise ValueError(f"--seed names seed {twice[0]} more than once")
         # the file is read once; each further seed re-runs the config check
         config = load_config(args.config, seed=seeds[0], rounds=args.rounds,
                              mode=args.mode)
@@ -139,17 +152,14 @@ def cmd_run(args) -> int:
         # pool forks all its workers up front, so never more than seeds
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(configs))) as pool:
-            results = list(pool.map(run_scenario, configs))
+            results = list(pool.map(_run_one, configs, out_dirs))
     else:
-        results = [run_scenario(c) for c in configs]
+        results = list(map(_run_one, configs, out_dirs))
 
     worst = 0
-    for (chains, metrics), config, out_dir in zip(results, configs, out_dirs):
-        lines = metrics_to_lines(metrics)
+    for (lines, metrics), config in zip(results, configs):
         for line in lines:
             print(line)
-        if out_dir:
-            _write_outputs(out_dir, chains, lines)
         log.info("seed=%d rounds=%d forks=%d messages=%d wall=%.3fs",
                  config.seed, len(metrics.rounds), metrics.forks_detected,
                  metrics.total_messages, metrics.wall_time)
@@ -170,14 +180,12 @@ def cmd_attack(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        _make_out_dir(Path(args.out))
-    chains, metrics = run_scenario(config)
-    lines = metrics_to_lines(metrics)
+    out_dir = Path(args.out) if args.out else None
+    if out_dir:
+        _make_out_dir(out_dir)
+    lines, metrics = _run_one(config, out_dir)
     for line in lines:
         print(line)
-    if args.out:
-        _write_outputs(Path(args.out), chains, lines)
     if metrics.forks_detected > 0:
         for rep in metrics.fork_reports:
             print(f"fork at round {rep.round} [{rep.classification}]: "
@@ -209,13 +217,13 @@ def cmd_verify_chain(args) -> int:
     except (OSError, UnicodeDecodeError, LedgerError) as exc:
         print(f"error: cannot load chain: {exc}", file=sys.stderr)
         return 2
-    for u in chain.genesis_status.balances:
-        registry.register_user(u)
     for block in chain.blocks:
         for p in block.payset:
             registry.register_user(p.payer)
             registry.register_user(p.payee)
-    problems = verify_chain(chain, config.params, registry)
+    genesis = dict.fromkeys(range(1, config.num_genesis_users + 1),
+                            config.initial_balance)
+    problems = verify_chain(chain, config.params, registry, genesis)
     for round, violation in problems:
         print(f"round {round}: {violation}")
     if problems:

@@ -85,15 +85,12 @@ def supermajority_value(messages: Iterable, committee_size: int) -> Digest | Non
     `committee_size`, counting distinct voters; None when no value is.
 
     Graded-consensus relays and the two-step majority rule both decide by
-    this.  Two values can both qualify only when more than a third of the
-    committee equivocates; the one with more distinct voters then wins, ties
-    going to the smaller digest.
+    this: `gc_grade`'s value when its grade is 2.  Two values can both
+    qualify only when more than a third of the committee equivocates; the
+    best-supported one then wins, as `gc_grade` picks it.
     """
-    counts = distinct_voter_counts(messages)
-    qualifying = [v for v, c in counts.items() if 3 * c > 2 * committee_size]
-    if not qualifying:
-        return None
-    return min(qualifying, key=lambda v: (-counts[v], v))
+    graded = gc_grade(messages, committee_size)
+    return graded.value if graded.grade == 2 else None
 
 
 # -- step 1: proposal ----------------------------------------------------------
@@ -151,8 +148,9 @@ def cast(credentials: Sequence[Credential], value: bytes,
 # -- graded consensus ------------------------------------------------------------
 
 def gc_grade(relays: Iterable[Vote], committee_size_3: int) -> GradedValue:
-    """Grade the best-supported relayed value: 2 above two thirds, 1 above one
-    third, else 0 with no value."""
+    """Grade the best-supported relayed value (most distinct voters, ties
+    going to the smaller value): 2 above two thirds, 1 above one third, else
+    0 with no value."""
     counts = distinct_voter_counts(relays)
     if not counts:
         return GradedValue(None, 0)

@@ -23,7 +23,9 @@ call hashes a secret from scratch: each user's SHA-256 state is prepared once,
 at registration, with the long-term seed absorbed, and one state prepared with
 "EPH_" + master starts every ephemeral key seed.  A signature copies its
 state and absorbs the message, which gives the same bytes as hashing the
-concatenation and saves setting up a digest per call.
+concatenation and saves setting up a digest per call.  hashlib states do not
+pickle, and no registry needs to: a run's registry stays in the process that
+made it (`run --jobs` workers write their own output files).
 """
 
 from __future__ import annotations
@@ -131,9 +133,6 @@ class KeyRegistry:
 
     Secrets are held only inside prepared SHA-256 states: `_head` has
     absorbed "EPH_" + master, and `_states[u]` user u's long-term seed.
-    hashlib states do not pickle, so a pickled registry (`run --jobs`
-    returns chains from worker processes) carries its users in registration
-    order instead, and unpickling registers them again.
     """
 
     def __init__(self, run_seed: int, horizon: int, max_step: int):
@@ -144,26 +143,9 @@ class KeyRegistry:
         self._destroyed: dict[tuple[int, int], int] = {}
         self._retained: dict[tuple[UserId, int, int], EphemeralKeyRecord] = {}
         self._keepers: set[UserId] = set()
-        self._prepare(())
-
-    def _prepare(self, users: Iterable[UserId]) -> None:
-        """Build the ephemeral head state, then register `users` in order."""
         self._head = hashlib.sha256(TAG_EPHEMERAL + self._master)
         self._states: dict[UserId, object] = {}  # hashlib state, seed absorbed
         self._bit: dict[UserId, int] = {}  # owner's bit in a destroyed mask
-        for user in users:
-            self.register_user(user)
-
-    def __getstate__(self) -> dict:
-        state = {k: v for k, v in vars(self).items()
-                 if k not in ("_head", "_states", "_bit")}
-        state["users"] = list(self._bit)  # registration order sets the bits
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        users = state.pop("users")
-        vars(self).update(state)
-        self._prepare(users)
 
     # -- registration -------------------------------------------------------
 

@@ -266,18 +266,17 @@ class Chain:
         status = self._statuses.get(round)
         if status is not None:
             return status
-        if round < self._top:
-            # Below the window: replay from genesis and keep nothing.
-            status = self._statuses[0]
-            for r in range(round):
-                status = apply_payset(status, self.blocks[r].payset, self.registry)
-            return status
-        status = self._statuses[self._top]
-        for r in range(self._top, round):
+        # Below the window, replay from genesis and keep nothing; above it,
+        # replay from the window's top and keep each status.  _top moves with
+        # each kept round, so a payset that raises part way leaves it on a
+        # status the window still holds.
+        keep = round > self._top
+        start = self._top if keep else 0
+        status = self._statuses[start]
+        for r in range(start, round):
             status = apply_payset(status, self.blocks[r].payset, self.registry)
-            # _top moves with each stored round, so a payset that raises
-            # part way leaves it on a status the window still holds.
-            self._keep(status)
+            if keep:
+                self._keep(status)
         return status
 
     def _keep(self, status: Status) -> None:
@@ -442,16 +441,21 @@ def check_cert(cert: Sequence["Vote"], round: int, digest: Digest,
     return reasons
 
 
-def verify_chain(chain: Chain, params, registry: KeyRegistry) -> list[tuple[int, str]]:
+def verify_chain(chain: Chain, params, registry: KeyRegistry,
+                 genesis: dict[UserId, int] | None = None) -> list[tuple[int, str]]:
     """Replay validate_block over every round; returns (round, violation) pairs.
 
     A genesis seed other than `registry.genesis_seed` means the chain is of
-    another scenario seed: every later check would fail for that one reason,
-    so it is the one violation reported, at round 0, and no block is checked.
+    another scenario seed, and genesis balances other than `genesis` (when
+    given) of another scenario: every later check would fail or mean nothing
+    for that one reason, so it is the one violation reported, at round 0, and
+    no block is checked.  The seed is compared first.
     """
     g = chain.blocks[0]
     if g.seed != registry.genesis_seed:
         return [(0, "genesis seed does not match the registry's genesis seed")]
+    if genesis is not None and chain.genesis_status.balances != genesis:
+        return [(0, "genesis balances do not match the config")]
     problems: list[tuple[int, str]] = []
     if g.round != 0 or g.payset or g.prev_hash != ZERO_DIGEST:
         problems.append((0, "malformed genesis block"))

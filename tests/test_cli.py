@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import algosim.cli as cli
 from algosim.crypto import KeyRegistry
-from algosim.engine import ScenarioConfig, run_scenario
+from algosim.engine import EngineError, ScenarioConfig, run_scenario
 from algosim.ledger import chain_to_lines
 from algosim.sortition import ProtocolParams
 
@@ -479,7 +479,7 @@ class TestVerifyChain:
 
     def test_unknown_genesis_user_reports_violations(self, small_cfg, tmp_path,
                                                       capsys):
-        # a holder the config does not list still gets a key to verify with
+        # a holder the config does not list is a genesis of another scenario
         out = tmp_path / "out"
         run_cli(capsys, "run", "--config", small_cfg, "--out", out)
         lines = (out / "chain.jsonl").read_text().splitlines()
@@ -490,7 +490,28 @@ class TestVerifyChain:
         code, stdout, err = run_cli(capsys, "verify-chain", "--chain",
                                     out / "extra.jsonl", "--config", small_cfg)
         assert code == 1
-        assert "round " in stdout and err == ""
+        assert stdout == "round 0: genesis balances do not match the config\n"
+        assert err == ""
+
+    @pytest.mark.parametrize("seed,violation", [
+        (42, "genesis balances do not match the config"),
+        (7, "genesis seed does not match the registry's genesis seed"),
+    ])
+    def test_genesis_balances_must_match_the_config(self, small_cfg, tmp_path,
+                                                    capsys, seed, violation):
+        # user 1 given 1,000,000 units, or also the chain of another seed:
+        # the seed is compared first, and one violation checks no block
+        out = tmp_path / "out"
+        run_cli(capsys, "run", "--config", small_cfg, "--seed", seed,
+                "--out", out)
+        lines = (out / "chain.jsonl").read_text().splitlines()
+        header = json.loads(lines[0])
+        header["genesis_status"]["1"] = 1_000_000
+        lines[0] = json.dumps(header)
+        (out / "rich.jsonl").write_text("\n".join(lines) + "\n")
+        code, stdout, err = run_cli(capsys, "verify-chain", "--chain",
+                                    out / "rich.jsonl", "--config", small_cfg)
+        assert (code, stdout, err) == (1, f"round 0: {violation}\n", "")
 
     def test_truncated_file_is_parse_error(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "out"
@@ -776,9 +797,41 @@ def test_parallel_jobs_match_sequential(small_cfg, tmp_path, capsys):
             "--jobs", "2", "--out", par)
     for seed in (5, 6):
         for name in ("metrics.jsonl", "chain.jsonl"):
-            # a worker's chain comes back pickled, its registry with it
+            # each worker writes its own seed's files; a chain or registry
+            # sent back to this process would fail to pickle
             assert (seq / f"seed_{seed}" / name).read_bytes() == \
                 (par / f"seed_{seed}" / name).read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_duplicate_seed_is_a_usage_error(small_cfg, tmp_path, capsys, jobs):
+    # two runs of one seed would write the same seed_<N>/ files
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "run", "--config", small_cfg,
+                                "--seed", "5,6,5", "--jobs", jobs, "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err == "error: --seed names seed 5 more than once\n"
+    assert not out.exists()  # nothing ran
+
+
+def test_failing_seed_prints_nothing_and_keeps_finished_files(
+        small_cfg, tmp_path, capsys, monkeypatch):
+    # each seed writes its files as it finishes; stdout waits for them all
+    real = cli.run_scenario
+
+    def failing(config):
+        if config.seed == 6:
+            raise EngineError("seed 6 cannot complete")
+        return real(config)
+
+    monkeypatch.setattr(cli, "run_scenario", failing)
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "run", "--config", small_cfg,
+                                "--rounds", "4", "--seed", "5,6,7", "--out", out)
+    assert (code, stdout, err) == (2, "", "error: seed 6 cannot complete\n")
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+        "seed_5", "seed_5/chain.jsonl", "seed_5/metrics.jsonl", "seed_6",
+        "seed_7"]
 
 
 def test_each_payset_is_verified_once(tmp_path, capsys, monkeypatch):
@@ -823,8 +876,8 @@ def test_jobs_capped_at_seed_count(small_cfg, capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return list(map(fn, items))
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
 
     # `cmd_run` imports the pool class when it needs one, from this module
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
@@ -1007,6 +1060,19 @@ def test_run_out_holds_no_joined_copy(seed5_runs, tmp_path, monkeypatch):
 
     per_byte = growth_per_chain_byte(runs, export_peak)
     assert per_byte < 1.5  # 2.0 with the joined text and its encoding held
+
+
+def test_run_batch_holds_no_chain():
+    # a seed's chains are written and dropped in `_run_one`; the batch holds
+    # only each seed's metrics until it prints them
+    cfg = FIXTURES / "honest.cfg"
+
+    def peak(seeds):
+        return traced_peak(["run", "--config", cfg, "--rounds", 20, "--seed",
+                            ",".join(map(str, range(seeds)))])
+
+    per_seed = (peak(16) - peak(4)) / 12  # the larger batch first, as above
+    assert per_seed < 100_000  # 225 KB with every seed's chains held
 
 
 # Any JSON value, with the shapes that once broke the parser drawn often.

@@ -1,5 +1,4 @@
 import hashlib
-import pickle
 import random
 
 import pytest
@@ -156,36 +155,6 @@ def test_signatures_follow_the_readme_formulas(run_seed, users, rnd, messages,
                                           step, message) == [True] * len(users)
     assert registry.verify_ephemeral_many(list(zip(users, unique)), round,
                                           step, message) == [False] * len(users)
-
-
-def test_pickled_registry_signs_as_the_original():
-    # hashlib states do not pickle; the copy registers its users again, in
-    # their order, so each keeps its bit in the destroyed masks
-    original = make_registry(seed=5, horizon=8, max_step=4,
-                             users=[7, 3, 2**64 - 1, 1, 5])
-    original.keep_keys([3])
-    original.spend_keys([5, 3, 1], 2, 2)
-    sign_one(original, 7, 4, 1, b"spent")
-    copy = pickle.loads(pickle.dumps(original))
-    users = [1, 3, 5, 7, 2**64 - 1]
-    for message in (b"", b"m" * 100):
-        assert copy.unique_signatures(users, message) == \
-            original.unique_signatures(users, message)
-    keys = [(u, r, s) for u in users for r in range(9) for s in range(1, 5)]
-    assert [copy.ephemeral_state(*k) for k in keys] == \
-        [original.ephemeral_state(*k) for k in keys]
-    assert copy.retained_records() == original.retained_records()
-    assert copy.genesis_seed == original.genesis_seed
-    assert copy.ephemeral_sign_many(users, 3, 2, b"vote") == \
-        original.ephemeral_sign_many(users, 3, 2, b"vote")
-    # a user registered after the copy is made signs in both alike
-    for registry in (copy, original):
-        registry.register_user(11)
-    assert copy.unique_sign(11, b"m") == original.unique_sign(11, b"m") == \
-        reference_unique(5, 11, b"m")
-    assert sign_one(copy, 11, 6, 3, b"late") == sign_one(original, 11, 6, 3, b"late")
-    assert copy.ephemeral_state(11, 6, 3) is KeyState.DESTROYED
-    assert copy.ephemeral_state(1, 6, 3) is KeyState.AVAILABLE
 
 
 class TestEphemeralLifecycle:
