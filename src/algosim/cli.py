@@ -19,6 +19,7 @@ import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import Iterable
 
 from .adversary import (
     AdversaryConfig,
@@ -33,7 +34,7 @@ from .engine import (
     metrics_to_lines,
     run_scenario,
 )
-from .ledger import LedgerError, chain_from_lines, chain_to_lines, verify_chain
+from .ledger import LedgerError, chain_from_lines, chain_lines, verify_chain
 from .sortition import ProtocolParams, default_cert_threshold
 
 log = logging.getLogger("algosim.cli")
@@ -106,8 +107,8 @@ def _make_out_dir(out_dir: Path) -> None:
         raise PermissionError(f"cannot write to output directory {out_dir}")
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    """Write `lines` to `path` one at a time, never joined into one text."""
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Write each of `lines` to `path` as it is drawn, never one text."""
     with open(path, "w") as f:
         f.writelines(line + "\n" for line in lines)
 
@@ -116,15 +117,16 @@ def _run_one(config: ScenarioConfig,
              out_dir: Path | None) -> tuple[list[str], RunMetrics]:
     """Run one scenario and write its `metrics.jsonl` and `chain*.jsonl` into
     `out_dir`, if given, in this process; return (metrics lines, metrics).
-    The chains go no further, so a batch holds one at a time and a worker
-    returns none."""
+    Each chain line is written as `chain_lines` formats it, so the export
+    holds one line.  The chains go no further, so a batch holds one at a
+    time and a worker returns none."""
     chains, metrics = run_scenario(config)
     lines = metrics_to_lines(metrics)
     if out_dir:
         _write_lines(out_dir / "metrics.jsonl", lines)
         for i, chain in enumerate(chains):
             name = f"chain_fork{i - 1}.jsonl" if i else "chain.jsonl"
-            _write_lines(out_dir / name, chain_to_lines(chain))
+            _write_lines(out_dir / name, chain_lines(chain))
     return lines, metrics
 
 

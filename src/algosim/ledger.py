@@ -9,19 +9,19 @@ verifier, checks it; its `check_cert` checks a certificate one
 committee step group at a time, recomputing the group's credentials through
 `sortition.select_committee`.  A chain file is a JSON genesis header line
 and then one JSON block record a line, with sorted keys, no spaces, ints and
-lowercase hex; nothing there needs escaping, so `chain_to_lines` formats each
-record from a template.  `chain_from_lines` takes any iterable of lines, an
-open file included (a line's newline is JSON whitespace), and reads one
-record at a time, so a reader holds the chain's objects and one line, never
-the file's text.
+lowercase hex; nothing there needs escaping, so `chain_lines` formats each
+record from a template as it is drawn, and a writer holds one line.
+`chain_from_lines` takes any iterable of lines, an open file included (a
+line's newline is JSON whitespace), and reads one record at a time, so a
+reader holds the chain's objects and one line, never the file's text.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .crypto import (
     DIGEST_LEN,
@@ -98,8 +98,8 @@ class Block:
     seed: Digest
     prev_hash: Digest
     cert: tuple["Vote", ...]
-    # Hash of the canonical serialization, computed once on construction
-    # (also by `with_cert` and `dataclasses.replace`); the cert is not covered.
+    # Hash of the canonical serialization (the cert is not covered), computed
+    # on construction and by `dataclasses.replace`; `with_cert` copies it.
     digest: Digest = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -113,7 +113,9 @@ class Block:
         return not self.payset
 
     def with_cert(self, cert: Sequence["Vote"]) -> "Block":
-        return replace(self, cert=tuple(cert))
+        certified = object.__new__(Block)
+        certified.__dict__.update(self.__dict__, cert=tuple(cert))
+        return certified
 
 
 def payment_message(payer: UserId, payee: UserId, amount: int, round: int) -> bytes:
@@ -473,19 +475,19 @@ _CERT = ('{"bit":%d,"block_digest":"%s","credential":{"round":%d,"sig":"%s",'
          '"step":%d,"user":%d},"round":%d,"sig":"%s","step":%d,"voter":%d}')
 
 
-def chain_to_lines(chain: Chain) -> list[str]:
-    lines = [json.dumps(
+def chain_lines(chain: Chain) -> Iterator[str]:
+    """The chain file's lines, header first, each formatted as it is drawn."""
+    yield json.dumps(
         {"genesis_status": {str(u): a for u, a in
                             chain.genesis_status.balances.items()}},
-        sort_keys=True, separators=(",", ":"))]
+        sort_keys=True, separators=(",", ":"))
     for b in chain.blocks:
         cert = [_CERT % (p[0], p[1:].hex(), cr, c_sig.hex(), cs, u, r, sig.hex(), s, v)
                 for v, r, s, p, sig, (u, cr, cs, c_sig) in b.cert]
         payset = [_PAYMENT % (p.amount, p.payee, p.payer, p.sig.hex())
                   for p in b.payset]
-        lines.append(_BLOCK % (",".join(cert), ",".join(payset), b.prev_hash.hex(),
-                               b.round, b.seed.hex()))
-    return lines
+        yield _BLOCK % (",".join(cert), ",".join(payset), b.prev_hash.hex(),
+                        b.round, b.seed.hex())
 
 
 def _hash_field(text: str) -> bytes:

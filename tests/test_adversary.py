@@ -19,7 +19,7 @@ from algosim.crypto import EphemeralKeyRecord, KeyState
 from algosim.engine import ScenarioConfig, _sub_seed, metrics_to_lines, run_scenario
 from algosim.ledger import (
     block_hash,
-    chain_to_lines,
+    chain_lines,
     users_at,
     validate_block,
     verify_chain,
@@ -373,10 +373,10 @@ def test_key_states_are_pinned():
 
 
 def transcript_digest(chains, metrics) -> str:
-    """SHA-256 of metrics_to_lines plus chain_to_lines of every chain."""
+    """SHA-256 of metrics_to_lines plus chain_lines of every chain."""
     lines = metrics_to_lines(metrics)
     for chain in chains:
-        lines += chain_to_lines(chain)
+        lines += chain_lines(chain)
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 

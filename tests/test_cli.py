@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import algosim.cli as cli
 from algosim.crypto import KeyRegistry
 from algosim.engine import EngineError, ScenarioConfig, run_scenario
-from algosim.ledger import chain_to_lines
+from algosim.ledger import chain_lines
 from algosim.sortition import ProtocolParams
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -989,7 +989,7 @@ def test_metrics_lines_are_built_once_per_scenario(
 
 # -- memory per chain byte ------------------------------------------------------
 # No command holds a chain file's text: verify-chain holds the chain's objects
-# and one line, run --out the chain's formatted lines and one line being
+# and one line, run --out the one line being written, formatted as it is
 # written.  The measure is how much a command's traced peak grows per added
 # byte of chain file, from a 20-round to a 60-round chain of honest.cfg (seed
 # 5, mode ba).
@@ -1009,7 +1009,7 @@ def seed5_runs(tmp_path_factory):
     for rounds in MEMORY_ROUNDS:
         result = run_scenario(cli.load_config(str(cfg), rounds=rounds))
         chain = base / f"chain{rounds}.jsonl"
-        chain.write_text("\n".join(chain_to_lines(result[0][0])) + "\n")
+        chain.write_text("\n".join(chain_lines(result[0][0])) + "\n")
         runs[rounds] = result, chain
     return cfg, runs
 
@@ -1046,7 +1046,7 @@ def test_verify_chain_holds_no_copy_of_the_file(seed5_runs):
 
 def test_run_out_holds_no_joined_copy(seed5_runs, tmp_path, monkeypatch):
     # the scenario is served from memory, so the peaks differ only by the
-    # CLI's own export: the chain_to_lines list and one line being written
+    # CLI's own export: one line being formatted and written
     cfg, runs = seed5_runs
     monkeypatch.setattr(cli, "run_scenario",
                         lambda config: runs[config.rounds][0])
@@ -1059,7 +1059,7 @@ def test_run_out_holds_no_joined_copy(seed5_runs, tmp_path, monkeypatch):
         return peak
 
     per_byte = growth_per_chain_byte(runs, export_peak)
-    assert per_byte < 1.5  # 2.0 with the joined text and its encoding held
+    assert per_byte < 0.3  # 1.16 with the file's formatted lines held
 
 
 def test_run_batch_holds_no_chain():

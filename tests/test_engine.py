@@ -27,7 +27,7 @@ from algosim.ledger import (
     block_hash,
     cert_payload,
     chain_from_lines,
-    chain_to_lines,
+    chain_lines,
     users_at,
     validate_block,
     verify_chain,
@@ -144,7 +144,7 @@ def test_determinism_bit_identical(small_run):
     chains_a, metrics_a = small_run
     chains_b, metrics_b = run_scenario(SMALL)
     assert metrics_to_lines(metrics_a) == metrics_to_lines(metrics_b)
-    assert chain_to_lines(chains_a[0]) == chain_to_lines(chains_b[0])
+    assert list(chain_lines(chains_a[0])) == list(chain_lines(chains_b[0]))
 
 
 def test_regression_golden_tip(small_run):
@@ -170,7 +170,7 @@ TRANSCRIPT_DIGESTS = {
 
 
 def transcript_digest(chains, metrics):
-    text = "\n".join(metrics_to_lines(metrics) + chain_to_lines(chains[0]))
+    text = "\n".join(metrics_to_lines(metrics) + list(chain_lines(chains[0])))
     return hashlib.sha256((text + "\n").encode()).hexdigest()
 
 
@@ -189,11 +189,11 @@ def test_transcript_does_not_depend_on_the_hash_seed():
     probe = ("from algosim.adversary import AdversaryConfig; "
              "from algosim.engine import ScenarioConfig, metrics_to_lines, "
              "run_scenario; "
-             "from algosim.ledger import chain_to_lines; "
+             "from algosim.ledger import chain_lines; "
              "from algosim.sortition import ProtocolParams; "
              f"chains, metrics = run_scenario({SMALL!r}); "
              "print('\\n'.join(metrics_to_lines(metrics) "
-             "+ chain_to_lines(chains[0])))")
+             "+ list(chain_lines(chains[0]))))")
     procs = [subprocess.Popen(
         [sys.executable, "-c", probe], stdout=subprocess.PIPE, text=True,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src"),
@@ -398,7 +398,7 @@ def test_verifying_a_chain_stores_no_key_records():
                            max_step=cfg.params.max_step)
     for u in range(1, cfg.num_genesis_users + 1):
         registry.register_user(u)
-    chain = chain_from_lines(chain_to_lines(chains[0]), registry,
+    chain = chain_from_lines(chain_lines(chains[0]), registry,
                              window=cfg.params.lookback + 1)
     assert verify_chain(chain, cfg.params, registry) == []
     assert key_records(registry) == []

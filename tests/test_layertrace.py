@@ -3,18 +3,23 @@ run by `perfbench/run.py --trace 1`): it wraps the simulator's public names
 from outside, so a rename in a layer it hooks breaks it silently.  The file is
 read and executed here, never imported into `perfbench/`'s bytecode cache."""
 
+import contextlib
 import dataclasses
 import importlib
+import io
 import types
 from pathlib import Path
 
-import algosim.cli  # noqa: F401  the tracer wraps every binding under algosim
+import pytest
+
+import algosim.cli as cli  # the tracer wraps every binding under algosim
 from algosim.cli import load_config
 from algosim.engine import ScenarioConfig, metrics_to_lines
-from algosim.ledger import chain_to_lines
+from algosim.ledger import chain_lines
 from algosim.sortition import ProtocolParams
 
 ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
 
 
@@ -55,11 +60,11 @@ def test_tracer_sees_the_genesis_fork_attack():
     # traced attack writes what an untraced one writes
     layertrace = load_layertrace()
     engine = importlib.import_module("algosim.engine")
-    config = load_config(str(ROOT / "fixtures" / "genesis_fork.cfg"))
+    config = load_config(str(FIXTURES / "genesis_fork.cfg"))
 
     def outputs():
         chains, metrics = engine.run_scenario(config)
-        return metrics_to_lines(metrics), [chain_to_lines(c) for c in chains]
+        return metrics_to_lines(metrics), [list(chain_lines(c)) for c in chains]
 
     untraced = outputs()
     tracer = layertrace.Tracer()
@@ -75,3 +80,32 @@ def test_tracer_sees_the_genesis_fork_attack():
     # uninstalled: a further run goes unseen
     outputs()
     assert tracer.counts() == counts
+
+
+def cli_outputs(argv, out: Path):
+    """Exit code of `cli.main(argv + --out out)` and the files it wrote."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([str(a) for a in argv] + ["--out", str(out)])
+    return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", FIXTURES / "honest.cfg", "--rounds", 8],
+    ["attack", "genesis-fork", "--config", FIXTURES / "genesis_fork.cfg"],
+], ids=["run", "attack"])
+def test_traced_cli_writes_what_an_untraced_one_writes(argv, tmp_path):
+    # the tracer's result hooks see what the CLI's calls return, so a hook
+    # that no longer fits a return value fails the traced command here
+    layertrace = load_layertrace()
+    untraced = cli_outputs(argv, tmp_path / "untraced")
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_scenario()
+        traced = cli_outputs(argv, tmp_path / "traced")
+    finally:
+        tracer.uninstall()
+    assert tracer.counts()["cli.main"] == 1
+    assert traced == untraced
+    assert traced[0] == 0 and "chain.jsonl" in traced[1]
