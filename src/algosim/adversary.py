@@ -19,11 +19,13 @@ from .ledger import (
     Chain,
     block_hash,
     cert_payload,
+    eligible,
     make_payment,
     next_block,
     users_at,
+    view_leader,
 )
-from .sortition import Credential, ProtocolParams, eligible, select_committee, view_leader
+from .sortition import Credential, ProtocolParams, select_committee
 
 STRATEGIES = ("honest", "genesis_fork", "bribery")
 

@@ -6,11 +6,12 @@ A round runs as three phases, each driven through the engine's step primitive
 decision with its evidence: `propose_phase`, `agree` (the step-3 relay,
 `gc_grade` and the binary-agreement step loop) and `certify`.
 
-Steps 2 to the last certificate step all send one message type, `Vote`, for
-the step's value (a digest at steps 2 and 3, `bytes([bit])` in binary
-agreement, `cert_payload(bit, digest)` in a cert), and run the rules that
-choose it (`supermajority_value`, `gc_grade`, the BBA tally) once per step
-over the one shared inbox of broadcast-only traffic.  Every committee step,
+Steps 2 to the last certificate step all send one message type,
+`ledger.Vote` (the record a block's certificate holds), for the step's value
+(a digest at steps 2 and 3, `bytes([bit])` in binary agreement,
+`cert_payload(bit, digest)` in a cert), and run the rules that choose it
+(`supermajority_value`, `gc_grade`, the BBA tally) once per step over the one
+shared inbox of broadcast-only traffic.  Every committee step,
 step 1 included, spends its members' keys in one `KeyRegistry.spend_keys`
 call, the lifecycle the bribery attack buys, but only what leaves the round
 is signed: the certificate votes (`vote`); every other vote is `cast`, and
@@ -32,8 +33,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .crypto import Digest, KeyRegistry, Signature, UserId, be8, hash_to_unit, sha256
-from .ledger import Block, Chain, Payment, next_block
+from .crypto import Digest, KeyRegistry, UserId, be8, hash_to_unit, sha256
+from .ledger import Block, Chain, Payment, Vote, next_block
 from .sortition import Credential, select_leader
 
 Step = Callable[..., tuple[list[Credential], list]]
@@ -41,15 +42,6 @@ Step = Callable[..., tuple[list[Credential], list]]
 
 class ProposalMessage(NamedTuple):
     block: Block | None  # the leader's block; None from any other proposer
-    credential: Credential
-
-
-class Vote(NamedTuple):
-    voter: UserId
-    round: int
-    step: int
-    value: bytes  # a digest, bytes([bit]) in BBA, or cert_payload(bit, digest)
-    sig: Signature | None  # a certificate vote's only; None when cast
     credential: Credential
 
 

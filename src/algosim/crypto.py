@@ -219,8 +219,7 @@ class KeyRegistry:
         key keeper's key is retained, anyone else's destroyed.  A destroyed
         key is refused.  All owners are checked first: a refused call raises
         what the first refused one-owner call would, and changes nothing."""
-        bits = (self._bit if 0 <= round <= self.horizon
-                and 1 <= step <= self.max_step else {})  # {}: nobody's key
+        bits = self._bit if self._provisioned(round, step) else {}  # {}: nobody's key
         start = mask = self._destroyed.get((round, step), 0)
         keepers, kept = self._keepers, {}
         for owner in owners:

@@ -7,7 +7,7 @@ the step-2 vote, `agree` (not in simple mode) and `certify`.  Every committee
 step runs through one primitive in `run_round`: `step(s, value, sign)` selects
 the (r, s) committee, has its members send `value` through `sign` in one call
 (None: the step is silent), delivers, and returns the committee and the
-delivered messages.  Every step from 2 on sends `consensus.Vote`s, cast
+delivered messages.  Every step from 2 on sends `ledger.Vote`s, cast
 unsigned up to the decision step and signed over `cert_payload` by
 `certify`; step 1 proposes through its own `sign` builder, where every
 potential leader spends its key and only the leader attaches a block, unsigned.
@@ -26,7 +26,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from . import consensus, sortition
+from . import consensus
 from .adversary import (
     AdversaryConfig,
     AttackFailedError,
@@ -41,6 +41,7 @@ from .ledger import (
     block_hash,
     build_payset,
     cert_payload,
+    eligible,
     make_genesis,
     make_payment,
     next_block,
@@ -199,14 +200,14 @@ class SimulationRun:
                 r, None, {}, 0, None, None, None, True, 0, ("bootstrap",)))
             return
 
-        eligible = sorted(sortition.eligible(r, self.chain, params))
+        serving = sorted(eligible(r, self.chain, params))
         payset, after = build_payset(self._workload(r),
                                      self.chain.status_entering(r), self.registry)
         sizes: dict[int, int] = {}
         deliveries: list[int] = []
 
         def step(s, value, sign=consensus.cast):
-            committee = select_committee(r, s, prev.seed, eligible, params,
+            committee = select_committee(r, s, prev.seed, serving, params,
                                          self.registry)
             sizes[s] = len(committee)
             if value is not None:

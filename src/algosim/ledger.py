@@ -1,19 +1,21 @@
-"""Accounts, payments, blocks and chain validation.
+"""Accounts, payments, blocks, the chain's reads and chain validation.
 
 A block is hashed over length-prefixed big-endian fields in declaration
 order, so golden digests can be reproduced with any SHA-256 implementation
 (see README for the exact byte layout).  A block hash covers (round, payset,
 seed, prev_hash) and explicitly excludes the certificate.  `next_block`
 builds every new block by the seed rule, and `validate_block`, the one block
-verifier, checks it; its `check_cert` checks a certificate one
-committee step group at a time, recomputing the group's credentials through
-`sortition.select_committee`.  A chain file is a JSON genesis header line
-and then one JSON block record a line, with sorted keys, no spaces, ints and
-lowercase hex; nothing there needs escaping, so `chain_lines` formats each
-record from a template as it is drawn, and a writer holds one line.
-`chain_from_lines` takes any iterable of lines, an open file included (a
-line's newline is JSON whitespace), and reads one record at a time, so a
-reader holds the chain's objects and one line, never the file's text.
+verifier, checks it; its `check_cert` checks a certificate one committee step
+group at a time, recomputing the group's credentials through
+`sortition.select_committee`.  Who may serve (`eligible`) and who leads
+(`view_leader`) are chain reads and live here, with `Vote`, the record a
+certificate holds.  A chain file is a JSON genesis header line and then one
+JSON block record a line, with sorted keys, no spaces, ints and lowercase
+hex; nothing there needs escaping, so `chain_lines` formats each record from
+a template as it is drawn, and a writer holds one line.  `chain_from_lines`
+takes any iterable of lines, an open file included (a line's newline is JSON
+whitespace), and reads one record at a time, so a reader holds the chain's
+objects and one line, never the file's text.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from . import sortition
 from .crypto import (
     DIGEST_LEN,
     TAG_BLOCK,
@@ -35,9 +38,7 @@ from .crypto import (
     be8,
     sha256,
 )
-
-if TYPE_CHECKING:
-    from .consensus import Vote
+from .sortition import Credential, ProtocolParams
 
 
 class LedgerError(Exception):
@@ -97,7 +98,7 @@ class Block:
     payset: tuple[Payment, ...]
     seed: Digest
     prev_hash: Digest
-    cert: tuple["Vote", ...]
+    cert: tuple[Vote, ...]
     # Hash of the canonical serialization (the cert is not covered), computed
     # on construction and by `dataclasses.replace`; `with_cert` copies it.
     digest: Digest = field(init=False, repr=False, compare=False)
@@ -112,7 +113,7 @@ class Block:
     def is_empty(self) -> bool:
         return not self.payset
 
-    def with_cert(self, cert: Sequence["Vote"]) -> "Block":
+    def with_cert(self, cert: Sequence[Vote]) -> "Block":
         certified = object.__new__(Block)
         certified.__dict__.update(self.__dict__, cert=tuple(cert))
         return certified
@@ -120,6 +121,15 @@ class Block:
 
 def payment_message(payer: UserId, payee: UserId, amount: int, round: int) -> bytes:
     return TAG_PAYMENT + be8(payer) + be8(payee) + be8(amount) + be8(round)
+
+
+class Vote(NamedTuple):
+    voter: UserId
+    round: int
+    step: int
+    value: bytes  # a digest, bytes([bit]) in BBA, or cert_payload(bit, digest)
+    sig: Signature | None  # a certificate vote's only; None when cast
+    credential: Credential
 
 
 def cert_payload(bit: int, block_digest: Digest) -> bytes:
@@ -319,14 +329,28 @@ def users_at(chain: Chain, round: int) -> set[UserId]:
     return chain.status_entering(round + 1).holders
 
 
-def validate_block(chain: Chain, b: Block, params, registry: KeyRegistry) -> list[str]:
+def eligible(round: int, chain: Chain, params: ProtocolParams) -> set[UserId]:
+    """Who may serve in `round`: the holders `lookback` rounds earlier."""
+    if round < params.lookback:
+        return set()
+    return users_at(chain, round - params.lookback)
+
+
+def view_leader(round: int, prev_seed: Digest, chain: Chain,
+                params: ProtocolParams, registry: KeyRegistry) -> UserId | None:
+    """The round's leader: smallest-unit potential leader, or None."""
+    users = sorted(eligible(round, chain, params))
+    return sortition.select_leader(sortition.select_committee(
+        round, 1, prev_seed, users, params, registry))
+
+
+def validate_block(chain: Chain, b: Block, params: ProtocolParams,
+                   registry: KeyRegistry) -> list[str]:
     """Check a block against the chain prefix through round b.round - 1.
 
     Returns the full violation list (empty means valid) instead of failing
     fast, so adversarial blocks can be analyzed.
     """
-    from . import sortition  # imported late: sortition depends on this module
-
     violations: list[str] = []
     if b.round < 1 or b.round > len(chain.blocks):
         return [f"round {b.round} has no validated predecessor"]
@@ -356,7 +380,7 @@ def validate_block(chain: Chain, b: Block, params, registry: KeyRegistry) -> lis
     elif bootstrap:
         violations.append("non-empty block before the lookback horizon")
     else:
-        leader = sortition.view_leader(b.round, prev.seed, chain, params, registry)
+        leader = view_leader(b.round, prev.seed, chain, params, registry)
         if leader is None:
             violations.append("non-empty block in a round with no potential leader")
         elif b.seed != leader_round_seed(registry.unique_sign(leader, prev.seed)):
@@ -384,9 +408,9 @@ def validate_block(chain: Chain, b: Block, params, registry: KeyRegistry) -> lis
     return violations
 
 
-def check_cert(cert: Sequence["Vote"], round: int, digest: Digest,
-               expected_bit: int, prev_seed: Digest, chain: Chain, params,
-               registry: KeyRegistry) -> list[str | None]:
+def check_cert(cert: Sequence[Vote], round: int, digest: Digest,
+               expected_bit: int, prev_seed: Digest, chain: Chain,
+               params: ProtocolParams, registry: KeyRegistry) -> list[str | None]:
     """Why each message of `cert` is unacceptable for `digest` (None where
     it is fine), in cert order; `expected_bit` is 1 for the round's empty
     block, else 0.
@@ -400,12 +424,10 @@ def check_cert(cert: Sequence["Vote"], round: int, digest: Digest,
     `bad-signature` from `not-selected`.  The valid messages' ephemeral
     signatures are checked in one `verify_ephemeral_many` call.  An eligible
     voter the registry does not know raises `UnknownUserError`."""
-    from . import sortition  # imported late: sortition depends on this module
-
     payload = cert_payload(expected_bit, digest)
-    eligible = sortition.eligible(round, chain, params)
+    serving = eligible(round, chain, params)
     reasons: list[str | None] = []
-    by_step: dict[int, list[tuple[int, "Vote"]]] = {}
+    by_step: dict[int, list[tuple[int, Vote]]] = {}
     for m in cert:
         voter, m_round, step, value, _, credential = m
         reason = None
@@ -418,7 +440,7 @@ def check_cert(cert: Sequence["Vote"], round: int, digest: Digest,
             reason = "credential does not match message"
         elif step < 1:
             reason = "credential invalid (bad-step)"
-        elif voter not in eligible:
+        elif voter not in serving:
             reason = "credential invalid (not-eligible)"
         else:
             by_step.setdefault(step, []).append((len(reasons), m))
@@ -443,7 +465,7 @@ def check_cert(cert: Sequence["Vote"], round: int, digest: Digest,
     return reasons
 
 
-def verify_chain(chain: Chain, params, registry: KeyRegistry,
+def verify_chain(chain: Chain, params: ProtocolParams, registry: KeyRegistry,
                  genesis: dict[UserId, int] | None = None) -> list[tuple[int, str]]:
     """Replay validate_block over every round; returns (round, violation) pairs.
 
@@ -526,9 +548,6 @@ def chain_from_lines(lines: Iterable[str],
                      window: int | None = None) -> Chain:
     """Parse an exported chain; `window` defaults to the status window of the
     default protocol parameters, `lookback + 1`."""
-    from .consensus import Vote
-    from .sortition import Credential, ProtocolParams
-
     if window is None:
         window = ProtocolParams().lookback + 1
 

@@ -7,7 +7,7 @@ unit per user); stake-weighted refinements are out of scope.
 
 `select_committee` is the one sortition kernel: the engine, the validators
 and the adversary all enumerate leaders and committees through it, and
-`view_leader`, the one omniscient view, names a round's leader by it.  It builds
+`ledger.view_leader` names a round's leader by it.  It builds
 the credential message once, signs it for every eligible user in one registry
 call and keeps a user when SHA-256(signature) <= `selection_bound(p)`, a
 byte-string compare against `selection_limit(p)` as 8 big-endian bytes padded
@@ -20,8 +20,8 @@ user the kernel makes its two hashes (sign, then hash), each from a copied
 prepared SHA-256 state (the signer's, then the empty `_SELECTION_HASH`), and
 one bytes compare, with no slice or integer conversion.  The certificate check
 (`ledger.check_cert`) recomputes each step group's credentials through it as
-well, so this compare is the one selection rule, and `eligible` is the one
-read of who may serve in a round.
+well, so this compare is the one selection rule.  Who may serve in a round
+is a read of the chain, `ledger.eligible`; this module reads no chain.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .crypto import (
     be8,
     hash_to_unit,
 )
-from .ledger import Chain, users_at
 
 _SELECTION_HASH = _sha256()  # copied, never updated: starts each selection hash
 
@@ -50,17 +49,16 @@ _SELECTION_HASH = _sha256()  # copied, never updated: starts each selection hash
 class ProtocolParams:
     """Protocol-wide knobs.
 
-    Desk-scale defaults keep the 2/3-threshold ratios of the full-size
-    protocol while running in milliseconds; production-scale values remain
-    configurable.
+    The defaults are what `cli.load_config` derives for the default
+    `ScenarioConfig` (10 users, 20 rounds), so `ScenarioConfig()` runs.
     """
 
     leader_prob: float = 0.05
     verifier_prob: float = 0.2
     lookback: int = 3
     max_ba_steps: int = 9
-    cert_threshold: int = 14
-    horizon: int = 64
+    cert_threshold: int = 2
+    horizon: int = 28
 
     def __post_init__(self):
         if not 0 <= self.leader_prob <= 1:
@@ -102,13 +100,6 @@ class Credential(NamedTuple):
 def credential_message(round: int, step: int, prev_seed: Digest) -> bytes:
     tag = TAG_LEADER if step == 1 else TAG_VERIFIER
     return tag + be8(round) + be8(step) + prev_seed
-
-
-def eligible(round: int, chain: Chain, params: ProtocolParams) -> set[UserId]:
-    """Who may serve in `round`: the holders `lookback` rounds earlier."""
-    if round < params.lookback:
-        return set()
-    return users_at(chain, round - params.lookback)
 
 
 @lru_cache(maxsize=64)
@@ -166,13 +157,3 @@ def select_leader(credentials: list[Credential]) -> UserId | None:
         return None
     return min(credentials, key=lambda c: (c.unit, c.user)).user
 
-
-# -- omniscient view ----------------------------------------------------------
-# Validators and adversaries name a round's leader over the user set
-# `lookback` rounds back, through the same kernel the engine runs.
-
-def view_leader(round: int, prev_seed: Digest, chain: Chain,
-                params: ProtocolParams, registry: KeyRegistry) -> UserId | None:
-    """The round's leader: smallest-unit potential leader, or None."""
-    users = sorted(eligible(round, chain, params))
-    return select_leader(select_committee(round, 1, prev_seed, users, params, registry))

@@ -3,8 +3,8 @@ from hypothesis import strategies as st
 
 from algosim.crypto import Digest, EphemeralKeyRecord, KeyRegistry, UserId
 from algosim.engine import ScenarioConfig
-from algosim.ledger import Chain, make_genesis, next_block
-from algosim.sortition import Credential, ProtocolParams, eligible, select_committee
+from algosim.ledger import Chain, eligible, make_genesis, next_block
+from algosim.sortition import Credential, ProtocolParams, select_committee
 
 
 def make_registry(seed=0, horizon=64, max_step=13, users=range(1, 11)) -> KeyRegistry:

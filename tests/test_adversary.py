@@ -23,8 +23,9 @@ from algosim.ledger import (
     users_at,
     validate_block,
     verify_chain,
+    view_leader,
 )
-from algosim.sortition import ProtocolParams, view_leader
+from algosim.sortition import ProtocolParams
 
 from conftest import view_committee, view_credential
 

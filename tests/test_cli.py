@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import algosim.cli as cli
 from algosim.crypto import KeyRegistry
 from algosim.engine import EngineError, ScenarioConfig, run_scenario
-from algosim.ledger import chain_lines
+from algosim.ledger import chain_lines, verify_chain
 from algosim.sortition import ProtocolParams
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -687,6 +687,17 @@ def test_dataclass_defaults_are_the_config_defaults(tmp_path, text):
     # committee (0.2 * 10 users), rounded down, plus one
     assert cli.load_config(str(path)) == ScenarioConfig(
         params=ProtocolParams(cert_threshold=2, horizon=28))
+
+
+def test_default_scenario_runs_and_verifies(tmp_path):
+    # a config file that sets no field is the library's default scenario,
+    # and a direct library caller can run that scenario as it is
+    path = tmp_path / "empty.cfg"
+    path.write_text("[scenario]\n")
+    assert cli.load_config(str(path)) == ScenarioConfig()
+    [chain], _ = run_scenario(ScenarioConfig())
+    assert chain.tip_round == ScenarioConfig.rounds == 20
+    assert verify_chain(chain, ScenarioConfig().params, chain.registry) == []
 
 
 def test_readme_run_then_verify_chain_example_passes(tmp_path, capsys,

@@ -25,8 +25,9 @@ from algosim.ledger import (
     make_payment,
     next_block,
     validate_block,
+    view_leader,
 )
-from algosim.sortition import ProtocolParams, view_leader
+from algosim.sortition import ProtocolParams
 
 from conftest import idle_chain, key_records, make_registry, view_credential
 

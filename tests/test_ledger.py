@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algosim import sortition
-from algosim.consensus import Vote
 from algosim.crypto import (
     TAG_BLOCK,
     TAG_PAYMENT,
@@ -30,6 +29,7 @@ from algosim.ledger import (
     Payment,
     RoundOutOfRangeError,
     Status,
+    Vote,
     apply_payset,
     block_hash,
     build_payset,
@@ -42,6 +42,7 @@ from algosim.ledger import (
     next_block,
     users_at,
     validate_block,
+    view_leader,
 )
 from algosim.sortition import (
     Credential,
@@ -820,8 +821,7 @@ def test_cert_check_selects_through_the_one_kernel(certified, monkeypatch):
     chain, params = certified, CERT_RUN.params
     block = chain.blocks[params.lookback + 1]
     prev_seed = chain.blocks[block.round - 1].seed
-    leader = sortition.view_leader(block.round, prev_seed, chain, params,
-                                   chain.registry)
+    leader = view_leader(block.round, prev_seed, chain, params, chain.registry)
     dropped = next(m.voter for m in block.cert if m.voter != leader)
     real = sortition.select_committee
 

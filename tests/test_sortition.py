@@ -7,9 +7,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import algosim.sortition as sortition
-from algosim.consensus import Vote
 from algosim.crypto import ZERO_DIGEST, _ephemeral_sig, be8, hash_to_unit
-from algosim.ledger import cert_payload, check_cert, users_at
+from algosim.ledger import Vote, cert_payload, check_cert, users_at, view_leader
 from algosim.sortition import (
     Credential,
     ProtocolParams,
@@ -19,7 +18,6 @@ from algosim.sortition import (
     select_leader,
     selection_bound,
     selection_limit,
-    view_leader,
 )
 
 from conftest import idle_chain, make_registry, view_committee, view_credential
@@ -126,8 +124,20 @@ def test_committee_mean_matches_binomial(env):
     assert 19.0 <= mean <= 21.0
 
 
+def chi2_sf(x, dof):
+    """P(X >= x) for X chi-square with `dof` degrees of freedom, in closed
+    form: exp(-x/2) times the sum of (x/2)**a / Gamma(a + 1), over
+    a = 0, 1, .., dof/2 - 1 for even dof, and over a = 1/2, 3/2, ..,
+    (dof - 2)/2 plus erfc(sqrt(x/2)) for odd dof."""
+    h = x / 2
+    total, start = (math.erfc(math.sqrt(h)), 0.5) if dof % 2 else (0.0, 0.0)
+    for j in range(dof // 2):
+        a = start + j
+        total += math.exp(a * math.log(h) - h - math.lgamma(a + 1))
+    return total
+
+
 def test_committee_sizes_fit_binomial_chi_square(env):
-    scipy_stats = pytest.importorskip("scipy.stats")
     registry, chain = env
     params = params_with(p2=0.2)
     draws = []
@@ -135,7 +145,7 @@ def test_committee_sizes_fit_binomial_chi_square(env):
         prev_seed = hashlib.sha256(b"chi2" + be8(i)).digest()
         draws.append(len(view_committee(5, 2, prev_seed, chain, params, registry)))
     # bin the binomial(100, 0.2) pmf so every expected count is >= 5
-    pmf = [scipy_stats.binom.pmf(k, N, 0.2) for k in range(N + 1)]
+    pmf = [math.comb(N, k) * 0.2**k * 0.8**(N - k) for k in range(N + 1)]
     edges, acc = [], 0.0
     for k in range(N + 1):
         acc += pmf[k]
@@ -151,7 +161,7 @@ def test_committee_sizes_fit_binomial_chi_square(env):
         i = sum(1 for e in edges if k > e)
         expected[i] += pmf[k] * len(draws)
     stat = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
-    pvalue = scipy_stats.chi2.sf(stat, len(observed) - 1)
+    pvalue = chi2_sf(stat, len(observed) - 1)
     assert pvalue >= 0.01
 
 
