@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .consensus import vote
-from .crypto import AdversarySigner, KeyMissingError, KeyRegistry, KeyState, UserId
+from .crypto import AdversarySigner, KeyMissingError, KeyState, UserId
 from .ledger import (
     Block,
     Chain,
@@ -25,7 +25,7 @@ from .ledger import (
     users_at,
     view_leader,
 )
-from .sortition import Credential, ProtocolParams, select_committee
+from .sortition import Credential, select_committee
 
 STRATEGIES = ("honest", "genesis_fork", "bribery")
 
@@ -77,8 +77,7 @@ class AdversaryConfig:
 
 # -- genesis-set fork ----------------------------------------------------------
 
-def fork_from(chain: Chain, fork_round: int, params: ProtocolParams,
-              registry: KeyRegistry) -> Chain:
+def fork_from(chain: Chain, fork_round: int) -> Chain:
     """Rebuild the chain from `fork_round` one block past the honest tip.
 
     Requires control of every user in the round's user set and the one-third
@@ -98,6 +97,7 @@ def fork_from(chain: Chain, fork_round: int, params: ProtocolParams,
         raise PreconditionViolatedError(
             f"corrupting {len(corrupted)} of {len(population)} users exceeds "
             "the one-third budget")
+    params, registry = chain.params, chain.registry
     signer = AdversarySigner(registry, set(corrupted))
     payers = sorted(corrupted)
     recipients = sorted(population - corrupted)
@@ -113,7 +113,7 @@ def fork_from(chain: Chain, fork_round: int, params: ProtocolParams,
             payset = _tiny_grants(signer, status, payers, recipients, r)
         else:
             payset = _shuffle_payment(signer, status, payers, r)
-        leader = view_leader(r, prev.seed, fork, params, registry)
+        leader = view_leader(r, prev.seed, fork)
         if payset and (leader is None or leader not in corrupted):
             payset = []  # cannot produce the leader's seed signature
         block = next_block(prev, payset, signer, leader)
@@ -124,8 +124,7 @@ def fork_from(chain: Chain, fork_round: int, params: ProtocolParams,
             except KeyMissingError:  # the registry provisions no such key
                 return False
 
-        voters = _held_voters(fork, r, prev.seed, corrupted, params, registry,
-                              unspent)
+        voters = _held_voters(fork, r, prev.seed, corrupted, unspent)
         if len(voters) < need:
             raise ForkInfeasibleError(r, len(voters), need)
         payload = cert_payload(0 if payset else 1, block_hash(block))
@@ -165,24 +164,23 @@ def _tiny_grants(signer, status, payers, recipients, round: int) -> list:
 
 
 def _held_voters(chain: Chain, round: int, prev_seed: bytes,
-                 users: set[UserId], params: ProtocolParams,
-                 registry: KeyRegistry, holds) -> list[Credential]:
+                 users: set[UserId], holds) -> list[Credential]:
     """Every distinct committee member of `round` among `users` whose key the
     adversary holds, at its first such step from 2 on: each step is one
     `select_committee` call over the eligible `users` not yet chosen for whom
     `holds(user, step)` is true, made only when there are such users.  The
     steps end at `max_step` or once every eligible user is chosen.  Voters
     come in step, then user order."""
-    pool = sorted(eligible(round, chain, params) & users)
+    pool = sorted(eligible(round, chain) & users)
     voters: list[Credential] = []
-    for step in range(2, params.max_step + 1):
+    for step in range(2, chain.params.max_step + 1):
         if not pool:
             break
         held = [u for u in pool if holds(u, step)]
         if not held:
             continue
-        chosen = select_committee(round, step, prev_seed, held, params,
-                                  registry)
+        chosen = select_committee(round, step, prev_seed, held, chain.params,
+                                  chain.registry)
         voters += chosen
         taken = {c.user for c in chosen}
         pool = [u for u in pool if u not in taken]
@@ -201,9 +199,7 @@ def _sign_cert(voters: list[Credential], payload: bytes,
 
 # -- bribery ---------------------------------------------------------------------
 
-def bribe_and_recertify(chain: Chain, target_round: int, retained,
-                        params: ProtocolParams,
-                        registry: KeyRegistry) -> Block:
+def bribe_and_recertify(chain: Chain, target_round: int, retained) -> Block:
     """Certify an alternative block for an already-finalized round.
 
     `retained` holds the ephemeral key records bought from their owners; all
@@ -226,20 +222,20 @@ def bribe_and_recertify(chain: Chain, target_round: int, retained,
     honest = chain.blocks[r]
     prev = chain.blocks[r - 1]
     owners = {rec.owner for rec in retained}
-    signer = AdversarySigner(registry, set(owners))
+    signer = AdversarySigner(chain.registry, set(owners))
 
     # Which bought keys belong to genuine committee members of this round?
     bought = {(rec.owner, rec.step) for rec in retained if rec.round == r}
-    usable = _held_voters(chain, r, prev.seed, owners, params, registry,
+    usable = _held_voters(chain, r, prev.seed, owners,
                           lambda user, step: (user, step) in bought)
-    have, need = len(usable), params.cert_threshold
+    have, need = len(usable), chain.params.cert_threshold
     if have < need:
         raise AttackFailedError(have, need)
 
     payset = _alternative_payset(signer, chain, r, owners)
     if honest.is_empty():
         # No leader signature to reuse; the bribed set must include the leader.
-        leader = view_leader(r, prev.seed, chain, params, registry)
+        leader = view_leader(r, prev.seed, chain)
         if leader is None or leader not in owners:
             raise AttackFailedError(have, need, reason="round leader not bribable")
         block = next_block(prev, payset, signer, leader)

@@ -215,7 +215,7 @@ def cmd_verify_chain(args) -> int:
         with open(args.chain) as f:
             chain = chain_from_lines(
                 (record for line in f for record in line.splitlines()),
-                registry, window=config.params.lookback + 1)
+                registry, config.params)
     except (OSError, UnicodeDecodeError, LedgerError) as exc:
         print(f"error: cannot load chain: {exc}", file=sys.stderr)
         return 2
@@ -225,7 +225,7 @@ def cmd_verify_chain(args) -> int:
             registry.register_user(p.payee)
     genesis = dict.fromkeys(range(1, config.num_genesis_users + 1),
                             config.initial_balance)
-    problems = verify_chain(chain, config.params, registry, genesis)
+    problems = verify_chain(chain, genesis)
     for round, violation in problems:
         print(f"round {round}: {violation}")
     if problems:

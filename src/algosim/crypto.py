@@ -164,21 +164,16 @@ class KeyRegistry:
     def unique_sign(self, owner: UserId, message: bytes) -> Signature:
         """The one signature that verifies for (owner, message); verifiers
         recompute it, and the seed never leaves the registry."""
-        try:
-            h = self._states[owner].copy()
-        except KeyError:
-            raise UnknownUserError(f"user {owner} is not registered") from None
-        h.update(message)
-        return h.digest()
+        return self.unique_signatures((owner,), message)[0]
 
     def verify_unique(self, owner: UserId, message: bytes, sig: Signature) -> bool:
         return self.unique_sign(owner, message) == sig
 
     def unique_signatures(self, owners: Iterable[UserId],
                           message: bytes) -> list[Signature]:
-        """Every owner's unique signature over one message, in order; the
-        bytes equal `unique_sign(owner, message)`.  This is sortition's
-        hot loop, so it copies straight from the state table."""
+        """Every owner's unique signature over one message, in order;
+        `unique_sign` is the one-owner call.  This is sortition's hot loop,
+        so it copies straight from the state table."""
         states, sigs = self._states, []
         try:
             for u in owners:

@@ -143,7 +143,7 @@ class SimulationRun:
         self.next_uid = config.num_genesis_users + 1
         self.chain = make_genesis(
             {u: config.initial_balance for u in genesis_users}, self.registry,
-            window=self.params.lookback + 1)
+            self.params)
         self.records: list[RoundRecord] = []
 
     def _register_user(self, uid: UserId) -> None:
@@ -200,7 +200,7 @@ class SimulationRun:
                 r, None, {}, 0, None, None, None, True, 0, ("bootstrap",)))
             return
 
-        serving = sorted(eligible(r, self.chain, params))
+        serving = sorted(eligible(r, self.chain))
         payset, after = build_payset(self._workload(r),
                                      self.chain.status_entering(r), self.registry)
         sizes: dict[int, int] = {}
@@ -256,20 +256,17 @@ class SimulationRun:
         adv = self.config.adversary
         chains, attack_error = [self.chain], None
         if adv.strategy == "genesis_fork":
-            chains.append(fork_from(self.chain, adv.fork_round, self.params,
-                                    self.registry))
+            chains.append(fork_from(self.chain, adv.fork_round))
         elif adv.strategy == "bribery":
             retained = self.registry.retained_records(adv.target_round)
             try:
-                alt = bribe_and_recertify(self.chain, adv.target_round,
-                                          retained, self.params, self.registry)
+                alt = bribe_and_recertify(self.chain, adv.target_round, retained)
                 chains.append(self.chain.prefix(adv.target_round))
                 chains[1].append(alt)
             except AttackFailedError as exc:
                 attack_error = str(exc)
         reports = [] if len(chains) == 1 else detect_fork(
-            *chains, self.params, self.registry,
-            classification=FORK_CLASSIFICATIONS[adv.strategy])
+            *chains, classification=FORK_CLASSIFICATIONS[adv.strategy])
         metrics = RunMetrics(
             rounds=self.records,
             forks_detected=len(reports),
@@ -286,8 +283,7 @@ def run_scenario(config: ScenarioConfig) -> tuple[list[Chain], RunMetrics]:
     return SimulationRun(config).run()
 
 
-def detect_fork(a: Chain, b: Chain, params: ProtocolParams,
-                registry: KeyRegistry,
+def detect_fork(a: Chain, b: Chain,
                 classification: str = "protocol-violation") -> list[ForkReport]:
     """One report when chains `a` and `b` diverge with two validly certified
     blocks on a common prefix, else none.  Pure extensions are not forks."""
@@ -298,8 +294,8 @@ def detect_fork(a: Chain, b: Chain, params: ProtocolParams,
         if da == db:
             continue
         prefix = a.prefix(r)
-        if (validate_block(prefix, a.blocks[r], params, registry)
-                or validate_block(prefix, b.blocks[r], params, registry)):
+        if (validate_block(prefix, a.blocks[r])
+                or validate_block(prefix, b.blocks[r])):
             return []
         return [ForkReport(r, da, db, a.blocks[r].cert, b.blocks[r].cert,
                            classification)]

@@ -9,13 +9,15 @@ verifier, checks it; its `check_cert` checks a certificate one committee step
 group at a time, recomputing the group's credentials through
 `sortition.select_committee`.  Who may serve (`eligible`) and who leads
 (`view_leader`) are chain reads and live here, with `Vote`, the record a
-certificate holds.  A chain file is a JSON genesis header line and then one
-JSON block record a line, with sorted keys, no spaces, ints and lowercase
-hex; nothing there needs escaping, so `chain_lines` formats each record from
-a template as it is drawn, and a writer holds one line.  `chain_from_lines`
-takes any iterable of lines, an open file included (a line's newline is JSON
-whitespace), and reads one record at a time, so a reader holds the chain's
-objects and one line, never the file's text.
+certificate holds.  A `Chain` carries the `ProtocolParams` and `KeyRegistry`
+it is read under, so every chain read takes only the chain.  A chain file
+is a JSON genesis header line and then one JSON block record a line, with
+sorted keys, no spaces, ints and lowercase hex; nothing there needs
+escaping, so `chain_lines` formats each record from a template as it is
+drawn, and a writer holds one line.  `chain_from_lines` takes any iterable
+of lines, an open file included (a line's newline is JSON whitespace), and
+reads one record at a time, so a reader holds the chain's objects and one
+line, never the file's text.
 """
 
 from __future__ import annotations
@@ -230,15 +232,17 @@ def next_block(prev: Block, payset: Sequence[Payment] = (), signer=None,
 
 @dataclass
 class Chain:
-    """Validated sequence of blocks starting at genesis.
+    """Validated sequence of blocks starting at genesis, read under its own
+    `params` and `registry`: the chain reads (`eligible`, `view_leader`,
+    `validate_block`, `verify_chain`) take both from the chain.
 
     Keeps a window of statuses: `_statuses[r]` is the Status entering round
     r, i.e. after replaying paysets 0..r-1, which caches its positive
-    `holders`.  Genesis stays; of the later rounds only the `window` highest
-    computed ones stay.  A round is read in the order the chain grows: the
-    engine and `validate_block` ask for `status_entering(r)` and
-    `users_at(r - lookback)`, so a window of `lookback + 1` serves them all
-    and memory stays flat per round.  A request below the window (an
+    `holders`.  Genesis stays; of the later rounds only the
+    `params.lookback + 1` highest computed ones stay.  A round is read in the
+    order the chain grows: the engine and `validate_block` ask for
+    `status_entering(r)` and `users_at(r - lookback)`, so that window serves
+    them all and memory stays flat per round.  A request below the window (an
     attack's target round, a test) replays from genesis and caches nothing.
     A caller that has just applied the payset of the chain's own block hands
     the result over with `carry`, so the window's next status is not
@@ -248,13 +252,11 @@ class Chain:
     genesis_status: Status
     blocks: list[Block] = field(default_factory=list)
     registry: KeyRegistry | None = None
-    window: int = field(kw_only=True)
+    params: ProtocolParams = field(kw_only=True)
     _statuses: dict[int, Status] = field(init=False, repr=False)
     _top: int = field(init=False, repr=False)  # highest round in _statuses
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("a status window holds at least one round")
         self._statuses = {0: Status(0, dict(self.genesis_status.balances))}
         self._top = 0
 
@@ -295,8 +297,9 @@ class Chain:
         """Store the status entering round `_top + 1` and slide the window."""
         self._statuses[status.round] = status
         self._top = status.round
-        if status.round - self.window > 0:
-            self._statuses.pop(status.round - self.window, None)
+        old = status.round - self.params.lookback - 1
+        if old > 0:
+            self._statuses.pop(old, None)
 
     def carry(self, block: Block, status: Status) -> None:
         """Keep `status`, the balances after `block`'s payset applied, as the
@@ -311,13 +314,13 @@ class Chain:
     def prefix(self, length: int) -> "Chain":
         """A chain holding the first `length` blocks (shared, immutable)."""
         return Chain(self.genesis_status, list(self.blocks[:length]),
-                     self.registry, window=self.window)
+                     self.registry, params=self.params)
 
 
 def make_genesis(balances: dict[UserId, int], registry: KeyRegistry,
-                 window: int) -> Chain:
+                 params: ProtocolParams) -> Chain:
     genesis = Status(0, dict(balances))
-    chain = Chain(genesis, registry=registry, window=window)
+    chain = Chain(genesis, registry=registry, params=params)
     chain.append(Block(0, (), registry.genesis_seed, ZERO_DIGEST, ()))
     return chain
 
@@ -329,28 +332,28 @@ def users_at(chain: Chain, round: int) -> set[UserId]:
     return chain.status_entering(round + 1).holders
 
 
-def eligible(round: int, chain: Chain, params: ProtocolParams) -> set[UserId]:
+def eligible(round: int, chain: Chain) -> set[UserId]:
     """Who may serve in `round`: the holders `lookback` rounds earlier."""
-    if round < params.lookback:
+    lookback = chain.params.lookback
+    if round < lookback:
         return set()
-    return users_at(chain, round - params.lookback)
+    return users_at(chain, round - lookback)
 
 
-def view_leader(round: int, prev_seed: Digest, chain: Chain,
-                params: ProtocolParams, registry: KeyRegistry) -> UserId | None:
+def view_leader(round: int, prev_seed: Digest, chain: Chain) -> UserId | None:
     """The round's leader: smallest-unit potential leader, or None."""
-    users = sorted(eligible(round, chain, params))
+    users = sorted(eligible(round, chain))
     return sortition.select_leader(sortition.select_committee(
-        round, 1, prev_seed, users, params, registry))
+        round, 1, prev_seed, users, chain.params, chain.registry))
 
 
-def validate_block(chain: Chain, b: Block, params: ProtocolParams,
-                   registry: KeyRegistry) -> list[str]:
+def validate_block(chain: Chain, b: Block) -> list[str]:
     """Check a block against the chain prefix through round b.round - 1.
 
     Returns the full violation list (empty means valid) instead of failing
     fast, so adversarial blocks can be analyzed.
     """
+    params, registry = chain.params, chain.registry
     violations: list[str] = []
     if b.round < 1 or b.round > len(chain.blocks):
         return [f"round {b.round} has no validated predecessor"]
@@ -380,7 +383,7 @@ def validate_block(chain: Chain, b: Block, params: ProtocolParams,
     elif bootstrap:
         violations.append("non-empty block before the lookback horizon")
     else:
-        leader = view_leader(b.round, prev.seed, chain, params, registry)
+        leader = view_leader(b.round, prev.seed, chain)
         if leader is None:
             violations.append("non-empty block in a round with no potential leader")
         elif b.seed != leader_round_seed(registry.unique_sign(leader, prev.seed)):
@@ -388,29 +391,27 @@ def validate_block(chain: Chain, b: Block, params: ProtocolParams,
 
     # Certificate: at least cert_threshold valid messages from distinct
     # sortition-verified committee members, all over this block's hash.
-    # Rounds before the lookback horizon cannot have committees at all and
-    # are exempt (they must be empty blocks, checked above).
-    if not bootstrap:
-        digest = block_hash(b)
-        expected_bit = 1 if b.is_empty() else 0
-        seen: set[UserId] = set()  # voters of the valid messages
-        for m, reason in zip(b.cert, check_cert(b.cert, b.round, digest, expected_bit,
-                                                prev.seed, chain, params, registry)):
-            if reason is None and m.voter not in seen:
-                seen.add(m.voter)
-            else:
-                violations.append(f"cert message from user {m.voter}: "
-                                  f"{reason or 'duplicate voter'}")
-        if len(seen) < params.cert_threshold:
-            violations.append(
-                f"insufficient certificates: have {len(seen)}, "
-                f"need {params.cert_threshold}")
+    # Rounds before the lookback horizon cannot have committees at all, so
+    # any message there is reported and only the threshold is waived.
+    seen: set[UserId] = set()  # voters of the valid messages
+    for m, reason in zip(b.cert, check_cert(
+            b.cert, b.round, block_hash(b), 1 if b.is_empty() else 0,
+            prev.seed, chain)):
+        if reason is None and m.voter not in seen:
+            seen.add(m.voter)
+        else:
+            violations.append(f"cert message from user {m.voter}: "
+                              f"{reason or 'duplicate voter'}")
+    if not bootstrap and len(seen) < params.cert_threshold:
+        violations.append(
+            f"insufficient certificates: have {len(seen)}, "
+            f"need {params.cert_threshold}")
     return violations
 
 
 def check_cert(cert: Sequence[Vote], round: int, digest: Digest,
-               expected_bit: int, prev_seed: Digest, chain: Chain,
-               params: ProtocolParams, registry: KeyRegistry) -> list[str | None]:
+               expected_bit: int, prev_seed: Digest,
+               chain: Chain) -> list[str | None]:
     """Why each message of `cert` is unacceptable for `digest` (None where
     it is fine), in cert order; `expected_bit` is 1 for the round's empty
     block, else 0.
@@ -424,8 +425,9 @@ def check_cert(cert: Sequence[Vote], round: int, digest: Digest,
     `bad-signature` from `not-selected`.  The valid messages' ephemeral
     signatures are checked in one `verify_ephemeral_many` call.  An eligible
     voter the registry does not know raises `UnknownUserError`."""
+    params, registry = chain.params, chain.registry
     payload = cert_payload(expected_bit, digest)
-    serving = eligible(round, chain, params)
+    serving = eligible(round, chain)
     reasons: list[str | None] = []
     by_step: dict[int, list[tuple[int, Vote]]] = {}
     for m in cert:
@@ -465,26 +467,26 @@ def check_cert(cert: Sequence[Vote], round: int, digest: Digest,
     return reasons
 
 
-def verify_chain(chain: Chain, params: ProtocolParams, registry: KeyRegistry,
-                 genesis: dict[UserId, int] | None = None) -> list[tuple[int, str]]:
+def verify_chain(chain: Chain, genesis: dict[UserId, int] | None = None
+                 ) -> list[tuple[int, str]]:
     """Replay validate_block over every round; returns (round, violation) pairs.
 
-    A genesis seed other than `registry.genesis_seed` means the chain is of
-    another scenario seed, and genesis balances other than `genesis` (when
-    given) of another scenario: every later check would fail or mean nothing
-    for that one reason, so it is the one violation reported, at round 0, and
-    no block is checked.  The seed is compared first.
+    A genesis seed other than `chain.registry.genesis_seed` means the chain
+    is of another scenario seed, and genesis balances other than `genesis`
+    (when given) of another scenario: every later check would fail or mean
+    nothing for that one reason, so it is the one violation reported, at
+    round 0, and no block is checked.  The seed is compared first.
     """
     g = chain.blocks[0]
-    if g.seed != registry.genesis_seed:
+    if g.seed != chain.registry.genesis_seed:
         return [(0, "genesis seed does not match the registry's genesis seed")]
     if genesis is not None and chain.genesis_status.balances != genesis:
         return [(0, "genesis balances do not match the config")]
     problems: list[tuple[int, str]] = []
-    if g.round != 0 or g.payset or g.prev_hash != ZERO_DIGEST:
+    if g.round != 0 or g.payset or g.prev_hash != ZERO_DIGEST or g.cert:
         problems.append((0, "malformed genesis block"))
     for b in chain.blocks[1:]:
-        for v in validate_block(chain, b, params, registry):
+        for v in validate_block(chain, b):
             problems.append((b.round, v))
     return problems
 
@@ -545,12 +547,8 @@ _PARSE_ERRORS = (StopIteration, KeyError, ValueError, TypeError, AttributeError,
 
 def chain_from_lines(lines: Iterable[str],
                      registry: KeyRegistry | None = None,
-                     window: int | None = None) -> Chain:
-    """Parse an exported chain; `window` defaults to the status window of the
-    default protocol parameters, `lookback + 1`."""
-    if window is None:
-        window = ProtocolParams().lookback + 1
-
+                     params: ProtocolParams = ProtocolParams()) -> Chain:
+    """Parse an exported chain, to be read under `registry` and `params`."""
     it = iter(lines)
     try:
         header = json.loads(next(it))
@@ -560,7 +558,7 @@ def chain_from_lines(lines: Iterable[str],
         raise  # not text: a file's decoder may have failed on a later line
     except _PARSE_ERRORS as exc:
         raise LedgerError(f"malformed chain file header: {exc}") from exc
-    chain = Chain(Status(0, balances), registry=registry, window=window)
+    chain = Chain(Status(0, balances), registry=registry, params=params)
     for line in it:
         if not line.strip():
             continue

@@ -25,11 +25,11 @@ def key_records(registry) -> list[EphemeralKeyRecord]:
             for v in store.values() if isinstance(v, EphemeralKeyRecord)]
 
 
-def idle_chain(registry, balances, rounds) -> Chain:
-    """A chain of empty blocks; enough structure for sortition and ledger
-    tests that do not re-validate certificates."""
-    chain = make_genesis(balances, registry,
-                         window=ProtocolParams().lookback + 1)
+def idle_chain(registry, balances, rounds,
+               params: ProtocolParams = ProtocolParams()) -> Chain:
+    """A chain of empty blocks, read under `params`; enough structure for
+    sortition and ledger tests that do not re-validate certificates."""
+    chain = make_genesis(balances, registry, params)
     for _ in range(rounds):
         chain.append(next_block(chain.tip()))
     return chain
@@ -41,18 +41,18 @@ def idle_chain(registry, balances, rounds) -> Chain:
 # byte-identical to the ones the users themselves publish.
 
 def view_credential(user: UserId, round: int, step: int, prev_seed: Digest,
-                    chain: Chain, params: ProtocolParams,
-                    registry: KeyRegistry) -> Credential | None:
-    if user not in eligible(round, chain, params):
+                    chain: Chain) -> Credential | None:
+    if user not in eligible(round, chain):
         return None
-    selected = select_committee(round, step, prev_seed, [user], params, registry)
+    selected = select_committee(round, step, prev_seed, [user], chain.params,
+                                chain.registry)
     return selected[0] if selected else None
 
 
-def view_committee(round: int, step: int, prev_seed: Digest, chain: Chain,
-                   params: ProtocolParams, registry: KeyRegistry) -> list[Credential]:
-    return select_committee(round, step, prev_seed,
-                            sorted(eligible(round, chain, params)), params, registry)
+def view_committee(round: int, step: int, prev_seed: Digest,
+                   chain: Chain) -> list[Credential]:
+    return select_committee(round, step, prev_seed, sorted(eligible(round, chain)),
+                            chain.params, chain.registry)
 
 
 @pytest.fixture

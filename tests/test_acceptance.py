@@ -74,7 +74,7 @@ def test_criterion_01_genesis_fork_attack():
         honest, fork = chains
         assert len(users_at(honest, 2)) * 3 < len(users_at(honest, 12))
         assert len(fork.blocks) == len(honest.blocks) + 1, f"seed {seed}"
-        assert verify_chain(fork, params, honest.registry) == [], f"seed {seed}"
+        assert verify_chain(fork) == [], f"seed {seed}"
         assert metrics.forks_detected == 1, f"seed {seed}"
         assert metrics.fork_reports[0].classification == "genesis-fork"
     elapsed = time.perf_counter() - start
@@ -108,10 +108,9 @@ def test_criterion_02_bribery_attack():
     assert metrics.fork_reports[0].classification == "bribery-fork"
     assert metrics.fork_reports[0].round == target
 
-    alt = bribe_and_recertify(honest, target, registry.retained_records(target),
-                              cfg.params, registry)
+    alt = bribe_and_recertify(honest, target, registry.retained_records(target))
     assert block_hash(alt) != block_hash(honest.blocks[target])
-    assert validate_block(honest, alt, cfg.params, registry) == []
+    assert validate_block(honest, alt) == []
 
     # exact boundary: records of cert_threshold - 1 genuine committee members
     prev_seed = honest.blocks[target - 1].seed
@@ -119,15 +118,15 @@ def test_criterion_02_bribery_attack():
     for rec in registry.retained_records(target):
         if rec.step < 2 or rec.owner in owners:
             continue
-        if view_credential(rec.owner, target, rec.step, prev_seed, honest,
-                           cfg.params, registry) is None:
+        if view_credential(rec.owner, target, rec.step, prev_seed,
+                           honest) is None:
             continue
         if len(owners) == cfg.params.cert_threshold - 1:
             break
         owners.add(rec.owner)
         usable.append(rec)
     with pytest.raises(AttackFailedError) as err:
-        bribe_and_recertify(honest, target, usable, cfg.params, registry)
+        bribe_and_recertify(honest, target, usable)
     ok = (err.value.have == cfg.params.cert_threshold - 1
           and err.value.need == cfg.params.cert_threshold)
     report(2, ok, "alternative block certified and validated; "
@@ -203,9 +202,8 @@ def test_criterion_07_committee_size_statistics():
     registry = make_registry(seed=1234, users=range(1, 101))
     params = ProtocolParams(leader_prob=0.05, verifier_prob=0.2, lookback=3,
                             max_ba_steps=9, cert_threshold=14, horizon=2048)
-    chain = idle_chain(registry, {u: 100 for u in range(1, 101)}, 1002)
-    sizes = [len(view_committee(r, 2, chain.blocks[r - 1].seed, chain,
-                                params, registry))
+    chain = idle_chain(registry, {u: 100 for u in range(1, 101)}, 1002, params)
+    sizes = [len(view_committee(r, 2, chain.blocks[r - 1].seed, chain))
              for r in range(3, 1003)]
     elapsed = time.perf_counter() - start
     mean = sum(sizes) / len(sizes)

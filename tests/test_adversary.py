@@ -86,23 +86,23 @@ def bribery_run():
 class TestGenesisFork:
     def test_forged_chain_longer_and_valid(self, honest_run):
         chain = honest_run
-        fork = fork_from(chain, 2, FORK_PARAMS, chain.registry)
+        fork = fork_from(chain, 2)
         assert len(fork.blocks) == len(chain.blocks) + 1
         # validate_block is the oracle: every forged block must pass it
         for block in fork.blocks[3:]:
-            assert validate_block(fork, block, FORK_PARAMS, chain.registry) == []
-        assert verify_chain(fork, FORK_PARAMS, chain.registry) == []
+            assert validate_block(fork, block) == []
+        assert verify_chain(fork) == []
 
     def test_fork_diverges_but_shares_prefix(self, honest_run):
         chain = honest_run
-        fork = fork_from(chain, 2, FORK_PARAMS, chain.registry)
+        fork = fork_from(chain, 2)
         for r in range(3):
             assert block_hash(fork.blocks[r]) == block_hash(chain.blocks[r])
         assert block_hash(fork.blocks[3]) != block_hash(chain.blocks[3])
 
     def test_final_block_pays_displaced_users(self, honest_run):
         chain = honest_run
-        fork = fork_from(chain, 2, FORK_PARAMS, chain.registry)
+        fork = fork_from(chain, 2)
         displaced = users_at(chain, chain.tip_round) - users_at(chain, 2)
         final = fork.blocks[-1]
         assert {p.payee for p in final.payset} == displaced
@@ -111,7 +111,7 @@ class TestGenesisFork:
 
     def test_intermediate_blocks_stay_in_corrupted_set(self, honest_run):
         chain = honest_run
-        fork = fork_from(chain, 2, FORK_PARAMS, chain.registry)
+        fork = fork_from(chain, 2)
         corrupted = users_at(chain, 2)
         for block in fork.blocks[3:-1]:
             for p in block.payset:
@@ -123,24 +123,23 @@ class TestGenesisFork:
         # unreachable through the checked API.
         chain = honest_run
         with pytest.raises(PreconditionViolatedError):
-            fork_from(chain, chain.tip_round, FORK_PARAMS, chain.registry)
+            fork_from(chain, chain.tip_round)
 
     def test_budget_boundary(self, honest_run):
         chain = honest_run
         # round 3 holds 13 of 40 users: 39 < 40 still passes ...
-        fork = fork_from(chain, 3, FORK_PARAMS, chain.registry)
+        fork = fork_from(chain, 3)
         assert len(fork.blocks) == len(chain.blocks) + 1
         # ... round 4 holds 16: 48 >= 40 violates the budget
         with pytest.raises(PreconditionViolatedError):
-            fork_from(chain, 4, FORK_PARAMS, chain.registry)
+            fork_from(chain, 4)
 
     def test_adversarial_signatures_only_for_corrupted(self, honest_run):
         # every signature in a forged block -- certificate votes, payments
         # and the leader's seed signature -- belongs to a corrupted user
         chain = honest_run
-        registry = chain.registry
         corrupted = users_at(chain, 2)
-        fork = fork_from(chain, 2, FORK_PARAMS, registry)
+        fork = fork_from(chain, 2)
         forged = fork.blocks[3:]
         assert any(b.payset for b in forged), "fork must sign payments"
         for block in forged:
@@ -148,13 +147,12 @@ class TestGenesisFork:
             assert {p.payer for p in block.payset} <= corrupted
             if block.payset:
                 prev_seed = fork.blocks[block.round - 1].seed
-                assert view_leader(block.round, prev_seed, fork, FORK_PARAMS,
-                                   registry) in corrupted
+                assert view_leader(block.round, prev_seed, fork) in corrupted
 
     def test_forged_keys_are_retained_not_destroyed(self, honest_run):
         chain = honest_run
         registry = chain.registry
-        fork = fork_from(chain, 2, FORK_PARAMS, registry)
+        fork = fork_from(chain, 2)
         for block in fork.blocks[3:]:
             for m in block.cert:
                 assert registry.ephemeral_state(
@@ -164,10 +162,10 @@ class TestGenesisFork:
         # corrupting the original user set rewrites every later round,
         # including the forged bootstrap rounds before the lookback horizon
         chain = honest_run
-        fork = fork_from(chain, 0, FORK_PARAMS, chain.registry)
+        fork = fork_from(chain, 0)
         assert len(fork.blocks) == len(chain.blocks) + 1
         assert fork.blocks[1].payset == () and fork.blocks[2].payset == ()
-        assert verify_chain(fork, FORK_PARAMS, chain.registry) == []
+        assert verify_chain(fork) == []
 
     def test_starved_committees_report_infeasible(self, honest_run):
         # with a near-zero committee threshold the ten corrupted users are
@@ -175,7 +173,7 @@ class TestGenesisFork:
         chain = honest_run
         starved = replace(FORK_PARAMS, verifier_prob=0.02)
         with pytest.raises(ForkInfeasibleError) as err:
-            fork_from(chain, 2, starved, chain.registry)
+            fork_from(replace(chain, params=starved), 2)
         assert err.value.have < err.value.need == starved.cert_threshold
 
     def test_no_committee_drawn_from_no_users(self, monkeypatch):
@@ -200,8 +198,8 @@ class TestGenesisFork:
         registry = chain.registry
         before = registry.retained_records(3)
         with pytest.raises(ForkInfeasibleError) as err:
-            fork_from(chain, 2, replace(FORK_PARAMS, verifier_prob=0.02),
-                      registry)
+            fork_from(replace(chain, params=replace(FORK_PARAMS,
+                                                    verifier_prob=0.02)), 2)
         assert err.value.round == 3
         assert registry.retained_records(3) == before
 
@@ -229,14 +227,14 @@ class TestBribery:
         cfg, chain = bribery_run
         registry = chain.registry
         retained = registry.retained_records(5)
-        alt = bribe_and_recertify(chain, 5, retained, cfg.params, registry)
+        alt = bribe_and_recertify(chain, 5, retained)
         assert block_hash(alt) != block_hash(chain.blocks[5])
-        assert validate_block(chain, alt, cfg.params, registry) == []
+        assert validate_block(chain, alt) == []
 
     def test_no_retention_fails_with_zero(self, bribery_run):
         cfg, chain = bribery_run
         with pytest.raises(AttackFailedError) as err:
-            bribe_and_recertify(chain, 5, [], cfg.params, chain.registry)
+            bribe_and_recertify(chain, 5, [])
         assert err.value.have == 0
         assert err.value.need == cfg.params.cert_threshold
 
@@ -250,8 +248,8 @@ class TestBribery:
         for rec in registry.retained_records(5):
             if rec.step < 2 or rec.owner in owners:
                 continue
-            if view_credential(rec.owner, 5, rec.step, prev_seed, chain,
-                               cfg.params, registry) is None:
+            if view_credential(rec.owner, 5, rec.step, prev_seed,
+                               chain) is None:
                 continue
             if len(owners) == cfg.params.cert_threshold - 1:
                 break
@@ -259,7 +257,7 @@ class TestBribery:
             usable.append(rec)
         assert len(usable) == cfg.params.cert_threshold - 1
         with pytest.raises(AttackFailedError) as err:
-            bribe_and_recertify(chain, 5, usable, cfg.params, registry)
+            bribe_and_recertify(chain, 5, usable)
         assert err.value.have == cfg.params.cert_threshold - 1
         assert err.value.need == cfg.params.cert_threshold
 
@@ -273,7 +271,7 @@ class TestBribery:
         for state in (KeyState.AVAILABLE, KeyState.DESTROYED):
             rec = EphemeralKeyRecord(1, 5, step, state)
             with pytest.raises(PreconditionViolatedError):
-                bribe_and_recertify(chain, 5, [rec], cfg.params, registry)
+                bribe_and_recertify(chain, 5, [rec])
 
     def test_leaderless_empty_round_is_not_bribable(self):
         # with no potential leader every honest block is empty, and no bought
@@ -317,7 +315,7 @@ def test_mixed_retention_retains_exactly_the_keepers_keys():
         for s in rec.committee_sizes:
             if s < rec.steps_to_decision:
                 signed |= {(c.user, r, s) for c in view_committee(
-                    r, s, prev_seed, chain, params, registry)}
+                    r, s, prev_seed, chain)}
         signed |= {(m.voter, r, m.step) for m in chain.blocks[r].cert}
     kept = {k for k in signed if k[0] in keepers}
     assert kept and signed - kept
@@ -423,6 +421,6 @@ def test_attack_transcripts_are_pinned(seed):
         if (strategy, knob) == ("genesis_fork", 2):
             honest = chains[0]
     with pytest.raises(ForkInfeasibleError) as err:
-        fork_from(honest, 2, replace(FORK_PARAMS, verifier_prob=0.02),
-                  honest.registry)
+        fork_from(replace(honest, params=replace(FORK_PARAMS,
+                                                 verifier_prob=0.02)), 2)
     assert str(err.value) == STARVED_FORK_ERRORS[seed]

@@ -444,6 +444,27 @@ class TestVerifyChain:
             assert err == ("error: cannot load chain: malformed chain record: "
                            f"expected a cert bit in [0, 256), got {bit}\n")
 
+    @pytest.mark.parametrize("round, violation", [
+        (0, "malformed genesis block"),
+        (1, "cert message from user {voter}: wrong round")])
+    def test_cert_before_the_lookback_horizon_fails(self, fork_attack_chain,
+                                                    tmp_path, capsys, round,
+                                                    violation):
+        # no committee serves before the lookback horizon: a cert message
+        # on the genesis block or a bootstrap block is a violation
+        lines = list(fork_attack_chain)
+        message = json.loads(lines[5])["cert"][0]  # of round 4
+        rec = json.loads(lines[round + 1])
+        rec["cert"] = [message]
+        lines[round + 1] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+        (tmp_path / "early.jsonl").write_text("\n".join(lines) + "\n")
+        code, stdout, err = run_cli(capsys, "verify-chain", "--chain",
+                                    tmp_path / "early.jsonl", "--config",
+                                    FIXTURES / "genesis_fork.cfg")
+        assert (code, err) == (1, "")
+        assert stdout == (f"round {round}: "
+                          f"{violation.format(voter=message['voter'])}\n")
+
     def test_deeply_nested_record_is_parse_error(self, small_cfg, tmp_path,
                                                  capsys):
         # json.loads gives up past the interpreter's recursion limit
@@ -697,7 +718,7 @@ def test_default_scenario_runs_and_verifies(tmp_path):
     assert cli.load_config(str(path)) == ScenarioConfig()
     [chain], _ = run_scenario(ScenarioConfig())
     assert chain.tip_round == ScenarioConfig.rounds == 20
-    assert verify_chain(chain, ScenarioConfig().params, chain.registry) == []
+    assert verify_chain(chain) == []
 
 
 def test_readme_run_then_verify_chain_example_passes(tmp_path, capsys,

@@ -76,20 +76,19 @@ def env():
     params = ProtocolParams(leader_prob=1.0, verifier_prob=1.0, lookback=3,
                             max_ba_steps=9, cert_threshold=4, horizon=64)
     registry = make_registry(seed=21, users=range(1, N + 1))
-    chain = idle_chain(registry, {u: 100 for u in range(1, N + 1)}, ROUND - 1)
+    chain = idle_chain(registry, {u: 100 for u in range(1, N + 1)}, ROUND - 1,
+                       params)
     return registry, chain, params
 
 
 def lead_cred(env, user):
-    registry, chain, params = env
-    return view_credential(user, ROUND, 1, chain.tip().seed, chain, params,
-                           registry)
+    chain = env[1]
+    return view_credential(user, ROUND, 1, chain.tip().seed, chain)
 
 
 def verf_cred(env, user, step):
-    registry, chain, params = env
-    return view_credential(user, ROUND, step, chain.tip().seed, chain,
-                           params, registry)
+    chain = env[1]
+    return view_credential(user, ROUND, step, chain.tip().seed, chain)
 
 
 def payset_of(env, pending):
@@ -98,8 +97,8 @@ def payset_of(env, pending):
 
 
 def round_leader(env):
-    registry, chain, params = env
-    return view_leader(ROUND, chain.tip().seed, chain, params, registry)
+    chain = env[1]
+    return view_leader(ROUND, chain.tip().seed, chain)
 
 
 def cert_of(env, block, users, step=4):
@@ -111,8 +110,8 @@ def cert_of(env, block, users, step=4):
 
 
 def violations(env, block, cert):
-    registry, chain, params = env
-    return validate_block(chain, block.with_cert(cert), params, registry)
+    chain = env[1]
+    return validate_block(chain, block.with_cert(cert))
 
 
 class CommitteeStep:

@@ -22,8 +22,9 @@ from algosim.engine import (
     run_scenario,
 )
 from algosim.ledger import (
-    Chain,
     IncompatibleGenesisError,
+    Status,
+    apply_payset,
     block_hash,
     cert_payload,
     chain_from_lines,
@@ -76,17 +77,15 @@ def test_honest_chain_fully_validates(small_run, source):
     # with users joining each round (genesis_fork.cfg)
     if source == "SMALL":
         chains, _ = small_run
-        params = SMALL.params
     else:
         cfg = cli.load_config(str(FIXTURES / source))
         chains, _ = run_scenario(cfg)
-        params = cfg.params
     chain = chains[0]
     if source == "bribery.cfg":
         assert chain.registry.retained_records()
     if source == "genesis_fork.cfg":
         assert max(users_at(chain, chain.tip_round)) > cfg.num_genesis_users
-    assert verify_chain(chain, params, chain.registry) == []
+    assert verify_chain(chain) == []
 
 
 @pytest.mark.parametrize("mode", ["ba", "simple", "both"])
@@ -272,7 +271,7 @@ def test_single_field_mutation_of_certified_block_is_rejected(small_run, data):
     rounds = [r for r in range(params.lookback, len(chain.blocks))
               if kind != "payment_order" or len(chain.blocks[r].payset) >= 2]
     block = chain.blocks[data.draw(st.sampled_from(rounds), label="round")]
-    assert validate_block(chain, block, params, chain.registry) == []
+    assert validate_block(chain, block) == []
     replace = dataclasses.replace
     if kind in ("seed", "prev_hash"):
         value = data.draw(st.binary(min_size=32, max_size=32)
@@ -308,7 +307,7 @@ def test_single_field_mutation_of_certified_block_is_rejected(small_run, data):
             value = data.draw(values.filter(lambda v: v != getattr(m, field)))
             cert[k] = m._replace(**{field: value})
         mutated = block.with_cert(cert)
-    assert validate_block(chain, mutated, params, chain.registry)
+    assert validate_block(chain, mutated)
 
 
 def test_seed_changes_transcript():
@@ -338,7 +337,7 @@ def test_no_leader_rounds_produce_certified_empty_blocks():
     chain = chains[0]
     assert all(rec.empty_block for rec in metrics.rounds)
     assert all(rec.equivalent in (True, None) for rec in metrics.rounds)
-    assert verify_chain(chain, cfg.params, chain.registry) == []
+    assert verify_chain(chain) == []
     payload = cert_payload(1, block_hash(chain.blocks[5]))
     assert all(m.value == payload for m in chain.blocks[5].cert)
 
@@ -349,7 +348,7 @@ def test_simple_mode_runs_two_steps():
                          payments_per_round=2)
     chains, metrics = run_scenario(cfg)
     chain = chains[0]
-    assert verify_chain(chain, cfg.params, chain.registry) == []
+    assert verify_chain(chain) == []
     for rec in metrics.rounds:
         if "bootstrap" in rec.flags:
             continue
@@ -367,15 +366,22 @@ def test_fifty_round_chain_validates_block_by_block():
     assert len(chain.blocks) == 51
     # genesis plus a window of lookback + 1 rounds, not one status per round
     assert len(chain._statuses) <= cfg.params.lookback + 2
-    assert verify_chain(chain, cfg.params, chain.registry) == []
+    assert verify_chain(chain) == []
+
+
+def replayed_statuses(chain) -> list[Status]:
+    """The status entering each round 0..len(chain.blocks), folded from
+    genesis with `apply_payset`: the reference for the status window."""
+    statuses = [Status(0, dict(chain.genesis_status.balances))]
+    for b in chain.blocks:
+        statuses.append(apply_payset(statuses[-1], b.payset, chain.registry))
+    return statuses
 
 
 def test_status_window_misses_equal_a_fresh_replay():
     cfg = cli.load_config(str(FIXTURES / "honest.cfg"), seed=4, rounds=20)
     chain = run_scenario(cfg)[0][0]
-    # a window as long as the chain keeps every round: the reference
-    fresh = Chain(chain.genesis_status, chain.blocks, chain.registry,
-                  window=len(chain.blocks) + 1)
+    fresh = replayed_statuses(chain)
     chain.status_entering(len(chain.blocks))  # the window's top
     kept = set(chain._statuses)
     assert len(kept) < len(chain.blocks)
@@ -383,11 +389,30 @@ def test_status_window_misses_equal_a_fresh_replay():
     for r in [r for r in range(len(chain.blocks)) if r not in kept] \
             + list(range(len(chain.blocks), -1, -1)) \
             + list(range(len(chain.blocks) + 1)):
-        assert chain.status_entering(r) == fresh.status_entering(r)
+        assert chain.status_entering(r) == fresh[r]
         if r < len(chain.blocks):
-            assert users_at(chain, r) == users_at(fresh, r)
+            assert users_at(chain, r) == fresh[r + 1].holders
     assert set(chain._statuses) == kept
-    assert len(fresh._statuses) == len(chain.blocks) + 1
+
+
+@settings(deadline=None, max_examples=20)
+@given(config=scenario_configs("both"), data=st.data())
+def test_status_window_holds_lookback_plus_one_rounds(config, data):
+    # at every lookback the window keeps genesis and `lookback + 1` rounds,
+    # and a read in any order equals the replay from genesis
+    run = SimulationRun(config)
+    try:
+        for r in range(1, config.rounds + 1):
+            run.run_round(r)
+    except EngineError:  # an unreachable certificate ends the run there
+        pass
+    chain = run.chain
+    assert len(chain._statuses) <= chain.params.lookback + 2
+    fresh = replayed_statuses(chain)
+    order = data.draw(st.permutations(range(len(fresh))), label="order")
+    for r in order:
+        assert chain.status_entering(r) == fresh[r]
+        assert len(chain._statuses) <= chain.params.lookback + 2
 
 
 def test_verifying_a_chain_stores_no_key_records():
@@ -398,9 +423,8 @@ def test_verifying_a_chain_stores_no_key_records():
                            max_step=cfg.params.max_step)
     for u in range(1, cfg.num_genesis_users + 1):
         registry.register_user(u)
-    chain = chain_from_lines(chain_lines(chains[0]), registry,
-                             window=cfg.params.lookback + 1)
-    assert verify_chain(chain, cfg.params, registry) == []
+    chain = chain_from_lines(chain_lines(chains[0]), registry, cfg.params)
+    assert verify_chain(chain) == []
     assert key_records(registry) == []
     assert {registry.ephemeral_state(m.voter, m.round, m.step)
             for b in chain.blocks for m in b.cert} == {KeyState.AVAILABLE}
@@ -512,13 +536,13 @@ class TestDetectFork:
     def test_identical_chains(self, small_run):
         chains, _ = small_run
         chain = chains[0]
-        assert detect_fork(chain, chain, SMALL.params, chain.registry) == []
+        assert detect_fork(chain, chain) == []
 
     def test_prefix_extension_is_not_a_fork(self, small_run):
         chains, _ = small_run
         chain = chains[0]
         shorter = chain.prefix(15)
-        assert detect_fork(chain, shorter, SMALL.params, chain.registry) == []
+        assert detect_fork(chain, shorter) == []
 
     def test_genesis_fork_fixture_reports_once(self):
         cfg = ScenarioConfig(
@@ -529,7 +553,7 @@ class TestDetectFork:
             payments_per_round=2, new_users_per_round=3)
         chains, metrics = run_scenario(cfg)
         assert [r.round for r in metrics.fork_reports] == [3]
-        reports = detect_fork(*chains, cfg.params, chains[0].registry)
+        reports = detect_fork(*chains)
         assert len(reports) == 1
         assert reports[0].classification == "protocol-violation"  # unhinted
 
@@ -538,7 +562,7 @@ class TestDetectFork:
         a = idle_chain(make_registry(seed=0), {1: 5, 2: 5}, 2)
         b = idle_chain(make_registry(seed=9), {1: 5, 2: 5}, 2)
         with pytest.raises(IncompatibleGenesisError):
-            detect_fork(a, b, SMALL.params, a.registry)
+            detect_fork(a, b)
 
 
 class TestCompareConsensus:
@@ -557,7 +581,7 @@ def test_mode_ba_only_has_no_shadow():
                                                horizon=12),
                          payments_per_round=2)
     chains, metrics = run_scenario(cfg)
-    assert verify_chain(chains[0], cfg.params, chains[0].registry) == []
+    assert verify_chain(chains[0]) == []
     for rec in metrics.rounds:
         assert rec.ba_digest is not None
         assert rec.simple_digest is None

@@ -1,6 +1,8 @@
 """The package's import graph is one order with no hidden cycles: every
 `algosim` import sits at module level, and each module imports only modules
-that come before it in `ORDER`.  `__init__` re-exports and is exempt."""
+that come before it in `ORDER`.  `__init__` re-exports and is exempt.  And
+a chain is read under its own params and registry: no function takes them
+beside a `Chain`."""
 
 import ast
 import functools
@@ -12,14 +14,20 @@ ORDER = ("crypto", "sortition", "ledger", "consensus", "netsim", "adversary",
 
 
 @functools.cache
+def syntax_trees() -> list[tuple[str, ast.Module]]:
+    """(module, parsed source) for every module of the package."""
+    return [(path.stem, ast.parse(path.read_text(), str(path)))
+            for path in sorted(SRC.glob("*.py"))]
+
+
+@functools.cache
 def algosim_imports() -> list[tuple[str, int, str, bool]]:
     """(module, line, imported algosim module, at module level) for every
     import of the package in its modules."""
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.stem == "__init__":
+    for stem, tree in syntax_trees():
+        if stem == "__init__":
             continue
-        tree = ast.parse(path.read_text(), str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 full = [a.name for a in node.names]
@@ -34,7 +42,7 @@ def algosim_imports() -> list[tuple[str, int, str, bool]]:
             for name in full:
                 parts = name.split(".")
                 if parts[0] == "algosim" and len(parts) > 1:
-                    found.append((path.stem, node.lineno, parts[1],
+                    found.append((stem, node.lineno, parts[1],
                                   node in tree.body))
     return found
 
@@ -51,3 +59,27 @@ def test_each_module_imports_only_earlier_modules():
                 for mod, line, name, _ in algosim_imports()
                 if name not in ORDER[:ORDER.index(mod)]]
     assert backward == []
+
+
+def chain_reads_with_instance_args() -> list[str]:
+    """module.function for every function with a parameter annotated `Chain`
+    beside one annotated `ProtocolParams` or `KeyRegistry`: a chain is read
+    under its own `params` and `registry`, so such a pair restates them."""
+    found = []
+    for stem, tree in syntax_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            names = [{n.id for n in ast.walk(arg.annotation)
+                      if isinstance(n, ast.Name)}
+                     for arg in a.posonlyargs + a.args + a.kwonlyargs
+                     if arg.annotation is not None]
+            if (any("Chain" in n for n in names)
+                    and any(n & {"ProtocolParams", "KeyRegistry"} for n in names)):
+                found.append(f"{stem}.{node.name}")
+    return found
+
+
+def test_no_chain_read_takes_params_or_registry_beside_the_chain():
+    assert chain_reads_with_instance_args() == []

@@ -61,7 +61,8 @@ def cert_vote(voter, round, step, bit, block_digest, sig, credential):
 
 @pytest.fixture
 def chain(registry):
-    return make_genesis({u: 100 for u in range(1, 11)}, registry, window=2)
+    return make_genesis({u: 100 for u in range(1, 11)}, registry,
+                        ProtocolParams(lookback=1))
 
 
 def replay_oracle(balances, transfers):
@@ -273,20 +274,24 @@ def test_replay_is_deterministic(registry):
 
 
 def test_failed_long_jump_leaves_the_status_window_usable(registry):
-    # window 1, then a forward jump that evicts the window's old top before
-    # block 4's payset fails: later calls must match a fresh replay
+    # lookback 1 (a window of 2), then a forward jump that evicts the
+    # window's old top before block 4's payset fails: later calls must match
+    # a fresh replay
     blocks = idle_chain(registry, {1: 30, 2: 40}, 3).blocks
     bad = make_payment(registry, 1, 2, 31, 4)  # user 1 holds only 30
     blocks.append(Block(4, (bad,), empty_round_seed(blocks[-1].seed, 4),
                         block_hash(blocks[-1]), ()))
     blocks.append(next_block(blocks[-1]))
-    chain = Chain(Status(0, {1: 30, 2: 40}), list(blocks), registry, window=1)
-    fresh = Chain(Status(0, {1: 30, 2: 40}), list(blocks), registry, window=7)
+    chain = Chain(Status(0, {1: 30, 2: 40}), list(blocks), registry,
+                  params=ProtocolParams(lookback=1))
+    fresh = [Status(0, {1: 30, 2: 40})]
+    for b in blocks[:4]:
+        fresh.append(apply_payset(fresh[-1], b.payset, registry))
     chain.status_entering(1)
     with pytest.raises(InsufficientFundsError):
         chain.status_entering(5)
     for r in (3, 4, 2, 4, 0, 1):
-        assert chain.status_entering(r) == fresh.status_entering(r)
+        assert chain.status_entering(r) == fresh[r]
     for r in (5, 6):
         with pytest.raises(InsufficientFundsError):
             chain.status_entering(r)
@@ -410,7 +415,7 @@ def chains(draw):
     """A structurally arbitrary chain: any balances, paysets, seeds, hashes
     and certificate messages, valid or not."""
     chain = Chain(Status(0, draw(st.dictionaries(u64, u64, max_size=4))),
-                  window=2)
+                  params=ProtocolParams(lookback=1))
     for r in range(draw(st.integers(1, 5))):
         chain.append(Block(r, tuple(draw(st.lists(payments, max_size=3))),
                            draw(hash32), draw(hash32),
@@ -494,7 +499,7 @@ def edge_blocks(draw):
 
 
 def exported(blocks, balances=None):
-    chain = Chain(Status(0, balances or {}), window=2)
+    chain = Chain(Status(0, balances or {}), params=ProtocolParams(lookback=1))
     chain.blocks.extend(blocks)  # any rounds: the writer does not check them
     return list(chain_lines(chain))
 
@@ -721,10 +726,10 @@ def signed_message(chain, block, user, step):
     return cert_vote(user, r, step, bit, block_hash(block), sig, credential)
 
 
-def selected(chain, block, step, params):
+def selected(chain, block, step):
     r = block.round
     return [c.user for c in view_committee(r, step, chain.blocks[r - 1].seed,
-                                           chain, params, chain.registry)]
+                                           chain)]
 
 
 def flip(data: bytes) -> bytes:
@@ -763,12 +768,12 @@ def mutated_message(chain, block, m, kind, draw, params):
         return signed_message(chain, block, OUTSIDER, m.step)
     holders = sorted(users_at(chain, block.round - params.lookback))
     if kind == "unselected":
-        left_out = sorted(set(holders) - set(selected(chain, block, m.step, params)))
+        left_out = sorted(set(holders) - set(selected(chain, block, m.step)))
         return (signed_message(chain, block, draw(st.sampled_from(left_out)), m.step)
                 if left_out else m)
     assert kind == "other_step"  # a real member of another step's committee
     step = draw(st.integers(2, params.max_step).filter(lambda s: s != m.step))
-    members = selected(chain, block, step, params)
+    members = selected(chain, block, step)
     return (signed_message(chain, block, draw(st.sampled_from(members)), step)
             if members else m)
 
@@ -779,7 +784,7 @@ def test_validate_block_reports_what_per_message_checks_report(certified, data):
     chain, params = certified, CERT_RUN.params
     block = chain.blocks[data.draw(st.integers(params.lookback, chain.tip_round),
                                    label="round")]
-    assert validate_block(chain, block, params, chain.registry) == []
+    assert validate_block(chain, block) == []
     cert = list(block.cert)
     for kind in data.draw(st.lists(st.sampled_from(CERT_MUTATIONS), max_size=6),
                           label="mutations"):
@@ -790,7 +795,7 @@ def test_validate_block_reports_what_per_message_checks_report(certified, data):
             cert[k] = mutated_message(chain, block, cert[k], kind, data.draw,
                                       params)
     mutated = block.with_cert(data.draw(st.permutations(cert), label="order"))
-    found = validate_block(chain, mutated, params, chain.registry)
+    found = validate_block(chain, mutated)
     assert found == reference_cert_violations(chain, mutated, params, chain.registry)
     # a message with both its bit and its digest wrong is a wrong digest
     bit, digest = 1 if block.is_empty() else 0, block_hash(block)
@@ -799,20 +804,35 @@ def test_validate_block_reports_what_per_message_checks_report(certified, data):
             assert f"cert message from user {m.voter}: wrong block digest" in found
 
 
+def test_bootstrap_cert_messages_are_reported(certified):
+    # before the lookback horizon nobody is eligible, so even a message with
+    # the voter's real credential and signature is reported; only the
+    # certificate threshold is waived there
+    chain = certified
+    block = chain.blocks[1]
+    assert block.round < CERT_RUN.params.lookback
+    assert validate_block(chain, block) == []
+    voters = sorted(users_at(chain, 0))[:2]
+    cert = [signed_message(chain, block, u, 2) for u in voters]
+    assert validate_block(chain, block.with_cert(cert)) == [
+        f"cert message from user {u}: credential invalid (not-eligible)"
+        for u in voters]
+
+
 def test_an_eligible_voter_the_registry_does_not_know_raises():
     # users 7 and 8 hold money but are unregistered, so sortition cannot
     # recompute their credentials; which of them the text names is not pinned
     registry = make_registry(users=range(1, 7))
-    chain = idle_chain(registry, {u: 100 for u in range(1, 9)}, 6)
     params = ProtocolParams(leader_prob=0.5, verifier_prob=0.5, lookback=3,
                             max_ba_steps=2, cert_threshold=1, horizon=16)
+    chain = idle_chain(registry, {u: 100 for u in range(1, 9)}, 6, params)
     prev = chain.tip()
     block = next_block(prev)
     junk = b"\x01" * 32
     cert = [cert_vote(u, 7, 2, 1, block_hash(block), junk, Credential(u, 7, 2, junk))
             for u in (1, 7, 8)]
     with pytest.raises(UnknownUserError):
-        validate_block(chain, block.with_cert(cert), params, registry)
+        validate_block(chain, block.with_cert(cert))
 
 
 def test_cert_check_selects_through_the_one_kernel(certified, monkeypatch):
@@ -821,7 +841,7 @@ def test_cert_check_selects_through_the_one_kernel(certified, monkeypatch):
     chain, params = certified, CERT_RUN.params
     block = chain.blocks[params.lookback + 1]
     prev_seed = chain.blocks[block.round - 1].seed
-    leader = view_leader(block.round, prev_seed, chain, params, chain.registry)
+    leader = view_leader(block.round, prev_seed, chain)
     dropped = next(m.voter for m in block.cert if m.voter != leader)
     real = sortition.select_committee
 
@@ -829,7 +849,7 @@ def test_cert_check_selects_through_the_one_kernel(certified, monkeypatch):
         return [c for c in real(*args) if c.user != dropped]
 
     monkeypatch.setattr(sortition, "select_committee", without_dropped)
-    found = validate_block(chain, block, params, chain.registry)
+    found = validate_block(chain, block)
     assert [v for v in found if v.startswith("cert message")] == [
         f"cert message from user {dropped}: credential invalid (not-selected)"]
 
@@ -842,7 +862,7 @@ def test_cert_check_builds_one_credential_message_per_step(certified, monkeypatc
     other = 2 if block.cert[0].step != 2 else 3
     # half the voters that also sit on the `other` committee sign there
     both = sorted({m.voter for m in block.cert}
-                  & set(selected(chain, block, other, params)))
+                  & set(selected(chain, block, other)))
     moved = both[:max(1, len(both) // 2)]
     mixed = block.with_cert([signed_message(chain, block, m.voter, other)
                              if m.voter in moved else m for m in block.cert])
@@ -856,6 +876,6 @@ def test_cert_check_builds_one_credential_message_per_step(certified, monkeypatc
         return real(round, step, prev_seed)
 
     monkeypatch.setattr(sortition, "credential_message", counted)
-    assert validate_block(chain, mixed, params, chain.registry) == []
+    assert validate_block(chain, mixed) == []
     leader_sweep = [] if block.is_empty() else [(block.round, 1)]
     assert sorted(calls) == sorted(leader_sweep + [(block.round, s) for s in steps])

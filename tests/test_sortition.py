@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -37,16 +38,16 @@ def params_with(p=0.05, p2=0.2):
                           max_ba_steps=9, cert_threshold=5, horizon=64)
 
 
-def check_credential(cred, prev_seed, chain, params, registry):
+def check_credential(cred, prev_seed, chain):
     """Why `ledger.check_cert` rejects `cred` as the credential of a
     one-message certificate (None where it accepts it): the reason inside
     its `credential invalid (...)`.  The message is otherwise sound, with
     the voter's real ephemeral signature."""
     user, round, step, _ = cred
     payload = cert_payload(0, ZERO_DIGEST)
-    sig = _ephemeral_sig(registry._head, user, be8(round) + be8(step), payload)
+    sig = _ephemeral_sig(chain.registry._head, user, be8(round) + be8(step), payload)
     [reason] = check_cert([Vote(user, round, step, payload, sig, cred)], round,
-                          ZERO_DIGEST, 0, prev_seed, chain, params, registry)
+                          ZERO_DIGEST, 0, prev_seed, chain)
     if reason is None:
         return None
     assert reason.startswith("credential invalid (") and reason.endswith(")")
@@ -62,20 +63,22 @@ def test_default_cert_threshold():
 def test_saturated_threshold_selects_everyone(env):
     registry, chain = env
     params = params_with(p=1.0, p2=1.0)
+    chain = replace(chain, params=params)
     prev_seed = chain.blocks[4].seed
     leaders = select_committee(5, 1, prev_seed, range(1, N + 1), params,
                                registry)
     assert [c.user for c in leaders] == list(range(1, N + 1))
-    assert len(view_committee(5, 2, prev_seed, chain, params, registry)) == N
+    assert len(view_committee(5, 2, prev_seed, chain)) == N
 
 
 def test_zero_threshold_selects_nobody(env):
     registry, chain = env
     params = params_with(p=0.0, p2=0.0)
+    chain = replace(chain, params=params)
     prev_seed = chain.blocks[4].seed
     assert select_committee(5, 1, prev_seed, range(1, N + 1), params,
                             registry) == []
-    assert view_committee(5, 2, prev_seed, chain, params, registry) == []
+    assert view_committee(5, 2, prev_seed, chain) == []
 
 
 def test_selection_matches_independent_enumeration(env):
@@ -103,11 +106,12 @@ def test_selection_matches_independent_enumeration(env):
 def test_step_memberships_are_independent(env):
     registry, chain = env
     params = params_with(p2=0.5)
+    chain = replace(chain, params=params)
     prev_seed = chain.blocks[4].seed
     in2_not3 = in3_not2 = 0
     for u in range(1, N + 1):
-        a = view_credential(u, 5, 2, prev_seed, chain, params, registry)
-        b = view_credential(u, 5, 3, prev_seed, chain, params, registry)
+        a = view_credential(u, 5, 2, prev_seed, chain)
+        b = view_credential(u, 5, 3, prev_seed, chain)
         in2_not3 += bool(a) and not b
         in3_not2 += bool(b) and not a
     assert in2_not3 > 0 and in3_not2 > 0
@@ -116,10 +120,11 @@ def test_step_memberships_are_independent(env):
 def test_committee_mean_matches_binomial(env):
     registry, chain = env
     params = params_with(p2=0.2)
+    chain = replace(chain, params=params)
     sizes = []
     for i in range(300):
         prev_seed = hashlib.sha256(b"trial" + be8(i)).digest()
-        sizes.append(len(view_committee(5, 2, prev_seed, chain, params, registry)))
+        sizes.append(len(view_committee(5, 2, prev_seed, chain)))
     mean = sum(sizes) / len(sizes)
     assert 19.0 <= mean <= 21.0
 
@@ -140,10 +145,11 @@ def chi2_sf(x, dof):
 def test_committee_sizes_fit_binomial_chi_square(env):
     registry, chain = env
     params = params_with(p2=0.2)
+    chain = replace(chain, params=params)
     draws = []
     for i in range(10_000):
         prev_seed = hashlib.sha256(b"chi2" + be8(i)).digest()
-        draws.append(len(view_committee(5, 2, prev_seed, chain, params, registry)))
+        draws.append(len(view_committee(5, 2, prev_seed, chain)))
     # bin the binomial(100, 0.2) pmf so every expected count is >= 5
     pmf = [math.comb(N, k) * 0.2**k * 0.8**(N - k) for k in range(N + 1)]
     edges, acc = [], 0.0
@@ -168,15 +174,15 @@ def test_committee_sizes_fit_binomial_chi_square(env):
 def test_not_eligible_outside_lookback(env):
     registry, chain = env
     params = params_with(p=1.0, p2=1.0)
+    chain = replace(chain, params=params)
     registry.register_user(999)  # registered but never on chain
     for user, round, prev_seed in ((999, 5, chain.blocks[4].seed),
                                    (1, 2, chain.blocks[1].seed)):
-        assert view_credential(user, round, 1, prev_seed, chain, params,
-                               registry) is None
+        assert view_credential(user, round, 1, prev_seed, chain) is None
         sig = registry.unique_sign(
             user, credential_message(round, 1, prev_seed))
         assert check_credential(Credential(user, round, 1, sig), prev_seed,
-                                chain, params, registry) == "not-eligible"
+                                chain) == "not-eligible"
 
 
 def test_steps_start_at_one(env):
@@ -184,14 +190,14 @@ def test_steps_start_at_one(env):
     # step 0
     registry, chain = env
     params = params_with(p=1.0, p2=0.0)
+    chain = replace(chain, params=params)
     prev_seed = chain.blocks[4].seed
-    cred = view_credential(1, 5, 1, prev_seed, chain, params, registry)
+    cred = view_credential(1, 5, 1, prev_seed, chain)
     assert cred.sig == registry.unique_sign(
         1, b"LEAD" + be8(5) + be8(1) + prev_seed)
-    assert check_credential(cred, prev_seed, chain, params, registry) is None
+    assert check_credential(cred, prev_seed, chain) is None
     sig = registry.unique_sign(1, credential_message(5, 0, prev_seed))
-    assert check_credential(Credential(1, 5, 0, sig), prev_seed, chain,
-                            params, registry) == "bad-step"
+    assert check_credential(Credential(1, 5, 0, sig), prev_seed, chain) == "bad-step"
 
 
 class TestSelectLeader:
@@ -202,8 +208,9 @@ class TestSelectLeader:
     def test_smallest_unit_wins(self, env):
         registry, chain = env
         params = params_with(p=1.0)
+        chain = replace(chain, params=params)
         prev_seed = chain.blocks[4].seed
-        creds = [view_credential(u, 5, 1, prev_seed, chain, params, registry)
+        creds = [view_credential(u, 5, 1, prev_seed, chain)
                  for u in (3, 4, 5)]
         best = min(creds, key=lambda c: c.unit)
         assert select_leader(creds) == best.user
@@ -222,60 +229,62 @@ class TestVerifyCredential:
     def test_round_trip(self, env):
         registry, chain = env
         params = params_with(p2=1.0)
+        chain = replace(chain, params=params)
         prev_seed = chain.blocks[4].seed
-        cred = view_credential(8, 5, 2, prev_seed, chain, params, registry)
-        assert check_credential(cred, prev_seed, chain, params, registry) is None
+        cred = view_credential(8, 5, 2, prev_seed, chain)
+        assert check_credential(cred, prev_seed, chain) is None
 
     def test_unit_is_derived_not_trusted(self, env):
         registry, chain = env
         params = params_with(p2=1.0)
+        chain = replace(chain, params=params)
         prev_seed = chain.blocks[4].seed
-        cred = view_credential(8, 5, 2, prev_seed, chain, params, registry)
+        cred = view_credential(8, 5, 2, prev_seed, chain)
         forged = Credential(cred.user, cred.round, cred.step, b"\x00" * 32)
         assert forged.unit != cred.unit  # recomputed from the signature
-        assert check_credential(forged, prev_seed, chain, params,
-                                registry) == "bad-signature"
+        assert check_credential(forged, prev_seed, chain) == "bad-signature"
 
     def test_mutations_rejected(self, env):
         registry, chain = env
         params = params_with(p2=1.0)
+        chain = replace(chain, params=params)
         prev_seed = chain.blocks[4].seed
-        cred = view_credential(8, 5, 2, prev_seed, chain, params, registry)
+        cred = view_credential(8, 5, 2, prev_seed, chain)
         for broken in (Credential(9, 5, 2, cred.sig),
                        Credential(8, 4, 2, cred.sig),
                        Credential(8, 5, 3, cred.sig)):
-            assert check_credential(broken, prev_seed, chain, params,
-                                    registry) is not None
+            assert check_credential(broken, prev_seed, chain) is not None
 
     def test_not_eligible_reason(self, env):
         registry, chain = env
         params = params_with(p2=1.0)
+        chain = replace(chain, params=params)
         registry.register_user(999)
         prev_seed = chain.blocks[4].seed
         sig = registry.unique_sign(999, b"whatever")
         assert check_credential(Credential(999, 5, 2, sig), prev_seed,
-                                chain, params, registry) == "not-eligible"
+                                chain) == "not-eligible"
 
     def test_threshold_miss_reason(self, env):
         registry, chain = env
         prev_seed = chain.blocks[4].seed
-        loose = params_with(p2=1.0)
-        tight = params_with(p2=0.0)
-        cred = view_credential(8, 5, 2, prev_seed, chain, loose, registry)
-        assert check_credential(cred, prev_seed, chain, tight,
-                                registry) == "not-selected"
+        loose = replace(chain, params=params_with(p2=1.0))
+        tight = replace(chain, params=params_with(p2=0.0))
+        cred = view_credential(8, 5, 2, prev_seed, loose)
+        assert check_credential(cred, prev_seed, tight) == "not-selected"
 
 
 def test_selection_is_deterministic_non_grinding(env):
     registry, chain = env
     params = params_with(p=0.1)
+    chain = replace(chain, params=params)
     prev_seed = chain.blocks[4].seed
     again = make_registry(seed=11, users=range(1, N + 1))
     first = select_committee(5, 1, prev_seed, range(1, N + 1), params, registry)
     assert select_committee(5, 1, prev_seed, range(1, N + 1), params,
                             again) == first
     by_user = {c.user: c for c in first}
-    assert [view_credential(u, 5, 1, prev_seed, chain, params, registry)
+    assert [view_credential(u, 5, 1, prev_seed, chain)
             for u in range(1, N + 1)] == [by_user.get(u) for u in range(1, N + 1)]
 
 
@@ -298,6 +307,7 @@ def reference_committee(round, step, prev_seed, chain, params, registry):
 def test_view_leader_matches_signed_path(env):
     registry, chain = env
     params = params_with(p=0.2)
+    chain = replace(chain, params=params)
     prev_seed = chain.blocks[4].seed
     # every user signs for itself, then the float rule picks the leaders
     msg = credential_message(5, 1, prev_seed)
@@ -306,7 +316,7 @@ def test_view_leader_matches_signed_path(env):
     creds = [c for c in signed
              if hash_to_unit(hashlib.sha256(c.sig).digest()) <= 0.2]
     assert creds
-    assert view_leader(5, prev_seed, chain, params, registry) == \
+    assert view_leader(5, prev_seed, chain) == \
         select_leader(creds)
 
 
@@ -315,10 +325,11 @@ def test_view_credential_round_trip(env):
     # and publish, they verify, and rounds before the lookback yield none
     registry, chain = env
     params = params_with(p=0.5, p2=0.5)
+    chain = replace(chain, params=params)
     prev_seed = chain.blocks[4].seed
     creds = []
     for step in range(1, params.max_step + 1):
-        cred = view_credential(4, 5, step, prev_seed, chain, params, registry)
+        cred = view_credential(4, 5, step, prev_seed, chain)
         signed = next((c for c in reference_committee(
             5, step, prev_seed, chain, params, registry) if c.user == 4), None)
         assert cred == signed
@@ -326,10 +337,9 @@ def test_view_credential_round_trip(env):
             creds.append(cred)
     assert creds, "a p = 0.5 user is selected for some step almost surely"
     for cred in creds:
-        assert check_credential(cred, prev_seed, chain, params, registry) is None
+        assert check_credential(cred, prev_seed, chain) is None
     early_seed = chain.blocks[1].seed
-    assert all(view_credential(4, 2, step, early_seed, chain, params,
-                               registry) is None
+    assert all(view_credential(4, 2, step, early_seed, chain) is None
                for step in range(1, params.max_step + 1))
 
 
@@ -344,10 +354,10 @@ def sortition_cases(draw):
     """A chain whose genesis user set is a random subset of PROP_USERS, and
     one (round, step, prev_seed) on it with random probabilities."""
     holders = draw(st.sets(st.sampled_from(PROP_USERS), min_size=1))
-    chain = idle_chain(PROP_REGISTRY, {u: 100 for u in holders}, 6)
     params = ProtocolParams(leader_prob=draw(probabilities),
                             verifier_prob=draw(probabilities), lookback=3,
                             max_ba_steps=9, cert_threshold=5, horizon=64)
+    chain = idle_chain(PROP_REGISTRY, {u: 100 for u in holders}, 6, params)
     round = draw(st.integers(params.lookback, chain.tip_round + params.lookback))
     step = draw(st.integers(1, params.max_step))
     prev_seed = draw(st.binary(min_size=32, max_size=32))
@@ -359,8 +369,7 @@ def test_kernel_matches_per_user_reference(case, data):
     chain, params, round, step, prev_seed = case
     reference = reference_committee(round, step, prev_seed, chain, params,
                                     PROP_REGISTRY)
-    assert view_committee(round, step, prev_seed, chain, params,
-                          PROP_REGISTRY) == reference
+    assert view_committee(round, step, prev_seed, chain) == reference
     eligible = sorted(users_at(chain, round - params.lookback))
     assert select_committee(round, step, prev_seed, eligible, params,
                             PROP_REGISTRY) == reference
@@ -372,8 +381,7 @@ def test_kernel_matches_per_user_reference(case, data):
                             PROP_REGISTRY) == \
         [by_user[u] for u in picked if u in by_user]
     for u in PROP_USERS:
-        assert view_credential(u, round, step, prev_seed, chain, params,
-                               PROP_REGISTRY) == by_user.get(u)
+        assert view_credential(u, round, step, prev_seed, chain) == by_user.get(u)
 
 
 @given(sortition_cases())
@@ -383,7 +391,7 @@ def test_view_leader_is_reference_minimum(case):
                                     PROP_REGISTRY)
     expected = (min(reference, key=lambda c: (c.unit, c.user)).user
                 if reference else None)
-    assert view_leader(round, prev_seed, chain, params, PROP_REGISTRY) == expected
+    assert view_leader(round, prev_seed, chain) == expected
 
 
 # -- integer selection limit ------------------------------------------------------
@@ -425,13 +433,14 @@ def test_extreme_hashes_select_as_the_float_rule(env, monkeypatch, p, digest):
     monkeypatch.setattr(sortition, "_SELECTION_HASH",
                         SimpleNamespace(copy=forced))
     params = params_with(p=p, p2=p)
+    chain = replace(chain, params=params)
     prev_seed = chain.blocks[4].seed
     for step in (1, 2):
         hashed.clear()
-        committee = view_committee(5, step, prev_seed, chain, params, registry)
+        committee = view_committee(5, step, prev_seed, chain)
         assert [c.user for c in committee] == list(range(1, N + 1))
         assert len(hashed) == N
-        assert all(check_credential(c, prev_seed, chain, params, registry)
+        assert all(check_credential(c, prev_seed, chain)
                    is None for c in committee)
         assert len(hashed) == 2 * N
 
