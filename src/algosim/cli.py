@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .adversary import (
     AdversaryConfig,
@@ -34,7 +34,7 @@ from .engine import (
     metrics_to_lines,
     run_scenario,
 )
-from .ledger import LedgerError, chain_from_lines, chain_lines, verify_chain
+from .ledger import LedgerError, chain_from_lines, chain_pieces, verify_chain
 from .sortition import ProtocolParams, default_cert_threshold
 
 log = logging.getLogger("algosim.cli")
@@ -107,33 +107,42 @@ def _make_out_dir(out_dir: Path) -> None:
         raise PermissionError(f"cannot write to output directory {out_dir}")
 
 
-def _write_lines(path: Path, lines: Iterable[str]) -> None:
-    """Write each of `lines` to `path` as it is drawn, never one text."""
+def _write(path: Path, pieces: Iterable[str]) -> None:
+    """Write each of `pieces` to `path` as it is drawn, never one text."""
     with open(path, "w") as f:
-        f.writelines(line + "\n" for line in lines)
+        f.writelines(pieces)
 
 
 def _run_one(config: ScenarioConfig,
              out_dir: Path | None) -> tuple[list[str], RunMetrics]:
     """Run one scenario and write its `metrics.jsonl` and `chain*.jsonl` into
     `out_dir`, if given, in this process; return (metrics lines, metrics).
-    Each chain line is written as `chain_lines` formats it, so the export
-    holds one line.  The chains go no further, so a batch holds one at a
-    time and a worker returns none."""
+    Each chain file is written piece by piece as `chain_pieces` formats it,
+    so the export holds one record (a certificate message, a payment, a
+    block's fixed fields), never a block's line.  The chains go no further,
+    so a batch holds one at a time and a worker returns none."""
     chains, metrics = run_scenario(config)
     lines = metrics_to_lines(metrics)
     if out_dir:
-        _write_lines(out_dir / "metrics.jsonl", lines)
+        _write(out_dir / "metrics.jsonl", (line + "\n" for line in lines))
         for i, chain in enumerate(chains):
             name = f"chain_fork{i - 1}.jsonl" if i else "chain.jsonl"
-            _write_lines(out_dir / name, chain_lines(chain))
+            _write(out_dir / name, chain_pieces(chain))
     return lines, metrics
+
+
+def _seeds(text: str) -> list[int]:
+    """The seeds of `--seed`: one integer or a comma-separated list."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--seed takes an integer or a comma-separated list "
+                         f"of integers, got {text!r}") from None
 
 
 def cmd_run(args) -> int:
     try:
-        seeds = ([int(s) for s in str(args.seed).split(",")]
-                 if args.seed is not None else [None])
+        seeds = _seeds(args.seed) if args.seed is not None else [None]
         twice = [s for s in seeds if seeds.count(s) > 1]
         if twice:  # each seed writes its own seed_<N>/
             raise ValueError(f"--seed names seed {twice[0]} more than once")
@@ -199,6 +208,13 @@ def cmd_attack(args) -> int:
     return 1
 
 
+def _records(f: Iterable[str]) -> Iterator[str]:
+    """The records of an open text file, read one line at a time."""
+    # `str.splitlines` also ends a record at the boundaries a text file's
+    # lines do not, such as \x1e and \x0c
+    return (record for line in f for record in line.splitlines())
+
+
 def cmd_verify_chain(args) -> int:
     try:
         config = load_config(args.config)
@@ -210,12 +226,8 @@ def cmd_verify_chain(args) -> int:
     for u in range(1, config.num_genesis_users + 1):
         registry.register_user(u)
     try:
-        # parsed a line at a time; `str.splitlines` also ends a record at
-        # the boundaries a text file's lines do not, such as \x1e and \x0c
         with open(args.chain) as f:
-            chain = chain_from_lines(
-                (record for line in f for record in line.splitlines()),
-                registry, config.params)
+            chain = chain_from_lines(_records(f), registry, config.params)
     except (OSError, UnicodeDecodeError, LedgerError) as exc:
         print(f"error: cannot load chain: {exc}", file=sys.stderr)
         return 2
@@ -235,13 +247,22 @@ def cmd_verify_chain(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    lines_a = Path(args.metrics_a).read_text().splitlines()
-    lines_b = Path(args.metrics_b).read_text().splitlines()
-    if len(lines_a) != len(lines_b):
-        print(f"length mismatch: {len(lines_a)} vs {len(lines_b)} records")
+    # each file is read twice, a record at a time: counted, then diffed
+    counts = []
+    for path in (args.metrics_a, args.metrics_b):
+        with open(path) as f:
+            counts.append(sum(1 for _ in _records(f)))
+    if counts[0] != counts[1]:
+        print(f"length mismatch: {counts[0]} vs {counts[1]} records")
         return 1
+    with open(args.metrics_a) as fa, open(args.metrics_b) as fb:
+        return _diff(_records(fa), _records(fb))
+
+
+def _diff(records_a: Iterable[str], records_b: Iterable[str]) -> int:
+    """Print how two equally long record streams differ; the exit code."""
     differences = 0
-    for i, (la, lb) in enumerate(zip(lines_a, lines_b)):
+    for i, (la, lb) in enumerate(zip(records_a, records_b)):
         if la == lb:
             continue
         differences += 1

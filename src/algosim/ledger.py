@@ -13,15 +13,19 @@ certificate holds.  A `Chain` carries the `ProtocolParams` and `KeyRegistry`
 it is read under, so every chain read takes only the chain.  A chain file
 is a JSON genesis header line and then one JSON block record a line, with
 sorted keys, no spaces, ints and lowercase hex; nothing there needs
-escaping, so `chain_lines` formats each record from a template as it is
-drawn, and a writer holds one line.  `chain_from_lines` takes any iterable
-of lines, an open file included (a line's newline is JSON whitespace), and
-reads one record at a time, so a reader holds the chain's objects and one
-line, never the file's text.
+escaping, so `chain_pieces` formats the file from templates one record at a
+time (a certificate message, a payment, a block's fixed fields), and a
+writer holds one record, never a block's line.  `chain_from_lines` takes any
+iterable of lines, an open file included (a line's newline is JSON
+whitespace), and reads one record at a time, so a reader holds the chain's
+objects and one line, never the file's text.  It takes only the text the
+writer makes: digests and signatures of exactly 64 lowercase hex characters
+and header user ids in plain decimal.
 """
 
 from __future__ import annotations
 
+import binascii
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -499,26 +503,47 @@ _CERT = ('{"bit":%d,"block_digest":"%s","credential":{"round":%d,"sig":"%s",'
          '"step":%d,"user":%d},"round":%d,"sig":"%s","step":%d,"voter":%d}')
 
 
-def chain_lines(chain: Chain) -> Iterator[str]:
-    """The chain file's lines, header first, each formatted as it is drawn."""
+# The block template's three fixed parts, around its cert and payset lists,
+# so that each record of those lists is yielded on its own
+_BLOCK_OPEN, _BLOCK_MID, _BLOCK_CLOSE = _BLOCK.split("%s", 2)
+_BLOCK_CLOSE += "\n"
+
+
+def chain_pieces(chain: Chain) -> Iterator[str]:
+    """The chain file's text, in pieces of at most one record each: the
+    header line, then per block its opening, each certificate message, its
+    payset's opening, each payment and its closing fields with the newline.
+    Each piece is formatted as it is drawn."""
     yield json.dumps(
         {"genesis_status": {str(u): a for u, a in
                             chain.genesis_status.balances.items()}},
-        sort_keys=True, separators=(",", ":"))
+        sort_keys=True, separators=(",", ":")) + "\n"
+    # a record after the first of its list follows a comma
+    next_cert, next_payment = "," + _CERT, "," + _PAYMENT
     for b in chain.blocks:
-        cert = [_CERT % (p[0], p[1:].hex(), cr, c_sig.hex(), cs, u, r, sig.hex(), s, v)
-                for v, r, s, p, sig, (u, cr, cs, c_sig) in b.cert]
-        payset = [_PAYMENT % (p.amount, p.payee, p.payer, p.sig.hex())
-                  for p in b.payset]
-        yield _BLOCK % (",".join(cert), ",".join(payset), b.prev_hash.hex(),
-                        b.round, b.seed.hex())
+        yield _BLOCK_OPEN
+        template = _CERT
+        for v, r, s, p, sig, (u, cr, cs, c_sig) in b.cert:
+            yield template % (p[0], p[1:].hex(), cr, c_sig.hex(), cs, u, r,
+                              sig.hex(), s, v)
+            template = next_cert
+        yield _BLOCK_MID
+        template = _PAYMENT
+        for p in b.payset:
+            yield template % (p.amount, p.payee, p.payer, p.sig.hex())
+            template = next_payment
+        yield _BLOCK_CLOSE % (b.prev_hash.hex(), b.round, b.seed.hex())
 
 
 def _hash_field(text: str) -> bytes:
-    """Decode a hex digest or signature; each is exactly DIGEST_LEN bytes."""
-    value = bytes.fromhex(text)
+    """Decode a digest or signature: exactly 2 * DIGEST_LEN lowercase hex
+    characters, as the writer makes it.  `unhexlify` rejects spaces and is
+    faster than `bytes.fromhex`; the round trip rejects uppercase."""
+    value = binascii.unhexlify(text)
     if len(value) != DIGEST_LEN:
         raise ValueError(f"expected {DIGEST_LEN} bytes, got {len(value)}")
+    if value.hex() != text:
+        raise ValueError(f"expected lowercase hex, got {text!r}")
     return value
 
 
@@ -537,12 +562,21 @@ def _bit_field(value) -> int:
     return value
 
 
+def _user_key(key: str) -> int:
+    """A header key: a user id in the decimal text the writer makes (`int`
+    alone also takes signs, spaces, underscores, leading zeros and other
+    scripts' digits)."""
+    user = _u64_field(int(key))
+    if str(user) != key:
+        raise ValueError(f"expected a user id in plain decimal, got {key!r}")
+    return user
+
+
 # What a malformed line raises while it is read: json.loads (RecursionError
 # when arrays nest deeper than the interpreter's limit), a missing key, or a
 # value of the wrong type or range, checked in field declaration order.
 # Every number passes `_u64_field` before a Block serializes it.
-_PARSE_ERRORS = (StopIteration, KeyError, ValueError, TypeError, AttributeError,
-                 RecursionError)
+_PARSE_ERRORS = (KeyError, ValueError, TypeError, AttributeError, RecursionError)
 
 
 def chain_from_lines(lines: Iterable[str],
@@ -550,9 +584,12 @@ def chain_from_lines(lines: Iterable[str],
                      params: ProtocolParams = ProtocolParams()) -> Chain:
     """Parse an exported chain, to be read under `registry` and `params`."""
     it = iter(lines)
+    first = next(it, None)
+    if first is None:
+        raise LedgerError("malformed chain file header: the file is empty")
     try:
-        header = json.loads(next(it))
-        balances = {_u64_field(int(u)): _u64_field(a)
+        header = json.loads(first)
+        balances = {_user_key(u): _u64_field(a)
                     for u, a in header["genesis_status"].items()}
     except UnicodeDecodeError:
         raise  # not text: a file's decoder may have failed on a later line

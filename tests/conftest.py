@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 
 from algosim.crypto import Digest, EphemeralKeyRecord, KeyRegistry, UserId
 from algosim.engine import ScenarioConfig
-from algosim.ledger import Chain, eligible, make_genesis, next_block
+from algosim.ledger import Chain, chain_pieces, eligible, make_genesis, next_block
 from algosim.sortition import Credential, ProtocolParams, select_committee
 
 
@@ -33,6 +33,11 @@ def idle_chain(registry, balances, rounds,
     for _ in range(rounds):
         chain.append(next_block(chain.tip()))
     return chain
+
+
+def export_lines(chain: Chain) -> list[str]:
+    """The chain file's lines: the exporter's pieces joined and split."""
+    return "".join(chain_pieces(chain)).splitlines()
 
 
 # -- omniscient views -----------------------------------------------------------

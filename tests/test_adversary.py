@@ -19,7 +19,6 @@ from algosim.crypto import EphemeralKeyRecord, KeyState
 from algosim.engine import ScenarioConfig, _sub_seed, metrics_to_lines, run_scenario
 from algosim.ledger import (
     block_hash,
-    chain_lines,
     users_at,
     validate_block,
     verify_chain,
@@ -27,7 +26,7 @@ from algosim.ledger import (
 )
 from algosim.sortition import ProtocolParams
 
-from conftest import view_committee, view_credential
+from conftest import export_lines, view_committee, view_credential
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FORK_PARAMS = ProtocolParams(leader_prob=1.0, verifier_prob=1.0, lookback=3,
@@ -372,10 +371,10 @@ def test_key_states_are_pinned():
 
 
 def transcript_digest(chains, metrics) -> str:
-    """SHA-256 of metrics_to_lines plus chain_lines of every chain."""
+    """SHA-256 of metrics_to_lines plus the exported lines of every chain."""
     lines = metrics_to_lines(metrics)
     for chain in chains:
-        lines += chain_lines(chain)
+        lines += export_lines(chain)
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 

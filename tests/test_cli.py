@@ -19,8 +19,17 @@ from hypothesis import strategies as st
 import algosim.cli as cli
 from algosim.crypto import KeyRegistry
 from algosim.engine import EngineError, ScenarioConfig, run_scenario
-from algosim.ledger import chain_lines, verify_chain
-from algosim.sortition import ProtocolParams
+from algosim.ledger import (
+    Block,
+    Chain,
+    Status,
+    Vote,
+    cert_payload,
+    chain_from_lines,
+    chain_pieces,
+    verify_chain,
+)
+from algosim.sortition import Credential, ProtocolParams
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -362,6 +371,34 @@ class TestVerifyChain:
                                     out / "header.jsonl", "--config", small_cfg)
         assert code == 2 and stdout == ""
         assert err == "error: cannot load chain: no block record follows the header\n"
+
+    def test_empty_file_is_load_error(self, small_cfg, tmp_path, capsys):
+        (tmp_path / "empty.jsonl").write_text("")
+        code, stdout, err = run_cli(capsys, "verify-chain", "--chain",
+                                    tmp_path / "empty.jsonl", "--config", small_cfg)
+        assert (code, stdout) == (2, "")
+        assert err == ("error: cannot load chain: malformed chain file header: "
+                       "the file is empty\n")
+
+    def test_header_user_id_in_another_spelling_is_load_error(
+            self, small_cfg, tmp_path, capsys):
+        # `int` reads each of these as a genesis user id; the writer makes none
+        out = tmp_path / "out"
+        run_cli(capsys, "run", "--config", small_cfg, "--out", out)
+        lines = (out / "chain.jsonl").read_text().splitlines()
+        for key in ["+1", " 2", "0_3", "01", "\uff14"]:
+            header = json.loads(lines[0])
+            balances = header["genesis_status"]
+            balances[key] = balances.pop(str(int(key)))
+            (out / "respelled.jsonl").write_text(
+                "\n".join([json.dumps(header)] + lines[1:]) + "\n")
+            code, stdout, err = run_cli(capsys, "verify-chain", "--chain",
+                                        out / "respelled.jsonl",
+                                        "--config", small_cfg)
+            assert (code, stdout) == (2, ""), key
+            assert err == ("error: cannot load chain: malformed chain file "
+                           f"header: expected a user id in plain decimal, "
+                           f"got {key!r}\n")
 
     def test_negative_amount_is_parse_error(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "out"
@@ -846,6 +883,15 @@ def test_duplicate_seed_is_a_usage_error(small_cfg, tmp_path, capsys, jobs):
     assert not out.exists()  # nothing ran
 
 
+@pytest.mark.parametrize("seeds", ["1,,2", "1,", "x", "1;2"])
+def test_seed_that_is_not_a_list_of_integers_is_named(small_cfg, capsys, seeds):
+    code, stdout, err = run_cli(capsys, "run", "--config", small_cfg,
+                                "--seed", seeds)
+    assert (code, stdout) == (2, "")
+    assert err == ("error: --seed takes an integer or a comma-separated list "
+                   f"of integers, got {seeds!r}\n")
+
+
 def test_failing_seed_prints_nothing_and_keeps_finished_files(
         small_cfg, tmp_path, capsys, monkeypatch):
     # each seed writes its files as it finishes; stdout waits for them all
@@ -1041,7 +1087,7 @@ def seed5_runs(tmp_path_factory):
     for rounds in MEMORY_ROUNDS:
         result = run_scenario(cli.load_config(str(cfg), rounds=rounds))
         chain = base / f"chain{rounds}.jsonl"
-        chain.write_text("\n".join(chain_lines(result[0][0])) + "\n")
+        chain.write_text("".join(chain_pieces(result[0][0])))
         runs[rounds] = result, chain
     return cfg, runs
 
@@ -1078,7 +1124,7 @@ def test_verify_chain_holds_no_copy_of_the_file(seed5_runs):
 
 def test_run_out_holds_no_joined_copy(seed5_runs, tmp_path, monkeypatch):
     # the scenario is served from memory, so the peaks differ only by the
-    # CLI's own export: one line being formatted and written
+    # CLI's own export: one record being formatted and written
     cfg, runs = seed5_runs
     monkeypatch.setattr(cli, "run_scenario",
                         lambda config: runs[config.rounds][0])
@@ -1094,6 +1140,31 @@ def test_run_out_holds_no_joined_copy(seed5_runs, tmp_path, monkeypatch):
     assert per_byte < 0.3  # 1.16 with the file's formatted lines held
 
 
+def test_export_holds_one_certificate_message(tmp_path):
+    # a block's line is never built: its certificate is formatted and
+    # written a message at a time
+    def export_peak(messages):
+        credential = Credential(7, 9, 2, b"\x02" * 32)
+        cert = tuple(Vote(u, 9, 2, cert_payload(0, b"\x03" * 32), b"\x01" * 32,
+                          credential) for u in range(messages))
+        chain = Chain(Status(0, {1: 5}), params=ProtocolParams())
+        chain.blocks.append(Block(0, (), b"\x04" * 32, b"\x05" * 32, cert))
+        path = tmp_path / f"{messages}.jsonl"
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cli._write(path, chain_pieces(chain))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with open(path) as f:
+            assert chain_from_lines(f).blocks == chain.blocks
+        return peak
+
+    growth = export_peak(2_000) - export_peak(100)  # the larger one first
+    assert growth < 16_000  # 2.5 MB with the block's line built
+
+
 def test_run_batch_holds_no_chain():
     # a seed's chains are written and dropped in `_run_one`; the batch holds
     # only each seed's metrics until it prints them
@@ -1105,6 +1176,20 @@ def test_run_batch_holds_no_chain():
 
     per_seed = (peak(16) - peak(4)) / 12  # the larger batch first, as above
     assert per_seed < 100_000  # 225 KB with every seed's chains held
+
+
+def test_compare_holds_no_copy_of_its_files(tmp_path):
+    # each file is read a record at a time, counted and then diffed
+    def peak(records):
+        path = tmp_path / f"{records}.jsonl"
+        with open(path, "w") as f:
+            f.writelines(json.dumps({"record": i, "pad": "x" * 190}) + "\n"
+                         for i in range(records))
+        return traced_peak(["compare", path, path])
+
+    peak(2_000)  # a process's first command also builds the parser
+    growth = peak(20_000) - peak(2_000)
+    assert growth < 16_000  # 13.8 MB with both files' line lists held
 
 
 # Any JSON value, with the shapes that once broke the parser drawn often.

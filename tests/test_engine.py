@@ -28,7 +28,6 @@ from algosim.ledger import (
     block_hash,
     cert_payload,
     chain_from_lines,
-    chain_lines,
     users_at,
     validate_block,
     verify_chain,
@@ -36,7 +35,13 @@ from algosim.ledger import (
 from algosim.netsim import Network
 from algosim.sortition import ProtocolParams, select_committee
 
-from conftest import idle_chain, key_records, make_registry, scenario_configs
+from conftest import (
+    export_lines,
+    idle_chain,
+    key_records,
+    make_registry,
+    scenario_configs,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -143,7 +148,7 @@ def test_determinism_bit_identical(small_run):
     chains_a, metrics_a = small_run
     chains_b, metrics_b = run_scenario(SMALL)
     assert metrics_to_lines(metrics_a) == metrics_to_lines(metrics_b)
-    assert list(chain_lines(chains_a[0])) == list(chain_lines(chains_b[0]))
+    assert export_lines(chains_a[0]) == export_lines(chains_b[0])
 
 
 def test_regression_golden_tip(small_run):
@@ -169,7 +174,7 @@ TRANSCRIPT_DIGESTS = {
 
 
 def transcript_digest(chains, metrics):
-    text = "\n".join(metrics_to_lines(metrics) + list(chain_lines(chains[0])))
+    text = "\n".join(metrics_to_lines(metrics) + export_lines(chains[0]))
     return hashlib.sha256((text + "\n").encode()).hexdigest()
 
 
@@ -188,11 +193,11 @@ def test_transcript_does_not_depend_on_the_hash_seed():
     probe = ("from algosim.adversary import AdversaryConfig; "
              "from algosim.engine import ScenarioConfig, metrics_to_lines, "
              "run_scenario; "
-             "from algosim.ledger import chain_lines; "
+             "from algosim.ledger import chain_pieces; "
              "from algosim.sortition import ProtocolParams; "
              f"chains, metrics = run_scenario({SMALL!r}); "
-             "print('\\n'.join(metrics_to_lines(metrics) "
-             "+ list(chain_lines(chains[0]))))")
+             "print('\\n'.join(metrics_to_lines(metrics)), "
+             "''.join(chain_pieces(chains[0])), sep='\\n', end='')")
     procs = [subprocess.Popen(
         [sys.executable, "-c", probe], stdout=subprocess.PIPE, text=True,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src"),
@@ -423,7 +428,7 @@ def test_verifying_a_chain_stores_no_key_records():
                            max_step=cfg.params.max_step)
     for u in range(1, cfg.num_genesis_users + 1):
         registry.register_user(u)
-    chain = chain_from_lines(chain_lines(chains[0]), registry, cfg.params)
+    chain = chain_from_lines(export_lines(chains[0]), registry, cfg.params)
     assert verify_chain(chain) == []
     assert key_records(registry) == []
     assert {registry.ephemeral_state(m.voter, m.round, m.step)

@@ -2,7 +2,7 @@
 `algosim` import sits at module level, and each module imports only modules
 that come before it in `ORDER`.  `__init__` re-exports and is exempt.  And
 a chain is read under its own params and registry: no function takes them
-beside a `Chain`."""
+beside a `Chain`.  And no CLI command holds a whole file's text."""
 
 import ast
 import functools
@@ -83,3 +83,25 @@ def chain_reads_with_instance_args() -> list[str]:
 
 def test_no_chain_read_takes_params_or_registry_beside_the_chain():
     assert chain_reads_with_instance_args() == []
+
+
+def whole_file_reads(stem: str) -> list[str]:
+    """module:line of every call in module `stem` that reads a whole file:
+    `read_text`, `read_bytes`, `readlines`, or `read` with no argument."""
+    found = []
+    for module, tree in syntax_trees():
+        if module != stem:
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and (node.func.attr in ("read_text", "read_bytes", "readlines")
+                         or node.func.attr == "read"
+                         and not (node.args or node.keywords))):
+                found.append(f"{module}:{node.lineno} calls {node.func.attr}")
+    return found
+
+
+def test_cli_reads_no_whole_file():
+    # chain and metrics files are read a line at a time; `cp.read(path)`
+    # names a config for configparser and passes
+    assert whole_file_reads("cli") == []

@@ -15,8 +15,9 @@ import pytest
 import algosim.cli as cli  # the tracer wraps every binding under algosim
 from algosim.cli import load_config
 from algosim.engine import ScenarioConfig, metrics_to_lines
-from algosim.ledger import chain_lines
 from algosim.sortition import ProtocolParams
+
+from conftest import export_lines
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -64,7 +65,7 @@ def test_tracer_sees_the_genesis_fork_attack():
 
     def outputs():
         chains, metrics = engine.run_scenario(config)
-        return metrics_to_lines(metrics), [list(chain_lines(c)) for c in chains]
+        return metrics_to_lines(metrics), [export_lines(c) for c in chains]
 
     untraced = outputs()
     tracer = layertrace.Tracer()

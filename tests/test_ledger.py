@@ -35,7 +35,7 @@ from algosim.ledger import (
     build_payset,
     cert_payload,
     chain_from_lines,
-    chain_lines,
+    chain_pieces,
     empty_round_seed,
     make_genesis,
     make_payment,
@@ -50,7 +50,7 @@ from algosim.sortition import (
     credential_message,
 )
 
-from conftest import idle_chain, make_registry, view_committee
+from conftest import export_lines, idle_chain, make_registry, view_committee
 
 
 def cert_vote(voter, round, step, bit, block_digest, sig, credential):
@@ -268,7 +268,7 @@ def test_replay_is_deterministic(registry):
     chain.append(Block(4, (p,), empty_round_seed(prev.seed, 4),
                        block_hash(prev), ()))
     first = [chain.status_entering(r).balances for r in range(6)]
-    again = chain_from_lines(chain_lines(chain), registry)
+    again = chain_from_lines(export_lines(chain), registry)
     second = [again.status_entering(r).balances for r in range(6)]
     assert first == second
 
@@ -322,13 +322,13 @@ class TestExport:
         prev = chain.tip()
         chain.append(Block(4, (p,), empty_round_seed(prev.seed, 4),
                            block_hash(prev), ()))
-        lines = list(chain_lines(chain))
+        lines = export_lines(chain)
         back = chain_from_lines(lines, registry)
         assert len(back.blocks) == len(chain.blocks)
         for x, y in zip(chain.blocks, back.blocks):
             assert block_hash(x) == block_hash(y)
         assert back.genesis_status.balances == chain.genesis_status.balances
-        assert list(chain_lines(back)) == lines
+        assert export_lines(back) == lines
 
     @pytest.mark.parametrize("path", [
         ("seed",), ("prev_hash",), ("payset", 0, "sig"),
@@ -390,7 +390,7 @@ def test_block_digest_matches_readme_preimage_on_every_path(registry):
                                         Credential(1, 4, 2, b"\x02" * 32)),))
     reseeded = dataclasses.replace(built, seed=bytes(range(32)))
     chain.append(certed)
-    parsed = chain_from_lines(chain_lines(chain), registry).blocks
+    parsed = chain_from_lines(export_lines(chain), registry).blocks
     for b in (built, certed, reseeded, *chain.blocks, *parsed):
         assert block_hash(b) == hashlib.sha256(readme_preimage(b)).digest()
     assert block_hash(reseeded) != block_hash(built)
@@ -425,7 +425,7 @@ def chains(draw):
 
 @given(chains())
 def test_export_round_trip_keeps_blocks_and_digests(chain):
-    back = chain_from_lines(chain_lines(chain))
+    back = chain_from_lines(export_lines(chain))
     assert back.genesis_status.balances == chain.genesis_status.balances
     assert back.blocks == chain.blocks
     assert [block_hash(b) for b in back.blocks] == \
@@ -433,7 +433,7 @@ def test_export_round_trip_keeps_blocks_and_digests(chain):
 
 
 # -- export and parse against the dict-based reference -----------------------------
-# `chain_lines` formats block lines from templates and `chain_from_lines`
+# `chain_pieces` formats block records from templates and `chain_from_lines`
 # builds records positionally.  The references below are the dict tree passed
 # to `json.dumps` and the keyword-argument reader they replaced.
 
@@ -501,7 +501,7 @@ def edge_blocks(draw):
 def exported(blocks, balances=None):
     chain = Chain(Status(0, balances or {}), params=ProtocolParams(lookback=1))
     chain.blocks.extend(blocks)  # any rounds: the writer does not check them
-    return list(chain_lines(chain))
+    return export_lines(chain)
 
 
 @settings(deadline=None)
@@ -514,7 +514,7 @@ def test_export_equals_reference_writer(blocks, balances):
     # a chain file numbers its blocks 0, 1, ...
     lines = exported([dataclasses.replace(b, round=r) for r, b in enumerate(blocks)],
                      balances)
-    assert list(chain_lines(chain_from_lines(lines))) == lines
+    assert export_lines(chain_from_lines(lines)) == lines
 
 
 def test_export_reaches_u64_extremes_and_long_certs():
@@ -530,7 +530,7 @@ def test_export_reaches_u64_extremes_and_long_certs():
     lines = exported([b], {U64_MAX: 0, 0: U64_MAX})
     assert lines[1] == reference_block_line(b)
     assert chain_from_lines(lines).blocks == [b]
-    assert list(chain_lines(chain_from_lines(lines))) == lines
+    assert export_lines(chain_from_lines(lines)) == lines
 
 
 @given(edge_blocks(), st.lists(edge_cert_messages, max_size=25), u64_edge)
@@ -548,13 +548,14 @@ def test_with_cert_equals_a_fresh_block(block, cert, round):
         Block(round, block.payset, block.seed, block.prev_hash, ()).digest
 
 
-GOLDEN_LINES = (Path(__file__).resolve().parent.parent / "fixtures"
-                / "golden_chain.jsonl").read_text().splitlines()
+GOLDEN_TEXT = (Path(__file__).resolve().parent.parent / "fixtures"
+               / "golden_chain.jsonl").read_text()
+GOLDEN_LINES = GOLDEN_TEXT.splitlines()
 # a block line with a payment and certificate messages
 GOLDEN_RECORD = json.loads(GOLDEN_LINES[4])
 MISSING = object()
 BAD_VALUES = [MISSING, "x", 1.5, True, None, [], -1, 2**64, "00", "ab" * 33,
-              "zz" * 32]
+              "zz" * 32, "AB" * 32, " ".join(["ab"] * 32)]
 RECORD_PATHS = (
     [(k,) for k in ("round", "seed", "prev_hash", "payset", "cert")]
     + [("payset", 0, k) for k in ("payer", "payee", "amount", "sig")]
@@ -613,7 +614,7 @@ def test_golden_chain_parses_and_reexports_byte_for_byte():
     back = chain_from_lines(GOLDEN_LINES)
     assert back.blocks == [reference_parse_record(line)
                            for line in GOLDEN_LINES[1:]]
-    assert list(chain_lines(back)) == GOLDEN_LINES
+    assert "".join(chain_pieces(back)) == GOLDEN_TEXT
 
 
 def test_a_blocks_votes_share_one_payload_object():
