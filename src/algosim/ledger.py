@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import binascii
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -77,12 +76,15 @@ class IncompatibleGenesisError(LedgerError):
     pass
 
 
-@dataclass
 class Status:
     """Account balances entering a round (non-negative money units)."""
 
-    round: int
-    balances: dict[UserId, int]
+    def __init__(self, round: int, balances: dict[UserId, int]):
+        self.round, self.balances = round, balances
+
+    def __eq__(self, other):
+        return (isinstance(other, Status)
+                and (self.round, self.balances) == (other.round, other.balances))
 
     @cached_property
     def holders(self) -> set[UserId]:
@@ -90,39 +92,52 @@ class Status:
         return {u for u, a in self.balances.items() if a > 0}
 
 
-@dataclass(frozen=True)
-class Payment:
+class Payment(NamedTuple):
     payer: UserId
     payee: UserId
     amount: int
     sig: Signature
 
 
-@dataclass(frozen=True)
-class Block:
+class _BlockFields(NamedTuple):
     round: int
     payset: tuple[Payment, ...]
     seed: Digest
     prev_hash: Digest
     cert: tuple[Vote, ...]
-    # Hash of the canonical serialization (the cert is not covered), computed
-    # on construction and by `dataclasses.replace`; `with_cert` copies it.
-    digest: Digest = field(init=False, repr=False, compare=False)
+    # Hash of the canonical serialization (the cert is not covered)
+    digest: Digest
 
-    def __post_init__(self):
-        parts = [TAG_BLOCK, be8(self.round), be8(len(self.payset))]
-        for p in self.payset:
+
+class Block(_BlockFields):
+    """`Block(round, payset, seed, prev_hash, cert)` computes the digest, and
+    so does every copy (`_replace`, or `_make` of those five fields): no
+    caller passes one in.  `with_cert` carries it over, as the cert is not
+    hashed."""
+
+    __slots__ = ()
+
+    def __new__(cls, round: int, payset: tuple[Payment, ...], seed: Digest,
+                prev_hash: Digest, cert: tuple[Vote, ...]) -> Block:
+        parts = [TAG_BLOCK, be8(round), be8(len(payset))]
+        for p in payset:
             parts += [be8(p.payer), be8(p.payee), be8(p.amount), p.sig]
-        parts += [self.seed, self.prev_hash]
-        object.__setattr__(self, "digest", sha256(b"".join(parts)))
+        parts += [seed, prev_hash]
+        return super().__new__(cls, round, payset, seed, prev_hash, cert,
+                               sha256(b"".join(parts)))
+
+    @classmethod
+    def _make(cls, fields) -> Block:
+        return cls(*fields)
+
+    def _replace(self, **changes) -> Block:  # `digest=` is a TypeError
+        return Block(**{**dict(zip(self._fields[:5], self)), **changes})
 
     def is_empty(self) -> bool:
         return not self.payset
 
-    def with_cert(self, cert: Sequence[Vote]) -> "Block":
-        certified = object.__new__(Block)
-        certified.__dict__.update(self.__dict__, cert=tuple(cert))
-        return certified
+    def with_cert(self, cert: Sequence[Vote]) -> Block:
+        return tuple.__new__(Block, (*self[:4], tuple(cert), self.digest))
 
 
 def payment_message(payer: UserId, payee: UserId, amount: int, round: int) -> bytes:
@@ -234,7 +249,6 @@ def next_block(prev: Block, payset: Sequence[Payment] = (), signer=None,
     return Block(round, tuple(payset), seed, block_hash(prev), ())
 
 
-@dataclass
 class Chain:
     """Validated sequence of blocks starting at genesis, read under its own
     `params` and `registry`: the chain reads (`eligible`, `view_leader`,
@@ -253,16 +267,13 @@ class Chain:
     replayed (and its payment signatures not verified) a second time.
     """
 
-    genesis_status: Status
-    blocks: list[Block] = field(default_factory=list)
-    registry: KeyRegistry | None = None
-    params: ProtocolParams = field(kw_only=True)
-    _statuses: dict[int, Status] = field(init=False, repr=False)
-    _top: int = field(init=False, repr=False)  # highest round in _statuses
-
-    def __post_init__(self):
-        self._statuses = {0: Status(0, dict(self.genesis_status.balances))}
-        self._top = 0
+    def __init__(self, genesis_status: Status, blocks: list[Block] | None = None,
+                 registry: KeyRegistry | None = None, *, params: ProtocolParams):
+        self.genesis_status, self.registry, self.params = (
+            genesis_status, registry, params)
+        self.blocks = [] if blocks is None else blocks
+        self._statuses = {0: Status(0, dict(genesis_status.balances))}
+        self._top = 0  # highest round in _statuses
 
     @property
     def tip_round(self) -> int:
@@ -589,8 +600,12 @@ def chain_from_lines(lines: Iterable[str],
         raise LedgerError("malformed chain file header: the file is empty")
     try:
         header = json.loads(first)
-        balances = {_user_key(u): _u64_field(a)
-                    for u, a in header["genesis_status"].items()}
+        if type(header) is not dict:
+            raise ValueError("expected an object")
+        status = header["genesis_status"]
+        if type(status) is not dict:
+            raise ValueError("genesis_status: expected an object")
+        balances = {_user_key(u): _u64_field(a) for u, a in status.items()}
     except UnicodeDecodeError:
         raise  # not text: a file's decoder may have failed on a later line
     except _PARSE_ERRORS as exc:

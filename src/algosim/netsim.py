@@ -11,16 +11,14 @@ and the engine reads that one list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .crypto import UserId
 
 
-@dataclass
 class Network:
-    node_ids: set[UserId] = field(default_factory=set)
-    _queue: list = field(default_factory=list)
-    _delivered: list = field(default_factory=list)
+    def __init__(self):
+        self.node_ids: set[UserId] = set()
+        self._queue: list = []
+        self._delivered: list = []
 
     def add_node(self, node: UserId) -> None:
         self.node_ids.add(node)

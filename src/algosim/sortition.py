@@ -26,7 +26,6 @@ is a read of the chain, `ledger.eligible`; this module reads no chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import sha256 as _sha256
 from typing import NamedTuple, Sequence
@@ -45,14 +44,25 @@ from .crypto import (
 _SELECTION_HASH = _sha256()  # copied, never updated: starts each selection hash
 
 
-@dataclass(frozen=True)
-class ProtocolParams:
-    """Protocol-wide knobs.
+class Checked:
+    """First base of a record whose fields a NamedTuple declares, as in
+    `class Record(Checked, RecordFields)`: the record's `_check` raises
+    ValueError on bad fields, and it runs on construction and on every copy,
+    since `_make` (which `_replace` calls) builds through `__new__` too."""
 
-    The defaults are what `cli.load_config` derives for the default
-    `ScenarioConfig` (10 users, 20 rounds), so `ScenarioConfig()` runs.
-    """
+    __slots__ = ()
 
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class _ProtocolFields(NamedTuple):
     leader_prob: float = 0.05
     verifier_prob: float = 0.2
     lookback: int = 3
@@ -60,7 +70,17 @@ class ProtocolParams:
     cert_threshold: int = 2
     horizon: int = 28
 
-    def __post_init__(self):
+
+class ProtocolParams(Checked, _ProtocolFields):
+    """Protocol-wide knobs.
+
+    The defaults are what `cli.load_config` derives for the default
+    `ScenarioConfig` (10 users, 20 rounds), so `ScenarioConfig()` runs.
+    """
+
+    __slots__ = ()
+
+    def _check(self):
         if not 0 <= self.leader_prob <= 1:
             raise ValueError("leader_prob must be in [0, 1]")
         if not 0 <= self.verifier_prob <= 1:

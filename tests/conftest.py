@@ -35,6 +35,12 @@ def idle_chain(registry, balances, rounds,
     return chain
 
 
+def with_params(chain: Chain, params: ProtocolParams) -> Chain:
+    """The chain's genesis, blocks and registry, read under `params`."""
+    return Chain(chain.genesis_status, chain.blocks, chain.registry,
+                 params=params)
+
+
 def export_lines(chain: Chain) -> list[str]:
     """The chain file's lines: the exporter's pieces joined and split."""
     return "".join(chain_pieces(chain)).splitlines()

@@ -1,6 +1,5 @@
 import hashlib
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -26,7 +25,7 @@ from algosim.ledger import (
 )
 from algosim.sortition import ProtocolParams
 
-from conftest import export_lines, view_committee, view_credential
+from conftest import export_lines, view_committee, view_credential, with_params
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FORK_PARAMS = ProtocolParams(leader_prob=1.0, verifier_prob=1.0, lookback=3,
@@ -170,9 +169,9 @@ class TestGenesisFork:
         # with a near-zero committee threshold the ten corrupted users are
         # rarely selected; the fork must report the deficit, not pad it
         chain = honest_run
-        starved = replace(FORK_PARAMS, verifier_prob=0.02)
+        starved = FORK_PARAMS._replace(verifier_prob=0.02)
         with pytest.raises(ForkInfeasibleError) as err:
-            fork_from(replace(chain, params=starved), 2)
+            fork_from(with_params(chain, starved), 2)
         assert err.value.have < err.value.need == starved.cert_threshold
 
     def test_no_committee_drawn_from_no_users(self, monkeypatch):
@@ -197,8 +196,8 @@ class TestGenesisFork:
         registry = chain.registry
         before = registry.retained_records(3)
         with pytest.raises(ForkInfeasibleError) as err:
-            fork_from(replace(chain, params=replace(FORK_PARAMS,
-                                                    verifier_prob=0.02)), 2)
+            fork_from(with_params(chain, FORK_PARAMS._replace(
+                verifier_prob=0.02)), 2)
         assert err.value.round == 3
         assert registry.retained_records(3) == before
 
@@ -277,7 +276,7 @@ class TestBribery:
         # key can sign the leader's seed; the count reported is every usable
         # voter, not the threshold's worth the certificate would take
         cfg = bribery_fixture()
-        cfg = replace(cfg, params=replace(cfg.params, leader_prob=0.0))
+        cfg = cfg._replace(params=cfg.params._replace(leader_prob=0.0))
         _, metrics = run_scenario(cfg)
         assert metrics.attack_error == \
             "round leader not bribable: have 17, need 7"
@@ -420,6 +419,6 @@ def test_attack_transcripts_are_pinned(seed):
         if (strategy, knob) == ("genesis_fork", 2):
             honest = chains[0]
     with pytest.raises(ForkInfeasibleError) as err:
-        fork_from(replace(honest, params=replace(FORK_PARAMS,
-                                                 verifier_prob=0.02)), 2)
+        fork_from(with_params(honest, FORK_PARAMS._replace(
+            verifier_prob=0.02)), 2)
     assert str(err.value) == STARVED_FORK_ERRORS[seed]

@@ -180,24 +180,6 @@ class TestRun:
                              FIXTURES / "genesis_fork.cfg")
         assert code == 0  # forks are the expected outcome here
 
-    def test_fork_in_honest_mode_exits_one(self, small_cfg, capsys, monkeypatch):
-        # an honest-mode fork cannot be produced by the protocol; force the
-        # reporting path to keep the exit-code contract covered
-        import algosim.engine as engine_mod
-
-        real = cli.run_scenario
-
-        def with_fake_fork(config):
-            chains, metrics = real(config)
-            metrics.forks_detected = 1
-            metrics.fork_reports = [engine_mod.ForkReport(
-                5, b"\x00" * 32, b"\x01" * 32, (), (), "protocol-violation")]
-            return chains, metrics
-
-        monkeypatch.setattr(cli, "run_scenario", with_fake_fork)
-        code, _, _ = run_cli(capsys, "run", "--config", small_cfg)
-        assert code == 1
-
     def test_multi_seed_batch(self, small_cfg, tmp_path, capsys):
         out_dir = tmp_path / "batch"
         code, stdout, _ = run_cli(capsys, "run", "--config", small_cfg,
@@ -379,6 +361,19 @@ class TestVerifyChain:
         assert (code, stdout) == (2, "")
         assert err == ("error: cannot load chain: malformed chain file header: "
                        "the file is empty\n")
+
+    @pytest.mark.parametrize("header, cause", [
+        ("[]", "expected an object"),
+        ('{"genesis_status":5}', "genesis_status: expected an object"),
+    ], ids=["list", "status-int"])
+    def test_header_of_the_wrong_json_shape_is_load_error(
+            self, small_cfg, tmp_path, capsys, header, cause):
+        (tmp_path / "shape.jsonl").write_text(header + "\n")
+        code, stdout, err = run_cli(capsys, "verify-chain", "--chain",
+                                    tmp_path / "shape.jsonl", "--config", small_cfg)
+        assert (code, stdout) == (2, "")
+        assert err == ("error: cannot load chain: malformed chain file header: "
+                       f"{cause}\n")
 
     def test_header_user_id_in_another_spelling_is_load_error(
             self, small_cfg, tmp_path, capsys):
@@ -754,7 +749,7 @@ def test_default_scenario_runs_and_verifies(tmp_path):
     path.write_text("[scenario]\n")
     assert cli.load_config(str(path)) == ScenarioConfig()
     [chain], _ = run_scenario(ScenarioConfig())
-    assert chain.tip_round == ScenarioConfig.rounds == 20
+    assert chain.tip_round == ScenarioConfig().rounds == 20
     assert verify_chain(chain) == []
 
 
@@ -980,9 +975,12 @@ def test_jobs_below_one_is_a_usage_error(small_cfg, capsys, jobs):
 
 def test_cli_import_loads_no_process_pool():
     # a fresh interpreter, since this one has loaded the pool already; only
-    # `run --jobs N` over several seeds needs it
+    # `run --jobs N` over several seeds needs it.  Nor does it load
+    # `dataclasses` (nor so `inspect`), or `logging`, which only an
+    # `ALGOSIM_LOG` of info or trace needs
     probe = ("import sys, algosim.cli; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+             "if m.split('.')[0] in ('concurrent', 'multiprocessing', "
+             "'dataclasses', 'inspect', 'logging')))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import os
 import subprocess
@@ -102,7 +101,7 @@ def test_consumed_keys_destroyed_under_honest_policy(small_run, mode):
         chains, metrics = small_run
     else:
         chains, metrics = run_scenario(
-            dataclasses.replace(SMALL, consensus_mode=mode))
+            SMALL._replace(consensus_mode=mode))
     chain = chains[0]
     registry = chain.registry
     params = SMALL.params
@@ -180,8 +179,8 @@ def transcript_digest(chains, metrics):
 
 @pytest.mark.parametrize("mode, new_users", sorted(TRANSCRIPT_DIGESTS))
 def test_transcript_digest_per_mode(mode, new_users):
-    cfg = dataclasses.replace(SMALL, consensus_mode=mode,
-                              new_users_per_round=new_users)
+    cfg = SMALL._replace(consensus_mode=mode,
+                         new_users_per_round=new_users)
     assert transcript_digest(*run_scenario(cfg)) == \
         TRANSCRIPT_DIGESTS[mode, new_users]
 
@@ -214,8 +213,8 @@ def test_transcript_does_not_depend_on_the_hash_seed():
 # decisions at steps 5, 6 and 7, rounds that exhaust the budget
 # (`no-termination`) and, in `both`, rounds where the two rules disagree.
 # Recorded on the engine before its round was split into phase functions.
-SHORT_BUDGET = dataclasses.replace(
-    SMALL, seed=2, num_genesis_users=20, rounds=30, payments_per_round=3,
+SHORT_BUDGET = SMALL._replace(
+    seed=2, num_genesis_users=20, rounds=30, payments_per_round=3,
     params=ProtocolParams(leader_prob=0.1, verifier_prob=0.1, lookback=1,
                           max_ba_steps=3, cert_threshold=1, horizon=32))
 SHORT_BUDGET_DIGESTS = {
@@ -227,7 +226,7 @@ SHORT_BUDGET_DIGESTS = {
 @pytest.mark.parametrize("mode", sorted(SHORT_BUDGET_DIGESTS))
 def test_transcript_digest_short_budget(mode):
     chains, metrics = run_scenario(
-        dataclasses.replace(SHORT_BUDGET, consensus_mode=mode))
+        SHORT_BUDGET._replace(consensus_mode=mode))
     rounds = metrics.rounds
     assert {rec.steps_to_decision for rec in rounds} == {5, 6, 7}
     assert sum(rec.flags == ("no-termination",) for rec in rounds) == 8
@@ -277,17 +276,16 @@ def test_single_field_mutation_of_certified_block_is_rejected(small_run, data):
               if kind != "payment_order" or len(chain.blocks[r].payset) >= 2]
     block = chain.blocks[data.draw(st.sampled_from(rounds), label="round")]
     assert validate_block(chain, block) == []
-    replace = dataclasses.replace
     if kind in ("seed", "prev_hash"):
         value = data.draw(st.binary(min_size=32, max_size=32)
                           .filter(lambda v: v != getattr(block, kind)))
-        mutated = replace(block, **{kind: value})
+        mutated = block._replace(**{kind: value})
     elif kind == "payment_order":
         payset = list(block.payset)
         i, j = data.draw(st.lists(st.integers(0, len(payset) - 1), min_size=2,
                                   max_size=2, unique=True))
         payset[i], payset[j] = payset[j], payset[i]
-        mutated = replace(block, payset=tuple(payset))
+        mutated = block._replace(payset=tuple(payset))
     elif kind == "thin_cert":
         mutated = block.with_cert(block.cert[:params.cert_threshold - 1])
     else:
@@ -482,8 +480,7 @@ def test_only_certificate_votes_are_signed(monkeypatch, mode):
         return sign(head, owner, tail, message)
 
     monkeypatch.setattr(crypto, "_ephemeral_sig", recording)
-    chains, metrics = run_scenario(dataclasses.replace(SMALL,
-                                                       consensus_mode=mode))
+    chains, metrics = run_scenario(SMALL._replace(consensus_mode=mode))
     for rec in metrics.rounds:
         assert signed_rounds.count(rec.round) == \
             len(chains[0].blocks[rec.round].cert)
@@ -495,7 +492,7 @@ def test_mismatched_rounds_write_nothing_to_stderr(capfd):
     # a fresh interpreter with no logging configured, where a library log
     # would reach stderr through Python's last-resort handler; the metrics
     # record each mismatch (`equivalent` false, both digests)
-    both = dataclasses.replace(SHORT_BUDGET, consensus_mode="both")
+    both = SHORT_BUDGET._replace(consensus_mode="both")
     probe = ("from algosim.adversary import AdversaryConfig; "
              "from algosim.engine import ScenarioConfig, run_scenario; "
              "from algosim.sortition import ProtocolParams; "
@@ -526,7 +523,7 @@ def test_each_step_sends_once_per_sender_in_ascending_order(monkeypatch,
 
     monkeypatch.setattr(Network, "broadcast", record_broadcast)
     monkeypatch.setattr(Network, "step", record_step)
-    _, metrics = run_scenario(dataclasses.replace(SMALL, consensus_mode=mode))
+    _, metrics = run_scenario(SMALL._replace(consensus_mode=mode))
     # one delivery per committee step of each round: no step runs twice
     assert len(steps) == sum(len(rec.committee_sizes)
                              for rec in metrics.rounds)
@@ -615,4 +612,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(rounds=100, params=ProtocolParams(horizon=50))
     with pytest.raises(ValueError):
-        dataclasses.replace(ScenarioConfig(), rounds=64)
+        ScenarioConfig()._replace(rounds=64)

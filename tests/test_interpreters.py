@@ -14,7 +14,6 @@ interpreter's run.
 """
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -110,7 +109,7 @@ def small_cfg(tmp_path_factory) -> Path:
     path.write_text(SMALL_CFG)
     for mode in MODES:
         assert cli.load_config(str(path), mode=mode) == \
-            dataclasses.replace(SMALL, consensus_mode=mode)
+            SMALL._replace(consensus_mode=mode)
     return path
 
 

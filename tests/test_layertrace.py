@@ -4,7 +4,6 @@ from outside, so a rename in a layer it hooks breaks it silently.  The file is
 read and executed here, never imported into `perfbench/`'s bytecode cache."""
 
 import contextlib
-import dataclasses
 import importlib
 import io
 import types
@@ -52,7 +51,7 @@ def test_tracer_counts_every_delivery():
     assert counts["netsim.deliveries"] == metrics.total_messages
     assert counts["engine.SimulationRun.run_round"] == config.rounds
     # uninstalled: a second run goes unseen
-    layers["engine"].run_scenario(dataclasses.replace(config, rounds=4))
+    layers["engine"].run_scenario(config._replace(rounds=4))
     assert tracer.counts() == counts
 
 

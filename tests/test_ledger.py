@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -18,6 +17,7 @@ from algosim.crypto import (
     be8,
     hash_to_unit,
 )
+from algosim.cli import load_config
 from algosim.engine import ScenarioConfig, run_scenario
 from algosim.ledger import (
     Block,
@@ -42,6 +42,7 @@ from algosim.ledger import (
     next_block,
     users_at,
     validate_block,
+    verify_chain,
     view_leader,
 )
 from algosim.sortition import (
@@ -305,7 +306,7 @@ def test_only_the_chains_own_block_carries_its_status(registry):
     chain.append(block)
     entering = chain.status_entering(4)
     after = apply_payset(entering, block.payset, registry)
-    twin = dataclasses.replace(block)  # equal, but not the chain's block
+    twin = block._replace()  # equal, but not the chain's block
     for other, status in ((twin, after), (block, entering), (chain.blocks[3], after)):
         chain.carry(other, status)
         assert 5 not in chain._statuses
@@ -388,7 +389,7 @@ def test_block_digest_matches_readme_preimage_on_every_path(registry):
     certed = built.with_cert((cert_vote(1, 4, 2, 0, block_hash(built),
                                         b"\x01" * 32,
                                         Credential(1, 4, 2, b"\x02" * 32)),))
-    reseeded = dataclasses.replace(built, seed=bytes(range(32)))
+    reseeded = built._replace(seed=bytes(range(32)))
     chain.append(certed)
     parsed = chain_from_lines(export_lines(chain), registry).blocks
     for b in (built, certed, reseeded, *chain.blocks, *parsed):
@@ -397,8 +398,8 @@ def test_block_digest_matches_readme_preimage_on_every_path(registry):
     assert block_hash(parsed[4]) == block_hash(built)
     with pytest.raises(TypeError):
         Block(4, pays, built.seed, built.prev_hash, (), b"\x00" * 32)
-    with pytest.raises(ValueError):
-        dataclasses.replace(built, digest=b"\x00" * 32)
+    with pytest.raises(TypeError):
+        built._replace(digest=b"\x00" * 32)
 
 
 u64 = st.integers(0, 2**64 - 1)
@@ -512,7 +513,7 @@ def test_export_equals_reference_writer(blocks, balances):
     assert lines[1:] == [reference_block_line(b) for b in blocks]
     assert [reference_parse_record(line) for line in lines[1:]] == blocks
     # a chain file numbers its blocks 0, 1, ...
-    lines = exported([dataclasses.replace(b, round=r) for r, b in enumerate(blocks)],
+    lines = exported([b._replace(round=r) for r, b in enumerate(blocks)],
                      balances)
     assert export_lines(chain_from_lines(lines)) == lines
 
@@ -525,7 +526,7 @@ def test_export_reaches_u64_extremes_and_long_certs():
                  for i in range(25))
     pays = tuple(Payment(U64_MAX, 0, U64_MAX, bytes([i]) * 32) for i in range(6))
     b = Block(0, pays, b"\xab" * 32, b"\x01" * 32, cert)
-    top = dataclasses.replace(b, round=U64_MAX)
+    top = b._replace(round=U64_MAX)
     assert exported([top])[1] == reference_block_line(top)
     lines = exported([b], {U64_MAX: 0, 0: U64_MAX})
     assert lines[1] == reference_block_line(b)
@@ -536,15 +537,15 @@ def test_export_reaches_u64_extremes_and_long_certs():
 @given(edge_blocks(), st.lists(edge_cert_messages, max_size=25), u64_edge)
 def test_with_cert_equals_a_fresh_block(block, cert, round):
     # `with_cert` carries the digest over, as the cert is not hashed;
-    # `dataclasses.replace` of a hashed field computes it afresh
+    # `_replace` of a hashed field computes it afresh
     original = block.cert
     certed = block.with_cert(cert)
     fresh = Block(block.round, block.payset, block.seed, block.prev_hash,
                   tuple(cert))
     assert (certed, certed.digest) == (fresh, fresh.digest)
     assert block.cert is original  # the uncertified block is unchanged
-    moved = dataclasses.replace(certed, round=round)
-    assert moved.digest == dataclasses.replace(fresh, round=round).digest == \
+    moved = certed._replace(round=round)
+    assert moved.digest == fresh._replace(round=round).digest == \
         Block(round, block.payset, block.seed, block.prev_hash, ()).digest
 
 
@@ -818,6 +819,46 @@ def test_bootstrap_cert_messages_are_reported(certified):
     assert validate_block(chain, block.with_cert(cert)) == [
         f"cert message from user {u}: credential invalid (not-eligible)"
         for u in voters]
+
+
+@pytest.fixture(scope="module")
+def honest_cfg_chain():
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    chains, _ = run_scenario(load_config(str(fixtures / "honest.cfg")))
+    return chains[0]
+
+
+def forged_round_2(chain, kind):
+    """The honest round-2 block with its `seed` or `prev_hash` flipped, or
+    with one validly signed payment in its payset."""
+    honest = chain.blocks[2]
+    if kind == "payment":
+        payer, payee = sorted(users_at(chain, 1))[:2]
+        payment = make_payment(chain.registry, payer, payee, 1, 2)
+        return Block(2, (payment,), honest.seed, honest.prev_hash, ())
+    return honest._replace(**{kind: flip(getattr(honest, kind))})
+
+
+@pytest.mark.parametrize("kind, violation", [
+    ("seed", "seed rule violated for empty block"),
+    ("prev_hash", "previous-block hash mismatch"),
+    ("payment", "non-empty block before the lookback horizon"),
+])
+def test_forged_bootstrap_block_gives_its_one_violation(honest_cfg_chain, kind,
+                                                        violation):
+    # rounds below `lookback` carry no certificate, so the rule check is the
+    # only guard: each forged block breaks one rule, and only that one
+    chain = honest_cfg_chain
+    assert 2 < chain.params.lookback and chain.blocks[2].is_empty()
+    forged = chain.prefix(2)
+    forged.append(forged_round_2(chain, kind))
+    assert verify_chain(forged) == [(2, violation)]
+
+
+def test_block_past_the_prefix_has_no_validated_predecessor(honest_cfg_chain):
+    chain = honest_cfg_chain
+    assert validate_block(chain.prefix(2), chain.blocks[4]) == [
+        "round 4 has no validated predecessor"]
 
 
 def test_an_eligible_voter_the_registry_does_not_know_raises():

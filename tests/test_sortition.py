@@ -1,6 +1,5 @@
 import hashlib
 import math
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -21,7 +20,13 @@ from algosim.sortition import (
     selection_limit,
 )
 
-from conftest import idle_chain, make_registry, view_committee, view_credential
+from conftest import (
+    idle_chain,
+    make_registry,
+    view_committee,
+    view_credential,
+    with_params,
+)
 
 N = 100
 
@@ -63,7 +68,7 @@ def test_default_cert_threshold():
 def test_saturated_threshold_selects_everyone(env):
     registry, chain = env
     params = params_with(p=1.0, p2=1.0)
-    chain = replace(chain, params=params)
+    chain = with_params(chain, params)
     prev_seed = chain.blocks[4].seed
     leaders = select_committee(5, 1, prev_seed, range(1, N + 1), params,
                                registry)
@@ -74,7 +79,7 @@ def test_saturated_threshold_selects_everyone(env):
 def test_zero_threshold_selects_nobody(env):
     registry, chain = env
     params = params_with(p=0.0, p2=0.0)
-    chain = replace(chain, params=params)
+    chain = with_params(chain, params)
     prev_seed = chain.blocks[4].seed
     assert select_committee(5, 1, prev_seed, range(1, N + 1), params,
                             registry) == []
@@ -106,7 +111,7 @@ def test_selection_matches_independent_enumeration(env):
 def test_step_memberships_are_independent(env):
     registry, chain = env
     params = params_with(p2=0.5)
-    chain = replace(chain, params=params)
+    chain = with_params(chain, params)
     prev_seed = chain.blocks[4].seed
     in2_not3 = in3_not2 = 0
     for u in range(1, N + 1):
@@ -120,7 +125,7 @@ def test_step_memberships_are_independent(env):
 def test_committee_mean_matches_binomial(env):
     registry, chain = env
     params = params_with(p2=0.2)
-    chain = replace(chain, params=params)
+    chain = with_params(chain, params)
     sizes = []
     for i in range(300):
         prev_seed = hashlib.sha256(b"trial" + be8(i)).digest()
@@ -145,7 +150,7 @@ def chi2_sf(x, dof):
 def test_committee_sizes_fit_binomial_chi_square(env):
     registry, chain = env
     params = params_with(p2=0.2)
-    chain = replace(chain, params=params)
+    chain = with_params(chain, params)
     draws = []
     for i in range(10_000):
         prev_seed = hashlib.sha256(b"chi2" + be8(i)).digest()
@@ -174,7 +179,7 @@ def test_committee_sizes_fit_binomial_chi_square(env):
 def test_not_eligible_outside_lookback(env):
     registry, chain = env
     params = params_with(p=1.0, p2=1.0)
-    chain = replace(chain, params=params)
+    chain = with_params(chain, params)
     registry.register_user(999)  # registered but never on chain
     for user, round, prev_seed in ((999, 5, chain.blocks[4].seed),
                                    (1, 2, chain.blocks[1].seed)):
@@ -190,7 +195,7 @@ def test_steps_start_at_one(env):
     # step 0
     registry, chain = env
     params = params_with(p=1.0, p2=0.0)
-    chain = replace(chain, params=params)
+    chain = with_params(chain, params)
     prev_seed = chain.blocks[4].seed
     cred = view_credential(1, 5, 1, prev_seed, chain)
     assert cred.sig == registry.unique_sign(
@@ -208,7 +213,7 @@ class TestSelectLeader:
     def test_smallest_unit_wins(self, env):
         registry, chain = env
         params = params_with(p=1.0)
-        chain = replace(chain, params=params)
+        chain = with_params(chain, params)
         prev_seed = chain.blocks[4].seed
         creds = [view_credential(u, 5, 1, prev_seed, chain)
                  for u in (3, 4, 5)]
@@ -229,7 +234,7 @@ class TestVerifyCredential:
     def test_round_trip(self, env):
         registry, chain = env
         params = params_with(p2=1.0)
-        chain = replace(chain, params=params)
+        chain = with_params(chain, params)
         prev_seed = chain.blocks[4].seed
         cred = view_credential(8, 5, 2, prev_seed, chain)
         assert check_credential(cred, prev_seed, chain) is None
@@ -237,7 +242,7 @@ class TestVerifyCredential:
     def test_unit_is_derived_not_trusted(self, env):
         registry, chain = env
         params = params_with(p2=1.0)
-        chain = replace(chain, params=params)
+        chain = with_params(chain, params)
         prev_seed = chain.blocks[4].seed
         cred = view_credential(8, 5, 2, prev_seed, chain)
         forged = Credential(cred.user, cred.round, cred.step, b"\x00" * 32)
@@ -247,7 +252,7 @@ class TestVerifyCredential:
     def test_mutations_rejected(self, env):
         registry, chain = env
         params = params_with(p2=1.0)
-        chain = replace(chain, params=params)
+        chain = with_params(chain, params)
         prev_seed = chain.blocks[4].seed
         cred = view_credential(8, 5, 2, prev_seed, chain)
         for broken in (Credential(9, 5, 2, cred.sig),
@@ -258,7 +263,7 @@ class TestVerifyCredential:
     def test_not_eligible_reason(self, env):
         registry, chain = env
         params = params_with(p2=1.0)
-        chain = replace(chain, params=params)
+        chain = with_params(chain, params)
         registry.register_user(999)
         prev_seed = chain.blocks[4].seed
         sig = registry.unique_sign(999, b"whatever")
@@ -268,8 +273,8 @@ class TestVerifyCredential:
     def test_threshold_miss_reason(self, env):
         registry, chain = env
         prev_seed = chain.blocks[4].seed
-        loose = replace(chain, params=params_with(p2=1.0))
-        tight = replace(chain, params=params_with(p2=0.0))
+        loose = with_params(chain, params_with(p2=1.0))
+        tight = with_params(chain, params_with(p2=0.0))
         cred = view_credential(8, 5, 2, prev_seed, loose)
         assert check_credential(cred, prev_seed, tight) == "not-selected"
 
@@ -277,7 +282,7 @@ class TestVerifyCredential:
 def test_selection_is_deterministic_non_grinding(env):
     registry, chain = env
     params = params_with(p=0.1)
-    chain = replace(chain, params=params)
+    chain = with_params(chain, params)
     prev_seed = chain.blocks[4].seed
     again = make_registry(seed=11, users=range(1, N + 1))
     first = select_committee(5, 1, prev_seed, range(1, N + 1), params, registry)
@@ -307,7 +312,7 @@ def reference_committee(round, step, prev_seed, chain, params, registry):
 def test_view_leader_matches_signed_path(env):
     registry, chain = env
     params = params_with(p=0.2)
-    chain = replace(chain, params=params)
+    chain = with_params(chain, params)
     prev_seed = chain.blocks[4].seed
     # every user signs for itself, then the float rule picks the leaders
     msg = credential_message(5, 1, prev_seed)
@@ -325,7 +330,7 @@ def test_view_credential_round_trip(env):
     # and publish, they verify, and rounds before the lookback yield none
     registry, chain = env
     params = params_with(p=0.5, p2=0.5)
-    chain = replace(chain, params=params)
+    chain = with_params(chain, params)
     prev_seed = chain.blocks[4].seed
     creds = []
     for step in range(1, params.max_step + 1):
@@ -433,7 +438,7 @@ def test_extreme_hashes_select_as_the_float_rule(env, monkeypatch, p, digest):
     monkeypatch.setattr(sortition, "_SELECTION_HASH",
                         SimpleNamespace(copy=forced))
     params = params_with(p=p, p2=p)
-    chain = replace(chain, params=params)
+    chain = with_params(chain, params)
     prev_seed = chain.blocks[4].seed
     for step in (1, 2):
         hashed.clear()
