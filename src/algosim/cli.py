@@ -32,7 +32,8 @@ from .engine import (
     metrics_to_lines,
     run_scenario,
 )
-from .ledger import LedgerError, chain_from_lines, chain_pieces, verify_chain
+from .ledger import (LedgerError, block_pieces, chain_from_lines, chain_pieces,
+                     verify_chain)
 from .sortition import ProtocolParams, default_cert_threshold
 
 class ConfigError(Exception):
@@ -115,17 +116,35 @@ def _run_one(config: ScenarioConfig,
              out_dir: Path | None) -> tuple[list[str], RunMetrics]:
     """Run one scenario and write its `metrics.jsonl` and `chain*.jsonl` into
     `out_dir`, if given, in this process; return (metrics lines, metrics).
-    Each chain file is written piece by piece as `chain_pieces` formats it,
-    so the export holds one record (a certificate message, a payment, a
-    block's fixed fields), never a block's line.  The chains go no further,
-    so a batch holds one at a time and a worker returns none."""
-    chains, metrics = run_scenario(config)
+    A chain file is written a record at a time as the ledger formats it.  An
+    honest run's blocks are written (with no `out_dir`, dropped) as they
+    commit, and a failing run leaves no `chain.jsonl`; an attack's chains
+    are written after its run."""
+    path, f = out_dir and out_dir / "chain.jsonl", None
+
+    def write(chain, block) -> None:
+        nonlocal f
+        if path:
+            if f is None:
+                f = open(path, "w")
+                f.write(next(chain_pieces(chain)))  # the header line
+            f.writelines(block_pieces(block))
+    try:
+        chains, metrics = run_scenario(config, write)
+    except BaseException:
+        if f is not None:  # a failing run leaves no partial chain file
+            f.close()
+            path.unlink()
+        raise
+    if f is not None:
+        f.close()
     lines = metrics_to_lines(metrics)
     if out_dir:
         _write(out_dir / "metrics.jsonl", (line + "\n" for line in lines))
         for i, chain in enumerate(chains):
             name = f"chain_fork{i - 1}.jsonl" if i else "chain.jsonl"
-            _write(out_dir / name, chain_pieces(chain))
+            if i or f is None:  # else written as the run committed it
+                _write(out_dir / name, chain_pieces(chain))
     return lines, metrics
 
 

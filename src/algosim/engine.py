@@ -249,11 +249,21 @@ class SimulationRun:
 
     # -- adversary phase -------------------------------------------------------
 
-    def run(self) -> tuple[list[Chain], RunMetrics]:
+    def run(self, write=None) -> tuple[list[Chain], RunMetrics]:
+        """An honest run calls `write(chain, block)`, if given, on genesis and on
+        each block as it commits, and after round r keeps only the blocks from
+        r - lookback - 1 on.  An attack reads its chain back to genesis: no `write`."""
         start = time.perf_counter()
+        adv = self.config.adversary
+        write = write if adv.strategy == "honest" else None
+        if write:
+            write(self.chain, self.chain.blocks[0])
         for r in range(1, self.config.rounds + 1):
             self.run_round(r)
-        adv = self.config.adversary
+            if write:  # outside run_round, which the benchmark times
+                write(self.chain, self.chain.blocks[r])
+                if r > self.params.lookback + 1:
+                    self.chain.blocks[r - self.params.lookback - 2] = None
         chains, attack_error = [self.chain], None
         if adv.strategy == "genesis_fork":
             chains.append(fork_from(self.chain, adv.fork_round))
@@ -278,9 +288,9 @@ class SimulationRun:
         return chains, metrics
 
 
-def run_scenario(config: ScenarioConfig) -> tuple[list[Chain], RunMetrics]:
+def run_scenario(config: ScenarioConfig, write=None) -> tuple[list[Chain], RunMetrics]:
     """Execute one scenario; deterministic for a given config."""
-    return SimulationRun(config).run()
+    return SimulationRun(config).run(write)
 
 
 def detect_fork(a: Chain, b: Chain,

@@ -15,12 +15,12 @@ is a JSON genesis header line and then one JSON block record a line, with
 sorted keys, no spaces, ints and lowercase hex; nothing there needs
 escaping, so `chain_pieces` formats the file from templates one record at a
 time (a certificate message, a payment, a block's fixed fields), and a
-writer holds one record, never a block's line.  `chain_from_lines` takes any
-iterable of lines, an open file included (a line's newline is JSON
-whitespace), and reads one record at a time, so a reader holds the chain's
-objects and one line, never the file's text.  It takes only the text the
-writer makes: digests and signatures of exactly 64 lowercase hex characters
-and header user ids in plain decimal.
+writer holds one record, never a block's line (`block_pieces` formats one
+block).  `chain_from_lines` takes any iterable of lines, an open file
+included (a line's newline is JSON whitespace), and reads one record at a
+time, so a reader holds the chain's objects and one line, never the file's
+text.  It takes only the writer's text: digests and signatures of exactly 64
+lowercase hex characters and header user ids in plain decimal.
 """
 
 from __future__ import annotations
@@ -265,6 +265,8 @@ class Chain:
     A caller that has just applied the payset of the chain's own block hands
     the result over with `carry`, so the window's next status is not
     replayed (and its payment signatures not verified) a second time.
+    An honest run writing its blocks as they commit (`SimulationRun.run` with
+    `write`) keeps those from round `tip_round - lookback - 1` on, None for the rest.
     """
 
     def __init__(self, genesis_status: Status, blocks: list[Block] | None = None,
@@ -515,35 +517,37 @@ _CERT = ('{"bit":%d,"block_digest":"%s","credential":{"round":%d,"sig":"%s",'
 
 
 # The block template's three fixed parts, around its cert and payset lists,
-# so that each record of those lists is yielded on its own
+# so that each record of those is yielded on its own, after a comma if not first
 _BLOCK_OPEN, _BLOCK_MID, _BLOCK_CLOSE = _BLOCK.split("%s", 2)
 _BLOCK_CLOSE += "\n"
+_NEXT_CERT, _NEXT_PAYMENT = "," + _CERT, "," + _PAYMENT
+
+
+def block_pieces(b: Block) -> Iterator[str]:
+    """A block's line in pieces of at most one record, formatted as drawn: its
+    opening, each cert message, its payset's opening, each payment, the rest."""
+    yield _BLOCK_OPEN
+    template = _CERT
+    for v, r, s, p, sig, (u, cr, cs, c_sig) in b.cert:
+        yield template % (p[0], p[1:].hex(), cr, c_sig.hex(), cs, u, r,
+                          sig.hex(), s, v)
+        template = _NEXT_CERT
+    yield _BLOCK_MID
+    template = _PAYMENT
+    for p in b.payset:
+        yield template % (p.amount, p.payee, p.payer, p.sig.hex())
+        template = _NEXT_PAYMENT
+    yield _BLOCK_CLOSE % (b.prev_hash.hex(), b.round, b.seed.hex())
 
 
 def chain_pieces(chain: Chain) -> Iterator[str]:
-    """The chain file's text, in pieces of at most one record each: the
-    header line, then per block its opening, each certificate message, its
-    payset's opening, each payment and its closing fields with the newline.
-    Each piece is formatted as it is drawn."""
+    """The chain file's text: its header line, then each block's pieces."""
     yield json.dumps(
         {"genesis_status": {str(u): a for u, a in
                             chain.genesis_status.balances.items()}},
         sort_keys=True, separators=(",", ":")) + "\n"
-    # a record after the first of its list follows a comma
-    next_cert, next_payment = "," + _CERT, "," + _PAYMENT
     for b in chain.blocks:
-        yield _BLOCK_OPEN
-        template = _CERT
-        for v, r, s, p, sig, (u, cr, cs, c_sig) in b.cert:
-            yield template % (p[0], p[1:].hex(), cr, c_sig.hex(), cs, u, r,
-                              sig.hex(), s, v)
-            template = next_cert
-        yield _BLOCK_MID
-        template = _PAYMENT
-        for p in b.payset:
-            yield template % (p.amount, p.payee, p.payer, p.sig.hex())
-            template = next_payment
-        yield _BLOCK_CLOSE % (b.prev_hash.hex(), b.round, b.seed.hex())
+        yield from block_pieces(b)
 
 
 def _hash_field(text: str) -> bytes:
@@ -583,11 +587,35 @@ def _user_key(key: str) -> int:
     return user
 
 
+def _cert_value(payloads: dict, m: dict) -> bytes:
+    """`cert_payload` of message `m`'s bit and block digest, decoded once per
+    distinct pair in a record and shared, as certify's is.  Only an int bit is
+    looked up: `true` or `1.0` would find the entry of 1."""
+    try:
+        if type(m["bit"]) is int:
+            return payloads[m["bit"], m["block_digest"]]
+    except (KeyError, TypeError):
+        pass  # read afresh below, so a bad message raises what it raised
+    value = cert_payload(_bit_field(m["bit"]), _hash_field(m["block_digest"]))
+    payloads[m["bit"], m["block_digest"]] = value
+    return value
+
+
 # What a malformed line raises while it is read: json.loads (RecursionError
 # when arrays nest deeper than the interpreter's limit), a missing key, or a
 # value of the wrong type or range, checked in field declaration order.
 # Every number passes `_u64_field` before a Block serializes it.
 _PARSE_ERRORS = (KeyError, ValueError, TypeError, AttributeError, RecursionError)
+
+
+def _cause(exc: Exception) -> object:
+    """A parse error in the reader's words where Python's are bare: a missing
+    key, or a list, number or string where the writer puts an object."""
+    if type(exc) is KeyError:
+        return f"missing key {exc.args[0]!r}"
+    if type(exc) is TypeError and ("subscriptable" in str(exc) or "indices" in str(exc)):
+        return "expected an object"
+    return exc
 
 
 def chain_from_lines(lines: Iterable[str],
@@ -599,34 +627,27 @@ def chain_from_lines(lines: Iterable[str],
     if first is None:
         raise LedgerError("malformed chain file header: the file is empty")
     try:
-        header = json.loads(first)
-        if type(header) is not dict:
-            raise ValueError("expected an object")
-        status = header["genesis_status"]
+        status = json.loads(first)["genesis_status"]
         if type(status) is not dict:
             raise ValueError("genesis_status: expected an object")
         balances = {_user_key(u): _u64_field(a) for u, a in status.items()}
     except UnicodeDecodeError:
         raise  # not text: a file's decoder may have failed on a later line
     except _PARSE_ERRORS as exc:
-        raise LedgerError(f"malformed chain file header: {exc}") from exc
+        raise LedgerError(f"malformed chain file header: {_cause(exc)}") from exc
     chain = Chain(Status(0, balances), registry=registry, params=params)
     for line in it:
         if not line.strip():
             continue
         try:
             o = json.loads(line)
-            # the block's votes share one payload object, as certify's do;
-            # each is validated before it is looked up
-            payloads: dict[bytes, bytes] = {}
+            payloads: dict[tuple[int, str], bytes] = {}
             payset = tuple([Payment(_u64_field(p["payer"]), _u64_field(p["payee"]),
                                     _u64_field(p["amount"]), _hash_field(p["sig"]))
                             for p in o["payset"]])
             cert = tuple([Vote(
                 _u64_field(m["voter"]), _u64_field(m["round"]),
-                _u64_field(m["step"]),
-                payloads.setdefault(payload := cert_payload(
-                    _bit_field(m["bit"]), _hash_field(m["block_digest"])), payload),
+                _u64_field(m["step"]), _cert_value(payloads, m),
                 _hash_field(m["sig"]),
                 Credential(_u64_field((c := m["credential"])["user"]),
                            _u64_field(c["round"]), _u64_field(c["step"]),
@@ -635,7 +656,7 @@ def chain_from_lines(lines: Iterable[str],
             block = Block(_u64_field(o["round"]), payset, _hash_field(o["seed"]),
                           _hash_field(o["prev_hash"]), cert)
         except _PARSE_ERRORS as exc:
-            raise LedgerError(f"malformed chain record: {exc}") from exc
+            raise LedgerError(f"malformed chain record: {_cause(exc)}") from exc
         chain.append(block)
     if not chain.blocks:
         raise LedgerError("no block record follows the header")

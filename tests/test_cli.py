@@ -124,11 +124,16 @@ class TestRun:
         path = tmp_path / "ct90.cfg"
         path.write_text((FIXTURES / "honest.cfg").read_text().replace(
             "cert_threshold = 14", "cert_threshold = 90"))
-        code, stdout, err = run_cli(capsys, "run", "--config", path,
-                                    "--rounds", "4")
-        assert code == 2
-        assert err.count("\n") == 1 and err.startswith("error:")
-        assert "certificate threshold unreachable" in err
+        out = tmp_path / "out"
+        # with --out, round 3 fails after blocks 0-2 were written: the
+        # partial chain file is removed
+        for extra in ([], ["--out", out]):
+            code, stdout, err = run_cli(capsys, "run", "--config", path,
+                                        "--rounds", "4", *extra)
+            assert code == 2
+            assert err.count("\n") == 1 and err.startswith("error:")
+            assert "round 3: certificate threshold unreachable" in err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("argv, message", [
         (("--seed", "-1"), "seed must be in [0, 2**64)"),
@@ -365,7 +370,8 @@ class TestVerifyChain:
     @pytest.mark.parametrize("header, cause", [
         ("[]", "expected an object"),
         ('{"genesis_status":5}', "genesis_status: expected an object"),
-    ], ids=["list", "status-int"])
+        ("{}", "missing key 'genesis_status'"),
+    ], ids=["list", "status-int", "no-status"])
     def test_header_of_the_wrong_json_shape_is_load_error(
             self, small_cfg, tmp_path, capsys, header, cause):
         (tmp_path / "shape.jsonl").write_text(header + "\n")
@@ -374,6 +380,22 @@ class TestVerifyChain:
         assert (code, stdout) == (2, "")
         assert err == ("error: cannot load chain: malformed chain file header: "
                        f"{cause}\n")
+
+    @pytest.mark.parametrize("record, cause", [
+        ("[]", "expected an object"),
+        ('{"cert":5}', "missing key 'payset'"),
+        ('{"cert":[],"payset":[5]}', "expected an object"),
+        ('{"cert":[[]],"payset":[]}', "expected an object"),
+        ('{"cert":[],"payset":[],"prev_hash":"00","round":1}', "missing key 'seed'"),
+    ], ids=["list", "no-payset", "payment-int", "message-list", "no-seed"])
+    def test_record_of_the_wrong_json_shape_is_load_error(
+            self, small_cfg, tmp_path, capsys, record, cause):
+        (tmp_path / "shape.jsonl").write_text(
+            '{"genesis_status":{"1":1000}}\n' + record + "\n")
+        code, stdout, err = run_cli(capsys, "verify-chain", "--chain",
+                                    tmp_path / "shape.jsonl", "--config", small_cfg)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: cannot load chain: malformed chain record: {cause}\n"
 
     def test_header_user_id_in_another_spelling_is_load_error(
             self, small_cfg, tmp_path, capsys):
@@ -892,10 +914,10 @@ def test_failing_seed_prints_nothing_and_keeps_finished_files(
     # each seed writes its files as it finishes; stdout waits for them all
     real = cli.run_scenario
 
-    def failing(config):
+    def failing(config, write):
         if config.seed == 6:
             raise EngineError("seed 6 cannot complete")
-        return real(config)
+        return real(config, write)
 
     monkeypatch.setattr(cli, "run_scenario", failing)
     out = tmp_path / "out"
@@ -1124,8 +1146,14 @@ def test_run_out_holds_no_joined_copy(seed5_runs, tmp_path, monkeypatch):
     # the scenario is served from memory, so the peaks differ only by the
     # CLI's own export: one record being formatted and written
     cfg, runs = seed5_runs
-    monkeypatch.setattr(cli, "run_scenario",
-                        lambda config: runs[config.rounds][0])
+
+    def stored(config, write):
+        result = runs[config.rounds][0]
+        for block in result[0][0].blocks:
+            write(result[0][0], block)
+        return result
+
+    monkeypatch.setattr(cli, "run_scenario", stored)
 
     def export_peak(rounds):
         argv = ["run", "--config", cfg, "--rounds", rounds]
@@ -1136,6 +1164,21 @@ def test_run_out_holds_no_joined_copy(seed5_runs, tmp_path, monkeypatch):
 
     per_byte = growth_per_chain_byte(runs, export_peak)
     assert per_byte < 0.3  # 1.16 with the file's formatted lines held
+
+
+@pytest.mark.parametrize("out", [True, False], ids=["out", "no-out"])
+def test_honest_run_holds_no_chain(tmp_path, out):
+    # an honest run's blocks are written, or dropped, as they commit: what
+    # it holds grows by its round records alone
+    def peak(rounds):
+        argv = ["run", "--config", FIXTURES / "honest.cfg", "--rounds", rounds]
+        return traced_peak(argv + (["--out", tmp_path / str(rounds)] if out
+                                   else []))
+
+    peak(2)  # a process's first command also builds the parser
+    low, high = MEMORY_ROUNDS
+    per_round = (peak(high) - peak(low)) / (high - low)  # the longer run first
+    assert per_round < 2_000  # about 8.5 KB with the chain held
 
 
 def test_export_holds_one_certificate_message(tmp_path):

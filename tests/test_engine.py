@@ -559,6 +559,22 @@ class TestDetectFork:
         assert len(reports) == 1
         assert reports[0].classification == "protocol-violation"  # unhinted
 
+    def test_pair_with_an_invalid_block_is_not_a_fork(self):
+        # the bribed block with another seed keeps its certificate, which now
+        # signs another digest: two rules broken, so no fork is reported
+        chains, metrics = run_scenario(
+            cli.load_config(str(FIXTURES / "bribery.cfg")))
+        assert len(detect_fork(*chains)) == metrics.forks_detected == 1
+        target = metrics.fork_reports[0].round
+        alt = chains[1].blocks[target]
+        forged = alt._replace(seed=bytes(32)).with_cert(alt.cert)
+        bad = chains[1].prefix(target)
+        reasons = validate_block(bad, forged)
+        assert "seed rule violated for non-empty block" in reasons
+        assert any(r.endswith("wrong block digest") for r in reasons)
+        bad.append(forged)
+        assert detect_fork(chains[0], bad) == []
+
     def test_incompatible_genesis(self):
         # registries of different seeds give different genesis seeds
         a = idle_chain(make_registry(seed=0), {1: 5, 2: 5}, 2)
@@ -613,3 +629,35 @@ def test_config_validation():
         ScenarioConfig(rounds=100, params=ProtocolParams(horizon=50))
     with pytest.raises(ValueError):
         ScenarioConfig()._replace(rounds=64)
+
+
+def test_honest_run_writes_each_block_as_it_commits():
+    # the blocks handed over are the unstreamed run's, in order, and the
+    # chain keeps only those from round r - lookback - 1 on
+    config = cli.load_config(str(FIXTURES / "honest.cfg"), rounds=12)
+    lookback = config.params.lookback
+    [whole], metrics = run_scenario(config)
+    handed = []
+
+    def write(chain, block):
+        # handed over as the tip, with the blocks the last round released
+        released = max(0, block.round - lookback - 2)
+        assert chain.tip() is block and None not in chain.blocks[released:]
+        assert chain.blocks[:released] == [None] * released
+        handed.append(block)
+
+    [streamed], streamed_metrics = run_scenario(config, write)
+    assert handed == whole.blocks
+    assert streamed_metrics._replace(wall_time=0) == metrics._replace(wall_time=0)
+    kept = 12 - lookback - 1
+    assert streamed.blocks == [None] * kept + whole.blocks[kept:]
+
+
+@pytest.mark.parametrize("fixture", ["genesis_fork.cfg", "bribery.cfg"])
+def test_attack_run_never_writes_and_keeps_its_chain(fixture):
+    # the attack and fork detection read the chain back to genesis
+    config = cli.load_config(str(FIXTURES / fixture))
+    chains, metrics = run_scenario(config, lambda chain, block: pytest.fail())
+    expected, _ = run_scenario(config)
+    assert [c.blocks for c in chains] == [c.blocks for c in expected]
+    assert metrics.forks_detected == 1

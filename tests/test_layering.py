@@ -2,7 +2,8 @@
 `algosim` import sits at module level, and each module imports only modules
 that come before it in `ORDER`.  `__init__` re-exports and is exempt.  And
 a chain is read under its own params and registry: no function takes them
-beside a `Chain`.  And no CLI command holds a whole file's text."""
+beside a `Chain`.  And no CLI command holds a whole file's text, and only
+the CLI opens, reads or writes a file."""
 
 import ast
 import functools
@@ -105,3 +106,18 @@ def test_cli_reads_no_whole_file():
     # chain and metrics files are read a line at a time; `cp.read(path)`
     # names a config for configparser and passes
     assert whole_file_reads("cli") == []
+
+
+FILE_CALLS = {"open", "write_text", "write_bytes", "read_text", "read_bytes"}
+
+
+def test_only_the_cli_touches_files():
+    # the engine hands its blocks to a `write` callback, and the ledger
+    # formats and parses text; files are opened at the CLI boundary alone
+    found = [f"{module}:{node.lineno} calls {name}"
+             for module, tree in syntax_trees() if module != "cli"
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             for name in [getattr(node.func, "id", None)
+                          or getattr(node.func, "attr", None)]
+             if name in FILE_CALLS]
+    assert found == []

@@ -459,7 +459,8 @@ def reference_block_line(b):
 
 def reference_parse_record(line):
     """The block record reader with keyword arguments, errors included."""
-    from algosim.ledger import _PARSE_ERRORS, _bit_field, _hash_field, _u64_field
+    from algosim.ledger import (
+        _PARSE_ERRORS, _bit_field, _cause, _hash_field, _u64_field)
     try:
         o = json.loads(line)
         payset = tuple(Payment(_u64_field(p["payer"]), _u64_field(p["payee"]),
@@ -478,7 +479,7 @@ def reference_parse_record(line):
         return Block(_u64_field(o["round"]), payset, _hash_field(o["seed"]),
                      _hash_field(o["prev_hash"]), cert)
     except _PARSE_ERRORS as exc:
-        raise LedgerError(f"malformed chain record: {exc}") from exc
+        raise LedgerError(f"malformed chain record: {_cause(exc)}") from exc
 
 
 U64_MAX = 2**64 - 1
