@@ -32,7 +32,7 @@ from .engine import (
     metrics_to_lines,
     run_scenario,
 )
-from .ledger import (LedgerError, block_pieces, chain_from_lines, chain_pieces,
+from .ledger import (LedgerError, block_pieces, chain_pieces, read_chain,
                      verify_chain)
 from .sortition import ProtocolParams, default_cert_threshold
 
@@ -230,6 +230,15 @@ def _records(f: Iterable[str]) -> Iterator[str]:
     return (record for line in f for record in line.splitlines())
 
 
+def _registered(blocks: Iterable, registry: KeyRegistry) -> Iterator:
+    """Each of `blocks` as it is drawn, its payers and payees registered."""
+    for block in blocks:
+        for p in block.payset:
+            registry.register_user(p.payer)
+            registry.register_user(p.payee)
+        yield block
+
+
 def cmd_verify_chain(args) -> int:
     try:
         config = load_config(args.config)
@@ -240,19 +249,18 @@ def cmd_verify_chain(args) -> int:
                            max_step=config.params.max_step)
     for u in range(1, config.num_genesis_users + 1):
         registry.register_user(u)
+    genesis = dict.fromkeys(range(1, config.num_genesis_users + 1),
+                            config.initial_balance)
+    # each block is validated as it is read; a record that cannot be read
+    # anywhere in the file is exit 2 with nothing printed, so the violations
+    # are printed only once the file is read to its end
     try:
         with open(args.chain) as f:
-            chain = chain_from_lines(_records(f), registry, config.params)
+            chain, blocks = read_chain(_records(f), registry, config.params)
+            problems = verify_chain(chain, genesis, _registered(blocks, registry))
     except (OSError, UnicodeDecodeError, LedgerError) as exc:
         print(f"error: cannot load chain: {exc}", file=sys.stderr)
         return 2
-    for block in chain.blocks:
-        for p in block.payset:
-            registry.register_user(p.payer)
-            registry.register_user(p.payee)
-    genesis = dict.fromkeys(range(1, config.num_genesis_users + 1),
-                            config.initial_balance)
-    problems = verify_chain(chain, genesis)
     for round, violation in problems:
         print(f"round {round}: {violation}")
     if problems:

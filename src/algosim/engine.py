@@ -251,8 +251,10 @@ class SimulationRun:
 
     def run(self, write=None) -> tuple[list[Chain], RunMetrics]:
         """An honest run calls `write(chain, block)`, if given, on genesis and on
-        each block as it commits, and after round r keeps only the blocks from
-        r - lookback - 1 on.  An attack reads its chain back to genesis: no `write`."""
+        each block as it commits, and then has the chain release the block its
+        window stops reading (`Chain.release`), so after round r it keeps the
+        blocks from r - lookback - 1 on.  An attack reads its chain back to
+        genesis: no `write`."""
         start = time.perf_counter()
         adv = self.config.adversary
         write = write if adv.strategy == "honest" else None
@@ -262,8 +264,7 @@ class SimulationRun:
             self.run_round(r)
             if write:  # outside run_round, which the benchmark times
                 write(self.chain, self.chain.blocks[r])
-                if r > self.params.lookback + 1:
-                    self.chain.blocks[r - self.params.lookback - 2] = None
+                self.chain.release()
         chains, attack_error = [self.chain], None
         if adv.strategy == "genesis_fork":
             chains.append(fork_from(self.chain, adv.fork_round))

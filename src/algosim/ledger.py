@@ -16,11 +16,14 @@ sorted keys, no spaces, ints and lowercase hex; nothing there needs
 escaping, so `chain_pieces` formats the file from templates one record at a
 time (a certificate message, a payment, a block's fixed fields), and a
 writer holds one record, never a block's line (`block_pieces` formats one
-block).  `chain_from_lines` takes any iterable of lines, an open file
-included (a line's newline is JSON whitespace), and reads one record at a
-time, so a reader holds the chain's objects and one line, never the file's
-text.  It takes only the writer's text: digests and signatures of exactly 64
-lowercase hex characters and header user ids in plain decimal.
+block).  `read_chain` takes any iterable of lines, an open file included (a
+line's newline is JSON whitespace): it parses the header and then hands the
+blocks on one record at a time, so a reader never holds the file's text.
+`verify_chain` of that stream validates each block as it is read and keeps
+only the blocks its status window reads, so it holds no chain;
+`chain_from_lines` collects the blocks into a whole chain.  The reader takes
+only the writer's text: `payset` and `cert` lists, digests and signatures of
+exactly 64 lowercase hex characters and header user ids in plain decimal.
 """
 
 from __future__ import annotations
@@ -265,8 +268,10 @@ class Chain:
     A caller that has just applied the payset of the chain's own block hands
     the result over with `carry`, so the window's next status is not
     replayed (and its payment signatures not verified) a second time.
-    An honest run writing its blocks as they commit (`SimulationRun.run` with
-    `write`) keeps those from round `tip_round - lookback - 1` on, None for the rest.
+    A chain that grows at its tip and is read only there (an honest run
+    writing its blocks as they commit, `SimulationRun.run` with `write`, and
+    `verify_chain` of a stream) calls `release` after each block, so it keeps
+    the blocks from round `tip_round - lookback - 1` on, None for the rest.
     """
 
     def __init__(self, genesis_status: Status, blocks: list[Block] | None = None,
@@ -327,6 +332,17 @@ class Chain:
         if (status.round == r == self._top + 1 and r <= len(self.blocks)
                 and self.blocks[r - 1] is block):
             self._keep(status)
+
+    def release(self) -> None:
+        """Drop the block `lookback + 2` rounds below the tip, which no read
+        at the tip needs any more; a chain growing at its tip calls this once
+        per appended block.  The block the window's replay starts from stays:
+        a payset that does not apply keeps `_top` at its round, and each later
+        status replays that payset, which raises again before a later block
+        is read."""
+        old = self.tip_round - self.params.lookback - 2
+        if old >= 0 and old != self._top:
+            self.blocks[old] = None
 
     def prefix(self, length: int) -> "Chain":
         """A chain holding the first `length` blocks (shared, immutable)."""
@@ -484,28 +500,49 @@ def check_cert(cert: Sequence[Vote], round: int, digest: Digest,
     return reasons
 
 
-def verify_chain(chain: Chain, genesis: dict[UserId, int] | None = None
-                 ) -> list[tuple[int, str]]:
+def verify_chain(chain: Chain, genesis: dict[UserId, int] | None = None,
+                 blocks: Iterable[Block] | None = None) -> list[tuple[int, str]]:
     """Replay validate_block over every round; returns (round, violation) pairs.
+
+    The blocks are `chain.blocks`, or else `blocks`, drawn one at a time
+    from genesis on (a reader's stream) into a `chain` that holds none yet:
+    each is appended, then validated, and the chain then releases the block
+    its window stops reading, so memory stays flat in the chain's length and
+    `len(chain.blocks)` ends counting every block.
 
     A genesis seed other than `chain.registry.genesis_seed` means the chain
     is of another scenario seed, and genesis balances other than `genesis`
     (when given) of another scenario: every later check would fail or mean
     nothing for that one reason, so it is the one violation reported, at
-    round 0, and no block is checked.  The seed is compared first.
+    round 0, and no block is checked.  The seed is compared first.  The
+    blocks are drawn to the end either way, so whatever a stream raises for
+    a later record is raised.
     """
-    g = chain.blocks[0]
+    blocks = iter(chain.blocks) if blocks is None else _appended(chain, blocks)
+    g = next(blocks)
     if g.seed != chain.registry.genesis_seed:
-        return [(0, "genesis seed does not match the registry's genesis seed")]
-    if genesis is not None and chain.genesis_status.balances != genesis:
-        return [(0, "genesis balances do not match the config")]
-    problems: list[tuple[int, str]] = []
-    if g.round != 0 or g.payset or g.prev_hash != ZERO_DIGEST or g.cert:
-        problems.append((0, "malformed genesis block"))
-    for b in chain.blocks[1:]:
-        for v in validate_block(chain, b):
-            problems.append((b.round, v))
+        problems = [(0, "genesis seed does not match the registry's genesis seed")]
+    elif genesis is not None and chain.genesis_status.balances != genesis:
+        problems = [(0, "genesis balances do not match the config")]
+    else:
+        problems = []
+        if g.round != 0 or g.payset or g.prev_hash != ZERO_DIGEST or g.cert:
+            problems.append((0, "malformed genesis block"))
+        for b in blocks:
+            for v in validate_block(chain, b):
+                problems.append((b.round, v))
+    for _ in blocks:
+        pass
     return problems
+
+
+def _appended(chain: Chain, blocks: Iterable[Block]) -> Iterator[Block]:
+    """Each of `blocks` once `chain` holds it; when the next is drawn, the
+    chain releases what its window no longer reads."""
+    for b in blocks:
+        chain.append(b)
+        yield b
+        chain.release()
 
 
 # -- line-delimited export (one JSON object per block) ------------------------
@@ -618,10 +655,20 @@ def _cause(exc: Exception) -> object:
     return exc
 
 
-def chain_from_lines(lines: Iterable[str],
-                     registry: KeyRegistry | None = None,
-                     params: ProtocolParams = ProtocolParams()) -> Chain:
-    """Parse an exported chain, to be read under `registry` and `params`."""
+def _list_field(o: dict, key: str) -> list:
+    """A record's `payset` or `cert`: a list, as the writer makes it."""
+    value = o[key]
+    if type(value) is not list:
+        raise ValueError(f"{key}: expected a list")
+    return value
+
+
+def read_chain(lines: Iterable[str], registry: KeyRegistry | None = None,
+               params: ProtocolParams = ProtocolParams()
+               ) -> tuple[Chain, Iterator[Block]]:
+    """Parse an exported chain's header into a `Chain` that holds no block
+    yet, to be read under `registry` and `params`, and return it with a
+    generator that parses the block records one at a time as it is drawn."""
     it = iter(lines)
     first = next(it, None)
     if first is None:
@@ -635,29 +682,49 @@ def chain_from_lines(lines: Iterable[str],
         raise  # not text: a file's decoder may have failed on a later line
     except _PARSE_ERRORS as exc:
         raise LedgerError(f"malformed chain file header: {_cause(exc)}") from exc
-    chain = Chain(Status(0, balances), registry=registry, params=params)
-    for line in it:
-        if not line.strip():
-            continue
-        try:
-            o = json.loads(line)
-            payloads: dict[tuple[int, str], bytes] = {}
-            payset = tuple([Payment(_u64_field(p["payer"]), _u64_field(p["payee"]),
-                                    _u64_field(p["amount"]), _hash_field(p["sig"]))
-                            for p in o["payset"]])
-            cert = tuple([Vote(
-                _u64_field(m["voter"]), _u64_field(m["round"]),
-                _u64_field(m["step"]), _cert_value(payloads, m),
-                _hash_field(m["sig"]),
-                Credential(_u64_field((c := m["credential"])["user"]),
-                           _u64_field(c["round"]), _u64_field(c["step"]),
-                           _hash_field(c["sig"])))
-                for m in o["cert"]])
-            block = Block(_u64_field(o["round"]), payset, _hash_field(o["seed"]),
-                          _hash_field(o["prev_hash"]), cert)
-        except _PARSE_ERRORS as exc:
-            raise LedgerError(f"malformed chain record: {_cause(exc)}") from exc
-        chain.append(block)
-    if not chain.blocks:
+    return Chain(Status(0, balances), registry=registry, params=params), _blocks(it)
+
+
+def _blocks(lines: Iterator[str]) -> Iterator[Block]:
+    """The blocks of a chain file's records, the header's line already read;
+    blank lines are skipped."""
+    empty = True
+    for line in lines:
+        if line.strip():
+            empty = False
+            yield _block(line)
+    if empty:
         raise LedgerError("no block record follows the header")
+
+
+def _block(line: str) -> Block:
+    """The block of one chain-file record, parsed in a call of its own so
+    that the record's JSON objects are freed before the block is validated."""
+    try:
+        o = json.loads(line)
+        payloads: dict[tuple[int, str], bytes] = {}
+        payset = tuple([Payment(_u64_field(p["payer"]), _u64_field(p["payee"]),
+                                _u64_field(p["amount"]), _hash_field(p["sig"]))
+                        for p in _list_field(o, "payset")])
+        cert = tuple([Vote(
+            _u64_field(m["voter"]), _u64_field(m["round"]),
+            _u64_field(m["step"]), _cert_value(payloads, m),
+            _hash_field(m["sig"]),
+            Credential(_u64_field((c := m["credential"])["user"]),
+                       _u64_field(c["round"]), _u64_field(c["step"]),
+                       _hash_field(c["sig"])))
+            for m in _list_field(o, "cert")])
+        return Block(_u64_field(o["round"]), payset, _hash_field(o["seed"]),
+                     _hash_field(o["prev_hash"]), cert)
+    except _PARSE_ERRORS as exc:
+        raise LedgerError(f"malformed chain record: {_cause(exc)}") from exc
+
+
+def chain_from_lines(lines: Iterable[str],
+                     registry: KeyRegistry | None = None,
+                     params: ProtocolParams = ProtocolParams()) -> Chain:
+    """Parse an exported chain whole, to be read under `registry` and `params`."""
+    chain, blocks = read_chain(lines, registry, params)
+    for b in blocks:
+        chain.append(b)
     return chain

@@ -17,16 +17,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algosim.cli as cli
+from algosim.adversary import _held_voters
+from algosim.consensus import vote
 from algosim.crypto import KeyRegistry
 from algosim.engine import EngineError, ScenarioConfig, run_scenario
 from algosim.ledger import (
     Block,
     Chain,
+    LedgerError,
     Status,
     Vote,
+    block_hash,
     cert_payload,
     chain_from_lines,
     chain_pieces,
+    eligible,
+    leader_round_seed,
+    make_payment,
     verify_chain,
 )
 from algosim.sortition import Credential, ProtocolParams
@@ -397,6 +404,25 @@ class TestVerifyChain:
         assert (code, stdout) == (2, "")
         assert err == f"error: cannot load chain: malformed chain record: {cause}\n"
 
+    @pytest.mark.parametrize("value", [5, None, "x", {}],
+                             ids=["int", "null", "string", "object"])
+    @pytest.mark.parametrize("field", ["payset", "cert"])
+    def test_payset_or_cert_that_is_not_a_list_is_load_error(
+            self, exported_chain, tmp_path, capsys, field, value):
+        # the genesis block's lists are empty, so `{}` in place of one once
+        # verified
+        cfg, lines = exported_chain
+        genesis = json.loads(lines[1])
+        assert genesis[field] == []
+        genesis[field] = value
+        path = tmp_path / "unlisted.jsonl"
+        path.write_text("\n".join(
+            [lines[0], json.dumps(genesis, sort_keys=True, separators=(",", ":"))]
+            + lines[2:]) + "\n")
+        assert run_cli(capsys, "verify-chain", "--chain", path, "--config", cfg) == (
+            2, "", f"error: cannot load chain: malformed chain record: {field}: "
+                   "expected a list\n")
+
     def test_header_user_id_in_another_spelling_is_load_error(
             self, small_cfg, tmp_path, capsys):
         # `int` reads each of these as a genesis user id; the writer makes none
@@ -636,6 +662,52 @@ class TestVerifyChain:
         joined.write_bytes((newline.join(lines) + newline).encode())
         assert run_cli(capsys, "verify-chain", "--chain", joined,
                        "--config", small_cfg) == expected
+
+
+NO_LEADER_CFG = """
+[scenario]
+seed = 5
+genesis_users = 10
+initial_balance = 1000
+rounds = 5
+payments_per_round = 3
+
+[params]
+leader_prob = 0.0
+verifier_prob = 0.8
+lookback = 3
+max_ba_steps = 9
+cert_threshold = 5
+horizon = 16
+"""
+
+
+def test_block_with_no_potential_leader_gives_its_one_violation(tmp_path, capsys):
+    # nobody may lead under leader_prob = 0, so a non-empty round-6 block is
+    # refused even when its payset applies and its certificate is genuine:
+    # the committee members of steps 2 and up, none of whose round-6 keys
+    # the 5-round run spent, sign it
+    cfg = tmp_path / "no_leader.cfg"
+    cfg.write_text(NO_LEADER_CFG)
+    chain = run_scenario(cli.load_config(str(cfg)))[0][0]
+    registry, prev, r = chain.registry, chain.tip(), chain.tip_round + 1
+    payment = make_payment(registry, 1, 2, 1, r)
+    block = Block(r, (payment,), leader_round_seed(registry.unique_sign(1, prev.seed)),
+                  block_hash(prev), ())
+    voters = _held_voters(chain, r, prev.seed, eligible(r, chain),
+                          lambda user, step: True)
+    need = chain.params.cert_threshold
+    assert len(voters) >= need
+    payload, cert = cert_payload(0, block_hash(block)), []
+    for step in sorted({c.step for c in voters[:need]}):
+        cert += vote([c for c in voters[:need] if c.step == step], payload, registry)
+    chain.append(block.with_cert(cert))
+    violation = "non-empty block in a round with no potential leader"
+    assert verify_chain(chain) == [(r, violation)]
+    path = tmp_path / "forged.jsonl"
+    cli._write(path, chain_pieces(chain))
+    assert run_cli(capsys, "verify-chain", "--chain", path, "--config", cfg) == (
+        1, f"round {r}: {violation}\n", "")
 
 
 class TestAttack:
@@ -1085,12 +1157,12 @@ def test_metrics_lines_are_built_once_per_scenario(
     assert stdout == "".join(f.read_text() for f in files)
 
 
-# -- memory per chain byte ------------------------------------------------------
-# No command holds a chain file's text: verify-chain holds the chain's objects
-# and one line, run --out the one line being written, formatted as it is
+# -- memory per chain byte or round ----------------------------------------------
+# No command holds a chain file's text: verify-chain holds its status window
+# and one line, run --out the one record being written, formatted as it is
 # written.  The measure is how much a command's traced peak grows per added
-# byte of chain file, from a 20-round to a 60-round chain of honest.cfg (seed
-# 5, mode ba).
+# byte of chain file, or per added round, from a 20-round to a 60-round chain
+# of honest.cfg (seed 5, mode ba).
 
 MEMORY_ROUNDS = (20, 60)
 
@@ -1135,11 +1207,19 @@ def growth_per_chain_byte(runs, peak_of) -> float:
 
 
 def test_verify_chain_holds_no_copy_of_the_file(seed5_runs):
+    # each block is validated as it is read and dropped once the status
+    # window stops reading it: what verify-chain holds does not grow with
+    # its chain
     cfg, runs = seed5_runs
     argv = ["verify-chain", "--config", cfg, "--chain"]
-    per_byte = growth_per_chain_byte(
-        runs, lambda rounds: traced_peak(argv + [runs[rounds][1]]))
-    assert per_byte < 1.5  # 2.3 with the file's text and its line list held
+
+    def peak(rounds):
+        return traced_peak(argv + [runs[rounds][1]])
+
+    peak(MEMORY_ROUNDS[0])  # a process's first command also builds the parser
+    low, high = MEMORY_ROUNDS
+    per_round = (peak(high) - peak(low)) / (high - low)  # the longer chain first
+    assert per_round < 2_000  # about 7.8 KB with the parsed chain held
 
 
 def test_run_out_holds_no_joined_copy(seed5_runs, tmp_path, monkeypatch):
@@ -1264,27 +1344,111 @@ def exported_chain(tmp_path_factory):
     return cfg, (base / "chain.jsonl").read_text().splitlines()
 
 
-@settings(deadline=None, max_examples=100)
-@given(data=st.data())
-def test_fuzzed_chain_file_keeps_exit_contract(exported_chain, data):
-    # one field of one record (the header included) replaced by arbitrary
-    # JSON: verify-chain reports a verdict or a parse error, never a traceback
-    cfg, lines = exported_chain
-    index = data.draw(st.integers(0, len(lines) - 1), label="record")
+def fuzzed_chain(cfg, lines, draw) -> Path:
+    """The chain file of `lines` with one field of one record (the header
+    included) replaced by arbitrary JSON."""
+    index = draw(st.integers(0, len(lines) - 1), label="record")
     record = json.loads(lines[index])
-    path = data.draw(st.sampled_from(list(field_paths(record))), label="field")
+    path = draw(st.sampled_from(list(field_paths(record))), label="field")
     target = record
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = data.draw(JSON_JUNK, label="value")
+    target[path[-1]] = draw(JSON_JUNK, label="value")
     fuzzed = cfg.parent / "fuzzed.jsonl"
     fuzzed.write_text("\n".join(lines[:index] + [json.dumps(record)]
                                 + lines[index + 1:]) + "\n")
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(["verify-chain", "--chain", str(fuzzed),
-                         "--config", str(cfg)])
-    assert code in (0, 1, 2)
+    return fuzzed
+
+
+def verify_outcome(chain, cfg) -> tuple[int, str, str]:
+    """verify-chain's exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify-chain", "--chain", str(chain), "--config", str(cfg)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_fuzzed_chain_file_keeps_exit_contract(exported_chain, data):
+    # verify-chain reports a verdict or a parse error, never a traceback
+    cfg, lines = exported_chain
+    assert verify_outcome(fuzzed_chain(cfg, lines, data.draw), cfg)[0] in (0, 1, 2)
+
+
+def whole_chain_verify_outcome(chain, cfg) -> tuple[int, str, str]:
+    """verify-chain's outcome as the whole-chain reader gives it: the file
+    parsed into one `Chain`, every payer and payee registered, and only then
+    each block validated."""
+    config = cli.load_config(str(cfg))
+    registry = KeyRegistry(config.seed, horizon=config.params.horizon,
+                           max_step=config.params.max_step)
+    for u in range(1, config.num_genesis_users + 1):
+        registry.register_user(u)
+    try:
+        with open(chain) as f:
+            whole = chain_from_lines(cli._records(f), registry, config.params)
+    except (OSError, UnicodeDecodeError, LedgerError) as exc:
+        return 2, "", f"error: cannot load chain: {exc}\n"
+    for block in whole.blocks:
+        for p in block.payset:
+            registry.register_user(p.payer)
+            registry.register_user(p.payee)
+    problems = verify_chain(whole, dict.fromkeys(
+        range(1, config.num_genesis_users + 1), config.initial_balance))
+    if problems:
+        return 1, "".join(f"round {r}: {v}\n" for r, v in problems), ""
+    return 0, f"chain valid: {len(whole.blocks)} blocks\n", ""
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_streamed_verify_chain_equals_the_whole_chain_reader(exported_chain, data):
+    cfg, lines = exported_chain
+    fuzzed = fuzzed_chain(cfg, lines, data.draw)
+    assert verify_outcome(fuzzed, cfg) == whole_chain_verify_outcome(fuzzed, cfg)
+
+
+@pytest.fixture(scope="module")
+def long_chain(tmp_path_factory):
+    """A 60-round chain of the small config (round 5 pays), its config and
+    the config of another seed."""
+    base = tmp_path_factory.mktemp("long")
+    cfg, other = base / "long.cfg", base / "other.cfg"
+    text = SMALL_CFG.replace("rounds = 10", "rounds = 60").replace(
+        "horizon = 32", "horizon = 68")
+    cfg.write_text(text)
+    other.write_text(text.replace("seed = 42", "seed = 7"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", "--config", str(cfg), "--out", str(base)]) == 0
+    lines = (base / "chain.jsonl").read_text().splitlines()
+    assert json.loads(lines[6])["payset"]
+    return cfg, other, lines
+
+
+def unpaid_round_5(lines):
+    record = json.loads(lines[6])
+    record["payset"][0]["amount"] += 1  # its signature no longer verifies
+    return lines[:6] + [json.dumps(record)] + lines[7:]
+
+
+@pytest.mark.parametrize("edit, verifier, code", [
+    (unpaid_round_5, "cfg", 1),
+    (lambda lines: lines[:-1] + [lines[-1][:-9]], "cfg", 2),
+    (lambda lines: lines[:-1] + [lines[-1][:-9]], "other", 2),
+    (lambda lines: lines, "other", 1),
+    (lambda lines: lines[:31] + lines[32:], "cfg", 2),
+], ids=["payset-fails-at-5", "malformed-last", "seed-mismatch-then-malformed",
+        "seed-mismatch", "missing-record"])
+def test_streamed_verify_chain_equals_the_whole_chain_reader_on(
+        long_chain, tmp_path, edit, verifier, code):
+    cfg, other, lines = long_chain
+    cfg = {"cfg": cfg, "other": other}[verifier]
+    path = tmp_path / "edited.jsonl"
+    path.write_text("\n".join(edit(lines)) + "\n")
+    outcome = verify_outcome(path, cfg)
+    assert outcome == whole_chain_verify_outcome(path, cfg)
+    assert outcome[0] == code and (code == 1) == (outcome[1] != "")
 
 
 # -- fuzzed config files --------------------------------------------------------

@@ -2,8 +2,8 @@
 `algosim` import sits at module level, and each module imports only modules
 that come before it in `ORDER`.  `__init__` re-exports and is exempt.  And
 a chain is read under its own params and registry: no function takes them
-beside a `Chain`.  And no CLI command holds a whole file's text, and only
-the CLI opens, reads or writes a file."""
+beside a `Chain`.  And no CLI command holds a whole file's text or parses a
+whole chain, and only the CLI opens, reads or writes a file."""
 
 import ast
 import functools
@@ -106,6 +106,17 @@ def test_cli_reads_no_whole_file():
     # chain and metrics files are read a line at a time; `cp.read(path)`
     # names a config for configparser and passes
     assert whole_file_reads("cli") == []
+
+
+def test_cli_parses_no_whole_chain():
+    # `verify-chain` validates each block as it is read (`read_chain`), so
+    # the CLI never builds a whole chain with `chain_from_lines`
+    found = [f"cli:{node.lineno} names chain_from_lines"
+             for module, tree in syntax_trees() if module == "cli"
+             for node in ast.walk(tree)
+             if getattr(node, "id", getattr(node, "attr", None)) == "chain_from_lines"
+             or isinstance(node, ast.alias) and node.name == "chain_from_lines"]
+    assert found == []
 
 
 FILE_CALLS = {"open", "write_text", "write_bytes", "read_text", "read_bytes"}

@@ -461,11 +461,16 @@ def reference_parse_record(line):
     """The block record reader with keyword arguments, errors included."""
     from algosim.ledger import (
         _PARSE_ERRORS, _bit_field, _cause, _hash_field, _u64_field)
+    def listed(o, key):  # the writer makes `payset` and `cert` lists only
+        if not isinstance(o[key], list):
+            raise ValueError(f"{key}: expected a list")
+        return o[key]
+
     try:
         o = json.loads(line)
         payset = tuple(Payment(_u64_field(p["payer"]), _u64_field(p["payee"]),
                                _u64_field(p["amount"]), _hash_field(p["sig"]))
-                       for p in o["payset"])
+                       for p in listed(o, "payset"))
         cert = tuple(cert_vote(
             voter=_u64_field(m["voter"]), round=_u64_field(m["round"]),
             step=_u64_field(m["step"]), bit=_bit_field(m["bit"]),
@@ -475,7 +480,7 @@ def reference_parse_record(line):
                                   _u64_field(m["credential"]["round"]),
                                   _u64_field(m["credential"]["step"]),
                                   _hash_field(m["credential"]["sig"])))
-            for m in o["cert"])
+            for m in listed(o, "cert"))
         return Block(_u64_field(o["round"]), payset, _hash_field(o["seed"]),
                      _hash_field(o["prev_hash"]), cert)
     except _PARSE_ERRORS as exc:
