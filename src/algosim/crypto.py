@@ -10,8 +10,9 @@ Ephemeral per-(user, round, step) keys carry a one-way lifecycle, available
 then destroyed (the honest rule) or retained (kept, and so for sale), so
 key-reuse attacks can be expressed; the owner decides which, as the
 registry's key keepers (`keep_keys`) retain the keys they spend and all
-other owners destroy theirs.  The registry stores key state, not keys, so an
-honest round adds a few integers to it whatever its committee sizes.
+other owners destroy theirs.  The registry stores key state, not keys: a
+round's row of owner bitmasks, one per step, so an honest round adds one
+short list of integers to it whatever its committee sizes.
 A committee step spends its members' keys in one `spend_keys` call, which
 checks every member before it changes any state; `ephemeral_sign_many`
 spends them so and then signs.
@@ -101,8 +102,9 @@ class KeyState(Enum):
 
 
 class EphemeralKeyRecord(NamedTuple):
-    """A per-(owner, round, step) signing key; the registry keeps one only
-    while the key is retained, and re-derives its seed whenever it signs."""
+    """A per-(owner, round, step) signing key.  The registry holds none: it
+    builds one for each retained key when `retained_records` lists them, and
+    re-derives a key's seed whenever it signs."""
 
     owner: UserId
     round: int
@@ -120,10 +122,13 @@ class KeyRegistry:
 
     Ephemeral keys exist for every registered user, round 0..horizon and step
     1..max_step; a key's seed is re-derived whenever it signs or verifies.
-    `_destroyed` maps (round, step) to a bitmask of destroyed owners (each
-    user gets one bit when registered), and `_retained` holds a full record
-    of each retained key, the only keys an attacker can buy.  A key in
-    neither store is available.  `_keepers` holds the owners who retain keys.
+    Key state is kept in rows, one per round: `_destroyed` and `_retained`
+    each map a round to a list of owner bitmasks indexed by step - 1 (each
+    user gets one bit when registered).  A row is made by its round's first
+    spend and reaches only as far as the highest step spent, and a retained
+    row only once a key keeper spends, so an honest run holds none.  A key
+    whose bit is in neither row is available; retained keys are the only
+    ones an attacker can buy.  `_keepers` holds the owners who retain keys.
 
     Honest code signs through the registry directly; adversarial code must go
     through an :class:`AdversarySigner`, which restricts signing to corrupted
@@ -138,8 +143,8 @@ class KeyRegistry:
         self.max_step = max_step
         self._master = sha256(b"SEED" + be8(run_seed))
         self.genesis_seed = sha256(b"GENQ" + self._master)
-        self._destroyed: dict[tuple[int, int], int] = {}
-        self._retained: dict[tuple[UserId, int, int], EphemeralKeyRecord] = {}
+        self._destroyed: dict[int, list[int]] = {}  # round -> masks by step - 1
+        self._retained: dict[int, list[int]] = {}
         self._keepers: set[UserId] = set()
         self._head = hashlib.sha256(TAG_EPHEMERAL + self._master)
         self._states: dict[UserId, object] = {}  # hashlib state, seed absorbed
@@ -196,9 +201,10 @@ class KeyRegistry:
         return self._bit[owner]
 
     def ephemeral_state(self, owner: UserId, round: int, step: int) -> KeyState:
-        if self._destroyed.get((round, step), 0) & self._owner_bit(owner, round, step):
+        bit = self._owner_bit(owner, round, step)  # or raise: no row is read yet
+        if _mask(self._destroyed, round, step) & bit:
             return KeyState.DESTROYED
-        if (owner, round, step) in self._retained:
+        if _mask(self._retained, round, step) & bit:
             return KeyState.RETAINED
         return KeyState.AVAILABLE
 
@@ -213,8 +219,8 @@ class KeyRegistry:
         key is refused.  All owners are checked first: a refused call raises
         what the first refused one-owner call would, and changes nothing."""
         bits = self._bit if self._provisioned(round, step) else {}  # {}: nobody's key
-        start = mask = self._destroyed.get((round, step), 0)
-        keepers, kept = self._keepers, {}
+        start = mask = _mask(self._destroyed, round, step) if bits else 0
+        keepers, kept = self._keepers, 0
         for owner in owners:
             bit = bits.get(owner) or self._owner_bit(owner, round, step)  # or raise
             if mask & bit:
@@ -222,13 +228,13 @@ class KeyRegistry:
                     f"ephemeral key of user {owner} for round {round} step {step} "
                     "was destroyed")
             if owner in keepers:
-                kept[owner, round, step] = EphemeralKeyRecord(
-                    owner, round, step, KeyState.RETAINED)
+                kept |= bit
             else:
                 mask |= bit
         if mask != start:
-            self._destroyed[round, step] = mask
-        self._retained.update(kept)
+            _row(self._destroyed, round, step)[step - 1] = mask
+        if kept:
+            _row(self._retained, round, step)[step - 1] |= kept
 
     def ephemeral_sign_many(self, owners: Sequence[UserId], round: int,
                             step: int, message: bytes) -> list[Signature]:
@@ -252,9 +258,30 @@ class KeyRegistry:
                 for owner, sig in signed]
 
     def retained_records(self, round: int | None = None) -> list[EphemeralKeyRecord]:
-        recs = [r for r in self._retained.values()
-                if round is None or r.round == round]
-        return sorted(recs, key=lambda r: (r.round, r.step, r.owner))
+        """A record of each retained key, of `round` or of every round, in
+        (round, step, owner) order, built from the retained rows."""
+        rows = self._retained
+        rounds = sorted(rows) if round is None else [round] if round in rows else []
+        owners = sorted(self._bit.items())  # bit order is registration order
+        return [EphemeralKeyRecord(owner, r, step, KeyState.RETAINED)
+                for r in rounds for step, mask in enumerate(rows[r], 1) if mask
+                for owner, bit in owners if mask & bit]
+
+
+def _mask(rows: dict[int, list[int]], round: int, step: int) -> int:
+    """The (round, step) mask of `rows`, 0 where no row reaches it; the
+    caller has checked that the key exists, so `step - 1` is its index."""
+    row = rows.get(round, ())
+    return row[step - 1] if step <= len(row) else 0
+
+
+def _row(rows: dict[int, list[int]], round: int, step: int) -> list[int]:
+    """The round's row of `rows`, made or extended, to its exact length, so
+    that it reaches `step`."""
+    row = rows.get(round, [])
+    if len(row) < step:
+        rows[round] = row = row + [0] * (step - len(row))
+    return row
 
 
 class AdversarySigner:

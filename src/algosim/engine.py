@@ -94,9 +94,14 @@ class ScenarioConfig(Checked, _ScenarioFields):
 
 
 class RoundRecord(NamedTuple):
+    """One round's metrics.  `committee_sizes` holds the committee size of
+    each step the round ran, steps 1, 2 and so on: its steps always run
+    contiguously from 1 (`agree` takes steps 3 to 3 + k, and certification
+    starts at 4 + k, or at 3 in simple mode)."""
+
     round: int
     leader: UserId | None
-    committee_sizes: dict[int, int]
+    committee_sizes: tuple[int, ...]
     steps_to_decision: int
     ba_digest: bytes | None
     simple_digest: bytes | None
@@ -197,19 +202,19 @@ class SimulationRun:
             # No user clears the lookback rule yet: an uncertified empty block.
             self.chain.append(empty)
             self.records.append(RoundRecord(
-                r, None, {}, 0, None, None, None, True, 0, ("bootstrap",)))
+                r, None, (), 0, None, None, None, True, 0, ("bootstrap",)))
             return
 
         serving = sorted(eligible(r, self.chain))
         payset, after = build_payset(self._workload(r),
                                      self.chain.status_entering(r), self.registry)
-        sizes: dict[int, int] = {}
+        sizes: list[int] = []  # step s's committee size at index s - 1
         deliveries: list[int] = []
 
         def step(s, value, sign=consensus.cast):
             committee = select_committee(r, s, prev.seed, serving, params,
                                          self.registry)
-            sizes[s] = len(committee)
+            sizes.append(len(committee))
             if value is not None:
                 for msg in sign(committee, value, self.registry):
                     self.net.broadcast(msg.credential.user, msg)
@@ -244,8 +249,8 @@ class SimulationRun:
             self.chain.carry(self.chain.tip(), after)
         equivalent = ba_digest == simple_digest if mode == "both" else None
         self.records.append(RoundRecord(
-            r, proposal.leader, sizes, decision_step, ba_digest, simple_digest,
-            equivalent, is_empty, sum(deliveries), flags))
+            r, proposal.leader, tuple(sizes), decision_step, ba_digest,
+            simple_digest, equivalent, is_empty, sum(deliveries), flags))
 
     # -- adversary phase -------------------------------------------------------
 
@@ -323,7 +328,7 @@ def metrics_to_lines(metrics: RunMetrics) -> list[str]:
         lines.append(json.dumps({
             "round": rec.round,
             "leader": rec.leader,
-            "committee_sizes": {str(k): v for k, v in sorted(rec.committee_sizes.items())},
+            "committee_sizes": {str(s): n for s, n in enumerate(rec.committee_sizes, 1)},
             "steps_to_decision": rec.steps_to_decision,
             "ba_digest": rec.ba_digest.hex() if rec.ba_digest else None,
             "simple_digest": rec.simple_digest.hex() if rec.simple_digest else None,

@@ -504,11 +504,15 @@ def verify_chain(chain: Chain, genesis: dict[UserId, int] | None = None,
                  blocks: Iterable[Block] | None = None) -> list[tuple[int, str]]:
     """Replay validate_block over every round; returns (round, violation) pairs.
 
-    The blocks are `chain.blocks`, or else `blocks`, drawn one at a time
-    from genesis on (a reader's stream) into a `chain` that holds none yet:
-    each is appended, then validated, and the chain then releases the block
-    its window stops reading, so memory stays flat in the chain's length and
-    `len(chain.blocks)` ends counting every block.
+    The blocks are `blocks`, drawn one at a time from genesis on (a reader's
+    stream) into a `chain` that holds none yet: each is appended, then
+    validated, and the chain then releases the block its window stops
+    reading, so memory stays flat in the chain's length and
+    `len(chain.blocks)` ends counting every block.  Without `blocks`, the
+    chain's own blocks are streamed so into a fresh chain of its genesis,
+    registry and params, which leaves `chain` as it was: its status window
+    may sit at its tip, where each early round's status would be replayed
+    from genesis.
 
     A genesis seed other than `chain.registry.genesis_seed` means the chain
     is of another scenario seed, and genesis balances other than `genesis`
@@ -518,7 +522,10 @@ def verify_chain(chain: Chain, genesis: dict[UserId, int] | None = None,
     blocks are drawn to the end either way, so whatever a stream raises for
     a later record is raised.
     """
-    blocks = iter(chain.blocks) if blocks is None else _appended(chain, blocks)
+    if blocks is None:
+        chain, blocks = Chain(chain.genesis_status, registry=chain.registry,
+                              params=chain.params), chain.blocks
+    blocks = _appended(chain, blocks)
     g = next(blocks)
     if g.seed != chain.registry.genesis_seed:
         problems = [(0, "genesis seed does not match the registry's genesis seed")]

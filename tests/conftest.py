@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from algosim.crypto import Digest, EphemeralKeyRecord, KeyRegistry, UserId
+from algosim.crypto import Digest, KeyRegistry, UserId
 from algosim.engine import ScenarioConfig
 from algosim.ledger import Chain, chain_pieces, eligible, make_genesis, next_block
 from algosim.sortition import Credential, ProtocolParams, select_committee
@@ -19,10 +19,18 @@ def sign_one(registry, owner, round, step, message) -> bytes:
     return registry.ephemeral_sign_many([owner], round, step, message)[0]
 
 
-def key_records(registry) -> list[EphemeralKeyRecord]:
-    """Every EphemeralKeyRecord the registry holds, in whichever store."""
-    return [v for store in vars(registry).values() if isinstance(store, dict)
-            for v in store.values() if isinstance(v, EphemeralKeyRecord)]
+def key_rows(registry) -> tuple[dict, dict]:
+    """A copy of the registry's destroyed and retained rows: round -> tuple
+    of owner masks, step s's at index s - 1."""
+    return tuple({r: tuple(row) for r, row in rows.items()}
+                 for rows in (registry._destroyed, registry._retained))
+
+
+def destroyed_masks(registry) -> dict[tuple[int, int], int]:
+    """{(round, step): mask of destroyed owners}, zero masks skipped: the
+    destroyed keys in the layout the pinned key-state digests read."""
+    return {(r, s): mask for r, row in registry._destroyed.items()
+            for s, mask in enumerate(row, 1) if mask}
 
 
 def idle_chain(registry, balances, rounds,

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,13 @@ from algosim.ledger import (
 )
 from algosim.sortition import ProtocolParams
 
-from conftest import export_lines, view_committee, view_credential, with_params
+from conftest import (
+    destroyed_masks,
+    export_lines,
+    view_committee,
+    view_credential,
+    with_params,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FORK_PARAMS = ProtocolParams(leader_prob=1.0, verifier_prob=1.0, lookback=3,
@@ -281,6 +289,31 @@ class TestBribery:
         assert metrics.attack_error == \
             "round leader not bribable: have 17, need 7"
 
+    @pytest.mark.parametrize("retention, seed", [
+        (1.0, 0), (1.0, 1), (1.0, 2), (1.0, 3), (0.5, 0), (0.5, 1)])
+    def test_round_with_an_empty_honest_block(self, retention, seed):
+        # with no payments every honest block is empty, so there is no
+        # leader's seed signature to reuse: the forged block carries a new
+        # one, which only a bribed leader can make
+        error = {(0.5, 0): "round leader not bribable: have 10, need 7"}.get(
+            (retention, seed))
+        cfg = load_config(str(FIXTURES / "bribery.cfg"), seed=seed)
+        cfg = cfg._replace(
+            payments_per_round=0,
+            adversary=cfg.adversary._replace(retention_fraction=retention))
+        chains, metrics = run_scenario(cfg)
+        honest, r = chains[0], cfg.adversary.target_round
+        assert honest.blocks[r].is_empty()
+        assert metrics.attack_error == error
+        if error is not None:
+            assert len(chains) == 1 and metrics.fork_reports == []
+            return
+        forged = chains[1].blocks[r]
+        assert not forged.is_empty()
+        assert validate_block(honest.prefix(r), forged) == []
+        [report] = metrics.fork_reports
+        assert (report.round, report.classification) == (r, "bribery-fork")
+
     def test_retention_zero_scenario_reports_failure(self):
         chains, metrics = run_scenario(bribery_fixture(retention=0.0))
         assert metrics.forks_detected == 0
@@ -310,7 +343,7 @@ def test_mixed_retention_retains_exactly_the_keepers_keys():
     signed = set()
     for rec in metrics.rounds[params.lookback - 1:]:
         r, prev_seed = rec.round, chain.blocks[rec.round - 1].seed
-        for s in rec.committee_sizes:
+        for s in range(1, len(rec.committee_sizes) + 1):
             if s < rec.steps_to_decision:
                 signed |= {(c.user, r, s) for c in view_committee(
                     r, s, prev_seed, chain)}
@@ -322,13 +355,40 @@ def test_mixed_retention_retains_exactly_the_keepers_keys():
             KeyState.RETAINED if key in kept else KeyState.DESTROYED)
     assert {(k.owner, k.round, k.step)
             for k in registry.retained_records()} == kept
-    assert sum(m.bit_count() for m in registry._destroyed.values()) == \
+    assert sum(m.bit_count() for m in destroyed_masks(registry).values()) == \
         len(signed - kept)
     state = repr(([(k.owner, k.round, k.step)
                    for k in registry.retained_records()],
-                  sorted(registry._destroyed.items())))
+                  sorted(destroyed_masks(registry).items())))
     assert hashlib.sha256(state.encode()).hexdigest() == \
         MIXED_RETENTION_KEY_STATE
+
+
+def key_state_bytes(registry) -> int:
+    """Bytes of every object the registry's destroyed and retained stores
+    reach, classes left out."""
+    seen, stack, total = set(), [registry._destroyed, registry._retained], 0
+    while stack:
+        o = stack.pop()
+        if id(o) not in seen and not isinstance(o, type):
+            seen.add(id(o))
+            total += sys.getsizeof(o)
+            stack += gc.get_referents(o)
+    return total
+
+
+def test_bribery_keeps_a_bit_not_a_record_per_kept_key():
+    # every user of bribery.cfg keeps every key it spends, one key a
+    # message it broadcasts; a record and an (owner, round, step) key for
+    # each held 53 KB, and the retained rows hold about 2 KB
+    cfg = load_config(str(FIXTURES / "bribery.cfg"))
+    chains, metrics = run_scenario(cfg)
+    registry = chains[0].registry
+    kept = registry.retained_records()
+    assert len(set(kept)) == len(kept) == \
+        metrics.total_messages // cfg.num_genesis_users
+    assert destroyed_masks(registry) == {}
+    assert key_state_bytes(registry) < 4_000
 
 
 def key_state_digest(registry) -> str:
@@ -336,7 +396,7 @@ def key_state_digest(registry) -> str:
     destroyed masks: the whole key lifecycle a run leaves behind."""
     state = repr(([(k.owner, k.round, k.step, k.state.value)
                    for k in registry.retained_records()],
-                  sorted(registry._destroyed.items())))
+                  sorted(destroyed_masks(registry).items())))
     return hashlib.sha256(state.encode()).hexdigest()
 
 

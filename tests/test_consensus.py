@@ -29,7 +29,7 @@ from algosim.ledger import (
 )
 from algosim.sortition import ProtocolParams
 
-from conftest import idle_chain, key_records, make_registry, view_credential
+from conftest import idle_chain, key_rows, make_registry, view_credential
 
 Vote = namedtuple("Vote", "voter value")
 
@@ -273,18 +273,20 @@ def test_honest_signing_stores_no_key_record(env, kind, step):
             vote([verf_cred(env, u, step)], cert_payload(0, b"\x11" * 32),
                  registry)
         assert registry.ephemeral_state(u, ROUND, step) is KeyState.DESTROYED
-    assert key_records(registry) == []
+    assert key_rows(registry)[1] == {}  # no retained row
     assert registry.retained_records() == []
 
 
-def test_retained_signing_stores_one_record_per_key(env):
+def test_retained_signing_lists_one_record_per_key(env):
+    # the registry holds one retained mask for the step, a bit per key, and
+    # lists a record for each key
     registry, _, _ = env
     registry.keep_keys(range(1, N + 1))
     for u in range(1, N + 1):
         vote([verf_cred(env, u, 2)], b"\x11" * 32, registry)
     records = registry.retained_records(ROUND)
     assert [(r.owner, r.step) for r in records] == [(u, 2) for u in range(1, N + 1)]
-    assert key_records(registry) == records
+    assert key_rows(registry) == ({}, {ROUND: (0, 2**N - 1)})
 
 
 class TestGradedConsensus:

@@ -2,7 +2,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algosim.crypto import (
@@ -19,7 +19,7 @@ from algosim.crypto import (
     sha256,
 )
 
-from conftest import key_records, make_registry, sign_one
+from conftest import key_rows, make_registry, sign_one
 
 # SHA-256 of the empty string, as published everywhere.
 EMPTY_SHA256 = bytes.fromhex(
@@ -208,26 +208,28 @@ class TestEphemeralLifecycle:
             for step in range(1, registry.max_step + 1):
                 sign_one(registry, owner, 4, step, b"v")
         assert registry.retained_records() == []
-        assert key_records(registry) == []
-        # one mask per (round, step), whatever the number of owners
-        assert len(registry._destroyed) == registry.max_step
+        # one row of one mask per step, whatever the number of owners, and
+        # no retained row
+        destroyed, retained = key_rows(registry)
+        assert list(destroyed) == [4] and retained == {}
+        assert destroyed[4] == (0b111,) * registry.max_step
         registry.keep_keys([1])
         sign_one(registry, 1, 5, 1, b"v")
-        assert key_records(registry) == registry.retained_records()
+        assert key_rows(registry)[1] == {5: (0b1,)}
 
 
 # -- key lifecycle against a reference dict of states --------------------------
 
 LIFECYCLE_HORIZON, LIFECYCLE_MAX_STEP = 2, 3
-LIFECYCLE_USERS = (1, 2, 3)  # owners 0 and 4 stay unregistered
+LIFECYCLE_USERS = (1, 2, 3)  # owners 0 and 4 start unregistered
 
 
-def reference_sign(states, keepers, key):
+def reference_sign(states, keepers, key, registered=LIFECYCLE_USERS):
     """The lifecycle as a dict of states: sign, then retain the key if its
     owner is in `keepers`, else destroy it.  Returns the exception type a call
     raises, or None."""
     owner, round, step = key
-    if not (owner in LIFECYCLE_USERS and 0 <= round <= LIFECYCLE_HORIZON
+    if not (owner in registered and 0 <= round <= LIFECYCLE_HORIZON
             and 1 <= step <= LIFECYCLE_MAX_STEP):
         return KeyMissingError
     state = states.get(key, KeyState.AVAILABLE)
@@ -242,34 +244,44 @@ def reference_sign(states, keepers, key):
 
 
 owner_ids = st.integers(0, 4)
-key_ids = st.tuples(owner_ids, st.integers(-1, LIFECYCLE_HORIZON + 1),
-                    st.integers(0, LIFECYCLE_MAX_STEP + 1))
+lifecycle_rounds = st.integers(-1, LIFECYCLE_HORIZON + 1)
+lifecycle_steps = st.integers(0, LIFECYCLE_MAX_STEP + 1)
+key_ids = st.tuples(owner_ids, lifecycle_rounds, lifecycle_steps)
 lifecycle_ops = st.lists(st.one_of(
     st.tuples(st.just("sign"), key_ids),
+    st.tuples(st.just("spend"), st.lists(owner_ids, min_size=1, max_size=5),
+              lifecycle_rounds, lifecycle_steps),
     st.tuples(st.just("keep"), owner_ids),
+    st.tuples(st.just("register"), owner_ids),
     st.tuples(st.just("state"), key_ids),
     st.tuples(st.just("retained"),
               st.one_of(st.none(), st.integers(0, LIFECYCLE_HORIZON)))),
     max_size=40)
 
 
-def lifecycle_registry():
+def lifecycle_registry(order=LIFECYCLE_USERS):
     reg = KeyRegistry(5, horizon=LIFECYCLE_HORIZON, max_step=LIFECYCLE_MAX_STEP)
-    for u in LIFECYCLE_USERS:
+    for u in order:
         reg.register_user(u)
     return reg
 
 
 @settings(deadline=None, max_examples=150)
-@given(lifecycle_ops)
-def test_key_lifecycle_matches_reference_states(ops):
-    registry = lifecycle_registry()
+@given(st.permutations(LIFECYCLE_USERS), lifecycle_ops)
+@example((3, 1, 2), [("keep", 4), ("keep", 1), ("keep", 2), ("register", 4),
+                     ("register", 0), ("keep", 0),
+                     ("spend", [4, 2, 0, 1, 3], 1, 2), ("retained", None)])
+def test_key_lifecycle_matches_reference_states(order, ops):
+    # users register in any order, and owners 0 and 4 may register late
+    # (after keep_keys, too), so an owner's bit is not in id order
+    registry = lifecycle_registry(order)
+    registered = set(order)
     states: dict = {}
     keepers: set = set()
     for op in ops:
         if op[0] == "sign":
             key = op[1]
-            expected = reference_sign(states, keepers, key)
+            expected = reference_sign(states, keepers, key, registered)
             if expected is None:
                 sig = sign_one(registry, *key, b"m")
                 assert registry.verify_ephemeral_many(
@@ -277,12 +289,33 @@ def test_key_lifecycle_matches_reference_states(ops):
             else:
                 with pytest.raises(expected):
                     sign_one(registry, *key, b"m")
+        elif op[0] == "spend":
+            # one batch: it raises what the first refused one-owner call
+            # would, naming that owner, and changes nothing
+            _, owners, round, step = op
+            after = dict(states)
+            for owner in owners:
+                refused = reference_sign(after, keepers, (owner, round, step),
+                                         registered)
+                if refused:
+                    break
+            if refused is None:
+                registry.spend_keys(owners, round, step)
+                states = after
+            else:
+                untouched = key_rows(registry)
+                with pytest.raises(refused, match=f"user {owner} "):
+                    registry.spend_keys(owners, round, step)
+                assert key_rows(registry) == untouched
         elif op[0] == "keep":
             keepers.add(op[1])
             registry.keep_keys([op[1]])
+        elif op[0] == "register":
+            registered.add(op[1])
+            registry.register_user(op[1])
         elif op[0] == "state":
             key = op[1]
-            if reference_sign({}, set(), key) is KeyMissingError:
+            if reference_sign({}, set(), key, registered) is KeyMissingError:
                 with pytest.raises(KeyMissingError):
                     registry.ephemeral_state(*key)
             else:
@@ -295,12 +328,23 @@ def test_key_lifecycle_matches_reference_states(ops):
                               and (round is None or r == round))
             assert [(k.round, k.step, k.owner)
                     for k in registry.retained_records(round)] == expected
-    for owner in LIFECYCLE_USERS:
-        for round in range(LIFECYCLE_HORIZON + 1):
-            for step in range(1, LIFECYCLE_MAX_STEP + 1):
+    # every key as the reference says; a key the registry does not provision
+    # (step 0 or max_step + 1 of a round with a row, round -1 or
+    # horizon + 1, an unregistered owner) is missing, and reads no row
+    rows = key_rows(registry)
+    for owner in range(5):
+        for round in range(-1, LIFECYCLE_HORIZON + 2):
+            for step in range(LIFECYCLE_MAX_STEP + 2):
                 key = (owner, round, step)
-                assert registry.ephemeral_state(*key) \
-                    is states.get(key, KeyState.AVAILABLE)
+                if reference_sign({}, set(), key, registered) is None:
+                    assert registry.ephemeral_state(*key) \
+                        is states.get(key, KeyState.AVAILABLE)
+                    continue
+                with pytest.raises(KeyMissingError):
+                    registry.ephemeral_state(*key)
+                with pytest.raises(KeyMissingError):
+                    registry.spend_keys([owner], round, step)
+    assert key_rows(registry) == rows
 
 
 # -- one call per step against one call per owner ------------------------------
@@ -394,10 +438,10 @@ def test_spending_keys_matches_signing(early, before, late, round, step,
        step=st.integers(-1, LIFECYCLE_MAX_STEP + 1))
 def test_spending_no_keys_changes_nothing(early, before, round, step):
     registry, _ = spent_and_signed(early, before, ())
-    untouched = key_states(registry), key_records(registry)
+    untouched = key_states(registry), key_rows(registry)
     registry.spend_keys([], round, step)
     assert registry.ephemeral_sign_many([], round, step, b"m") == []
-    assert (key_states(registry), key_records(registry)) == untouched
+    assert (key_states(registry), key_rows(registry)) == untouched
 
 
 class TestAdversaryAccess:

@@ -3,7 +3,8 @@
 that come before it in `ORDER`.  `__init__` re-exports and is exempt.  And
 a chain is read under its own params and registry: no function takes them
 beside a `Chain`.  And no CLI command holds a whole file's text or parses a
-whole chain, and only the CLI opens, reads or writes a file."""
+whole chain, and only the CLI opens, reads or writes a file.  And only
+`crypto` reads the key registry's stores of key state."""
 
 import ast
 import functools
@@ -131,4 +132,18 @@ def test_only_the_cli_touches_files():
              for name in [getattr(node.func, "id", None)
                           or getattr(node.func, "attr", None)]
              if name in FILE_CALLS]
+    assert found == []
+
+
+KEY_STATE = {"_destroyed", "_retained", "_keepers"}
+
+
+def test_only_crypto_reads_the_key_state_stores():
+    # the stores' layout is the registry's own: other modules read key state
+    # through `ephemeral_state` and `retained_records`
+    found = [f"{module}:{node.lineno} names {name}"
+             for module, tree in syntax_trees() if module != "crypto"
+             for node in ast.walk(tree)
+             for name in [getattr(node, "id", getattr(node, "attr", None))]
+             if name in KEY_STATE]
     assert found == []
