@@ -1067,6 +1067,15 @@ def test_jobs_below_one_is_a_usage_error(small_cfg, capsys, jobs):
     assert f"argument --jobs: must be at least 1, got {jobs}" in out.err
 
 
+def test_jobs_not_an_int_is_a_usage_error(small_cfg, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["run", "--config", str(small_cfg), "--jobs", "x"])
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --jobs: invalid int value: 'x'" in out.err
+
+
 def test_cli_import_loads_no_process_pool():
     # a fresh interpreter, since this one has loaded the pool already; only
     # `run --jobs N` over several seeds needs it.  Nor does it load

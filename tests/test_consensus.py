@@ -376,6 +376,12 @@ class TestBinaryAgreement:
         assert bba_transition(3, 3, 9, 2, coin=1) == (1, None)
         assert bba_transition(7, 1, 9, 2, coin=1) == (0, None)
 
+    def test_transition_refuses_a_missing_coin_and_an_unknown_phase(self):
+        with pytest.raises(ValueError, match="phase 2 requires the iteration coin"):
+            bba_transition(3, 3, 9, 2)
+        with pytest.raises(ValueError, match="invalid phase 3"):
+            bba_transition(3, 3, 9, 3, coin=0)
+
     def test_coin_is_deterministic(self):
         seed = b"\x05" * 32
         assert coin_bit(seed, 3) == coin_bit(seed, 3)

@@ -327,6 +327,18 @@ def test_seed_changes_transcript():
         "df66e2414f67cb9c8ab4e8bf589278e16d2efe5caeb7b1a2f236797366134c98")
 
 
+def test_nobody_can_pay_so_no_payment_and_no_new_user():
+    # a payment needs a payer of 10 units and a new user a payer of 2: with
+    # one unit each, both workload loops stop before their first draw
+    cfg = SMALL._replace(initial_balance=1, rounds=6, new_users_per_round=2)
+    chains, _ = run_scenario(cfg)
+    chain = chains[0]
+    assert [b.payset for b in chain.blocks] == [()] * 7
+    assert users_at(chain, chain.tip_round) == set(
+        range(1, cfg.num_genesis_users + 1))
+    assert not chain.registry.is_registered(cfg.num_genesis_users + 1)
+
+
 def test_bootstrap_rounds_empty(small_run):
     chains, metrics = small_run
     for rec in metrics.rounds[:SMALL.params.lookback - 1]:

@@ -4,16 +4,21 @@ import algosim.modelcheck as mc
 from algosim.consensus import bba_transition, distinct_voter_counts
 
 
+# 4 to 33 members: 33 or fewer holds 99.93 % of the Binomial(100, 0.2)
+# committees of fixtures/honest.cfg
+SIZES = range(4, 34)
+
+
 def test_vote_safety_has_no_counterexamples():
-    assert mc.check_vote_safety() == []
+    assert mc.check_vote_safety(SIZES) == []
 
 
 def test_gc_consistency_has_no_counterexamples():
-    assert mc.check_gc_consistency(range(4, 13)) == []
+    assert mc.check_gc_consistency(SIZES) == []
 
 
 def test_bba_model_check_passes():
-    report = mc.model_check_bba(range(4, 13))
+    report = mc.model_check_bba(SIZES)
     assert report.ok()
     assert report.instances > 0
 
@@ -78,6 +83,26 @@ def test_checker_catches_biased_grading(monkeypatch):
 
     monkeypatch.setattr(mc, "gc_grade", broken_grade)
     assert mc.check_gc_consistency() != []
+
+
+def test_checker_catches_two_values_graded_2(monkeypatch):
+    # Negative control for the 2-vs-2 branch: grading 2 at one third lets
+    # the Byzantine relayers alone (floor(n/3) of them) back a second value.
+    # Above one third they never could, so that rule trips only {0, 2}.
+    from algosim.consensus import GradedValue
+
+    def third_grade(relays, committee_size):
+        counts = distinct_voter_counts(relays)
+        if not counts:
+            return GradedValue(None, 0)
+        value, count = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        if 3 * count >= committee_size:
+            return GradedValue(value, 2)
+        return GradedValue(None, 0)
+
+    monkeypatch.setattr(mc, "gc_grade", third_grade)
+    bad = [b[:4] for b in mc.check_gc_consistency()]
+    assert (6, 2, 0, "two grade-2 values") in bad
 
 
 # -- mutated binary-agreement rules ---------------------------------------------
@@ -285,13 +310,15 @@ def assert_same_reports(sizes, budgets):
         old = reference_model_check_bba(sizes, max_steps)
         assert new.instances == old.instances
         for name in VIOLATION_LISTS:
-            assert (sorted(getattr(new, name), key=repr)
-                    == sorted(getattr(old, name), key=repr)), (name, max_steps)
+            entries = getattr(new, name)
+            assert len(set(entries)) == len(entries), (name, max_steps)
+            assert set(entries) == set(getattr(old, name)), (name, max_steps)
 
 
 @pytest.mark.parametrize("rule", RULES)
 def test_bba_search_matches_the_reference(monkeypatch, rule):
-    # Same instances and the same violations, with multiplicity, as the four
-    # loops it replaced, under the shipped rule and four mutated ones.
+    # Same instances and the same distinct violations as the four loops it
+    # replaced, each listed once, under the shipped rule and four mutated
+    # ones; the loops list a violation once per branch that reaches it.
     monkeypatch.setattr(mc, "bba_transition", RULES[rule])
     assert_same_reports(range(4, 13), (0, 2, 5, 9))
