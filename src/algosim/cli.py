@@ -116,10 +116,10 @@ def _run_one(config: ScenarioConfig,
              out_dir: Path | None) -> tuple[list[str], RunMetrics]:
     """Run one scenario and write its `metrics.jsonl` and `chain*.jsonl` into
     `out_dir`, if given, in this process; return (metrics lines, metrics).
-    A chain file is written a record at a time as the ledger formats it.  An
-    honest run's blocks are written (with no `out_dir`, dropped) as they
-    commit, and a failing run leaves no `chain.jsonl`; an attack's chains
-    are written after its run."""
+    A chain file is written a record at a time as the ledger formats it.  A
+    run's blocks are written (with no `out_dir`, dropped) as they commit,
+    and a failing run leaves no `chain.jsonl`; an attack's forged chain is
+    written after its run."""
     path, f = out_dir and out_dir / "chain.jsonl", None
 
     def write(chain, block) -> None:
@@ -141,10 +141,8 @@ def _run_one(config: ScenarioConfig,
     lines = metrics_to_lines(metrics)
     if out_dir:
         _write(out_dir / "metrics.jsonl", (line + "\n" for line in lines))
-        for i, chain in enumerate(chains):
-            name = f"chain_fork{i - 1}.jsonl" if i else "chain.jsonl"
-            if i or f is None:  # else written as the run committed it
-                _write(out_dir / name, chain_pieces(chain))
+        for i, chain in enumerate(chains[1:]):  # chain.jsonl: as committed
+            _write(out_dir / f"chain_fork{i}.jsonl", chain_pieces(chain))
     return lines, metrics
 
 

@@ -148,7 +148,7 @@ class KeyRegistry:
         self._keepers: set[UserId] = set()
         self._head = hashlib.sha256(TAG_EPHEMERAL + self._master)
         self._states: dict[UserId, object] = {}  # hashlib state, seed absorbed
-        self._bit: dict[UserId, int] = {}  # owner's bit in a destroyed mask
+        self._bit: dict[UserId, int] = {}  # index of the owner's mask bit
 
     # -- registration -------------------------------------------------------
 
@@ -157,7 +157,7 @@ class KeyRegistry:
         if user not in self._states:
             self._states[user] = hashlib.sha256(
                 sha256(b"LTSK" + self._master + be8(user)))
-            self._bit[user] = 1 << len(self._bit)
+            self._bit[user] = len(self._bit)
 
     def is_registered(self, user: UserId) -> bool:
         return user in self._states
@@ -198,7 +198,7 @@ class KeyRegistry:
         if owner not in self._bit or not self._provisioned(round, step):
             raise KeyMissingError(
                 f"no ephemeral key for user {owner} at round {round} step {step}")
-        return self._bit[owner]
+        return 1 << self._bit[owner]
 
     def ephemeral_state(self, owner: UserId, round: int, step: int) -> KeyState:
         bit = self._owner_bit(owner, round, step)  # or raise: no row is read yet
@@ -218,11 +218,14 @@ class KeyRegistry:
         key keeper's key is retained, anyone else's destroyed.  A destroyed
         key is refused.  All owners are checked first: a refused call raises
         what the first refused one-owner call would, and changes nothing."""
-        bits = self._bit if self._provisioned(round, step) else {}  # {}: nobody's key
-        start = mask = _mask(self._destroyed, round, step) if bits else 0
+        index = self._bit if self._provisioned(round, step) else {}  # {}: nobody's key
+        start = mask = _mask(self._destroyed, round, step) if index else 0
         keepers, kept = self._keepers, 0
         for owner in owners:
-            bit = bits.get(owner) or self._owner_bit(owner, round, step)  # or raise
+            i = index.get(owner)
+            if i is None:
+                self._owner_bit(owner, round, step)  # raises: no such key
+            bit = 1 << i
             if mask & bit:
                 raise KeyDestroyedError(
                     f"ephemeral key of user {owner} for round {round} step {step} "
@@ -262,10 +265,10 @@ class KeyRegistry:
         (round, step, owner) order, built from the retained rows."""
         rows = self._retained
         rounds = sorted(rows) if round is None else [round] if round in rows else []
-        owners = sorted(self._bit.items())  # bit order is registration order
+        owners = sorted(self._bit.items())
         return [EphemeralKeyRecord(owner, r, step, KeyState.RETAINED)
                 for r in rounds for step, mask in enumerate(rows[r], 1) if mask
-                for owner, bit in owners if mask & bit]
+                for owner, i in owners if mask >> i & 1]
 
 
 def _mask(rows: dict[int, list[int]], round: int, step: int) -> int:

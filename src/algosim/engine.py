@@ -58,6 +58,12 @@ class EngineError(Exception):
     pass
 
 
+class ReleasedBlockError(EngineError):
+    """`detect_fork` walked into a block the run had released: the chains
+    agreed past the kept prefix, which a genesis fork does only when a forged
+    block equals the honest one, payset included."""
+
+
 class _ScenarioFields(NamedTuple):
     seed: int = 0
     num_genesis_users: int = 10
@@ -255,21 +261,32 @@ class SimulationRun:
     # -- adversary phase -------------------------------------------------------
 
     def run(self, write=None) -> tuple[list[Chain], RunMetrics]:
-        """An honest run calls `write(chain, block)`, if given, on genesis and on
-        each block as it commits, and then has the chain release the block its
-        window stops reading (`Chain.release`), so after round r it keeps the
-        blocks from r - lookback - 1 on.  An attack reads its chain back to
-        genesis: no `write`."""
+        """Call `write(chain, block)`, if given, on genesis and on each block
+        as it commits, and then have the chain release the block its window
+        stops reading (`Chain.release`), so after round r it keeps the blocks
+        from r - lookback - 1 on and the prefix an attack reads back: blocks
+        0 to `target_round` for bribery, and for a genesis fork blocks 0
+        through the first non-empty block after `fork_round`.  The forged
+        chain is held whole.  With no `write`, the chain is held whole."""
         start = time.perf_counter()
         adv = self.config.adversary
-        write = write if adv.strategy == "honest" else None
+        # The last round of the kept prefix; None while not yet known.  A
+        # genesis fork copies blocks 0 to `fork_round`, and `detect_fork`
+        # walks on past each round where both chains are empty (an empty
+        # block's digest excludes its certificate), so it stops by the first
+        # non-empty honest block after `fork_round`.
+        kept = {"honest": -1, "bribery": adv.target_round}.get(adv.strategy)
         if write:
             write(self.chain, self.chain.blocks[0])
         for r in range(1, self.config.rounds + 1):
             self.run_round(r)
             if write:  # outside run_round, which the benchmark times
-                write(self.chain, self.chain.blocks[r])
-                self.chain.release()
+                block = self.chain.blocks[r]
+                write(self.chain, block)
+                if kept is None and r > adv.fork_round and not block.is_empty():
+                    kept = r
+                if kept is not None:
+                    self.chain.release(kept)
         chains, attack_error = [self.chain], None
         if adv.strategy == "genesis_fork":
             chains.append(fork_from(self.chain, adv.fork_round))
@@ -302,10 +319,14 @@ def run_scenario(config: ScenarioConfig, write=None) -> tuple[list[Chain], RunMe
 def detect_fork(a: Chain, b: Chain,
                 classification: str = "protocol-violation") -> list[ForkReport]:
     """One report when chains `a` and `b` diverge with two validly certified
-    blocks on a common prefix, else none.  Pure extensions are not forks."""
+    blocks on a common prefix, else none.  Pure extensions are not forks.
+    Raises ReleasedBlockError if the walk reaches a released block."""
     if block_hash(a.blocks[0]) != block_hash(b.blocks[0]):
         raise IncompatibleGenesisError("chains do not share genesis")
     for r in range(1, min(len(a.blocks), len(b.blocks))):
+        if a.blocks[r] is None or b.blocks[r] is None:
+            raise ReleasedBlockError(
+                f"round {r}: fork detection reached a released block")
         da, db = block_hash(a.blocks[r]), block_hash(b.blocks[r])
         if da == db:
             continue

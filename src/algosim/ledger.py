@@ -268,10 +268,11 @@ class Chain:
     A caller that has just applied the payset of the chain's own block hands
     the result over with `carry`, so the window's next status is not
     replayed (and its payment signatures not verified) a second time.
-    A chain that grows at its tip and is read only there (an honest run
-    writing its blocks as they commit, `SimulationRun.run` with `write`, and
+    A chain that grows at its tip and is read only there (a run writing its
+    blocks as they commit, `SimulationRun.run` with `write`, and
     `verify_chain` of a stream) calls `release` after each block, so it keeps
-    the blocks from round `tip_round - lookback - 1` on, None for the rest.
+    the blocks from round `tip_round - lookback - 1` on, None for the rest;
+    an attack's run also keeps the prefix it reads back.
     """
 
     def __init__(self, genesis_status: Status, blocks: list[Block] | None = None,
@@ -333,15 +334,16 @@ class Chain:
                 and self.blocks[r - 1] is block):
             self._keep(status)
 
-    def release(self) -> None:
+    def release(self, kept: int = -1) -> None:
         """Drop the block `lookback + 2` rounds below the tip, which no read
-        at the tip needs any more; a chain growing at its tip calls this once
-        per appended block.  The block the window's replay starts from stays:
-        a payset that does not apply keeps `_top` at its round, and each later
-        status replays that payset, which raises again before a later block
-        is read."""
+        at the tip needs any more, unless it lies in blocks 0 to `kept`, a
+        prefix the caller reads back; a chain growing at its tip calls this
+        once per appended block.  The block the window's replay starts from
+        stays: a payset that does not apply keeps `_top` at its round, and
+        each later status replays that payset, which raises again before a
+        later block is read."""
         old = self.tip_round - self.params.lookback - 2
-        if old >= 0 and old != self._top:
+        if old >= 0 and old > kept and old != self._top:
             self.blocks[old] = None
 
     def prefix(self, length: int) -> "Chain":

@@ -2,6 +2,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import logging
@@ -1268,6 +1269,63 @@ def test_honest_run_holds_no_chain(tmp_path, out):
     low, high = MEMORY_ROUNDS
     per_round = (peak(high) - peak(low)) / (high - low)  # the longer run first
     assert per_round < 2_000  # about 8.5 KB with the chain held
+
+
+def test_attack_run_holds_its_fork_prefix_not_its_chain(tmp_path):
+    # an attack writes its honest blocks as they commit and keeps the prefix
+    # it reads back and its status window; the forged chain is held whole
+    def peak(rounds):
+        return traced_peak(["attack", "genesis-fork", "--config",
+                            FIXTURES / "genesis_fork.cfg", "--rounds", rounds,
+                            "--out", tmp_path / str(rounds)])
+
+    peak(12)  # a process's first command also builds the parser
+    per_round = (peak(19) - peak(12)) / (19 - 12)  # the longer run first
+    assert per_round < 16_000  # about 12.5 KB; 21 KB with the chain held
+
+
+# A failing attack under `--out`: (case, fixture, edits, exit code, stderr,
+# the files it leaves with their SHA-256), as when its chain was written
+# after the run.
+FAILING_ATTACKS = [
+    ("starved-fork", "genesis_fork.cfg",
+     [("verifier_prob = 1.0", "verifier_prob = 0.6"),
+      ("max_ba_steps = 9", "max_ba_steps = 1")],
+     2, "error: round 4: only 6 corrupted certifiers available, need 7\n", {}),
+    ("over-budget", "genesis_fork.cfg", [("fork_round = 2", "fork_round = 11")],
+     2, "error: corrupting 37 of 40 users exceeds the one-third budget\n", {}),
+    ("target-outside", "bribery.cfg", [("target_round = 5", "target_round = 40")],
+     2, "error: target round 40 must lie strictly inside the chain\n", {}),
+    ("target-negative", "bribery.cfg", [("target_round = 5", "target_round = -2")],
+     2, "error: target round -2 must lie strictly inside the chain\n", {}),
+    ("no-retention", "bribery.cfg",
+     [("retention_fraction = 1.0", "retention_fraction = 0.0")],
+     1, "attack failed: insufficient keys: have 0, need 7\n", {
+         "chain.jsonl": "da3d7314bfb0885f2e2607882f14d14a"
+                        "3426889eb94c55b19283a16a296ba40d",
+         "metrics.jsonl": "91f457c45ab381648b21c2f527ab9261"
+                          "68f3f0131ed1567ae24f577af87e39d4"}),
+]
+
+
+@pytest.mark.parametrize("case, fixture, edits, code, err, files",
+                         FAILING_ATTACKS, ids=[a[0] for a in FAILING_ATTACKS])
+def test_failing_attack_leaves_its_files(tmp_path, capsys, case, fixture, edits,
+                                         code, err, files):
+    # a chain written as it commits is removed when the attack raises
+    text = (FIXTURES / fixture).read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    path, out = tmp_path / fixture, tmp_path / "out"
+    path.write_text(text)
+    kind = fixture.removesuffix(".cfg").replace("_", "-")
+    got_code, stdout, got_err = run_cli(capsys, "attack", kind, "--config", path,
+                                        "--out", out)
+    assert (got_code, got_err) == (code, err)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == files
+    assert stdout == ((out / "metrics.jsonl").read_text() if files else "")
 
 
 def test_export_holds_one_certificate_message(tmp_path):

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -480,3 +482,21 @@ class TestAdversaryAccess:
         assert [registry.ephemeral_state(u, 5, 2) for u in (1, 2, 3)] == \
             [KeyState.AVAILABLE] * 3
         assert registry.retained_records() == []
+
+
+def test_registry_memory_is_linear_in_the_population():
+    # each user's mask bit is made from its index where it is used: held
+    # as the bit itself, user k's entry was a k-bit integer
+    def per_user(users):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            registry = KeyRegistry(7, horizon=4, max_step=3)
+            for u in range(1, users + 1):
+                registry.register_user(u)
+            return tracemalloc.get_traced_memory()[0] / users
+        finally:
+            tracemalloc.stop()
+
+    large, small = per_user(20_000), per_user(1_000)
+    assert abs(large - small) < 0.2 * small

@@ -7,7 +7,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import algosim.cli as cli
@@ -17,6 +17,7 @@ from algosim.adversary import AdversaryConfig
 from algosim.crypto import KeyRegistry, KeyState
 from algosim.engine import (
     EngineError,
+    ReleasedBlockError,
     ScenarioConfig,
     SimulationRun,
     detect_fork,
@@ -620,6 +621,17 @@ class TestDetectFork:
         with pytest.raises(IncompatibleGenesisError):
             detect_fork(a, b)
 
+    def test_walk_into_a_released_block_is_a_named_error(self, small_run):
+        # the chains agree past the prefix the run kept, as a forged block
+        # equal to the honest one would make them
+        chains, _ = small_run
+        released = chains[0].prefix(len(chains[0].blocks))
+        released.blocks[5] = None
+        with pytest.raises(ReleasedBlockError, match="round 5: "):
+            detect_fork(chains[0], released)
+        with pytest.raises(ReleasedBlockError, match="round 5: "):
+            detect_fork(released, chains[0])
+
 
 class TestCompareConsensus:
     def test_all_rounds_equivalent(self, small_run):
@@ -716,10 +728,78 @@ def test_honest_run_holds_under_950_bytes_a_round(seed):
 
 
 @pytest.mark.parametrize("fixture", ["genesis_fork.cfg", "bribery.cfg"])
-def test_attack_run_never_writes_and_keeps_its_chain(fixture):
-    # the attack and fork detection read the chain back to genesis
-    config = cli.load_config(str(FIXTURES / fixture))
-    chains, metrics = run_scenario(config, lambda chain, block: pytest.fail())
-    expected, _ = run_scenario(config)
-    assert [c.blocks for c in chains] == [c.blocks for c in expected]
+def test_attack_run_writes_each_block_and_keeps_its_prefix(fixture):
+    # the blocks handed over are the unstreamed run's, in order; the chain
+    # releases only blocks above the prefix the attack and `detect_fork` read
+    # back and below the status window
+    config = cli.load_config(str(FIXTURES / fixture), rounds=16)
+    lookback, adv = config.params.lookback, config.adversary
+    [whole, _], _ = run_scenario(config)
+    handed = []
+
+    def write(chain, block):
+        assert chain.tip() is block
+        handed.append(block)
+
+    [streamed, _], metrics = run_scenario(config, write)
+    assert handed == whole.blocks
+    if adv.strategy == "bribery":
+        kept = adv.target_round
+    else:
+        kept = next(b.round for b in whole.blocks
+                    if b.round > adv.fork_round and not b.is_empty())
+    window = config.rounds - lookback - 1
+    assert kept < window - 1  # some block is released
+    assert streamed.blocks == (whole.blocks[:kept + 1]
+                               + [None] * (window - kept - 1)
+                               + whole.blocks[window:])
     assert metrics.forks_detected == 1
+
+
+def attack_outcome(config, write=None):
+    """An attack's metrics lines and forged-chain lines, or its error."""
+    try:
+        chains, metrics = run_scenario(config, write)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return (metrics_to_lines(metrics),
+            [export_lines(chain) for chain in chains[1:]])
+
+
+@settings(deadline=None, max_examples=60)
+@given(fork_round=st.integers(0, 6), leader_prob=st.sampled_from([0.1, 0.2]),
+       seed=st.integers(0, 2**16))
+@example(fork_round=0, leader_prob=0.2, seed=0)  # forks at round 4
+def test_streamed_genesis_fork_equals_the_held_one(fork_round, leader_prob,
+                                                   seed):
+    # a forged block equals an empty honest block, so the fork can be found
+    # past fork_round + 1, and the run must keep every block up to it
+    config = cli.load_config(str(FIXTURES / "genesis_fork.cfg"), seed=seed)
+    config = config._replace(
+        params=config.params._replace(leader_prob=leader_prob),
+        adversary=config.adversary._replace(fork_round=fork_round))
+    streamed = attack_outcome(config, lambda chain, block: None)
+    assert streamed == attack_outcome(config)
+
+
+@settings(deadline=None, max_examples=60)
+@given(target_round=st.integers(-2, 11),
+       retention_fraction=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       seed=st.integers(0, 2**16))
+def test_streamed_bribery_equals_the_held_one(target_round,
+                                              retention_fraction, seed):
+    config = cli.load_config(str(FIXTURES / "bribery.cfg"), seed=seed)
+    config = config._replace(adversary=config.adversary._replace(
+        target_round=target_round, retention_fraction=retention_fraction))
+    streamed = attack_outcome(config, lambda chain, block: None)
+    assert streamed == attack_outcome(config)
+
+
+def test_named_genesis_fork_is_found_past_the_round_after_the_fork():
+    # the example above: blocks 1 to 3 are empty in both chains
+    config = cli.load_config(str(FIXTURES / "genesis_fork.cfg"))
+    config = config._replace(
+        params=config.params._replace(leader_prob=0.2),
+        adversary=config.adversary._replace(fork_round=0))
+    _, metrics = run_scenario(config, lambda chain, block: None)
+    assert [rep.round for rep in metrics.fork_reports] == [4]
