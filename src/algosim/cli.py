@@ -26,11 +26,13 @@ from .adversary import (
 )
 from .crypto import KeyRegistry
 from .engine import (
+    CommittedRound,
     EngineError,
     RunMetrics,
     ScenarioConfig,
-    metrics_to_lines,
+    round_line,
     run_scenario,
+    summary_line,
 )
 from .ledger import (LedgerError, block_pieces, chain_pieces, read_chain,
                      verify_chain)
@@ -113,37 +115,55 @@ def _write(path: Path, pieces: Iterable[str]) -> None:
 
 
 def _run_one(config: ScenarioConfig,
-             out_dir: Path | None) -> tuple[list[str], RunMetrics]:
-    """Run one scenario and write its `metrics.jsonl` and `chain*.jsonl` into
-    `out_dir`, if given, in this process; return (metrics lines, metrics).
-    A chain file is written a record at a time as the ledger formats it.  A
-    run's blocks are written (with no `out_dir`, dropped) as they commit,
-    and a failing run leaves no `chain.jsonl`; an attack's forged chain is
-    written after its run."""
-    path, f = out_dir and out_dir / "chain.jsonl", None
+             out_dir: Path | None) -> tuple[list[str] | None, RunMetrics]:
+    """Run one scenario in this process; return (its metrics lines, its
+    metrics).  With `out_dir`, each round's block goes to `chain.jsonl`, a
+    record at a time as the ledger formats it, and its line to
+    `metrics.jsonl` as the round commits, and the lines are returned as
+    None: they are in the file.  Both files are opened at genesis, and a
+    run that raises deletes them; an attack's forged chain is written after
+    its run.  Without `out_dir`, each block is dropped as it commits."""
+    lines: list[str] = []
+    files = []  # chain.jsonl and metrics.jsonl, once genesis commits
 
-    def write(chain, block) -> None:
-        nonlocal f
-        if path:
-            if f is None:
-                f = open(path, "w")
-                f.write(next(chain_pieces(chain)))  # the header line
-            f.writelines(block_pieces(block))
+    def sink(committed: CommittedRound) -> None:
+        if out_dir is None:
+            if committed.record:
+                lines.append(round_line(committed.record))
+            return
+        if not files:
+            for name in ("chain.jsonl", "metrics.jsonl"):
+                files.append(open(out_dir / name, "w"))
+            files[0].write(next(chain_pieces(committed.chain)))  # the header
+        files[0].writelines(block_pieces(committed.block))
+        if committed.record:
+            files[1].write(round_line(committed.record) + "\n")
     try:
-        chains, metrics = run_scenario(config, write)
+        chains, metrics = run_scenario(config, sink)
     except BaseException:
-        if f is not None:  # a failing run leaves no partial chain file
+        for f in files:  # a failing run leaves no partial file
             f.close()
-            path.unlink()
+            os.unlink(f.name)
         raise
-    if f is not None:
-        f.close()
-    lines = metrics_to_lines(metrics)
+    if out_dir is None:
+        return lines + [summary_line(metrics)], metrics
+    chain_file, metrics_file = files
+    chain_file.close()
+    with metrics_file:
+        metrics_file.write(summary_line(metrics) + "\n")
+    for i, chain in enumerate(chains[1:]):  # chain.jsonl: as committed
+        _write(out_dir / f"chain_fork{i}.jsonl", chain_pieces(chain))
+    return None, metrics
+
+
+def _print_metrics(lines: list[str] | None, out_dir: Path | None) -> None:
+    """Print a scenario's metrics lines: with `out_dir`, copied from its
+    finished `metrics.jsonl` a line at a time."""
     if out_dir:
-        _write(out_dir / "metrics.jsonl", (line + "\n" for line in lines))
-        for i, chain in enumerate(chains[1:]):  # chain.jsonl: as committed
-            _write(out_dir / f"chain_fork{i}.jsonl", chain_pieces(chain))
-    return lines, metrics
+        with open(out_dir / "metrics.jsonl") as f:
+            sys.stdout.writelines(f)
+    else:
+        print(*lines, sep="\n")
 
 
 def _seeds(text: str) -> list[int]:
@@ -183,12 +203,11 @@ def cmd_run(args) -> int:
         results = list(map(_run_one, configs, out_dirs))
 
     log = _logger()
-    for (lines, metrics), config in zip(results, configs):
-        for line in lines:
-            print(line)
+    for (lines, metrics), config, out_dir in zip(results, configs, out_dirs):
+        _print_metrics(lines, out_dir)
         if log:
             log.info("seed=%d rounds=%d forks=%d messages=%d wall=%.3fs",
-                     config.seed, len(metrics.rounds), metrics.forks_detected,
+                     config.seed, metrics.round_count, metrics.forks_detected,
                      metrics.total_messages, metrics.wall_time)
     return 0
 
@@ -208,8 +227,7 @@ def cmd_attack(args) -> int:
     if out_dir:
         _make_out_dir(out_dir)
     lines, metrics = _run_one(config, out_dir)
-    for line in lines:
-        print(line)
+    _print_metrics(lines, out_dir)
     if metrics.forks_detected > 0:
         for rep in metrics.fork_reports:
             print(f"fork at round {rep.round} [{rep.classification}]: "

@@ -1,6 +1,7 @@
 """Round driver: provisions users and keys, runs the per-round pipeline
 (sortition, proposal, vote, agreement or simple majority, certification),
-invokes adversary strategies, detects forks and accumulates metrics.
+hands each committed round to one sink, invokes adversary strategies,
+detects forks and counts the run's totals.
 
 `run_round` composes a round from the phases of `consensus`: `propose_phase`,
 the step-2 vote, `agree` (not in simple mode) and `certify`.  Every committee
@@ -24,7 +25,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import consensus
 from .adversary import (
@@ -35,6 +36,7 @@ from .adversary import (
 )
 from .crypto import KeyRegistry, UserId, be8, sha256
 from .ledger import (
+    Block,
     Chain,
     IncompatibleGenesisError,
     Payment,
@@ -126,13 +128,27 @@ class ForkReport(NamedTuple):
     classification: str
 
 
+class CommittedRound(NamedTuple):
+    """A round as it commits, as a run's sink receives it: the chain it
+    joined, its block (the chain's tip) and its record; genesis has none."""
+
+    chain: Chain
+    block: Block
+    record: RoundRecord | None
+
+
 class RunMetrics(NamedTuple):
-    rounds: list[RoundRecord]
+    """A run's totals, counted as its rounds pass, and its fork reports.
+    `rounds` holds the round records only when `run_scenario` was given no
+    sink: a run hands each record to its sink and holds none."""
+
+    round_count: int
     forks_detected: int
     fork_reports: list[ForkReport]
     total_messages: int
     wall_time: float
     attack_error: str | None = None
+    rounds: Sequence[RoundRecord] = ()
 
 
 def _sub_seed(seed: int, tag: bytes) -> int:
@@ -155,7 +171,6 @@ class SimulationRun:
         self.chain = make_genesis(
             {u: config.initial_balance for u in genesis_users}, self.registry,
             self.params)
-        self.records: list[RoundRecord] = []
 
     def _register_user(self, uid: UserId) -> None:
         self.registry.register_user(uid)
@@ -199,7 +214,7 @@ class SimulationRun:
 
     # -- round pipeline -------------------------------------------------------
 
-    def run_round(self, r: int) -> None:
+    def run_round(self, r: int) -> RoundRecord:
         params = self.params
         mode = self.config.consensus_mode
         prev = self.chain.blocks[r - 1]
@@ -207,9 +222,8 @@ class SimulationRun:
         if r < params.lookback:
             # No user clears the lookback rule yet: an uncertified empty block.
             self.chain.append(empty)
-            self.records.append(RoundRecord(
-                r, None, (), 0, None, None, None, True, 0, ("bootstrap",)))
-            return
+            return RoundRecord(
+                r, None, (), 0, None, None, None, True, 0, ("bootstrap",))
 
         serving = sorted(eligible(r, self.chain))
         payset, after = build_payset(self._workload(r),
@@ -254,20 +268,22 @@ class SimulationRun:
         if not is_empty:  # the leader's block holds `payset`, just applied
             self.chain.carry(self.chain.tip(), after)
         equivalent = ba_digest == simple_digest if mode == "both" else None
-        self.records.append(RoundRecord(
+        return RoundRecord(
             r, proposal.leader, tuple(sizes), decision_step, ba_digest,
-            simple_digest, equivalent, is_empty, sum(deliveries), flags))
+            simple_digest, equivalent, is_empty, sum(deliveries), flags)
 
     # -- adversary phase -------------------------------------------------------
 
-    def run(self, write=None) -> tuple[list[Chain], RunMetrics]:
-        """Call `write(chain, block)`, if given, on genesis and on each block
-        as it commits, and then have the chain release the block its window
-        stops reading (`Chain.release`), so after round r it keeps the blocks
-        from r - lookback - 1 on and the prefix an attack reads back: blocks
-        0 to `target_round` for bribery, and for a genesis fork blocks 0
-        through the first non-empty block after `fork_round`.  The forged
-        chain is held whole.  With no `write`, the chain is held whole."""
+    def run(self, sink, release: bool = True) -> tuple[list[Chain], RunMetrics]:
+        """Hand genesis and then each round to `sink` as a `CommittedRound`
+        as it commits; no round record is held, and the summary's totals are
+        counted as the rounds pass.  With `release`, the chain then releases
+        the block its window stops reading (`Chain.release`), so after round
+        r it keeps the blocks from r - lookback - 1 on and the prefix an
+        attack reads back: blocks 0 to `target_round` for bribery, and for a
+        genesis fork blocks 0 through the first non-empty block after
+        `fork_round`.  The forged chain is held whole.  Without `release`,
+        the chain is held whole."""
         start = time.perf_counter()
         adv = self.config.adversary
         # The last round of the kept prefix; None while not yet known.  A
@@ -276,13 +292,15 @@ class SimulationRun:
         # block's digest excludes its certificate), so it stops by the first
         # non-empty honest block after `fork_round`.
         kept = {"honest": -1, "bribery": adv.target_round}.get(adv.strategy)
-        if write:
-            write(self.chain, self.chain.blocks[0])
+        sink(CommittedRound(self.chain, self.chain.blocks[0], None))
+        messages = 0
         for r in range(1, self.config.rounds + 1):
-            self.run_round(r)
-            if write:  # outside run_round, which the benchmark times
-                block = self.chain.blocks[r]
-                write(self.chain, block)
+            record = self.run_round(r)
+            messages += record.message_count
+            block = self.chain.blocks[r]
+            # handed on outside run_round, which the benchmark times
+            sink(CommittedRound(self.chain, block, record))
+            if release:
                 if kept is None and r > adv.fork_round and not block.is_empty():
                     kept = r
                 if kept is not None:
@@ -301,19 +319,28 @@ class SimulationRun:
         reports = [] if len(chains) == 1 else detect_fork(
             *chains, classification=FORK_CLASSIFICATIONS[adv.strategy])
         metrics = RunMetrics(
-            rounds=self.records,
+            round_count=self.config.rounds,  # a run that completes has them all
             forks_detected=len(reports),
             fork_reports=reports,
-            total_messages=sum(rec.message_count for rec in self.records),
+            total_messages=messages,
             wall_time=time.perf_counter() - start,
             attack_error=attack_error,
         )
         return chains, metrics
 
 
-def run_scenario(config: ScenarioConfig, write=None) -> tuple[list[Chain], RunMetrics]:
-    """Execute one scenario; deterministic for a given config."""
-    return SimulationRun(config).run(write)
+def run_scenario(config: ScenarioConfig, sink=None) -> tuple[list[Chain], RunMetrics]:
+    """Execute one scenario; deterministic for a given config.  Each round
+    goes to `sink` as it commits, and the chain keeps only the blocks that
+    its window and the attack read back (`SimulationRun.run`).  With no
+    sink, the rounds are gathered in a list: the chain is held whole and the
+    metrics carry every round record."""
+    run = SimulationRun(config)
+    if sink is not None:
+        return run.run(sink)
+    committed: list[CommittedRound] = []
+    chains, metrics = run.run(committed.append, release=False)
+    return chains, metrics._replace(rounds=[c.record for c in committed[1:]])
 
 
 def detect_fork(a: Chain, b: Chain,
@@ -340,26 +367,30 @@ def detect_fork(a: Chain, b: Chain,
 
 
 # -- metrics serialization ------------------------------------------------------
-# wall_time is deliberately left out of the file format so identical runs
-# produce byte-identical output; it is only printed in console summaries.
+# One line per round record, formatted as the round commits, then one summary
+# line.  wall_time is deliberately left out of the file format so identical
+# runs produce byte-identical output; it is only printed in console summaries.
 
-def metrics_to_lines(metrics: RunMetrics) -> list[str]:
-    lines = []
-    for rec in metrics.rounds:
-        lines.append(json.dumps({
-            "round": rec.round,
-            "leader": rec.leader,
-            "committee_sizes": {str(s): n for s, n in enumerate(rec.committee_sizes, 1)},
-            "steps_to_decision": rec.steps_to_decision,
-            "ba_digest": rec.ba_digest.hex() if rec.ba_digest else None,
-            "simple_digest": rec.simple_digest.hex() if rec.simple_digest else None,
-            "equivalent": rec.equivalent,
-            "empty_block": rec.empty_block,
-            "message_count": rec.message_count,
-            "flags": list(rec.flags),
-        }, sort_keys=True, separators=(",", ":")))
-    lines.append(json.dumps({"summary": {
-        "rounds": len(metrics.rounds),
+def round_line(rec: RoundRecord) -> str:
+    """The `metrics.jsonl` line of one round's record."""
+    return json.dumps({
+        "round": rec.round,
+        "leader": rec.leader,
+        "committee_sizes": {str(s): n for s, n in enumerate(rec.committee_sizes, 1)},
+        "steps_to_decision": rec.steps_to_decision,
+        "ba_digest": rec.ba_digest.hex() if rec.ba_digest else None,
+        "simple_digest": rec.simple_digest.hex() if rec.simple_digest else None,
+        "equivalent": rec.equivalent,
+        "empty_block": rec.empty_block,
+        "message_count": rec.message_count,
+        "flags": list(rec.flags),
+    }, sort_keys=True, separators=(",", ":"))
+
+
+def summary_line(metrics: RunMetrics) -> str:
+    """The `metrics.jsonl` line that follows the rounds' lines."""
+    return json.dumps({"summary": {
+        "rounds": metrics.round_count,
         "forks_detected": metrics.forks_detected,
         "fork_descriptions": [{
             "round": rep.round,
@@ -371,5 +402,10 @@ def metrics_to_lines(metrics: RunMetrics) -> list[str]:
         } for rep in metrics.fork_reports],
         "total_messages": metrics.total_messages,
         "attack_error": metrics.attack_error,
-    }}, sort_keys=True, separators=(",", ":")))
-    return lines
+    }}, sort_keys=True, separators=(",", ":"))
+
+
+def metrics_to_lines(metrics: RunMetrics) -> list[str]:
+    """Every line of a run's `metrics.jsonl`, from the round records that a
+    run with no sink holds."""
+    return [*map(round_line, metrics.rounds), summary_line(metrics)]

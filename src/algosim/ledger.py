@@ -268,8 +268,8 @@ class Chain:
     A caller that has just applied the payset of the chain's own block hands
     the result over with `carry`, so the window's next status is not
     replayed (and its payment signatures not verified) a second time.
-    A chain that grows at its tip and is read only there (a run writing its
-    blocks as they commit, `SimulationRun.run` with `write`, and
+    A chain that grows at its tip and is read only there (a run handing its
+    rounds to a sink as they commit, `SimulationRun.run` with `release`, and
     `verify_chain` of a stream) calls `release` after each block, so it keeps
     the blocks from round `tip_round - lookback - 1` on, None for the rest;
     an attack's run also keeps the prefix it reads back.
@@ -596,15 +596,18 @@ def chain_pieces(chain: Chain) -> Iterator[str]:
         yield from block_pieces(b)
 
 
-def _hash_field(text: str) -> bytes:
-    """Decode a digest or signature: exactly 2 * DIGEST_LEN lowercase hex
-    characters, as the writer makes it.  `unhexlify` rejects spaces and is
-    faster than `bytes.fromhex`; the round trip rejects uppercase."""
-    value = binascii.unhexlify(text)
-    if len(value) != DIGEST_LEN:
-        raise ValueError(f"expected {DIGEST_LEN} bytes, got {len(value)}")
-    if value.hex() != text:
-        raise ValueError(f"expected lowercase hex, got {text!r}")
+def _hash_field(text: str, name: str) -> bytes:
+    """Decode the digest or signature of field `name`: exactly 2 * DIGEST_LEN
+    lowercase hex characters, as the writer makes it.  `unhexlify` rejects
+    spaces and is faster than `bytes.fromhex`; the round trip rejects
+    uppercase."""
+    try:
+        value = binascii.unhexlify(text)
+    except (TypeError, ValueError):  # not a string, or not ASCII hex
+        value = None
+    if value is None or len(value) != DIGEST_LEN or value.hex() != text:
+        raise ValueError(
+            f"{name}: expected {DIGEST_LEN}-byte lowercase hex, got {text!r}")
     return value
 
 
@@ -642,7 +645,8 @@ def _cert_value(payloads: dict, m: dict) -> bytes:
             return payloads[m["bit"], m["block_digest"]]
     except (KeyError, TypeError):
         pass  # read afresh below, so a bad message raises what it raised
-    value = cert_payload(_bit_field(m["bit"]), _hash_field(m["block_digest"]))
+    value = cert_payload(_bit_field(m["bit"]),
+                         _hash_field(m["block_digest"], "cert block_digest"))
     payloads[m["bit"], m["block_digest"]] = value
     return value
 
@@ -713,18 +717,20 @@ def _block(line: str) -> Block:
         o = json.loads(line)
         payloads: dict[tuple[int, str], bytes] = {}
         payset = tuple([Payment(_u64_field(p["payer"]), _u64_field(p["payee"]),
-                                _u64_field(p["amount"]), _hash_field(p["sig"]))
+                                _u64_field(p["amount"]),
+                                _hash_field(p["sig"], "payment sig"))
                         for p in _list_field(o, "payset")])
         cert = tuple([Vote(
             _u64_field(m["voter"]), _u64_field(m["round"]),
             _u64_field(m["step"]), _cert_value(payloads, m),
-            _hash_field(m["sig"]),
+            _hash_field(m["sig"], "cert sig"),
             Credential(_u64_field((c := m["credential"])["user"]),
                        _u64_field(c["round"]), _u64_field(c["step"]),
-                       _hash_field(c["sig"])))
+                       _hash_field(c["sig"], "credential sig")))
             for m in _list_field(o, "cert")])
-        return Block(_u64_field(o["round"]), payset, _hash_field(o["seed"]),
-                     _hash_field(o["prev_hash"]), cert)
+        return Block(_u64_field(o["round"]), payset,
+                     _hash_field(o["seed"], "seed"),
+                     _hash_field(o["prev_hash"], "prev_hash"), cert)
     except _PARSE_ERRORS as exc:
         raise LedgerError(f"malformed chain record: {_cause(exc)}") from exc
 

@@ -18,10 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algosim.cli as cli
+import algosim.engine as engine
 from algosim.adversary import _held_voters
 from algosim.consensus import vote
 from algosim.crypto import KeyRegistry
-from algosim.engine import EngineError, ScenarioConfig, run_scenario
+from algosim.engine import (CommittedRound, EngineError, ScenarioConfig,
+                            run_scenario)
 from algosim.ledger import (
     Block,
     Chain,
@@ -41,6 +43,7 @@ from algosim.sortition import Credential, ProtocolParams
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
+HEX = "ab" * 32  # a digest as the writer makes it
 
 SMALL_CFG = """
 [scenario]
@@ -395,7 +398,18 @@ class TestVerifyChain:
         ('{"cert":[],"payset":[5]}', "expected an object"),
         ('{"cert":[[]],"payset":[]}', "expected an object"),
         ('{"cert":[],"payset":[],"prev_hash":"00","round":1}', "missing key 'seed'"),
-    ], ids=["list", "no-payset", "payment-int", "message-list", "no-seed"])
+        ('{"cert":[],"payset":[],"prev_hash":"00","round":1,"seed":5}',
+         "seed: expected 32-byte lowercase hex, got 5"),
+        ('{"cert":[],"payset":[],"prev_hash":"0g","round":1,"seed":"%s"}' % HEX,
+         "prev_hash: expected 32-byte lowercase hex, got '0g'"),
+        ('{"cert":[],"payset":[{"amount":1,"payee":1,"payer":1,"sig":[]}]}',
+         "payment sig: expected 32-byte lowercase hex, got []"),
+        ('{"cert":[{"bit":0,"block_digest":"%s","round":1,"step":4,"voter":1}],'
+         '"payset":[]}' % HEX.upper(),
+         f"cert block_digest: expected 32-byte lowercase hex, got {HEX.upper()!r}"),
+    ], ids=["list", "no-payset", "payment-int", "message-list", "no-seed",
+            "seed-int", "prev-hash-not-hex", "payment-sig-list",
+            "block-digest-uppercase"])
     def test_record_of_the_wrong_json_shape_is_load_error(
             self, small_cfg, tmp_path, capsys, record, cause):
         (tmp_path / "shape.jsonl").write_text(
@@ -987,10 +1001,10 @@ def test_failing_seed_prints_nothing_and_keeps_finished_files(
     # each seed writes its files as it finishes; stdout waits for them all
     real = cli.run_scenario
 
-    def failing(config, write):
+    def failing(config, sink):
         if config.seed == 6:
             raise EngineError("seed 6 cannot complete")
-        return real(config, write)
+        return real(config, sink)
 
     monkeypatch.setattr(cli, "run_scenario", failing)
     out = tmp_path / "out"
@@ -1150,20 +1164,24 @@ def test_unwritable_out_dir_is_refused_before_any_scenario(
 @pytest.mark.parametrize("argv,scenarios", OUT_RUNS, ids=OUT_IDS)
 def test_metrics_lines_are_built_once_per_scenario(
         argv, scenarios, small_cfg, tmp_path, capsys, monkeypatch):
+    # each round's line is formatted once, as the round commits, and
+    # written to its scenario's metrics.jsonl; stdout is copied from them
     built = []
-    real = cli.metrics_to_lines
+    real = cli.round_line
 
-    def counted(metrics):
-        built.append(real(metrics))
+    def counted(record):
+        built.append(real(record))
         return built[-1]
 
-    monkeypatch.setattr(cli, "metrics_to_lines", counted)
+    monkeypatch.setattr(cli, "round_line", counted)
     out = tmp_path / "out"
     argv = [small_cfg if a == "SMALL" else a for a in argv]
     code, stdout, _ = run_cli(capsys, *argv, "--out", out)
-    assert code == 0 and len(built) == scenarios
     files = sorted(out.rglob("metrics.jsonl"))
-    assert [f.read_text() for f in files] == ["\n".join(b) + "\n" for b in built]
+    assert code == 0 and len(files) == scenarios
+    lines = [f.read_text().splitlines() for f in files]
+    assert all(json.loads(ls[-1]).keys() == {"summary"} for ls in lines)
+    assert [line for ls in lines for line in ls[:-1]] == built
     assert stdout == "".join(f.read_text() for f in files)
 
 
@@ -1237,10 +1255,11 @@ def test_run_out_holds_no_joined_copy(seed5_runs, tmp_path, monkeypatch):
     # CLI's own export: one record being formatted and written
     cfg, runs = seed5_runs
 
-    def stored(config, write):
+    def stored(config, sink):
         result = runs[config.rounds][0]
-        for block in result[0][0].blocks:
-            write(result[0][0], block)
+        [chain], metrics = result
+        for block, record in zip(chain.blocks, [None, *metrics.rounds]):
+            sink(CommittedRound(chain, block, record))
         return result
 
     monkeypatch.setattr(cli, "run_scenario", stored)
@@ -1259,7 +1278,8 @@ def test_run_out_holds_no_joined_copy(seed5_runs, tmp_path, monkeypatch):
 @pytest.mark.parametrize("out", [True, False], ids=["out", "no-out"])
 def test_honest_run_holds_no_chain(tmp_path, out):
     # an honest run's blocks are written, or dropped, as they commit: what
-    # it holds grows by its round records alone
+    # it holds grows by its key state and, without `--out`, the metrics
+    # lines kept for stdout
     def peak(rounds):
         argv = ["run", "--config", FIXTURES / "honest.cfg", "--rounds", rounds]
         return traced_peak(argv + (["--out", tmp_path / str(rounds)] if out
@@ -1269,6 +1289,34 @@ def test_honest_run_holds_no_chain(tmp_path, out):
     low, high = MEMORY_ROUNDS
     per_round = (peak(high) - peak(low)) / (high - low)  # the longer run first
     assert per_round < 2_000  # about 8.5 KB with the chain held
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_run_out_holds_no_round_record(tmp_path, monkeypatch, seed):
+    # `run --out` writes each round's metrics line as the round commits:
+    # when the run returns, it holds its status window and its key state
+    # (held memory at the return of `SimulationRun.run`, as perfbench
+    # takes it)
+    held = []
+    real = engine.SimulationRun.run
+
+    def run(self, *args, **kwargs):
+        result = real(self, *args, **kwargs)
+        held.append(tracemalloc.get_traced_memory()[0])
+        return result
+
+    monkeypatch.setattr(engine.SimulationRun, "run", run)
+
+    def growth(rounds):
+        start = len(held)
+        traced_peak(["run", "--config", FIXTURES / "honest.cfg", "--seed", seed,
+                     "--rounds", rounds, "--out", tmp_path / str(rounds)])
+        return held[start]
+
+    growth(2)  # a process's first command also builds the parser
+    low, high = MEMORY_ROUNDS
+    per_round = (growth(high) - growth(low)) / (high - low)  # longer first
+    assert per_round < 700  # 594 and 350 B; 982 and 738 with the records held
 
 
 def test_attack_run_holds_its_fork_prefix_not_its_chain(tmp_path):
@@ -1298,6 +1346,8 @@ FAILING_ATTACKS = [
      2, "error: target round 40 must lie strictly inside the chain\n", {}),
     ("target-negative", "bribery.cfg", [("target_round = 5", "target_round = -2")],
      2, "error: target round -2 must lie strictly inside the chain\n", {}),
+    ("fork-past-tip", "genesis_fork.cfg", [("rounds = 12", "rounds = 1")],
+     2, "error: fork round 2 not on chain\n", {}),
     ("no-retention", "bribery.cfg",
      [("retention_fraction = 1.0", "retention_fraction = 0.0")],
      1, "attack failed: insufficient keys: have 0, need 7\n", {
@@ -1312,7 +1362,8 @@ FAILING_ATTACKS = [
                          FAILING_ATTACKS, ids=[a[0] for a in FAILING_ATTACKS])
 def test_failing_attack_leaves_its_files(tmp_path, capsys, case, fixture, edits,
                                          code, err, files):
-    # a chain written as it commits is removed when the attack raises
+    # the chain and metrics written as rounds commit are removed when the
+    # attack raises
     text = (FIXTURES / fixture).read_text()
     for old, new in edits:
         assert old in text

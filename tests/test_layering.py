@@ -2,9 +2,10 @@
 `algosim` import sits at module level, and each module imports only modules
 that come before it in `ORDER`.  `__init__` re-exports and is exempt.  And
 a chain is read under its own params and registry: no function takes them
-beside a `Chain`.  And no CLI command holds a whole file's text or parses a
-whole chain, and only the CLI opens, reads or writes a file.  And only
-`crypto` reads the key registry's stores of key state."""
+beside a `Chain`.  And no CLI command holds a whole file's text, parses a
+whole chain or formats a run's metrics whole, and only the CLI opens, reads
+or writes a file.  And only `crypto` reads the key registry's stores of key
+state."""
 
 import ast
 import functools
@@ -109,22 +110,32 @@ def test_cli_reads_no_whole_file():
     assert whole_file_reads("cli") == []
 
 
+def cli_names(name: str) -> list[str]:
+    """cli:line of every name, attribute or import of `name` in `cli`."""
+    return [f"cli:{node.lineno} names {name}"
+            for module, tree in syntax_trees() if module == "cli"
+            for node in ast.walk(tree)
+            if getattr(node, "id", getattr(node, "attr", None)) == name
+            or isinstance(node, ast.alias) and node.name == name]
+
+
 def test_cli_parses_no_whole_chain():
     # `verify-chain` validates each block as it is read (`read_chain`), so
     # the CLI never builds a whole chain with `chain_from_lines`
-    found = [f"cli:{node.lineno} names chain_from_lines"
-             for module, tree in syntax_trees() if module == "cli"
-             for node in ast.walk(tree)
-             if getattr(node, "id", getattr(node, "attr", None)) == "chain_from_lines"
-             or isinstance(node, ast.alias) and node.name == "chain_from_lines"]
-    assert found == []
+    assert cli_names("chain_from_lines") == []
+
+
+def test_cli_formats_metrics_as_rounds_commit():
+    # `run` and `attack` format each round's line as the round commits
+    # (`round_line`), so the CLI never formats a run's held records whole
+    assert cli_names("metrics_to_lines") == []
 
 
 FILE_CALLS = {"open", "write_text", "write_bytes", "read_text", "read_bytes"}
 
 
 def test_only_the_cli_touches_files():
-    # the engine hands its blocks to a `write` callback, and the ledger
+    # the engine hands its rounds to a sink, and the ledger
     # formats and parses text; files are opened at the CLI boundary alone
     found = [f"{module}:{node.lineno} calls {name}"
              for module, tree in syntax_trees() if module != "cli"

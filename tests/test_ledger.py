@@ -459,30 +459,38 @@ def reference_block_line(b):
 
 def reference_parse_record(line):
     """The block record reader with keyword arguments, errors included."""
-    from algosim.ledger import (
-        _PARSE_ERRORS, _bit_field, _cause, _hash_field, _u64_field)
+    from algosim.ledger import _PARSE_ERRORS, _bit_field, _cause, _u64_field
     def listed(o, key):  # the writer makes `payset` and `cert` lists only
         if not isinstance(o[key], list):
             raise ValueError(f"{key}: expected a list")
         return o[key]
 
+    def hex32(value, name):  # the writer's digests: 64 lowercase hex digits
+        if not (isinstance(value, str) and len(value) == 64
+                and set(value) <= set("0123456789abcdef")):
+            raise ValueError(
+                f"{name}: expected 32-byte lowercase hex, got {value!r}")
+        return bytes.fromhex(value)
+
     try:
         o = json.loads(line)
         payset = tuple(Payment(_u64_field(p["payer"]), _u64_field(p["payee"]),
-                               _u64_field(p["amount"]), _hash_field(p["sig"]))
+                               _u64_field(p["amount"]),
+                               hex32(p["sig"], "payment sig"))
                        for p in listed(o, "payset"))
         cert = tuple(cert_vote(
             voter=_u64_field(m["voter"]), round=_u64_field(m["round"]),
             step=_u64_field(m["step"]), bit=_bit_field(m["bit"]),
-            block_digest=_hash_field(m["block_digest"]),
-            sig=_hash_field(m["sig"]),
+            block_digest=hex32(m["block_digest"], "cert block_digest"),
+            sig=hex32(m["sig"], "cert sig"),
             credential=Credential(_u64_field(m["credential"]["user"]),
                                   _u64_field(m["credential"]["round"]),
                                   _u64_field(m["credential"]["step"]),
-                                  _hash_field(m["credential"]["sig"])))
+                                  hex32(m["credential"]["sig"],
+                                        "credential sig")))
             for m in listed(o, "cert"))
-        return Block(_u64_field(o["round"]), payset, _hash_field(o["seed"]),
-                     _hash_field(o["prev_hash"]), cert)
+        return Block(_u64_field(o["round"]), payset, hex32(o["seed"], "seed"),
+                     hex32(o["prev_hash"], "prev_hash"), cert)
     except _PARSE_ERRORS as exc:
         raise LedgerError(f"malformed chain record: {_cause(exc)}") from exc
 
