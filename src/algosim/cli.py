@@ -185,9 +185,8 @@ def cmd_run(args) -> int:
         config = load_config(args.config, seed=seeds[0], rounds=args.rounds,
                              mode=args.mode)
         configs = [config] + [config._replace(seed=s) for s in seeds[1:]]
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        raise ConfigError(exc) from None
     out_dirs = [Path(args.out) / (f"seed_{c.seed}" if len(configs) > 1 else "")
                 if args.out else None for c in configs]
     for out_dir in filter(None, out_dirs):
@@ -214,15 +213,11 @@ def cmd_run(args) -> int:
 
 def cmd_attack(args) -> int:
     strategy = args.kind.replace("-", "_")
-    try:
-        config = load_config(args.config, seed=args.seed, rounds=args.rounds)
-        if config.adversary.strategy != strategy:
-            raise ConfigError(
-                f"config adversary strategy is {config.adversary.strategy!r}, "
-                f"expected {strategy!r}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = load_config(args.config, seed=args.seed, rounds=args.rounds)
+    if config.adversary.strategy != strategy:
+        raise ConfigError(
+            f"config adversary strategy is {config.adversary.strategy!r}, "
+            f"expected {strategy!r}")
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         _make_out_dir(out_dir)
@@ -256,11 +251,7 @@ def _registered(blocks: Iterable, registry: KeyRegistry) -> Iterator:
 
 
 def cmd_verify_chain(args) -> int:
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = load_config(args.config)
     registry = KeyRegistry(config.seed, horizon=config.params.horizon,
                            max_step=config.params.max_step)
     for u in range(1, config.num_genesis_users + 1):
@@ -392,11 +383,12 @@ def main(argv=None) -> int:
                "compare": cmd_compare}[args.command]
     try:
         return command(args)
-    except (EngineError, PreconditionViolatedError, ForkInfeasibleError,
-            OSError, UnicodeDecodeError) as exc:
-        # a config whose rounds cannot complete, an out-of-range attack, a
-        # forged branch whose committees hold too few corrupted keys, or a
-        # file that cannot be read as text or written (`--out`, `compare`)
+    except (ConfigError, EngineError, PreconditionViolatedError,
+            ForkInfeasibleError, OSError, UnicodeDecodeError) as exc:
+        # a bad config or `--seed` list, a config whose rounds cannot
+        # complete, an out-of-range attack, a forged branch whose committees
+        # hold too few corrupted keys, or a file that cannot be read as text
+        # or written (`--out`, `compare`)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,7 +41,6 @@ from .ledger import (
     IncompatibleGenesisError,
     Payment,
     block_hash,
-    build_payset,
     cert_payload,
     eligible,
     make_genesis,
@@ -183,10 +182,14 @@ class SimulationRun:
     # -- workload -----------------------------------------------------------
 
     def _workload(self, round: int) -> list[Payment]:
+        """The round's payments, drawn against the status entering `round`:
+        each is funded at its place in the list, so the leader proposes them
+        as drawn and they apply."""
         cfg = self.config
         rng = self._workload_rng
-        balances = dict(self.chain.status_entering(round).balances)
-        live = sorted(u for u, a in balances.items() if a > 0)
+        status = self.chain.status_entering(round)
+        balances = dict(status.balances)
+        live = sorted(status.holders)
         payments: list[Payment] = []
         for _ in range(cfg.payments_per_round):
             # amount <= balance/10, so payers below 10 units sit a round out
@@ -226,8 +229,6 @@ class SimulationRun:
                 r, None, (), 0, None, None, None, True, 0, ("bootstrap",))
 
         serving = sorted(eligible(r, self.chain))
-        payset, after = build_payset(self._workload(r),
-                                     self.chain.status_entering(r), self.registry)
         sizes: list[int] = []  # step s's committee size at index s - 1
         deliveries: list[int] = []
 
@@ -241,7 +242,7 @@ class SimulationRun:
             deliveries.append(self.net.step())
             return committee, self.net.inbox_common()
 
-        proposal = consensus.propose_phase(step, payset, self.chain)
+        proposal = consensus.propose_phase(step, self._workload(r), self.chain)
         sv2, votes = step(2, block_hash(proposal.block or empty))
         majority = consensus.supermajority_value(votes, len(sv2))
         empty_digest = block_hash(empty)
@@ -265,8 +266,6 @@ class SimulationRun:
         # Votes only ever back the candidate or the empty block.
         block = empty if is_empty else proposal.block
         self.chain.append(block.with_cert(cert))
-        if not is_empty:  # the leader's block holds `payset`, just applied
-            self.chain.carry(self.chain.tip(), after)
         equivalent = ba_digest == simple_digest if mode == "both" else None
         return RoundRecord(
             r, proposal.leader, tuple(sizes), decision_step, ba_digest,

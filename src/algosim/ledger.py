@@ -10,7 +10,9 @@ group at a time, recomputing the group's credentials through
 `sortition.select_committee`.  Who may serve (`eligible`) and who leads
 (`view_leader`) are chain reads and live here, with `Vote`, the record a
 certificate holds.  A `Chain` carries the `ProtocolParams` and `KeyRegistry`
-it is read under, so every chain read takes only the chain.  A chain file
+it is read under, so every chain read takes only the chain.  `apply_payset`
+is the payment rule; a chain's status window applies each committed payset
+through it when a later round first reads the status after it.  A chain file
 is a JSON genesis header line and then one JSON block record a line, with
 sorted keys, no spaces, ints and lowercase hex; nothing there needs
 escaping, so `chain_pieces` formats the file from templates one record at a
@@ -21,9 +23,11 @@ line's newline is JSON whitespace): it parses the header and then hands the
 blocks on one record at a time, so a reader never holds the file's text.
 `verify_chain` of that stream validates each block as it is read and keeps
 only the blocks its status window reads, so it holds no chain;
-`chain_from_lines` collects the blocks into a whole chain.  The reader takes
-only the writer's text: `payset` and `cert` lists, digests and signatures of
-exactly 64 lowercase hex characters and header user ids in plain decimal.
+`chain_from_lines` collects the blocks into a whole chain.  The reader checks
+the writer's field texts: `payset` and `cert` lists, digests and signatures
+of exactly 64 lowercase hex characters and header user ids in plain decimal.
+It does not yet check a record's key order or spacing, and takes extra and
+duplicated keys.
 """
 
 from __future__ import annotations
@@ -170,55 +174,28 @@ def make_payment(signer, payer: UserId, payee: UserId, amount: int,
     return Payment(payer, payee, amount, sig)
 
 
-def _pay(balances: dict[UserId, int], index: int, p: Payment, round: int,
-         registry: KeyRegistry) -> None:
-    """The payment rule: move `p.amount` from payer to payee in `balances`,
-    or raise with the payment's `index` and leave `balances` as they are.
-
-    A payment needs a positive amount, a registered payer whose unique
-    signature over the payment message for `round` verifies, and a payer
-    balance that covers the amount.
-    """
-    if p.amount < 1:
-        raise InvalidPaymentError(index, "non-positive amount")
-    if not (registry.is_registered(p.payer) and registry.verify_unique(
-            p.payer, payment_message(p.payer, p.payee, p.amount, round), p.sig)):
-        raise InvalidSignatureError(index)
-    if balances.get(p.payer, 0) < p.amount:
-        raise InsufficientFundsError(index, p.payer)
-    balances[p.payer] -= p.amount
-    balances[p.payee] = balances.get(p.payee, 0) + p.amount
-
-
 def apply_payset(status: Status, payset: Sequence[Payment],
                  registry: KeyRegistry) -> Status:
-    """Apply the round's payments sequentially, in list order.
-
-    New payees are created with the received amount.  Total money is
-    conserved.  Raises with the offending payment index if a payment breaks
-    the payment rule at its position in the list.
-    """
+    """The payment rule: the status after the round's payments, applied in
+    list order.  A payment needs a positive amount, a registered payer whose
+    unique signature over the payment message for `status.round` verifies,
+    and a payer balance that covers the amount, counting the payments before
+    it; a new payee is created with the amount received, and total money is
+    conserved.  The first payment that breaks the rule raises, with its
+    index."""
     balances = dict(status.balances)
     for i, p in enumerate(payset):
-        _pay(balances, i, p, status.round, registry)
+        if p.amount < 1:
+            raise InvalidPaymentError(i, "non-positive amount")
+        if not (registry.is_registered(p.payer) and registry.verify_unique(
+                p.payer, payment_message(p.payer, p.payee, p.amount,
+                                         status.round), p.sig)):
+            raise InvalidSignatureError(i)
+        if balances.get(p.payer, 0) < p.amount:
+            raise InsufficientFundsError(i, p.payer)
+        balances[p.payer] -= p.amount
+        balances[p.payee] = balances.get(p.payee, 0) + p.amount
     return Status(status.round + 1, balances)
-
-
-def build_payset(pending: Sequence[Payment], status: Status,
-                 registry: KeyRegistry) -> tuple[tuple[Payment, ...], Status]:
-    """The maximal valid subset of `pending` in arrival order, applied to the
-    balances of `status`: a payment that breaks the payment rule is skipped
-    and later payments may still apply.  Also returns the status after it,
-    which equals `apply_payset(status, payset, registry)`."""
-    balances = dict(status.balances)
-    payset = []
-    for p in pending:
-        try:
-            _pay(balances, len(payset), p, status.round, registry)
-        except InvalidPaymentError:
-            continue
-        payset.append(p)
-    return tuple(payset), Status(status.round + 1, balances)
 
 
 # -- blocks and seeds --------------------------------------------------------
@@ -265,9 +242,11 @@ class Chain:
     `status_entering(r)` and `users_at(r - lookback)`, so that window serves
     them all and memory stays flat per round.  A request below the window (an
     attack's target round, a test) replays from genesis and caches nothing.
-    A caller that has just applied the payset of the chain's own block hands
-    the result over with `carry`, so the window's next status is not
-    replayed (and its payment signatures not verified) a second time.
+    The window applies a committed payset when a later round first reads the
+    status after it, so a run applies each payset once, and its tip's, which
+    no round reads, not at all.  `validate_block` applies a block's payset to
+    check it and hands the result over with `carry`, so the window does not
+    apply it (and verify its payment signatures) a second time.
     A chain that grows at its tip and is read only there (a run handing its
     rounds to a sink as they commit, `SimulationRun.run` with `release`, and
     `verify_chain` of a stream) calls `release` after each block, so it keeps
@@ -326,9 +305,10 @@ class Chain:
 
     def carry(self, block: Block, status: Status) -> None:
         """Keep `status`, the balances after `block`'s payset applied, as the
-        status entering the next round.  Only the chain's own block at its
-        round counts, and only when that status is the window's next one;
-        any other call changes nothing."""
+        status entering the next round; `validate_block`, which has just
+        applied that payset to check it, is the one caller.  Only the chain's
+        own block at its round counts, and only when that status is the
+        window's next one; any other call changes nothing."""
         r = block.round + 1
         if (status.round == r == self._top + 1 and r <= len(self.blocks)
                 and self.blocks[r - 1] is block):

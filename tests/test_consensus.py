@@ -20,7 +20,6 @@ from algosim.consensus import (
 from algosim.crypto import KeyDestroyedError, KeyState
 from algosim.ledger import (
     block_hash,
-    build_payset,
     cert_payload,
     make_payment,
     next_block,
@@ -91,11 +90,6 @@ def verf_cred(env, user, step):
     return view_credential(user, ROUND, step, chain.tip().seed, chain)
 
 
-def payset_of(env, pending):
-    registry, chain, _ = env
-    return build_payset(pending, chain.status_entering(ROUND), registry)[0]
-
-
 def round_leader(env):
     chain = env[1]
     return view_leader(ROUND, chain.tip().seed, chain)
@@ -135,35 +129,17 @@ class CommitteeStep:
 class TestPropose:
     def test_empty_pending(self, env):
         registry, chain, params = env
-        block = next_block(chain.tip(), payset_of(env, []), registry, 1)
+        block = next_block(chain.tip(), (), registry, 1)
         assert block.payset == ()
         assert block.round == ROUND
         assert block == next_block(chain.tip())
         assert violations(env, block, cert_of(env, block, range(1, 5))) == []
 
-    def test_invalid_payment_excluded_rest_kept(self, env):
-        registry, chain, params = env
-        good1 = make_payment(registry, 1, 2, 5, ROUND)
-        bad = make_payment(registry, 3, 2, 5, ROUND + 1)  # wrong-round signature
-        good2 = make_payment(registry, 4, 2, 5, ROUND)
-        payset = payset_of(env, [good1, bad, good2])
-        assert payset == (good1, good2)
-        block = next_block(chain.tip(), payset, registry, round_leader(env))
-        assert block.payset == (good1, good2)
-        assert violations(env, block, cert_of(env, block, range(1, 5))) == []
-
-    def test_overdraft_skipped_later_payment_applies(self, env):
-        registry, _, _ = env
-        first = make_payment(registry, 1, 2, 60, ROUND)
-        overdraft = make_payment(registry, 1, 3, 60, ROUND)  # 40 left
-        smaller = make_payment(registry, 1, 3, 40, ROUND)
-        assert payset_of(env, [first, overdraft, smaller]) == (first, smaller)
-
     def test_only_the_leaders_block_validates(self, env):
         # any potential leader could build a block over the same payset; the
         # validator's seed rule accepts the smallest credential's block only
         registry, chain, params = env
-        payset = payset_of(env, [make_payment(registry, 1, 2, 5, ROUND)])
+        payset = (make_payment(registry, 1, 2, 5, ROUND),)
         creds = [lead_cred(env, u) for u in range(1, N + 1)]
         best = min(creds, key=lambda c: (c.unit, c.user)).user
         assert best == round_leader(env)
@@ -177,7 +153,7 @@ class TestPropose:
 
     def test_phase_leader_holds_the_smallest_credential(self, env):
         registry, chain, _ = env
-        payset = payset_of(env, [make_payment(registry, 1, 2, 5, ROUND)])
+        payset = (make_payment(registry, 1, 2, 5, ROUND),)
         step = CommitteeStep(env, {1: range(1, N + 1)})
         proposal = propose_phase(step, payset, chain)
         leaders = step.committees[1]
@@ -220,7 +196,7 @@ class TestPropose:
 
     def test_retain_policy_allows_reuse(self, env):
         registry, chain, params = env
-        payset = payset_of(env, [make_payment(registry, 1, 2, 5, ROUND)])
+        payset = (make_payment(registry, 1, 2, 5, ROUND),)
         step = CommitteeStep(env, {1: [3]})
         registry.keep_keys([3])
         first = propose_phase(step, payset, chain)
@@ -509,7 +485,7 @@ class TestCertificates:
 
     def test_wrong_digest_rejected(self, env, block):
         other = next_block(env[1].tip(),
-                           payset_of(env, [make_payment(env[0], 1, 2, 5, ROUND)]),
+                           (make_payment(env[0], 1, 2, 5, ROUND),),
                            env[0], round_leader(env))
         found = violations(env, block, cert_of(env, other, range(1, 5)))
         assert found[-1] == "insufficient certificates: have 0, need 4"

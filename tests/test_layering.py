@@ -5,7 +5,7 @@ a chain is read under its own params and registry: no function takes them
 beside a `Chain`.  And no CLI command holds a whole file's text, parses a
 whole chain or formats a run's metrics whole, and only the CLI opens, reads
 or writes a file.  And only `crypto` reads the key registry's stores of key
-state."""
+state, and only `ledger` applies a payset."""
 
 import ast
 import functools
@@ -157,4 +157,17 @@ def test_only_crypto_reads_the_key_state_stores():
              for node in ast.walk(tree)
              for name in [getattr(node, "id", getattr(node, "attr", None))]
              if name in KEY_STATE]
+    assert found == []
+
+
+def test_only_ledger_applies_paysets():
+    # a chain applies each committed payset once, in its status window or in
+    # `validate_block`, which hands the result over with `carry`; no other
+    # module runs the payment rule (an import of it names it too)
+    found = [f"{module}:{node.lineno} names {name}"
+             for module, tree in syntax_trees() if module != "ledger"
+             for node in ast.walk(tree)
+             for name in [getattr(node, "id", None) or getattr(node, "attr", None)
+                          or getattr(node, "name", None)]
+             if name in ("apply_payset", "carry")]
     assert found == []

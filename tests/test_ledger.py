@@ -5,7 +5,7 @@ import struct
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algosim import sortition
@@ -32,7 +32,6 @@ from algosim.ledger import (
     Vote,
     apply_payset,
     block_hash,
-    build_payset,
     cert_payload,
     chain_from_lines,
     chain_pieces,
@@ -40,6 +39,7 @@ from algosim.ledger import (
     make_genesis,
     make_payment,
     next_block,
+    payment_message,
     users_at,
     validate_block,
     verify_chain,
@@ -134,7 +134,7 @@ class TestApplyPayset:
         assert err.value.index == 1
 
 
-# -- the one payment rule, skipping and raising ----------------------------------
+# -- the one payment rule ---------------------------------------------------------
 
 RULE_REGISTRY = make_registry(users=range(1, 6))  # user 6 stays unregistered
 RULE_STATUS = Status(3, {1: 5, 2: 3, 3: 0})
@@ -150,22 +150,39 @@ def drawn_payment(payer, payee, amount, round_offset):
                         RULE_STATUS.round + round_offset)
 
 
+def rule_fold(pending):
+    """The payment rule written out over RULE_STATUS: the index of the first
+    payment it refuses (None if none) and the balances before that payment.
+    A unique signature is deterministic, so a valid one equals the payer's
+    own signature over the payment message."""
+    balances = dict(RULE_STATUS.balances)
+    for i, (payer, payee, amount, sig) in enumerate(pending):
+        message = payment_message(payer, payee, amount, RULE_STATUS.round)
+        if (amount < 1 or not RULE_REGISTRY.is_registered(payer)
+                or sig != RULE_REGISTRY.unique_sign(payer, message)
+                or balances.get(payer, 0) < amount):
+            return i, balances
+        balances[payer] -= amount
+        balances[payee] = balances.get(payee, 0) + amount
+    return None, balances
+
+
 @given(st.lists(st.builds(drawn_payment, st.integers(1, 6), st.integers(1, 6),
                           st.integers(0, 6), st.sampled_from([0, 0, 0, 1])),
                 max_size=8))
-def test_build_payset_skips_exactly_what_apply_payset_refuses(pending):
-    # payees 4 and 5 start with nothing, so they can pay only after an
-    # earlier payment of the list funds them
-    built, after = build_payset(pending, RULE_STATUS, RULE_REGISTRY)
-    assert apply_payset(RULE_STATUS, built, RULE_REGISTRY) == after
-    if built == tuple(pending):
-        apply_payset(RULE_STATUS, pending, RULE_REGISTRY)
+# payees 4 and 5 start with nothing, so they can pay only after an earlier
+# payment of the list funds them: then in full, then one unit beyond it
+@example([drawn_payment(1, 4, 3, 0), drawn_payment(4, 5, 3, 0)])
+@example([drawn_payment(1, 4, 3, 0), drawn_payment(4, 5, 4, 0)])
+def test_apply_payset_follows_the_payment_rule(pending):
+    refused, balances = rule_fold(pending)
+    if refused is None:
+        assert apply_payset(RULE_STATUS, pending, RULE_REGISTRY) == Status(
+            RULE_STATUS.round + 1, balances)
         return
-    first_skipped = next(i for i, p in enumerate(pending)
-                         if i == len(built) or built[i] != p)
     with pytest.raises(InvalidPaymentError) as err:
         apply_payset(RULE_STATUS, pending, RULE_REGISTRY)
-    assert err.value.index == first_skipped
+    assert err.value.index == refused
 
 
 class TestBlockHash:
