@@ -12,7 +12,8 @@ group at a time, recomputing the group's credentials through
 certificate holds.  A `Chain` carries the `ProtocolParams` and `KeyRegistry`
 it is read under, so every chain read takes only the chain.  `apply_payset`
 is the payment rule; a chain's status window applies each committed payset
-through it when a later round first reads the status after it.  A chain file
+through it when a later round first reads the status after it, the
+validator's read of a block's own status included.  A chain file
 is a JSON genesis header line and then one JSON block record a line, with
 sorted keys, no spaces, ints and lowercase hex; nothing there needs
 escaping, so `chain_pieces` formats the file from templates one record at a
@@ -21,13 +22,14 @@ writer holds one record, never a block's line (`block_pieces` formats one
 block).  `read_chain` takes any iterable of lines, an open file included (a
 line's newline is JSON whitespace): it parses the header and then hands the
 blocks on one record at a time, so a reader never holds the file's text.
-`verify_chain` of that stream validates each block as it is read and keeps
-only the blocks its status window reads, so it holds no chain;
+`verify_chain` of that stream registers the users each block names,
+validates the block as it is read and keeps only the blocks its status
+window reads, so it holds no chain;
 `chain_from_lines` collects the blocks into a whole chain.  The reader checks
 the writer's field texts: `payset` and `cert` lists, digests and signatures
-of exactly 64 lowercase hex characters and header user ids in plain decimal.
-It does not yet check a record's key order or spacing, and takes extra and
-duplicated keys.
+of exactly 64 lowercase hex characters and header user ids in plain decimal,
+and a parse error names its record's line.  It does not yet check a record's
+key order or spacing, and takes extra and duplicated keys.
 """
 
 from __future__ import annotations
@@ -244,9 +246,9 @@ class Chain:
     attack's target round, a test) replays from genesis and caches nothing.
     The window applies a committed payset when a later round first reads the
     status after it, so a run applies each payset once, and its tip's, which
-    no round reads, not at all.  `validate_block` applies a block's payset to
-    check it and hands the result over with `carry`, so the window does not
-    apply it (and verify its payment signatures) a second time.
+    no round reads, not at all.  `validate_block` of the chain's own block
+    reads the status after it from the window, so verifying a chain applies
+    each payset (and verifies its payment signatures) once too.
     A chain that grows at its tip and is read only there (a run handing its
     rounds to a sink as they commit, `SimulationRun.run` with `release`, and
     `verify_chain` of a stream) calls `release` after each block, so it keeps
@@ -283,7 +285,8 @@ class Chain:
         if status is not None:
             return status
         # Below the window, replay from genesis and keep nothing; above it,
-        # replay from the window's top and keep each status.  _top moves with
+        # replay from the window's top and keep each status, dropping the one
+        # `lookback + 1` rounds below it (genesis stays).  _top moves with
         # each kept round, so a payset that raises part way leaves it on a
         # status the window still holds.
         keep = round > self._top
@@ -292,27 +295,11 @@ class Chain:
         for r in range(start, round):
             status = apply_payset(status, self.blocks[r].payset, self.registry)
             if keep:
-                self._keep(status)
+                self._statuses[r + 1] = status
+                self._top = r + 1
+                if r > self.params.lookback:
+                    self._statuses.pop(r - self.params.lookback, None)
         return status
-
-    def _keep(self, status: Status) -> None:
-        """Store the status entering round `_top + 1` and slide the window."""
-        self._statuses[status.round] = status
-        self._top = status.round
-        old = status.round - self.params.lookback - 1
-        if old > 0:
-            self._statuses.pop(old, None)
-
-    def carry(self, block: Block, status: Status) -> None:
-        """Keep `status`, the balances after `block`'s payset applied, as the
-        status entering the next round; `validate_block`, which has just
-        applied that payset to check it, is the one caller.  Only the chain's
-        own block at its round counts, and only when that status is the
-        window's next one; any other call changes nothing."""
-        r = block.round + 1
-        if (status.round == r == self._top + 1 and r <= len(self.blocks)
-                and self.blocks[r - 1] is block):
-            self._keep(status)
 
     def release(self, kept: int = -1) -> None:
         """Drop the block `lookback + 2` rounds below the tip, which no read
@@ -382,9 +369,13 @@ def validate_block(chain: Chain, b: Block) -> list[str]:
     if b.prev_hash != block_hash(prev):
         violations.append("previous-block hash mismatch")
 
-    # Payset replay; a payset that applies is replayed once per chain.
+    # Payset replay: the chain's own block is applied by its status window,
+    # once per chain; any other block is checked and its status dropped.
     try:
-        chain.carry(b, apply_payset(status, b.payset, registry))
+        if b.round < len(chain.blocks) and chain.blocks[b.round] is b:
+            chain.status_entering(b.round + 1)
+        else:
+            apply_payset(status, b.payset, registry)
     except LedgerError as exc:
         violations.append(f"payset does not apply: {exc}")
 
@@ -496,6 +487,10 @@ def verify_chain(chain: Chain, genesis: dict[UserId, int] | None = None,
     may sit at its tip, where each early round's status would be replayed
     from genesis.
 
+    The registry is `chain.registry`: the genesis users are registered
+    first, and each block's payers and payees before the block is appended,
+    so a reader's registry needs no user registered beforehand.
+
     A genesis seed other than `chain.registry.genesis_seed` means the chain
     is of another scenario seed, and genesis balances other than `genesis`
     (when given) of another scenario: every later check would fail or mean
@@ -507,6 +502,8 @@ def verify_chain(chain: Chain, genesis: dict[UserId, int] | None = None,
     if blocks is None:
         chain, blocks = Chain(chain.genesis_status, registry=chain.registry,
                               params=chain.params), chain.blocks
+    for u in chain.genesis_status.balances:
+        chain.registry.register_user(u)
     blocks = _appended(chain, blocks)
     g = next(blocks)
     if g.seed != chain.registry.genesis_seed:
@@ -515,7 +512,7 @@ def verify_chain(chain: Chain, genesis: dict[UserId, int] | None = None,
         problems = [(0, "genesis balances do not match the config")]
     else:
         problems = []
-        if g.round != 0 or g.payset or g.prev_hash != ZERO_DIGEST or g.cert:
+        if g.payset or g.prev_hash != ZERO_DIGEST or g.cert:
             problems.append((0, "malformed genesis block"))
         for b in blocks:
             for v in validate_block(chain, b):
@@ -526,9 +523,14 @@ def verify_chain(chain: Chain, genesis: dict[UserId, int] | None = None,
 
 
 def _appended(chain: Chain, blocks: Iterable[Block]) -> Iterator[Block]:
-    """Each of `blocks` once `chain` holds it; when the next is drawn, the
-    chain releases what its window no longer reads."""
+    """Each of `blocks` once `chain` holds it, its payers and payees
+    registered; when the next is drawn, the chain releases what its window
+    no longer reads."""
+    register = chain.registry.register_user
     for b in blocks:
+        for p in b.payset:
+            register(p.payer)
+            register(p.payee)
         chain.append(b)
         yield b
         chain.release()
@@ -674,24 +676,25 @@ def read_chain(lines: Iterable[str], registry: KeyRegistry | None = None,
     except UnicodeDecodeError:
         raise  # not text: a file's decoder may have failed on a later line
     except _PARSE_ERRORS as exc:
-        raise LedgerError(f"malformed chain file header: {_cause(exc)}") from exc
+        raise LedgerError(
+            f"line 1: malformed chain file header: {_cause(exc)}") from exc
     return Chain(Status(0, balances), registry=registry, params=params), _blocks(it)
 
 
 def _blocks(lines: Iterator[str]) -> Iterator[Block]:
     """The blocks of a chain file's records, the header's line already read;
-    blank lines are skipped."""
+    blank lines are skipped, but counted in the line a parse error names."""
     empty = True
-    for line in lines:
+    for n, line in enumerate(lines, 2):
         if line.strip():
             empty = False
-            yield _block(line)
+            yield _block(line, n)
     if empty:
         raise LedgerError("no block record follows the header")
 
 
-def _block(line: str) -> Block:
-    """The block of one chain-file record, parsed in a call of its own so
+def _block(line: str, n: int) -> Block:
+    """The block of chain-file record `n`, parsed in a call of its own so
     that the record's JSON objects are freed before the block is validated."""
     try:
         o = json.loads(line)
@@ -712,7 +715,8 @@ def _block(line: str) -> Block:
                      _hash_field(o["seed"], "seed"),
                      _hash_field(o["prev_hash"], "prev_hash"), cert)
     except _PARSE_ERRORS as exc:
-        raise LedgerError(f"malformed chain record: {_cause(exc)}") from exc
+        raise LedgerError(
+            f"line {n}: malformed chain record: {_cause(exc)}") from exc
 
 
 def chain_from_lines(lines: Iterable[str],

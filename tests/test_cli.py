@@ -37,6 +37,7 @@ from algosim.ledger import (
     eligible,
     leader_round_seed,
     make_payment,
+    read_chain,
     verify_chain,
 )
 from algosim.sortition import Credential, ProtocolParams
@@ -389,8 +390,8 @@ class TestVerifyChain:
         code, stdout, err = run_cli(capsys, "verify-chain", "--chain",
                                     tmp_path / "shape.jsonl", "--config", small_cfg)
         assert (code, stdout) == (2, "")
-        assert err == ("error: cannot load chain: malformed chain file header: "
-                       f"{cause}\n")
+        assert err == ("error: cannot load chain: line 1: malformed chain file "
+                       f"header: {cause}\n")
 
     @pytest.mark.parametrize("record, cause", [
         ("[]", "expected an object"),
@@ -417,7 +418,8 @@ class TestVerifyChain:
         code, stdout, err = run_cli(capsys, "verify-chain", "--chain",
                                     tmp_path / "shape.jsonl", "--config", small_cfg)
         assert (code, stdout) == (2, "")
-        assert err == f"error: cannot load chain: malformed chain record: {cause}\n"
+        assert err == ("error: cannot load chain: line 2: malformed chain "
+                       f"record: {cause}\n")
 
     @pytest.mark.parametrize("value", [5, None, "x", {}],
                              ids=["int", "null", "string", "object"])
@@ -435,8 +437,8 @@ class TestVerifyChain:
             [lines[0], json.dumps(genesis, sort_keys=True, separators=(",", ":"))]
             + lines[2:]) + "\n")
         assert run_cli(capsys, "verify-chain", "--chain", path, "--config", cfg) == (
-            2, "", f"error: cannot load chain: malformed chain record: {field}: "
-                   "expected a list\n")
+            2, "", f"error: cannot load chain: line 2: malformed chain record: "
+                   f"{field}: expected a list\n")
 
     def test_header_user_id_in_another_spelling_is_load_error(
             self, small_cfg, tmp_path, capsys):
@@ -454,8 +456,8 @@ class TestVerifyChain:
                                         out / "respelled.jsonl",
                                         "--config", small_cfg)
             assert (code, stdout) == (2, ""), key
-            assert err == ("error: cannot load chain: malformed chain file "
-                           f"header: expected a user id in plain decimal, "
+            assert err == ("error: cannot load chain: line 1: malformed chain "
+                           f"file header: expected a user id in plain decimal, "
                            f"got {key!r}\n")
 
     def test_negative_amount_is_parse_error(self, small_cfg, tmp_path, capsys):
@@ -536,8 +538,8 @@ class TestVerifyChain:
                 "bit does not match block emptiness\n")
         else:
             assert (code, stdout) == (2, "")
-            assert err == ("error: cannot load chain: malformed chain record: "
-                           f"expected a cert bit in [0, 256), got {bit}\n")
+            assert err == ("error: cannot load chain: line 6: malformed chain "
+                           f"record: expected a cert bit in [0, 256), got {bit}\n")
 
     @pytest.mark.parametrize("round, violation", [
         (0, "malformed genesis block"),
@@ -677,6 +679,39 @@ class TestVerifyChain:
         joined.write_bytes((newline.join(lines) + newline).encode())
         assert run_cli(capsys, "verify-chain", "--chain", joined,
                        "--config", small_cfg) == expected
+
+    @pytest.mark.parametrize("edit, rounds", [
+        (lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:], (1, 2)),
+        (lambda lines: lines[:1] + lines[2:], (0, 1)),
+    ], ids=["rounds-1-and-2-swapped", "no-genesis-record"])
+    def test_record_out_of_order_is_load_error(self, tmp_path, capsys, edit,
+                                               rounds):
+        # a block is appended as it is read, in round order from genesis,
+        # so a record out of its place ends the read (a first record of
+        # another round than 0 included)
+        out = tmp_path / "out"
+        config = FIXTURES / "honest.cfg"
+        run_cli(capsys, "run", "--config", config, "--rounds", "8", "--out", out)
+        lines = (out / "chain.jsonl").read_text().splitlines()
+        (out / "moved.jsonl").write_text("\n".join(edit(lines)) + "\n")
+        assert run_cli(capsys, "verify-chain", "--chain", out / "moved.jsonl",
+                       "--config", config) == (
+            2, "", "error: cannot load chain: expected block for round "
+                   "%d, got %d\n" % rounds)
+
+    @pytest.mark.parametrize("text, line", [
+        ('{"genesis_status":{"1":1000}}\n\n  \n[]\n', 4),
+        ('{"genesis_status":{"1":1000}}\r\n\x1e[]\n', 3),
+    ], ids=["after-blank-records", "record-separator"])
+    def test_parse_error_names_the_record_it_is_in(self, small_cfg, tmp_path,
+                                                    capsys, text, line):
+        # records count from the header's 1 as the reader splits the file,
+        # blank ones included
+        (tmp_path / "located.jsonl").write_text(text, newline="")
+        assert run_cli(capsys, "verify-chain", "--chain",
+                       tmp_path / "located.jsonl", "--config", small_cfg) == (
+            2, "", f"error: cannot load chain: line {line}: malformed chain "
+                   "record: expected an object\n")
 
 
 NO_LEADER_CFG = """
@@ -1594,6 +1629,77 @@ def test_streamed_verify_chain_equals_the_whole_chain_reader_on(
     outcome = verify_outcome(path, cfg)
     assert outcome == whole_chain_verify_outcome(path, cfg)
     assert outcome[0] == code and (code == 1) == (outcome[1] != "")
+
+
+# The scenario of fixtures/golden_chain.jsonl: 6 users, 5 rounds.
+GOLDEN_CFG = """
+[scenario]
+seed = 2024
+genesis_users = 6
+initial_balance = 500
+
+[params]
+leader_prob = 0.5
+verifier_prob = 1.0
+lookback = 2
+max_ba_steps = 1
+cert_threshold = 6
+"""
+UNNAMED = 999  # a payer no record of the golden chain names
+
+
+def streamed_problems(lines, config, users) -> list[tuple[int, str]]:
+    """`verify_chain` of `lines` as `verify-chain` streams them, into a
+    registry of the config's seed that holds `users` and no other."""
+    registry = KeyRegistry(config.seed, horizon=config.params.horizon,
+                           max_step=config.params.max_step)
+    for u in users:
+        registry.register_user(u)
+    chain, blocks = read_chain(lines, registry, config.params)
+    return verify_chain(chain, dict.fromkeys(
+        range(1, config.num_genesis_users + 1), config.initial_balance), blocks)
+
+
+def paid_by_the_unnamed(lines, config):
+    """The golden chain with round 4's first payment made by `UNNAMED`,
+    signed with its own key for round 4."""
+    registry = KeyRegistry(config.seed, horizon=config.params.horizon,
+                           max_step=config.params.max_step)
+    registry.register_user(UNNAMED)
+    record = json.loads(lines[5])
+    first = record["payset"][0]
+    payment = make_payment(registry, UNNAMED, first["payee"], first["amount"], 4)
+    first.update(payer=UNNAMED, sig=payment.sig.hex())
+    return lines[:5] + [json.dumps(record, sort_keys=True,
+                                   separators=(",", ":"))] + lines[6:]
+
+
+@pytest.mark.parametrize("case", ["golden", "fork-attack", "unnamed-payer"])
+def test_verify_chain_registers_the_users_it_reads(fork_attack_chain, tmp_path,
+                                                   case):
+    # the ledger registers the genesis users and each block's payers and
+    # payees as it reads the block, so a chain reads into a registry that
+    # holds no user as into one that holds the config's users and every
+    # user the file names; an unregistered payer could not have signed
+    if case == "fork-attack":
+        config = cli.load_config(str(FIXTURES / "genesis_fork.cfg"))
+        lines = list(fork_attack_chain)
+    else:
+        (tmp_path / "golden.cfg").write_text(GOLDEN_CFG)
+        config = cli.load_config(str(tmp_path / "golden.cfg"))
+        lines = (FIXTURES / "golden_chain.jsonl").read_text().splitlines()
+        if case == "unnamed-payer":
+            lines = paid_by_the_unnamed(lines, config)
+    named = {u for line in lines[1:] for p in json.loads(line)["payset"]
+             for u in (p["payer"], p["payee"])}
+    problems = streamed_problems(lines, config, ())
+    assert problems == streamed_problems(
+        lines, config, [*range(1, config.num_genesis_users + 1), *named])
+    if case == "unnamed-payer":
+        assert (4, "payset does not apply: payment 0: insufficient funds "
+                   f"for payer {UNNAMED}") in problems
+    else:
+        assert problems == []
 
 
 # -- fuzzed config files --------------------------------------------------------

@@ -5,7 +5,8 @@ a chain is read under its own params and registry: no function takes them
 beside a `Chain`.  And no CLI command holds a whole file's text, parses a
 whole chain or formats a run's metrics whole, and only the CLI opens, reads
 or writes a file.  And only `crypto` reads the key registry's stores of key
-state, and only `ledger` applies a payset."""
+state, and only `ledger` applies a payset.  And the CLI reads no block's
+payments."""
 
 import ast
 import functools
@@ -160,14 +161,25 @@ def test_only_crypto_reads_the_key_state_stores():
     assert found == []
 
 
+def names_in(module: str, names) -> list[str]:
+    """Where `module` names any of `names` (an import of it names it too)."""
+    tree = dict(syntax_trees())[module]
+    return [f"{module}:{node.lineno} names {name}"
+            for node in ast.walk(tree)
+            for name in [getattr(node, "id", None) or getattr(node, "attr", None)
+                         or getattr(node, "name", None)]
+            if name in names]
+
+
 def test_only_ledger_applies_paysets():
-    # a chain applies each committed payset once, in its status window or in
-    # `validate_block`, which hands the result over with `carry`; no other
-    # module runs the payment rule (an import of it names it too)
-    found = [f"{module}:{node.lineno} names {name}"
-             for module, tree in syntax_trees() if module != "ledger"
-             for node in ast.walk(tree)
-             for name in [getattr(node, "id", None) or getattr(node, "attr", None)
-                          or getattr(node, "name", None)]
-             if name in ("apply_payset", "carry")]
-    assert found == []
+    # a chain applies each committed payset once, in its status window, and
+    # `validate_block` checks any other block's; no other module runs the
+    # payment rule
+    assert [found for module, _ in syntax_trees() if module != "ledger"
+            for found in names_in(module, ("apply_payset",))] == []
+
+
+def test_cli_reads_no_block_fields():
+    # `verify_chain` registers the users a block names; the CLI builds the
+    # registry and the config's genesis balances, and never looks in a block
+    assert names_in("cli", ("payset", "payer", "payee", "register_user")) == []

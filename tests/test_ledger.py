@@ -315,22 +315,55 @@ def test_failed_long_jump_leaves_the_status_window_usable(registry):
             chain.status_entering(r)
 
 
-def test_only_the_chains_own_block_carries_its_status(registry):
-    chain = idle_chain(registry, {1: 30, 2: 40}, 3)
-    p = make_payment(registry, 1, 2, 3, 4)
-    prev = chain.tip()
-    block = Block(4, (p,), empty_round_seed(prev.seed, 4), block_hash(prev), ())
-    chain.append(block)
-    entering = chain.status_entering(4)
-    after = apply_payset(entering, block.payset, registry)
-    twin = block._replace()  # equal, but not the chain's block
-    for other, status in ((twin, after), (block, entering), (chain.blocks[3], after)):
-        chain.carry(other, status)
-        assert 5 not in chain._statuses
-    chain.carry(block, after)
-    assert chain.status_entering(5) is after
-    chain.carry(block, apply_payset(entering, block.payset, registry))
-    assert chain.status_entering(5) is after  # the window had it already
+def streamed_with(registry, payset):
+    """(chain, problems, block): `verify_chain` of a 3-round idle chain and
+    a round-4 block over `payset`, streamed into a chain that holds none."""
+    blocks = idle_chain(registry, {1: 30, 2: 40}, 3).blocks
+    block = Block(4, payset, empty_round_seed(blocks[-1].seed, 4),
+                  block_hash(blocks[-1]), ())
+    chain = Chain(Status(0, {1: 30, 2: 40}), registry=registry,
+                  params=ProtocolParams())
+    return chain, verify_chain(chain, None, blocks + [block]), block
+
+
+def test_the_chains_own_block_is_applied_by_its_status_window(registry,
+                                                               monkeypatch):
+    # `validate_block` of the chain's own block reads the status after it
+    # from the window, which applies the payset once and stores the result;
+    # an equal twin is checked with `apply_payset` and stored nowhere
+    verify = type(registry).verify_unique
+    calls = []
+
+    def counted(self, owner, message, sig):
+        calls.append(message[:4])
+        return verify(self, owner, message, sig)
+
+    monkeypatch.setattr(type(registry), "verify_unique", counted)
+    chain, problems, block = streamed_with(
+        registry, (make_payment(registry, 1, 2, 3, 4),))
+    assert calls.count(TAG_PAYMENT) == 1
+    after = chain._statuses[5]
+    assert after == Status(5, {1: 27, 2: 43}) and chain._top == 5
+    assert chain.status_entering(5) is after and chain.blocks[4] is block
+    window = dict(chain._statuses)
+    twin = block._replace()
+    assert twin == block and twin is not block
+    assert [(4, v) for v in validate_block(chain, twin)] == [
+        (r, v) for r, v in problems if r == 4]
+    assert chain._statuses == window and chain._statuses[5] is after
+    assert calls.count(TAG_PAYMENT) == 2  # the twin's own check
+
+    # a payset that does not apply reads alike for the block and its twin,
+    # and the window stores nothing after it
+    reason = "payset does not apply: payment 0: insufficient funds for payer 1"
+    chain, problems, block = streamed_with(
+        registry, (make_payment(registry, 1, 2, 31, 4),))  # user 1 holds 30
+    assert (4, reason) in problems
+    window = dict(chain._statuses)
+    assert 5 not in window and chain._top == 4
+    assert reason in validate_block(chain, block._replace())
+    assert reason in validate_block(chain, block)
+    assert chain._statuses == window
 
 
 class TestExport:
@@ -619,7 +652,10 @@ def golden_with(*changes):
 
 
 def assert_reads_like_reference(line):
+    # the reader names the record's line: the fifth, after the header
     expected = read_outcome(reference_parse_record, line)
+    if isinstance(expected, str):
+        expected = f"line 5: {expected}"
     got = read_outcome(
         lambda line: chain_from_lines(GOLDEN_LINES[:4] + [line]).blocks[-1], line)
     assert got == expected
@@ -633,7 +669,7 @@ def test_parse_errors_equal_reference_reader(path):
     for value in BAD_VALUES:
         outcome = assert_reads_like_reference(golden_with((path, value)))
         if not (value == [] and path in (("payset",), ("cert",))):
-            assert outcome.startswith("malformed chain record: "), value
+            assert outcome.startswith("line 5: malformed chain record: "), value
     # with two fields bad, the one checked first names the error
     for other in RECORD_PATHS:
         if other[:len(path)] != path and path[:len(other)] != other:
